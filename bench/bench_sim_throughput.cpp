@@ -7,15 +7,13 @@
 // decode-once/run-many pattern prepare_multi() and the batch runner rely
 // on — so the measurement isolates the execution engine itself.
 //
-// Every workload is measured on three tiers in the same process — the
-// copy-and-patch JIT (the default engine), the fused interpreter
-// (superinstructions), and the unfused interpreter (the oracle).  Two
-// suite-level A/B ratios come out of it: `fusion_ab_ratio` (fused /
-// unfused interpreter) and `jit_ab_ratio` (jit / fused interpreter).
-// Being A/B ratios from one process on one host, they are immune to
-// runner speed variance, which is why check_perf.py gates them at face
-// value.  Steps are always counted in original-instruction units, so
-// ops/s stays comparable across PRs and tiers.
+// Every workload is measured on both engines in the same process — the
+// copy-and-patch JIT (the default) and the interpreter (the oracle).  The
+// suite-level A/B ratio `jit_ab_ratio` (jit / interpreter) comes out of
+// it.  Being an A/B ratio from one process on one host, it is immune to
+// runner speed variance, which is why check_perf.py gates it at face
+// value.  Steps are counted in IR instructions, so ops/s stays comparable
+// across PRs and engines.
 //
 // Prints the JSON to stdout and writes it to BENCH_sim_throughput.json in
 // the current directory (override the path with the positional argument).
@@ -47,12 +45,10 @@ struct Measurement {
 /// Repeats reset+bind+run until both a minimum rep count and a minimum
 /// wall-time are reached, so short workloads still measure meaningfully.
 Measurement measure(asipfb::sim::Machine& machine,
-                    const asipfb::wl::Workload& w, bool profile, bool fuse,
-                    bool jit) {
+                    const asipfb::wl::Workload& w, bool profile, bool jit) {
   using namespace asipfb;
   sim::SimOptions options;
   options.profile = profile;
-  options.fuse = fuse;
   options.jit = jit;
   auto run_once = [&] {
     machine.reset_memory();
@@ -91,54 +87,38 @@ int main(int argc, char** argv) {
       .member("unit", "dynamic_ops_per_sec")
       .key("workloads")
       .begin_array();
-  Measurement suite_jit, suite_fused, suite_unfused, suite_profiled;
+  Measurement suite_jit, suite_interp, suite_profiled;
+  auto add = [](Measurement& total, const Measurement& m) {
+    total.total_steps += m.total_steps;
+    total.seconds += m.seconds;
+  };
   for (const auto& w : wl::suite()) {
     ir::Module module = fe::compile_benchc(w.source, w.name);
     opt::canonicalize(module);
     sim::Machine machine(module);
-    // Interleaved A/B in one process: all tiers see the same machine,
-    // memory image, and host state.  The interpreter legs pin jit=false
-    // so fusion_ab_ratio keeps comparing the two interpreter tiers.
-    const Measurement jitted =
-        measure(machine, w, /*profile=*/false, /*fuse=*/false, /*jit=*/true);
-    const Measurement fused =
-        measure(machine, w, /*profile=*/false, /*fuse=*/true, /*jit=*/false);
-    const Measurement unfused =
-        measure(machine, w, /*profile=*/false, /*fuse=*/false, /*jit=*/false);
-    const Measurement profiled =
-        measure(machine, w, /*profile=*/true, /*fuse=*/true, /*jit=*/false);
-    suite_jit.total_steps += jitted.total_steps;
-    suite_jit.seconds += jitted.seconds;
-    suite_fused.total_steps += fused.total_steps;
-    suite_fused.seconds += fused.seconds;
-    suite_unfused.total_steps += unfused.total_steps;
-    suite_unfused.seconds += unfused.seconds;
-    suite_profiled.total_steps += profiled.total_steps;
-    suite_profiled.seconds += profiled.seconds;
+    // Interleaved A/B in one process: both engines see the same machine,
+    // memory image, and host state.
+    const Measurement jitted = measure(machine, w, /*profile=*/false, /*jit=*/true);
+    const Measurement interp = measure(machine, w, /*profile=*/false, /*jit=*/false);
+    const Measurement profiled = measure(machine, w, /*profile=*/true, /*jit=*/false);
+    add(suite_jit, jitted);
+    add(suite_interp, interp);
+    add(suite_profiled, profiled);
     json.inline_object()
         .member("name", w.name)
-        .member("ops_per_sec", fused.ops_per_sec())
+        .member("ops_per_sec", interp.ops_per_sec())
         .member("jit_ops_per_sec", jitted.ops_per_sec())
-        .member("unfused_ops_per_sec", unfused.ops_per_sec())
         .member("profiled_ops_per_sec", profiled.ops_per_sec())
         .end_object();
   }
-  const double ab_ratio = suite_unfused.ops_per_sec() > 0.0
-                              ? suite_fused.ops_per_sec() / suite_unfused.ops_per_sec()
-                              : 0.0;
-  const double jit_ratio = suite_fused.ops_per_sec() > 0.0
-                               ? suite_jit.ops_per_sec() / suite_fused.ops_per_sec()
+  const double jit_ratio = suite_interp.ops_per_sec() > 0.0
+                               ? suite_jit.ops_per_sec() / suite_interp.ops_per_sec()
                                : 0.0;
   json.end_array()
-      // suite_ops_per_sec stays the fused interpreter's number for
-      // cross-PR continuity; the explicit per-tier members feed the A/B
-      // ratios (jit vs fused, fused vs unfused).
-      .member("suite_ops_per_sec", suite_fused.ops_per_sec())
+      // The interpreter's numbers; the JIT's feed jit_ab_ratio.
+      .member("suite_ops_per_sec", suite_interp.ops_per_sec())
       .member("suite_profiled_ops_per_sec", suite_profiled.ops_per_sec())
       .member("jit_ops_per_sec", suite_jit.ops_per_sec())
-      .member("fused_ops_per_sec", suite_fused.ops_per_sec())
-      .member("unfused_ops_per_sec", suite_unfused.ops_per_sec())
-      .member("fusion_ab_ratio", ab_ratio)
       .member("jit_ab_ratio", jit_ratio)
       .end_object();
 

@@ -20,15 +20,13 @@ int main() {
   std::printf("// name, steps, cycles, oob_loads, exit_code, exec_total, "
               "profile_hash, output_hash\n");
   for (const auto& w : wl::suite()) {
-    // Pinned to the unfused interpreter: the recorded table is the oracle
-    // the fused and jit tiers are differentially tested against, so it
-    // must never be regenerated through a tier under test.
-    const auto prepared = pipeline::prepare(w.source, w.name, w.input,
-                                            /*fuse=*/false, /*jit=*/false);
+    // Pinned to the interpreter: the recorded table is the oracle the JIT
+    // is differentially tested against, so it must never be regenerated
+    // through the engine under test.
+    const auto prepared = pipeline::prepare(w.source, w.name, w.input, /*jit=*/false);
     ir::Module copy = prepared.module;
     const auto run = pipeline::execute(copy, w.input, w.outputs,
-                                       /*profile=*/false, /*fuse=*/false,
-                                       /*jit=*/false);
+                                       /*profile=*/false, /*jit=*/false);
     std::printf("    {\"%s\", %lluull, %lluull, %lluull, %d, %lluull, "
                 "0x%016llxull, 0x%016llxull},\n",
                 w.name.c_str(),

@@ -5,8 +5,8 @@
 
 namespace asipfb::asip {
 
-FusionStats apply_fusion(ir::Module& module, const chain::CoverageResult& coverage,
-                         const std::vector<chain::Signature>& signatures) {
+RewriteStats apply_fusion(ir::Module& module, const chain::CoverageResult& coverage,
+                          const std::vector<chain::Signature>& signatures) {
   // Index instructions by (function, id) for direct marking.
   std::map<chain::OpRef, ir::Instr*> index;
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
@@ -22,7 +22,7 @@ FusionStats apply_fusion(ir::Module& module, const chain::CoverageResult& covera
     return std::find(signatures.begin(), signatures.end(), sig) != signatures.end();
   };
 
-  FusionStats stats;
+  RewriteStats stats;
   for (const auto& step : coverage.steps) {
     if (!selected(step.signature)) continue;
     for (const auto& match : step.matches) {

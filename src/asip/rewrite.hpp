@@ -16,7 +16,7 @@
 
 namespace asipfb::asip {
 
-struct FusionStats {
+struct RewriteStats {
   int occurrences_fused = 0;  ///< Chained-instruction instances created.
   int ops_fused = 0;          ///< Follower operations absorbed.
 };
@@ -25,8 +25,8 @@ struct FusionStats {
 /// given signatures (empty = all steps).  The module must be the same
 /// (or an identically-built) module the coverage analysis ran on — matching
 /// is by instruction id.
-FusionStats apply_fusion(ir::Module& module, const chain::CoverageResult& coverage,
-                         const std::vector<chain::Signature>& signatures = {});
+RewriteStats apply_fusion(ir::Module& module, const chain::CoverageResult& coverage,
+                          const std::vector<chain::Signature>& signatures = {});
 
 /// Clears all fusion marks.
 void clear_fusion(ir::Module& module);

@@ -1,5 +1,6 @@
 #include "frontend/parser.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "frontend/lexer.hpp"
@@ -16,12 +17,60 @@ public:
   TranslationUnit run() {
     TranslationUnit unit;
     while (!at(Tok::End) && !fatal_) {
-      parse_top_level(unit);
+      try {
+        parse_top_level(unit);
+      } catch (const TooDeep& e) {
+        diags_.error(e.loc, "nesting too deep (more than " +
+                                std::to_string(kMaxNestingDepth) + " levels)");
+        fatal_ = true;
+      }
     }
     return unit;
   }
 
 private:
+  /// Unwinds the whole declaration once the tree would grow past
+  /// kMaxNestingDepth.
+  struct TooDeep {
+    SourceLoc loc;
+  };
+
+  // Tree depth bookkeeping.  depth_ is the level of the node being parsed;
+  // peak_ is the deepest level the current left-fold chain (or, outside
+  // any chain, the parse so far) has reached.  A fold moves the chain
+  // built so far one level down, so it raises peak_ by one.
+  void reach(int level) {
+    peak_ = std::max(peak_, level);
+    if (peak_ > kMaxNestingDepth) throw TooDeep{peek().loc};
+  }
+
+  /// One tree level for the lifetime of the guard.
+  class Nest {
+  public:
+    explicit Nest(Parser& p) : p_(p) { p_.reach(++p_.depth_); }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+  private:
+    Parser& p_;
+  };
+
+  /// A left-associative chain rooted at the current level: its peak starts
+  /// there, and the enclosing peak absorbs it when the chain is done.
+  class Chain {
+  public:
+    explicit Chain(Parser& p) : p_(p), outer_peak_(std::exchange(p.peak_, p.depth_)) {}
+    ~Chain() { p_.peak_ = std::max(p_.peak_, outer_peak_); }
+    void fold() { p_.reach(p_.peak_ + 1); }
+    Chain(const Chain&) = delete;
+    Chain& operator=(const Chain&) = delete;
+
+  private:
+    Parser& p_;
+    int outer_peak_;
+  };
+
   [[nodiscard]] const Token& peek(std::size_t ahead = 0) const {
     const std::size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -141,6 +190,7 @@ private:
   }
 
   StmtPtr parse_stmt() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     if (at(Tok::LBrace)) return parse_block();
     if (at_type()) return parse_decl();
@@ -270,6 +320,7 @@ private:
   }
 
   ExprPtr parse_assignment() {
+    const Nest nest(*this);
     ExprPtr lhs = parse_binary(0);
     if (is_assign_op(peek().kind)) {
       Token op = advance();
@@ -307,12 +358,18 @@ private:
   }
 
   ExprPtr parse_binary(int min_prec) {
+    Chain chain(*this);
     ExprPtr lhs = parse_unary();
     for (;;) {
       const int prec = precedence(peek().kind);
       if (prec < 0 || prec < min_prec) return lhs;
       Token op = advance();
-      ExprPtr rhs = parse_binary(prec + 1);
+      chain.fold();
+      ExprPtr rhs;
+      {
+        const Nest nest(*this);
+        rhs = parse_binary(prec + 1);
+      }
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::Binary;
       node->loc = op.loc;
@@ -324,6 +381,7 @@ private:
   }
 
   ExprPtr parse_unary() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     if (at(Tok::Minus) || at(Tok::Bang) || at(Tok::Tilde)) {
       Token op = advance();
@@ -362,6 +420,7 @@ private:
   }
 
   ExprPtr parse_postfix() {
+    Chain chain(*this);
     ExprPtr expr = parse_primary();
     for (;;) {
       if (accept(Tok::LBracket)) {
@@ -380,6 +439,7 @@ private:
       }
       if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
         Token op = advance();
+        chain.fold();
         auto node = std::make_unique<Expr>();
         node->kind = ExprKind::IncDec;
         node->loc = op.loc;
@@ -450,6 +510,8 @@ private:
   DiagnosticEngine& diags_;
   std::size_t pos_ = 0;
   bool fatal_ = false;
+  int depth_ = 0;
+  int peak_ = 0;
 };
 
 }  // namespace

@@ -1,25 +1,29 @@
 #include "pipeline/driver.hpp"
 
+#include <stdexcept>
+
 #include "frontend/compile.hpp"
 #include "ir/verifier.hpp"
 #include "opt/cleanup.hpp"
-#include "pipeline/session.hpp"
 
 namespace asipfb::pipeline {
 
+namespace {
+
+void bind_inputs(sim::Machine& machine, const WorkloadInput& input) {
+  for (const auto& [g, values] : input.float_inputs) machine.write_global(g, values);
+  for (const auto& [g, values] : input.int_inputs) machine.write_global(g, values);
+}
+
+}  // namespace
+
 ExecutionResult execute(ir::Module& module, const WorkloadInput& input,
                         const std::vector<std::string>& output_globals,
-                        bool profile, bool fuse, bool jit) {
+                        bool profile, bool jit) {
   sim::Machine machine(module);
-  for (const auto& [name, values] : input.float_inputs) {
-    machine.write_global(name, values);
-  }
-  for (const auto& [name, values] : input.int_inputs) {
-    machine.write_global(name, values);
-  }
+  bind_inputs(machine, input);
   sim::SimOptions options;
   options.profile = profile;
-  options.fuse = fuse;
   options.jit = jit;
   if (profile) sim::clear_profile(module);
   const sim::SimResult run = machine.run(options);
@@ -36,13 +40,12 @@ ExecutionResult execute(ir::Module& module, const WorkloadInput& input,
 }
 
 PreparedProgram prepare(std::string_view source, std::string name,
-                        const WorkloadInput& input, bool fuse, bool jit) {
-  return prepare_multi(source, std::move(name), {input}, fuse, jit);
+                        const WorkloadInput& input, bool jit) {
+  return prepare_multi(source, std::move(name), {input}, jit);
 }
 
 PreparedProgram prepare_multi(std::string_view source, std::string name,
-                              const std::vector<WorkloadInput>& inputs,
-                              bool fuse, bool jit) {
+                              const std::vector<WorkloadInput>& inputs, bool jit) {
   if (inputs.empty()) {
     throw std::invalid_argument("prepare_multi needs at least one data set");
   }
@@ -61,11 +64,9 @@ PreparedProgram prepare_multi(std::string_view source, std::string name,
   for (const auto& input : inputs) {
     // Profile WITHOUT clearing between data sets: counts accumulate.
     machine.reset_memory();
-    for (const auto& [g, values] : input.float_inputs) machine.write_global(g, values);
-    for (const auto& [g, values] : input.int_inputs) machine.write_global(g, values);
+    bind_inputs(machine, input);
     sim::SimOptions options;
     options.profile = true;
-    options.fuse = fuse;
     options.jit = jit;
     const sim::SimResult run = machine.run(options);
     prepared.baseline_run.exit_code = run.exit_code;
@@ -75,33 +76,6 @@ PreparedProgram prepare_multi(std::string_view source, std::string name,
   }
   prepared.total_cycles = prepared.module.total_dynamic_ops();
   return prepared;
-}
-
-// The deprecated free-function stages below run through a transient Session
-// (one per call): the option normalization and stage plumbing live in
-// exactly one place, at the cost of a baseline copy the memoizing API
-// doesn't pay.  Held Sessions answer repeated queries from cache instead.
-
-ir::Module optimized_variant(const PreparedProgram& prepared, opt::OptLevel level,
-                             const opt::OptimizeOptions& options) {
-  const Session session(prepared);
-  return session.optimized(level, options);
-}
-
-chain::DetectionResult analyze_level(const PreparedProgram& prepared,
-                                     opt::OptLevel level,
-                                     const chain::DetectorOptions& detector,
-                                     const opt::OptimizeOptions& options) {
-  const Session session(prepared);
-  return session.detection(level, detector, options);
-}
-
-chain::CoverageResult coverage_at_level(const PreparedProgram& prepared,
-                                        opt::OptLevel level,
-                                        const chain::CoverageOptions& coverage,
-                                        const opt::OptimizeOptions& options) {
-  const Session session(prepared);
-  return session.coverage(level, coverage, options);
 }
 
 }  // namespace asipfb::pipeline

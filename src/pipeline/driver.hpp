@@ -7,8 +7,7 @@
 // feeds all levels with a common frequency denominator) and execute()
 // runs a module over bound inputs.  Steps 3-4 live behind
 // pipeline::Session (session.hpp), which memoizes every downstream
-// artifact; the per-stage free functions at the bottom of this header are
-// deprecated shims over it.
+// artifact.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "chain/coverage.hpp"
-#include "chain/detect.hpp"
 #include "ir/function.hpp"
-#include "opt/optimizer.hpp"
 #include "sim/machine.hpp"
 
 namespace asipfb::pipeline {
@@ -50,15 +46,12 @@ struct ExecutionResult {
 };
 
 /// Runs `module`'s main over the given inputs; with `profile` the module's
-/// exec_count annotations are cleared and refilled.  `fuse` and `jit`
-/// select the simulator tier (sim/fuse.hpp, sim/jit.hpp; jit wins when
-/// both are set and supported); all tiers are bit-identical, so they only
-/// affect speed — pass false for both to pin the unfused differential
-/// oracle, or jit=false alone for the fused interpreter.
+/// exec_count annotations are cleared and refilled.  `jit` selects the
+/// simulator engine (sim/jit.hpp); both engines are bit-identical, so it
+/// only affects speed — pass false to pin the interpreter oracle.
 ExecutionResult execute(ir::Module& module, const WorkloadInput& input,
                         const std::vector<std::string>& output_globals = {},
-                        bool profile = false, bool fuse = sim::fuse_default(),
-                        bool jit = sim::jit_default());
+                        bool profile = false, bool jit = sim::jit_default());
 
 /// A compiled, canonicalized, profiled program — the shared baseline.
 struct PreparedProgram {
@@ -70,7 +63,6 @@ struct PreparedProgram {
 /// Steps 1-2: compile, canonicalize, verify, simulate with profiling.
 [[nodiscard]] PreparedProgram prepare(std::string_view source, std::string name,
                                       const WorkloadInput& input,
-                                      bool fuse = sim::fuse_default(),
                                       bool jit = sim::jit_default());
 
 /// As prepare(), but profiles over several sample data sets (the paper's
@@ -81,35 +73,6 @@ struct PreparedProgram {
 /// the last data set's outcome.
 [[nodiscard]] PreparedProgram prepare_multi(std::string_view source, std::string name,
                                             const std::vector<WorkloadInput>& inputs,
-                                            bool fuse = sim::fuse_default(),
                                             bool jit = sim::jit_default());
-
-// --- Deprecated free-function stages ----------------------------------------
-// The functions below are thin compatibility shims over pipeline::Session
-// (pipeline/session.hpp), kept so out-of-tree callers and existing tests
-// keep compiling.  They re-run the full stage computation on every call;
-// new code should hold a Session (or fetch one from SessionPool), which
-// memoizes every downstream artifact per normalized option set.
-
-/// Step 3 for one level: a verified optimized copy of the baseline.
-/// Deprecated — use Session::optimized(), which caches the variant.
-[[nodiscard]] ir::Module optimized_variant(const PreparedProgram& prepared,
-                                           opt::OptLevel level,
-                                           const opt::OptimizeOptions& options = {});
-
-/// Steps 3-4 for one level: sequence detection on the optimized program,
-/// denominated in the baseline's total cycles.
-/// Deprecated — use Session::detection(), which caches the result.
-[[nodiscard]] chain::DetectionResult analyze_level(
-    const PreparedProgram& prepared, opt::OptLevel level,
-    const chain::DetectorOptions& detector = {},
-    const opt::OptimizeOptions& options = {});
-
-/// Coverage analysis (section 7) at one level.
-/// Deprecated — use Session::coverage(), which caches the result.
-[[nodiscard]] chain::CoverageResult coverage_at_level(
-    const PreparedProgram& prepared, opt::OptLevel level,
-    const chain::CoverageOptions& coverage = {},
-    const opt::OptimizeOptions& options = {});
 
 }  // namespace asipfb::pipeline

@@ -24,8 +24,8 @@
 // valid for the Session's lifetime.
 //
 // SessionPool is the process-wide directory of Sessions, keyed by workload
-// name — the service front door.  The legacy free functions in driver.hpp
-// and the PreparedCache in batch.hpp are thin shims over these two types.
+// name — the service front door.  The legacy PreparedCache in batch.hpp is
+// a thin shim over these two types.
 // docs/ARCHITECTURE.md has the full stage diagram and the
 // ownership/threading rules in prose.
 #pragma once
@@ -51,26 +51,42 @@ class Store;
 enum class Artifact : std::uint8_t;
 }  // namespace asipfb::cache
 
+namespace asipfb::sim {
+
+/// tripbench-only: the benchmark spells the engine choice as
+/// `Session(source, name, input, sim::fuse_default(), sim::jit_default(),
+/// store)`, from when the simulator had a fused interpreter.  Together
+/// with the six-argument Session overload below, this goes when tripbench
+/// moves to the five-argument form.
+constexpr bool fuse_default() { return false; }
+
+}  // namespace asipfb::sim
+
 namespace asipfb::pipeline {
 
 class Session {
  public:
   /// Compile + canonicalize + profile `source` (driver prepare()); throws
-  /// on compile/verify/simulation failure.  `fuse` and `jit` select the
-  /// simulator tier for the profiling run (bit-identical every way, so
-  /// cached artifact bytes never depend on them).  With `store`, the
-  /// profiled baseline is loaded from disk when a valid entry exists
-  /// (skipping compile + profile entirely) and written back after a cold
+  /// on compile/verify/simulation failure.  `jit` selects the simulator
+  /// engine for the profiling run (bit-identical every way, so cached
+  /// artifact bytes never depend on it).  With `store`, the profiled
+  /// baseline is loaded from disk when a valid entry exists (skipping
+  /// compile + profile entirely) and written back after a cold
   /// preparation; every stage memo slot likewise consults disk inside its
   /// one-time computation.
   Session(std::string_view source, std::string name, const WorkloadInput& input,
-          bool fuse = sim::fuse_default(), bool jit = sim::jit_default(),
+          bool jit = sim::jit_default(),
           std::shared_ptr<cache::Store> store = nullptr);
+
+  /// tripbench-only (see sim::fuse_default() above): ignores `fuse`.
+  Session(std::string_view source, std::string name, const WorkloadInput& input,
+          bool /*fuse*/, bool jit, std::shared_ptr<cache::Store> store)
+      : Session(source, std::move(name), input, jit, std::move(store)) {}
 
   /// As above, profiling over several sample data sets (prepare_multi()).
   Session(std::string_view source, std::string name,
           const std::vector<WorkloadInput>& inputs,
-          bool fuse = sim::fuse_default(), bool jit = sim::jit_default(),
+          bool jit = sim::jit_default(),
           std::shared_ptr<cache::Store> store = nullptr);
 
   /// Adopts an already-prepared baseline (no re-simulation).  The artifact

@@ -76,7 +76,7 @@ Program decode(ir::Module& module) {
     for (auto& block : fn.blocks) {
       for (ir::Instr& in : block.instrs) {
         DecodedInstr d;
-        d.op = to_sim_op(in.op);
+        d.op = in.op;
         d.intrinsic = in.intrinsic;
         d.cycle_cost = in.fused_follower ? 0 : 1;
         d.imm_i = in.imm_i;
@@ -171,7 +171,7 @@ Program decode(ir::Module& module) {
     for (std::uint32_t ip = df.entry; ip < end; ++ip) {
       if (leader) p.block_start.push_back(ip);
       p.block_of[ip] = static_cast<std::uint32_t>(p.block_start.size() - 1);
-      leader = ir::info(base_op(p.code[ip].op)).is_terminator;
+      leader = ir::info(p.code[ip].op).is_terminator;
     }
     df.entry_block = df.entry < end ? p.block_of[df.entry] : 0;
   }

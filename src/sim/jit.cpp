@@ -1,4 +1,4 @@
-// Runtime half of the JIT tier: buffer management, the out-of-line
+// Runtime half of the JIT: buffer management, the out-of-line
 // intrinsic helper, and the host loop that owns the frame machinery.
 // The stencil emitter lives in sim/stencils.cpp.
 #include "sim/jit.hpp"
@@ -25,7 +25,7 @@ bool g_force_compile_failure = false;
 }  // namespace
 
 bool jit_default() {
-  // Cached once: the tier choice must not flip mid-process when tests
+  // Cached once: the engine choice must not flip mid-process when tests
   // mutate the environment, and getenv is not free on the run() path.
   static const bool enabled = [] {
     const char* v = std::getenv("ASIPFB_NO_JIT");

@@ -1,22 +1,21 @@
-// Baseline copy-and-patch JIT tier for the simulator.
+// Baseline copy-and-patch JIT for the simulator.
 //
-// The third rung of the execution ladder (interpreter -> fused
-// superinstructions -> JIT): sim::Program records are compiled one-to-one
-// into per-opcode machine-code stencils (sim/stencils.hpp) living in an
-// mmap'd W^X buffer — emitted writable, then flipped to read+execute.
-// Straight-line code and branches run natively; calls, returns, and
-// faults exit into a host loop (Machine::exec_jit, jit.cpp) that performs
-// exactly the interpreter's frame machinery and re-enters native code at
-// any flat instruction through a per-record native-offset table.
+// The second of the simulator's two engines (the interpreter is the
+// first): sim::Program records are compiled one-to-one into per-opcode
+// machine-code stencils (sim/stencils.hpp) living in an mmap'd W^X buffer
+// — emitted writable, then flipped to read+execute.  Straight-line code
+// and branches run natively; calls, returns, and faults exit into a host
+// loop (Machine::exec_jit, jit.cpp) that performs exactly the
+// interpreter's frame machinery and re-enters native code at any flat
+// instruction through a per-record native-offset table.
 //
-// Like the fusion tier, the JIT is semantically invisible: outputs,
-// steps, cycles, oob_loads, fault messages, and per-instruction
-// exec_count attribution are bit-identical to the interpreter oracle
-// (tests/sim/jit_test.cpp pins this; the corpus differential and the
-// gauntlet battery extend it across generated populations).  On
-// unsupported architectures, on mmap/mprotect failure, or under
-// ASIPFB_NO_JIT, Machine::run silently falls back to the interpreter
-// tiers — same results, slower.
+// The JIT is semantically invisible: outputs, steps, cycles, oob_loads,
+// fault messages, and per-instruction exec_count attribution are
+// bit-identical to the interpreter oracle (tests/sim/jit_test.cpp pins
+// this; the corpus differential and the gauntlet battery extend it across
+// generated populations).  On unsupported architectures, on mmap/mprotect
+// failure, or under ASIPFB_NO_JIT, Machine::run silently falls back to the
+// interpreter — same results, slower.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +28,8 @@ namespace asipfb::sim {
 
 /// Default for SimOptions::jit: on, unless the ASIPFB_NO_JIT environment
 /// variable is set (non-empty).  The env override lets CI run every
-/// sim-touching suite on the interpreter tiers without code changes.
-/// Cached once per process, like fuse_default().
+/// sim-touching suite on the interpreter without code changes.  Cached
+/// once per process.
 [[nodiscard]] bool jit_default();
 
 /// True when this build can JIT at all (x86-64 with mmap).  Other targets
@@ -82,7 +81,7 @@ extern "C" std::uint32_t asipfb_jit_intrinsic(std::uint32_t kind,
 /// and is built lazily on the first jit run.
 class JitProgram {
  public:
-  /// Compiles `program` (base tier).  Returns nullptr — interpreter
+  /// Compiles `program`.  Returns nullptr — interpreter
   /// fallback — when the target is unsupported, any record cannot be
   /// stenciled, or executable memory cannot be obtained.
   [[nodiscard]] static std::unique_ptr<JitProgram> compile(const Program& program);

@@ -1,32 +1,19 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "sim/decode.hpp"
 #include "sim/jit.hpp"
 // Value semantics (as_i32/as_f32/fp_to_int/eval_intrinsic) are shared with
-// the JIT tier via sim/value_ops.hpp so the tiers cannot diverge.
+// the JIT via sim/value_ops.hpp so the two engines cannot diverge.
 #include "sim/value_ops.hpp"
 
 namespace asipfb::sim {
 
-bool fuse_default() {
-  // Cached once: the tier choice must not flip mid-process when tests
-  // mutate the environment, and getenv is not free on the run() path.
-  static const bool enabled = [] {
-    const char* v = std::getenv("ASIPFB_NO_FUSE");
-    return v == nullptr || *v == '\0';
-  }();
-  return enabled;
-}
-
-Machine::Machine(ir::Module& module, std::uint32_t frame_region_words)
-    : module_(module), program_(decode(module)) {
+Machine::Machine(ir::Module& module) : module_(module), program_(decode(module)) {
   globals_end_ = program_.globals_end;
-  memory_.assign(static_cast<std::size_t>(globals_end_) + frame_region_words, 0);
+  memory_.assign(static_cast<std::size_t>(globals_end_) + kFrameRegionWords, 0);
   frame_dirty_end_ = globals_end_;  // assign() left the frame region zeroed.
   frames_.reserve(64);
   reset_memory();
@@ -80,33 +67,15 @@ std::vector<float> Machine::read_global_f32(std::string_view name) const {
   return out;
 }
 
-const DecodedInstr* Machine::fused_code() {
-  if (!fused_built_) {
-    FusionResult r = fuse(program_);
-    fused_code_ = std::move(r.code);
-    fusion_stats_ = r.stats;
-    fused_built_ = true;
-  }
-  return fused_code_.data();
-}
-
-const FusionStats& Machine::fusion_stats() {
-  (void)fused_code();
-  return fusion_stats_;
-}
-
 SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   const ir::FuncId fid = program_.find_function(entry);
   if (fid == ir::kNoFunc) throw SimError("no entry function: " + std::string(entry));
-  // Tier selection.  The native tier wins when requested and available
+  // Engine selection.  The JIT runs when requested and available
   // (jit_code() is nullptr on unsupported targets or W^X failure — then
-  // the interpreter tiers serve the run with identical results).  The
-  // interpreter tiers share flat indices with the base program, so
-  // everything downstream (profiling, fault fixup, branch targets) is
-  // tier-agnostic.
+  // the interpreter serves the run with identical results).  Both engines
+  // share the program's flat indices, so everything downstream
+  // (profiling, fault fixup, branch targets) is engine-agnostic.
   const bool use_jit = options.jit && jit_code() != nullptr;
-  const DecodedInstr* const code =
-      use_jit ? nullptr : (options.fuse ? fused_code() : program_.code.data());
   // Deterministic reuse: every run starts with a pristine frame region.
   // Globals are left alone so inputs written via write_global persist.
   std::fill(memory_.begin() + globals_end_,
@@ -116,8 +85,7 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   // frame region as dirty so the next clear is still correct.
   if (!options.profile) {
     try {
-      return use_jit ? exec_jit(options, fid, false)
-                     : exec<false>(options, fid, code);
+      return use_jit ? exec_jit(options, fid, false) : exec<false>(options, fid);
     } catch (...) {
       frame_dirty_end_ = static_cast<std::uint32_t>(memory_.size());
       throw;
@@ -133,8 +101,8 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   profile_.resize(program_.code.size());
   block_counts_.assign(program_.block_start.size() - 1, 0);
   try {
-    const SimResult result = use_jit ? exec_jit(options, fid, true)
-                                     : exec<true>(options, fid, code);
+    const SimResult result =
+        use_jit ? exec_jit(options, fid, true) : exec<true>(options, fid);
     program_.flush_profile(profile_.data());
     return result;
   } catch (...) {
@@ -150,13 +118,12 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
 }
 
 template <bool Profile>
-SimResult Machine::exec(const SimOptions& options, ir::FuncId entry,
-                        const DecodedInstr* code_arg) {
+SimResult Machine::exec(const SimOptions& options, ir::FuncId entry) {
   // memory_ and the decoded code are distinct allocations nothing else
   // writes through, so the restrict qualifiers are sound; they stop
   // register/memory stores from invalidating the compiler's view of the
   // fetched instruction.
-  const DecodedInstr* const __restrict code = code_arg;
+  const DecodedInstr* const __restrict code = program_.code.data();
   const DecodedFunction* const funcs = program_.functions.data();
   std::uint32_t* const __restrict mem = memory_.data();
   const std::size_t mem_words = memory_.size();
@@ -214,7 +181,7 @@ SimResult Machine::exec(const SimOptions& options, ir::FuncId entry,
     }                                                      \
     goto* kJump[static_cast<std::size_t>(in->op)];         \
   } while (0)
-  // Must list every opcode in SimOp declaration order.
+  // Must list every opcode in ir::Opcode declaration order.
   static const void* const kJump[] = {
       &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Rem, &&L_Neg,
       &&L_Shl, &&L_Shr,
@@ -228,31 +195,11 @@ SimResult Machine::exec(const SimOptions& options, ir::FuncId entry,
       &&L_Load, &&L_Store, &&L_FLoad, &&L_FStore,
       &&L_Intrin,
       &&L_Br, &&L_CondBr, &&L_Ret, &&L_Call,
-      // Superinstruction tier (sim/fuse.hpp).
-      &&L_CmpEqBr, &&L_CmpNeBr, &&L_CmpLtBr, &&L_CmpLeBr,
-      &&L_CmpGtBr, &&L_CmpGeBr,
-      &&L_FCmpEqBr, &&L_FCmpNeBr, &&L_FCmpLtBr, &&L_FCmpLeBr,
-      &&L_FCmpGtBr, &&L_FCmpGeBr,
-      &&L_MulAdd, &&L_FMulAdd, &&L_FMulAddR, &&L_FMulFSubL, &&L_FMulFSubR,
-      &&L_AddAdd, &&L_ShlAdd, &&L_MulIToF,
-      &&L_AddrGLoad, &&L_AddrGStore, &&L_AddrLLoad, &&L_AddrLStore,
-      &&L_AddLoad, &&L_AddStore,
-      &&L_AddrGAdd, &&L_MovIAdd, &&L_MovIShlL, &&L_MovIShlR,
-      &&L_LoadAdd, &&L_LoadSubL, &&L_LoadSubR, &&L_LoadMul,
-      &&L_LoadAnd, &&L_LoadOr, &&L_LoadXor,
-      &&L_FLoadFAdd, &&L_FLoadFAddR, &&L_FLoadFSubL, &&L_FLoadFSubR,
-      &&L_FLoadFMul, &&L_FLoadFMulR, &&L_LoadIToF,
-      &&L_IToFIntrin, &&L_IToFFMulL, &&L_IToFFMulR,
-      &&L_IntrinFMulL, &&L_IntrinFMulR,
-      &&L_AddBr,
-      &&L_LoadMulAdd, &&L_FLoadFMulFAdd,
-      &&L_CmpEqImmBr, &&L_CmpNeImmBr, &&L_CmpLtImmBr, &&L_CmpLeImmBr,
-      &&L_CmpGtImmBr, &&L_CmpGeImmBr,
   };
   static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
-                static_cast<std::size_t>(kNumSimOps));
+                static_cast<std::size_t>(ir::kNumOpcodes));
 #else
-#define ASIPFB_OP(name) case SimOp::name:
+#define ASIPFB_OP(name) case ir::Opcode::name:
 #define ASIPFB_DISPATCH_AT(next_ip) \
   do {                              \
     ip = (next_ip);                 \
@@ -357,18 +304,9 @@ dispatch:
     ASIPFB_NEXT();
   }
   ASIPFB_OP(Intrin) {
-    using enum ir::IntrinsicKind;
-    const float x = in->intrinsic == IAbs ? 0.0f : as_f32(fr[in->a]);
-    switch (in->intrinsic) {
-      case Sin: fr[in->dst] = from_f32(std::sin(x)); break;
-      case Cos: fr[in->dst] = from_f32(std::cos(x)); break;
-      case Sqrt: fr[in->dst] = from_f32(std::sqrt(x)); break;
-      case FAbs: fr[in->dst] = from_f32(std::fabs(x)); break;
-      case IAbs: fr[in->dst] = from_i32(std::abs(as_i32(fr[in->a]))); break;
-      case Exp: fr[in->dst] = from_f32(std::exp(x)); break;
-      case Log: fr[in->dst] = from_f32(std::log(x)); break;
-      case Floor: fr[in->dst] = from_f32(std::floor(x)); break;
-      case None: fault_ip_ = ip; throw SimError("malformed intrinsic");
+    if (!eval_intrinsic(in->intrinsic, fr[in->a], fr[in->dst])) {
+      fault_ip_ = ip;
+      throw SimError("malformed intrinsic");
     }
     ASIPFB_NEXT();
   }
@@ -438,313 +376,6 @@ dispatch:
     ASIPFB_DISPATCH_AT(cf.entry);
   }
 
-  // ----- Superinstruction tier (sim/fuse.hpp) ------------------------------
-  // One record executes 2-3 original instructions.  The dispatch macro
-  // already charged the whole record's cycle_cost (component sum) and one
-  // step for the leader; each follower charges its own step here so a
-  // step-limit fault lands on the exact original component, in
-  // original-instruction units, before any of that component's effects.
-#define ASIPFB_FOLLOWER_STEP(follower_ip)        \
-  do {                                           \
-    if (++steps > max_steps) {                   \
-      fault_ip_ = (follower_ip);                 \
-      throw SimError("step limit exceeded");     \
-    }                                            \
-  } while (0)
-
-  // Compare -> cond-branch.  The flag register is written only when it has
-  // readers beyond the branch (dst slot), before the follower's step check
-  // — exactly the unfused write/fault order.
-#define ASIPFB_CMPBR(name, cast, cmp)                       \
-  ASIPFB_OP(name) {                                         \
-    const bool taken = cast(fr[in->a]) cmp cast(fr[in->b]); \
-    if (in->dst != kNoSlot) fr[in->dst] = taken ? 1u : 0u;  \
-    ASIPFB_FOLLOWER_STEP(ip + 1);                           \
-    const std::uint32_t t = taken ? in->aux0 : in->aux1;    \
-    if constexpr (Profile) ++bc[bof[t]];                    \
-    ASIPFB_DISPATCH_AT(t);                                  \
-  }
-  ASIPFB_CMPBR(CmpEqBr, as_i32, ==)
-  ASIPFB_CMPBR(CmpNeBr, as_i32, !=)
-  ASIPFB_CMPBR(CmpLtBr, as_i32, <)
-  ASIPFB_CMPBR(CmpLeBr, as_i32, <=)
-  ASIPFB_CMPBR(CmpGtBr, as_i32, >)
-  ASIPFB_CMPBR(CmpGeBr, as_i32, >=)
-  ASIPFB_CMPBR(FCmpEqBr, as_f32, ==)
-  ASIPFB_CMPBR(FCmpNeBr, as_f32, !=)
-  ASIPFB_CMPBR(FCmpLtBr, as_f32, <)
-  ASIPFB_CMPBR(FCmpLeBr, as_f32, <=)
-  ASIPFB_CMPBR(FCmpGtBr, as_f32, >)
-  ASIPFB_CMPBR(FCmpGeBr, as_f32, >=)
-
-  // ALU -> add/sub chains.  The leader's result is materialized into aux1
-  // only when it has readers beyond the follower.  Float chains round the
-  // product through the from_f32/as_f32 bit-cast barrier so the compiler
-  // cannot contract the pair into an FMA and diverge from the unfused
-  // engine; the L/R variants keep the follower's exact operand order.
-#define ASIPFB_ALUCHAIN(name, lexpr, fexpr)      \
-  ASIPFB_OP(name) {                              \
-    const std::uint32_t p = (lexpr);             \
-    if (in->aux1 != kNoSlot) fr[in->aux1] = p;   \
-    ASIPFB_FOLLOWER_STEP(ip + 1);                \
-    fr[in->dst] = (fexpr);                       \
-    ASIPFB_DISPATCH_AT(ip + 2);                  \
-  }
-#define ASIPFB_FMUL_LEADER from_f32(as_f32(fr[in->a]) * as_f32(fr[in->b]))
-  ASIPFB_ALUCHAIN(MulAdd, fr[in->a] * fr[in->b], p + fr[in->aux0])
-  ASIPFB_ALUCHAIN(AddAdd, fr[in->a] + fr[in->b], p + fr[in->aux0])
-  ASIPFB_ALUCHAIN(ShlAdd, fr[in->a] << (fr[in->b] & 31u), p + fr[in->aux0])
-  ASIPFB_ALUCHAIN(MulIToF, fr[in->a] * fr[in->b],
-                  from_f32(static_cast<float>(as_i32(p))))
-  ASIPFB_ALUCHAIN(FMulAdd, ASIPFB_FMUL_LEADER,
-                  from_f32(as_f32(p) + as_f32(fr[in->aux0])))
-  ASIPFB_ALUCHAIN(FMulAddR, ASIPFB_FMUL_LEADER,
-                  from_f32(as_f32(fr[in->aux0]) + as_f32(p)))
-  ASIPFB_ALUCHAIN(FMulFSubL, ASIPFB_FMUL_LEADER,
-                  from_f32(as_f32(p) - as_f32(fr[in->aux0])))
-  ASIPFB_ALUCHAIN(FMulFSubR, ASIPFB_FMUL_LEADER,
-                  from_f32(as_f32(fr[in->aux0]) - as_f32(p)))
-
-  // Constant producer -> ALU op: the constant feeds the ALU straight from
-  // the record; it is materialized into b only when read elsewhere.
-  ASIPFB_OP(AddrGAdd) {
-    if (in->b != kNoSlot) fr[in->b] = in->aux0;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = in->aux0 + fr[in->a];
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(MovIAdd) {
-    if (in->b != kNoSlot) fr[in->b] = from_i32(in->imm_i);
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = fr[in->a] + from_i32(in->imm_i);
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(MovIShlL) {
-    if (in->b != kNoSlot) fr[in->b] = from_i32(in->imm_i);
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = from_i32(in->imm_i) << (fr[in->a] & 31u);
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(MovIShlR) {
-    if (in->b != kNoSlot) fr[in->b] = from_i32(in->imm_i);
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = fr[in->a] << (from_i32(in->imm_i) & 31u);
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-
-  ASIPFB_OP(AddBr) {
-    fr[in->dst] = fr[in->a] + fr[in->b];
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    const std::uint32_t t = in->aux0;
-    if constexpr (Profile) ++bc[bof[t]];
-    ASIPFB_DISPATCH_AT(t);
-  }
-
-  // MovI -> compare -> cond-branch: two followers, two step checks, each
-  // before its component's effects — fault attribution stays exact.
-#define ASIPFB_CMPIMMBR(name, cmp)                          \
-  ASIPFB_OP(name) {                                         \
-    if (in->b != kNoSlot) fr[in->b] = from_i32(in->imm_i);  \
-    ASIPFB_FOLLOWER_STEP(ip + 1);                           \
-    const bool taken = as_i32(fr[in->a]) cmp in->imm_i;     \
-    if (in->dst != kNoSlot) fr[in->dst] = taken ? 1u : 0u;  \
-    ASIPFB_FOLLOWER_STEP(ip + 2);                           \
-    const std::uint32_t t = taken ? in->aux0 : in->aux1;    \
-    if constexpr (Profile) ++bc[bof[t]];                    \
-    ASIPFB_DISPATCH_AT(t);                                  \
-  }
-  ASIPFB_CMPIMMBR(CmpEqImmBr, ==)
-  ASIPFB_CMPIMMBR(CmpNeImmBr, !=)
-  ASIPFB_CMPIMMBR(CmpLtImmBr, <)
-  ASIPFB_CMPIMMBR(CmpLeImmBr, <=)
-  ASIPFB_CMPIMMBR(CmpGtImmBr, >)
-  ASIPFB_CMPIMMBR(CmpGeImmBr, >=)
-
-  // AddrGlobal-based accesses are provably in bounds: aux0 is a resolved
-  // base inside [0, globals_end) <= mem_words, so the load needs no OOB
-  // check and the store can neither fault nor move dirty_end (which never
-  // drops below globals_end_).
-  ASIPFB_OP(AddrGLoad) {
-    if (in->a != kNoSlot) fr[in->a] = in->aux0;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = mem[in->aux0];
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(AddrGStore) {
-    if (in->a != kNoSlot) fr[in->a] = in->aux0;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    mem[in->aux0] = fr[in->b];
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(AddrLLoad) {
-    const std::uint32_t addr = frame_base + static_cast<std::uint32_t>(in->imm_i);
-    if (in->a != kNoSlot) fr[in->a] = addr;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    if (addr >= mem_words) {
-      ++oob_loads;
-      fr[in->dst] = 0;
-    } else {
-      fr[in->dst] = mem[addr];
-    }
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(AddrLStore) {
-    const std::uint32_t addr = frame_base + static_cast<std::uint32_t>(in->imm_i);
-    if (in->a != kNoSlot) fr[in->a] = addr;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    if (addr >= mem_words) {
-      fault_ip_ = ip + 1;  // The fault belongs to the store, not the pair.
-      throw SimError("out-of-bounds store in " + where() + " at address " +
-                     std::to_string(addr));
-    }
-    if (addr >= dirty_end) dirty_end = addr + 1;
-    mem[addr] = fr[in->b];
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(AddLoad) {
-    const std::uint32_t addr = fr[in->a] + fr[in->b];
-    if (in->aux0 != kNoSlot) fr[in->aux0] = addr;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    if (addr >= mem_words) {
-      ++oob_loads;
-      fr[in->dst] = 0;
-    } else {
-      fr[in->dst] = mem[addr];
-    }
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(AddStore) {
-    const std::uint32_t addr = fr[in->a] + fr[in->b];
-    if (in->aux1 != kNoSlot) fr[in->aux1] = addr;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    if (addr >= mem_words) {
-      fault_ip_ = ip + 1;
-      throw SimError("out-of-bounds store in " + where() + " at address " +
-                     std::to_string(addr));
-    }
-    if (addr >= dirty_end) dirty_end = addr + 1;
-    mem[addr] = fr[in->aux0];
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-
-  // Load -> ALU op.  The loaded value is materialized into the load's dst
-  // (slot b) only when it has readers beyond the ALU op; `expr` sees it as
-  // `v` either way.  OOB keeps speculative-load semantics.
-#define ASIPFB_LOADALU(name, expr)          \
-  ASIPFB_OP(name) {                         \
-    const std::uint32_t addr = fr[in->a];   \
-    std::uint32_t v;                        \
-    if (addr >= mem_words) {                \
-      ++oob_loads;                          \
-      v = 0;                                \
-    } else {                                \
-      v = mem[addr];                        \
-    }                                       \
-    if (in->b != kNoSlot) fr[in->b] = v;    \
-    ASIPFB_FOLLOWER_STEP(ip + 1);           \
-    fr[in->dst] = (expr);                   \
-    ASIPFB_DISPATCH_AT(ip + 2);             \
-  }
-  ASIPFB_LOADALU(LoadAdd, v + fr[in->aux0])
-  ASIPFB_LOADALU(LoadSubL, v - fr[in->aux0])
-  ASIPFB_LOADALU(LoadSubR, fr[in->aux0] - v)
-  ASIPFB_LOADALU(LoadMul, v * fr[in->aux0])
-  ASIPFB_LOADALU(LoadAnd, v & fr[in->aux0])
-  ASIPFB_LOADALU(LoadOr, v | fr[in->aux0])
-  ASIPFB_LOADALU(LoadXor, v ^ fr[in->aux0])
-  // Float forms keep the unfused operand order exactly (the fusion pass
-  // only matches loaded-value-on-the-left for FAdd/FMul).
-  ASIPFB_LOADALU(FLoadFAdd, from_f32(as_f32(v) + as_f32(fr[in->aux0])))
-  ASIPFB_LOADALU(FLoadFAddR, from_f32(as_f32(fr[in->aux0]) + as_f32(v)))
-  ASIPFB_LOADALU(FLoadFSubL, from_f32(as_f32(v) - as_f32(fr[in->aux0])))
-  ASIPFB_LOADALU(FLoadFSubR, from_f32(as_f32(fr[in->aux0]) - as_f32(v)))
-  ASIPFB_LOADALU(FLoadFMul, from_f32(as_f32(v) * as_f32(fr[in->aux0])))
-  ASIPFB_LOADALU(FLoadFMulR, from_f32(as_f32(fr[in->aux0]) * as_f32(v)))
-  ASIPFB_LOADALU(LoadIToF, from_f32(static_cast<float>(as_i32(v))))
-
-  // Conversion/intrinsic chains (the trig-table idiom).  The leader's
-  // value is materialized into b only when read elsewhere.
-#define ASIPFB_CVT_ITOF from_f32(static_cast<float>(as_i32(fr[in->a])))
-  ASIPFB_OP(IToFIntrin) {
-    const std::uint32_t v = ASIPFB_CVT_ITOF;
-    if (in->b != kNoSlot) fr[in->b] = v;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    std::uint32_t r;
-    if (!eval_intrinsic(in->intrinsic, v, r)) {
-      fault_ip_ = ip + 1;
-      throw SimError("malformed intrinsic");
-    }
-    fr[in->dst] = r;
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(IToFFMulL) {
-    const std::uint32_t v = ASIPFB_CVT_ITOF;
-    if (in->b != kNoSlot) fr[in->b] = v;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = from_f32(as_f32(v) * as_f32(fr[in->aux0]));
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-  ASIPFB_OP(IToFFMulR) {
-    const std::uint32_t v = ASIPFB_CVT_ITOF;
-    if (in->b != kNoSlot) fr[in->b] = v;
-    ASIPFB_FOLLOWER_STEP(ip + 1);
-    fr[in->dst] = from_f32(as_f32(fr[in->aux0]) * as_f32(v));
-    ASIPFB_DISPATCH_AT(ip + 2);
-  }
-#define ASIPFB_INTRINFMUL(name, fexpr)                \
-  ASIPFB_OP(name) {                                   \
-    std::uint32_t v;                                  \
-    if (!eval_intrinsic(in->intrinsic, fr[in->a], v)) { \
-      fault_ip_ = ip;                                 \
-      throw SimError("malformed intrinsic");          \
-    }                                                 \
-    if (in->b != kNoSlot) fr[in->b] = v;              \
-    ASIPFB_FOLLOWER_STEP(ip + 1);                     \
-    fr[in->dst] = (fexpr);                            \
-    ASIPFB_DISPATCH_AT(ip + 2);                       \
-  }
-  ASIPFB_INTRINFMUL(IntrinFMulL, from_f32(as_f32(v) * as_f32(fr[in->aux0])))
-  ASIPFB_INTRINFMUL(IntrinFMulR, from_f32(as_f32(fr[in->aux0]) * as_f32(v)))
-
-  // Triples: both intermediates are dead (single-use), so nothing is
-  // materialized.  Steps are still charged per original component, with
-  // the limit fault attributed to the exact component that crossed it.
-  ASIPFB_OP(LoadMulAdd) {
-    const std::uint32_t addr = fr[in->a];
-    std::uint32_t v;
-    if (addr >= mem_words) {
-      ++oob_loads;
-      v = 0;
-    } else {
-      v = mem[addr];
-    }
-    steps += 2;
-    if (steps > max_steps) {
-      fault_ip_ = steps - 1 > max_steps ? ip + 1 : ip + 2;
-      throw SimError("step limit exceeded");
-    }
-    fr[in->dst] = v * fr[in->b] + fr[in->aux0];
-    ASIPFB_DISPATCH_AT(ip + 3);
-  }
-  ASIPFB_OP(FLoadFMulFAdd) {
-    const std::uint32_t addr = fr[in->a];
-    std::uint32_t v;
-    if (addr >= mem_words) {
-      ++oob_loads;
-      v = 0;
-    } else {
-      v = mem[addr];
-    }
-    steps += 2;
-    if (steps > max_steps) {
-      fault_ip_ = steps - 1 > max_steps ? ip + 1 : ip + 2;
-      throw SimError("step limit exceeded");
-    }
-    const std::uint32_t p = from_f32(as_f32(v) * as_f32(fr[in->b]));
-    fr[in->dst] = from_f32(as_f32(p) + as_f32(fr[in->aux0]));
-    ASIPFB_DISPATCH_AT(ip + 3);
-  }
-
 #if !(defined(__GNUC__) || defined(__clang__))
   }
   throw SimError("corrupt opcode");  // Unreachable: the switch is total.
@@ -753,14 +384,6 @@ dispatch:
 #undef ASIPFB_OP
 #undef ASIPFB_DISPATCH_AT
 #undef ASIPFB_NEXT
-#undef ASIPFB_FOLLOWER_STEP
-#undef ASIPFB_CMPBR
-#undef ASIPFB_CMPIMMBR
-#undef ASIPFB_ALUCHAIN
-#undef ASIPFB_FMUL_LEADER
-#undef ASIPFB_LOADALU
-#undef ASIPFB_CVT_ITOF
-#undef ASIPFB_INTRINFMUL
 }
 
 void Machine::expand_profile() {

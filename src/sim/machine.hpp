@@ -7,12 +7,15 @@
 // branches; stores are always checked and fault on out-of-bounds addresses.
 //
 // Construction decodes the module once into a dense sim::Program
-// (sim/program.hpp); run() dispatches over that flat bytecode with an
-// explicit call-stack of frames, so call depth is bounded by
-// SimOptions::max_call_depth alone, never by the C++ stack.  The decoded
-// program is reused across runs: the decode-once/run-many pattern backs
-// pipeline::prepare_multi() and the batch runner, which reset_memory() and
-// rebind inputs between data sets instead of rebuilding a Machine.
+// (sim/program.hpp).  run() executes that flat bytecode on one of two
+// engines: the interpreter in this file, which is the differential oracle
+// and the portable fallback, or the copy-and-patch JIT (sim/jit.hpp),
+// selected by SimOptions::jit.  Both keep an explicit call-stack of
+// frames, so call depth is bounded by SimOptions::max_call_depth alone,
+// never by the C++ stack.  The decoded program is reused across runs: the
+// decode-once/run-many pattern backs pipeline::prepare_multi() and the
+// batch runner, which reset_memory() and rebind inputs between data sets
+// instead of rebuilding a Machine.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,6 @@
 #include <vector>
 
 #include "ir/function.hpp"
-#include "sim/fuse.hpp"
 #include "sim/program.hpp"
 
 namespace asipfb::sim {
@@ -36,14 +38,15 @@ public:
   using std::runtime_error::runtime_error;
 };
 
-/// Default for SimOptions::fuse: on, unless the ASIPFB_NO_FUSE environment
-/// variable is set (non-empty).  The env override lets CI run every
-/// sim-touching suite against the unfused oracle without code changes.
-[[nodiscard]] bool fuse_default();
+/// Words of memory above the globals reserved for call frames.  Frame
+/// allocation and the out-of-bounds checks of loads and stores are
+/// relative to this fixed region size.
+inline constexpr std::uint32_t kFrameRegionWords = 1u << 20;
 
 /// Default for SimOptions::jit: on, unless the ASIPFB_NO_JIT environment
-/// variable is set (non-empty) — the same CI-override pattern as
-/// fuse_default().  Defined in sim/jit.cpp.
+/// variable is set (non-empty).  The env override lets CI run every
+/// sim-touching suite against the interpreter oracle without code
+/// changes.  Defined in sim/jit.cpp.
 [[nodiscard]] bool jit_default();
 
 /// A compiled native-code program (sim/jit.hpp); owned lazily by Machine.
@@ -53,13 +56,11 @@ struct SimOptions {
   std::uint64_t max_steps = 2'000'000'000;  ///< Fault when exceeded.
   int max_call_depth = 256;                 ///< Fault when exceeded.
   bool profile = false;                     ///< Bump Instr::exec_count.
-  bool fuse = fuse_default();  ///< Execute the superinstruction tier
-                               ///< (sim/fuse.hpp); off = unfused oracle.
-  bool jit = jit_default();  ///< Execute the native-code tier (sim/jit.hpp)
-                             ///< when the build supports it; takes
-                             ///< precedence over `fuse`.  Falls back to the
-                             ///< interpreter tiers when compilation is
-                             ///< unavailable — results are identical.
+  bool jit = jit_default();  ///< Execute on the JIT (sim/jit.hpp) when the
+                             ///< build supports it; off = the interpreter
+                             ///< oracle.  Falls back to the interpreter
+                             ///< when compilation is unavailable —
+                             ///< results are identical.
 };
 
 struct SimResult {
@@ -77,7 +78,7 @@ public:
   /// Decodes the module.  `module` must outlive the machine and must not
   /// be structurally modified while it is in use; with SimOptions::profile
   /// a run mutates the module's exec_count annotations.
-  explicit Machine(ir::Module& module, std::uint32_t frame_region_words = 1u << 20);
+  explicit Machine(ir::Module& module);
 
   /// Out-of-line: jit_ needs JitProgram complete (defined in sim/jit.cpp).
   ~Machine();
@@ -104,14 +105,10 @@ public:
   /// The decoded form this machine executes.
   [[nodiscard]] const Program& program() const { return program_; }
 
-  /// Pattern counts of the superinstruction tier.  Builds the tier if no
-  /// fused run has happened yet.
-  [[nodiscard]] const FusionStats& fusion_stats();
-
   /// True when this machine will run SimOptions::jit runs natively:
-  /// compilation is supported and succeeded.  Builds the JIT tier if no
-  /// jit run has happened yet.  False means such runs silently use the
-  /// interpreter tiers instead.
+  /// compilation is supported and succeeded.  Compiles if no jit run has
+  /// happened yet.  False means such runs silently use the interpreter
+  /// instead.
   [[nodiscard]] bool jit_ready();
 
 private:
@@ -125,20 +122,15 @@ private:
 
   [[nodiscard]] const ir::GlobalArray& global_by_name(std::string_view name) const;
 
-  /// The dispatch loop, over either tier's code array (`code` is
-  /// program_.code.data() or fused_code_.data(); same length and indices).
+  /// The interpreter's dispatch loop over program_.code.
   template <bool Profile>
-  SimResult exec(const SimOptions& options, ir::FuncId entry,
-                 const DecodedInstr* code);
+  SimResult exec(const SimOptions& options, ir::FuncId entry);
 
-  /// The superinstruction tier, built lazily on the first fused run.
-  [[nodiscard]] const DecodedInstr* fused_code();
-
-  /// The native-code tier, built lazily on the first jit run (one compile
-  /// attempt per machine).  nullptr = fall back to the interpreter tiers.
+  /// The native code, built lazily on the first jit run (one compile
+  /// attempt per machine).  nullptr = fall back to the interpreter.
   [[nodiscard]] const JitProgram* jit_code();
 
-  /// The host half of the JIT tier (sim/jit.cpp): runs native code via
+  /// The host half of the JIT (sim/jit.cpp): runs native code via
   /// JitProgram::enter and performs exactly the interpreter's frame
   /// machinery on every call, return, and fault exit.
   SimResult exec_jit(const SimOptions& options, ir::FuncId entry, bool profile);
@@ -154,9 +146,6 @@ private:
 
   ir::Module& module_;
   Program program_;
-  std::vector<DecodedInstr> fused_code_;  ///< Lazily built (fused_code()).
-  FusionStats fusion_stats_;
-  bool fused_built_ = false;
   std::unique_ptr<JitProgram> jit_;  ///< Lazily built (jit_code()).
   bool jit_build_attempted_ = false;
   /// Write-only stand-in for block_counts_ on unprofiled jit runs: the

@@ -28,85 +28,11 @@ namespace asipfb::sim {
 /// Register slot within the current frame, or "none" for dst.
 inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-/// Execution opcode: every ir::Opcode (same order and values, so decoding
-/// the base tier is a cast) plus the superinstructions the post-decode
-/// fusion pass (sim/fuse.hpp) rewrites hot straight-line pairs/triples
-/// into.  Fused records carry the operands of all components (layouts
-/// documented in fuse.hpp); the follower records stay in place in the code
-/// array — never dispatched to — so flat indices, branch targets, counting
-/// blocks and the profile back-map are identical across the two tiers.
-enum class SimOp : std::uint8_t {
-  // --- Base tier: mirrors ir::Opcode exactly -------------------------------
-  Add, Sub, Mul, Div, Rem, Neg,
-  Shl, Shr,
-  And, Or, Xor, Not,
-  FAdd, FSub, FMul, FDiv, FNeg,
-  CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe,
-  FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
-  IntToFp, FpToInt,
-  MovI, MovF, Copy,
-  AddrGlobal, AddrLocal,
-  Load, Store, FLoad, FStore,
-  Intrin,
-  Br, CondBr, Ret, Call,
-  // --- Superinstruction tier (sim/fuse.hpp) --------------------------------
-  // Compare -> cond-branch: branch directly on the comparison.
-  CmpEqBr, CmpNeBr, CmpLtBr, CmpLeBr, CmpGtBr, CmpGeBr,
-  FCmpEqBr, FCmpNeBr, FCmpLtBr, FCmpLeBr, FCmpGtBr, FCmpGeBr,
-  // Multiply -> add/accumulate (R = chained value is the right operand of
-  // the follower; float ops are not bit-commutative under NaN payloads).
-  MulAdd, FMulAdd, FMulAddR, FMulFSubL, FMulFSubR,
-  // Int ALU -> add / int-to-float chains.
-  AddAdd, ShlAdd, MulIToF,
-  // Address-compute -> load/store.
-  AddrGLoad, AddrGStore, AddrLLoad, AddrLStore, AddLoad, AddStore,
-  // Constant-producer -> ALU op (AddrGlobal/MovI feeding one consumer).
-  AddrGAdd, MovIAdd, MovIShlL, MovIShlR,
-  // Load -> ALU op (L = loaded value is the left operand, R = right).
-  LoadAdd, LoadSubL, LoadSubR, LoadMul, LoadAnd, LoadOr, LoadXor,
-  FLoadFAdd, FLoadFAddR, FLoadFSubL, FLoadFSubR, FLoadFMul, FLoadFMulR,
-  LoadIToF,
-  // Conversion/intrinsic chains.
-  IToFIntrin, IToFFMulL, IToFFMulR, IntrinFMulL, IntrinFMulR,
-  // ALU -> unconditional branch.
-  AddBr,
-  // Triples (must stay last: fused_span keys off LoadMulAdd).
-  // Load -> multiply -> add (dead intermediates only).
-  LoadMulAdd, FLoadFMulFAdd,
-  // MovI -> compare -> cond-branch: loop exit tests against a constant.
-  CmpEqImmBr, CmpNeImmBr, CmpLtImmBr, CmpLeImmBr, CmpGtImmBr, CmpGeImmBr,
-};
-
-constexpr int kNumSimOps = static_cast<int>(SimOp::CmpGeImmBr) + 1;
-
-[[nodiscard]] constexpr SimOp to_sim_op(ir::Opcode op) {
-  return static_cast<SimOp>(op);
-}
-
-/// The ir::Opcode of a base-tier record.  Only valid below the fused range.
-[[nodiscard]] constexpr ir::Opcode base_op(SimOp op) {
-  return static_cast<ir::Opcode>(op);
-}
-
-[[nodiscard]] constexpr bool is_fused(SimOp op) { return op > SimOp::Call; }
-
-/// Original instructions one record executes: 1 base, 2 pair, 3 triple.
-[[nodiscard]] constexpr std::uint32_t fused_span(SimOp op) {
-  if (op >= SimOp::LoadMulAdd) return 3;
-  return is_fused(op) ? 2 : 1;
-}
-
-static_assert(static_cast<int>(SimOp::Call) ==
-              static_cast<int>(ir::Opcode::Call));
-static_assert(static_cast<int>(SimOp::FLoad) ==
-              static_cast<int>(ir::Opcode::FLoad));
-
 /// One flattened instruction: fixed 32-byte record, no indirection.
 struct DecodedInstr {
-  SimOp op = SimOp::Br;
+  ir::Opcode op = ir::Opcode::Br;
   ir::IntrinsicKind intrinsic = ir::IntrinsicKind::None;
-  std::uint8_t cycle_cost = 1;   ///< 0 for fused followers (asip/rewrite.hpp);
-                                 ///< component sum on superinstructions.
+  std::uint8_t cycle_cost = 1;   ///< 0 for fused followers (asip/rewrite.hpp).
   std::uint8_t num_args = 0;     ///< Ret: 0/1; Call: argument count.
   std::uint32_t dst = kNoSlot;   ///< Destination register slot, if any.
   std::uint32_t a = 0;           ///< First register operand slot.

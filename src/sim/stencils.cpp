@@ -402,7 +402,6 @@ bool emit_stencils(const Program& program, StencilProgram& out) {
   // --- One stencil per record -----------------------------------------
   for (std::uint32_t ip = 0; ip < program.code.size(); ++ip) {
     const DecodedInstr& in = program.code[ip];
-    if (is_fused(in.op)) return false;  // Base tier only.
     out.native_off[ip] = static_cast<std::uint32_t>(a.here());
 
     // Per-instruction bookkeeping, mirroring ASIPFB_DISPATCH_AT: exact
@@ -492,80 +491,80 @@ bool emit_stencils(const Program& program, StencilProgram& out) {
     };
 
     switch (in.op) {
-      case SimOp::Add: int_alu(0x03); break;
-      case SimOp::Sub: int_alu(0x2B); break;
-      case SimOp::And: int_alu(0x23); break;
-      case SimOp::Or: int_alu(0x0B); break;
-      case SimOp::Xor: int_alu(0x33); break;
-      case SimOp::Mul:
+      case ir::Opcode::Add: int_alu(0x03); break;
+      case ir::Opcode::Sub: int_alu(0x2B); break;
+      case ir::Opcode::And: int_alu(0x23); break;
+      case ir::Opcode::Or: int_alu(0x0B); break;
+      case ir::Opcode::Xor: int_alu(0x33); break;
+      case ir::Opcode::Mul:
         a.mov_rm32(RAX, RBX, da);
         a.imul_rm32(RAX, RBX, db);
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::Div:
-      case SimOp::Rem:
+      case ir::Opcode::Div:
+      case ir::Opcode::Rem:
         // int64 division of sign-extended int32s, truncated back — the
         // interpreter's exact semantics; INT_MIN/-1 cannot overflow the
         // 64-bit idiv.  The zero check precedes cqo, which clobbers the
         // edx fault ip only after the last fault site.
         a.mov_rm32(RAX, RBX, db);
         a.test_rr32(RAX, RAX);
-        a.jcc_to(kE, in.op == SimOp::Div ? stub_div : stub_rem);
+        a.jcc_to(kE, in.op == ir::Opcode::Div ? stub_div : stub_rem);
         a.movsxd_rr(RCX, RAX);
         a.movsxd_rm(RAX, RBX, da);
         a.cqo();
         a.idiv_r64(RCX);
-        a.mov_mr32(RBX, dd, in.op == SimOp::Div ? RAX : RDX);
+        a.mov_mr32(RBX, dd, in.op == ir::Opcode::Div ? RAX : RDX);
         break;
-      case SimOp::Neg:
+      case ir::Opcode::Neg:
         a.mov_rm32(RAX, RBX, da);
         a.neg_r32(RAX);
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::Not:
+      case ir::Opcode::Not:
         a.mov_rm32(RAX, RBX, da);
         a.not_r32(RAX);
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::Shl:
-      case SimOp::Shr:
+      case ir::Opcode::Shl:
+      case ir::Opcode::Shr:
         // 32-bit shifts mask the count to 5 bits in hardware, matching
         // the interpreter's explicit `& 31u`; Shr is arithmetic.
         a.mov_rm32(RCX, RBX, db);
         a.mov_rm32(RAX, RBX, da);
-        if (in.op == SimOp::Shl) {
+        if (in.op == ir::Opcode::Shl) {
           a.shl_cl(RAX);
         } else {
           a.sar_cl(RAX);
         }
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::FAdd: f_arith(0x58); break;
-      case SimOp::FSub: f_arith(0x5C); break;
-      case SimOp::FMul: f_arith(0x59); break;
-      case SimOp::FDiv: f_arith(0x5E); break;
-      case SimOp::FNeg:  // IEEE negation is a sign-bit flip, NaNs included.
+      case ir::Opcode::FAdd: f_arith(0x58); break;
+      case ir::Opcode::FSub: f_arith(0x5C); break;
+      case ir::Opcode::FMul: f_arith(0x59); break;
+      case ir::Opcode::FDiv: f_arith(0x5E); break;
+      case ir::Opcode::FNeg:  // IEEE negation is a sign-bit flip, NaNs included.
         a.mov_rm32(RAX, RBX, da);
         a.xor_eax_i32(0x80000000u);
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::CmpEq: int_cmp(kE); break;
-      case SimOp::CmpNe: int_cmp(kNe); break;
-      case SimOp::CmpLt: int_cmp(kL); break;
-      case SimOp::CmpLe: int_cmp(kLe); break;
-      case SimOp::CmpGt: int_cmp(kG); break;
-      case SimOp::CmpGe: int_cmp(kGe); break;
-      case SimOp::FCmpEq: f_cmp_eq_ne(true); break;
-      case SimOp::FCmpNe: f_cmp_eq_ne(false); break;
-      case SimOp::FCmpLt: f_cmp(db, da, kA); break;   // b > a
-      case SimOp::FCmpLe: f_cmp(db, da, kAe); break;  // b >= a
-      case SimOp::FCmpGt: f_cmp(da, db, kA); break;
-      case SimOp::FCmpGe: f_cmp(da, db, kAe); break;
-      case SimOp::IntToFp:
+      case ir::Opcode::CmpEq: int_cmp(kE); break;
+      case ir::Opcode::CmpNe: int_cmp(kNe); break;
+      case ir::Opcode::CmpLt: int_cmp(kL); break;
+      case ir::Opcode::CmpLe: int_cmp(kLe); break;
+      case ir::Opcode::CmpGt: int_cmp(kG); break;
+      case ir::Opcode::CmpGe: int_cmp(kGe); break;
+      case ir::Opcode::FCmpEq: f_cmp_eq_ne(true); break;
+      case ir::Opcode::FCmpNe: f_cmp_eq_ne(false); break;
+      case ir::Opcode::FCmpLt: f_cmp(db, da, kA); break;   // b > a
+      case ir::Opcode::FCmpLe: f_cmp(db, da, kAe); break;  // b >= a
+      case ir::Opcode::FCmpGt: f_cmp(da, db, kA); break;
+      case ir::Opcode::FCmpGe: f_cmp(da, db, kAe); break;
+      case ir::Opcode::IntToFp:
         a.cvtsi2ss_xm(0, RBX, da);
         a.movss_mx(RBX, dd, 0);
         break;
-      case SimOp::FpToInt: {
+      case ir::Opcode::FpToInt: {
         // cvttss2si returns the 0x80000000 sentinel for NaN/out-of-range,
         // where fp_to_int (sim/value_ops.hpp) returns 0 — except for
         // exactly -2^31 (raw bits 0xCF000000), which legitimately
@@ -582,36 +581,36 @@ bool emit_stencils(const Program& program, StencilProgram& out) {
         a.mov_mr32(RBX, dd, RAX);
         break;
       }
-      case SimOp::MovI:
+      case ir::Opcode::MovI:
         a.mov_mi32(RBX, dd, static_cast<std::uint32_t>(in.imm_i));
         break;
-      case SimOp::MovF: {
+      case ir::Opcode::MovF: {
         std::uint32_t bits = 0;
         std::memcpy(&bits, &in.imm_f, 4);
         a.mov_mi32(RBX, dd, bits);
         break;
       }
-      case SimOp::Copy:
+      case ir::Opcode::Copy:
         a.mov_rm32(RAX, RBX, da);
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::AddrGlobal:  // Base address resolved at decode.
+      case ir::Opcode::AddrGlobal:  // Base address resolved at decode.
         a.mov_mi32(RBX, dd, in.aux0);
         break;
-      case SimOp::AddrLocal:
+      case ir::Opcode::AddrLocal:
         a.mov_rm32(RAX, R15, kOffFrameBase);
         a.add_eax_i32(static_cast<std::uint32_t>(in.imm_i));
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::Load:
-      case SimOp::FLoad:
+      case ir::Opcode::Load:
+      case ir::Opcode::FLoad:
         load_word();
         break;
-      case SimOp::Store:
-      case SimOp::FStore:
+      case ir::Opcode::Store:
+      case ir::Opcode::FStore:
         store_word();
         break;
-      case SimOp::Intrin:
+      case ir::Opcode::Intrin:
         if (in.intrinsic == ir::IntrinsicKind::None) {
           a.jmp_to(stub_intrin);
           break;
@@ -624,11 +623,11 @@ bool emit_stencils(const Program& program, StencilProgram& out) {
         a.call_r64(RAX);
         a.mov_mr32(RBX, dd, RAX);
         break;
-      case SimOp::Br:
+      case ir::Opcode::Br:
         bump_block(in.aux0);
         jmp_flat(in.aux0);
         break;
-      case SimOp::CondBr: {
+      case ir::Opcode::CondBr: {
         a.mov_rm32(RAX, RBX, da);
         a.test_rr32(RAX, RAX);
         const std::size_t to_else = a.jcc32(kE);
@@ -639,16 +638,16 @@ bool emit_stencils(const Program& program, StencilProgram& out) {
         jmp_flat(in.aux1);
         break;
       }
-      case SimOp::Ret:
+      case ir::Opcode::Ret:
         a.mov_ri32(RAX, static_cast<std::uint32_t>(JitExit::kRet));
         a.jmp_to(epilogue);
         break;
-      case SimOp::Call:
+      case ir::Opcode::Call:
         a.mov_ri32(RAX, static_cast<std::uint32_t>(JitExit::kCall));
         a.jmp_to(epilogue);
         break;
       default:
-        return false;  // Unreachable for well-formed base-tier code.
+        return false;  // Unreachable for well-formed decoded code.
     }
   }
 

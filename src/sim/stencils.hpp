@@ -1,6 +1,6 @@
-// x86-64 stencil emission for the copy-and-patch JIT tier (sim/jit.hpp).
+// x86-64 stencil emission for the copy-and-patch JIT (sim/jit.hpp).
 //
-// The JIT compiles the *base* (unfused) sim::Program one record at a time:
+// The JIT compiles the decoded sim::Program one record at a time:
 // every DecodedInstr gets a fixed-shape machine-code stencil with its
 // operand slots, immediates, and cycle cost patched in as displacements
 // and immediate bytes, and its branch targets back-patched as rel32 jumps
@@ -52,10 +52,8 @@ struct StencilProgram {
   std::vector<std::uint32_t> native_off;  ///< One per flat instruction.
 };
 
-/// Emits stencils for every record of `program` (which must be base-tier
-/// code: superinstructions are the fusion tier's private encoding and
-/// never appear in Program::code).  Returns false if any record cannot be
-/// stenciled — the caller falls back to the interpreter.
+/// Emits stencils for every record of `program`.  Returns false if any
+/// record cannot be stenciled — the caller falls back to the interpreter.
 [[nodiscard]] bool emit_stencils(const Program& program, StencilProgram& out);
 
 }  // namespace asipfb::sim

@@ -1,10 +1,10 @@
 // Shared value semantics of the simulator: bit-cast helpers, the defined
 // float->int conversion, and intrinsic evaluation.
 //
-// Every execution tier (the interpreter in sim/machine.cpp, the JIT's
+// Both engines (the interpreter in sim/machine.cpp, the JIT's
 // out-of-line intrinsic helper in sim/jit.cpp) must produce bit-identical
 // results, so the scalar semantics live here exactly once.  Anything that
-// rounds, truncates, or calls libm routes through these functions; a tier
+// rounds, truncates, or calls libm routes through these functions; an engine
 // with a private copy would be one refactor away from divergence.
 #pragma once
 
@@ -42,8 +42,8 @@ inline std::int32_t fp_to_int(float f) {
   return static_cast<std::int32_t>(f);
 }
 
-/// Evaluates an intrinsic on a raw register value, mirroring the Intrin
-/// handler bit for bit (fused chains and the JIT route through this).
+/// Evaluates an intrinsic on a raw register value: the semantics of the
+/// interpreter's Intrin handler and of the JIT's intrinsic helper.
 /// Returns false for a malformed (None) kind.
 inline bool eval_intrinsic(ir::IntrinsicKind k, std::uint32_t in_bits,
                            std::uint32_t& out) {

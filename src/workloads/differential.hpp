@@ -3,16 +3,15 @@
 // exercises exactly the checks the tests gate on instead of a diverging
 // copy.
 //
-// Four checks per workload, each independently switchable:
+// Three checks per workload:
 //   * oracle: the simulated baseline must reproduce Workload::expected
 //     (raw words, floats bit-compared) and expected_exit;
 //   * levels: O1 and O2 variants must match the baseline's outputs and
 //     exit code bit for bit;
-//   * fusion: the fused interpreter tier must match the unfused oracle —
-//     outputs, exit, steps, cycles, and per-instruction profile hash;
-//   * jit: the native-code tier (sim/jit.hpp) must match the unfused
-//     oracle on the same axes.  Reports true unchecked on builds where
-//     the JIT is unavailable (the tier then is the interpreter).
+//   * jit: the JIT (sim/jit.hpp) must match the interpreter oracle —
+//     outputs, exit, steps, cycles, and per-instruction profile hash.
+//     Passes vacuously on builds where the JIT is unavailable (both runs
+//     then interpret).
 #pragma once
 
 #include <string>
@@ -21,33 +20,21 @@
 
 namespace asipfb::wl {
 
-/// Which of the three differential checks to run.
-struct DifferentialOptions {
-  bool check_oracle = true;
-  bool check_levels = true;
-  bool check_fusion = true;
-  bool check_jit = true;
-};
-
-/// Outcome of the battery on one workload.  A disabled check reports true
-/// (it cannot fail); `error` carries the first failure's description.
+/// Outcome of the battery on one workload; `error` carries the first
+/// failure's description.
 struct DifferentialOutcome {
   bool compiled = false;
   bool oracle_ok = false;
   bool levels_ok = false;
-  bool fusion_ok = false;
   bool jit_ok = false;
   std::string error;
 
-  [[nodiscard]] bool ok() const {
-    return compiled && oracle_ok && levels_ok && fusion_ok && jit_ok;
-  }
+  [[nodiscard]] bool ok() const { return compiled && oracle_ok && levels_ok && jit_ok; }
 };
 
 /// Runs the battery on `w`.  Never throws for check failures — compile
 /// errors and mismatches come back in the outcome, so gauntlet shards can
 /// count them instead of dying on the first one.
-[[nodiscard]] DifferentialOutcome check_workload(
-    const Workload& w, const DifferentialOptions& options = {});
+[[nodiscard]] DifferentialOutcome check_workload(const Workload& w);
 
 }  // namespace asipfb::wl

@@ -4,7 +4,7 @@
 
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
-#include "pipeline/driver.hpp"
+#include "pipeline/session.hpp"
 #include "sim/machine.hpp"
 
 namespace asipfb::asip {
@@ -23,17 +23,17 @@ const char* const kMacLoop = R"(
 struct Fused {
   ir::Module module;
   chain::CoverageResult coverage;
-  FusionStats stats;
+  RewriteStats stats;
   std::uint64_t baseline_cycles = 0;
 };
 
 Fused fuse_mac_loop() {
   Fused out;
   pipeline::WorkloadInput input;
-  auto prepared = pipeline::prepare(kMacLoop, "fuse", input);
-  out.baseline_cycles = prepared.total_cycles;
-  out.module = pipeline::optimized_variant(prepared, opt::OptLevel::O1);
-  out.coverage = chain::coverage_analysis(out.module, {}, prepared.total_cycles);
+  const pipeline::Session session(kMacLoop, "fuse", input);
+  out.baseline_cycles = session.total_cycles();
+  out.module = session.optimized(opt::OptLevel::O1);
+  out.coverage = chain::coverage_analysis(out.module, {}, session.total_cycles());
   out.stats = apply_fusion(out.module, out.coverage);
   return out;
 }

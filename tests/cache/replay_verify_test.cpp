@@ -64,7 +64,7 @@ TEST(ReplayVerify, WarmArtifactsAreBitIdenticalToFreshRecompute) {
   // kinds per scenario.
   for (const auto& w : corpus) {
     const pipeline::Session cold(w.source, w.name, w.input,
-                                 sim::fuse_default(), sim::jit_default(), store);
+                                 sim::jit_default(), store);
     ASSERT_FALSE(cold.baseline_from_disk()) << w.name;
     (void)cold.detection(opt::OptLevel::O1);
     (void)cold.coverage(opt::OptLevel::O1);
@@ -76,7 +76,7 @@ TEST(ReplayVerify, WarmArtifactsAreBitIdenticalToFreshRecompute) {
   // source in another, compare the canonical encodings.
   for (const auto& w : corpus) {
     const pipeline::Session warm(w.source, w.name, w.input,
-                                 sim::fuse_default(), sim::jit_default(), store);
+                                 sim::jit_default(), store);
     ASSERT_TRUE(warm.baseline_from_disk()) << w.name;
     const pipeline::Session fresh(w.source, w.name, w.input);
 

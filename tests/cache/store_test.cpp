@@ -371,7 +371,7 @@ TEST(SessionStore, BaselineAndStagesWarmStartFromDisk) {
   std::string cold_detection;
   {
     const pipeline::Session cold(kKernel, "warmstart", kernel_input(),
-                                 sim::fuse_default(), sim::jit_default(), store);
+                                 sim::jit_default(), store);
     EXPECT_FALSE(cold.baseline_from_disk());
     cold_prepared = serialize(cold.prepared());
     cold_detection = serialize(cold.detection(opt::OptLevel::O1));
@@ -380,7 +380,7 @@ TEST(SessionStore, BaselineAndStagesWarmStartFromDisk) {
   EXPECT_GT(store->stats().writes, 0u);
 
   const pipeline::Session warm(kKernel, "warmstart", kernel_input(),
-                               sim::fuse_default(), sim::jit_default(), store);
+                               sim::jit_default(), store);
   EXPECT_TRUE(warm.baseline_from_disk());
   EXPECT_EQ(serialize(warm.prepared()), cold_prepared);
   EXPECT_EQ(serialize(warm.detection(opt::OptLevel::O1)), cold_detection);
@@ -395,7 +395,7 @@ TEST(SessionStore, CorruptBaselineEntryFallsBackToColdCompute) {
   const ScratchDir scratch("fallback");
   const auto store = open_store(scratch);
   const pipeline::Session cold(kKernel, "fallback", kernel_input(),
-                               sim::fuse_default(), sim::jit_default(), store);
+                               sim::jit_default(), store);
   const std::string expected = serialize(cold.prepared());
 
   // Truncate the baseline entry in place: the next Session must detect
@@ -407,7 +407,7 @@ TEST(SessionStore, CorruptBaselineEntryFallsBackToColdCompute) {
   write_file(path, std::string_view(bytes).substr(0, bytes.size() / 2));
 
   const pipeline::Session recovered(kKernel, "fallback", kernel_input(),
-                                    sim::fuse_default(), sim::jit_default(), store);
+                                    sim::jit_default(), store);
   EXPECT_FALSE(recovered.baseline_from_disk());
   EXPECT_EQ(serialize(recovered.prepared()), expected);
   EXPECT_GT(store->stats().corrupt, 0u);
@@ -418,7 +418,7 @@ TEST(SessionStore, PreparationFailuresAreNeverCached) {
   const auto store = open_store(scratch);
   EXPECT_THROW(pipeline::Session("int main() { return undefined; }", "bad",
                                  pipeline::WorkloadInput{},
-                                 sim::fuse_default(), sim::jit_default(), store),
+                                 sim::jit_default(), store),
                std::runtime_error);
   EXPECT_TRUE(store->entries().empty())
       << "a failed preparation must not publish anything";

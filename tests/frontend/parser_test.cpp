@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace asipfb::fe {
 namespace {
 
@@ -159,6 +161,54 @@ TEST(Parser, ErrorVoidGlobal) {
 
 TEST(Parser, ErrorUnbalancedParens) {
   EXPECT_TRUE(parse_fails("int f() { return (1 + 2; }"));
+}
+
+// Inputs far under any size cap whose trees would be deep enough to
+// overflow the stack of the recursive passes: each must be an ordinary
+// diagnostic, not a crash.
+std::string nesting_error(const std::string& src) {
+  DiagnosticEngine diags;
+  (void)parse(src, diags);
+  return diags.has_errors() ? diags.diagnostics()[0].message : "";
+}
+
+TEST(Parser, DeepParenthesesAreAnError) {
+  const std::string src = "int main() { return " + std::string(20000, '(') + "1" +
+                          std::string(20000, ')') + "; }";
+  EXPECT_NE(nesting_error(src).find("nesting too deep"), std::string::npos);
+}
+
+TEST(Parser, LongAdditionChainIsAnError) {
+  // The parser folds the chain in a loop, but the tree it builds is
+  // 50,000 levels deep on its left spine.
+  std::string src = "int main() { return 1";
+  for (int i = 0; i < 50000; ++i) src += "+1";
+  src += "; }";
+  EXPECT_NE(nesting_error(src).find("nesting too deep"), std::string::npos);
+}
+
+TEST(Parser, DeepUnaryMinusRunIsAnError) {
+  std::string src = "int main() { return ";
+  for (int i = 0; i < 20000; ++i) src += "- ";
+  src += "1; }";
+  EXPECT_NE(nesting_error(src).find("nesting too deep"), std::string::npos);
+}
+
+TEST(Parser, LongElseIfChainIsAnError) {
+  std::string src = "int main() { int x = 1; if (x == 0) x = 0;";
+  for (int i = 1; i < 20000; ++i) src += " else if (x == 1) x = 2;";
+  src += " return x; }";
+  EXPECT_NE(nesting_error(src).find("nesting too deep"), std::string::npos);
+}
+
+TEST(Parser, NestingWithinTheLimitParses) {
+  // Deep for real code, yet within the bound: parentheses count two
+  // levels each (expression and operand), chain operands one each.
+  parse_ok("int main() { return " + std::string(100, '(') + "1" +
+           std::string(100, ')') + "; }");
+  std::string src = "int main() { return 1";
+  for (int i = 0; i < 200; ++i) src += "+1";
+  parse_ok(src + "; }");
 }
 
 TEST(Parser, EmptyStatementAllowed) {

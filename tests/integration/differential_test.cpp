@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
+#include "pipeline/session.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb {
@@ -22,16 +24,17 @@ std::ostream& operator<<(std::ostream& os, const DiffCase& c) {
             << c.unroll_factor;
 }
 
-/// Prepared programs are cached per workload; preparing involves a full
-/// profiled simulation.
-const pipeline::PreparedProgram& prepared(const std::string& name) {
-  static std::map<std::string, pipeline::PreparedProgram> cache;
+/// Sessions are cached per workload; preparing involves a full profiled
+/// simulation.
+const pipeline::Session& session(const std::string& name) {
+  static std::map<std::string, std::unique_ptr<pipeline::Session>> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
     const auto& w = wl::workload(name);
-    it = cache.emplace(name, pipeline::prepare(w.source, w.name, w.input)).first;
+    auto session = std::make_unique<pipeline::Session>(w.source, w.name, w.input);
+    it = cache.emplace(name, std::move(session)).first;
   }
-  return it->second;
+  return *it->second;
 }
 
 class Differential : public ::testing::TestWithParam<DiffCase> {};
@@ -39,14 +42,14 @@ class Differential : public ::testing::TestWithParam<DiffCase> {};
 TEST_P(Differential, OutputsBitIdenticalToBaseline) {
   const auto& param = GetParam();
   const auto& w = wl::workload(param.workload);
-  const auto& base_program = prepared(param.workload);
+  const pipeline::Session& base_session = session(param.workload);
 
-  ir::Module reference = base_program.module;
+  ir::Module reference = base_session.prepared().module;
   const auto base = pipeline::execute(reference, w.input, w.outputs);
 
   opt::OptimizeOptions options;
   options.unroll.factor = param.unroll_factor;
-  ir::Module variant = pipeline::optimized_variant(base_program, param.level, options);
+  ir::Module variant = base_session.optimized(param.level, options);
   const auto run = pipeline::execute(variant, w.input, w.outputs);
 
   EXPECT_EQ(run.exit_code, base.exit_code);

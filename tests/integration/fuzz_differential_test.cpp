@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <string>
 
+#include "pipeline/session.hpp"
 #include "sim/baseline_hash.hpp"
 #include "support/rng.hpp"
 #include "workloads/differential.hpp"
@@ -186,30 +187,13 @@ TEST_P(FuzzDifferential, AllLevelsAgree) {
   const std::vector<std::string> outputs{"A", "B", "F", "acc", "facc"};
   const auto base = pipeline::execute(prepared.module, input, outputs);
 
-  // Superinstruction fusion must be invisible on every random program: the
-  // unfused interpreter is the differential oracle for the fused tier
-  // (jit=false pins both sides to the interpreter tiers).
-  {
-    const auto unfused = pipeline::execute(prepared.module, input, outputs,
-                                           /*profile=*/false, /*fuse=*/false,
-                                           /*jit=*/false);
-    const auto fused = pipeline::execute(prepared.module, input, outputs,
-                                         /*profile=*/false, /*fuse=*/true,
-                                         /*jit=*/false);
-    EXPECT_EQ(fused.exit_code, unfused.exit_code) << "seed " << seed;
-    EXPECT_EQ(fused.steps, unfused.steps) << "seed " << seed;
-    EXPECT_EQ(fused.cycles, unfused.cycles) << "seed " << seed;
-    EXPECT_EQ(fused.outputs, unfused.outputs) << "seed " << seed << "\n" << source;
-  }
-
-  // And the native-code tier must be invisible against the same oracle.
+  // The JIT must be invisible on every random program: the interpreter is
+  // its differential oracle.
   {
     const auto interp = pipeline::execute(prepared.module, input, outputs,
-                                          /*profile=*/false, /*fuse=*/false,
-                                          /*jit=*/false);
+                                          /*profile=*/false, /*jit=*/false);
     const auto jitted = pipeline::execute(prepared.module, input, outputs,
-                                          /*profile=*/false, /*fuse=*/false,
-                                          /*jit=*/true);
+                                          /*profile=*/false, /*jit=*/true);
     EXPECT_EQ(jitted.exit_code, interp.exit_code) << "seed " << seed;
     EXPECT_EQ(jitted.steps, interp.steps) << "seed " << seed;
     EXPECT_EQ(jitted.cycles, interp.cycles) << "seed " << seed;
@@ -217,12 +201,13 @@ TEST_P(FuzzDifferential, AllLevelsAgree) {
     EXPECT_EQ(jitted.outputs, interp.outputs) << "seed " << seed << "\n" << source;
   }
 
+  const pipeline::Session session(std::move(prepared));
   for (auto level : {opt::OptLevel::O1, opt::OptLevel::O2}) {
     for (int factor : {2, 3}) {
       opt::OptimizeOptions options;
       options.unroll.factor = factor;
       ir::Module variant;
-      ASSERT_NO_THROW(variant = pipeline::optimized_variant(prepared, level, options))
+      ASSERT_NO_THROW(variant = session.optimized(level, options))
           << "seed " << seed << " level " << std::string(opt::to_string(level));
       const auto run = pipeline::execute(variant, input, outputs);
       EXPECT_EQ(run.exit_code, base.exit_code)

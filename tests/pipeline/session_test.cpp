@@ -9,8 +9,7 @@
 //   * concurrent mixed-stage queries are race-free and bit-identical to
 //     serial execution,
 //   * one Session drives detection, coverage, and extension proposal for
-//     the same workload without re-preparing,
-//   * the legacy free functions are faithful shims over the same stages.
+//     the same workload without re-preparing.
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
@@ -101,8 +100,8 @@ TEST(Session, RepeatedQueryReturnsIdenticalArtifactWithZeroRecompute) {
   EXPECT_EQ(after_first.detect_runs, 1u);
   EXPECT_EQ(after_first.optimize_runs, 1u);
 
-  // The analyze_level-equivalent repeated query: same cached object, no
-  // re-optimization, no re-detection.
+  // The repeated query: same cached object, no re-optimization, no
+  // re-detection.
   const auto& second = session.detection(opt::OptLevel::O1);
   EXPECT_EQ(&first, &second) << "same options must serve the cached artifact";
   const Session::Stats after_second = session.stats();
@@ -198,23 +197,6 @@ TEST(Session, ClearDropsArtifactsButKeepsTheBaseline) {
   const Session::Stats stats = session.stats();
   EXPECT_EQ(stats.detect_runs, 2u) << "cleared artifacts recompute";
   EXPECT_EQ(stats.optimize_runs, 2u);
-}
-
-TEST(Session, LegacyFreeFunctionsAreFaithfulShims) {
-  const PreparedProgram prepared = prepare(kKernel, "shim", kernel_input());
-  const Session session(prepared);
-
-  for (auto level :
-       {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
-    const std::string context{opt::to_string(level)};
-    expect_same_detection(analyze_level(prepared, level),
-                          session.detection(level), context);
-    expect_same_coverage(coverage_at_level(prepared, level),
-                         session.coverage(level), context);
-    EXPECT_EQ(optimized_variant(prepared, level).instr_count(),
-              session.optimized(level).instr_count())
-        << context;
-  }
 }
 
 TEST(Session, ConcurrentMixedStageQueriesAreRaceFreeAndBitIdentical) {

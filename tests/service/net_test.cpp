@@ -495,6 +495,32 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   EXPECT_EQ(ok_count, 3u) << out;
 }
 
+TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {
+  // 20,000 nested parentheses (~40 KB, far under the line cap) used to
+  // overflow the parser's stack and take the whole process down.  Now the
+  // request gets an error response and the session keeps serving.
+  Router router(four_shards());
+  ProtocolSession::Options options;
+  options.blocking_submit = true;
+  ProtocolSession session(router, options);
+  const std::string deep = "int main() { return " + std::string(20000, '(') + "1" +
+                           std::string(20000, ')') + "; }";
+  session.feed("source deep 1\n" + deep + "\n1 compile deep level=O1\nping\nquit\n");
+  session.finish_input();
+  while (session.pump()) {
+  }
+  session.wait_pending();
+  while (session.pump()) {
+  }
+  const std::string out = session.take_ready();
+  const auto error = out.find("nesting too deep");
+  const auto pong = out.find("\"pong\": true");
+  ASSERT_NE(error, std::string::npos) << out;
+  ASSERT_NE(pong, std::string::npos) << out;
+  EXPECT_LT(error, pong);
+  EXPECT_TRUE(session.wants_close());
+}
+
 TEST(ServiceNet, ProtocolSessionOversizedLinePoisonsConnection) {
   Router router(four_shards());
   ProtocolSession::Options options;

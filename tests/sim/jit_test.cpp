@@ -1,7 +1,7 @@
-// The baseline copy-and-patch JIT tier (sim/jit.hpp): native code must be
-// semantically invisible against the unfused interpreter oracle — outputs,
+// The baseline copy-and-patch JIT (sim/jit.hpp): native code must be
+// semantically invisible against the interpreter oracle — outputs,
 // steps, cycles, oob_loads, fault messages, and per-instruction exec_count
-// attribution are all bit-identical — and the tier must degrade gracefully
+// attribution are all bit-identical — and the JIT must degrade gracefully
 // to the interpreter when compilation is unavailable.  The generated-corpus
 // differential in tests/integration/fuzz_differential_test.cpp extends the
 // same parity check across 96 randomized scenarios, and the gauntlet runs
@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "frontend/compile.hpp"
@@ -29,13 +31,13 @@ using ir::Builder;
 using ir::Opcode;
 using ir::Type;
 
-// --- Differential parity: native tier vs the unfused interpreter ------------
+// --- Differential parity: JIT vs the interpreter ---------------------------
 
-/// Runs `source` on the JIT and the unfused interpreter (profiled) over two
+/// Runs `source` on the JIT and the interpreter (profiled) over two
 /// module copies and checks every observable: exit code, steps, cycles,
 /// oob_loads, declared outputs, and the per-instruction exec_count
 /// attribution (via profile_hash).  On hosts without JIT support both legs
-/// take the interpreter and the check is trivially true — the tier's
+/// take the interpreter and the check is trivially true — the JIT's
 /// fallback contract makes that the correct outcome, not a test gap.
 void expect_jit_parity(const std::string& source,
                        const std::vector<std::string>& outputs = {}) {
@@ -45,11 +47,9 @@ void expect_jit_parity(const std::string& source,
 
   const pipeline::WorkloadInput input;
   const auto jitted = pipeline::execute(jit_m, input, outputs,
-                                        /*profile=*/true, /*fuse=*/false,
-                                        /*jit=*/true);
+                                        /*profile=*/true, /*jit=*/true);
   const auto interp = pipeline::execute(interp_m, input, outputs,
-                                        /*profile=*/true, /*fuse=*/false,
-                                        /*jit=*/false);
+                                        /*profile=*/true, /*jit=*/false);
   EXPECT_EQ(jitted.exit_code, interp.exit_code);
   EXPECT_EQ(jitted.steps, interp.steps);
   EXPECT_EQ(jitted.cycles, interp.cycles);
@@ -66,11 +66,9 @@ TEST(JitParity, SuiteWorkloadsBitIdentical) {
     opt::canonicalize(jit_m);
     ir::Module interp_m = jit_m;
     const auto jitted = pipeline::execute(jit_m, w.input, w.outputs,
-                                          /*profile=*/true, /*fuse=*/false,
-                                          /*jit=*/true);
+                                          /*profile=*/true, /*jit=*/true);
     const auto interp = pipeline::execute(interp_m, w.input, w.outputs,
-                                          /*profile=*/true, /*fuse=*/false,
-                                          /*jit=*/false);
+                                          /*profile=*/true, /*jit=*/false);
     EXPECT_EQ(jitted.exit_code, interp.exit_code);
     EXPECT_EQ(jitted.steps, interp.steps);
     EXPECT_EQ(jitted.cycles, interp.cycles);
@@ -136,6 +134,187 @@ TEST(JitParity, ShiftAndDivisionEdgeCasesMatchInterpreter) {
       {"A"});
 }
 
+// --- Pattern parity: hand-built IR shapes with known results ----------------
+
+/// Runs a hand-built module profiled on the JIT and the interpreter over two
+/// copies; both must return `expected_exit` with identical steps, cycles,
+/// and per-instruction exec_count attribution.  On a supported host the
+/// module must really compile, so the comparison is not interpreter against
+/// interpreter.
+void expect_module_parity(const ir::Module& m, std::int32_t expected_exit) {
+  ir::Module jit_m = m;
+  ir::Module interp_m = m;
+  SimOptions options;
+  options.profile = true;
+  options.jit = true;
+  Machine jit_machine(jit_m);
+  if (jit_supported()) {
+    EXPECT_TRUE(jit_machine.jit_ready());
+  }
+  const SimResult jitted = jit_machine.run(options);
+  options.jit = false;
+  const SimResult interp = Machine(interp_m).run(options);
+  EXPECT_EQ(interp.exit_code, expected_exit);
+  EXPECT_EQ(jitted.exit_code, interp.exit_code);
+  EXPECT_EQ(jitted.steps, interp.steps);
+  EXPECT_EQ(jitted.cycles, interp.cycles);
+  EXPECT_EQ(profile_hash(jit_m), profile_hash(interp_m))
+      << "per-instruction execution counts diverged";
+}
+
+/// entry: x=5; y=7; s=x+y; flag=(x<s); condbr flag ? yes : no, where `yes`
+/// returns the flag itself (live past the branch) or x (flag dead after it).
+ir::Module cmp_br_module(bool reuse_flag) {
+  ir::Module m;
+  ir::Function fn;
+  fn.name = "main";
+  fn.return_type = Type::I32;
+  Builder b(fn);
+  const auto entry = b.create_block("entry");
+  const auto yes = b.create_block("yes");
+  const auto no = b.create_block("no");
+  b.set_insert_point(entry);
+  const auto x = b.emit_movi(5);
+  const auto y = b.emit_movi(7);
+  const auto s = b.emit_binary(Opcode::Add, Type::I32, x, y);
+  const auto flag = b.emit_binary(Opcode::CmpLt, Type::I32, x, s);
+  b.emit_cond_br(flag, yes, no);
+  b.set_insert_point(yes);
+  b.emit_ret_value(reuse_flag ? flag : x);
+  b.set_insert_point(no);
+  b.emit_ret_value(y);
+  m.functions.push_back(std::move(fn));
+  return m;
+}
+
+/// entry: a=lhs; b=rhs; flag=op(a,b); condbr flag ? ret 1 : ret 0.  Float
+/// operands go through MovF; integer ones through MovI.
+ir::Module compare_branch_module(Opcode op, float lhs, float rhs) {
+  const bool is_float = op >= Opcode::FCmpEq && op <= Opcode::FCmpGe;
+  ir::Module m;
+  ir::Function fn;
+  fn.name = "main";
+  fn.return_type = Type::I32;
+  Builder b(fn);
+  const auto entry = b.create_block("entry");
+  const auto yes = b.create_block("yes");
+  const auto no = b.create_block("no");
+  b.set_insert_point(entry);
+  const auto a = is_float ? b.emit_movf(lhs)
+                          : b.emit_movi(static_cast<std::int32_t>(lhs));
+  const auto c = is_float ? b.emit_movf(rhs)
+                          : b.emit_movi(static_cast<std::int32_t>(rhs));
+  const auto flag = b.emit_binary(op, Type::I32, a, c);
+  b.emit_cond_br(flag, yes, no);
+  b.set_insert_point(yes);
+  b.emit_ret_value(b.emit_movi(1));
+  b.set_insert_point(no);
+  b.emit_ret_value(b.emit_movi(0));
+  m.functions.push_back(std::move(fn));
+  return m;
+}
+
+/// The C++ meaning of each comparison opcode, the reference for both engines.
+bool compare(Opcode op, float a, float b) {
+  switch (op) {
+    case Opcode::CmpEq: case Opcode::FCmpEq: return a == b;
+    case Opcode::CmpNe: case Opcode::FCmpNe: return a != b;
+    case Opcode::CmpLt: case Opcode::FCmpLt: return a < b;
+    case Opcode::CmpLe: case Opcode::FCmpLe: return a <= b;
+    case Opcode::CmpGt: case Opcode::FCmpGt: return a > b;
+    case Opcode::CmpGe: case Opcode::FCmpGe: return a >= b;
+    default: ADD_FAILURE() << "not a comparison"; return false;
+  }
+}
+
+TEST(JitPatterns, CompareBranchWithDeadFlag) {
+  // The flag's only reader is the branch.
+  expect_module_parity(cmp_br_module(/*reuse_flag=*/false), 5);
+}
+
+TEST(JitPatterns, CompareBranchWithLiveFlag) {
+  // The flag is also returned after the branch, so it must be written to
+  // its register slot, not only steer the branch.
+  expect_module_parity(cmp_br_module(/*reuse_flag=*/true), 1);
+}
+
+TEST(JitPatterns, ConstantCompareBranch) {
+  // entry: x=5; y=7; flag=(x<y); condbr — the classic loop exit test with
+  // both operands constants that stay live in the successors.
+  ir::Module m;
+  ir::Function fn;
+  fn.name = "main";
+  fn.return_type = Type::I32;
+  Builder b(fn);
+  const auto entry = b.create_block("entry");
+  const auto yes = b.create_block("yes");
+  const auto no = b.create_block("no");
+  b.set_insert_point(entry);
+  const auto x = b.emit_movi(5);
+  const auto y = b.emit_movi(7);
+  const auto flag = b.emit_binary(Opcode::CmpLt, Type::I32, x, y);
+  b.emit_cond_br(flag, yes, no);
+  b.set_insert_point(yes);
+  b.emit_ret_value(x);
+  b.set_insert_point(no);
+  b.emit_ret_value(y);
+  m.functions.push_back(std::move(fn));
+  expect_module_parity(m, 5);
+}
+
+TEST(JitPatterns, MulAddChain) {
+  // entry: x=3; y=4; p=x*y; s=p+x; ret s.
+  ir::Module m;
+  ir::Function fn;
+  fn.name = "main";
+  fn.return_type = Type::I32;
+  Builder b(fn);
+  b.set_insert_point(b.create_block("entry"));
+  const auto x = b.emit_movi(3);
+  const auto y = b.emit_movi(4);
+  const auto p = b.emit_binary(Opcode::Mul, Type::I32, x, y);
+  const auto s = b.emit_binary(Opcode::Add, Type::I32, p, x);
+  b.emit_ret_value(s);
+  m.functions.push_back(std::move(fn));
+  expect_module_parity(m, 15);
+}
+
+TEST(JitPatterns, EveryIntegerCompareBranchesLikeCpp) {
+  // Each integer comparison steers a branch both ways, with equal, smaller,
+  // larger and mixed-sign operands.
+  const std::pair<float, float> operands[] = {
+      {3, 3}, {2, 5}, {5, 2}, {-1, 1}, {1, -1}};
+  for (int i = static_cast<int>(Opcode::CmpEq);
+       i <= static_cast<int>(Opcode::CmpGe); ++i) {
+    const auto op = static_cast<Opcode>(i);
+    for (const auto& [lhs, rhs] : operands) {
+      SCOPED_TRACE(testing::Message() << "opcode " << i << " (" << lhs << ", "
+                                      << rhs << ")");
+      expect_module_parity(compare_branch_module(op, lhs, rhs),
+                           compare(op, lhs, rhs) ? 1 : 0);
+    }
+  }
+}
+
+TEST(JitPatterns, EveryFloatCompareBranchesLikeCpp) {
+  // Float comparisons are unordered-aware: every comparison with a NaN
+  // operand is false except !=, on both engines.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::pair<float, float> operands[] = {
+      {1.5f, 1.5f}, {-2.0f, 0.5f}, {0.5f, -2.0f}, {0.0f, -0.0f},
+      {nan, 1.0f},  {1.0f, nan},   {nan, nan}};
+  for (int i = static_cast<int>(Opcode::FCmpEq);
+       i <= static_cast<int>(Opcode::FCmpGe); ++i) {
+    const auto op = static_cast<Opcode>(i);
+    for (const auto& [lhs, rhs] : operands) {
+      SCOPED_TRACE(testing::Message() << "opcode " << i << " (" << lhs << ", "
+                                      << rhs << ")");
+      expect_module_parity(compare_branch_module(op, lhs, rhs),
+                           compare(op, lhs, rhs) ? 1 : 0);
+    }
+  }
+}
+
 // --- Fault parity: native-code faults must attribute like the interpreter ---
 
 /// Builds x+y -> store [t] with t wildly out of bounds; the store faults
@@ -157,13 +336,12 @@ ir::Module store_fault_module() {
   return m;
 }
 
-/// Runs `m` profiled on one tier, expecting a fault; returns the message.
+/// Runs `m` profiled on one engine, expecting a fault; returns the message.
 std::string run_expect_fault(ir::Module& m, bool jit,
                              std::uint64_t max_steps = 0) {
   Machine machine(m);
   SimOptions options;
   options.profile = true;
-  options.fuse = false;
   options.jit = jit;
   if (max_steps != 0) options.max_steps = max_steps;
   try {
@@ -220,7 +398,6 @@ TEST(JitFaultParity, StepLimitSweepMatchesInterpreterAtEveryBudget) {
   ir::Module interp_m = jit_m;
 
   SimOptions oracle;
-  oracle.fuse = false;
   oracle.jit = false;
   const std::uint64_t total = Machine(interp_m).run(oracle).steps;
   ASSERT_GT(total, 0u);
@@ -236,7 +413,7 @@ TEST(JitFaultParity, StepLimitSweepMatchesInterpreterAtEveryBudget) {
   }
 }
 
-// --- Fallback: the tier must disappear gracefully ---------------------------
+// --- Fallback: the JIT must disappear gracefully ----------------------------
 
 TEST(JitFallback, CompileFailureFallsBackToInterpreter) {
   // When compilation is unavailable (unsupported host, mmap failure — here
@@ -252,7 +429,6 @@ TEST(JitFallback, CompileFailureFallsBackToInterpreter) {
   EXPECT_FALSE(forced.jit_ready());
   SimOptions with_jit;
   with_jit.profile = true;
-  with_jit.fuse = false;
   with_jit.jit = true;
   const SimResult fallback = forced.run(with_jit);
   jit_test_force_compile_failure(false);
@@ -290,7 +466,7 @@ TEST(JitFallback, CompileAttemptIsMadeOncePerMachine) {
 
 TEST(JitFallback, DefaultMatchesEnvironment) {
   // SimOptions::jit is wired to jit_default(), the cached ASIPFB_NO_JIT
-  // gate — the same pattern fuse uses.  (The env var is sampled once per
+  // gate.  (The env var is sampled once per
   // process, so this checks consistency, not the toggle itself; the
   // ASIPFB_NO_JIT=1 CI leg covers the off state end to end.)
   const SimOptions options;

@@ -47,10 +47,10 @@ TEST(Decode, FlattensBranchTargetsToFlatIndices) {
   const Program p = decode(m);
   // Layout: entry = [movi, cond_br], then = [br], join = [ret].
   ASSERT_EQ(p.code.size(), 4u);
-  EXPECT_EQ(p.code[1].op, SimOp::CondBr);
+  EXPECT_EQ(p.code[1].op, Opcode::CondBr);
   EXPECT_EQ(p.code[1].aux0, 2u) << "taken target -> flat index of 'then'";
   EXPECT_EQ(p.code[1].aux1, 3u) << "fall-through -> flat index of 'join'";
-  EXPECT_EQ(p.code[2].op, SimOp::Br);
+  EXPECT_EQ(p.code[2].op, Opcode::Br);
   EXPECT_EQ(p.code[2].aux0, 3u);
 }
 
@@ -72,7 +72,7 @@ TEST(Decode, ResolvesGlobalBaseAddresses) {
   const Program p = decode(m);
   bool found = false;
   for (const auto& d : p.code) {
-    if (d.op == SimOp::AddrGlobal) {
+    if (d.op == Opcode::AddrGlobal) {
       found = true;
       EXPECT_EQ(d.aux0, m.globals[1].base_address) << "resolved to b's base";
     }
@@ -89,7 +89,7 @@ TEST(Decode, CallPoolsAndEntryPoints) {
   ASSERT_NE(callee, ir::kNoFunc);
   bool found = false;
   for (const auto& d : p.code) {
-    if (d.op == SimOp::Call) {
+    if (d.op == Opcode::Call) {
       found = true;
       EXPECT_EQ(d.aux0, callee);
       ASSERT_EQ(d.num_args, 2u);

@@ -18,9 +18,9 @@ quantiles and other lower-is-better metrics):
 A third section, "ratios", holds floors that are checked at FACE VALUE —
 no tolerance scaling:
 
-    {"metrics": {...}, "ratios": {"fusion_ab_ratio": 1.5}}
+    {"metrics": {...}, "ratios": {"jit_ab_ratio": 1.3}}
 
-Ratio metrics are same-process A/B comparisons (e.g. fused vs unfused
+Ratio metrics are same-process A/B comparisons (e.g. JIT vs interpreter
 simulator throughput), so runner speed cancels out and the generous
 absolute-throughput tolerance would only mask a real regression.
 
