@@ -88,9 +88,11 @@ namespace {
 const chain::DetectionResult& detection(const std::string& name, opt::OptLevel level) {
   static std::once_flag warmed[3];
   std::call_once(warmed[static_cast<int>(level)], [&] {
-    pipeline::BatchOptions options;
-    options.levels = {level};
-    (void)pipeline::run_suite(options);
+    std::vector<std::string> names;
+    names.reserve(wl::suite().size());
+    for (const auto& w : wl::suite()) names.push_back(w.name);
+    (void)pipeline::run_stages(names,
+                               {pipeline::StageRequest::detection_at(level)});
   });
   return session(name).detection(level);
 }

@@ -10,8 +10,8 @@
 // Input data: all globals start zeroed; seed arrays from inside main (the
 // bundled benchmarks show the pattern), or extend WorkloadInput binding here.
 // Corpus scenarios carry their own deterministic inputs and oracle outputs.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -21,6 +21,7 @@
 #include "asip/extension.hpp"
 #include "cache/store.hpp"
 #include "chain/report.hpp"
+#include "examples/flag_parse.hpp"
 #include "ir/printer.hpp"
 #include "opt/ilp.hpp"
 #include "pipeline/session.hpp"
@@ -109,25 +110,25 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       if (!level.has_value()) return false;
       options.level = *level;
     } else if (arg == "--min") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.detector.min_length = std::atoi(v);
+      const auto v = examples::parse_int_flag(next(), INT_MIN, INT_MAX);
+      if (!v) return false;
+      options.detector.min_length = static_cast<int>(*v);
     } else if (arg == "--max") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.detector.max_length = std::atoi(v);
+      const auto v = examples::parse_int_flag(next(), INT_MIN, INT_MAX);
+      if (!v) return false;
+      options.detector.max_length = static_cast<int>(*v);
     } else if (arg == "--coverage") {
       options.run_coverage = true;
     } else if (arg == "--floor") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.coverage.floor_percent = std::atof(v);
+      const auto floor = examples::parse_double_flag(next());
+      if (!floor) return false;
+      options.coverage.floor_percent = *floor;
     } else if (arg == "--ilp") {
       options.run_ilp = true;
     } else if (arg == "--asip") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.asip_area = std::atof(v);
+      const auto area = examples::parse_double_flag(next());
+      if (!area) return false;
+      options.asip_area = *area;
     } else if (arg == "--dump-ir") {
       options.dump_ir = true;
     } else if (arg == "--no-jit") {
@@ -137,14 +138,13 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       if (v == nullptr || *v == '\0') return false;
       options.cache_dir = v;
     } else if (arg == "--corpus") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.corpus_count = std::atoi(v);
-      if (options.corpus_count < 1) return false;
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      if (!v) return false;
+      options.corpus_count = static_cast<int>(*v);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.corpus_seed = std::strtoull(v, nullptr, 0);
+      const auto seed = examples::parse_u64_flag(next());
+      if (!seed) return false;
+      options.corpus_seed = *seed;
     } else if (!arg.empty() && arg[0] != '-') {
       options.file = arg;
     } else {

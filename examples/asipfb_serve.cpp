@@ -21,9 +21,9 @@
 // runs until SIGINT/SIGTERM and shuts down gracefully.  The stdio path is
 // unchanged and stays byte-stable for the checked-in transcript diff.
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <future>
@@ -32,6 +32,7 @@
 #include <memory>
 #include <string>
 
+#include "examples/flag_parse.hpp"
 #include "service/net.hpp"
 #include "service/protocol.hpp"
 #include "service/router.hpp"
@@ -100,13 +101,13 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) return false;
-      options.server.workers = static_cast<unsigned>(std::atoi(v));
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      if (!v) return false;
+      options.server.workers = static_cast<unsigned>(*v);
     } else if (arg == "--queue") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) return false;
-      options.server.queue_capacity = static_cast<std::size_t>(std::atoi(v));
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      if (!v) return false;
+      options.server.queue_capacity = static_cast<std::size_t>(*v);
     } else if (arg == "--latency") {
       options.with_latency = true;
     } else if (arg == "--cache-dir") {
@@ -114,26 +115,22 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
       if (v == nullptr || *v == '\0') return false;
       options.server.cache_dir = v;
     } else if (arg == "--tcp") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const int port = std::atoi(v);
-      if (port < 0 || port > 65535 || (port == 0 && std::string(v) != "0")) {
-        return false;
-      }
+      const auto v = examples::parse_int_flag(next(), 0, 65535);
+      if (!v) return false;
       options.tcp = true;
-      options.tcp_port = port;
+      options.tcp_port = static_cast<int>(*v);
     } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) return false;
-      options.shards = static_cast<unsigned>(std::atoi(v));
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      if (!v) return false;
+      options.shards = static_cast<unsigned>(*v);
     } else if (arg == "--port-file") {
       const char* v = next();
       if (v == nullptr) return false;
       options.port_file = v;
     } else if (arg == "--idle-timeout") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) return false;
-      options.idle_timeout_ms = std::atoi(v);
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      if (!v) return false;
+      options.idle_timeout_ms = static_cast<int>(*v);
     } else {
       return false;
     }

@@ -44,12 +44,12 @@ SessionPool& pool_or_instance(SessionPool* pool) {
 /// Shared fan-out: `session_of(j)` supplies workload j's Session (it may
 /// throw; the failure lands in that workload's entries), `name_of(j)` its
 /// display name.
-StageBatchResult run_stage_entries(
+FanOutResult run_stage_entries(
     std::size_t job_count, const std::vector<StageRequest>& requests,
-    const StageBatchOptions& options,
+    const FanOutOptions& options,
     const std::function<std::string(std::size_t)>& name_of,
     const std::function<std::shared_ptr<Session>(std::size_t)>& session_of) {
-  StageBatchResult result;
+  FanOutResult result;
   result.entries.resize(job_count * requests.size());
   for (std::size_t j = 0; j < job_count; ++j) {
     for (std::size_t r = 0; r < requests.size(); ++r) {
@@ -134,7 +134,7 @@ StageRequest StageRequest::extension_at(opt::OptLevel level,
   return r;
 }
 
-const StageResult* StageBatchResult::find(std::string_view workload,
+const StageResult* FanOutResult::find(std::string_view workload,
                                           std::size_t request_index) const {
   for (const auto& e : entries) {
     if (e.request_index == request_index && e.workload == workload) return &e;
@@ -142,16 +142,15 @@ const StageResult* StageBatchResult::find(std::string_view workload,
   return nullptr;
 }
 
-std::size_t StageBatchResult::failures() const {
+std::size_t FanOutResult::failures() const {
   return static_cast<std::size_t>(
       std::count_if(entries.begin(), entries.end(),
                     [](const StageResult& e) { return !e.ok(); }));
 }
 
-StageBatchResult run_stages(const std::vector<std::string>& workloads,
-                            const std::vector<StageRequest>& requests,
-                            const StageBatchOptions& options,
-                            SessionPool* pool) {
+FanOutResult run_stages(const std::vector<std::string>& workloads,
+                        const std::vector<StageRequest>& requests,
+                        const FanOutOptions& options, SessionPool* pool) {
   SessionPool& sessions = pool_or_instance(pool);
   return run_stage_entries(
       workloads.size(), requests, options,
@@ -162,10 +161,9 @@ StageBatchResult run_stages(const std::vector<std::string>& workloads,
       });
 }
 
-StageBatchResult run_stages(const std::vector<BatchJob>& jobs,
-                            const std::vector<StageRequest>& requests,
-                            const StageBatchOptions& options,
-                            SessionPool* pool) {
+FanOutResult run_stages(const std::vector<BatchJob>& jobs,
+                        const std::vector<StageRequest>& requests,
+                        const FanOutOptions& options, SessionPool* pool) {
   SessionPool& sessions = pool_or_instance(pool);
   return run_stage_entries(
       jobs.size(), requests, options,
@@ -265,105 +263,6 @@ SweepResult sweep_suite(const SweepOptions& options, SessionPool* pool) {
   names.reserve(wl::suite().size());
   for (const auto& w : wl::suite()) names.push_back(w.name);
   return sweep(names, options, pool);
-}
-
-// --- Legacy detection-only batch API ----------------------------------------
-
-PreparedCache::PreparedCache()
-    : owned_(std::make_unique<SessionPool>()), pool_(owned_.get()) {}
-
-PreparedCache::PreparedCache(SessionPool& shared) : pool_(&shared) {}
-
-const PreparedProgram& PreparedCache::get(const std::string& key,
-                                          std::string_view source,
-                                          const WorkloadInput& input) {
-  return pool_->get(key, source, input)->prepared();
-}
-
-const PreparedProgram& PreparedCache::get(const std::string& workload_name) {
-  return pool_->get(workload_name)->prepared();
-}
-
-std::shared_ptr<Session> PreparedCache::session(
-    const std::string& workload_name) {
-  return pool_->get(workload_name);
-}
-
-std::size_t PreparedCache::size() const { return pool_->size(); }
-
-void PreparedCache::clear() { pool_->clear(); }
-
-PreparedCache& PreparedCache::instance() {
-  static PreparedCache cache(SessionPool::instance());
-  return cache;
-}
-
-const BatchEntry* BatchResult::find(std::string_view workload,
-                                    opt::OptLevel level) const {
-  for (const auto& e : entries) {
-    if (e.workload == workload && e.level == level) return &e;
-  }
-  return nullptr;
-}
-
-std::size_t BatchResult::failures() const {
-  return static_cast<std::size_t>(
-      std::count_if(entries.begin(), entries.end(),
-                    [](const BatchEntry& e) { return !e.ok(); }));
-}
-
-namespace {
-
-std::vector<StageRequest> detection_requests(const BatchOptions& options) {
-  std::vector<StageRequest> requests;
-  requests.reserve(options.levels.size());
-  for (auto level : options.levels) {
-    requests.push_back(
-        StageRequest::detection_at(level, options.detector, options.optimize));
-  }
-  return requests;
-}
-
-BatchResult to_batch_result(StageBatchResult stages) {
-  BatchResult result;
-  result.entries.reserve(stages.entries.size());
-  for (auto& e : stages.entries) {
-    BatchEntry be;
-    be.workload = std::move(e.workload);
-    be.level = e.request.level;
-    if (e.detection.has_value()) be.result = std::move(*e.detection);
-    be.error = std::move(e.error);
-    result.entries.push_back(std::move(be));
-  }
-  return result;
-}
-
-PreparedCache& cache_or_instance(PreparedCache* cache) {
-  return cache != nullptr ? *cache : PreparedCache::instance();
-}
-
-}  // namespace
-
-BatchResult run_batch(const std::vector<BatchJob>& jobs,
-                      const BatchOptions& options, PreparedCache* cache) {
-  return to_batch_result(run_stages(jobs, detection_requests(options),
-                                    {options.threads},
-                                    &cache_or_instance(cache).pool()));
-}
-
-BatchResult run_batch(const std::vector<std::string>& workloads,
-                      const BatchOptions& options, PreparedCache* cache) {
-  return to_batch_result(run_stages(workloads, detection_requests(options),
-                                    {options.threads},
-                                    &cache_or_instance(cache).pool()));
-}
-
-BatchResult run_suite(const BatchOptions& options, PreparedCache* cache) {
-  // Resolve by name: no copies of the suite's source texts or input data.
-  std::vector<std::string> names;
-  names.reserve(wl::suite().size());
-  for (const auto& w : wl::suite()) names.push_back(w.name);
-  return run_batch(names, options, cache);
 }
 
 }  // namespace asipfb::pipeline

@@ -20,9 +20,6 @@
 //     the proposed extension's speedup/area at every point.  Shared
 //     sub-artifacts (the optimized module per level, the coverage per
 //     floor) are computed once per Session and reused across the grid.
-//   * run_batch()/run_suite() — the historical detection-only batch API,
-//     now a thin shim over run_stages(); PreparedCache likewise wraps
-//     SessionPool.  Kept so existing callers and tests keep compiling.
 #pragma once
 
 #include <cstddef>
@@ -97,12 +94,12 @@ struct StageResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-struct StageBatchOptions {
+struct FanOutOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   unsigned threads = 0;
 };
 
-struct StageBatchResult {
+struct FanOutResult {
   /// Workload-major (input order), request-minor (request order) —
   /// independent of thread count.
   std::vector<StageResult> entries;
@@ -116,16 +113,16 @@ struct StageBatchResult {
 
 /// Fans every request out over every suite workload name on a thread pool.
 /// `pool` defaults to SessionPool::instance().
-[[nodiscard]] StageBatchResult run_stages(
+[[nodiscard]] FanOutResult run_stages(
     const std::vector<std::string>& workloads,
     const std::vector<StageRequest>& requests,
-    const StageBatchOptions& options = {}, SessionPool* pool = nullptr);
+    const FanOutOptions& options = {}, SessionPool* pool = nullptr);
 
 /// As above for explicit source + input jobs.
-[[nodiscard]] StageBatchResult run_stages(
+[[nodiscard]] FanOutResult run_stages(
     const std::vector<BatchJob>& jobs,
     const std::vector<StageRequest>& requests,
-    const StageBatchOptions& options = {}, SessionPool* pool = nullptr);
+    const FanOutOptions& options = {}, SessionPool* pool = nullptr);
 
 // --- Design-space sweep -----------------------------------------------------
 
@@ -187,98 +184,5 @@ struct SweepResult {
 /// The full 12-workload paper suite (Table 1 order).
 [[nodiscard]] SweepResult sweep_suite(const SweepOptions& options = {},
                                       SessionPool* pool = nullptr);
-
-// --- Legacy detection-only batch API (shims over run_stages) ----------------
-
-/// Thread-safe cache of prepared (compiled + profiled) programs, keyed by
-/// workload name — a compatibility wrapper around SessionPool that hands
-/// out the prepared baselines of pooled Sessions.  The SessionPool
-/// contracts apply: one preparation per key, latched failures, and a key
-/// bound to its first source (a different source for the same key throws
-/// std::invalid_argument).  References stay valid until clear().
-class PreparedCache {
- public:
-  PreparedCache();
-
-  /// Prepare (or fetch) by explicit source + input, under `key`.
-  const PreparedProgram& get(const std::string& key, std::string_view source,
-                             const WorkloadInput& input);
-
-  /// Prepare (or fetch) a suite workload by name (wl::workload lookup);
-  /// throws std::out_of_range for unknown names.
-  const PreparedProgram& get(const std::string& workload_name);
-
-  /// The memoizing Session behind a suite workload — the upgrade path from
-  /// this cache to the Session API.
-  std::shared_ptr<Session> session(const std::string& workload_name);
-
-  /// The underlying pool (for run_stages()/sweep() interop).
-  [[nodiscard]] SessionPool& pool() { return *pool_; }
-
-  /// Number of successfully prepared programs currently cached.
-  [[nodiscard]] std::size_t size() const;
-
-  /// Drops every cached entry (including latched failures).  Invalidates
-  /// all references returned by get(); the caller must ensure no
-  /// concurrent get() is in flight and no borrowed reference is in use.
-  void clear();
-
-  /// Process-wide instance (wraps SessionPool::instance()).
-  static PreparedCache& instance();
-
- private:
-  explicit PreparedCache(SessionPool& shared);
-
-  std::unique_ptr<SessionPool> owned_;  ///< Null for the instance() wrapper.
-  SessionPool* pool_;
-};
-
-struct BatchOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
-  unsigned threads = 0;
-  /// Levels analyzed per workload, in output order.
-  std::vector<opt::OptLevel> levels = {opt::OptLevel::O0, opt::OptLevel::O1,
-                                       opt::OptLevel::O2};
-  chain::DetectorOptions detector;
-  opt::OptimizeOptions optimize;
-};
-
-/// Outcome of one (workload, level) detection.
-struct BatchEntry {
-  std::string workload;
-  opt::OptLevel level = opt::OptLevel::O0;
-  chain::DetectionResult result;  ///< Valid only when ok().
-  std::string error;              ///< Nonempty when the analysis failed.
-
-  [[nodiscard]] bool ok() const { return error.empty(); }
-};
-
-struct BatchResult {
-  /// Workload-major (input order), level-minor (options.levels order) —
-  /// independent of thread count.
-  std::vector<BatchEntry> entries;
-
-  /// Entry for one (workload, level); nullptr when absent.
-  [[nodiscard]] const BatchEntry* find(std::string_view workload,
-                                       opt::OptLevel level) const;
-  /// Number of failed entries.
-  [[nodiscard]] std::size_t failures() const;
-};
-
-/// Fan detection out over jobs x options.levels on a thread pool.
-/// `cache` defaults to PreparedCache::instance().
-[[nodiscard]] BatchResult run_batch(const std::vector<BatchJob>& jobs,
-                                    const BatchOptions& options = {},
-                                    PreparedCache* cache = nullptr);
-
-/// As above, resolving suite workloads by name; an unknown name becomes an
-/// error entry for each requested level.
-[[nodiscard]] BatchResult run_batch(const std::vector<std::string>& workloads,
-                                    const BatchOptions& options = {},
-                                    PreparedCache* cache = nullptr);
-
-/// The full 12-workload paper suite (Table 1 order).
-[[nodiscard]] BatchResult run_suite(const BatchOptions& options = {},
-                                    PreparedCache* cache = nullptr);
 
 }  // namespace asipfb::pipeline

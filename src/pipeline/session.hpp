@@ -24,8 +24,8 @@
 // valid for the Session's lifetime.
 //
 // SessionPool is the process-wide directory of Sessions, keyed by workload
-// name — the service front door.  The legacy PreparedCache in batch.hpp is
-// a thin shim over these two types.
+// name — the service front door and the pool run_stages()/sweep() in
+// batch.hpp fan out over.
 // docs/ARCHITECTURE.md has the full stage diagram and the
 // ownership/threading rules in prose.
 #pragma once

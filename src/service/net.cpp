@@ -1,61 +1,38 @@
 #include "service/net.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#endif
-
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+
+#if defined(__linux__)
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <system_error>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
+#endif
 
 #include "service/protocol.hpp"
 #include "support/json.hpp"
 
-// Writes must never raise SIGPIPE: a peer that resets mid-response is a
-// per-connection error, not a process signal.  MSG_NOSIGNAL is POSIX.1-2008;
-// platforms without it (macOS) get SO_NOSIGPIPE at accept time instead.
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace asipfb::service {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_peer_options(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-#ifdef SO_NOSIGPIPE
-  ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof one);
-#endif
-}
 
 std::string render_pong(unsigned workers) {
   support::JsonWriter json;
@@ -98,7 +75,6 @@ struct ProtocolSession::State {
   /// Guards slots/unready; everything below it is touched only by the one
   /// transport thread driving feed()/pump()/take_ready().
   mutable std::mutex mu;
-  std::condition_variable cv;
   std::deque<std::shared_ptr<Slot>> slots;
   std::size_t unready = 0;
 
@@ -168,7 +144,6 @@ std::function<void(Response)> ProtocolSession::State::completion(
       slot->ready = true;
       --state->unready;
     }
-    state->cv.notify_all();
     if (state->opts.on_progress) state->opts.on_progress();
   };
 }
@@ -184,19 +159,14 @@ void ProtocolSession::State::fail_slot(const std::shared_ptr<State>& state,
     slot->ready = true;
     --state->unready;
   }
-  state->cv.notify_all();
 }
 
-/// Submits one parsed request.  Returns false when the nonblocking path
-/// refused (shard queue full) and the request must be parked.
+/// Submits one parsed request.  Returns false when the shard queue
+/// refused it and the request must be parked.
 bool ProtocolSession::State::submit_request(
     const std::shared_ptr<State>& state, Request request,
     const std::shared_ptr<Slot>& slot) {
   try {
-    if (state->opts.blocking_submit) {
-      state->router.submit_async(std::move(request), completion(state, slot));
-      return true;
-    }
     return state->router.try_submit_async(std::move(request),
                                           completion(state, slot));
   } catch (const std::exception& ex) {
@@ -367,12 +337,6 @@ std::string ProtocolSession::take_ready() {
   return out;
 }
 
-void ProtocolSession::wait_pending() {
-  State& s = *state_;
-  std::unique_lock<std::mutex> lock(s.mu);
-  s.cv.wait(lock, [&] { return s.unready == 0; });
-}
-
 bool ProtocolSession::wants_close() const {
   const State& s = *state_;
   if (s.parked || s.stats_barrier) return false;
@@ -401,7 +365,21 @@ std::size_t ProtocolSession::buffered_input() const {
 
 // --- TcpServer --------------------------------------------------------------
 
+#if defined(__linux__)
+
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+void set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+void set_peer_options(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
 
 /// Completion wake-up fan-in shared by the epoll loop and every session's
 /// on_progress callback.  Outlives the TcpServer: callbacks from jobs
@@ -436,8 +414,8 @@ struct WakeHub {
   }
 };
 
-int make_listener(const TcpServer::Options& options, std::uint16_t* port,
-                  bool nonblocking) {
+/// A bound, listening, nonblocking socket.
+int make_listener(const TcpServer::Options& options, std::uint16_t* port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     throw std::system_error(errno, std::generic_category(), "socket");
@@ -465,18 +443,30 @@ int make_listener(const TcpServer::Options& options, std::uint16_t* port,
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     *port = ntohs(bound.sin_port);
   }
-  if (nonblocking) set_nonblocking(fd);
+  set_nonblocking(fd);
   return fd;
 }
+
+struct EpollConn {
+  int fd = -1;
+  std::unique_ptr<ProtocolSession> session;
+  std::string out;
+  std::size_t out_pos = 0;
+  Clock::time_point last_active;
+  bool read_eof = false;
+  std::uint32_t events = 0;  ///< Currently registered epoll interest.
+};
 
 }  // namespace
 
 struct TcpServer::Impl {
   Router& router;
   Options options;
-  Mode mode = Mode::kThreaded;
   int listen_fd = -1;
+  int epoll_fd = -1;
   std::uint16_t port = 0;
+  std::thread loop_thread;
+  std::shared_ptr<WakeHub> hub;
 
   std::atomic<bool> stopping{false};
   std::mutex stop_mu;
@@ -490,84 +480,44 @@ struct TcpServer::Impl {
   std::atomic<std::uint64_t> error_closed{0};
   std::atomic<std::size_t> open{0};
 
-  // Epoll transport.
-  std::thread loop_thread;
-  std::shared_ptr<WakeHub> hub;
-#if defined(__linux__)
-  int epoll_fd = -1;
-#endif
-
-  // Threaded transport.
-  std::thread accept_thread;
-  std::mutex conns_mu;
-  std::condition_variable conns_cv;
-  std::unordered_map<int, bool> open_fds;  ///< fd -> SHUT_RD already sent.
-  std::size_t active_conn_threads = 0;
-
-  explicit Impl(Router& r) : router(r) {}
+  Impl(Router& r, Options o) : router(r), options(std::move(o)) {}
 
   void run_epoll_loop();
-  void run_accept_loop();
-  void run_connection(int fd);
   void stop();
 };
 
 TcpServer::TcpServer(Router& router, Options options)
-    : impl_(std::make_unique<Impl>(router)) {
-  impl_->options = std::move(options);
-#if defined(__linux__)
-  impl_->mode = impl_->options.mode == Mode::kAuto ? Mode::kEpoll
-                                                   : impl_->options.mode;
-#else
-  if (impl_->options.mode == Mode::kEpoll) {
-    throw std::invalid_argument("TcpServer epoll mode requires Linux");
+    : impl_(std::make_unique<Impl>(router, std::move(options))) {
+  impl_->listen_fd = make_listener(impl_->options, &impl_->port);
+  impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (impl_->epoll_fd < 0) {
+    const int err = errno;
+    ::close(impl_->listen_fd);
+    throw std::system_error(err, std::generic_category(), "epoll_create1");
   }
-  impl_->mode = Mode::kThreaded;
-#endif
-
-  if (impl_->mode == Mode::kEpoll) {
-#if defined(__linux__)
-    impl_->listen_fd =
-        make_listener(impl_->options, &impl_->port, /*nonblocking=*/true);
-    impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (impl_->epoll_fd < 0) {
-      const int err = errno;
-      ::close(impl_->listen_fd);
-      throw std::system_error(err, std::generic_category(), "epoll_create1");
-    }
-    impl_->hub = std::make_shared<WakeHub>();
-    impl_->hub->event_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (impl_->hub->event_fd < 0) {
-      const int err = errno;
-      ::close(impl_->listen_fd);
-      ::close(impl_->epoll_fd);
-      throw std::system_error(err, std::generic_category(), "eventfd");
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = impl_->listen_fd;
-    ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &ev);
-    ev.events = EPOLLIN;
-    ev.data.fd = impl_->hub->event_fd;
-    ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->hub->event_fd, &ev);
-    impl_->loop_thread = std::thread([impl = impl_.get()] {
-      impl->run_epoll_loop();
-    });
-#endif
-  } else {
-    impl_->listen_fd =
-        make_listener(impl_->options, &impl_->port, /*nonblocking=*/false);
-    impl_->accept_thread = std::thread([impl = impl_.get()] {
-      impl->run_accept_loop();
-    });
+  impl_->hub = std::make_shared<WakeHub>();
+  impl_->hub->event_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (impl_->hub->event_fd < 0) {
+    const int err = errno;
+    ::close(impl_->listen_fd);
+    ::close(impl_->epoll_fd);
+    throw std::system_error(err, std::generic_category(), "eventfd");
   }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = impl_->listen_fd;
+  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &ev);
+  ev.events = EPOLLIN;
+  ev.data.fd = impl_->hub->event_fd;
+  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->hub->event_fd, &ev);
+  impl_->loop_thread = std::thread([impl = impl_.get()] {
+    impl->run_epoll_loop();
+  });
 }
 
 TcpServer::~TcpServer() { stop(); }
 
 std::uint16_t TcpServer::port() const { return impl_->port; }
-
-TcpServer::Mode TcpServer::mode() const { return impl_->mode; }
 
 TcpServer::Counters TcpServer::counters() const {
   Counters c;
@@ -590,64 +540,12 @@ void TcpServer::Impl::stop() {
     stopped = true;
   }
   stopping.store(true);
-  if (mode == Mode::kEpoll) {
-#if defined(__linux__)
-    if (hub) hub->notify(-1);  // Wake the loop; it handles the drain.
-    if (loop_thread.joinable()) loop_thread.join();
-    if (hub) hub->kill();
-    if (epoll_fd >= 0) ::close(epoll_fd);
-    epoll_fd = -1;
-#endif
-  } else {
-    // Unblock accept() by shutting the listener down, then EOF every open
-    // connection (SHUT_RD): each thread drains its in-flight responses,
-    // flushes, and exits.  Force-close whatever is left after the grace.
-    // The listener fd is closed (and the member nulled) only after the
-    // accept thread is joined: writing listen_fd here would race the
-    // accept loop's unsynchronized read of it.
-    if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-    {
-      const std::lock_guard<std::mutex> lock(conns_mu);
-      for (auto& [fd, eofed] : open_fds) {
-        ::shutdown(fd, SHUT_RD);
-        eofed = true;
-      }
-    }
-    if (accept_thread.joinable()) accept_thread.join();
-    if (listen_fd >= 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
-    {
-      std::unique_lock<std::mutex> lock(conns_mu);
-      const bool drained = conns_cv.wait_for(
-          lock, std::chrono::milliseconds(options.drain_grace_ms),
-          [&] { return active_conn_threads == 0; });
-      if (!drained) {
-        for (auto& [fd, eofed] : open_fds) ::shutdown(fd, SHUT_RDWR);
-        conns_cv.wait(lock, [&] { return active_conn_threads == 0; });
-      }
-    }
-  }
+  hub->notify(-1);  // Wake the loop; it handles the drain.
+  if (loop_thread.joinable()) loop_thread.join();
+  hub->kill();
+  ::close(epoll_fd);
+  epoll_fd = -1;
 }
-
-// --- Epoll transport --------------------------------------------------------
-
-#if defined(__linux__)
-
-namespace {
-
-struct EpollConn {
-  int fd = -1;
-  std::unique_ptr<ProtocolSession> session;
-  std::string out;
-  std::size_t out_pos = 0;
-  Clock::time_point last_active;
-  bool read_eof = false;
-  std::uint32_t events = 0;  ///< Currently registered epoll interest.
-};
-
-}  // namespace
 
 void TcpServer::Impl::run_epoll_loop() {
   std::unordered_map<int, std::unique_ptr<EpollConn>> conns;
@@ -738,7 +636,6 @@ void TcpServer::Impl::run_epoll_loop() {
       conn->last_active = Clock::now();
       ProtocolSession::Options popts;
       popts.with_latency = options.with_latency;
-      popts.blocking_submit = false;
       popts.max_line_bytes = options.max_line_bytes;
       popts.max_pipeline = options.max_pipeline;
       popts.on_progress = [hub = hub, cfd] { hub->notify(cfd); };
@@ -881,148 +778,22 @@ void TcpServer::Impl::run_epoll_loop() {
   }
 }
 
-#else
+#else  // !__linux__
 
-void TcpServer::Impl::run_epoll_loop() {}
+struct TcpServer::Impl {};
+
+TcpServer::TcpServer(Router& /*router*/, Options /*options*/) {
+  throw std::invalid_argument("TcpServer requires Linux (epoll)");
+}
+
+TcpServer::~TcpServer() = default;
+
+std::uint16_t TcpServer::port() const { return 0; }
+
+TcpServer::Counters TcpServer::counters() const { return {}; }
+
+void TcpServer::stop() {}
 
 #endif  // __linux__
-
-// --- Thread-per-connection transport ----------------------------------------
-
-void TcpServer::Impl::run_accept_loop() {
-  for (;;) {
-    const int cfd = ::accept(listen_fd, nullptr, nullptr);
-    if (cfd < 0) {
-      if (errno == EINTR && !stopping.load()) continue;
-      break;  // Listener closed by stop(), or fatal.
-    }
-    if (stopping.load() || open.load() >= options.max_connections) {
-      ::close(cfd);
-      refused.fetch_add(1);
-      continue;
-    }
-    set_peer_options(cfd);
-    if (options.idle_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = options.idle_timeout_ms / 1000;
-      tv.tv_usec = (options.idle_timeout_ms % 1000) * 1000;
-      ::setsockopt(cfd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    }
-    // Bound a peer that never reads: a blocked send() beyond this is a
-    // broken connection, not backpressure.
-    timeval snd{};
-    snd.tv_sec = 30;
-    ::setsockopt(cfd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
-    {
-      const std::lock_guard<std::mutex> lock(conns_mu);
-      open_fds.emplace(cfd, false);
-      ++active_conn_threads;
-    }
-    accepted.fetch_add(1);
-    open.fetch_add(1);
-    std::thread([this, cfd] { run_connection(cfd); }).detach();
-  }
-}
-
-void TcpServer::Impl::run_connection(int fd) {
-  enum class CloseWhy { kNormal, kIdle, kOverflow, kError };
-  CloseWhy why = CloseWhy::kNormal;
-  {
-    ProtocolSession::Options popts;
-    popts.with_latency = options.with_latency;
-    popts.blocking_submit = true;  // Shard backpressure blocks this thread.
-    popts.max_line_bytes = options.max_line_bytes;
-    popts.max_pipeline = options.max_pipeline;
-    ProtocolSession session(router, popts);
-    auto last_active = Clock::now();
-    char buf[1 << 16];
-
-    auto send_all = [&](const std::string& bytes) -> bool {
-      std::size_t pos = 0;
-      while (pos < bytes.size()) {
-        const ssize_t n = ::send(fd, bytes.data() + pos, bytes.size() - pos,
-                                 MSG_NOSIGNAL);
-        if (n > 0) {
-          pos += static_cast<std::size_t>(n);
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        why = (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-                  ? CloseWhy::kOverflow  // SO_SNDTIMEO: peer stopped reading.
-                  : CloseWhy::kError;
-        return false;
-      }
-      return true;
-    };
-
-    for (;;) {
-      // Parse, submit, and flush until the session needs either a
-      // completion or more input.
-      bool alive = true;
-      for (;;) {
-        const bool progress = session.pump();
-        const std::string out = session.take_ready();
-        if (!out.empty() && !send_all(out)) {
-          alive = false;
-          break;
-        }
-        if (!progress && out.empty()) break;
-      }
-      if (!alive || session.wants_close()) break;
-      if (session.pending() > 0) {
-        // Never block on the socket while responses are outstanding — the
-        // peer may be waiting for them before it sends (or closes).
-        session.wait_pending();
-        continue;
-      }
-      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-      if (n > 0) {
-        session.feed({buf, static_cast<std::size_t>(n)});
-        last_active = Clock::now();
-        continue;
-      }
-      if (n == 0) {
-        session.finish_input();
-        continue;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO tick: idle check, stop check, then keep waiting.
-        if (stopping.load()) {
-          session.finish_input();
-          continue;
-        }
-        if (options.idle_timeout_ms > 0 &&
-            Clock::now() - last_active >=
-                std::chrono::milliseconds(options.idle_timeout_ms) &&
-            session.pending() == 0) {
-          why = CloseWhy::kIdle;
-          break;
-        }
-        continue;
-      }
-      why = CloseWhy::kError;
-      break;
-    }
-    session.wait_pending();  // Jobs finish against the shared state anyway;
-                             // keep the accounting deterministic for tests.
-  }
-  ::close(fd);
-  open.fetch_sub(1);
-  closed.fetch_add(1);
-  if (why == CloseWhy::kIdle) idle_closed.fetch_add(1);
-  if (why == CloseWhy::kOverflow) overflow_closed.fetch_add(1);
-  if (why == CloseWhy::kError) error_closed.fetch_add(1);
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu);
-    open_fds.erase(fd);
-    --active_conn_threads;
-    // Notify while still holding conns_mu: stop()'s waiter cannot re-check
-    // its predicate (and let ~TcpServer destroy this condition variable)
-    // until this thread has released the lock — after which it touches no
-    // Impl member.  Notifying after the unlock races destruction.
-    conns_cv.notify_all();
-  }
-}
 
 }  // namespace asipfb::service

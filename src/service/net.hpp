@@ -2,28 +2,25 @@
 // (protocol.hpp) served over real sockets instead of stdin/stdout, so
 // thousands of concurrent clients can drive a sharded deployment.
 //
-// Two layers:
-//
 //   * ProtocolSession — the transport-agnostic per-connection state
 //     machine.  Bytes in, ordered response lines out: it splits lines,
 //     parses commands, tracks `source` blocks, submits requests through a
-//     Router, and keeps one output slot per command so responses are
-//     written strictly in submission order no matter how the shard
-//     workers interleave (per-connection pipelining).  `stats` acts as a
-//     pipeline barrier — it renders only after every earlier request on
-//     the connection completed, reproducing the stdio front end's
-//     drain-then-print semantics, which is what makes a pipelined TCP
-//     session byte-identical to the checked-in stdio transcript.
+//     Router without blocking (a refused request is parked and retried on
+//     the next completion), and keeps one output slot per command so
+//     responses are written strictly in submission order no matter how
+//     the shard workers interleave (per-connection pipelining).  `stats`
+//     acts as a pipeline barrier — it renders only after every earlier
+//     request on the connection completed, reproducing the stdio front
+//     end's drain-then-print semantics, which is what makes a pipelined
+//     TCP session byte-identical to the checked-in stdio transcript.
 //     Completion callbacks run on shard worker threads and only touch the
 //     session's internal shared state, so a connection that disappears
 //     mid-request leaves the in-flight job to finish harmlessly against
 //     that state (no worker death, no leak).
 //
-//   * TcpServer — accepts connections and drives one ProtocolSession per
-//     connection.  On Linux the default is a single epoll event loop
-//     (scales to thousands of mostly-idle connections); everywhere else —
-//     or on request — a portable thread-per-connection fallback.  Both
-//     paths handle slow and broken peers: nonblocking/bounded writes with
+//   * TcpServer — a single epoll event loop (Linux only) that accepts
+//     connections and drives one ProtocolSession per connection.  It
+//     handles slow and broken peers: nonblocking, bounded writes with
 //     per-connection buffers (a peer that stops reading past
 //     `write_buffer_limit` is dropped, and reading pauses while the
 //     buffer is high), idle timeouts, SIGPIPE-free sends, and
@@ -31,8 +28,7 @@
 //     connection's stream, never the process).
 //
 // docs/SERVICE.md describes the connection lifecycle and overload
-// behavior in prose; tests/service/net_test.cpp pins the contracts over
-// both transports.
+// behavior in prose; tests/service/net_test.cpp pins the contracts.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +44,14 @@ namespace asipfb::service {
 /// Per-connection protocol state machine; one instance per client.
 /// Driven by exactly one transport thread (feed/pump/take_ready are not
 /// reentrant); completion callbacks arrive concurrently from shard
-/// workers and are internally synchronized.
+/// workers and are internally synchronized.  Submission never blocks: a
+/// request the shard queue refuses is parked and retried by the next
+/// pump(), and input_paused() tells the transport to stop reading
+/// meanwhile.
 class ProtocolSession {
  public:
   struct Options {
     bool with_latency = false;
-    /// Blocking transports (thread-per-connection) submit with shard-queue
-    /// backpressure applied to the connection thread; nonblocking
-    /// transports (epoll) leave this false and get parking instead: a
-    /// refused request is retried on the next completion, and
-    /// input_paused() tells the loop to stop reading meanwhile.
-    bool blocking_submit = false;
     /// A single protocol line longer than this poisons the connection
     /// (one rendered error, then wants_close()).
     std::size_t max_line_bytes = 1 << 20;
@@ -96,19 +89,14 @@ class ProtocolSession {
   /// flight.
   [[nodiscard]] std::string take_ready();
 
-  /// Blocks until every submitted request has completed (not until output
-  /// is taken).  Blocking-transport helper; pump() afterwards to clear a
-  /// stats barrier or parse further buffered input.
-  void wait_pending();
-
   /// True once the session is over (quit processed or EOF) and every
   /// response line has been produced and taken: the transport should
   /// flush and close.
   [[nodiscard]] bool wants_close() const;
 
   /// True while the session cannot absorb more input usefully (parked
-  /// request, stats barrier, or pipelining cap reached): nonblocking
-  /// transports should stop reading the socket until the next completion.
+  /// request, stats barrier, or pipelining cap reached): the transport
+  /// should stop reading the socket until the next completion.
   [[nodiscard]] bool input_paused() const;
 
   /// Submitted-but-uncompleted requests (parked one included).
@@ -124,20 +112,21 @@ class ProtocolSession {
   std::shared_ptr<State> state_;
 };
 
-/// Socket front end: accepts TCP connections and runs one ProtocolSession
-/// per connection against a shared (possibly sharded) Router.
+/// Socket front end: one epoll event-loop thread accepts TCP connections
+/// and runs one ProtocolSession per connection against a shared (possibly
+/// sharded) Router.  Linux only.
 class TcpServer {
  public:
-  enum class Mode {
-    kAuto,      ///< epoll on Linux, threaded elsewhere.
-    kEpoll,     ///< Single event-loop thread (Linux only).
-    kThreaded,  ///< Portable thread-per-connection fallback.
-  };
+  /// tripbench-only: the benchmark spells `options.mode = Mode::kEpoll`
+  /// (tripbench/src/serve.cpp), from when a second transport existed.
+  /// Epoll is the only transport; together with Options::mode, this goes
+  /// when tripbench stops naming it.
+  enum class Mode { kEpoll };
 
   struct Options {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 = ephemeral; see port().
-    Mode mode = Mode::kAuto;
+    Mode mode = Mode::kEpoll;  ///< tripbench-only shim; see Mode.
     bool with_latency = false;
     /// Close a connection with no read activity and no in-flight work for
     /// this long; 0 disables.
@@ -168,7 +157,7 @@ class TcpServer {
 
   /// Binds, listens, and starts serving immediately; throws
   /// std::system_error when the socket cannot be set up and
-  /// std::invalid_argument for kEpoll off-Linux.
+  /// std::invalid_argument("TcpServer requires Linux (epoll)") off-Linux.
   TcpServer(Router& router, Options options);
   ~TcpServer();  ///< stop().
 
@@ -178,12 +167,9 @@ class TcpServer {
   /// The bound port (resolves port 0).
   [[nodiscard]] std::uint16_t port() const;
 
-  /// Which transport actually runs (kAuto resolved).
-  [[nodiscard]] Mode mode() const;
-
   /// Graceful stop: closes the listener, lets open connections drain
   /// in-flight responses for up to drain_grace_ms, then force-closes the
-  /// rest and joins the transport threads.  Idempotent.  The Router keeps
+  /// rest and joins the event-loop thread.  Idempotent.  The Router keeps
   /// running — shut it down separately.
   void stop();
 

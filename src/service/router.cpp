@@ -86,11 +86,6 @@ std::optional<std::future<Response>> Router::try_submit(Request request) {
   return shard.try_submit(std::move(request));
 }
 
-void Router::submit_async(Request request, std::function<void(Response)> done) {
-  Server& shard = *shards_[shard_for(request.workload)];
-  shard.submit_async(std::move(request), std::move(done));
-}
-
 bool Router::try_submit_async(Request request,
                               std::function<void(Response)> done) {
   Server& shard = *shards_[shard_for(request.workload)];

@@ -60,7 +60,6 @@ class Router {
   /// shard's queue only.
   std::future<Response> submit(Request request);
   std::optional<std::future<Response>> try_submit(Request request);
-  void submit_async(Request request, std::function<void(Response)> done);
   [[nodiscard]] bool try_submit_async(Request request,
                                       std::function<void(Response)> done);
   Response call(Request request) { return submit(std::move(request)).get(); }

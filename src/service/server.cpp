@@ -103,14 +103,6 @@ std::optional<std::future<Response>> Server::try_submit(Request request) {
   return future;
 }
 
-void Server::submit_async(Request request, std::function<void(Response)> done) {
-  Job job;
-  job.request = std::move(request);
-  job.done = std::move(done);
-  job.accepted = Clock::now();
-  enqueue(std::move(job), /*block=*/true);
-}
-
 bool Server::try_submit_async(Request request,
                               std::function<void(Response)> done) {
   Job job;

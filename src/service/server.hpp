@@ -151,19 +151,15 @@ class Server {
   /// is full or the server is shut down (counted in Stats::rejected).
   std::optional<std::future<Response>> try_submit(Request request);
 
-  /// Completion delivered by callback instead of future: the worker thread
-  /// invokes `done` with the Response after the job's counters are
-  /// recorded.  `done` must not throw and should be cheap (it runs on the
-  /// worker); transports use this to wake their event loop without a
-  /// future-polling thread.  Blocks while the queue is at capacity, throws
-  /// after shutdown() — exactly like submit().
-  void submit_async(Request request, std::function<void(Response)> done);
-
-  /// As submit_async(), but refuses instead of blocking: false when the
-  /// queue is full or the server is shut down (counted in Stats::rejected,
-  /// `done` never invoked).  The nonblocking transport path — an epoll
-  /// loop parks the request and retries on the next completion instead of
-  /// stalling every other connection.
+  /// Completion delivered by callback instead of future, refusing instead
+  /// of blocking: false when the queue is full or the server is shut down
+  /// (counted in Stats::rejected, `done` never invoked).  Otherwise the
+  /// worker thread invokes `done` with the Response after the job's
+  /// counters are recorded; `done` must not throw and should be cheap (it
+  /// runs on the worker).  The TCP transport's path: its epoll loop is
+  /// woken by `done` without a future-polling thread, and parks a refused
+  /// request to retry on the next completion instead of stalling every
+  /// other connection.
   [[nodiscard]] bool try_submit_async(Request request,
                                       std::function<void(Response)> done);
 

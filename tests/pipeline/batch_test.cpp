@@ -1,11 +1,15 @@
-// The batch runner's contract (pipeline/batch.hpp): deterministic results
-// independent of thread count, deterministic entry order, shared one-shot
-// preparation, and failures reported per entry instead of crashing.
+// The fan-out contract (pipeline/batch.hpp: run_stages and sweep):
+// deterministic results independent of thread count, deterministic entry
+// order, shared one-shot preparation, and failures reported per entry
+// instead of crashing.
 #include "pipeline/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "workloads/suite.hpp"
 
@@ -28,8 +32,22 @@ void expect_same_detection(const chain::DetectionResult& a,
   }
 }
 
-TEST(Batch, SuiteCoversAllWorkloadsAndLevelsInOrder) {
-  const auto batch = run_suite();
+std::vector<std::string> suite_names() {
+  std::vector<std::string> names;
+  for (const auto& w : wl::suite()) names.push_back(w.name);
+  return names;
+}
+
+/// Default-option detection at O0, O1 and O2 — the figure/table drivers'
+/// request list.
+std::vector<StageRequest> detection_at_every_level() {
+  return {StageRequest::detection_at(opt::OptLevel::O0),
+          StageRequest::detection_at(opt::OptLevel::O1),
+          StageRequest::detection_at(opt::OptLevel::O2)};
+}
+
+TEST(Stages, SuiteCoversAllWorkloadsAndLevelsInOrder) {
+  const auto batch = run_stages(suite_names(), detection_at_every_level());
   ASSERT_EQ(batch.entries.size(), wl::suite().size() * 3u);
   EXPECT_EQ(batch.failures(), 0u);
   std::size_t i = 0;
@@ -37,53 +55,58 @@ TEST(Batch, SuiteCoversAllWorkloadsAndLevelsInOrder) {
     for (auto level :
          {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
       ASSERT_LT(i, batch.entries.size());
-      EXPECT_EQ(batch.entries[i].workload, w.name);
-      EXPECT_EQ(batch.entries[i].level, level);
-      EXPECT_TRUE(batch.entries[i].ok()) << batch.entries[i].error;
-      EXPECT_GT(batch.entries[i].result.total_cycles, 0u) << w.name;
+      const StageResult& e = batch.entries[i];
+      EXPECT_EQ(e.workload, w.name);
+      EXPECT_EQ(e.request.level, level);
+      ASSERT_TRUE(e.ok()) << e.error;
+      ASSERT_TRUE(e.detection.has_value());
+      EXPECT_GT(e.detection->total_cycles, 0u) << w.name;
       ++i;
     }
   }
 }
 
-TEST(Batch, ResultsIdenticalAcrossThreadCounts) {
-  BatchOptions serial;
-  serial.threads = 1;
-  const auto a = run_suite(serial);
-
-  BatchOptions parallel;
-  parallel.threads = std::max(2u, std::thread::hardware_concurrency());
-  const auto b = run_suite(parallel);
+TEST(Stages, ResultsIdenticalAcrossThreadCounts) {
+  // Separate pools, so the parallel run computes every artifact itself
+  // instead of reading the serial run's cache.
+  SessionPool serial_pool, parallel_pool;
+  const auto a = run_stages(suite_names(), detection_at_every_level(),
+                            {/*threads=*/1}, &serial_pool);
+  const auto b = run_stages(
+      suite_names(), detection_at_every_level(),
+      {std::max(2u, std::thread::hardware_concurrency())}, &parallel_pool);
 
   ASSERT_EQ(a.entries.size(), b.entries.size());
   for (std::size_t i = 0; i < a.entries.size(); ++i) {
-    EXPECT_EQ(a.entries[i].workload, b.entries[i].workload);
-    EXPECT_EQ(a.entries[i].level, b.entries[i].level);
-    EXPECT_EQ(a.entries[i].ok(), b.entries[i].ok());
+    const StageResult& x = a.entries[i];
+    const StageResult& y = b.entries[i];
+    EXPECT_EQ(x.workload, y.workload);
+    EXPECT_EQ(x.request_index, y.request_index);
+    ASSERT_TRUE(x.ok()) << x.error;
+    ASSERT_TRUE(y.ok()) << y.error;
     expect_same_detection(
-        a.entries[i].result, b.entries[i].result,
-        a.entries[i].workload + "@" +
-            std::string(opt::to_string(a.entries[i].level)));
+        *x.detection, *y.detection,
+        x.workload + "@" + std::string(opt::to_string(x.request.level)));
   }
 }
 
-TEST(Batch, FindLocatesEveryPair) {
-  const auto batch = run_suite();
+TEST(Stages, FindLocatesEveryPair) {
+  const auto batch = run_stages(suite_names(), detection_at_every_level());
   for (const auto& w : wl::suite()) {
-    for (auto level :
-         {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
-      const auto* e = batch.find(w.name, level);
+    for (std::size_t r = 0; r < 3; ++r) {
+      const auto* e = batch.find(w.name, r);
       ASSERT_NE(e, nullptr) << w.name;
       EXPECT_EQ(e->workload, w.name);
-      EXPECT_EQ(e->level, level);
+      EXPECT_EQ(e->request_index, r);
     }
   }
-  EXPECT_EQ(batch.find("nonexistent", opt::OptLevel::O0), nullptr);
+  EXPECT_EQ(batch.find("nonexistent", 0), nullptr);
 }
 
-TEST(Batch, UnknownWorkloadReportsErrorWithoutCrashing) {
+TEST(Stages, UnknownWorkloadFailsOnlyItsOwnEntries) {
   const auto batch =
-      run_batch(std::vector<std::string>{"fir", "no_such_workload"});
+      run_stages(std::vector<std::string>{"fir", "no_such_workload"},
+                 detection_at_every_level());
   ASSERT_EQ(batch.entries.size(), 6u);
   EXPECT_EQ(batch.failures(), 3u);
   for (const auto& e : batch.entries) {
@@ -96,73 +119,44 @@ TEST(Batch, UnknownWorkloadReportsErrorWithoutCrashing) {
   }
 }
 
-TEST(Batch, CompileFailureReportsErrorWithoutCrashing) {
-  PreparedCache local;
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"broken", "int main() { return undefined_variable; }", {}});
-  const auto batch = run_batch(jobs, {}, &local);
+TEST(Stages, CompileFailureInJobsOverloadIsAPerEntryError) {
+  SessionPool local;
+  const std::string broken = "int main() { return undefined_variable; }";
+  const auto batch = run_stages(std::vector<BatchJob>{{"broken", broken, {}}},
+                                detection_at_every_level(), {}, &local);
   ASSERT_EQ(batch.entries.size(), 3u);
   EXPECT_EQ(batch.failures(), 3u);
   for (const auto& e : batch.entries) {
     EXPECT_FALSE(e.ok());
     EXPECT_FALSE(e.error.empty()) << "failure must carry a diagnostic";
+    EXPECT_FALSE(e.detection.has_value());
   }
   EXPECT_EQ(local.size(), 0u) << "failed preparations must not count as prepared";
 
   // The failure is latched under its key: same source rethrows the recorded
   // diagnostic, a different source still gets the mismatch contract.
-  EXPECT_THROW(
-      (void)local.get("broken", "int main() { return undefined_variable; }", {}),
-      std::runtime_error);
+  EXPECT_THROW((void)local.get("broken", broken, {}), std::runtime_error);
   EXPECT_THROW((void)local.get("broken", "int main() { return 0; }", {}),
                std::invalid_argument);
 }
 
-TEST(Batch, PreparedCachePreparesEachWorkloadOnce) {
-  PreparedCache local;
-  const auto& first = local.get("fir");
-  const auto& second = local.get("fir");
-  EXPECT_EQ(&first, &second) << "same object must be served from cache";
-  EXPECT_EQ(local.size(), 1u);
-
-  // Custom-keyed entries coexist with suite entries.
-  const auto& w = wl::workload("iir");
-  const auto& custom = local.get("iir-copy", w.source, w.input);
-  EXPECT_EQ(custom.total_cycles, local.get("iir").total_cycles);
-  EXPECT_EQ(local.size(), 3u);
-
-  // A key is bound to its first source: re-using it with different source
-  // text must throw instead of silently serving the cached program.
-  EXPECT_THROW((void)local.get("iir-copy", "int main() { return 0; }", {}),
-               std::invalid_argument);
-}
-
-TEST(Batch, PreparedCacheClearDropsEntriesAndAllowsReuse) {
-  PreparedCache local;
-  // Copy, not reference: clear() invalidates returned references.
-  const std::uint64_t first_cycles = local.get("fir").total_cycles;
-  const std::uint64_t first_steps = local.get("fir").baseline_run.steps;
-  (void)local.get("iir");
-  EXPECT_EQ(local.size(), 2u);
-
-  local.clear();
-  EXPECT_EQ(local.size(), 0u) << "clear() must drop every cached program";
-
-  // Cleared keys are fully reusable: a fresh preparation runs and yields
-  // the same analysis inputs, and the count regrows only by what is added.
-  const auto& again = local.get("fir");
-  EXPECT_EQ(again.total_cycles, first_cycles);
-  EXPECT_EQ(again.baseline_run.steps, first_steps);
-  EXPECT_EQ(local.size(), 1u);
-
-  // Latched failures are dropped too: the key accepts a new source after
-  // clear() instead of throwing the bound-to-different-source error.
-  EXPECT_THROW((void)local.get("k", "int main() { return undefined; }", {}),
-               std::runtime_error);
-  local.clear();
-  const auto& ok = local.get("k", "int main() { return 3; }", {});
-  EXPECT_EQ(ok.baseline_run.exit_code, 3);
-  EXPECT_EQ(local.size(), 1u);
+TEST(Stages, CustomLevelsAndDetectorOptionsRespected) {
+  chain::DetectorOptions detector;
+  detector.min_length = 2;
+  detector.max_length = 2;
+  const auto batch =
+      run_stages(std::vector<std::string>{"fir", "edge"},
+                 {StageRequest::detection_at(opt::OptLevel::O1, detector)});
+  ASSERT_EQ(batch.entries.size(), 2u);
+  for (const auto& e : batch.entries) {
+    EXPECT_EQ(e.request.level, opt::OptLevel::O1);
+    ASSERT_TRUE(e.ok()) << e.error;
+    ASSERT_TRUE(e.detection.has_value());
+    EXPECT_FALSE(e.detection->sequences.empty()) << e.workload;
+    for (const auto& stat : e.detection->sequences) {
+      EXPECT_EQ(stat.signature.length(), 2u) << e.workload;
+    }
+  }
 }
 
 TEST(Stages, MixedStageFanOutRunsEveryRequestPerWorkload) {
@@ -332,22 +326,6 @@ TEST(Sweep, JobsOverloadMatchesNameOverload) {
     EXPECT_EQ(by_job.points[i].speedup, by_name.points[i].speedup);
   }
   EXPECT_EQ(job_pool.size(), 1u) << "one preparation per job name";
-}
-
-TEST(Batch, CustomLevelsAndDetectorOptionsRespected) {
-  BatchOptions options;
-  options.levels = {opt::OptLevel::O1};
-  options.detector.min_length = 2;
-  options.detector.max_length = 2;
-  const auto batch = run_batch(std::vector<std::string>{"fir", "edge"}, options);
-  ASSERT_EQ(batch.entries.size(), 2u);
-  for (const auto& e : batch.entries) {
-    EXPECT_EQ(e.level, opt::OptLevel::O1);
-    ASSERT_TRUE(e.ok()) << e.error;
-    for (const auto& stat : e.result.sequences) {
-      EXPECT_EQ(stat.signature.length(), 2u) << e.workload;
-    }
-  }
 }
 
 }  // namespace

@@ -113,6 +113,15 @@ TEST(SessionPoolChurn, LatchedFailureUnderContention) {
   EXPECT_THROW((void)pool.get("doomed", "int main() { return 0; }\n",
                               WorkloadInput{}),
                std::invalid_argument);
+
+  // clear() drops the latched failure with everything else: the key then
+  // accepts a new source instead of throwing the mismatch.
+  pool.clear();
+  EXPECT_EQ(pool.get("doomed", "int main() { return 3; }\n", WorkloadInput{})
+                ->prepared()
+                .baseline_run.exit_code,
+            3);
+  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(SessionPoolChurn, GetPutClearInterleavingIsSafe) {

@@ -19,6 +19,7 @@
 
 #include "pipeline/driver.hpp"
 #include "support/rng.hpp"
+#include "workloads/suite.hpp"
 
 namespace asipfb::pipeline {
 namespace {
@@ -261,10 +262,29 @@ TEST(SessionPool, SharesOneSessionPerKeyAndLatchesFailures) {
                std::runtime_error);
   EXPECT_EQ(pool.size(), 1u) << "failed preparations must not count";
 
+  // Suite workloads resolve by name under the same one-Session-per-key
+  // rule, and a custom key over the same source is a separate entry that
+  // profiles identically.
+  const auto iir = pool.get("iir");
+  EXPECT_EQ(pool.get("iir").get(), iir.get());
+  const auto& w = wl::workload("iir");
+  EXPECT_EQ(pool.get("iir-copy", w.source, w.input)->total_cycles(),
+            iir->total_cycles());
+  EXPECT_EQ(pool.size(), 3u);
+
   // clear() forgets everything, but live shared_ptrs stay usable.
+  const std::uint64_t first_steps = first->prepared().baseline_run.steps;
   pool.clear();
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_GT(first->total_cycles(), 0u);
+
+  // A cleared key is fully reusable: a fresh preparation with the same
+  // baseline, and the pool regrows only by what is added.
+  const auto again = pool.get("k", kKernel, kernel_input());
+  EXPECT_NE(again.get(), first.get());
+  EXPECT_EQ(again->total_cycles(), first->total_cycles());
+  EXPECT_EQ(again->prepared().baseline_run.steps, first_steps);
+  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(SessionPool, PutAdoptsABaselineUnderAFreshKey) {

@@ -1,9 +1,10 @@
-// Contracts of the TCP transport (service::TcpServer + ProtocolSession),
-// pinned over BOTH transports (epoll on Linux, thread-per-connection
-// everywhere): a pipelined multi-request connection produces output
+// Contracts of the TCP transport (service::TcpServer's epoll loop +
+// ProtocolSession): a pipelined multi-request connection produces output
 // byte-identical to the stdio front end's transcript semantics; a client
 // that disconnects mid-request neither kills a shard worker nor wedges
 // the server; idle connections are reaped; `quit` and EOF close cleanly.
+// The ProtocolSession unit tests drive the session the way the epoll loop
+// does (nonblocking submission, parking, pump-on-progress).
 // This suite runs under the CI TSan leg.
 #include "service/net.hpp"
 
@@ -21,7 +22,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/router.hpp"
@@ -33,18 +33,6 @@
 
 namespace asipfb::service {
 namespace {
-
-std::vector<TcpServer::Mode> test_modes() {
-#if defined(__linux__)
-  return {TcpServer::Mode::kEpoll, TcpServer::Mode::kThreaded};
-#else
-  return {TcpServer::Mode::kThreaded};
-#endif
-}
-
-const char* mode_name(TcpServer::Mode mode) {
-  return mode == TcpServer::Mode::kEpoll ? "epoll" : "threaded";
-}
 
 int connect_to(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -98,6 +86,29 @@ RouterOptions four_shards() {
   return options;
 }
 
+/// Drives a session the way the epoll loop does — pump, take the ready
+/// output, sleep 1 ms — until wants_close(), and returns everything it
+/// wrote.  Fails the test if the session is still open at `deadline`.
+std::string drive_to_close(ProtocolSession& session,
+                           std::chrono::steady_clock::time_point deadline) {
+  std::string out;
+  while (!session.wants_close()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ADD_FAILURE() << "session never closed; output so far: " << out;
+      return out;
+    }
+    while (session.pump()) {
+    }
+    out += session.take_ready();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return out + session.take_ready();
+}
+
+std::chrono::steady_clock::time_point in_30s() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(30);
+}
+
 // --- Byte identity -----------------------------------------------------------
 
 /// The stdio transcript semantics, computed serially: responses in
@@ -149,234 +160,178 @@ constexpr char kScript[] =
 
 TEST(ServiceNet, PipelinedConnectionIsByteIdenticalToStdio) {
   const std::string expected = expected_transcript();
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = mode;
-    TcpServer tcp(router, options);
-    EXPECT_EQ(tcp.mode(), mode);
+  Router router(four_shards());
+  TcpServer tcp(router, {});
 
-    // The whole script is written before anything is read: responses must
-    // come back in submission order purely from the slot ordering.
-    const int fd = connect_to(tcp.port());
-    send_all(fd, kScript);
-    const std::string got = read_until_close(fd);
-    ::close(fd);
-    EXPECT_EQ(got, expected);
-    tcp.stop();
-  }
+  // The whole script is written before anything is read: responses must
+  // come back in submission order purely from the slot ordering.
+  const int fd = connect_to(tcp.port());
+  send_all(fd, kScript);
+  const std::string got = read_until_close(fd);
+  ::close(fd);
+  EXPECT_EQ(got, expected);
+  tcp.stop();
 }
 
 TEST(ServiceNet, ChunkedFeedMatchesSingleWrite) {
   // Same script, sent one byte at a time: line reassembly must be
   // boundary-agnostic.
   const std::string expected = expected_transcript();
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = mode;
-    TcpServer tcp(router, options);
-    const int fd = connect_to(tcp.port());
-    const std::string script(kScript);
-    for (const char c : script) send_all(fd, std::string(1, c));
-    const std::string got = read_until_close(fd);
-    ::close(fd);
-    EXPECT_EQ(got, expected);
-    tcp.stop();
-  }
+  Router router(four_shards());
+  TcpServer tcp(router, {});
+  const int fd = connect_to(tcp.port());
+  const std::string script(kScript);
+  for (const char c : script) send_all(fd, std::string(1, c));
+  const std::string got = read_until_close(fd);
+  ::close(fd);
+  EXPECT_EQ(got, expected);
+  tcp.stop();
 }
 
 TEST(ServiceNet, EofMidSourceBlockRendersErrorAndCloses) {
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = mode;
-    TcpServer tcp(router, options);
-    const int fd = connect_to(tcp.port());
-    send_all(fd, "source broken 5\nonly one line\n");
-    ::shutdown(fd, SHUT_WR);  // EOF with the block unfinished.
-    const std::string got = read_until_close(fd);
-    ::close(fd);
-    EXPECT_NE(got.find("EOF inside source block 'broken'"), std::string::npos)
-        << got;
-    tcp.stop();
-  }
+  Router router(four_shards());
+  TcpServer tcp(router, {});
+  const int fd = connect_to(tcp.port());
+  send_all(fd, "source broken 5\nonly one line\n");
+  ::shutdown(fd, SHUT_WR);  // EOF with the block unfinished.
+  const std::string got = read_until_close(fd);
+  ::close(fd);
+  EXPECT_NE(got.find("EOF inside source block 'broken'"), std::string::npos)
+      << got;
+  tcp.stop();
 }
 
 // --- Disconnect isolation ----------------------------------------------------
 
 TEST(ServiceNet, MidRequestDisconnectDoesNotKillWorkerOrWedgeServer) {
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    std::mutex mu;
-    std::condition_variable cv;
-    bool release = false;
-    std::atomic<int> started{0};
-    RouterOptions router_options = four_shards();
-    router_options.server.on_start = [&](const Request&) {
-      started.fetch_add(1);
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release; });
-    };
-    Router router(router_options);
-    TcpServer::Options options;
-    options.mode = mode;
-    TcpServer tcp(router, options);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+  RouterOptions router_options = four_shards();
+  router_options.server.on_start = [&](const Request&) {
+    started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+  Router router(router_options);
+  TcpServer tcp(router, {});
 
-    // Submit, wait until a worker is INSIDE the request, then vanish.
-    const int fd = connect_to(tcp.port());
-    send_all(fd, "1 detect fir level=O1\n");
-    while (started.load() == 0) std::this_thread::yield();
-    ::close(fd);
+  // Submit, wait until a worker is INSIDE the request, then vanish.
+  const int fd = connect_to(tcp.port());
+  send_all(fd, "1 detect fir level=O1\n");
+  while (started.load() == 0) std::this_thread::yield();
+  ::close(fd);
 
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-
-    // The orphaned request completes against the detached session state.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (router.stats().completed < 1) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "orphaned request never completed";
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-
-    // The same deployment keeps serving new connections correctly.
-    const int fd2 = connect_to(tcp.port());
-    send_all(fd2, "2 detect fir level=O1\nquit\n");
-    const std::string got = read_until_close(fd2);
-    ::close(fd2);
-    EXPECT_NE(got.find("\"id\": 2"), std::string::npos) << got;
-    EXPECT_NE(got.find("\"ok\": true"), std::string::npos) << got;
-
-    tcp.stop();
-    const TcpServer::Counters counters = tcp.counters();
-    EXPECT_EQ(counters.accepted, 2u);
-    EXPECT_EQ(counters.closed, 2u);
-    EXPECT_EQ(counters.open, 0u);
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
   }
+  cv.notify_all();
+
+  // The orphaned request completes against the detached session state.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (router.stats().completed < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "orphaned request never completed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // The same deployment keeps serving new connections correctly.
+  const int fd2 = connect_to(tcp.port());
+  send_all(fd2, "2 detect fir level=O1\nquit\n");
+  const std::string got = read_until_close(fd2);
+  ::close(fd2);
+  EXPECT_NE(got.find("\"id\": 2"), std::string::npos) << got;
+  EXPECT_NE(got.find("\"ok\": true"), std::string::npos) << got;
+
+  tcp.stop();
+  const TcpServer::Counters counters = tcp.counters();
+  EXPECT_EQ(counters.accepted, 2u);
+  EXPECT_EQ(counters.closed, 2u);
+  EXPECT_EQ(counters.open, 0u);
 }
 
 // --- Idle timeout ------------------------------------------------------------
 
 TEST(ServiceNet, IdleConnectionsAreReaped) {
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = mode;
-    options.idle_timeout_ms = 100;
-    TcpServer tcp(router, options);
-    const int fd = connect_to(tcp.port());
-    // Send nothing: the server must close us.
-    const std::string got = read_until_close(fd);
-    ::close(fd);
-    EXPECT_TRUE(got.empty());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (tcp.counters().idle_closed < 1) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "idle connection was never reaped";
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_EQ(tcp.counters().open, 0u);
-    tcp.stop();
+  Router router(four_shards());
+  TcpServer::Options options;
+  options.idle_timeout_ms = 100;
+  TcpServer tcp(router, options);
+  const int fd = connect_to(tcp.port());
+  // Send nothing: the server must close us.
+  const std::string got = read_until_close(fd);
+  ::close(fd);
+  EXPECT_TRUE(got.empty());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (tcp.counters().idle_closed < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "idle connection was never reaped";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  EXPECT_EQ(tcp.counters().open, 0u);
+  tcp.stop();
 }
 
 // --- Lifecycle ---------------------------------------------------------------
 
 TEST(ServiceNet, StopDrainsInFlightResponses) {
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = mode;
-    TcpServer tcp(router, options);
-    const int fd = connect_to(tcp.port());
-    // No quit: the connection is parked open with a completed pipeline.
-    send_all(fd, "1 detect fir level=O1\n");
-    std::string first;
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    ASSERT_GT(n, 0);
-    first.append(buf, static_cast<std::size_t>(n));
-    EXPECT_NE(first.find("\"ok\": true"), std::string::npos);
+  Router router(four_shards());
+  TcpServer tcp(router, {});
+  const int fd = connect_to(tcp.port());
+  // No quit: the connection is parked open with a completed pipeline.
+  send_all(fd, "1 detect fir level=O1\n");
+  std::string first;
+  char buf[4096];
+  const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+  ASSERT_GT(n, 0);
+  first.append(buf, static_cast<std::size_t>(n));
+  EXPECT_NE(first.find("\"ok\": true"), std::string::npos);
 
-    // stop() must EOF the connection and close it cleanly, not hang.
-    std::thread stopper([&] { tcp.stop(); });
-    const std::string rest = read_until_close(fd);
-    ::close(fd);
-    stopper.join();
-    EXPECT_EQ(tcp.counters().open, 0u);
-    tcp.stop();  // Idempotent.
-  }
+  // stop() must EOF the connection and close it cleanly, not hang.
+  std::thread stopper([&] { tcp.stop(); });
+  const std::string rest = read_until_close(fd);
+  ::close(fd);
+  stopper.join();
+  EXPECT_EQ(tcp.counters().open, 0u);
+  tcp.stop();  // Idempotent.
 }
 
 TEST(ServiceNet, RefusesBeyondMaxConnections) {
-  for (const TcpServer::Mode mode : test_modes()) {
-    SCOPED_TRACE(mode_name(mode));
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = mode;
-    options.max_connections = 1;
-    TcpServer tcp(router, options);
-
-    const int keeper = connect_to(tcp.port());
-    send_all(keeper, "ping\n");
-    char buf[256];
-    ASSERT_GT(::recv(keeper, buf, sizeof buf, 0), 0);  // Surely accepted.
-
-    // The second connection must be refused: accepted-then-closed, which
-    // a client sees as EOF (possibly after connect succeeds via backlog).
-    const int refused = connect_to(tcp.port());
-    const std::string got = read_until_close(refused);
-    ::close(refused);
-    EXPECT_TRUE(got.empty());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (tcp.counters().refused < 1) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "over-limit connection was not refused";
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ::close(keeper);
-    tcp.stop();
-  }
-}
-
-TEST(ServiceNet, ThreadedStopRacesDetachedConnectionTeardown) {
-  // Regression: connection threads are detached; each must finish touching
-  // Impl (the conns_cv notify in particular) before stop() can observe
-  // active_conn_threads == 0 and let ~TcpServer free Impl.  Churning
-  // short-lived connections against immediate destruction makes the TSan
-  // leg catch a notify-after-unlock use-after-free.
-  for (int i = 0; i < 25; ++i) {
-    Router router(four_shards());
-    TcpServer::Options options;
-    options.mode = TcpServer::Mode::kThreaded;
-    TcpServer tcp(router, options);
-    const int fd = connect_to(tcp.port());
-    send_all(fd, "quit\n");
-    (void)read_until_close(fd);
-    ::close(fd);
-    // Destructor runs stop() while the connection thread may still be in
-    // its teardown tail.
-  }
-}
-
-TEST(ServiceNet, EpollModeRequiresLinux) {
-#if !defined(__linux__)
   Router router(four_shards());
   TcpServer::Options options;
-  options.mode = TcpServer::Mode::kEpoll;
-  EXPECT_THROW(TcpServer(router, options), std::invalid_argument);
+  options.max_connections = 1;
+  TcpServer tcp(router, options);
+
+  const int keeper = connect_to(tcp.port());
+  send_all(keeper, "ping\n");
+  char buf[256];
+  ASSERT_GT(::recv(keeper, buf, sizeof buf, 0), 0);  // Surely accepted.
+
+  // The second connection must be refused: accepted-then-closed, which
+  // a client sees as EOF (possibly after connect succeeds via backlog).
+  const int refused = connect_to(tcp.port());
+  const std::string got = read_until_close(refused);
+  ::close(refused);
+  EXPECT_TRUE(got.empty());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (tcp.counters().refused < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "over-limit connection was not refused";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ::close(keeper);
+  tcp.stop();
+}
+
+TEST(ServiceNet, TcpServerRequiresLinux) {
+#if !defined(__linux__)
+  Router router(four_shards());
+  EXPECT_THROW(TcpServer(router, {}), std::invalid_argument);
 #else
   GTEST_SKIP() << "epoll is available on Linux";
 #endif
@@ -389,18 +344,10 @@ TEST(ServiceNet, ProtocolSessionStatsBarrierWaitsForPipeline) {
   // not render until the requests complete (the stdio drain-then-print
   // parity that keeps TCP byte-identical).
   Router router(four_shards());
-  ProtocolSession::Options options;
-  options.blocking_submit = true;
-  ProtocolSession session(router, options);
+  ProtocolSession session(router, {});
   session.feed("1 detect fir level=O1\n2 detect edge level=O1\nstats\nquit\n");
   session.finish_input();
-  while (session.pump()) {
-  }
-  session.wait_pending();
-  while (session.pump()) {
-  }
-  const std::string out = session.take_ready();
-  EXPECT_TRUE(session.wants_close());
+  const std::string out = drive_to_close(session, in_30s());
 
   // Order: response 1, response 2, stats (submitted=2, completed=2).
   const auto p1 = out.find("\"id\": 1");
@@ -416,7 +363,7 @@ TEST(ServiceNet, ProtocolSessionStatsBarrierWaitsForPipeline) {
 }
 
 TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
-  // Regression: the nonblocking path parks a refused request and retries
+  // Regression: the session parks a refused request and retries
   // on every pump().  A retry that moves the parked request into the
   // submission and gets refused again (sustained backpressure) must not
   // leave a moved-from request behind — the eventual successful submit has
@@ -436,9 +383,7 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   };
   Router router(router_options);
 
-  ProtocolSession::Options options;
-  options.blocking_submit = false;
-  ProtocolSession session(router, options);
+  ProtocolSession session(router, {});
   // Gate the single worker inside request 1 so the rest of the setup is
   // deterministic: request 2 then fills the queue (capacity 1) and request
   // 3 is refused and parked.
@@ -465,17 +410,7 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   }
   cv.notify_all();
 
-  std::string out;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!session.wants_close()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "session never drained; output so far: " << out;
-    session.pump();
-    out += session.take_ready();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  out += session.take_ready();
+  const std::string out = drive_to_close(session, in_30s());
 
   // All three requests completed successfully, in submission order — the
   // parked request kept its workload across the refused retries.
@@ -500,39 +435,28 @@ TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {
   // overflow the parser's stack and take the whole process down.  Now the
   // request gets an error response and the session keeps serving.
   Router router(four_shards());
-  ProtocolSession::Options options;
-  options.blocking_submit = true;
-  ProtocolSession session(router, options);
+  ProtocolSession session(router, {});
   const std::string deep = "int main() { return " + std::string(20000, '(') + "1" +
                            std::string(20000, ')') + "; }";
   session.feed("source deep 1\n" + deep + "\n1 compile deep level=O1\nping\nquit\n");
   session.finish_input();
-  while (session.pump()) {
-  }
-  session.wait_pending();
-  while (session.pump()) {
-  }
-  const std::string out = session.take_ready();
+  const std::string out = drive_to_close(session, in_30s());
   const auto error = out.find("nesting too deep");
   const auto pong = out.find("\"pong\": true");
   ASSERT_NE(error, std::string::npos) << out;
   ASSERT_NE(pong, std::string::npos) << out;
   EXPECT_LT(error, pong);
-  EXPECT_TRUE(session.wants_close());
 }
 
 TEST(ServiceNet, ProtocolSessionOversizedLinePoisonsConnection) {
   Router router(four_shards());
   ProtocolSession::Options options;
-  options.blocking_submit = true;
   options.max_line_bytes = 64;
   ProtocolSession session(router, options);
-  session.feed(std::string(1000, 'x'));  // No newline, over the cap.
-  while (session.pump()) {
-  }
-  const std::string out = session.take_ready();
+  // No newline and no EOF: the cap alone must end the session.
+  session.feed(std::string(1000, 'x'));
+  const std::string out = drive_to_close(session, in_30s());
   EXPECT_NE(out.find("exceeds 64 bytes"), std::string::npos) << out;
-  EXPECT_TRUE(session.wants_close());
 }
 
 }  // namespace

@@ -104,10 +104,16 @@ TEST(ServiceRouter, SubmissionSurfaceMatchesServer) {
   ASSERT_TRUE(maybe.has_value());
   ASSERT_TRUE(maybe->get().ok());
 
+  // A callback-delivered result renders exactly like the future-based one.
   std::promise<Response> delivered;
-  router.submit_async(make_request(3, Kind::kCoverage, "fir"),
-                      [&](Response r) { delivered.set_value(std::move(r)); });
-  ASSERT_TRUE(delivered.get_future().get().ok());
+  ASSERT_TRUE(router.try_submit_async(
+      make_request(3, Kind::kCoverage, "fir"),
+      [&](Response r) { delivered.set_value(std::move(r)); }));
+  const Response response = delivered.get_future().get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(render_response(response),
+            render_response(router.call(make_request(3, Kind::kCoverage,
+                                                     "fir"))));
 
   std::promise<Response> try_delivered;
   ASSERT_TRUE(router.try_submit_async(

@@ -426,8 +426,9 @@ TEST(ServiceServer, AsyncSubmissionDeliversCallback) {
   options.workers = 2;
   Server server(options);
   std::promise<Response> delivered;
-  server.submit_async(make_request(1, Kind::kDetection, "fir"),
-                      [&](Response r) { delivered.set_value(std::move(r)); });
+  ASSERT_TRUE(server.try_submit_async(
+      make_request(1, Kind::kDetection, "fir"),
+      [&](Response r) { delivered.set_value(std::move(r)); }));
   const Response response = delivered.get_future().get();
   ASSERT_TRUE(response.ok()) << response.error;
   EXPECT_EQ(response.id, 1u);

@@ -121,7 +121,7 @@ TEST(Generator, PipelineArtifactsBitIdenticalAcrossRunsAndThreadCounts) {
       pipeline::StageRequest::detection_at(opt::OptLevel::O1)};
 
   pipeline::SessionPool pool_serial, pool_parallel;
-  pipeline::StageBatchOptions serial, parallel;
+  pipeline::FanOutOptions serial, parallel;
   serial.threads = 1;
   parallel.threads = 4;
   const auto a = pipeline::run_stages(jobs, requests, serial, &pool_serial);
