@@ -1,8 +1,8 @@
 // The adversarial differential gauntlet: a large generated population —
 // base corpus scenarios plus oracle-preserving structural mutants of each
 // (workloads/mutate.hpp) — pushed through the shared differential battery
-// (workloads/differential.hpp): sim-vs-oracle, O1/O2-vs-baseline, and
-// jit-vs-interpreter parity.  Any mismatch fails the binary.
+// (workloads/differential.hpp): sim-vs-oracle and O1/O2-vs-baseline.  Any
+// mismatch fails the binary.
 //
 // Population: `--count` base scenarios from the generator (round-robin
 // over all families), each contributing `--mutants` additional programs
@@ -83,12 +83,11 @@ struct GauntletReport {
   std::uint64_t compile_fail = 0;
   std::uint64_t oracle_fail = 0;
   std::uint64_t levels_fail = 0;
-  std::uint64_t jit_fail = 0;
   std::map<std::string, std::uint64_t> rewrites;  ///< Applied mutation counts.
   std::map<std::string, FamilyStats> families;
 
   [[nodiscard]] std::uint64_t mismatches() const {
-    return compile_fail + oracle_fail + levels_fail + jit_fail;
+    return compile_fail + oracle_fail + levels_fail;
   }
 };
 
@@ -108,7 +107,6 @@ void tally_outcome(const wl::DifferentialOutcome& outcome,
   if (!outcome.compiled) ++report.compile_fail;
   if (outcome.compiled && !outcome.oracle_ok) ++report.oracle_fail;
   if (outcome.compiled && !outcome.levels_ok) ++report.levels_fail;
-  if (outcome.compiled && !outcome.jit_ok) ++report.jit_fail;
   if (!outcome.ok()) {
     std::fprintf(stderr, "GAUNTLET MISMATCH in %s: %s\n", name.c_str(),
                  outcome.error.c_str());
@@ -185,15 +183,14 @@ void print_report(const GauntletReport& report, const GauntletConfig& config) {
   std::printf("%s\n", table.render().c_str());
   std::printf(
       "programs: %llu (%llu base + %llu mutants), mismatches: %llu "
-      "(compile %llu, oracle %llu, levels %llu, jit %llu)\n\n",
+      "(compile %llu, oracle %llu, levels %llu)\n\n",
       static_cast<unsigned long long>(report.programs),
       static_cast<unsigned long long>(report.base),
       static_cast<unsigned long long>(report.mutants),
       static_cast<unsigned long long>(report.mismatches()),
       static_cast<unsigned long long>(report.compile_fail),
       static_cast<unsigned long long>(report.oracle_fail),
-      static_cast<unsigned long long>(report.levels_fail),
-      static_cast<unsigned long long>(report.jit_fail));
+      static_cast<unsigned long long>(report.levels_fail));
 }
 
 void write_distribution(support::JsonWriter& json, const char* key,
@@ -232,7 +229,6 @@ std::string render_json(const GauntletReport& report,
       .member("compile", report.compile_fail)
       .member("oracle", report.oracle_fail)
       .member("levels", report.levels_fail)
-      .member("jit", report.jit_fail)
       .end_object()
       .key("rewrites")
       .begin_object();

@@ -1,19 +1,12 @@
 // Simulator throughput over the paper suite: dynamic operations per second
 // for profiled and unprofiled runs, as machine-readable JSON.
 //
-// This is the perf trajectory's primary number for the step-2 simulator
-// (the dominant cost of prepare()).  One Machine is built per workload and
-// reused across iterations with reset_memory() + fresh inputs — the
-// decode-once/run-many pattern prepare_multi() and the batch runner rely
-// on — so the measurement isolates the execution engine itself.
-//
-// Every workload is measured on both engines in the same process — the
-// copy-and-patch JIT (the default) and the interpreter (the oracle).  The
-// suite-level A/B ratio `jit_ab_ratio` (jit / interpreter) comes out of
-// it.  Being an A/B ratio from one process on one host, it is immune to
-// runner speed variance, which is why check_perf.py gates it at face
-// value.  Steps are counted in IR instructions, so ops/s stays comparable
-// across PRs and engines.
+// One layer's metric: the interpreter's run loop, not a whole pipeline
+// trip (Machine setup and O2 dominate those).  One Machine is built per
+// workload and reused across iterations with reset_memory() + fresh
+// inputs — the decode-once/run-many pattern prepare_multi() relies on — so
+// the measurement isolates execution itself.  Steps are counted in IR
+// instructions, so ops/s stays comparable across PRs.
 //
 // Prints the JSON to stdout and writes it to BENCH_sim_throughput.json in
 // the current directory (override the path with the positional argument).
@@ -45,11 +38,10 @@ struct Measurement {
 /// Repeats reset+bind+run until both a minimum rep count and a minimum
 /// wall-time are reached, so short workloads still measure meaningfully.
 Measurement measure(asipfb::sim::Machine& machine,
-                    const asipfb::wl::Workload& w, bool profile, bool jit) {
+                    const asipfb::wl::Workload& w, bool profile) {
   using namespace asipfb;
   sim::SimOptions options;
   options.profile = profile;
-  options.jit = jit;
   auto run_once = [&] {
     machine.reset_memory();
     for (const auto& [g, v] : w.input.float_inputs) machine.write_global(g, v);
@@ -87,7 +79,7 @@ int main(int argc, char** argv) {
       .member("unit", "dynamic_ops_per_sec")
       .key("workloads")
       .begin_array();
-  Measurement suite_jit, suite_interp, suite_profiled;
+  Measurement suite_interp, suite_profiled;
   auto add = [](Measurement& total, const Measurement& m) {
     total.total_steps += m.total_steps;
     total.seconds += m.seconds;
@@ -96,30 +88,19 @@ int main(int argc, char** argv) {
     ir::Module module = fe::compile_benchc(w.source, w.name);
     opt::canonicalize(module);
     sim::Machine machine(module);
-    // Interleaved A/B in one process: both engines see the same machine,
-    // memory image, and host state.
-    const Measurement jitted = measure(machine, w, /*profile=*/false, /*jit=*/true);
-    const Measurement interp = measure(machine, w, /*profile=*/false, /*jit=*/false);
-    const Measurement profiled = measure(machine, w, /*profile=*/true, /*jit=*/false);
-    add(suite_jit, jitted);
+    const Measurement interp = measure(machine, w, /*profile=*/false);
+    const Measurement profiled = measure(machine, w, /*profile=*/true);
     add(suite_interp, interp);
     add(suite_profiled, profiled);
     json.inline_object()
         .member("name", w.name)
         .member("ops_per_sec", interp.ops_per_sec())
-        .member("jit_ops_per_sec", jitted.ops_per_sec())
         .member("profiled_ops_per_sec", profiled.ops_per_sec())
         .end_object();
   }
-  const double jit_ratio = suite_interp.ops_per_sec() > 0.0
-                               ? suite_jit.ops_per_sec() / suite_interp.ops_per_sec()
-                               : 0.0;
   json.end_array()
-      // The interpreter's numbers; the JIT's feed jit_ab_ratio.
       .member("suite_ops_per_sec", suite_interp.ops_per_sec())
       .member("suite_profiled_ops_per_sec", suite_profiled.ops_per_sec())
-      .member("jit_ops_per_sec", suite_jit.ops_per_sec())
-      .member("jit_ab_ratio", jit_ratio)
       .end_object();
 
   std::fputs(json.str().c_str(), stdout);

@@ -8,17 +8,31 @@
 //   $ ./examples/asip_designer [area-budget]     (default 40 adder-equivalents)
 #include <cstdio>
 #include <cmath>
-#include <cstdlib>
 
 #include "asip/extension.hpp"
+#include "examples/flag_parse.hpp"
 #include "pipeline/session.hpp"
 #include "workloads/suite.hpp"
 
 using namespace asipfb;
 
+namespace {
+
+int usage_error() {
+  std::fprintf(stderr, "usage: asip_designer [area-budget >= 0]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   asip::SelectionOptions selection;
-  if (argc > 1) selection.area_budget = std::atof(argv[1]);
+  if (argc > 2) return usage_error();
+  if (argc == 2) {
+    const auto budget = examples::parse_double_flag(argv[1]);
+    if (!budget || !std::isfinite(*budget) || *budget < 0.0) return usage_error();
+    selection.area_budget = *budget;
+  }
   std::printf("ASIP designer — area budget %.1f adder-equivalents, cycle "
               "budget %.1f adder delays\n\n",
               selection.area_budget, selection.cycle_budget);

@@ -41,7 +41,6 @@ struct CliOptions {
   bool run_ilp = false;
   double asip_area = -1.0;
   bool dump_ir = false;
-  bool jit = sim::jit_default();
   std::string cache_dir;
   bool help = false;
   int corpus_count = 0;  ///< > 0 selects corpus mode (no input file needed).
@@ -78,9 +77,6 @@ void print_usage(std::FILE* out) {
                "                       budget (adder-equivalent units)\n"
                "  --ilp                print ops/cycle at issue widths 1/2/4/8\n"
                "  --dump-ir            print the optimized 3-address code\n"
-               "  --no-jit             simulate on the interpreter instead of the\n"
-               "                       JIT (bit-identical, just slower; also:\n"
-               "                       ASIPFB_NO_JIT env var)\n"
                "  --cache-dir DIR      persistent artifact cache: profiled\n"
                "                       baselines and analysis artifacts are read\n"
                "                       from DIR when valid and written back after\n"
@@ -131,8 +127,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.asip_area = *area;
     } else if (arg == "--dump-ir") {
       options.dump_ir = true;
-    } else if (arg == "--no-jit") {
-      options.jit = false;
     } else if (arg == "--cache-dir") {
       const char* v = next();
       if (v == nullptr || *v == '\0') return false;
@@ -169,8 +163,7 @@ int run_file(const CliOptions& options,
   buffer << in.rdbuf();
 
   pipeline::WorkloadInput input;
-  const pipeline::Session session(buffer.str(), options.file, input, options.jit,
-                                  store);
+  const pipeline::Session session(buffer.str(), options.file, input, store);
   std::printf("%s: %llu dynamic operations, main returned %d\n\n",
               options.file.c_str(),
               static_cast<unsigned long long>(session.total_cycles()),
@@ -233,10 +226,9 @@ int run_corpus(const CliOptions& options,
     FamilyRow& row = rows[std::string(wl::family_of(w.name))];
     ++row.scenarios;
     try {
-      const pipeline::Session session(w.source, w.name, w.input, options.jit, store);
+      const pipeline::Session session(w.source, w.name, w.input, store);
       auto module = session.prepared().module;  // Private copy for re-execution.
-      const auto run = pipeline::execute(module, w.input, w.outputs,
-                                         /*profile=*/false, options.jit);
+      const auto run = pipeline::execute(module, w.input, w.outputs);
       if (wl::oracle_matches(w, run.exit_code, run.outputs)) {
         ++row.oracle_pass;
       } else {

@@ -7,26 +7,34 @@
 // of what fir_explorer does for one benchmark.
 //
 //   $ ./examples/corpus_tour [count]          (default 12 scenarios)
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "chain/report.hpp"
+#include "examples/flag_parse.hpp"
 #include "pipeline/batch.hpp"
 #include "workloads/generator.hpp"
 
 using namespace asipfb;
 
+namespace {
+
+int usage_error() {
+  std::fprintf(stderr, "usage: corpus_tour [count >= 1]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   wl::CorpusSpec spec;
   spec.count = 12;
-  if (argc > 1) {
-    const int count = std::atoi(argv[1]);
-    if (count < 1) {
-      std::fprintf(stderr, "usage: corpus_tour [count >= 1]\n");
-      return 2;
-    }
-    spec.count = static_cast<std::size_t>(count);
+  if (argc > 2) return usage_error();
+  if (argc == 2) {
+    const auto count = examples::parse_int_flag(argv[1], 1, INT_MAX);
+    if (!count) return usage_error();
+    spec.count = static_cast<std::size_t>(*count);
   }
   const auto corpus = wl::corpus(spec);
   std::printf("generated %zu scenarios (seed 0x%llx):\n", corpus.size(),

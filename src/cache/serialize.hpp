@@ -94,9 +94,9 @@ inline constexpr std::size_t kArtifactCount = 5;
 
 /// Key of a prepared baseline: hashes the engine version, the workload
 /// name (the deserialized module must carry the same name bit for bit),
-/// the exact source bytes, and every input binding.  The simulator engine
-/// (SimOptions::jit) is deliberately excluded — the JIT and the
-/// interpreter are bit-identical by contract, so they share entries.
+/// the exact source bytes, and every input binding.  Simulator run
+/// options are not part of it: a baseline is always the default profiled
+/// run.
 [[nodiscard]] std::string baseline_key(
     std::string_view engine_version, std::string_view name,
     std::string_view source, const std::vector<pipeline::WorkloadInput>& inputs);

@@ -19,12 +19,11 @@ void bind_inputs(sim::Machine& machine, const WorkloadInput& input) {
 
 ExecutionResult execute(ir::Module& module, const WorkloadInput& input,
                         const std::vector<std::string>& output_globals,
-                        bool profile, bool jit) {
+                        bool profile) {
   sim::Machine machine(module);
   bind_inputs(machine, input);
   sim::SimOptions options;
   options.profile = profile;
-  options.jit = jit;
   if (profile) sim::clear_profile(module);
   const sim::SimResult run = machine.run(options);
 
@@ -40,12 +39,12 @@ ExecutionResult execute(ir::Module& module, const WorkloadInput& input,
 }
 
 PreparedProgram prepare(std::string_view source, std::string name,
-                        const WorkloadInput& input, bool jit) {
-  return prepare_multi(source, std::move(name), {input}, jit);
+                        const WorkloadInput& input) {
+  return prepare_multi(source, std::move(name), {input});
 }
 
 PreparedProgram prepare_multi(std::string_view source, std::string name,
-                              const std::vector<WorkloadInput>& inputs, bool jit) {
+                              const std::vector<WorkloadInput>& inputs) {
   if (inputs.empty()) {
     throw std::invalid_argument("prepare_multi needs at least one data set");
   }
@@ -67,7 +66,6 @@ PreparedProgram prepare_multi(std::string_view source, std::string name,
     bind_inputs(machine, input);
     sim::SimOptions options;
     options.profile = true;
-    options.jit = jit;
     const sim::SimResult run = machine.run(options);
     prepared.baseline_run.exit_code = run.exit_code;
     prepared.baseline_run.steps = run.steps;

@@ -46,12 +46,10 @@ struct ExecutionResult {
 };
 
 /// Runs `module`'s main over the given inputs; with `profile` the module's
-/// exec_count annotations are cleared and refilled.  `jit` selects the
-/// simulator engine (sim/jit.hpp); both engines are bit-identical, so it
-/// only affects speed — pass false to pin the interpreter oracle.
+/// exec_count annotations are cleared and refilled.
 ExecutionResult execute(ir::Module& module, const WorkloadInput& input,
                         const std::vector<std::string>& output_globals = {},
-                        bool profile = false, bool jit = sim::jit_default());
+                        bool profile = false);
 
 /// A compiled, canonicalized, profiled program — the shared baseline.
 struct PreparedProgram {
@@ -62,8 +60,7 @@ struct PreparedProgram {
 
 /// Steps 1-2: compile, canonicalize, verify, simulate with profiling.
 [[nodiscard]] PreparedProgram prepare(std::string_view source, std::string name,
-                                      const WorkloadInput& input,
-                                      bool jit = sim::jit_default());
+                                      const WorkloadInput& input);
 
 /// As prepare(), but profiles over several sample data sets (the paper's
 /// "Sample Benchmarks and Data"): execution counts accumulate across all
@@ -72,7 +69,6 @@ struct PreparedProgram {
 /// simulator (reset_memory() between sets).  The baseline_run captures
 /// the last data set's outcome.
 [[nodiscard]] PreparedProgram prepare_multi(std::string_view source, std::string name,
-                                            const std::vector<WorkloadInput>& inputs,
-                                            bool jit = sim::jit_default());
+                                            const std::vector<WorkloadInput>& inputs);
 
 }  // namespace asipfb::pipeline

@@ -135,13 +135,13 @@ std::string extension_key(opt::OptLevel level, const asip::SelectionOptions& s,
 // --- Session ----------------------------------------------------------------
 
 Session::Session(std::string_view source, std::string name,
-                 const WorkloadInput& input, bool jit,
+                 const WorkloadInput& input,
                  std::shared_ptr<cache::Store> store)
-    : Session(source, std::move(name), std::vector<WorkloadInput>{input}, jit,
+    : Session(source, std::move(name), std::vector<WorkloadInput>{input},
               std::move(store)) {}
 
 Session::Session(std::string_view source, std::string name,
-                 const std::vector<WorkloadInput>& inputs, bool jit,
+                 const std::vector<WorkloadInput>& inputs,
                  std::shared_ptr<cache::Store> store)
     : store_(std::move(store)) {
   if (store_ != nullptr) {
@@ -165,7 +165,7 @@ Session::Session(std::string_view source, std::string name,
   }
   if (!baseline_from_disk_) {
     if (store_ != nullptr) disk_misses_.fetch_add(1, std::memory_order_relaxed);
-    prepared_ = prepare_multi(source, std::move(name), inputs, jit);
+    prepared_ = prepare_multi(source, std::move(name), inputs);
     if (store_ != nullptr) {
       store_->save(cache::Artifact::kPrepared, baseline_key_,
                    cache::serialize(prepared_));
@@ -364,8 +364,7 @@ std::shared_ptr<Session> SessionPool::get(const std::string& key,
   std::call_once(entry.once, [&] {
     entry.source = std::string(source);  // bind key to source even on failure
     try {
-      entry.session = std::make_shared<Session>(
-          source, key, input, sim::jit_default(), store());
+      entry.session = std::make_shared<Session>(source, key, input, store());
       entry.provenance = entry.session->baseline_from_disk()
                              ? Provenance::kDiskCache
                              : Provenance::kComputed;

@@ -53,12 +53,15 @@ enum class Artifact : std::uint8_t;
 
 namespace asipfb::sim {
 
-/// tripbench-only: the benchmark spells the engine choice as
+/// tripbench-only shims.  The benchmark spells a trip as
 /// `Session(source, name, input, sim::fuse_default(), sim::jit_default(),
-/// store)`, from when the simulator had a fused interpreter.  Together
-/// with the six-argument Session overload below, this goes when tripbench
-/// moves to the five-argument form.
+/// store)` and times `Machine::jit_ready()` (sim/machine.hpp), from when
+/// the simulator had a fused tier and a JIT.  The simulator is one
+/// interpreter now, so both defaults are false and the six-argument
+/// Session overload below ignores them.  All three go when tripbench
+/// moves to the four-argument `Session(source, name, input, store)`.
 constexpr bool fuse_default() { return false; }
+constexpr bool jit_default() { return false; }
 
 }  // namespace asipfb::sim
 
@@ -67,26 +70,22 @@ namespace asipfb::pipeline {
 class Session {
  public:
   /// Compile + canonicalize + profile `source` (driver prepare()); throws
-  /// on compile/verify/simulation failure.  `jit` selects the simulator
-  /// engine for the profiling run (bit-identical every way, so cached
-  /// artifact bytes never depend on it).  With `store`, the profiled
+  /// on compile/verify/simulation failure.  With `store`, the profiled
   /// baseline is loaded from disk when a valid entry exists (skipping
   /// compile + profile entirely) and written back after a cold
   /// preparation; every stage memo slot likewise consults disk inside its
   /// one-time computation.
   Session(std::string_view source, std::string name, const WorkloadInput& input,
-          bool jit = sim::jit_default(),
           std::shared_ptr<cache::Store> store = nullptr);
 
-  /// tripbench-only (see sim::fuse_default() above): ignores `fuse`.
+  /// tripbench-only (see the shims above): ignores both bools.
   Session(std::string_view source, std::string name, const WorkloadInput& input,
-          bool /*fuse*/, bool jit, std::shared_ptr<cache::Store> store)
-      : Session(source, std::move(name), input, jit, std::move(store)) {}
+          bool /*fuse*/, bool /*jit*/, std::shared_ptr<cache::Store> store)
+      : Session(source, std::move(name), input, std::move(store)) {}
 
   /// As above, profiling over several sample data sets (prepare_multi()).
   Session(std::string_view source, std::string name,
           const std::vector<WorkloadInput>& inputs,
-          bool jit = sim::jit_default(),
           std::shared_ptr<cache::Store> store = nullptr);
 
   /// Adopts an already-prepared baseline (no re-simulation).  The artifact

@@ -1,12 +1,8 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/decode.hpp"
-#include "sim/jit.hpp"
-// Value semantics (as_i32/as_f32/fp_to_int/eval_intrinsic) are shared with
-// the JIT via sim/value_ops.hpp so the two engines cannot diverge.
 #include "sim/value_ops.hpp"
 
 namespace asipfb::sim {
@@ -70,12 +66,6 @@ std::vector<float> Machine::read_global_f32(std::string_view name) const {
 SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   const ir::FuncId fid = program_.find_function(entry);
   if (fid == ir::kNoFunc) throw SimError("no entry function: " + std::string(entry));
-  // Engine selection.  The JIT runs when requested and available
-  // (jit_code() is nullptr on unsupported targets or W^X failure — then
-  // the interpreter serves the run with identical results).  Both engines
-  // share the program's flat indices, so everything downstream
-  // (profiling, fault fixup, branch targets) is engine-agnostic.
-  const bool use_jit = options.jit && jit_code() != nullptr;
   // Deterministic reuse: every run starts with a pristine frame region.
   // Globals are left alone so inputs written via write_global persist.
   std::fill(memory_.begin() + globals_end_,
@@ -85,7 +75,7 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   // frame region as dirty so the next clear is still correct.
   if (!options.profile) {
     try {
-      return use_jit ? exec_jit(options, fid, false) : exec<false>(options, fid);
+      return exec<false>(options, fid);
     } catch (...) {
       frame_dirty_end_ = static_cast<std::uint32_t>(memory_.size());
       throw;
@@ -101,8 +91,7 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   profile_.resize(program_.code.size());
   block_counts_.assign(program_.block_start.size() - 1, 0);
   try {
-    const SimResult result =
-        use_jit ? exec_jit(options, fid, true) : exec<true>(options, fid);
+    const SimResult result = exec<true>(options, fid);
     program_.flush_profile(profile_.data());
     return result;
   } catch (...) {

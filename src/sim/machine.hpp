@@ -7,19 +7,15 @@
 // branches; stores are always checked and fault on out-of-bounds addresses.
 //
 // Construction decodes the module once into a dense sim::Program
-// (sim/program.hpp).  run() executes that flat bytecode on one of two
-// engines: the interpreter in this file, which is the differential oracle
-// and the portable fallback, or the copy-and-patch JIT (sim/jit.hpp),
-// selected by SimOptions::jit.  Both keep an explicit call-stack of
-// frames, so call depth is bounded by SimOptions::max_call_depth alone,
-// never by the C++ stack.  The decoded program is reused across runs: the
-// decode-once/run-many pattern backs pipeline::prepare_multi() and the
-// batch runner, which reset_memory() and rebind inputs between data sets
-// instead of rebuilding a Machine.
+// (sim/program.hpp).  run() interprets that flat bytecode with an
+// explicit call-stack of frames, so call depth is bounded by
+// SimOptions::max_call_depth alone, never by the C++ stack.  The decoded
+// program is reused across runs: the decode-once/run-many pattern backs
+// pipeline::prepare_multi(), which calls reset_memory() and rebinds
+// inputs between data sets instead of rebuilding a Machine.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -43,24 +39,10 @@ public:
 /// relative to this fixed region size.
 inline constexpr std::uint32_t kFrameRegionWords = 1u << 20;
 
-/// Default for SimOptions::jit: on, unless the ASIPFB_NO_JIT environment
-/// variable is set (non-empty).  The env override lets CI run every
-/// sim-touching suite against the interpreter oracle without code
-/// changes.  Defined in sim/jit.cpp.
-[[nodiscard]] bool jit_default();
-
-/// A compiled native-code program (sim/jit.hpp); owned lazily by Machine.
-class JitProgram;
-
 struct SimOptions {
   std::uint64_t max_steps = 2'000'000'000;  ///< Fault when exceeded.
   int max_call_depth = 256;                 ///< Fault when exceeded.
   bool profile = false;                     ///< Bump Instr::exec_count.
-  bool jit = jit_default();  ///< Execute on the JIT (sim/jit.hpp) when the
-                             ///< build supports it; off = the interpreter
-                             ///< oracle.  Falls back to the interpreter
-                             ///< when compilation is unavailable —
-                             ///< results are identical.
 };
 
 struct SimResult {
@@ -79,9 +61,6 @@ public:
   /// be structurally modified while it is in use; with SimOptions::profile
   /// a run mutates the module's exec_count annotations.
   explicit Machine(ir::Module& module);
-
-  /// Out-of-line: jit_ needs JitProgram complete (defined in sim/jit.cpp).
-  ~Machine();
 
   /// Copies values into a named global (must exist, sizes must fit).
   void write_global(std::string_view name, std::span<const std::int32_t> values);
@@ -105,11 +84,10 @@ public:
   /// The decoded form this machine executes.
   [[nodiscard]] const Program& program() const { return program_; }
 
-  /// True when this machine will run SimOptions::jit runs natively:
-  /// compilation is supported and succeeded.  Compiles if no jit run has
-  /// happened yet.  False means such runs silently use the interpreter
-  /// instead.
-  [[nodiscard]] bool jit_ready();
+  /// tripbench-only (see sim::fuse_default() in pipeline/session.hpp):
+  /// the benchmark times a "sim.jit_compile" span around this call from
+  /// when the simulator had a JIT.  There is none, so it is always false.
+  [[nodiscard]] bool jit_ready() { return false; }
 
 private:
   struct Frame {
@@ -126,15 +104,6 @@ private:
   template <bool Profile>
   SimResult exec(const SimOptions& options, ir::FuncId entry);
 
-  /// The native code, built lazily on the first jit run (one compile
-  /// attempt per machine).  nullptr = fall back to the interpreter.
-  [[nodiscard]] const JitProgram* jit_code();
-
-  /// The host half of the JIT (sim/jit.cpp): runs native code via
-  /// JitProgram::enter and performs exactly the interpreter's frame
-  /// machinery on every call, return, and fault exit.
-  SimResult exec_jit(const SimOptions& options, ir::FuncId entry, bool profile);
-
   /// Expands block_counts_ into the per-instruction profile_ table.
   void expand_profile();
 
@@ -146,12 +115,6 @@ private:
 
   ir::Module& module_;
   Program program_;
-  std::unique_ptr<JitProgram> jit_;  ///< Lazily built (jit_code()).
-  bool jit_build_attempted_ = false;
-  /// Write-only stand-in for block_counts_ on unprofiled jit runs: the
-  /// stencils bump block counters unconditionally so one compiled buffer
-  /// serves both modes.
-  std::vector<std::uint64_t> jit_scratch_counts_;
   std::vector<std::uint32_t> memory_;
   std::uint32_t globals_end_ = 0;
   /// One past the highest frame-region word any run has stored to since the

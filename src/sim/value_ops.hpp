@@ -1,11 +1,10 @@
 // Shared value semantics of the simulator: bit-cast helpers, the defined
 // float->int conversion, and intrinsic evaluation.
 //
-// Both engines (the interpreter in sim/machine.cpp, the JIT's
-// out-of-line intrinsic helper in sim/jit.cpp) must produce bit-identical
-// results, so the scalar semantics live here exactly once.  Anything that
-// rounds, truncates, or calls libm routes through these functions; an engine
-// with a private copy would be one refactor away from divergence.
+// The interpreter's handlers and Machine's global readers and writers
+// (sim/machine.cpp) share these, so the scalar semantics live in one
+// place.  Anything that rounds, truncates, or calls libm routes through
+// these functions.
 #pragma once
 
 #include <cmath>
@@ -43,7 +42,7 @@ inline std::int32_t fp_to_int(float f) {
 }
 
 /// Evaluates an intrinsic on a raw register value: the semantics of the
-/// interpreter's Intrin handler and of the JIT's intrinsic helper.
+/// interpreter's Intrin handler.
 /// Returns false for a malformed (None) kind.
 inline bool eval_intrinsic(ir::IntrinsicKind k, std::uint32_t in_bits,
                            std::uint32_t& out) {

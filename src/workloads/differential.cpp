@@ -4,7 +4,6 @@
 #include <string>
 
 #include "pipeline/session.hpp"
-#include "sim/baseline_hash.hpp"
 
 namespace asipfb::wl {
 
@@ -44,28 +43,6 @@ DifferentialOutcome check_workload(const Workload& w) {
         out.error = mismatch("oracle mismatch on global " + global, w);
         break;
       }
-    }
-  }
-
-  // JIT vs the interpreter oracle.  On builds where the JIT is
-  // unavailable both runs interpret — vacuously equal, matching its
-  // fallback contract.
-  out.jit_ok = true;
-  ir::Module jit_m = prepared.module;
-  ir::Module interp_m = prepared.module;
-  const auto jitted = pipeline::execute(jit_m, w.input, w.outputs,
-                                        /*profile=*/true, /*jit=*/true);
-  const auto interp = pipeline::execute(interp_m, w.input, w.outputs,
-                                        /*profile=*/true, /*jit=*/false);
-  if (jitted.exit_code != interp.exit_code || jitted.steps != interp.steps ||
-      jitted.cycles != interp.cycles || jitted.oob_loads != interp.oob_loads ||
-      jitted.outputs != interp.outputs) {
-    out.jit_ok = false;
-    if (out.error.empty()) out.error = mismatch("jit vs interpreter divergence", w);
-  } else if (sim::profile_hash(jit_m) != sim::profile_hash(interp_m)) {
-    out.jit_ok = false;
-    if (out.error.empty()) {
-      out.error = mismatch("jit vs interpreter profile-hash divergence", w);
     }
   }
 

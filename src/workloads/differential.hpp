@@ -3,15 +3,11 @@
 // exercises exactly the checks the tests gate on instead of a diverging
 // copy.
 //
-// Three checks per workload:
+// Two checks per workload:
 //   * oracle: the simulated baseline must reproduce Workload::expected
 //     (raw words, floats bit-compared) and expected_exit;
 //   * levels: O1 and O2 variants must match the baseline's outputs and
-//     exit code bit for bit;
-//   * jit: the JIT (sim/jit.hpp) must match the interpreter oracle —
-//     outputs, exit, steps, cycles, and per-instruction profile hash.
-//     Passes vacuously on builds where the JIT is unavailable (both runs
-//     then interpret).
+//     exit code bit for bit.
 #pragma once
 
 #include <string>
@@ -26,10 +22,9 @@ struct DifferentialOutcome {
   bool compiled = false;
   bool oracle_ok = false;
   bool levels_ok = false;
-  bool jit_ok = false;
   std::string error;
 
-  [[nodiscard]] bool ok() const { return compiled && oracle_ok && levels_ok && jit_ok; }
+  [[nodiscard]] bool ok() const { return compiled && oracle_ok && levels_ok; }
 };
 
 /// Runs the battery on `w`.  Never throws for check failures — compile

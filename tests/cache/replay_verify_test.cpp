@@ -63,8 +63,7 @@ TEST(ReplayVerify, WarmArtifactsAreBitIdenticalToFreshRecompute) {
   // Cold pass: run every stage so the store holds all five artifact
   // kinds per scenario.
   for (const auto& w : corpus) {
-    const pipeline::Session cold(w.source, w.name, w.input,
-                                 sim::jit_default(), store);
+    const pipeline::Session cold(w.source, w.name, w.input, store);
     ASSERT_FALSE(cold.baseline_from_disk()) << w.name;
     (void)cold.detection(opt::OptLevel::O1);
     (void)cold.coverage(opt::OptLevel::O1);
@@ -75,8 +74,7 @@ TEST(ReplayVerify, WarmArtifactsAreBitIdenticalToFreshRecompute) {
   // Warm-vs-fresh: deserialize from disk in one Session, recompute from
   // source in another, compare the canonical encodings.
   for (const auto& w : corpus) {
-    const pipeline::Session warm(w.source, w.name, w.input,
-                                 sim::jit_default(), store);
+    const pipeline::Session warm(w.source, w.name, w.input, store);
     ASSERT_TRUE(warm.baseline_from_disk()) << w.name;
     const pipeline::Session fresh(w.source, w.name, w.input);
 

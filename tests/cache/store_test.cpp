@@ -370,8 +370,7 @@ TEST(SessionStore, BaselineAndStagesWarmStartFromDisk) {
   std::string cold_prepared;
   std::string cold_detection;
   {
-    const pipeline::Session cold(kKernel, "warmstart", kernel_input(),
-                                 sim::jit_default(), store);
+    const pipeline::Session cold(kKernel, "warmstart", kernel_input(), store);
     EXPECT_FALSE(cold.baseline_from_disk());
     cold_prepared = serialize(cold.prepared());
     cold_detection = serialize(cold.detection(opt::OptLevel::O1));
@@ -379,8 +378,7 @@ TEST(SessionStore, BaselineAndStagesWarmStartFromDisk) {
   }
   EXPECT_GT(store->stats().writes, 0u);
 
-  const pipeline::Session warm(kKernel, "warmstart", kernel_input(),
-                               sim::jit_default(), store);
+  const pipeline::Session warm(kKernel, "warmstart", kernel_input(), store);
   EXPECT_TRUE(warm.baseline_from_disk());
   EXPECT_EQ(serialize(warm.prepared()), cold_prepared);
   EXPECT_EQ(serialize(warm.detection(opt::OptLevel::O1)), cold_detection);
@@ -394,8 +392,7 @@ TEST(SessionStore, BaselineAndStagesWarmStartFromDisk) {
 TEST(SessionStore, CorruptBaselineEntryFallsBackToColdCompute) {
   const ScratchDir scratch("fallback");
   const auto store = open_store(scratch);
-  const pipeline::Session cold(kKernel, "fallback", kernel_input(),
-                               sim::jit_default(), store);
+  const pipeline::Session cold(kKernel, "fallback", kernel_input(), store);
   const std::string expected = serialize(cold.prepared());
 
   // Truncate the baseline entry in place: the next Session must detect
@@ -406,8 +403,7 @@ TEST(SessionStore, CorruptBaselineEntryFallsBackToColdCompute) {
   const std::string bytes = read_file(path);
   write_file(path, std::string_view(bytes).substr(0, bytes.size() / 2));
 
-  const pipeline::Session recovered(kKernel, "fallback", kernel_input(),
-                                    sim::jit_default(), store);
+  const pipeline::Session recovered(kKernel, "fallback", kernel_input(), store);
   EXPECT_FALSE(recovered.baseline_from_disk());
   EXPECT_EQ(serialize(recovered.prepared()), expected);
   EXPECT_GT(store->stats().corrupt, 0u);
@@ -417,8 +413,7 @@ TEST(SessionStore, PreparationFailuresAreNeverCached) {
   const ScratchDir scratch("errors");
   const auto store = open_store(scratch);
   EXPECT_THROW(pipeline::Session("int main() { return undefined; }", "bad",
-                                 pipeline::WorkloadInput{},
-                                 sim::jit_default(), store),
+                                 pipeline::WorkloadInput{}, store),
                std::runtime_error);
   EXPECT_TRUE(store->entries().empty())
       << "a failed preparation must not publish anything";

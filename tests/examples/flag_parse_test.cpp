@@ -50,6 +50,8 @@ TEST(FlagParse, UnsignedAndFloatingPointAreStrictToo) {
   EXPECT_EQ(parse_double_flag("4.5"), 4.5);
   EXPECT_FALSE(parse_double_flag(nullptr).has_value());
   EXPECT_FALSE(parse_double_flag("4%").has_value());
+  EXPECT_FALSE(parse_double_flag("40abc").has_value());
+  EXPECT_FALSE(parse_double_flag("abc").has_value());
   EXPECT_FALSE(parse_double_flag("").has_value());
   EXPECT_FALSE(parse_double_flag("1e999").has_value());
 }

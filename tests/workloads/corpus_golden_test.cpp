@@ -5,7 +5,7 @@
 // (the failure message prints the replacement table ready to paste).
 //
 // This is deliberate friction: generated sources are oracle-checked
-// artifacts that downstream consumers (the gauntlet, the JIT-tier
+// artifacts that downstream consumers (the gauntlet, the corpus
 // differential harness, serve_demo's pinned transcript) treat as stable
 // for a fixed (seed, count, families) spec.
 #include <gtest/gtest.h>

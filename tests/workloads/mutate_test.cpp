@@ -127,8 +127,8 @@ TEST(Mutate, ReassociationFiresOnChainsAndPreservesResults) {
 
 TEST(Mutate, StackedMutationsPreserveOracleExpectations) {
   // 0..N stacked rewrites: the mutated program must keep satisfying the
-  // ORIGINAL workload's oracle (outputs + exit), at every level, on both
-  // simulator engines.  Step/cycle counts are exempt by contract.
+  // ORIGINAL workload's oracle (outputs + exit), at every level.
+  // Step/cycle counts are exempt by contract.
   for (const Workload& w : probe_workloads()) {
     std::string previous;
     for (int count : {0, 1, 2, 4, 8}) {

@@ -18,11 +18,12 @@ quantiles and other lower-is-better metrics):
 A third section, "ratios", holds floors that are checked at FACE VALUE —
 no tolerance scaling:
 
-    {"metrics": {...}, "ratios": {"jit_ab_ratio": 1.3}}
+    {"metrics": {...}, "ratios": {"cache.warm_speedup": 3.0}}
 
-Ratio metrics are same-process A/B comparisons (e.g. JIT vs interpreter
-simulator throughput), so runner speed cancels out and the generous
-absolute-throughput tolerance would only mask a real regression.
+Ratio metrics are A/B comparisons taken in one run on one host (e.g. a
+warm restart over the on-disk artifact cache vs the cold run that filled
+it), so runner speed cancels out and the generous absolute-throughput
+tolerance would only mask a real regression.
 
 Path segments index objects by key and arrays by integer.  A measured
 metric below tolerance * baseline fails the gate, as does one above

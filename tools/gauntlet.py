@@ -42,8 +42,7 @@ def merge_reports(reports: list[dict]) -> dict:
         "bench": "gauntlet",
         "spec": dict(reports[0]["spec"]),
         "programs": {"total": 0, "base": 0, "mutants": 0},
-        "mismatches": {"total": 0, "compile": 0, "oracle": 0,
-                       "levels": 0, "jit": 0},
+        "mismatches": {"total": 0, "compile": 0, "oracle": 0, "levels": 0},
         "rewrites": {},
         "families": [],
     }
