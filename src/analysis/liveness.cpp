@@ -1,46 +1,85 @@
 #include "analysis/liveness.hpp"
 
+#include <algorithm>
+
+#include "analysis/cfg.hpp"
+
 namespace asipfb::analysis {
 
-Liveness::Liveness(const ir::Function& fn) {
-  const std::size_t nblocks = fn.blocks.size();
-  const std::size_t nregs = fn.reg_types.size();
-  live_in_.assign(nblocks, std::vector<bool>(nregs, false));
-  live_out_.assign(nblocks, std::vector<bool>(nregs, false));
+using ir::BlockId;
 
-  // Per-block use (read before any write) and def sets.
-  std::vector<std::vector<bool>> use(nblocks, std::vector<bool>(nregs, false));
-  std::vector<std::vector<bool>> def(nblocks, std::vector<bool>(nregs, false));
+Liveness::Liveness(const ir::Function& fn) : Liveness(fn, predecessors(fn)) {}
+
+Liveness::Liveness(const ir::Function& fn, const Preds& preds)
+    : words_((fn.reg_types.size() + 63) / 64),
+      bits_(fn.blocks.size() * 3 * words_, 0),
+      succs_(fn.blocks.size(), {ir::kNoBlock, ir::kNoBlock}),
+      queued_(fn.blocks.size(), 1) {
+  const std::size_t nblocks = fn.blocks.size();
+  work_.reserve(nblocks);
   for (std::size_t b = 0; b < nblocks; ++b) {
-    for (const auto& instr : fn.blocks[b].instrs) {
-      for (ir::Reg a : instr.args) {
-        if (!def[b][a.id]) use[b][a.id] = true;
-      }
-      if (instr.dst) def[b][instr.dst->id] = true;
+    const auto id = static_cast<BlockId>(b);
+    const auto succs = fn.blocks[b].successors();
+    std::copy(succs.begin(), succs.end(), succs_[b].begin());
+    summarize(fn.blocks[b], id);
+    // Pushed in index order so the stack pops in reverse index order, a
+    // cheap approximation of post-order for this backward problem.
+    work_.push_back(id);
+  }
+  solve(preds);
+}
+
+void Liveness::refresh(const ir::Function& fn, const Preds& preds,
+                       std::initializer_list<BlockId> touched) {
+  for (const BlockId b : touched) summarize(fn.blocks[b], b);
+  for (auto it = touched.end(); it != touched.begin();) {
+    const BlockId b = *--it;
+    if (!queued_[b]) {
+      queued_[b] = 1;
+      work_.push_back(b);
     }
   }
+  solve(preds);
+}
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Iterate blocks in reverse index order as a cheap approximation of
-    // post-order; the loop runs to fixpoint regardless.
-    for (std::size_t bi = nblocks; bi-- > 0;) {
-      const auto& block = fn.blocks[bi];
-      std::vector<bool> out(nregs, false);
-      for (ir::BlockId s : block.successors()) {
-        for (std::size_t r = 0; r < nregs; ++r) {
-          if (live_in_[s][r]) out[r] = true;
-        }
-      }
-      std::vector<bool> in = use[bi];
-      for (std::size_t r = 0; r < nregs; ++r) {
-        if (out[r] && !def[bi][r]) in[r] = true;
-      }
-      if (in != live_in_[bi] || out != live_out_[bi]) {
-        live_in_[bi] = std::move(in);
-        live_out_[bi] = std::move(out);
-        changed = true;
+void Liveness::summarize(const ir::BasicBlock& bb, BlockId block) {
+  std::uint64_t* use = row(block, kUse);
+  std::uint64_t* def = row(block, kDef);
+  std::fill(use, use + words_, 0);
+  std::fill(def, def + words_, 0);
+  for (const auto& instr : bb.instrs) {
+    for (const ir::Reg a : instr.args) {
+      // Read before any write in this block: upward exposed.
+      if (!test(def, a)) add(use, a);
+    }
+    if (instr.dst) add(def, *instr.dst);
+  }
+}
+
+void Liveness::solve(const Preds& preds) {
+  while (!work_.empty()) {
+    const BlockId b = work_.back();
+    work_.pop_back();
+    queued_[b] = 0;
+
+    std::uint64_t* in = row(b, kIn);
+    const std::uint64_t* use = row(b, kUse);
+    const std::uint64_t* def = row(b, kDef);
+    const auto [s0, s1] = succs_[b];
+    const std::uint64_t* in0 = s0 == ir::kNoBlock ? nullptr : row(s0, kIn);
+    const std::uint64_t* in1 = s1 == ir::kNoBlock ? nullptr : row(s1, kIn);
+    bool changed = false;
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t out = (in0 ? in0[w] : 0) | (in1 ? in1[w] : 0);
+      const std::uint64_t next = use[w] | (out & ~def[w]);
+      changed |= next != in[w];
+      in[w] = next;
+    }
+    if (!changed) continue;
+    for (const BlockId p : preds[b]) {
+      if (!queued_[p]) {
+        queued_[p] = 1;
+        work_.push_back(p);
       }
     }
   }

@@ -1,10 +1,29 @@
-// Per-block register liveness (backward dataflow).
+// Per-block register liveness (backward dataflow) over dense bitsets.
 //
-// Used by percolation scheduling to validate speculative motion: an
+// Used by percolation scheduling to validate speculative motion (an
 // instruction may only be hoisted above a branch when its destination is not
-// live along the branch's other edge.
+// live along the branch's other edge) and by register renaming to decide
+// which repair copies a block needs.
+//
+// Each block stores three bitsets of 64-bit words in one flat array: live-in,
+// upward-exposed uses and definitions.  Live-out is not stored; it is the
+// union of the successors' live-in and is derived on demand.  The solver is
+// a worklist from the all-empty start: a block's live-in is
+// `use | (out & ~def)`, and its predecessors are queued whenever it changes,
+// so the result is the least fixpoint.
+//
+// refresh() keeps one Liveness valid across edits that leave the CFG alone:
+// it re-summarizes the touched blocks and re-solves from them, starting
+// from the current solution.  Growth is always exact.  A shrink is exact
+// unless the dropped register was carried around a cycle, where the old
+// bits keep each other alive.  A percolation hoist never needs such a
+// shrink (see opt/percolate.cpp), which is why percolation solves liveness
+// once per pass instead of once per move.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -13,25 +32,60 @@ namespace asipfb::analysis {
 
 class Liveness {
 public:
+  using Preds = std::vector<std::vector<ir::BlockId>>;
+
   explicit Liveness(const ir::Function& fn);
+  /// As above, reusing the caller's `preds` (analysis::predecessors(fn)).
+  Liveness(const ir::Function& fn, const Preds& preds);
 
   /// True when `reg` is live on entry to `block`.
   [[nodiscard]] bool live_in(ir::BlockId block, ir::Reg reg) const {
-    return live_in_[block][reg.id];
+    return test(row(block, kIn), reg);
   }
 
   /// True when `reg` is live on exit from `block`.
   [[nodiscard]] bool live_out(ir::BlockId block, ir::Reg reg) const {
-    return live_out_[block][reg.id];
+    for (const ir::BlockId s : succs_[block]) {
+      if (s != ir::kNoBlock && live_in(s, reg)) return true;
+    }
+    return false;
   }
 
-  [[nodiscard]] const std::vector<bool>& live_in_set(ir::BlockId block) const {
-    return live_in_[block];
-  }
+  /// Re-solves after the instructions of `touched` changed.  The CFG
+  /// (terminator targets) and the register count must be unchanged, and
+  /// `preds` must still be predecessors(fn).  Touched blocks are solved
+  /// first, in the order given.
+  void refresh(const ir::Function& fn, const Preds& preds,
+               std::initializer_list<ir::BlockId> touched);
 
 private:
-  std::vector<std::vector<bool>> live_in_;
-  std::vector<std::vector<bool>> live_out_;
+  /// Offsets of the three per-block bitsets within a block's record.
+  enum Part : std::size_t { kIn = 0, kUse = 1, kDef = 2 };
+
+  [[nodiscard]] const std::uint64_t* row(ir::BlockId block, Part part) const {
+    return bits_.data() + (std::size_t{block} * 3 + part) * words_;
+  }
+  [[nodiscard]] std::uint64_t* row(ir::BlockId block, Part part) {
+    return bits_.data() + (std::size_t{block} * 3 + part) * words_;
+  }
+  [[nodiscard]] static bool test(const std::uint64_t* bits, ir::Reg reg) {
+    return (bits[reg.id / 64] >> (reg.id % 64)) & 1u;
+  }
+  static void add(std::uint64_t* bits, ir::Reg reg) {
+    bits[reg.id / 64] |= std::uint64_t{1} << (reg.id % 64);
+  }
+
+  /// Recomputes the use and def sets of `block` from its instructions.
+  void summarize(const ir::BasicBlock& bb, ir::BlockId block);
+  /// Drains `work_`, re-evaluating each block and queueing the
+  /// predecessors of every block whose live-in changed.
+  void solve(const Preds& preds);
+
+  std::size_t words_ = 0;                ///< 64-bit words per bitset.
+  std::vector<std::uint64_t> bits_;      ///< [in | use | def] per block.
+  std::vector<std::array<ir::BlockId, 2>> succs_;  ///< kNoBlock-padded.
+  std::vector<ir::BlockId> work_;        ///< Worklist (a stack).
+  std::vector<char> queued_;             ///< Block is on `work_`.
 };
 
 }  // namespace asipfb::analysis

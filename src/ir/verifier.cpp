@@ -1,6 +1,7 @@
 #include "ir/verifier.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -294,72 +295,76 @@ private:
 
   // Forward dataflow: the set of registers definitely assigned on entry to
   // each block is the intersection over predecessors of (entry + defs).
-  // Any use outside the definitely-assigned set is reported.
+  // Any use outside the definitely-assigned set is reported.  Each set is
+  // `words` 64-bit words of one flat per-block array.
   void check_definite_assignment() {
-    const std::size_t nregs = fn_.reg_types.size();
+    using Word = std::uint64_t;
     const std::size_t nblocks = fn_.blocks.size();
-    std::vector<std::vector<bool>> in(nblocks, std::vector<bool>(nregs, true));
-    std::vector<bool> entry_in(nregs, false);
-    for (Reg p : fn_.params) {
-      if (reg_ok(p)) entry_in[p.id] = true;
-    }
-    in[0] = entry_in;
+    const std::size_t words = (fn_.reg_types.size() + 63) / 64;
+    const auto bit = [](Reg r) { return Word{1} << (r.id % 64); };
 
+    std::vector<Word> entry_in(words, 0);
+    for (Reg p : fn_.params) {
+      if (reg_ok(p)) entry_in[p.id / 64] |= bit(p);
+    }
+    std::vector<Word> in(nblocks * words, ~Word{0});
+    std::copy(entry_in.begin(), entry_in.end(), in.begin());
+
+    std::vector<Word> defs(nblocks * words, 0);
     std::vector<std::vector<BlockId>> preds(nblocks);
     for (std::size_t b = 0; b < nblocks; ++b) {
+      for (const auto& instr : fn_.blocks[b].instrs) {
+        if (instr.dst && reg_ok(*instr.dst)) {
+          defs[b * words + instr.dst->id / 64] |= bit(*instr.dst);
+        }
+      }
       for (BlockId s : fn_.blocks[b].successors()) {
         preds[s].push_back(static_cast<BlockId>(b));
       }
     }
 
-    auto block_out = [&](std::size_t b, const std::vector<bool>& block_in) {
-      std::vector<bool> out = block_in;
-      for (const auto& instr : fn_.blocks[b].instrs) {
-        if (instr.dst && reg_ok(*instr.dst)) out[instr.dst->id] = true;
-      }
-      return out;
-    };
-
+    std::vector<Word> new_in(words);
     bool changed = true;
     while (changed) {
       changed = false;
       for (std::size_t b = 0; b < nblocks; ++b) {
-        std::vector<bool> new_in;
-        if (b == 0) {
+        if (b == 0 || preds[b].empty()) {
           // First execution enters with only parameters defined, regardless
-          // of any back edges into the entry block.
-          new_in = entry_in;
-        } else if (preds[b].empty()) {
-          // Unreachable block: nothing guaranteed; use entry facts so we do
-          // not emit spurious errors for dead code.
+          // of any back edges into the entry block.  An unreachable block
+          // is guaranteed nothing; use entry facts so we do not emit
+          // spurious errors for dead code.
           new_in = entry_in;
         } else {
-          new_in.assign(nregs, true);
+          std::fill(new_in.begin(), new_in.end(), ~Word{0});
           for (BlockId p : preds[b]) {
-            const auto out = block_out(p, in[p]);
-            for (std::size_t r = 0; r < nregs; ++r) {
-              new_in[r] = new_in[r] && out[r];
+            for (std::size_t w = 0; w < words; ++w) {
+              new_in[w] &= in[p * words + w] | defs[p * words + w];
             }
           }
         }
-        if (new_in != in[b]) {
-          in[b] = std::move(new_in);
+        const auto block_in = in.begin() + static_cast<std::ptrdiff_t>(b * words);
+        if (!std::equal(new_in.begin(), new_in.end(), block_in)) {
+          std::copy(new_in.begin(), new_in.end(), block_in);
           changed = true;
         }
       }
     }
 
+    std::vector<Word> defined(words);
     for (std::size_t b = 0; b < nblocks; ++b) {
-      std::vector<bool> defined = in[b];
+      std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(b * words), words,
+                  defined.begin());
       for (const auto& instr : fn_.blocks[b].instrs) {
         for (Reg a : instr.args) {
-          if (reg_ok(a) && !defined[a.id]) {
+          if (reg_ok(a) && !(defined[a.id / 64] & bit(a))) {
             error_at(instr, "use of possibly-undefined register r" +
                                 std::to_string(a.id));
-            defined[a.id] = true;  // Report each register once per block.
+            defined[a.id / 64] |= bit(a);  // Report each register once per block.
           }
         }
-        if (instr.dst && reg_ok(*instr.dst)) defined[instr.dst->id] = true;
+        if (instr.dst && reg_ok(*instr.dst)) {
+          defined[instr.dst->id / 64] |= bit(*instr.dst);
+        }
       }
     }
   }

@@ -108,13 +108,32 @@ std::vector<bool> movable_set(const ir::BasicBlock& block,
   return movable;
 }
 
-/// One hoisting sweep over the function; returns ops moved (0 = fixpoint).
-int hoist_pass(ir::Function& fn, const PercolationOptions& options) {
+/// Hoists operations above conditional branches until no block has a
+/// non-empty movable set; returns the ops moved.  Each move takes the
+/// lowest-index block n whose movable set is non-empty and appends that
+/// set to n's unique predecessor m, before m's branch.
+///
+/// Predecessors and liveness are computed once: a hoist moves only
+/// non-terminators, so the CFG is unchanged, and Liveness::refresh() of n
+/// and m is exact.  The moved destinations were dead on m's other edges
+/// and the moved upward-exposed uses were already live into m (or defined
+/// in it), so only live_in[n] and live_out[m] change, never live_in[m].
+/// The inputs of movable_set() for a block are its own instructions, its
+/// predecessor's terminator and the live-in of that predecessor's other
+/// successors, so a move can only turn the set of n, of m, or of a sibling
+/// of n (a successor of m) non-empty again; every other block keeps its
+/// cached "known empty".
+int hoist_all(ir::Function& fn, const PercolationOptions& options) {
   const auto preds = analysis::predecessors(fn);
-  const analysis::Liveness liveness(fn);
+  analysis::Liveness liveness(fn, preds);
+  std::vector<bool> known_empty(fn.blocks.size(), false);
+  int total = 0;
 
-  for (std::size_t nb = 0; nb < fn.blocks.size(); ++nb) {
-    const BlockId n = static_cast<BlockId>(nb);
+  std::size_t nb = 0;
+  while (nb < fn.blocks.size()) {
+    const BlockId n = static_cast<BlockId>(nb++);
+    if (known_empty[n]) continue;
+    known_empty[n] = true;
     if (n == 0 || preds[n].size() != 1) continue;
     const BlockId m = preds[n][0];
     if (m == n) continue;
@@ -149,10 +168,20 @@ int hoist_pass(ir::Function& fn, const PercolationOptions& options) {
     pred_block.instrs.insert(pred_block.instrs.end() - 1,
                              std::make_move_iterator(hoisted.begin()),
                              std::make_move_iterator(hoisted.end()));
-    // Liveness/preds are stale after a move; caller re-invokes us.
-    return moved;
+    total += moved;
+
+    // Update liveness in place (n first: m's live-out reads it) and
+    // rescan from the lowest block whose movable set may have changed.
+    liveness.refresh(fn, preds, {n, m});
+    known_empty[n] = false;
+    known_empty[m] = false;
+    nb = std::min<std::size_t>(n, m);
+    for (BlockId s : pred_block.successors()) {
+      known_empty[s] = false;
+      nb = std::min<std::size_t>(nb, s);
+    }
   }
-  return 0;
+  return total;
 }
 
 }  // namespace
@@ -170,12 +199,9 @@ PercolationStats percolate(ir::Function& fn, const PercolationOptions& options) 
 
     // Speculative hoisting above conditional branches.
     if (options.speculate) {
-      for (;;) {
-        const int moved = hoist_pass(fn, options);
-        if (moved == 0) break;
-        stats.ops_hoisted += moved;
-        work += moved;
-      }
+      const int moved = hoist_all(fn, options);
+      stats.ops_hoisted += moved;
+      work += moved;
     }
 
     if (work == 0) break;

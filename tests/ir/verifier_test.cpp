@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ir/builder.hpp"
 
 namespace asipfb::ir {
@@ -159,6 +162,71 @@ TEST(Verifier, RejectsDefinitionOnOnePathOnly) {
   b.emit_ret_value(x);
   m.functions.push_back(std::move(fn));
   EXPECT_FALSE(verify(m).empty());
+}
+
+TEST(Verifier, DefiniteAssignmentAtWordBoundaries) {
+  // r63, r127 and r128 are assigned on both paths, r64 on one only; the
+  // join reads all four.  Exactly r64 is reported.
+  Module m;
+  Function fn;
+  fn.name = "f";
+  fn.return_type = Type::I32;
+  const Reg p = fn.new_reg(Type::I32);
+  fn.params.push_back(p);
+  std::vector<Reg> r{p};
+  while (r.size() < 130) r.push_back(fn.new_reg(Type::I32));
+  Builder b(fn);
+  const BlockId entry = b.create_block("entry");
+  const BlockId then_b = b.create_block("then");
+  const BlockId merge = b.create_block("merge");
+  b.set_insert_point(entry);
+  for (int i : {63, 127, 128}) b.emit(make::movi(r[i], i));
+  b.emit_cond_br(p, then_b, merge);
+  b.set_insert_point(then_b);
+  b.emit(make::movi(r[64], 64));
+  b.emit_br(merge);
+  b.set_insert_point(merge);
+  b.emit(make::binary(Opcode::Add, r[1], r[63], r[64]));
+  b.emit(make::binary(Opcode::Add, r[2], r[127], r[128]));
+  b.emit(make::binary(Opcode::Add, r[3], r[1], r[2]));
+  b.emit_ret_value(r[3]);
+  m.functions.push_back(std::move(fn));
+  const auto errors = verify(m);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("possibly-undefined register r64 "),
+            std::string::npos)
+      << errors[0];
+}
+
+TEST(Verifier, RejectsUseBeforeDefinitionAroundLoop) {
+  // entry: br head.  head: use x; condbr p, body, exit.  body: x = 1;
+  // br head.  exit: ret p.  x reaches head along the back edge only.
+  Module m;
+  Function fn;
+  fn.name = "f";
+  fn.return_type = Type::I32;
+  const Reg p = fn.new_reg(Type::I32);
+  fn.params.push_back(p);
+  const Reg x = fn.new_reg(Type::I32);
+  Builder b(fn);
+  const BlockId entry = b.create_block("entry");
+  const BlockId head = b.create_block("head");
+  const BlockId body = b.create_block("body");
+  const BlockId exit = b.create_block("exit");
+  b.set_insert_point(entry);
+  b.emit_br(head);
+  b.set_insert_point(head);
+  b.emit_unary(Opcode::Neg, Type::I32, x);
+  b.emit_cond_br(p, body, exit);
+  b.set_insert_point(body);
+  b.emit(make::movi(x, 1));
+  b.emit_br(head);
+  b.set_insert_point(exit);
+  b.emit_ret_value(p);
+  m.functions.push_back(std::move(fn));
+  const auto errors = verify(m);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("possibly-undefined"), std::string::npos);
 }
 
 TEST(Verifier, RejectsDuplicateInstrIds) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "frontend/compile.hpp"
+#include "ir/builder.hpp"
 #include "ir/verifier.hpp"
 #include "opt/cleanup.hpp"
+#include "opt/optimizer.hpp"
 #include "opt/rename.hpp"
 #include "opt/unroll.hpp"
+#include "pipeline/driver.hpp"
 #include "sim/machine.hpp"
 
 namespace asipfb::opt {
@@ -157,6 +162,75 @@ TEST(Percolate, FixpointTerminates) {
   options.max_passes = 64;
   const auto stats = percolate(m.functions[0], options);
   EXPECT_LT(stats.passes, 64) << "must reach a fixpoint before the budget";
+}
+
+TEST(Percolate, HoistRescansEarlierSiblingInTheSamePass) {
+  // m: a = 1; condbr p, n, s.  s (scanned first): a = 7; ret a.
+  // n: t = a + 1; ret t.  s's def of a is blocked while a is live into n;
+  // hoisting t out of n frees it, and the same pass must find it.
+  ir::Function fn;
+  fn.return_type = ir::Type::I32;
+  const ir::Reg p = fn.new_reg(ir::Type::I32);
+  fn.params.push_back(p);
+  ir::Builder b(fn);
+  const ir::BlockId m = b.create_block("m");
+  const ir::BlockId s = b.create_block("s");
+  const ir::BlockId n = b.create_block("n");
+  b.set_insert_point(m);
+  const ir::Reg a = b.emit_movi(1);
+  b.emit_cond_br(p, n, s);
+  b.set_insert_point(s);
+  b.emit(ir::make::movi(a, 7));
+  b.emit_ret_value(a);
+  b.set_insert_point(n);
+  const ir::Reg one = b.emit_movi(1);
+  const ir::Reg t = b.emit_binary(ir::Opcode::Add, ir::Type::I32, a, one);
+  b.emit_ret_value(t);
+
+  PercolationOptions options;
+  options.chain_preserving = false;  // Let t move without its ret.
+  const auto stats = percolate(fn, options);
+  EXPECT_EQ(stats.ops_hoisted, 3);
+  EXPECT_EQ(stats.passes, 2) << "one pass moves everything, one finds nothing";
+  EXPECT_EQ(fn.blocks[s].instrs.size(), 1u);
+  EXPECT_EQ(fn.blocks[n].instrs.size(), 1u);
+}
+
+TEST(Percolate, SequentialBranchChainIsNearLinear) {
+  // 1,000 sequential ifs, each guarding a speculable load and multiply.
+  // At O2 renaming frees them to speculate; at O1 each stays chained to
+  // its accumulator.  Rebuilding liveness after every hoist made O2 cubic
+  // here (minutes); the ctest TIMEOUT on this binary is the time bound, so
+  // sanitizer builds are not judged by a wall clock inside the test.
+  constexpr int kBranches = 1000;
+  std::string src = "int x[" + std::to_string(kBranches) + "]; int out;\n"
+                    "int main() {\n  int s = 0;\n  int t = 0;\n";
+  for (int k = 0; k < kBranches; ++k) {
+    const std::string i = std::to_string(k);
+    src += "  if (x[" + i + "] > " + std::to_string(k % 7) + ") { s = s + x[" +
+           i + "] * 3; t = t + 1; }\n";
+  }
+  src += "  out = t;\n  return s;\n}\n";
+
+  pipeline::WorkloadInput input;
+  std::vector<std::int32_t> x(kBranches);
+  for (int k = 0; k < kBranches; ++k) x[k] = (k * 37) % 11;
+  input.add("x", x);
+
+  const auto baseline = prepared(src);
+  auto reference = baseline;
+  const auto expected = pipeline::execute(reference, input, {"out"});
+  ASSERT_GT(expected.outputs.at("out")[0], 0);
+
+  for (const auto& [level, hoisted] :
+       {std::pair{OptLevel::O1, 0}, std::pair{OptLevel::O2, 8998}}) {
+    auto m = baseline;
+    const auto stats = optimize(m, level);
+    EXPECT_EQ(stats.percolation.ops_hoisted, hoisted) << to_string(level);
+    const auto actual = pipeline::execute(m, input, {"out"});
+    EXPECT_EQ(actual.exit_code, expected.exit_code) << to_string(level);
+    EXPECT_EQ(actual.outputs, expected.outputs) << to_string(level);
+  }
 }
 
 }  // namespace
