@@ -1,0 +1,239 @@
+// Persisted-format pin: every value the artifact cache and the service
+// derive from bytes — content keys, the entry file names and file bytes a
+// Figure-1 trip writes into a Store, and the router's shard placement —
+// checked against recorded goldens.
+//
+// A cache directory written by one build must keep serving the next, and a
+// client's shard must not move between releases, so none of these values
+// may change without a kFormatVersion / kEngineVersion bump.  A failure
+// prints the replacement table ready to paste; paste it only for an
+// intentional format change.
+//
+// The FNV-1a here is the test's own, kept independent of the code under
+// test.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <system_error>
+#include <utility>
+#include <vector>
+
+#include "cache/serialize.hpp"
+#include "cache/store.hpp"
+#include "pipeline/session.hpp"
+#include "service/router.hpp"
+#include "workloads/suite.hpp"
+
+namespace asipfb::cache {
+namespace {
+
+using Pinned = std::vector<std::pair<std::string, std::string>>;
+
+/// FNV-1a 64-bit (standard offset basis) over `bytes`.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void expect_pinned(const Pinned& actual, const Pinned& golden) {
+  std::string replacement;
+  for (const auto& [name, value] : actual) {
+    replacement += "      {\"" + name + "\",\n       \"" + value + "\"},\n";
+  }
+  EXPECT_EQ(actual, golden) << "persisted format moved; the new table is:\n"
+                            << replacement;
+}
+
+/// Input bindings with the byte patterns a float codec can get wrong:
+/// signed zero, a NaN payload, a denormal, and negative integers.
+pipeline::WorkloadInput tricky_input() {
+  pipeline::WorkloadInput input;
+  input.add("xs", std::vector<float>{0.0f, -0.0f, 1.5f,
+                                     std::bit_cast<float>(0x7fc00123u),
+                                     std::bit_cast<float>(0x00000001u)});
+  input.add("ns", std::vector<std::int32_t>{-1, 0, 0x12345678, INT32_MIN});
+  input.add("empty", std::vector<std::int32_t>{});
+  return input;
+}
+
+TEST(FormatGolden, ContentKeysArePinned) {
+  const wl::Workload& fir = wl::workload("fir");
+  const std::string base = baseline_key(kEngineVersion, fir.name, fir.source,
+                                        {fir.input});
+  const std::string tricky = baseline_key(
+      "engine-x", "tricky", "int main() { return 0; }",
+      {tricky_input(), pipeline::WorkloadInput{}});
+
+  Pinned actual = {
+      {"content_hash()", content_hash({})},
+      {"content_hash(empty)", content_hash({""})},
+      {"content_hash(ab,c)", content_hash({"ab", "c"})},
+      {"content_hash(a,bc)", content_hash({"a", "bc"})},
+      {"content_hash(binary)",
+       content_hash({std::string_view("\x00\xff\x80\x7f", 4), "tail"})},
+      {"baseline_key(fir)", base},
+      {"baseline_key(tricky)", tricky},
+      {"baseline_key(no inputs)", baseline_key("e", "n", "s", {})},
+  };
+  for (std::size_t k = 0; k < kArtifactCount; ++k) {
+    const auto kind = static_cast<Artifact>(k);
+    actual.emplace_back("stage_key(fir," + std::string(to_string(kind)) + ")",
+                        stage_key(base, kind, std::string_view("\x01\x00\x02", 3)));
+  }
+
+  expect_pinned(actual, {
+      {"content_hash()",
+       "14650fb0739d03839e3779b97f4a7c15"},
+      {"content_hash(empty)",
+       "47fe0d7eaf8e51e35411bed49a1310b5"},
+      {"content_hash(ab,c)",
+       "ca4781f3f499cd167db1b069354ebd00"},
+      {"content_hash(a,bc)",
+       "aeb55c4814d4b1d6bc2564619e2f6648"},
+      {"content_hash(binary)",
+       "27734accafa3ac21987ad91e15b32383"},
+      {"baseline_key(fir)",
+       "c4b49420806767bf77e262188caf7765"},
+      {"baseline_key(tricky)",
+       "366644b0b0a1ec2954d43d2fa4e9af9f"},
+      {"baseline_key(no inputs)",
+       "c899dbbe1fd6e92fd261dff08bb2b66d"},
+      {"stage_key(fir,prepared)",
+       "0e0348c29fa32365ed2e86fac1743057"},
+      {"stage_key(fir,optimized)",
+       "2a7dff81dd43a28ed2b1b384bd1bb734"},
+      {"stage_key(fir,detection)",
+       "efef4b85e2f28d5c46f8aa2a7b4cb90e"},
+      {"stage_key(fir,coverage)",
+       "bb9c3b964a63941478c062ca01b5bdca"},
+      {"stage_key(fir,extension)",
+       "f344971a939bb22a1989454c66955a10"},
+  });
+}
+
+TEST(FormatGolden, SessionTripFilesArePinned) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("asipfb_format_golden_" + std::to_string(::getpid()));
+  std::error_code discard;
+  std::filesystem::remove_all(dir, discard);
+
+  {
+    StoreOptions options;
+    options.dir = dir;
+    const auto store = std::make_shared<Store>(std::move(options));
+    const wl::Workload& fir = wl::workload("fir");
+    const pipeline::Session s(fir.source, fir.name, fir.input, store);
+    (void)s.prepared();
+    for (const opt::OptLevel level :
+         {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+      (void)s.optimized(level);
+      (void)s.detection(level);
+      (void)s.coverage(level);
+      (void)s.extension(level);
+    }
+    EXPECT_EQ(store->stats().writes, 13u);
+  }
+
+  Pinned actual;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    actual.emplace_back(entry.path().filename().string(),
+                        hex(fnv1a(bytes)) + " " + std::to_string(bytes.size()));
+  }
+  std::sort(actual.begin(), actual.end());
+  std::filesystem::remove_all(dir, discard);
+
+  expect_pinned(actual, {
+      {"coverage-22ab71f02f98e18392c8d1350305bd89.art",
+       "f50031d7361243f2 260"},
+      {"coverage-6757c97f2f6a94419c93c618da2fece3.art",
+       "716d355cf46db1c8 446"},
+      {"coverage-a8429a42e10392fb185ff987b4706f01.art",
+       "9d245d7c1ec93ddf 560"},
+      {"detection-7896a423fdd946fda1be69eeeff51e0f.art",
+       "b3d0e8133ddaa57e 746"},
+      {"detection-b2c48553e3fc5a4b17e1d6aa0325bc89.art",
+       "2ec3875bc675dfa9 433"},
+      {"detection-b3048660c8edb8f5ea9e7c0e4d687de7.art",
+       "869e9d73b470865f 399"},
+      {"extension-a4fa1526a7da719be69ce0c6cde6ab85.art",
+       "1dd89ed6ec38b279 354"},
+      {"extension-a9ea9cdd1829ff41671d98bc8bbe6e67.art",
+       "ea140780f8b10367 440"},
+      {"extension-b6d05e80d1d94d69ee6d5ae81c646faf.art",
+       "afd668789aaf5a6a 268"},
+      {"optimized-892c3816e4b53ede6c165b3c95dd6a9c.art",
+       "4b2d02d2adbaeb5b 3579"},
+      {"optimized-abd6fc388303da17a51f10724fe86e55.art",
+       "e422a3f548451d05 5134"},
+      {"optimized-c8202c094cd0369103f470d679b74613.art",
+       "4ebbbe93c6ec3057 6091"},
+      {"prepared-c4b49420806767bf77e262188caf7765.art",
+       "96ce80fcc201fd4a 3623"},
+  });
+}
+
+TEST(FormatGolden, RouterPlacementIsPinned) {
+  service::RouterOptions options;
+  options.shards = 4;
+  options.server.workers = 1;
+  const service::Router router(options);
+
+  Pinned actual;
+  for (const wl::Workload& w : wl::suite()) {
+    actual.emplace_back(w.name, hex(service::Router::hash_key(w.name)) +
+                                    " shard " +
+                                    std::to_string(router.shard_for(w.name)));
+  }
+
+  expect_pinned(actual, {
+      {"fir",
+       "458f0ec7287d5102 shard 1"},
+      {"iir",
+       "e34d6866fe244de6 shard 3"},
+      {"pse",
+       "767ada0502d4e3a0 shard 2"},
+      {"intfft",
+       "1a29dda360b78507 shard 0"},
+      {"compress",
+       "bbe3778be8632c35 shard 0"},
+      {"flatten",
+       "58b7d1a481b76b9f shard 2"},
+      {"smooth",
+       "831f97b364bfa827 shard 2"},
+      {"edge",
+       "c884fdbc3cef13e6 shard 0"},
+      {"sewha",
+       "7c9dbea4c551ae7d shard 0"},
+      {"dft",
+       "fd8c003d7ee82241 shard 2"},
+      {"bspline",
+       "8bf2a3cf869753ee shard 0"},
+      {"feowf",
+       "61200b27757babf3 shard 3"},
+  });
+}
+
+}  // namespace
+}  // namespace asipfb::cache
