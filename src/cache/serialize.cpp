@@ -1,314 +1,273 @@
 #include "cache/serialize.hpp"
 
-#include <bit>
-#include <cstring>
+#include <concepts>
+#include <map>
+#include <optional>
+#include <type_traits>
+
+#include "support/bytes.hpp"
 
 namespace asipfb::cache {
 
 namespace {
 
-// --- Byte plumbing ----------------------------------------------------------
-// Explicit little-endian encoding, independent of host byte order and of
-// struct layout, so cache files written on one platform validate on any
-// other (the same discipline sim/baseline_hash.hpp uses for its hashes).
+// --- Codecs -----------------------------------------------------------------
+// Each artifact's byte layout is written once, as a field list below: a
+// function template that visits the fields in encoding order through a
+// codec `c`.  Instantiated with an Encoder over a const artifact it
+// appends them; with a Decoder over a default-constructed artifact it
+// reads them back, so the two directions cannot disagree.
+//
+//   c(field)                       one scalar, string, register or enum;
+//   c(vec, min_elem_bytes[, each]) u64 count, then each element (a map:
+//                                  each(key, value)); on decode the count is
+//                                  capped by ByteReader::count.
 
-class ByteWriter {
+/// A field-list parameter: T itself when decoding, const T when encoding.
+template <class A, class T>
+concept Of = std::same_as<std::remove_const_t<A>, T>;
+
+/// std::uint64_t and std::size_t, whichever types they are on the host.
+template <class T>
+concept Word64 = std::unsigned_integral<T> && sizeof(T) == 8;
+
+class Encoder {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  explicit Encoder(support::ByteWriter& out) : out_(out) {}
+
+  void operator()(bool v) { out_.boolean(v); }
+  void operator()(std::uint32_t v) { out_.u32(v); }
+  void operator()(std::int32_t v) { out_.i32(v); }
+  void operator()(Word64 auto v) { out_.u64(v); }
+  void operator()(float v) { out_.f32(v); }
+  void operator()(double v) { out_.f64(v); }
+  void operator()(const std::string& v) { out_.str(v); }
+  void operator()(ir::Reg r) { out_.u32(r.id); }
+  void operator()(const std::optional<ir::Reg>& r) {
+    out_.boolean(r.has_value());
+    out_.u32(r.has_value() ? r->id : 0);
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes_.append(s.data(), s.size());
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E v) {
+    out_.u8(static_cast<std::uint8_t>(v));
   }
 
-  [[nodiscard]] std::string take() && { return std::move(bytes_); }
-
- private:
-  std::string bytes_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view payload) : data_(payload) {}
-
-  std::uint8_t u8() {
-    require(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
+  template <class T, class Each>
+  void operator()(const std::vector<T>& v, std::size_t /*min_elem_bytes*/,
+                  Each each) {
+    out_.u64(v.size());
+    for (const T& e : v) each(e);
   }
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_++]))
-           << (8 * i);
-    }
-    return v;
+  template <class K, class V, class Each>
+  void operator()(const std::map<K, V>& m, std::size_t /*min_elem_bytes*/,
+                  Each each) {
+    out_.u64(m.size());
+    for (const auto& [k, v] : m) each(k, v);
   }
-  std::uint64_t u64() {
-    require(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  float f32() { return std::bit_cast<float>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) throw CacheError("cache payload: bad bool byte");
-    return v != 0;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    require(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-
-  /// Element count of a vector whose elements occupy at least
-  /// `min_elem_bytes` each: a corrupted count can never allocate more
-  /// than the remaining payload could possibly hold.
-  std::size_t count(std::size_t min_elem_bytes) {
-    const std::uint64_t n = u64();
-    const std::size_t remaining = data_.size() - pos_;
-    if (min_elem_bytes == 0) min_elem_bytes = 1;
-    if (n > remaining / min_elem_bytes) {
-      throw CacheError("cache payload: count exceeds remaining bytes");
-    }
-    return static_cast<std::size_t>(n);
-  }
-
-  void expect_end() const {
-    if (pos_ != data_.size()) {
-      throw CacheError("cache payload: trailing bytes");
-    }
+  template <class T>
+  void operator()(const std::vector<T>& v, std::size_t min_elem_bytes) {
+    (*this)(v, min_elem_bytes, [this](const T& e) { (*this)(e); });
   }
 
  private:
-  void require(std::uint64_t n) const {
-    if (n > data_.size() - pos_) {
-      throw CacheError("cache payload: truncated");
-    }
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
+  support::ByteWriter& out_;
 };
 
-// --- Validated enum decoding ------------------------------------------------
+class Decoder {
+ public:
+  explicit Decoder(support::ByteReader& in) : in_(in) {}
 
-ir::Opcode read_opcode(ByteReader& in) {
-  const std::uint8_t v = in.u8();
-  if (v >= static_cast<std::uint8_t>(ir::kNumOpcodes)) {
-    throw CacheError("cache payload: bad opcode byte");
+  void operator()(bool& v) { v = in_.boolean(); }
+  void operator()(std::uint32_t& v) { v = in_.u32(); }
+  void operator()(std::int32_t& v) { v = in_.i32(); }
+  void operator()(Word64 auto& v) { v = in_.u64(); }
+  void operator()(float& v) { v = in_.f32(); }
+  void operator()(double& v) { v = in_.f64(); }
+  void operator()(std::string& v) { v = in_.str(); }
+  void operator()(ir::Reg& r) { r.id = in_.u32(); }
+  void operator()(std::optional<ir::Reg>& r) {
+    const bool has = in_.boolean();
+    const std::uint32_t id = in_.u32();
+    if (has) r = ir::Reg{id};
   }
-  return static_cast<ir::Opcode>(v);
-}
-
-ir::Type read_type(ByteReader& in) {
-  const std::uint8_t v = in.u8();
-  if (v > static_cast<std::uint8_t>(ir::Type::Void)) {
-    throw CacheError("cache payload: bad type byte");
+  void operator()(ir::Opcode& v) {
+    v = in_.enumerator(static_cast<ir::Opcode>(ir::kNumOpcodes - 1),
+                       "cache payload: bad opcode byte");
   }
-  return static_cast<ir::Type>(v);
-}
-
-ir::IntrinsicKind read_intrinsic(ByteReader& in) {
-  const std::uint8_t v = in.u8();
-  if (v > static_cast<std::uint8_t>(ir::IntrinsicKind::Floor)) {
-    throw CacheError("cache payload: bad intrinsic byte");
+  void operator()(ir::Type& v) {
+    v = in_.enumerator(ir::Type::Void, "cache payload: bad type byte");
   }
-  return static_cast<ir::IntrinsicKind>(v);
-}
-
-ir::ChainClass read_chain_class(ByteReader& in) {
-  const std::uint8_t v = in.u8();
-  if (v > static_cast<std::uint8_t>(ir::ChainClass::None)) {
-    throw CacheError("cache payload: bad chain-class byte");
+  void operator()(ir::IntrinsicKind& v) {
+    v = in_.enumerator(ir::IntrinsicKind::Floor,
+                       "cache payload: bad intrinsic byte");
   }
-  return static_cast<ir::ChainClass>(v);
-}
-
-// --- ir::Module -------------------------------------------------------------
-
-void write_instr(ByteWriter& out, const ir::Instr& instr) {
-  out.u8(static_cast<std::uint8_t>(instr.op));
-  out.boolean(instr.dst.has_value());
-  out.u32(instr.dst.has_value() ? instr.dst->id : 0);
-  out.u64(instr.args.size());
-  for (const ir::Reg r : instr.args) out.u32(r.id);
-  out.i32(instr.imm_i);
-  out.f32(instr.imm_f);
-  out.u8(static_cast<std::uint8_t>(instr.intrinsic));
-  out.u32(instr.callee);
-  out.u32(instr.target0);
-  out.u32(instr.target1);
-  out.u64(instr.exec_count);
-  out.u32(instr.id);
-  out.u32(instr.origin);
-  out.boolean(instr.fused_follower);
-}
-
-ir::Instr read_instr(ByteReader& in) {
-  ir::Instr instr;
-  instr.op = read_opcode(in);
-  const bool has_dst = in.boolean();
-  const std::uint32_t dst = in.u32();
-  if (has_dst) instr.dst = ir::Reg{dst};
-  const std::size_t nargs = in.count(4);
-  instr.args.reserve(nargs);
-  for (std::size_t i = 0; i < nargs; ++i) instr.args.push_back(ir::Reg{in.u32()});
-  instr.imm_i = in.i32();
-  instr.imm_f = in.f32();
-  instr.intrinsic = read_intrinsic(in);
-  instr.callee = in.u32();
-  instr.target0 = in.u32();
-  instr.target1 = in.u32();
-  instr.exec_count = in.u64();
-  instr.id = in.u32();
-  instr.origin = in.u32();
-  instr.fused_follower = in.boolean();
-  return instr;
-}
-
-void write_module(ByteWriter& out, const ir::Module& module) {
-  out.str(module.name);
-  out.u64(module.globals.size());
-  for (const ir::GlobalArray& g : module.globals) {
-    out.str(g.name);
-    out.u8(static_cast<std::uint8_t>(g.elem_type));
-    out.u32(g.size);
-    out.u32(g.base_address);
-    out.u64(g.init.size());
-    for (const std::uint32_t w : g.init) out.u32(w);
+  void operator()(ir::ChainClass& v) {
+    v = in_.enumerator(ir::ChainClass::None,
+                       "cache payload: bad chain-class byte");
   }
-  out.u64(module.functions.size());
-  for (const ir::Function& fn : module.functions) {
-    out.str(fn.name);
-    out.u8(static_cast<std::uint8_t>(fn.return_type));
-    out.u64(fn.params.size());
-    for (const ir::Reg r : fn.params) out.u32(r.id);
-    out.u64(fn.reg_types.size());
-    for (const ir::Type t : fn.reg_types) out.u8(static_cast<std::uint8_t>(t));
-    out.u32(fn.frame_words);
-    out.u32(fn.next_instr_id);
-    out.u64(fn.blocks.size());
-    for (const ir::BasicBlock& block : fn.blocks) {
-      out.str(block.name);
-      out.u64(block.instrs.size());
-      for (const ir::Instr& instr : block.instrs) write_instr(out, instr);
+
+  template <class T, class Each>
+  void operator()(std::vector<T>& v, std::size_t min_elem_bytes, Each each) {
+    const std::size_t n = in_.count(min_elem_bytes);
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) each(v.emplace_back());
+  }
+  template <class K, class V, class Each>
+  void operator()(std::map<K, V>& m, std::size_t min_elem_bytes, Each each) {
+    const std::size_t n = in_.count(min_elem_bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      K k;
+      V v;
+      each(k, v);
+      m.emplace(std::move(k), std::move(v));
     }
   }
+  template <class T>
+  void operator()(std::vector<T>& v, std::size_t min_elem_bytes) {
+    (*this)(v, min_elem_bytes, [this](T& e) { (*this)(e); });
+  }
+
+ private:
+  support::ByteReader& in_;
+};
+
+// --- Field lists: the one definition of each layout -------------------------
+
+void fields(auto& c, Of<ir::Instr> auto& instr) {
+  c(instr.op);
+  c(instr.dst);
+  c(instr.args, 4);
+  c(instr.imm_i);
+  c(instr.imm_f);
+  c(instr.intrinsic);
+  c(instr.callee);
+  c(instr.target0);
+  c(instr.target1);
+  c(instr.exec_count);
+  c(instr.id);
+  c(instr.origin);
+  c(instr.fused_follower);
 }
 
-ir::Module read_module(ByteReader& in) {
-  ir::Module module;
-  module.name = in.str();
-  const std::size_t nglobals = in.count(8);
-  module.globals.reserve(nglobals);
-  for (std::size_t i = 0; i < nglobals; ++i) {
-    ir::GlobalArray g;
-    g.name = in.str();
-    g.elem_type = read_type(in);
-    g.size = in.u32();
-    g.base_address = in.u32();
-    const std::size_t ninit = in.count(4);
-    g.init.reserve(ninit);
-    for (std::size_t k = 0; k < ninit; ++k) g.init.push_back(in.u32());
-    module.globals.push_back(std::move(g));
-  }
-  const std::size_t nfuncs = in.count(8);
-  module.functions.reserve(nfuncs);
-  for (std::size_t i = 0; i < nfuncs; ++i) {
-    ir::Function fn;
-    fn.name = in.str();
-    fn.return_type = read_type(in);
-    const std::size_t nparams = in.count(4);
-    fn.params.reserve(nparams);
-    for (std::size_t k = 0; k < nparams; ++k) fn.params.push_back(ir::Reg{in.u32()});
-    const std::size_t nregs = in.count(1);
-    fn.reg_types.reserve(nregs);
-    for (std::size_t k = 0; k < nregs; ++k) fn.reg_types.push_back(read_type(in));
-    fn.frame_words = in.u32();
-    fn.next_instr_id = in.u32();
-    const std::size_t nblocks = in.count(8);
-    fn.blocks.reserve(nblocks);
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      ir::BasicBlock block;
-      block.name = in.str();
-      const std::size_t ninstrs = in.count(8);
-      block.instrs.reserve(ninstrs);
-      for (std::size_t k = 0; k < ninstrs; ++k) {
-        block.instrs.push_back(read_instr(in));
-      }
-      fn.blocks.push_back(std::move(block));
-    }
-    module.functions.push_back(std::move(fn));
-  }
-  return module;
+void fields(auto& c, Of<ir::Module> auto& module) {
+  c(module.name);
+  c(module.globals, 8, [&](auto& g) {
+    c(g.name);
+    c(g.elem_type);
+    c(g.size);
+    c(g.base_address);
+    c(g.init, 4);
+  });
+  c(module.functions, 8, [&](auto& fn) {
+    c(fn.name);
+    c(fn.return_type);
+    c(fn.params, 4);
+    c(fn.reg_types, 1);
+    c(fn.frame_words);
+    c(fn.next_instr_id);
+    c(fn.blocks, 8, [&](auto& block) {
+      c(block.name);
+      c(block.instrs, 8, [&](auto& instr) { fields(c, instr); });
+    });
+  });
 }
 
-// --- pipeline::ExecutionResult ----------------------------------------------
-
-void write_execution(ByteWriter& out, const pipeline::ExecutionResult& run) {
-  out.i32(run.exit_code);
-  out.u64(run.steps);
-  out.u64(run.cycles);
-  out.u64(run.oob_loads);
-  out.u64(run.outputs.size());
-  for (const auto& [name, words] : run.outputs) {
-    out.str(name);
-    out.u64(words.size());
-    for (const std::int32_t w : words) out.i32(w);
-  }
+void fields(auto& c, Of<pipeline::ExecutionResult> auto& run) {
+  c(run.exit_code);
+  c(run.steps);
+  c(run.cycles);
+  c(run.oob_loads);
+  c(run.outputs, 8, [&](auto& name, auto& words) {
+    c(name);
+    c(words, 4);
+  });
 }
 
-pipeline::ExecutionResult read_execution(ByteReader& in) {
-  pipeline::ExecutionResult run;
-  run.exit_code = in.i32();
-  run.steps = in.u64();
-  run.cycles = in.u64();
-  run.oob_loads = in.u64();
-  const std::size_t nout = in.count(8);
-  for (std::size_t i = 0; i < nout; ++i) {
-    std::string name = in.str();
-    const std::size_t nwords = in.count(4);
-    std::vector<std::int32_t> words;
-    words.reserve(nwords);
-    for (std::size_t k = 0; k < nwords; ++k) words.push_back(in.i32());
-    run.outputs.emplace(std::move(name), std::move(words));
-  }
-  return run;
+void fields(auto& c, Of<pipeline::PreparedProgram> auto& prepared) {
+  fields(c, prepared.module);
+  fields(c, prepared.baseline_run);
+  c(prepared.total_cycles);
 }
 
-// --- chain::Signature -------------------------------------------------------
+void fields(auto& c, Of<chain::Signature> auto& sig) { c(sig.classes, 1); }
 
-void write_signature(ByteWriter& out, const chain::Signature& sig) {
-  out.u64(sig.classes.size());
-  for (const ir::ChainClass c : sig.classes) {
-    out.u8(static_cast<std::uint8_t>(c));
-  }
+void fields(auto& c, Of<chain::DetectionResult> auto& detection) {
+  c(detection.sequences, 8, [&](auto& s) {
+    fields(c, s.signature);
+    c(s.cycles);
+    c(s.occurrences);
+    c(s.frequency);
+  });
+  c(detection.total_cycles);
+  c(detection.regions);
+  c(detection.paths);
 }
 
-chain::Signature read_signature(ByteReader& in) {
-  chain::Signature sig;
-  const std::size_t n = in.count(1);
-  sig.classes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) sig.classes.push_back(read_chain_class(in));
-  return sig;
+void fields(auto& c, Of<chain::CoverageResult> auto& coverage) {
+  c(coverage.steps, 8, [&](auto& step) {
+    fields(c, step.signature);
+    c(step.frequency);
+    c(step.cycles);
+    c(step.occurrences_taken);
+    c(step.matches, 8, [&](auto& match) {
+      c(match, 8, [&](auto& op) {
+        c(op.first);
+        c(op.second);
+      });
+    });
+  });
+  c(coverage.total_coverage);
+  c(coverage.total_cycles);
+}
+
+void fields(auto& c, Of<asip::ChainedInstruction> auto& chained) {
+  fields(c, chained.signature);
+  c(chained.area);
+  c(chained.delay);
+  c(chained.cycles_saved);
+  c(chained.frequency);
+  c(chained.fits_cycle);
+}
+
+void fields(auto& c, Of<asip::ExtensionProposal> auto& proposal) {
+  const auto each = [&](auto& chained) { fields(c, chained); };
+  c(proposal.candidates, 8, each);
+  c(proposal.selected, 8, each);
+  c(proposal.total_area);
+  c(proposal.baseline_cycles);
+  c(proposal.customized_cycles);
+}
+
+/// Input bindings, in order, floats by bit pattern; only ever encoded,
+/// into baseline_key().
+void fields(auto& c, Of<std::vector<pipeline::WorkloadInput>> auto& inputs) {
+  c(inputs, 8, [&](auto& input) {
+    const auto binding = [&](auto& named) {
+      c(named.first);
+      c(named.second, 4);
+    };
+    c(input.float_inputs, 8, binding);
+    c(input.int_inputs, 8, binding);
+  });
+}
+
+template <class T>
+std::string encode(const T& value) {
+  support::ByteWriter out;
+  Encoder c(out);
+  fields(c, value);
+  return std::move(out).take();
+}
+
+template <class T>
+T decode(std::string_view payload) {
+  support::ByteReader in(payload);
+  Decoder c(in);
+  T value;
+  fields(c, value);
+  in.expect_end();
+  return value;
 }
 
 }  // namespace
@@ -324,252 +283,56 @@ std::string_view to_string(Artifact kind) {
   return "?";
 }
 
-std::string serialize(const ir::Module& module) {
-  ByteWriter out;
-  write_module(out, module);
-  return std::move(out).take();
-}
-
+std::string serialize(const ir::Module& module) { return encode(module); }
 std::string serialize(const pipeline::PreparedProgram& prepared) {
-  ByteWriter out;
-  write_module(out, prepared.module);
-  write_execution(out, prepared.baseline_run);
-  out.u64(prepared.total_cycles);
-  return std::move(out).take();
+  return encode(prepared);
 }
-
 std::string serialize(const chain::DetectionResult& detection) {
-  ByteWriter out;
-  out.u64(detection.sequences.size());
-  for (const chain::SequenceStat& s : detection.sequences) {
-    write_signature(out, s.signature);
-    out.u64(s.cycles);
-    out.u64(s.occurrences);
-    out.f64(s.frequency);
-  }
-  out.u64(detection.total_cycles);
-  out.u64(detection.regions);
-  out.u64(detection.paths);
-  return std::move(out).take();
+  return encode(detection);
 }
-
 std::string serialize(const chain::CoverageResult& coverage) {
-  ByteWriter out;
-  out.u64(coverage.steps.size());
-  for (const chain::CoverageStep& step : coverage.steps) {
-    write_signature(out, step.signature);
-    out.f64(step.frequency);
-    out.u64(step.cycles);
-    out.u64(step.occurrences_taken);
-    out.u64(step.matches.size());
-    for (const std::vector<chain::OpRef>& match : step.matches) {
-      out.u64(match.size());
-      for (const auto& [func, instr] : match) {
-        out.u32(func);
-        out.u32(instr);
-      }
-    }
-  }
-  out.f64(coverage.total_coverage);
-  out.u64(coverage.total_cycles);
-  return std::move(out).take();
+  return encode(coverage);
 }
-
-namespace {
-
-void write_chained(ByteWriter& out, const asip::ChainedInstruction& c) {
-  write_signature(out, c.signature);
-  out.f64(c.area);
-  out.f64(c.delay);
-  out.u64(c.cycles_saved);
-  out.f64(c.frequency);
-  out.boolean(c.fits_cycle);
-}
-
-asip::ChainedInstruction read_chained(ByteReader& in) {
-  asip::ChainedInstruction c;
-  c.signature = read_signature(in);
-  c.area = in.f64();
-  c.delay = in.f64();
-  c.cycles_saved = in.u64();
-  c.frequency = in.f64();
-  c.fits_cycle = in.boolean();
-  return c;
-}
-
-}  // namespace
-
 std::string serialize(const asip::ExtensionProposal& proposal) {
-  ByteWriter out;
-  out.u64(proposal.candidates.size());
-  for (const asip::ChainedInstruction& c : proposal.candidates) {
-    write_chained(out, c);
-  }
-  out.u64(proposal.selected.size());
-  for (const asip::ChainedInstruction& c : proposal.selected) {
-    write_chained(out, c);
-  }
-  out.f64(proposal.total_area);
-  out.u64(proposal.baseline_cycles);
-  out.u64(proposal.customized_cycles);
-  return std::move(out).take();
+  return encode(proposal);
 }
 
 ir::Module deserialize_module(std::string_view payload) {
-  ByteReader in(payload);
-  ir::Module module = read_module(in);
-  in.expect_end();
-  return module;
+  return decode<ir::Module>(payload);
 }
-
 pipeline::PreparedProgram deserialize_prepared(std::string_view payload) {
-  ByteReader in(payload);
-  pipeline::PreparedProgram prepared;
-  prepared.module = read_module(in);
-  prepared.baseline_run = read_execution(in);
-  prepared.total_cycles = in.u64();
-  in.expect_end();
-  return prepared;
+  return decode<pipeline::PreparedProgram>(payload);
 }
-
 chain::DetectionResult deserialize_detection(std::string_view payload) {
-  ByteReader in(payload);
-  chain::DetectionResult detection;
-  const std::size_t nseq = in.count(8);
-  detection.sequences.reserve(nseq);
-  for (std::size_t i = 0; i < nseq; ++i) {
-    chain::SequenceStat s;
-    s.signature = read_signature(in);
-    s.cycles = in.u64();
-    s.occurrences = in.u64();
-    s.frequency = in.f64();
-    detection.sequences.push_back(std::move(s));
-  }
-  detection.total_cycles = in.u64();
-  detection.regions = in.u64();
-  detection.paths = in.u64();
-  in.expect_end();
-  return detection;
+  return decode<chain::DetectionResult>(payload);
 }
-
 chain::CoverageResult deserialize_coverage(std::string_view payload) {
-  ByteReader in(payload);
-  chain::CoverageResult coverage;
-  const std::size_t nsteps = in.count(8);
-  coverage.steps.reserve(nsteps);
-  for (std::size_t i = 0; i < nsteps; ++i) {
-    chain::CoverageStep step;
-    step.signature = read_signature(in);
-    step.frequency = in.f64();
-    step.cycles = in.u64();
-    step.occurrences_taken = in.u64();
-    const std::size_t nmatches = in.count(8);
-    step.matches.reserve(nmatches);
-    for (std::size_t m = 0; m < nmatches; ++m) {
-      const std::size_t nops = in.count(8);
-      std::vector<chain::OpRef> match;
-      match.reserve(nops);
-      for (std::size_t k = 0; k < nops; ++k) {
-        const ir::FuncId func = in.u32();
-        const ir::InstrId instr = in.u32();
-        match.emplace_back(func, instr);
-      }
-      step.matches.push_back(std::move(match));
-    }
-    coverage.steps.push_back(std::move(step));
-  }
-  coverage.total_coverage = in.f64();
-  coverage.total_cycles = in.u64();
-  in.expect_end();
-  return coverage;
+  return decode<chain::CoverageResult>(payload);
 }
-
 asip::ExtensionProposal deserialize_extension(std::string_view payload) {
-  ByteReader in(payload);
-  asip::ExtensionProposal proposal;
-  const std::size_t ncand = in.count(8);
-  proposal.candidates.reserve(ncand);
-  for (std::size_t i = 0; i < ncand; ++i) {
-    proposal.candidates.push_back(read_chained(in));
-  }
-  const std::size_t nsel = in.count(8);
-  proposal.selected.reserve(nsel);
-  for (std::size_t i = 0; i < nsel; ++i) {
-    proposal.selected.push_back(read_chained(in));
-  }
-  proposal.total_area = in.f64();
-  proposal.baseline_cycles = in.u64();
-  proposal.customized_cycles = in.u64();
-  in.expect_end();
-  return proposal;
+  return decode<asip::ExtensionProposal>(payload);
 }
 
 // --- Key derivation ----------------------------------------------------------
 
 namespace {
 
-/// FNV-1a with a parameterizable offset basis; two independent runs give
-/// the 128 hash bits behind content_hash().
-class Fnv1a64 {
- public:
-  explicit Fnv1a64(std::uint64_t basis) : h_(basis) {}
-
-  void mix(std::string_view bytes) {
-    for (const char c : bytes) {
-      h_ ^= static_cast<std::uint8_t>(c);
-      h_ *= 1099511628211ull;
-    }
-    // Length marker between parts: ("ab", "c") and ("a", "bc") must hash
-    // differently even though their concatenations agree.
-    std::uint64_t n = bytes.size();
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= n & 0xffu;
-      h_ *= 1099511628211ull;
-      n >>= 8;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_;
-};
-
 void hex16(std::string& out, std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
   for (int i = 15; i >= 0; --i) out.push_back(kDigits[(v >> (4 * i)) & 0xf]);
 }
 
-/// Canonical bytes of the input bindings: order-preserving, name + raw
-/// words (floats by bit pattern), same discipline as the encoders above.
-std::string input_bytes(const std::vector<pipeline::WorkloadInput>& inputs) {
-  ByteWriter out;
-  out.u64(inputs.size());
-  for (const pipeline::WorkloadInput& input : inputs) {
-    out.u64(input.float_inputs.size());
-    for (const auto& [name, values] : input.float_inputs) {
-      out.str(name);
-      out.u64(values.size());
-      for (const float v : values) out.f32(v);
-    }
-    out.u64(input.int_inputs.size());
-    for (const auto& [name, values] : input.int_inputs) {
-      out.str(name);
-      out.u64(values.size());
-      for (const std::int32_t v : values) out.i32(v);
-    }
-  }
-  return std::move(out).take();
-}
-
 }  // namespace
 
 std::string content_hash(std::initializer_list<std::string_view> parts) {
-  Fnv1a64 lo(1469598103934665603ull);           // Standard FNV offset basis.
-  Fnv1a64 hi(0x9e3779b97f4a7c15ull);            // Independent second lane.
+  // Two independent FNV-1a lanes give the 128 hash bits.
+  support::Fnv1a lo(support::kFnvShortBasis);
+  support::Fnv1a hi(0x9e3779b97f4a7c15ull);
   for (const std::string_view part : parts) {
-    lo.mix(part);
-    hi.mix(part);
+    // Length marker after each part: ("ab", "c") and ("a", "bc") must hash
+    // differently even though their concatenations agree.
+    lo.bytes(part).u64(part.size());
+    hi.bytes(part).u64(part.size());
   }
   std::string out;
   out.reserve(32);
@@ -581,7 +344,7 @@ std::string content_hash(std::initializer_list<std::string_view> parts) {
 std::string baseline_key(std::string_view engine_version, std::string_view name,
                          std::string_view source,
                          const std::vector<pipeline::WorkloadInput>& inputs) {
-  const std::string in_bytes = input_bytes(inputs);
+  const std::string in_bytes = encode(inputs);
   return content_hash({engine_version, "prepared", name, source, in_bytes});
 }
 

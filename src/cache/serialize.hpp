@@ -12,23 +12,26 @@
 // fresh recomputation, byte for byte
 // (tests/cache/replay_verify_test.cpp pins this over a corpus sample).
 //
-// Deserialization is defensive, not trusting: ByteReader bounds-checks
-// every read, enum bytes are validated against their ranges, and vector
-// counts are sanity-capped by the remaining payload size, so a corrupted
-// or truncated payload throws CacheError instead of crashing or returning
-// a silently wrong artifact.  cache::Store (store.hpp) catches that and
-// degrades to a cold compute.
+// Each layout is defined once, as a field list in serialize.cpp that both
+// the encoder and the decoder instantiate, so the two directions cannot
+// drift apart; the bytes themselves come from support/bytes.hpp.
+// Deserialization is defensive, not trusting: support::ByteReader
+// bounds-checks every read, enum bytes are validated against their ranges,
+// and vector counts are sanity-capped by the remaining payload size, so a
+// corrupted or truncated payload throws CacheError instead of crashing or
+// returning a silently wrong artifact.  cache::Store (store.hpp) catches
+// that and degrades to a cold compute.
 //
 // Key derivation also lives here: baseline_key() hashes (engine version,
 // workload name, source bytes, input bindings) and stage_key() extends a
 // baseline key with the stage tag and the Session's normalized-options
 // byte key — the same byte strings pipeline::Session already memoizes on,
 // so disk keys and in-memory keys agree on what "the same computation"
-// means.  docs/CACHE.md documents the format and the invalidation rules.
+// means.  tests/cache/format_golden_test.cpp pins keys and file bytes;
+// docs/CACHE.md documents the format and the invalidation rules.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,15 +40,13 @@
 #include "chain/coverage.hpp"
 #include "chain/detect.hpp"
 #include "pipeline/driver.hpp"
+#include "support/bytes.hpp"
 
 namespace asipfb::cache {
 
 /// Thrown on any malformed payload (truncation, bad enum byte, absurd
 /// count).  Callers treat it as a cache miss, never as fatal.
-class CacheError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using CacheError = support::DecodeError;
 
 /// Bumped whenever the byte layout below changes; part of every entry's
 /// header, so an old-format file reads as a miss, not garbage.

@@ -4,9 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <system_error>
+
+#include "support/bytes.hpp"
 
 namespace asipfb::cache {
 
@@ -16,53 +17,48 @@ namespace {
 constexpr char kMagic[8] = {'A', 'S', 'F', 'B', 'C', 'A', 'C', 'H'};
 constexpr std::string_view kEntrySuffix = ".art";
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
+std::uint64_t checksum(std::string_view payload) {
+  return support::Fnv1a(support::kFnvShortBasis).bytes(payload).value();
 }
 
 std::string frame_entry(Artifact kind, std::string_view engine_version,
                         std::string_view payload) {
-  std::string out;
+  support::ByteWriter out;
   out.reserve(sizeof(kMagic) + 4 + 1 + 8 + engine_version.size() + 16 +
               payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kFormatVersion);
-  out.push_back(static_cast<char>(kind));
-  put_u64(out, engine_version.size());
-  out.append(engine_version);
-  put_u64(out, payload.size());
-  put_u64(out, fnv1a(payload));
-  out.append(payload);
-  return out;
+  out.raw(std::string_view(kMagic, sizeof(kMagic)));
+  out.u32(kFormatVersion);
+  out.u8(static_cast<std::uint8_t>(kind));
+  out.str(engine_version);
+  out.u64(payload.size());
+  out.u64(checksum(payload));
+  out.raw(payload);
+  return std::move(out).take();
+}
+
+// Validation failures mean bytes we wrote got damaged; plain absence or
+// a different format or engine version is the expected shape of a cold
+// cache.
+enum class Outcome { kHit, kMiss, kCorrupt };
+
+/// Checks one entry file's frame and points `payload` at its body on a
+/// hit.  A frame cut short throws support::DecodeError (corrupt).
+Outcome unframe(std::string_view file, Artifact kind,
+                std::string_view engine_version, std::string_view& payload) {
+  support::ByteReader in(file);
+  if (in.raw(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
+    return Outcome::kCorrupt;
+  }
+  const std::uint32_t version = in.u32();
+  const std::uint8_t file_kind = in.u8();
+  if (version != kFormatVersion) return Outcome::kMiss;  // Old format.
+  if (file_kind != static_cast<std::uint8_t>(kind)) return Outcome::kCorrupt;
+  if (in.raw(in.u64()) != engine_version) return Outcome::kMiss;
+  const std::uint64_t length = in.u64();
+  const std::uint64_t sum = in.u64();
+  payload = in.raw(length);
+  in.expect_end();
+  return checksum(payload) == sum ? Outcome::kHit : Outcome::kCorrupt;
 }
 
 /// Whole-file read; nullopt on any I/O error (treated as a miss upstream).
@@ -116,57 +112,13 @@ std::filesystem::path Store::entry_path(Artifact kind,
 std::optional<std::string> Store::load(Artifact kind, std::string_view key) {
   const std::filesystem::path path = entry_path(kind, key);
 
-  // Validation failures mean bytes we wrote got damaged; plain absence or
-  // a different engine version is the expected shape of a cold cache.
-  enum class Outcome { kHit, kMiss, kCorrupt };
   Outcome outcome = Outcome::kMiss;
   std::optional<std::string> payload;
-
   try {
-    std::optional<std::string> bytes = read_file(path);
-    if (bytes.has_value()) {
-      const std::string& b = *bytes;
-      std::size_t pos = 0;
-      const auto remaining = [&] { return b.size() - pos; };
-
-      outcome = Outcome::kCorrupt;  // Until every check below passes.
-      if (remaining() >= sizeof(kMagic) &&
-          std::memcmp(b.data(), kMagic, sizeof(kMagic)) == 0) {
-        pos += sizeof(kMagic);
-        if (remaining() >= 4 + 1) {
-          const std::uint32_t version = get_u32(b.data() + pos);
-          pos += 4;
-          const auto file_kind = static_cast<std::uint8_t>(b[pos]);
-          pos += 1;
-          if (version != kFormatVersion) {
-            outcome = Outcome::kMiss;  // Old format: versioned, not damaged.
-          } else if (file_kind == static_cast<std::uint8_t>(kind) &&
-                     remaining() >= 8) {
-            const std::uint64_t engine_len = get_u64(b.data() + pos);
-            pos += 8;
-            if (engine_len <= remaining()) {
-              const std::string_view engine(b.data() + pos,
-                                            static_cast<std::size_t>(engine_len));
-              pos += static_cast<std::size_t>(engine_len);
-              if (engine != options_.engine_version) {
-                outcome = Outcome::kMiss;  // Different engine: expected miss.
-              } else if (remaining() >= 16) {
-                const std::uint64_t payload_len = get_u64(b.data() + pos);
-                const std::uint64_t checksum = get_u64(b.data() + pos + 8);
-                pos += 16;
-                if (payload_len == remaining()) {
-                  const std::string_view body(b.data() + pos,
-                                              static_cast<std::size_t>(payload_len));
-                  if (fnv1a(body) == checksum) {
-                    payload.emplace(body);
-                    outcome = Outcome::kHit;
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
+    if (const std::optional<std::string> bytes = read_file(path)) {
+      std::string_view body;
+      outcome = unframe(*bytes, kind, options_.engine_version, body);
+      if (outcome == Outcome::kHit) payload.emplace(body);
     }
   } catch (...) {
     outcome = Outcome::kCorrupt;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 
@@ -17,12 +16,6 @@ using ir::Builder;
 using ir::Opcode;
 using ir::Reg;
 using ir::Type;
-
-std::uint32_t bits_of(float f) {
-  std::uint32_t u = 0;
-  std::memcpy(&u, &f, sizeof u);
-  return u;
-}
 
 class Lowerer {
 public:
@@ -52,7 +45,7 @@ private:
         const auto value = const_eval(*init);
         assert(value && "sema guarantees constant initializers");
         if (g.type == Type::F32) {
-          out.init.push_back(bits_of(value->as_f32()));
+          out.init.push_back(std::bit_cast<std::uint32_t>(value->as_f32()));
         } else {
           out.init.push_back(static_cast<std::uint32_t>(value->as_i32()));
         }

@@ -1,6 +1,6 @@
 #include "opt/cleanup.hpp"
 
-#include <cstring>
+#include <bit>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -33,12 +33,6 @@ namespace {
 /// disambiguation in LVN); intrinsics are pure and included.
 [[nodiscard]] bool cseable(const Instr& instr) {
   return instr.is_pure() && instr.dst.has_value();
-}
-
-std::uint32_t float_key(float f) {
-  std::uint32_t u = 0;
-  std::memcpy(&u, &f, sizeof u);
-  return u;
 }
 
 }  // namespace
@@ -104,7 +98,8 @@ int local_value_numbering(ir::Function& fn) {
       if (commutative(instr.op) && key_args.size() == 2 && key_args[0] > key_args[1]) {
         std::swap(key_args[0], key_args[1]);
       }
-      ExprKey key{instr.op, instr.imm_i, float_key(instr.imm_f),
+      ExprKey key{instr.op, instr.imm_i,
+                  std::bit_cast<std::uint32_t>(instr.imm_f),
                   static_cast<int>(instr.intrinsic), std::move(key_args)};
 
       const auto found = expr_vn.find(key);

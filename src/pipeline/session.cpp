@@ -1,42 +1,42 @@
 #include "pipeline/session.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "cache/store.hpp"
 #include "ir/verifier.hpp"
+#include "support/bytes.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb::pipeline {
 
 namespace {
 
-/// Serializes option-struct fields into an exact byte string used as the
-/// memoization key.  Doubles are keyed by bit pattern: two options structs
-/// collide only when every field is bit-identical, which is exactly the
-/// "same computation" guarantee the cache needs.
+/// Serializes option-struct fields into an exact little-endian byte string
+/// used as the memoization key.  Doubles are keyed by bit pattern: two
+/// options structs collide only when every field is bit-identical, which
+/// is exactly the "same computation" guarantee the cache needs.
 class KeyBuilder {
  public:
-  KeyBuilder& add(double v) { return add_bytes(&v, sizeof v); }
-  KeyBuilder& add(std::uint64_t v) { return add_bytes(&v, sizeof v); }
-  KeyBuilder& add(std::int64_t v) { return add_bytes(&v, sizeof v); }
+  KeyBuilder& add(double v) {
+    out_.f64(v);
+    return *this;
+  }
+  KeyBuilder& add(std::uint64_t v) {
+    out_.u64(v);
+    return *this;
+  }
+  KeyBuilder& add(std::int64_t v) { return add(static_cast<std::uint64_t>(v)); }
   KeyBuilder& add(int v) { return add(static_cast<std::int64_t>(v)); }
   KeyBuilder& add(bool v) {
-    bytes_.push_back(v ? '\1' : '\0');
+    out_.boolean(v);
     return *this;
   }
 
-  [[nodiscard]] std::string str() && { return std::move(bytes_); }
+  [[nodiscard]] std::string str() && { return std::move(out_).take(); }
 
  private:
-  KeyBuilder& add_bytes(const void* p, std::size_t n) {
-    const auto* c = static_cast<const char*>(p);
-    bytes_.append(c, n);
-    return *this;
-  }
-
-  std::string bytes_;
+  support::ByteWriter out_;
 };
 
 // --- Option normalization ---------------------------------------------------

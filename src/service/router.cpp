@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/bytes.hpp"
+
 namespace asipfb::service {
 
 namespace {
@@ -21,12 +23,7 @@ std::uint64_t mix64(std::uint64_t x) {
 
 std::uint64_t Router::hash_key(std::string_view key) {
   // FNV-1a, finalized through mix64 so short keys spread over the ring.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return mix64(h);
+  return mix64(support::Fnv1a(support::kFnvOffsetBasis).bytes(key).value());
 }
 
 Router::Router(RouterOptions options) {

@@ -3,8 +3,8 @@
 // examples/sim_baseline_dump.cpp records these values from a run and
 // tests/pipeline/suite_differential_test.cpp checks them against its
 // recorded table — both must compute them identically, so the definitions
-// live here and nowhere else.  FNV-1a over explicit little-endian bytes
-// keeps the values platform-independent.
+// live here and nowhere else.  FNV-1a (support/bytes.hpp) over explicit
+// little-endian bytes keeps the values platform-independent.
 #pragma once
 
 #include <cstdint>
@@ -13,32 +13,18 @@
 #include <vector>
 
 #include "ir/function.hpp"
+#include "support/bytes.hpp"
 
 namespace asipfb::sim {
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 1099511628211ull;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
 
 /// Hash of every instruction's (id, exec_count) in module traversal order —
 /// detects misattributed execution counts, not just wrong totals.
 [[nodiscard]] inline std::uint64_t profile_hash(const ir::Module& module) {
-  Fnv1a h;
+  support::Fnv1a h(support::kFnvShortBasis);
   for (const auto& fn : module.functions) {
     for (const auto& block : fn.blocks) {
       for (const auto& instr : block.instrs) {
-        h.mix(instr.id);
-        h.mix(instr.exec_count);
+        h.u64(instr.id).u64(instr.exec_count);
       }
     }
   }
@@ -49,10 +35,10 @@ class Fnv1a {
 [[nodiscard]] inline std::uint64_t output_hash(
     const std::map<std::string, std::vector<std::int32_t>>& outputs,
     const std::vector<std::string>& names) {
-  Fnv1a h;
+  support::Fnv1a h(support::kFnvShortBasis);
   for (const auto& name : names) {
     for (std::int32_t word : outputs.at(name)) {
-      h.mix(static_cast<std::uint32_t>(word));
+      h.u64(static_cast<std::uint32_t>(word));
     }
   }
   return h.value();

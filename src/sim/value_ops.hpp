@@ -7,10 +7,10 @@
 // these functions.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 
 #include "ir/opcode.hpp"
 
@@ -23,17 +23,8 @@ inline std::uint32_t from_i32(std::int32_t v) {
   return static_cast<std::uint32_t>(v);
 }
 
-inline float as_f32(std::uint32_t bits) {
-  float f = 0.0f;
-  std::memcpy(&f, &bits, sizeof f);
-  return f;
-}
-
-inline std::uint32_t from_f32(float f) {
-  std::uint32_t u = 0;
-  std::memcpy(&u, &f, sizeof u);
-  return u;
-}
+inline float as_f32(std::uint32_t bits) { return std::bit_cast<float>(bits); }
+inline std::uint32_t from_f32(float f) { return std::bit_cast<std::uint32_t>(f); }
 
 /// Truncating float->int conversion with defined out-of-range behaviour.
 inline std::int32_t fp_to_int(float f) {
