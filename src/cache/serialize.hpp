@@ -27,8 +27,9 @@
 // baseline key with the stage tag and the Session's normalized-options
 // byte key — the same byte strings pipeline::Session already memoizes on,
 // so disk keys and in-memory keys agree on what "the same computation"
-// means.  tests/cache/format_golden_test.cpp pins keys and file bytes;
-// docs/CACHE.md documents the format and the invalidation rules.
+// means.  tests/cache/format_golden_test.cpp pins keys, payloads and
+// record bytes; docs/CACHE.md documents the format and the invalidation
+// rules.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +49,11 @@ namespace asipfb::cache {
 /// count).  Callers treat it as a cache miss, never as fatal.
 using CacheError = support::DecodeError;
 
-/// Bumped whenever the byte layout below changes; part of every entry's
-/// header, so an old-format file reads as a miss, not garbage.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped whenever the byte layout below or the store's record framing
+/// changes; part of every record header, so an old-format record reads
+/// as a miss, not garbage.  2: records in append-only segments (1 was
+/// one `<kind>-<key>.art` file per entry).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// The artifact families the cache stores — one serializer per family.
 enum class Artifact : std::uint8_t {
@@ -63,7 +66,7 @@ enum class Artifact : std::uint8_t {
 inline constexpr std::size_t kArtifactCount = 5;
 
 /// Stable lower-case tag ("prepared", "optimized", ...); used in key
-/// derivation and file names.
+/// derivation and diagnostics.
 [[nodiscard]] std::string_view to_string(Artifact kind);
 
 // --- Encoders (canonical: byte equality == value equality) ------------------

@@ -123,6 +123,9 @@ class ByteReader {
     return static_cast<std::size_t>(n);
   }
 
+  /// Bytes read so far.
+  [[nodiscard]] std::size_t position() const { return pos_; }
+
   void expect_end() const {
     if (pos_ != data_.size()) {
       throw DecodeError("cache payload: trailing bytes");

@@ -1,7 +1,7 @@
 // Persisted-format pin: every value the artifact cache and the service
-// derive from bytes — content keys, the entry file names and file bytes a
-// Figure-1 trip writes into a Store, and the router's shard placement —
-// checked against recorded goldens.
+// derive from bytes — content keys, the entries (kind, key, payload bytes)
+// a Figure-1 trip writes into a Store, the bytes of one whole record, and
+// the router's shard placement — checked against recorded goldens.
 //
 // A cache directory written by one build must keep serving the next, and a
 // client's shard must not move between releases, so none of these values
@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -152,45 +153,78 @@ TEST(FormatGolden, SessionTripFilesArePinned) {
     }
     EXPECT_EQ(store->stats().writes, 13u);
   }
+  // All 13 records went into the one segment the Store opened.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_TRUE(files[0].starts_with("seg-") && files[0].ends_with(".log")) << files[0];
 
   Pinned actual;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
+  {
+    StoreOptions options;
+    options.dir = dir;
+    Store store(std::move(options));
+    for (const EntryInfo& entry : store.entries()) {
+      const std::optional<std::string> payload = store.load(entry.kind, entry.key);
+      ASSERT_TRUE(payload.has_value()) << entry.key;
+      actual.emplace_back(std::string(to_string(entry.kind)) + "-" + entry.key,
+                          hex(fnv1a(*payload)) + " " + std::to_string(payload->size()));
+    }
+
+    // One whole record: magic, format version, kind, engine string, key,
+    // payload length, checksum, payload.  Found by searching its segment
+    // for its key.
+    const std::string key = baseline_key(kEngineVersion, "fir",
+                                         wl::workload("fir").source,
+                                         {wl::workload("fir").input});
+    const std::filesystem::path segment = store.entry_path(Artifact::kPrepared, key);
+    std::ifstream in(segment, std::ios::binary);
     const std::string bytes{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>()};
-    actual.emplace_back(entry.path().filename().string(),
-                        hex(fnv1a(bytes)) + " " + std::to_string(bytes.size()));
+    const std::size_t key_at = bytes.find(key);
+    ASSERT_NE(key_at, std::string::npos);
+    const std::size_t begin = key_at - (8 + 4 + 1 + 8 + kEngineVersion.size() + 8);
+    const std::size_t length = (key_at - begin) + key.size() + 8 + 8 +
+                               store.load(Artifact::kPrepared, key)->size();
+    const std::string record = bytes.substr(begin, length);
+    actual.emplace_back("record(prepared-" + key + ")",
+                        hex(fnv1a(record)) + " " + std::to_string(record.size()));
+    EXPECT_EQ(store.stats().corrupt, 0u);
   }
   std::sort(actual.begin(), actual.end());
   std::filesystem::remove_all(dir, discard);
 
   expect_pinned(actual, {
-      {"coverage-22ab71f02f98e18392c8d1350305bd89.art",
-       "f50031d7361243f2 260"},
-      {"coverage-6757c97f2f6a94419c93c618da2fece3.art",
-       "716d355cf46db1c8 446"},
-      {"coverage-a8429a42e10392fb185ff987b4706f01.art",
-       "9d245d7c1ec93ddf 560"},
-      {"detection-7896a423fdd946fda1be69eeeff51e0f.art",
-       "b3d0e8133ddaa57e 746"},
-      {"detection-b2c48553e3fc5a4b17e1d6aa0325bc89.art",
-       "2ec3875bc675dfa9 433"},
-      {"detection-b3048660c8edb8f5ea9e7c0e4d687de7.art",
-       "869e9d73b470865f 399"},
-      {"extension-a4fa1526a7da719be69ce0c6cde6ab85.art",
-       "1dd89ed6ec38b279 354"},
-      {"extension-a9ea9cdd1829ff41671d98bc8bbe6e67.art",
-       "ea140780f8b10367 440"},
-      {"extension-b6d05e80d1d94d69ee6d5ae81c646faf.art",
-       "afd668789aaf5a6a 268"},
-      {"optimized-892c3816e4b53ede6c165b3c95dd6a9c.art",
-       "4b2d02d2adbaeb5b 3579"},
-      {"optimized-abd6fc388303da17a51f10724fe86e55.art",
-       "e422a3f548451d05 5134"},
-      {"optimized-c8202c094cd0369103f470d679b74613.art",
-       "4ebbbe93c6ec3057 6091"},
-      {"prepared-c4b49420806767bf77e262188caf7765.art",
-       "96ce80fcc201fd4a 3623"},
+      {"coverage-22ab71f02f98e18392c8d1350305bd89",
+       "3797ae826cf53a87 204"},
+      {"coverage-6757c97f2f6a94419c93c618da2fece3",
+       "5002ad00e0379446 390"},
+      {"coverage-a8429a42e10392fb185ff987b4706f01",
+       "b8e8aca6d296bc03 504"},
+      {"detection-7896a423fdd946fda1be69eeeff51e0f",
+       "62d2bad1a64e2b77 690"},
+      {"detection-b2c48553e3fc5a4b17e1d6aa0325bc89",
+       "ee760d9764cf5464 377"},
+      {"detection-b3048660c8edb8f5ea9e7c0e4d687de7",
+       "54f6efe2aa91846c 343"},
+      {"extension-a4fa1526a7da719be69ce0c6cde6ab85",
+       "e02f6c6bef1af4a8 298"},
+      {"extension-a9ea9cdd1829ff41671d98bc8bbe6e67",
+       "3225fc689442291b 384"},
+      {"extension-b6d05e80d1d94d69ee6d5ae81c646faf",
+       "3556af635da6d2aa 212"},
+      {"optimized-892c3816e4b53ede6c165b3c95dd6a9c",
+       "0f32371ae3537796 3523"},
+      {"optimized-abd6fc388303da17a51f10724fe86e55",
+       "65e55e91cf6e3205 5078"},
+      {"optimized-c8202c094cd0369103f470d679b74613",
+       "5132bfebf79e9f3b 6035"},
+      {"prepared-c4b49420806767bf77e262188caf7765",
+       "9a948520d9eb551a 3567"},
+      {"record(prepared-c4b49420806767bf77e262188caf7765)",
+       "28f4d5441acc1ac7 3663"},
   });
 }
 

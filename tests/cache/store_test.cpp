@@ -1,13 +1,18 @@
-// The cache::Store robustness contract (cache/store.hpp):
+// The cache::Store robustness contract (cache/store.hpp), over the
+// log-structured layout (records appended to per-instance segments):
 //
-//   * raw payloads round-trip for every artifact kind, byte for byte,
-//   * malformed entries — truncated, bit-flipped, mislabeled — are
-//     counted misses that degrade to cold compute, never crashes and
-//     never wrong bytes (corrupt files are additionally unlinked),
-//   * a different engine version is a plain miss: the entry survives so
-//     the process that wrote it can still read it,
-//   * the size cap evicts oldest-mtime entries and publishing never
-//     leaves stray temp files,
+//   * raw payloads round-trip for every artifact kind, byte for byte, and
+//     a repeated save appends nothing,
+//   * malformed records — cut short, bit-flipped, relabeled — are counted
+//     corrupt misses that degrade to cold compute, never crashes and never
+//     wrong bytes (corrupt records are dropped from the index); a torn
+//     tail is a plain miss that hides nothing else,
+//   * a different engine version or a legacy `.art` file is a plain miss:
+//     the bytes survive so the engine that wrote them can still read them,
+//   * the size cap evicts whole oldest segments and the directory holds
+//     nothing but segments,
+//   * records another instance or process appends after open are found on
+//     the next miss, and entry_path() names the segment holding a record,
 //   * two Store instances — same process or two processes (fork) — can
 //     hammer one directory concurrently and every successful load
 //     returns exactly the payload some save published,
@@ -21,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +38,7 @@
 
 #include "cache/serialize.hpp"
 #include "pipeline/session.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -60,6 +67,12 @@ class ScratchDir {
     std::filesystem::remove_all(dir_, discard);
   }
   [[nodiscard]] const std::filesystem::path& path() const { return dir_; }
+  /// Leaves the directory existing and empty.
+  void clear() const {
+    std::error_code discard;
+    std::filesystem::remove_all(dir_, discard);
+    std::filesystem::create_directories(dir_);
+  }
 
  private:
   std::filesystem::path dir_;
@@ -95,6 +108,39 @@ std::string payload_for(Artifact kind, std::string_view key) {
   return payload;
 }
 
+/// Where one record sits in a segment: [begin, end).
+struct Span {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Locates the record for `key` in a segment's bytes by searching for the
+/// key, then reads the record's length from its header: magic, format
+/// version, kind, engine string, key, payload length, checksum, payload.
+Span record_span(std::string_view segment, std::string_view key,
+                 std::string_view engine = kEngineVersion) {
+  const std::size_t key_at = segment.find(key);
+  if (key_at == std::string_view::npos) return {};
+  Span span;
+  span.begin = key_at - (8 + 4 + 1 + 8 + engine.size() + 8);
+  support::ByteReader in(segment.substr(span.begin));
+  (void)in.raw(8 + 4 + 1);
+  (void)in.str();
+  (void)in.str();
+  const std::uint64_t payload_bytes = in.u64();
+  (void)in.u64();
+  span.end = span.begin + in.position() + payload_bytes;
+  return span;
+}
+
+void add(StoreStats& total, const StoreStats& s) {
+  total.hits += s.hits;
+  total.misses += s.misses;
+  total.writes += s.writes;
+  total.evictions += s.evictions;
+  total.corrupt += s.corrupt;
+}
+
 const std::vector<Artifact> kAllKinds = {
     Artifact::kPrepared, Artifact::kOptimized, Artifact::kDetection,
     Artifact::kCoverage, Artifact::kExtension};
@@ -119,7 +165,21 @@ TEST(Store, RoundTripsEveryArtifactKind) {
   EXPECT_EQ(stats.hits, kAllKinds.size());
   EXPECT_EQ(stats.misses, kAllKinds.size());
   EXPECT_EQ(stats.corrupt, 0u);
-  EXPECT_EQ(store->entries().size(), kAllKinds.size());
+  const std::vector<EntryInfo> entries = store->entries();
+  EXPECT_EQ(entries.size(), kAllKinds.size());
+  for (const EntryInfo& entry : entries) {
+    const auto loaded = store->load(entry.kind, entry.key);
+    ASSERT_TRUE(loaded.has_value()) << to_string(entry.kind);
+    EXPECT_EQ(entry.payload_bytes, loaded->size()) << to_string(entry.kind);
+  }
+
+  // Saving a key the index already holds appends nothing.
+  const std::uint64_t segment_bytes =
+      std::filesystem::file_size(store->entry_path(Artifact::kPrepared, key));
+  store->save(Artifact::kPrepared, key, payload_for(Artifact::kPrepared, key));
+  EXPECT_EQ(store->stats().writes, kAllKinds.size());
+  EXPECT_EQ(std::filesystem::file_size(store->entry_path(Artifact::kPrepared, key)),
+            segment_bytes);
 
   // A second instance over the same directory sees the same entries —
   // the cross-process warm-start path, minus the process boundary.
@@ -127,37 +187,63 @@ TEST(Store, RoundTripsEveryArtifactKind) {
   const auto loaded = reopened->load(Artifact::kDetection, key);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, payload_for(Artifact::kDetection, key));
+  EXPECT_EQ(reopened->entries().size(), kAllKinds.size());
 }
 
-TEST(Store, TruncatedEntriesAreCountedMissesAndUnlinked) {
-  const std::string key = content_hash({"truncate"});
-  const std::string payload = payload_for(Artifact::kDetection, key);
+TEST(Store, TruncatedTailRecordIsNeverAHit) {
+  const std::string head_key = content_hash({"truncate", "head"});
+  const std::string tail_key = content_hash({"truncate", "tail"});
+  const std::string head = payload_for(Artifact::kDetection, head_key);
+  const std::string tail = payload_for(Artifact::kDetection, tail_key);
 
-  // Every possible truncation point: header cut short, payload cut short.
   const ScratchDir probe("truncate_probe");
-  const auto probe_store = open_store(probe);
-  probe_store->save(Artifact::kDetection, key, payload);
-  const std::string full =
-      read_file(probe_store->entry_path(Artifact::kDetection, key));
-  ASSERT_GT(full.size(), payload.size());
-
-  const ScratchDir scratch("truncate");
-  const auto store = open_store(scratch);
-  std::uint64_t attempts = 0;
-  for (std::size_t keep = 0; keep < full.size(); ++keep) {
-    write_file(store->entry_path(Artifact::kDetection, key),
-               std::string_view(full).substr(0, keep));
-    EXPECT_EQ(store->load(Artifact::kDetection, key), std::nullopt)
-        << "kept " << keep << " of " << full.size() << " bytes";
-    EXPECT_FALSE(
-        std::filesystem::exists(store->entry_path(Artifact::kDetection, key)))
-        << "truncated entry must be unlinked (kept " << keep << ")";
-    ++attempts;
+  Span record;
+  std::uint64_t segment_bytes = 0;
+  {
+    const auto probe_store = open_store(probe);
+    probe_store->save(Artifact::kDetection, head_key, head);
+    probe_store->save(Artifact::kDetection, tail_key, tail);
+    const std::string full =
+        read_file(probe_store->entry_path(Artifact::kDetection, tail_key));
+    record = record_span(full, tail_key);
+    segment_bytes = full.size();
   }
-  const StoreStats stats = store->stats();
-  EXPECT_EQ(stats.misses, attempts);
-  EXPECT_EQ(stats.corrupt, attempts);
-  EXPECT_EQ(stats.hits, 0u);
+  ASSERT_EQ(record.end, segment_bytes) << "the tail record ends the segment";
+
+  // Every cut inside the tail record, from "nothing of it" to "all but
+  // its last byte".  The instance that indexed the record reads it short
+  // (corrupt); a fresh instance sees a torn tail (plain miss).  The record
+  // before it serves either way.
+  const ScratchDir scratch("truncate");
+  std::uint64_t attempts = 0;
+  StoreStats writer_total;
+  StoreStats fresh_total;
+  for (std::size_t keep = record.begin; keep < record.end; ++keep) {
+    scratch.clear();
+    const auto writer = open_store(scratch);
+    writer->save(Artifact::kDetection, head_key, head);
+    writer->save(Artifact::kDetection, tail_key, tail);
+    const auto segment = writer->entry_path(Artifact::kDetection, tail_key);
+    ASSERT_EQ(std::filesystem::file_size(segment), segment_bytes);
+    std::filesystem::resize_file(segment, keep);
+
+    EXPECT_EQ(writer->load(Artifact::kDetection, tail_key), std::nullopt)
+        << "kept " << keep << " of " << segment_bytes << " bytes";
+    EXPECT_EQ(writer->load(Artifact::kDetection, head_key), head);
+    const auto fresh = open_store(scratch);
+    EXPECT_EQ(fresh->load(Artifact::kDetection, tail_key), std::nullopt)
+        << "kept " << keep << " of " << segment_bytes << " bytes";
+    EXPECT_EQ(fresh->load(Artifact::kDetection, head_key), head);
+    ++attempts;
+    add(writer_total, writer->stats());
+    add(fresh_total, fresh->stats());
+  }
+  EXPECT_EQ(writer_total.hits, attempts);
+  EXPECT_EQ(writer_total.misses, attempts);
+  EXPECT_EQ(writer_total.corrupt, attempts) << "a short read is corrupt";
+  EXPECT_EQ(fresh_total.hits, attempts);
+  EXPECT_EQ(fresh_total.misses, attempts);
+  EXPECT_EQ(fresh_total.corrupt, 0u) << "a torn tail is not corruption";
 }
 
 TEST(Store, BitFlipsNeverCrashAndNeverReturnWrongBytes) {
@@ -165,30 +251,51 @@ TEST(Store, BitFlipsNeverCrashAndNeverReturnWrongBytes) {
   const std::string payload = payload_for(Artifact::kCoverage, key);
 
   const ScratchDir probe("bitflip_probe");
-  const auto probe_store = open_store(probe);
-  probe_store->save(Artifact::kCoverage, key, payload);
-  const std::string full =
-      read_file(probe_store->entry_path(Artifact::kCoverage, key));
+  std::string full;
+  {
+    const auto probe_store = open_store(probe);
+    probe_store->save(Artifact::kCoverage, key, payload);
+    full = read_file(probe_store->entry_path(Artifact::kCoverage, key));
+  }
+  const Span record = record_span(full, key);
+  ASSERT_EQ(record.begin, 0u);
+  ASSERT_EQ(record.end, full.size());
+  const std::size_t key_at = full.find(key);
+  const std::size_t checksum_at = key_at + key.size() + 8;
 
   const ScratchDir scratch("bitflip");
-  const auto store = open_store(scratch);
+  std::uint64_t loads = 0;
+  StoreStats total;
   for (std::size_t offset = 0; offset < full.size(); ++offset) {
+    scratch.clear();
     std::string flipped = full;
     flipped[offset] = static_cast<char>(flipped[offset] ^ 0x20);
-    write_file(store->entry_path(Artifact::kCoverage, key), flipped);
-    const auto loaded = store->load(Artifact::kCoverage, key);
-    // Depending on which field the flip hits this is a corrupt entry, an
-    // engine/version mismatch (plain miss), or — never — a hit with the
-    // wrong bytes.
-    EXPECT_EQ(loaded, std::nullopt) << "flipped offset " << offset;
-    std::error_code discard;
-    std::filesystem::remove(store->entry_path(Artifact::kCoverage, key),
-                            discard);
+    write_file(scratch.path() / "seg-1-0.log", flipped);
+    const auto store = open_store(scratch);
+    // Depending on which field the flip hits this is a corrupt record, a
+    // format/engine mismatch or a torn tail (plain misses), or — never —
+    // a hit with the wrong bytes.
+    EXPECT_EQ(store->load(Artifact::kCoverage, key), std::nullopt)
+        << "flipped offset " << offset;
+    ++loads;
+    if (offset >= key_at && offset < key_at + key.size()) {
+      // The record now names another key; it must not serve under it.
+      std::string other = key;
+      other[offset - key_at] = flipped[offset];
+      EXPECT_EQ(store->load(Artifact::kCoverage, other), std::nullopt)
+          << "flipped key offset " << offset;
+      EXPECT_EQ(store->stats().corrupt, 1u) << "flipped key offset " << offset;
+      ++loads;
+    }
+    if (offset >= checksum_at) {
+      EXPECT_EQ(store->stats().corrupt, 1u)
+          << "checksum or payload flip at " << offset << " must be detected";
+    }
+    add(total, store->stats());
   }
-  const StoreStats stats = store->stats();
-  EXPECT_EQ(stats.misses, full.size());
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_GT(stats.corrupt, 0u) << "checksum flips must be detected";
+  EXPECT_EQ(total.misses, loads);
+  EXPECT_EQ(total.hits, 0u);
+  EXPECT_GT(total.corrupt, 0u);
 }
 
 TEST(Store, DifferentEngineVersionIsAPlainMissThatKeepsTheEntry) {
@@ -205,52 +312,272 @@ TEST(Store, DifferentEngineVersionIsAPlainMissThatKeepsTheEntry) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.corrupt, 0u) << "a version skew is not corruption";
 
-  // The entry must survive: the old engine can still read its own cache.
+  // The record must survive: the old engine can still read its own cache,
+  // in the instance that wrote it and in a new one.
   const auto still_there = old_engine->load(Artifact::kPrepared, key);
   ASSERT_TRUE(still_there.has_value());
   EXPECT_EQ(*still_there, payload);
+  const auto old_again = open_store(scratch, 256ull << 20, "engine-A");
+  EXPECT_EQ(old_again->load(Artifact::kPrepared, key), payload);
 }
 
-TEST(Store, MislabeledKindInTheHeaderIsCorrupt) {
+TEST(Store, ChangedKindByteIsCorrupt) {
   const ScratchDir scratch("kind");
   const auto store = open_store(scratch);
   const std::string key = content_hash({"kind"});
   store->save(Artifact::kPrepared, key, payload_for(Artifact::kPrepared, key));
 
-  // Copy the prepared entry's bytes under a detection file name: the
-  // header's kind byte no longer matches the name the reader asked for.
-  const std::string bytes =
-      read_file(store->entry_path(Artifact::kPrepared, key));
-  write_file(store->entry_path(Artifact::kDetection, key), bytes);
+  // Relabel the prepared record as a detection record in place: the kind
+  // byte follows the magic and the format version.
+  const auto segment = store->entry_path(Artifact::kPrepared, key);
+  std::string bytes = read_file(segment);
+  ASSERT_EQ(bytes[12], static_cast<char>(Artifact::kPrepared));
+  bytes[12] = static_cast<char>(Artifact::kDetection);
+  write_file(segment, bytes);
 
-  EXPECT_EQ(store->load(Artifact::kDetection, key), std::nullopt);
-  EXPECT_GT(store->stats().corrupt, 0u);
-  EXPECT_FALSE(
-      std::filesystem::exists(store->entry_path(Artifact::kDetection, key)));
+  // The instance that indexed it as prepared sees a header that disagrees.
+  EXPECT_EQ(store->load(Artifact::kPrepared, key), std::nullopt);
+  EXPECT_EQ(store->stats().corrupt, 1u);
+
+  // A fresh instance indexes it as detection; the checksum covers the
+  // kind, so it is corrupt there too, and prepared is simply absent.
+  const auto fresh = open_store(scratch);
+  EXPECT_EQ(fresh->load(Artifact::kDetection, key), std::nullopt);
+  EXPECT_EQ(fresh->load(Artifact::kPrepared, key), std::nullopt);
+  EXPECT_EQ(fresh->stats().corrupt, 1u);
+  EXPECT_EQ(fresh->stats().hits, 0u);
 }
 
-TEST(Store, SizeCapEvictsAndPublishingLeavesNoTempFiles) {
+TEST(Store, SizeCapEvictsWholeSegmentsAndLeavesOnlySegments) {
   const ScratchDir scratch("evict");
-  // Each framed entry is ~600 bytes; a 2000-byte cap holds only a few.
+  // Each record is ~600 bytes and a segment closes at an eighth of the
+  // cap, so every record gets a segment and the cap holds only a few.
   const auto store = open_store(scratch, 2000);
   const std::string big(512, 'x');
+  std::vector<std::string> keys;
   for (int i = 0; i < 12; ++i) {
-    store->save(Artifact::kOptimized,
-                content_hash({"evict", std::to_string(i)}), big);
+    keys.push_back(content_hash({"evict", std::to_string(i)}));
+    store->save(Artifact::kOptimized, keys.back(), big);
   }
   const StoreStats stats = store->stats();
   EXPECT_EQ(stats.writes, 12u);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LT(store->entries().size(), 12u);
+  const std::vector<EntryInfo> entries = store->entries();
+  EXPECT_LT(entries.size(), 12u);
+  EXPECT_EQ(stats.evictions + entries.size(), 12u);
 
   std::uint64_t on_disk = 0;
   for (const auto& entry :
        std::filesystem::directory_iterator(scratch.path())) {
-    EXPECT_EQ(entry.path().extension(), ".art")
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name.starts_with("seg-") && name.ends_with(".log"))
         << "stray file: " << entry.path();
     on_disk += std::filesystem::file_size(entry.path());
   }
   EXPECT_LE(on_disk, 2000u) << "directory must fit the cap after eviction";
+
+  // The newest records survive whole; the evicted ones are plain misses.
+  const auto fresh = open_store(scratch, 2000);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const bool kept = i >= keys.size() - entries.size();
+    EXPECT_EQ(fresh->load(Artifact::kOptimized, keys[i]).has_value(), kept) << i;
+  }
+  EXPECT_EQ(fresh->stats().corrupt, 0u);
+}
+
+TEST(Store, LegacyEntryFilesArePlainMissesAndStayUntouched) {
+  const ScratchDir scratch("legacy");
+  std::filesystem::create_directories(scratch.path());
+  const std::string key = content_hash({"legacy"});
+  const std::string payload = payload_for(Artifact::kDetection, key);
+
+  // One `<kind>-<key>.art` file per entry, framed as format version 1.
+  support::ByteWriter legacy;
+  legacy.raw("ASFBCACH");
+  legacy.u32(1);
+  legacy.u8(static_cast<std::uint8_t>(Artifact::kDetection));
+  legacy.str(kEngineVersion);
+  legacy.u64(payload.size());
+  legacy.u64(support::Fnv1a(support::kFnvShortBasis).bytes(payload).value());
+  legacy.raw(payload);
+  const std::string legacy_bytes = std::move(legacy).take();
+  const auto legacy_path = scratch.path() / ("detection-" + key + ".art");
+  write_file(legacy_path, legacy_bytes);
+
+  const auto store = open_store(scratch);
+  EXPECT_EQ(store->load(Artifact::kDetection, key), std::nullopt);
+  EXPECT_EQ(store->stats().misses, 1u);
+  EXPECT_EQ(store->stats().corrupt, 0u) << "an old cache is not corrupt";
+  EXPECT_TRUE(store->entries().empty());
+
+  store->save(Artifact::kDetection, key, payload);
+  EXPECT_EQ(store->load(Artifact::kDetection, key), payload);
+  EXPECT_EQ(read_file(legacy_path), legacy_bytes) << "legacy files are left alone";
+}
+
+TEST(Store, EntryPathNamesTheSegmentHoldingTheRecord) {
+  const ScratchDir scratch("entry_path");
+  const auto store = open_store(scratch);
+  const std::string key = content_hash({"entry_path"});
+  EXPECT_TRUE(store->entry_path(Artifact::kPrepared, key).empty());
+
+  store->save(Artifact::kPrepared, key, payload_for(Artifact::kPrepared, key));
+  const std::filesystem::path path = store->entry_path(Artifact::kPrepared, key);
+  ASSERT_FALSE(path.empty());
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_EQ(path.parent_path(), scratch.path());
+  EXPECT_TRUE(path.filename().string().starts_with("seg-"));
+  EXPECT_NE(read_file(path).find(key), std::string::npos);
+
+  // Another kind, another key: nothing indexed, so no path.
+  EXPECT_TRUE(store->entry_path(Artifact::kDetection, key).empty());
+  EXPECT_TRUE(
+      store->entry_path(Artifact::kPrepared, content_hash({"absent"})).empty());
+
+  // A fresh instance finds the record in the same segment.
+  EXPECT_EQ(open_store(scratch)->entry_path(Artifact::kPrepared, key), path);
+}
+
+TEST(Store, RecordsAppendedByAnotherWriterAreFoundOnTheNextMiss) {
+  const ScratchDir scratch("appended");
+  const auto reader = open_store(scratch);
+  const auto writer = open_store(scratch);
+  const Artifact kind = Artifact::kExtension;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4; ++i) {
+    keys.push_back(content_hash({"appended", std::to_string(i)}));
+  }
+
+  // A new segment, then growth of that same segment (the directory does
+  // not change).
+  writer->save(kind, keys[0], payload_for(kind, keys[0]));
+  EXPECT_EQ(reader->load(kind, keys[0]), payload_for(kind, keys[0]));
+  writer->save(kind, keys[1], payload_for(kind, keys[1]));
+  EXPECT_EQ(reader->load(kind, keys[1]), payload_for(kind, keys[1]));
+
+  // A segment created once the reader's listing has settled: the
+  // directory's mtime moves past the one the reader recorded.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_EQ(reader->load(kind, keys[2]), std::nullopt);
+  open_store(scratch)->save(kind, keys[2], payload_for(kind, keys[2]));
+  EXPECT_EQ(reader->load(kind, keys[2]), payload_for(kind, keys[2]));
+  std::uint64_t expected_hits = 3;
+
+#ifndef ASIPFB_TSAN
+  // Another process.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    open_store(scratch)->save(kind, keys[3], payload_for(kind, keys[3]));
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(reader->load(kind, keys[3]), payload_for(kind, keys[3]));
+  ++expected_hits;
+#endif
+
+  EXPECT_EQ(reader->stats().hits, expected_hits);
+  EXPECT_EQ(reader->stats().corrupt, 0u);
+}
+
+TEST(Store, TornTailOfADeadWriterHidesNothingElse) {
+  const ScratchDir probe("torn_probe");
+  const Artifact kind = Artifact::kOptimized;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4; ++i) {
+    keys.push_back(content_hash({"torn", std::to_string(i)}));
+  }
+  std::string dead_segment;
+  {
+    const auto probe_store = open_store(probe);
+    probe_store->save(kind, keys[0], payload_for(kind, keys[0]));
+    probe_store->save(kind, keys[1], payload_for(kind, keys[1]));
+    const std::string full = read_file(probe_store->entry_path(kind, keys[1]));
+    // A writer that died halfway through its second record.
+    const Span second = record_span(full, keys[1]);
+    dead_segment = full.substr(0, second.begin + (second.end - second.begin) / 2);
+  }
+
+  const ScratchDir scratch("torn");
+  {
+    const auto live = open_store(scratch);
+    live->save(kind, keys[2], payload_for(kind, keys[2]));
+  }
+  write_file(scratch.path() / "seg-999999999-0.log", dead_segment);
+
+  const auto store = open_store(scratch);
+  EXPECT_EQ(store->load(kind, keys[0]), payload_for(kind, keys[0]));
+  EXPECT_EQ(store->load(kind, keys[1]), std::nullopt);
+  EXPECT_EQ(store->load(kind, keys[2]), payload_for(kind, keys[2]));
+
+  // Segments created after the torn one are still picked up.
+  open_store(scratch)->save(kind, keys[3], payload_for(kind, keys[3]));
+  EXPECT_EQ(store->load(kind, keys[3]), payload_for(kind, keys[3]));
+
+  EXPECT_EQ(store->stats().hits, 3u);
+  EXPECT_EQ(store->stats().corrupt, 0u) << "a torn tail is not corruption";
+}
+
+TEST(Store, MoreSegmentsThanOpenDescriptorsStayReadable) {
+  // Every instance writes its own segment; a reader over many of them
+  // keeps a bounded number open and reopens the others on a hit.
+  const ScratchDir scratch("many");
+  const Artifact kind = Artifact::kCoverage;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 100; ++i) {
+    keys.push_back(content_hash({"many", std::to_string(i)}));
+    open_store(scratch)->save(kind, keys.back(), payload_for(kind, keys.back()));
+  }
+  const auto store = open_store(scratch);
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& key : keys) {
+      EXPECT_EQ(store->load(kind, key), payload_for(kind, key));
+    }
+  }
+  EXPECT_EQ(store->stats().hits, 2 * keys.size());
+  EXPECT_EQ(store->stats().corrupt, 0u);
+}
+
+TEST(Store, AStoreUsedAcrossForkWritesOneSegmentPerProcess) {
+#ifdef ASIPFB_TSAN
+  GTEST_SKIP() << "fork() is not supported under ThreadSanitizer";
+#else
+  const ScratchDir scratch("inherited");
+  const Artifact kind = Artifact::kDetection;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3; ++i) {
+    keys.push_back(content_hash({"inherited", std::to_string(i)}));
+  }
+  const auto store = open_store(scratch);
+  store->save(kind, keys[0], payload_for(kind, keys[0]));
+
+  // The child saves through the Store object it inherited: its record must
+  // not land in the parent's segment, where the parent's offsets would no
+  // longer match the file.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    store->save(kind, keys[1], payload_for(kind, keys[1]));
+    ::_exit(store->load(kind, keys[1]) == payload_for(kind, keys[1]) ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  store->save(kind, keys[2], payload_for(kind, keys[2]));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(store->load(kind, keys[i]), payload_for(kind, keys[i])) << i;
+  }
+  EXPECT_EQ(store->stats().corrupt, 0u);
+  const auto fresh = open_store(scratch);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(fresh->load(kind, keys[i]), payload_for(kind, keys[i])) << i;
+  }
+  EXPECT_EQ(fresh->stats().corrupt, 0u);
+#endif
 }
 
 TEST(Store, ConcurrentInstancesOnOneDirectoryStayConsistent) {
@@ -315,6 +642,7 @@ TEST(Store, TwoProcessesShareOneDirectorySafely) {
           }
         }
       }
+      if (store->stats().corrupt != 0) rc = 2;
     }
     ::_exit(rc);
   }
@@ -331,12 +659,21 @@ TEST(Store, TwoProcessesShareOneDirectorySafely) {
         }
       }
     }
+    EXPECT_EQ(store->stats().corrupt, 0u);
   }
 
   int status = 0;
   ASSERT_EQ(::waitpid(child, &status, 0), child);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0) << "child observed wrong cached bytes";
+
+  // Both segments together hold every key, and all of it reads back.
+  const auto after = open_store(scratch);
+  for (const std::string& key : keys) {
+    EXPECT_EQ(after->load(Artifact::kDetection, key),
+              payload_for(Artifact::kDetection, key));
+  }
+  EXPECT_EQ(after->stats().corrupt, 0u);
 #endif
 }
 
@@ -395,18 +732,26 @@ TEST(SessionStore, CorruptBaselineEntryFallsBackToColdCompute) {
   const pipeline::Session cold(kKernel, "fallback", kernel_input(), store);
   const std::string expected = serialize(cold.prepared());
 
-  // Truncate the baseline entry in place: the next Session must detect
-  // the damage, count it, and re-prepare from source.
+  // Cut the segment in the middle of the baseline record: the next
+  // Session must detect the damage, count it, and re-prepare from source.
   const auto path =
       store->entry_path(Artifact::kPrepared, cold.baseline_cache_key());
   ASSERT_TRUE(std::filesystem::exists(path));
   const std::string bytes = read_file(path);
-  write_file(path, std::string_view(bytes).substr(0, bytes.size() / 2));
+  const Span baseline = record_span(bytes, cold.baseline_cache_key());
+  ASSERT_LT(baseline.begin, baseline.end);
+  std::filesystem::resize_file(path, (baseline.begin + baseline.end) / 2);
 
   const pipeline::Session recovered(kKernel, "fallback", kernel_input(), store);
   EXPECT_FALSE(recovered.baseline_from_disk());
   EXPECT_EQ(serialize(recovered.prepared()), expected);
   EXPECT_GT(store->stats().corrupt, 0u);
+
+  // The recomputed baseline was published again and serves a fresh
+  // instance.
+  const auto reopened = open_store(scratch);
+  EXPECT_EQ(reopened->load(Artifact::kPrepared, cold.baseline_cache_key()),
+            expected);
 }
 
 TEST(SessionStore, PreparationFailuresAreNeverCached) {
