@@ -1,27 +1,29 @@
 #include "service/net.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #if defined(__linux__)
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -170,7 +172,7 @@ bool ProtocolSession::State::submit_request(
     return state->router.try_submit_async(std::move(request),
                                           completion(state, slot));
   } catch (const std::exception& ex) {
-    fail_slot(state, slot, ex.what());  // Router shut down underneath us.
+    fail_slot(state, slot, ex.what());  // The job could not be queued.
     return true;
   }
 }
@@ -210,8 +212,8 @@ void ProtocolSession::State::handle_line(const std::shared_ptr<State>& state,
       break;
     case Command::Type::kStats:
       // Pipeline barrier: render only once every earlier request on this
-      // connection completed — the stdio front end's drain-then-print
-      // semantics, which keeps pipelined sessions byte-identical to it.
+      // connection completed, so the counters depend on the script alone
+      // and pipelined sessions stay byte-stable.
       if (s.unready_count() == 0) {
         s.append_ready(
             render_stats(s.router.stats(), s.opts.with_latency));
@@ -244,7 +246,7 @@ ProtocolSession::~ProtocolSession() = default;
 
 void ProtocolSession::feed(std::string_view bytes) {
   State& s = *state_;
-  if (s.quit) return;  // Input after quit is discarded, like stdio's exit.
+  if (s.quit) return;  // Input after quit is discarded.
   s.input.append(bytes.data(), bytes.size());
 }
 
@@ -276,25 +278,23 @@ bool ProtocolSession::pump() {
     if (s.quit) break;
     if (s.unready_count() >= s.opts.max_pipeline) break;
 
-    // Next complete line (stdio parity: getline on '\n', final unterminated
-    // line at EOF still counts).
+    // Next complete line, split on '\n'; a final unterminated line at EOF
+    // still counts.  The cap applies before the newline has arrived, so an
+    // endless line is refused without buffering it all.
     const auto newline = s.input.find('\n', s.pos);
-    std::string line;
-    if (newline != std::string::npos) {
-      line = s.input.substr(s.pos, newline - s.pos);
-      s.pos = newline + 1;
-    } else {
-      const std::size_t buffered = s.input.size() - s.pos;
-      if (buffered > s.opts.max_line_bytes) {
-        s.append_ready(render_error("protocol line exceeds " +
-                                    std::to_string(s.opts.max_line_bytes) +
-                                    " bytes"));
-        s.quit = true;
-        progress = true;
-        continue;
-      }
+    const std::size_t end =
+        newline != std::string::npos ? newline : s.input.size();
+    if (end - s.pos > s.opts.max_line_bytes) {
+      s.append_ready(render_error("protocol line exceeds " +
+                                  std::to_string(s.opts.max_line_bytes) +
+                                  " bytes"));
+      s.quit = true;
+      progress = true;
+      continue;
+    }
+    if (newline == std::string::npos) {
       if (!s.input_done) break;
-      if (buffered == 0) {
+      if (end == s.pos) {
         if (s.in_source) {
           s.append_ready(render_error("EOF inside source block '" +
                                       s.source_name + "'"));
@@ -304,17 +304,9 @@ bool ProtocolSession::pump() {
         progress = true;
         continue;
       }
-      line = s.input.substr(s.pos);
-      s.pos = s.input.size();
     }
-    if (line.size() > s.opts.max_line_bytes) {
-      s.append_ready(render_error("protocol line exceeds " +
-                                  std::to_string(s.opts.max_line_bytes) +
-                                  " bytes"));
-      s.quit = true;
-      progress = true;
-      continue;
-    }
+    std::string line = s.input.substr(s.pos, end - s.pos);
+    s.pos = newline != std::string::npos ? newline + 1 : end;
     State::handle_line(state_, std::move(line));
     progress = true;
     // Periodically reclaim the consumed prefix of the input buffer.
@@ -361,6 +353,111 @@ std::size_t ProtocolSession::pending() const {
 std::size_t ProtocolSession::buffered_input() const {
   const State& s = *state_;
   return s.input.size() - s.pos;
+}
+
+// --- serve_stream -----------------------------------------------------------
+
+namespace {
+
+/// serve_stream's wake-up: completions bump `generation` and write a byte
+/// to the pipe that poll() watches.  Held by shared_ptr from on_progress,
+/// so a late callback never writes to a closed (possibly reused) fd: the
+/// pipe closes only when the last reference goes.
+struct StreamWake {
+  int fds[2] = {-1, -1};
+  std::atomic<std::uint64_t> generation{0};
+
+  StreamWake() {
+    if (::pipe(fds) != 0) {
+      throw std::system_error(errno, std::generic_category(), "pipe");
+    }
+    for (const int fd : fds) {
+      ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+      ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    }
+  }
+  ~StreamWake() {
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+  StreamWake(const StreamWake&) = delete;
+  StreamWake& operator=(const StreamWake&) = delete;
+
+  void notify() {
+    generation.fetch_add(1, std::memory_order_acq_rel);
+    // A full pipe (EAGAIN) is already readable: nothing is lost.
+    const char byte = 0;
+    [[maybe_unused]] const auto n = ::write(fds[1], &byte, 1);
+  }
+
+  void drain() const {
+    char buf[256];
+    while (::read(fds[0], buf, sizeof buf) > 0) {
+    }
+  }
+};
+
+/// Writes all of `bytes`, waiting for POLLOUT if `fd` is nonblocking.
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + pos, bytes.size() - pos);
+    if (n > 0) {
+      pos += static_cast<std::size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd out{fd, POLLOUT, 0};
+      ::poll(&out, 1, -1);
+    } else if (n < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool serve_stream(Router& router, int in_fd, int out_fd,
+                  ProtocolSession::Options options) {
+  // A closed in_fd reads as EOF.  Checked before pipe(), which would
+  // otherwise hand out its number to the wake pipe.
+  bool input_open = ::fcntl(in_fd, F_GETFD) != -1;
+  const auto wake = std::make_shared<StreamWake>();
+  options.on_progress = [wake] { wake->notify(); };
+  const std::size_t read_cap = options.max_line_bytes + (std::size_t{1} << 16);
+  ProtocolSession session(router, std::move(options));
+  if (!input_open) session.finish_input();
+  char buf[1 << 16];
+  for (;;) {
+    const std::uint64_t seen = wake->generation.load(std::memory_order_acquire);
+    while (session.pump()) {
+    }
+    if (!write_all(out_fd, session.take_ready())) return false;
+    if (session.wants_close()) return true;
+    // A completion that landed since `seen` may have readied the front
+    // slot or freed room for the parked request: go round again at once.
+    // One landing after this check still wakes poll() through the pipe.
+    if (wake->generation.load(std::memory_order_acquire) != seen) continue;
+
+    const bool want_input = input_open && !session.input_paused() &&
+                            session.buffered_input() < read_cap;
+    pollfd fds[2] = {{wake->fds[0], POLLIN, 0}, {in_fd, POLLIN, 0}};
+    if (::poll(fds, want_input ? 2 : 1, -1) < 0) {
+      if (errno != EINTR && want_input) {
+        input_open = false;  // An unpollable input ends like EOF.
+        session.finish_input();
+      }
+      continue;
+    }
+    if (fds[0].revents != 0) wake->drain();
+    if (!want_input || fds[1].revents == 0) continue;
+    const ssize_t n = ::read(in_fd, buf, sizeof buf);
+    if (n > 0) {
+      session.feed({buf, static_cast<std::size_t>(n)});
+    } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+      input_open = false;  // EOF, or a read error treated as one.
+      session.finish_input();
+    }
+  }
 }
 
 // --- TcpServer --------------------------------------------------------------

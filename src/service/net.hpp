@@ -1,6 +1,7 @@
-// TCP transport of the evaluation service: the line protocol
-// (protocol.hpp) served over real sockets instead of stdin/stdout, so
-// thousands of concurrent clients can drive a sharded deployment.
+// Transports of the evaluation service: the one interpreter of the line
+// protocol (protocol.hpp) and the two front ends that feed it bytes — a
+// pair of file descriptors (stdin/stdout) and TCP sockets, so shells and
+// CI as well as thousands of concurrent clients drive the same code.
 //
 //   * ProtocolSession — the transport-agnostic per-connection state
 //     machine.  Bytes in, ordered response lines out: it splits lines,
@@ -10,13 +11,16 @@
 //     responses are written strictly in submission order no matter how
 //     the shard workers interleave (per-connection pipelining).  `stats`
 //     acts as a pipeline barrier — it renders only after every earlier
-//     request on the connection completed, reproducing the stdio front
-//     end's drain-then-print semantics, which is what makes a pipelined
-//     TCP session byte-identical to the checked-in stdio transcript.
-//     Completion callbacks run on shard worker threads and only touch the
-//     session's internal shared state, so a connection that disappears
-//     mid-request leaves the in-flight job to finish harmlessly against
-//     that state (no worker death, no leak).
+//     request on the connection completed, so its counters are a pure
+//     function of the script and a transcript is byte-stable whatever the
+//     transport or the worker timing.  Completion callbacks run on shard
+//     worker threads and only touch the session's internal shared state,
+//     so a connection that disappears mid-request leaves the in-flight job
+//     to finish harmlessly against that state (no worker death, no leak).
+//
+//   * serve_stream — one ProtocolSession over an input and an output file
+//     descriptor, woken by completions through poll(); asipfb_serve's
+//     stdio mode.
 //
 //   * TcpServer — a single epoll event loop (Linux only) that accepts
 //     connections and drives one ProtocolSession per connection.  It
@@ -111,6 +115,18 @@ class ProtocolSession {
   struct State;
   std::shared_ptr<State> state_;
 };
+
+/// Serves one ProtocolSession over a pair of file descriptors until it
+/// wants_close(): `quit`, EOF on `in_fd`, or a poisoned stream (oversized
+/// line).  Waits in poll() on `in_fd` plus a wake pipe that completions
+/// signal, so each response is written to `out_fd` as soon as it and every
+/// earlier one are ready, not when the next input line arrives.  Input is
+/// not read while the session pauses it (parked request, stats barrier,
+/// pipelining cap).  `options.on_progress` is replaced by serve_stream's own
+/// wake-up.  Returns false if writing `out_fd` failed, true otherwise;
+/// throws std::system_error if the wake pipe cannot be created.
+bool serve_stream(Router& router, int in_fd, int out_fd,
+                  ProtocolSession::Options options);
 
 /// Socket front end: one epoll event-loop thread accepts TCP connections
 /// and runs one ProtocolSession per connection against a shared (possibly

@@ -16,8 +16,8 @@
 //   comment  := blank line, or first non-space character '#'
 //
 // parse_command() throws std::invalid_argument with a human-readable
-// message on any malformed line; the front end turns that into an
-// {"ok": false, "error": ...} line instead of dying.  render_response()
+// message on any malformed line; ProtocolSession (net.hpp) turns that into
+// an {"ok": false, "error": ...} line instead of dying.  render_response()
 // emits deterministic fields only unless with_latency is set, so a
 // scripted session's output is byte-stable and diffable in CI.
 #pragma once

@@ -73,20 +73,15 @@ std::size_t Router::shard_for(std::string_view key) const {
   return (it == ring_.end() ? ring_.front() : *it).shard;
 }
 
-std::future<Response> Router::submit(Request request) {
-  Server& shard = *shards_[shard_for(request.workload)];
-  return shard.submit(std::move(request));
-}
-
-std::optional<std::future<Response>> Router::try_submit(Request request) {
-  Server& shard = *shards_[shard_for(request.workload)];
-  return shard.try_submit(std::move(request));
-}
-
 bool Router::try_submit_async(Request request,
                               std::function<void(Response)> done) {
   Server& shard = *shards_[shard_for(request.workload)];
   return shard.try_submit_async(std::move(request), std::move(done));
+}
+
+Response Router::call(Request request) {
+  Server& shard = *shards_[shard_for(request.workload)];
+  return shard.call(std::move(request));
 }
 
 unsigned Router::workers() const {
@@ -99,10 +94,9 @@ Stats Router::stats() const {
   Stats total;
   LatencyHistogram merged;
   for (const auto& shard : shards_) {
-    // One snapshot() per shard, not stats() + latency_histogram(): the
-    // counters and the histogram merged below come from the same pass, so
-    // the aggregate's quantiles/max cannot reflect completions the summed
-    // completed counter has not seen.
+    // One snapshot() per shard: the counters and the histogram merged
+    // below come from the same pass, so the aggregate's quantiles/max
+    // cannot reflect completions the summed completed counter has not seen.
     const Server::Snapshot snap = shard->snapshot();
     const Stats& s = snap.stats;
     total.submitted += s.submitted;

@@ -11,9 +11,9 @@
 // key and the shard count: independent of request order, thread timing,
 // and Router instance, which tests pin.
 //
-// The Router mirrors Server's submission surface (submit / try_submit /
-// submit_async / try_submit_async / call) by delegating to the owning
-// shard, and aggregates monitoring: stats() sums the counters and merges
+// The Router mirrors Server's two submission calls (try_submit_async for
+// the protocol front end, call for in-process callers) by delegating to
+// the owning shard, and aggregates monitoring: stats() sums the counters and merges
 // the shards' latency histograms before estimating quantiles, so p50/p99
 // are computed over the merged distribution rather than averaged
 // per-shard.  docs/SERVICE.md covers the sharding model in prose.
@@ -56,13 +56,11 @@ class Router {
   [[nodiscard]] std::size_t shard_for(std::string_view key) const;
 
   /// Submission mirrors Server's, routed by request.workload (the same
-  /// key inline sources bind to).  Blocking variants block on the owning
-  /// shard's queue only.
-  std::future<Response> submit(Request request);
-  std::optional<std::future<Response>> try_submit(Request request);
+  /// key inline sources bind to).  call() blocks on the owning shard's
+  /// queue only.
   [[nodiscard]] bool try_submit_async(Request request,
                                       std::function<void(Response)> done);
-  Response call(Request request) { return submit(std::move(request)).get(); }
+  Response call(Request request);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] Server& shard(std::size_t index) { return *shards_[index]; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -68,13 +69,15 @@ bool Server::enqueue(Job job, bool block) {
       not_full_.wait(lock, [this] {
         return stopping_ || queue_.size() < options_.queue_capacity;
       });
-      if (stopping_) {
-        throw std::runtime_error("service::Server is shut down");
-      }
-    } else if (stopping_ || queue_.size() >= options_.queue_capacity) {
+    }
+    if (stopping_) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
+      if (block) throw std::runtime_error("service::Server is shut down");
       return false;
     }
+    // Full (only reachable without `block`): backpressure the caller
+    // retries, so it is deliberately not counted as a rejection.
+    if (queue_.size() >= options_.queue_capacity) return false;
     queue_.push_back(std::move(job));
     // Under the lock: a worker can complete this job the instant the lock
     // drops, so bumping after release lets a stats() snapshot transiently
@@ -85,31 +88,29 @@ bool Server::enqueue(Job job, bool block) {
   return true;
 }
 
-std::future<Response> Server::submit(Request request) {
-  Job job;
-  job.request = std::move(request);
-  job.accepted = Clock::now();
-  std::future<Response> future = job.promise.get_future();
-  enqueue(std::move(job), /*block=*/true);
-  return future;
-}
-
-std::optional<std::future<Response>> Server::try_submit(Request request) {
-  Job job;
-  job.request = std::move(request);
-  job.accepted = Clock::now();
-  std::future<Response> future = job.promise.get_future();
-  if (!enqueue(std::move(job), /*block=*/false)) return std::nullopt;
-  return future;
-}
-
 bool Server::try_submit_async(Request request,
                               std::function<void(Response)> done) {
-  Job job;
-  job.request = std::move(request);
-  job.done = std::move(done);
-  job.accepted = Clock::now();
-  return enqueue(std::move(job), /*block=*/false);
+  return enqueue({std::move(request), std::move(done), Clock::now()},
+                 /*block=*/false);
+}
+
+Response Server::call(Request request) {
+  // The worker fills `result` and notifies under the lock, so this frame
+  // cannot unwind while the callback still touches it.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<Response> result;
+  enqueue({std::move(request),
+           [&](Response response) {
+             const std::lock_guard<std::mutex> lock(mu);
+             result = std::move(response);
+             cv.notify_one();
+           },
+           Clock::now()},
+          /*block=*/true);
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return result.has_value(); });
+  return std::move(*result);
 }
 
 void Server::worker_loop() {
@@ -146,11 +147,7 @@ void Server::worker_loop() {
     completed_by_kind_[static_cast<std::size_t>(job.request.kind)].fetch_add(
         1, std::memory_order_relaxed);
     if (!response.ok()) failed_.fetch_add(1, std::memory_order_relaxed);
-    if (job.done) {
-      job.done(std::move(response));  // Must not throw (contract).
-    } else {
-      job.promise.set_value(std::move(response));
-    }
+    job.done(std::move(response));  // Must not throw (contract).
   }
 }
 
@@ -160,7 +157,7 @@ void Server::shutdown() {
     if (stopping_ && threads_.empty()) return;  // Already shut down.
     stopping_ = true;
   }
-  // Wake every blocked submitter (they observe stopping_ and throw) and
+  // Wake every blocked caller (they observe stopping_ and throw) and
   // every idle worker (they drain the queue, then exit).
   not_full_.notify_all();
   not_empty_.notify_all();
@@ -181,16 +178,6 @@ void Server::record_latency(std::uint64_t ns) {
          !max_latency_ns_.compare_exchange_weak(seen, ns,
                                                 std::memory_order_relaxed)) {
   }
-}
-
-LatencyHistogram Server::latency_histogram() const {
-  LatencyHistogram h;
-  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    h.counts[b] = latency_ns_[b].load(std::memory_order_relaxed);
-    h.total += h.counts[b];
-  }
-  h.max_ns = max_latency_ns_.load(std::memory_order_relaxed);
-  return h;
 }
 
 Server::Snapshot Server::snapshot() const {
@@ -235,11 +222,16 @@ Server::Snapshot Server::snapshot() const {
 
   // Histogram after the completed counter: record_latency() precedes the
   // completed_ bump, so histogram.total >= stats.completed always holds.
-  snap.histogram = latency_histogram();
-  s.p50_latency_us = snap.histogram.quantile_us(0.50);
-  s.p99_latency_us = snap.histogram.quantile_us(0.99);
-  s.p999_latency_us = snap.histogram.quantile_us(0.999);
-  s.max_latency_us = static_cast<double>(snap.histogram.max_ns) / 1000.0;
+  LatencyHistogram& h = snap.histogram;
+  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    h.counts[b] = latency_ns_[b].load(std::memory_order_relaxed);
+    h.total += h.counts[b];
+  }
+  h.max_ns = max_latency_ns_.load(std::memory_order_relaxed);
+  s.p50_latency_us = h.quantile_us(0.50);
+  s.p99_latency_us = h.quantile_us(0.99);
+  s.p999_latency_us = h.quantile_us(0.999);
+  s.max_latency_us = static_cast<double>(h.max_ns) / 1000.0;
   return snap;
 }
 

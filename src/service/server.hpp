@@ -6,15 +6,15 @@
 // concurrent and repeated requests share prepared baselines and memoized
 // artifacts instead of recomputing them.  Contracts:
 //
-//   * Bounded queue with backpressure — submit() blocks while the queue
-//     holds `queue_capacity` jobs; try_submit() refuses immediately
-//     (counted in Stats::rejected) so callers can shed load instead.
+//   * Bounded queue with backpressure — call() blocks while the queue
+//     holds `queue_capacity` jobs; try_submit_async() refuses immediately
+//     so the protocol front end can park the request and retry it.
 //   * Per-request errors are latched into Response::error; a bad request
 //     (unknown workload, compile failure, option mismatch) never kills a
 //     worker or tears down the server.
 //   * Graceful shutdown — shutdown() stops accepting, drains every
-//     accepted job (each future receives its response), then joins the
-//     workers.  The destructor calls shutdown().
+//     accepted job (each completion callback receives its response), then
+//     joins the workers.  The destructor calls shutdown().
 //   * Determinism — responses depend only on the request (see
 //     service.hpp); the server adds no ordering sensitivity.
 //
@@ -32,10 +32,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -90,8 +88,11 @@ struct LatencyHistogram {
 
 /// Monitoring snapshot; all counters monotonic since construction.
 struct Stats {
-  std::uint64_t submitted = 0;  ///< Accepted by submit()/try_submit().
-  std::uint64_t rejected = 0;   ///< try_submit() refusals (queue full/stopped).
+  std::uint64_t submitted = 0;  ///< Accepted by call()/try_submit_async().
+  /// Submissions refused because the server was shut down.  A queue-full
+  /// refusal from try_submit_async() is backpressure, not a rejection:
+  /// the caller retries it, so counting it would make this timing-dependent.
+  std::uint64_t rejected = 0;
   std::uint64_t completed = 0;  ///< Responses delivered (ok or error).
   std::uint64_t failed = 0;     ///< Completed with nonempty error.
   std::array<std::uint64_t, kKindCount> completed_by_kind{};
@@ -142,33 +143,26 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Enqueues a request; blocks while the queue is at capacity.  The
-  /// future receives the Response (error responses included — it never
-  /// holds an exception).  Throws std::runtime_error after shutdown().
-  std::future<Response> submit(Request request);
-
-  /// As submit(), but refuses instead of blocking: nullopt when the queue
-  /// is full or the server is shut down (counted in Stats::rejected).
-  std::optional<std::future<Response>> try_submit(Request request);
-
-  /// Completion delivered by callback instead of future, refusing instead
-  /// of blocking: false when the queue is full or the server is shut down
-  /// (counted in Stats::rejected, `done` never invoked).  Otherwise the
+  /// Enqueues a request without blocking: false when the queue is full
+  /// (backpressure; retry later) or the server is shut down (counted in
+  /// Stats::rejected), and `done` is then never invoked.  Otherwise the
   /// worker thread invokes `done` with the Response after the job's
   /// counters are recorded; `done` must not throw and should be cheap (it
-  /// runs on the worker).  The TCP transport's path: its epoll loop is
-  /// woken by `done` without a future-polling thread, and parks a refused
-  /// request to retry on the next completion instead of stalling every
-  /// other connection.
+  /// runs on the worker).  The protocol front end's path: its event loop
+  /// is woken by `done`, and it parks a refused request to retry on the
+  /// next completion instead of stalling every other client.
   [[nodiscard]] bool try_submit_async(Request request,
                                       std::function<void(Response)> done);
 
-  /// submit() + wait: the synchronous convenience for CLI-style callers.
-  Response call(Request request) { return submit(std::move(request)).get(); }
+  /// Enqueues a request, blocking while the queue is at capacity, and
+  /// waits for its Response (error responses included).  The synchronous
+  /// path for in-process callers.  Throws std::runtime_error after
+  /// shutdown().
+  Response call(Request request);
 
   /// Stops accepting, drains every accepted job, joins the workers.
   /// Idempotent and safe to race with submitters (they get the
-  /// runtime_error / nullopt refusal).
+  /// runtime_error / false refusal).
   void shutdown();
 
   /// Counters plus the latency histogram they were derived from, read in
@@ -184,9 +178,6 @@ class Server {
   [[nodiscard]] Snapshot snapshot() const;
 
   [[nodiscard]] Stats stats() const;
-  /// Raw latency snapshot for quantile unit tests; aggregation should
-  /// prefer snapshot() for counter/histogram consistency.
-  [[nodiscard]] LatencyHistogram latency_histogram() const;
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] unsigned workers() const {
     return static_cast<unsigned>(threads_.size());
@@ -202,8 +193,7 @@ class Server {
 
   struct Job {
     Request request;
-    std::promise<Response> promise;            ///< Used when `done` is empty.
-    std::function<void(Response)> done;        ///< Callback delivery.
+    std::function<void(Response)> done;
     Clock::time_point accepted;
   };
 
@@ -233,7 +223,7 @@ class Server {
   std::atomic<std::uint64_t> failed_{0};
   std::array<std::atomic<std::uint64_t>, kKindCount> completed_by_kind_{};
 
-  /// Lock-free accept-to-complete histogram; stats() snapshots it into a
+  /// Lock-free accept-to-complete histogram; snapshot() copies it into a
   /// LatencyHistogram for quantile estimation (and Router merges shard
   /// snapshots the same way).
   std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets>

@@ -1,11 +1,12 @@
-// Contracts of the TCP transport (service::TcpServer's epoll loop +
-// ProtocolSession): a pipelined multi-request connection produces output
-// byte-identical to the stdio front end's transcript semantics; a client
-// that disconnects mid-request neither kills a shard worker nor wedges
-// the server; idle connections are reaped; `quit` and EOF close cleanly.
-// The ProtocolSession unit tests drive the session the way the epoll loop
-// does (nonblocking submission, parking, pump-on-progress).
-// This suite runs under the CI TSan leg.
+// Contracts of the transports (ProtocolSession, driven by TcpServer's
+// epoll loop and by serve_stream over file descriptors): a pipelined
+// multi-request connection produces the serial transcript byte for byte;
+// a client that disconnects mid-request neither kills a shard worker nor
+// wedges the server; idle connections are reaped; `quit` and EOF close
+// cleanly.  The ProtocolSession unit tests drive the session the way the
+// epoll loop does (nonblocking submission, parking, pump-on-progress);
+// the serve_stream tests drive it over pipe()s, as asipfb_serve does over
+// stdin/stdout.  This suite runs under the CI TSan leg.
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
@@ -15,13 +16,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstring>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/router.hpp"
@@ -111,7 +117,7 @@ std::chrono::steady_clock::time_point in_30s() {
 
 // --- Byte identity -----------------------------------------------------------
 
-/// The stdio transcript semantics, computed serially: responses in
+/// The transcript semantics, computed serially: responses in
 /// submission order, `source` acked after its block, parse errors as
 /// rendered error lines, `stats` reflecting all earlier requests, `ping`
 /// reporting total workers.
@@ -341,8 +347,8 @@ TEST(ServiceNet, TcpServerRequiresLinux) {
 
 TEST(ServiceNet, ProtocolSessionStatsBarrierWaitsForPipeline) {
   // Drive the session directly: a stats line queued behind requests must
-  // not render until the requests complete (the stdio drain-then-print
-  // parity that keeps TCP byte-identical).
+  // not render until the requests complete, so its counters depend on the
+  // script alone.
   Router router(four_shards());
   ProtocolSession session(router, {});
   session.feed("1 detect fir level=O1\n2 detect edge level=O1\nstats\nquit\n");
@@ -457,6 +463,215 @@ TEST(ServiceNet, ProtocolSessionOversizedLinePoisonsConnection) {
   session.feed(std::string(1000, 'x'));
   const std::string out = drive_to_close(session, in_30s());
   EXPECT_NE(out.find("exceeds 64 bytes"), std::string::npos) << out;
+
+  // A terminated line over the cap is refused the same way, and nothing
+  // after it is served.
+  ProtocolSession terminated(router, options);
+  terminated.feed("ping\n" + std::string(65, 'x') + "\nping\n");
+  EXPECT_EQ(drive_to_close(terminated, in_30s()),
+            "{\"pong\": true, \"workers\": 4}\n" +
+                render_error("protocol line exceeds 64 bytes") + "\n");
+}
+
+// --- serve_stream over pipes -------------------------------------------------
+
+/// serve_stream on a background thread between two pipes, as asipfb_serve
+/// runs it on stdin/stdout.  When serve_stream returns, the thread closes
+/// the output's write end (readers see EOF) and the input's read end (a
+/// blocked writer gets EPIPE instead of hanging).
+class StreamHarness {
+ public:
+  explicit StreamHarness(Router& router) {
+    std::signal(SIGPIPE, SIG_IGN);  // Writes after serve_stream quit: EPIPE.
+    EXPECT_EQ(::pipe(in_), 0);
+    EXPECT_EQ(::pipe(out_), 0);
+    serving_ = std::thread([this, &router] {
+      const bool ok = serve_stream(router, in_[0], out_[1], {});
+      ::close(out_[1]);
+      ::close(in_[0]);
+      returned_.set_value(ok);
+    });
+  }
+
+  ~StreamHarness() {
+    // The writer ends once its bytes are in the pipe or serve_stream has
+    // closed the read end; only then is the write end closed under it.
+    if (writer_.joinable()) writer_.join();
+    close_input();
+    serving_.join();
+    ::close(out_[0]);
+  }
+
+  StreamHarness(const StreamHarness&) = delete;
+  StreamHarness& operator=(const StreamHarness&) = delete;
+
+  /// Writes `bytes` from a helper thread, so input larger than the pipe
+  /// buffer cannot deadlock the test; stops at the first failed write.
+  void write_async(std::string bytes) {
+    writer_ = std::thread([fd = in_[1], bytes = std::move(bytes)] {
+      std::size_t pos = 0;
+      while (pos < bytes.size()) {
+        const ssize_t n = ::write(fd, bytes.data() + pos, bytes.size() - pos);
+        if (n <= 0) return;
+        pos += static_cast<std::size_t>(n);
+      }
+    });
+  }
+
+  void write(const std::string& bytes) {
+    write_async(bytes);
+    writer_.join();
+  }
+
+  void close_input() {
+    if (in_[1] >= 0) ::close(in_[1]);
+    in_[1] = -1;
+  }
+
+  /// The next output line (with its '\n'); empty if none arrives in 30 s.
+  std::string read_line() {
+    std::string line;
+    char c = 0;
+    while (line.empty() || line.back() != '\n') {
+      pollfd p{out_[0], POLLIN, 0};
+      if (::poll(&p, 1, 30000) != 1 || ::read(out_[0], &c, 1) != 1) break;
+      line += c;
+    }
+    return line;
+  }
+
+  /// Everything written until serve_stream closes its output; fails the
+  /// test if that takes longer than 30 s.
+  std::string read_to_eof() {
+    std::string out;
+    char buf[4096];
+    for (;;) {
+      pollfd p{out_[0], POLLIN, 0};
+      if (::poll(&p, 1, 30000) != 1) {
+        ADD_FAILURE() << "serve_stream never closed its output; got: " << out;
+        return out;
+      }
+      const ssize_t n = ::read(out_[0], buf, sizeof buf);
+      if (n <= 0) return out;
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// serve_stream's result, once it has returned.
+  std::future<bool>& returned() { return result_; }
+
+ private:
+  int in_[2] = {-1, -1};
+  int out_[2] = {-1, -1};
+  std::promise<bool> returned_;
+  std::future<bool> result_ = returned_.get_future();
+  std::thread serving_;
+  std::thread writer_;
+};
+
+TEST(ServiceNet, StreamWritesResponseBeforeNextInputLine) {
+  Router router(four_shards());
+  StreamHarness stream(router);
+  stream.write("1 compile fir level=O1\n");
+  // No further input: the response must arrive on a completion alone.
+  const std::string line = stream.read_line();
+  EXPECT_EQ(line.rfind("{\"id\": 1, \"kind\": \"compile\"", 0), 0u) << line;
+  EXPECT_NE(line.find("\"ok\": true"), std::string::npos) << line;
+  stream.write("quit\n");
+  EXPECT_EQ(stream.read_to_eof(), "");
+  EXPECT_TRUE(stream.returned().get());
+}
+
+TEST(ServiceNet, StreamEofInsideSourceBlockRendersError) {
+  Router router(four_shards());
+  StreamHarness stream(router);
+  stream.write("ping\nsource broken 5\nonly one line\n");
+  stream.close_input();
+  EXPECT_EQ(stream.read_to_eof(),
+            "{\"pong\": true, \"workers\": 4}\n" +
+                render_error("EOF inside source block 'broken'") + "\n");
+  EXPECT_TRUE(stream.returned().get());
+}
+
+TEST(ServiceNet, StreamReturnsAfterQuitWhileInputStaysOpen) {
+  Router router(four_shards());
+  StreamHarness stream(router);
+  // Input after quit is discarded, and the input pipe is never closed.
+  stream.write("ping\nquit\n1 compile fir level=O1\n");
+  EXPECT_EQ(stream.read_to_eof(), "{\"pong\": true, \"workers\": 4}\n");
+  ASSERT_EQ(stream.returned().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(stream.returned().get());
+}
+
+TEST(ServiceNet, StreamServesFinalLineWithoutNewline) {
+  Router router(four_shards());
+  StreamHarness stream(router);
+  stream.write("ping\n1 compile fir level=O1");
+  stream.close_input();
+  pipeline::SessionPool pool;
+  EXPECT_EQ(stream.read_to_eof(),
+            "{\"pong\": true, \"workers\": 4}\n" +
+                render_response(
+                    evaluate(make_request(1, Kind::kCompile, "fir"), pool)) +
+                "\n");
+  EXPECT_TRUE(stream.returned().get());
+}
+
+TEST(ServiceNet, StreamLineOverCapIsAnErrorAndCloses) {
+  Router router(four_shards());
+  StreamHarness stream(router);
+  // 2 MiB, over the default 1 MiB cap; the ping after it is never read.
+  stream.write_async(std::string(2u << 20, 'x') + "\nping\n");
+  EXPECT_EQ(stream.read_to_eof(),
+            render_error("protocol line exceeds 1048576 bytes") + "\n");
+  EXPECT_TRUE(stream.returned().get());
+}
+
+TEST(ServiceNet, StreamAtQueueOneKeepsOrderAndStableStats) {
+  // One worker behind a one-slot queue: nearly every submission is
+  // refused and parked, and parking must neither reorder responses nor
+  // leak into the stats line.  Three fresh deployments must produce the
+  // same bytes.
+  std::string script;
+  const char* const kinds[] = {"compile fir", "detect fir", "coverage fir",
+                               "detect edge"};
+  constexpr int kRequests = 400;
+  for (int i = 1; i <= kRequests; ++i) {
+    script += std::to_string(i) + " " + kinds[i % 4] + " level=O1\n";
+  }
+  script += "stats\nquit\n";
+
+  std::vector<std::string> transcripts;
+  for (int run = 0; run < 3; ++run) {
+    RouterOptions options;
+    options.shards = 1;
+    options.server.workers = 1;
+    options.server.queue_capacity = 1;
+    Router router(options);
+    StreamHarness stream(router);
+    stream.write_async(script);
+    transcripts.push_back(stream.read_to_eof());
+    EXPECT_TRUE(stream.returned().get());
+  }
+
+  const std::string& out = transcripts.front();
+  std::size_t pos = 0;
+  for (int i = 1; i <= kRequests; ++i) {
+    const std::string prefix = "{\"id\": " + std::to_string(i) + ",";
+    ASSERT_EQ(out.compare(pos, prefix.size(), prefix), 0)
+        << "response " << i << " out of order at byte " << pos;
+    pos = out.find('\n', pos) + 1;
+  }
+  const std::string stats_line = out.substr(pos);
+  EXPECT_EQ(stats_line.rfind("{\"stats\": true, \"submitted\": 400, "
+                             "\"completed\": 400, \"failed\": 0, "
+                             "\"rejected\": 0, ",
+                             0),
+            0u)
+      << stats_line;
+  EXPECT_EQ(transcripts[1], transcripts[0]);
+  EXPECT_EQ(transcripts[2], transcripts[0]);
 }
 
 }  // namespace

@@ -97,14 +97,9 @@ TEST(ServiceRouter, WorkloadStaysOnOneShard) {
 
 TEST(ServiceRouter, SubmissionSurfaceMatchesServer) {
   Router router(small_router(2, 2));
-  auto f = router.submit(make_request(1, Kind::kDetection, "fir"));
-  ASSERT_TRUE(f.get().ok());
+  ASSERT_TRUE(router.call(make_request(1, Kind::kDetection, "fir")).ok());
 
-  auto maybe = router.try_submit(make_request(2, Kind::kDetection, "edge"));
-  ASSERT_TRUE(maybe.has_value());
-  ASSERT_TRUE(maybe->get().ok());
-
-  // A callback-delivered result renders exactly like the future-based one.
+  // A callback-delivered result renders exactly like the blocking call's.
   std::promise<Response> delivered;
   ASSERT_TRUE(router.try_submit_async(
       make_request(3, Kind::kCoverage, "fir"),
@@ -218,8 +213,11 @@ TEST(ServiceRouter, ShutdownStopsEveryShard) {
   Router router(small_router(2));
   ASSERT_TRUE(router.call(make_request(1, Kind::kDetection, "fir")).ok());
   router.shutdown();
-  EXPECT_THROW((void)router.submit(make_request(2, Kind::kDetection, "fir")),
+  EXPECT_THROW((void)router.call(make_request(2, Kind::kDetection, "fir")),
                std::runtime_error);
+  EXPECT_FALSE(router.try_submit_async(make_request(3, Kind::kDetection, "edge"),
+                                       [](Response) { FAIL(); }));
+  EXPECT_EQ(router.stats().rejected, 2u);
   router.shutdown();  // Idempotent.
 }
 

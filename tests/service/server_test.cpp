@@ -185,8 +185,10 @@ TEST(ServiceServer, ConcurrentResultsBitIdenticalToSerial) {
   }
 
   // Concurrent: several client threads share one server; every client
-  // submits an interleaved slice.  Responses must render byte-identically
-  // to the serial reference (render_response excludes latency).
+  // pipelines an interleaved slice through try_submit_async (retrying on
+  // backpressure) and collects the callbacks.  Responses must render
+  // byte-identically to the serial reference (render_response excludes
+  // latency).
   ServerOptions options;
   options.workers = 8;
   Server server(options);
@@ -196,15 +198,21 @@ TEST(ServiceServer, ConcurrentResultsBitIdenticalToSerial) {
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      std::vector<std::future<Response>> inflight;
-      std::vector<std::uint64_t> ids;
+      std::mutex mu;
+      std::condition_variable cv;
+      std::size_t expected_count = 0;
       for (std::size_t i = c; i < requests.size(); i += kClients) {
-        ids.push_back(requests[i].id);
-        inflight.push_back(server.submit(requests[i]));
+        ++expected_count;
+        while (!server.try_submit_async(requests[i], [&, c](Response r) {
+          const std::lock_guard<std::mutex> lock(mu);
+          got[c][r.id] = render_response(r);
+          cv.notify_one();
+        })) {
+          std::this_thread::yield();
+        }
       }
-      for (std::size_t i = 0; i < inflight.size(); ++i) {
-        got[c][ids[i]] = render_response(inflight[i].get());
-      }
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return got[c].size() == expected_count; });
     });
   }
   for (auto& t : clients) t.join();
@@ -291,25 +299,32 @@ TEST(ServiceServer, BoundedQueueBackpressure) {
   };
   Server server(options);
 
-  auto f1 = server.submit(make_request(1, Kind::kDetection, "fir"));
+  std::promise<Response> r1;
+  std::promise<Response> r2;
+  ASSERT_TRUE(server.try_submit_async(
+      make_request(1, Kind::kDetection, "fir"),
+      [&](Response r) { r1.set_value(std::move(r)); }));
   while (started.load() == 0) std::this_thread::yield();  // Worker inside job 1.
-  auto f2 = server.submit(make_request(2, Kind::kDetection, "fir"));
+  ASSERT_TRUE(server.try_submit_async(
+      make_request(2, Kind::kDetection, "fir"),
+      [&](Response r) { r2.set_value(std::move(r)); }));
 
-  // Queue is now full: try_submit must refuse immediately.
-  auto rejected = server.try_submit(make_request(3, Kind::kDetection, "fir"));
-  EXPECT_FALSE(rejected.has_value());
-  EXPECT_EQ(server.stats().rejected, 1u);
+  // Queue is now full: try_submit_async must refuse immediately.  That is
+  // backpressure the caller retries, not a rejection.
+  EXPECT_FALSE(server.try_submit_async(make_request(3, Kind::kDetection, "fir"),
+                                       [](Response) { FAIL(); }));
+  EXPECT_EQ(server.stats().rejected, 0u);
   EXPECT_EQ(server.queue_depth(), 1u);
 
-  // A blocking submit must wait for space, then go through.
+  // A blocking call must wait for space, then go through.
   std::atomic<bool> submitted{false};
   std::thread blocked([&] {
-    auto f4 = server.submit(make_request(4, Kind::kDetection, "fir"));
+    const Response r4 = server.call(make_request(4, Kind::kDetection, "fir"));
     submitted.store(true);
-    EXPECT_TRUE(f4.get().ok());
+    EXPECT_TRUE(r4.ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(submitted.load()) << "submit must block while the queue is full";
+  EXPECT_FALSE(submitted.load()) << "call must block while the queue is full";
 
   {
     const std::lock_guard<std::mutex> lock(mu);
@@ -318,12 +333,12 @@ TEST(ServiceServer, BoundedQueueBackpressure) {
   cv.notify_all();
   blocked.join();
   EXPECT_TRUE(submitted.load());
-  EXPECT_TRUE(f1.get().ok());
-  EXPECT_TRUE(f2.get().ok());
+  EXPECT_TRUE(r1.get_future().get().ok());
+  EXPECT_TRUE(r2.get_future().get().ok());
 
   const Stats stats = server.stats();
   EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
 }
 
 // --- Shutdown ---------------------------------------------------------------
@@ -332,27 +347,37 @@ TEST(ServiceServer, ShutdownDrainsAcceptedWork) {
   ServerOptions options;
   options.workers = 2;
   Server server(options);
-  std::vector<std::future<Response>> inflight;
   constexpr int kJobs = 12;
+  std::mutex mu;
+  std::vector<Response> delivered;
   for (int i = 0; i < kJobs; ++i) {
-    inflight.push_back(server.submit(
+    ASSERT_TRUE(server.try_submit_async(
         make_request(static_cast<std::uint64_t>(i + 1), Kind::kDetection,
                      wl::suite()[static_cast<std::size_t>(i) %
                                  wl::suite().size()]
-                         .name)));
+                         .name),
+        [&](Response r) {
+          const std::lock_guard<std::mutex> lock(mu);
+          delivered.push_back(std::move(r));
+        }));
   }
   server.shutdown();
-  for (auto& f : inflight) {
-    EXPECT_TRUE(f.get().ok()) << "accepted job must complete before shutdown";
-  }
-  const Stats stats = server.stats();
+  ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kJobs))
+      << "accepted jobs must complete before shutdown returns";
+  for (const Response& r : delivered) EXPECT_TRUE(r.ok()) << r.error;
+  Stats stats = server.stats();
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kJobs));
   EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
 
-  EXPECT_THROW(server.submit(make_request(99, Kind::kCompile, "fir")),
+  // Refusals after shutdown are the only rejections.
+  EXPECT_THROW(server.call(make_request(99, Kind::kCompile, "fir")),
                std::runtime_error);
-  EXPECT_FALSE(server.try_submit(make_request(99, Kind::kCompile, "fir"))
-                   .has_value());
+  EXPECT_FALSE(server.try_submit_async(make_request(99, Kind::kCompile, "fir"),
+                                       [](Response) { FAIL(); }));
+  stats = server.stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kJobs));
   server.shutdown();  // Idempotent.
 }
 
@@ -434,8 +459,8 @@ TEST(ServiceServer, AsyncSubmissionDeliversCallback) {
   EXPECT_EQ(response.id, 1u);
   EXPECT_GT(response.latency_us, 0.0);
 
-  // The callback-based result must render identically to the future-based
-  // one (same evaluation, same pool).
+  // The callback-based result must render identically to the blocking
+  // call's (same evaluation, same pool).
   EXPECT_EQ(render_response(response),
             render_response(server.call(make_request(1, Kind::kDetection,
                                                      "fir"))));
@@ -456,7 +481,10 @@ TEST(ServiceServer, TryAsyncRefusesWhenFull) {
   };
   Server server(options);
 
-  auto f1 = server.submit(make_request(1, Kind::kDetection, "fir"));
+  std::promise<Response> first;
+  ASSERT_TRUE(server.try_submit_async(
+      make_request(1, Kind::kDetection, "fir"),
+      [&](Response r) { first.set_value(std::move(r)); }));
   while (started.load() == 0) std::this_thread::yield();
   std::promise<Response> second;
   ASSERT_TRUE(server.try_submit_async(
@@ -465,14 +493,15 @@ TEST(ServiceServer, TryAsyncRefusesWhenFull) {
   EXPECT_FALSE(server.try_submit_async(make_request(3, Kind::kDetection, "fir"),
                                        [](Response) { FAIL(); }))
       << "full queue must refuse without invoking the callback";
-  EXPECT_EQ(server.stats().rejected, 1u);
+  // Backpressure, not a rejection: the caller parks and retries it.
+  EXPECT_EQ(server.stats().rejected, 0u);
 
   {
     const std::lock_guard<std::mutex> lock(mu);
     release = true;
   }
   cv.notify_all();
-  EXPECT_TRUE(f1.get().ok());
+  EXPECT_TRUE(first.get_future().get().ok());
   EXPECT_TRUE(second.get_future().get().ok());
 }
 
@@ -498,8 +527,7 @@ TEST(ServiceServer, SubmittedNeverBelowCompletedUnderStorm) {
     if (t % 2 == 0) {
       threads.emplace_back([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-          auto f = server.try_submit(request);
-          if (f.has_value()) (void)f->get();
+          (void)server.call(request);
         }
       });
     } else {

@@ -10,11 +10,13 @@ exit code 0 (graceful drain + shutdown).
 
 Usage:
     serve_tcp_smoke.py <asipfb_serve-binary> <demo-script> <expected> \
-        [--shards N] [--workers N]
+        [--shards N] [--workers N] [--queue N]
 
 The default --workers 1 --shards 4 deployment exposes the sharded router
 while keeping the ping line's worker count (4) identical to the stdio
-smoke's single 4-worker server.
+smoke's single 4-worker server.  --queue passes the per-shard queue
+capacity through, so a stdio transcript taken at the same capacity can
+be the expected file.
 """
 
 import argparse
@@ -67,6 +69,7 @@ def main() -> int:
     parser.add_argument("expected", type=pathlib.Path)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--queue", type=int)
     args = parser.parse_args()
 
     script = args.script.read_bytes()
@@ -78,6 +81,8 @@ def main() -> int:
             str(args.server), "--tcp", "0", "--workers", str(args.workers),
             "--shards", str(args.shards), "--port-file", str(port_file),
         ]
+        if args.queue is not None:
+            cmd += ["--queue", str(args.queue)]
         proc = subprocess.Popen(cmd)
         try:
             port = wait_for_port_file(port_file, proc)
