@@ -2,52 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <utility>
 
 namespace asipfb::chain {
-
-namespace {
-
-using OpKey = OpRef;
-
-/// Enumerates every path of length [min,max] avoiding covered ops and
-/// invokes `fn(path_node_indices, weight)` for each.
-template <typename Callback>
-void for_each_path(const RegionGraph& region, const std::set<OpKey>& covered,
-                   const CoverageOptions& options, const Callback& fn) {
-  std::vector<std::size_t> path;
-  auto covered_node = [&](std::size_t node) {
-    return covered.count({region.func, region.nodes[node].instr_id}) != 0;
-  };
-
-  const auto extend = [&](const auto& self, std::size_t node,
-                          std::uint64_t weight_so_far) -> void {
-    const std::uint64_t weight =
-        std::min(weight_so_far, region.nodes[node].exec_count);
-    if (weight == 0) return;
-    path.push_back(node);
-    if (path.size() >= static_cast<std::size_t>(options.min_length)) {
-      fn(path, weight);
-    }
-    if (path.size() < static_cast<std::size_t>(options.max_length)) {
-      for (std::size_t succ : region.succs[node]) {
-        if (options.require_adjacency &&
-            region.nodes[succ].adjacent_pred != node) {
-          continue;
-        }
-        if (!covered_node(succ)) self(self, succ, weight);
-      }
-    }
-    path.pop_back();
-  };
-
-  for (std::size_t start = 0; start < region.nodes.size(); ++start) {
-    if (!covered_node(start)) extend(extend, start, UINT64_MAX);
-  }
-}
-
-}  // namespace
 
 CoverageResult coverage_analysis(const ir::Module& module,
                                  const CoverageOptions& options,
@@ -58,110 +15,113 @@ CoverageResult coverage_analysis(const ir::Module& module,
   if (result.total_cycles == 0) return result;
 
   const auto regions = build_region_graphs(module);
-  std::set<OpKey> covered;
+  PathBounds bounds;
+  bounds.min_length = options.min_length;
+  bounds.max_length = options.max_length;
+  bounds.require_adjacency = options.require_adjacency;
+
+  // form_traces puts every block in exactly one trace, so each operation is
+  // exactly one (region, node): flags at base[region] + node stand for it.
+  std::vector<std::size_t> base(regions.size() + 1, 0);
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    base[r + 1] = base[r] + regions[r].nodes.size();
+  }
+  std::vector<char> covered(base.back(), 0);
+  std::vector<char> taken;
 
   auto frequency = [&](std::uint64_t cycles) {
     return 100.0 * static_cast<double>(cycles) /
            static_cast<double>(result.total_cycles);
   };
 
+  struct Occurrence {
+    std::uint64_t weight;
+    std::size_t region;
+    std::vector<std::size_t> path;
+  };
+  struct Group {
+    std::uint64_t cycles = 0;  ///< Aggregate over overlapping occurrences.
+    std::vector<Occurrence> occurrences;  ///< In walk order.
+  };
+
   for (int round = 0; round < options.max_rounds; ++round) {
-    // Phase 1: aggregate remaining frequency per signature.
-    std::map<Signature, std::uint64_t> aggregate;
-    for (const auto& region : regions) {
-      for_each_path(region, covered, options,
+    // Phase 1: one walk over the uncovered paths, grouped by signature.
+    std::map<Signature, Group> groups;
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      const auto open = [&](std::size_t node) {
+        return covered[base[r] + node] == 0;
+      };
+      for_each_path(regions[r], bounds, open,
                     [&](const std::vector<std::size_t>& path, std::uint64_t weight) {
-                      Signature sig;
-                      sig.classes.reserve(path.size());
-                      for (std::size_t node : path) {
-                        sig.classes.push_back(region.nodes[node].chain_class);
-                      }
-                      aggregate[sig] +=
-                          weight * static_cast<std::uint64_t>(path.size());
+                      auto& group = groups[signature_of(regions[r], path)];
+                      group.cycles += weight * path.size();
+                      group.occurrences.push_back({weight, r, path});
+                      return true;
                     });
     }
-    if (aggregate.empty()) break;
+    if (groups.empty()) break;
 
-    // Candidates in descending aggregate order.
-    std::vector<std::pair<std::uint64_t, Signature>> candidates;
-    candidates.reserve(aggregate.size());
-    for (auto& [sig, cycles] : aggregate) candidates.emplace_back(cycles, sig);
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+    // Candidates in descending aggregate order; ties keep signature order.
+    std::vector<std::pair<const Signature, Group>*> candidates;
+    candidates.reserve(groups.size());
+    for (auto& entry : groups) candidates.push_back(&entry);
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const auto* a, const auto* b) {
+                       return a->second.cycles > b->second.cycles;
+                     });
 
     // Phase 2: realize (greedy non-overlapping matching) each of the top
     // aggregate candidates and commit the one with the highest realized
     // coverage.  Aggregate frequencies over-count overlapping paths of long
     // signatures, so ranking must use realized values.
     struct Realization {
-      Signature signature;
-      std::set<OpKey> taken;
-      std::vector<std::vector<OpKey>> matches;
+      const Signature* signature = nullptr;
+      std::vector<const Occurrence*> matches;
       std::uint64_t cycles = 0;
-      std::size_t occurrences = 0;
     };
     Realization best;
     const std::size_t candidate_limit = 16;
     for (std::size_t ci = 0; ci < candidates.size() && ci < candidate_limit; ++ci) {
-      const auto& [agg_cycles, sig] = candidates[ci];
-      if (frequency(agg_cycles) < options.floor_percent) break;
-      if (agg_cycles <= best.cycles) break;  // Aggregate bounds realized.
+      auto& [sig, group] = *candidates[ci];
+      if (frequency(group.cycles) < options.floor_percent) break;
+      if (group.cycles <= best.cycles) break;  // Aggregate bounds realized.
 
-      struct Occurrence {
-        std::uint64_t weight;
-        std::vector<OpKey> ops;
-      };
-      std::vector<Occurrence> occurrences;
-      for (const auto& region : regions) {
-        for_each_path(
-            region, covered, options,
-            [&](const std::vector<std::size_t>& path, std::uint64_t weight) {
-              if (path.size() != sig.classes.size()) return;
-              for (std::size_t k = 0; k < path.size(); ++k) {
-                if (region.nodes[path[k]].chain_class != sig.classes[k]) return;
-              }
-              Occurrence occ;
-              occ.weight = weight;
-              occ.ops.reserve(path.size());
-              for (std::size_t node : path) {
-                occ.ops.emplace_back(region.func, region.nodes[node].instr_id);
-              }
-              occurrences.push_back(std::move(occ));
-            });
-      }
-      std::stable_sort(occurrences.begin(), occurrences.end(),
+      std::stable_sort(group.occurrences.begin(), group.occurrences.end(),
                        [](const Occurrence& a, const Occurrence& b) {
                          return a.weight > b.weight;
                        });
-
+      taken.assign(covered.size(), 0);
       Realization r;
-      r.signature = sig;
-      for (const auto& occ : occurrences) {
-        bool disjoint = true;
-        for (const OpKey& op : occ.ops) {
-          if (r.taken.count(op) != 0) disjoint = false;
+      r.signature = &sig;
+      for (const Occurrence& occ : group.occurrences) {
+        const std::size_t b = base[occ.region];
+        if (std::any_of(occ.path.begin(), occ.path.end(),
+                        [&](std::size_t node) { return taken[b + node] != 0; })) {
+          continue;
         }
-        if (!disjoint) continue;
-        for (const OpKey& op : occ.ops) r.taken.insert(op);
-        r.matches.push_back(occ.ops);
-        r.cycles += occ.weight * occ.ops.size();
-        ++r.occurrences;
+        for (std::size_t node : occ.path) taken[b + node] = 1;
+        r.matches.push_back(&occ);
+        r.cycles += occ.weight * occ.path.size();
       }
       if (r.cycles > best.cycles) best = std::move(r);
     }
 
     if (frequency(best.cycles) < options.floor_percent) break;
 
-    covered.insert(best.taken.begin(), best.taken.end());
     CoverageStep step;
-    step.signature = best.signature;
+    step.signature = *best.signature;
     step.cycles = best.cycles;
     step.frequency = frequency(best.cycles);
-    step.occurrences_taken = best.occurrences;
-    step.matches = std::move(best.matches);
+    step.occurrences_taken = best.matches.size();
+    for (const Occurrence* occ : best.matches) {
+      const RegionGraph& region = regions[occ->region];
+      auto& ops = step.matches.emplace_back();
+      ops.reserve(occ->path.size());
+      for (std::size_t node : occ->path) {
+        covered[base[occ->region] + node] = 1;
+        ops.emplace_back(region.func, region.nodes[node].instr_id);
+      }
+    }
     result.total_coverage += step.frequency;
     result.steps.push_back(std::move(step));
   }

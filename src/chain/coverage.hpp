@@ -6,6 +6,10 @@
 // one chained instruction), and continue until no signature achieves the
 // significance floor.  Total coverage is the percentage of dynamic
 // operation-cycles covered by the selected chained instructions.
+//
+// Each round walks the uncovered paths once, with the for_each_path that
+// detection uses, and groups the occurrences by signature; the top
+// candidates are realized from those groups without walking again.
 #pragma once
 
 #include <cstdint>

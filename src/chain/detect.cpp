@@ -4,75 +4,6 @@
 
 namespace asipfb::chain {
 
-namespace {
-
-/// Depth-first path enumeration with the branch-and-bound cutoff.
-class PathSearch {
-public:
-  PathSearch(const RegionGraph& region, const DetectorOptions& options,
-             std::uint64_t prune_cycles, std::map<Signature, SequenceStat>& stats,
-             std::size_t& paths)
-      : region_(region), options_(options), prune_cycles_(prune_cycles),
-        stats_(stats), paths_(paths) {}
-
-  void run() {
-    for (std::size_t start = 0; start < region_.nodes.size(); ++start) {
-      path_.clear();
-      extend(start, UINT64_MAX);
-      if (paths_ >= options_.max_occurrences) return;
-    }
-  }
-
-private:
-  void extend(std::size_t node, std::uint64_t weight_so_far) {
-    const auto& n = region_.nodes[node];
-    const std::uint64_t weight = std::min(weight_so_far, n.exec_count);
-    // Bound: the best any extension of this path can contribute is
-    // weight * max_length cycles.  Prune when that is already too small.
-    if (weight * static_cast<std::uint64_t>(options_.max_length) < prune_cycles_) {
-      return;
-    }
-    path_.push_back(node);
-    if (path_.size() >= static_cast<std::size_t>(options_.min_length)) {
-      record(weight);
-    }
-    if (path_.size() < static_cast<std::size_t>(options_.max_length) &&
-        paths_ < options_.max_occurrences) {
-      for (std::size_t succ : region_.succs[node]) {
-        if (options_.require_adjacency &&
-            region_.nodes[succ].adjacent_pred != node) {
-          continue;
-        }
-        extend(succ, weight);
-      }
-    }
-    path_.pop_back();
-  }
-
-  void record(std::uint64_t weight) {
-    if (weight == 0 || paths_ >= options_.max_occurrences) return;
-    Signature sig;
-    sig.classes.reserve(path_.size());
-    for (std::size_t node : path_) {
-      sig.classes.push_back(region_.nodes[node].chain_class);
-    }
-    auto& stat = stats_[sig];
-    stat.signature = std::move(sig);
-    stat.cycles += weight * static_cast<std::uint64_t>(path_.size());
-    ++stat.occurrences;
-    ++paths_;
-  }
-
-  const RegionGraph& region_;
-  const DetectorOptions& options_;
-  const std::uint64_t prune_cycles_;
-  std::map<Signature, SequenceStat>& stats_;
-  std::size_t& paths_;
-  std::vector<std::size_t> path_;
-};
-
-}  // namespace
-
 double DetectionResult::frequency_of(const Signature& sig) const {
   for (const auto& stat : sequences) {
     if (stat.signature == sig) return stat.frequency;
@@ -89,18 +20,28 @@ DetectionResult detect_sequences(const ir::Module& module,
   const auto regions = build_region_graphs(module);
   result.regions = regions.size();
 
-  const auto prune_cycles = static_cast<std::uint64_t>(
+  PathBounds bounds;
+  bounds.min_length = options.min_length;
+  bounds.max_length = options.max_length;
+  bounds.require_adjacency = options.require_adjacency;
+  bounds.prune_cycles = static_cast<std::uint64_t>(
       options.prune_percent / 100.0 * static_cast<double>(result.total_cycles));
 
   std::map<Signature, SequenceStat> stats;
   for (const auto& region : regions) {
-    PathSearch(region, options, prune_cycles, stats, result.paths).run();
     if (result.paths >= options.max_occurrences) break;
+    for_each_path(region, bounds, [](std::size_t) { return true; },
+                  [&](const std::vector<std::size_t>& path, std::uint64_t weight) {
+                    auto& stat = stats[signature_of(region, path)];
+                    stat.cycles += weight * static_cast<std::uint64_t>(path.size());
+                    ++stat.occurrences;
+                    return ++result.paths < options.max_occurrences;
+                  });
   }
 
   result.sequences.reserve(stats.size());
   for (auto& [sig, stat] : stats) {
-    (void)sig;
+    stat.signature = sig;
     stat.frequency = result.total_cycles == 0
                          ? 0.0
                          : 100.0 * static_cast<double>(stat.cycles) /

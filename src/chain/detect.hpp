@@ -1,7 +1,8 @@
 // Chainable-sequence detection (the paper's step-4 sequence detection
 // analyzer).
 //
-// Enumerates data-flow paths of bounded length in every region graph with a
+// Enumerates data-flow paths of bounded length in every region graph with
+// for_each_path (region_graph.hpp), the walk coverage shares, as a
 // branch-and-bound search: a partial path is abandoned when even its best
 // possible extension cannot contribute a frequency above the pruning
 // threshold (path weights only shrink as paths grow, so the bound is sound).
@@ -32,7 +33,8 @@ struct DetectorOptions {
   /// can be fused into one chained instruction.  The pipeline driver sets
   /// this for optimization level O0.
   bool require_adjacency = false;
-  std::size_t max_occurrences = 4'000'000;  ///< Hard safety valve.
+  /// Hard safety valve: the walk stops once this many paths are recorded.
+  std::size_t max_occurrences = 4'000'000;
 };
 
 /// Aggregate statistics for one signature.

@@ -73,4 +73,14 @@ std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
   return regions;
 }
 
+Signature signature_of(const RegionGraph& region,
+                       const std::vector<std::size_t>& path) {
+  Signature sig;
+  sig.classes.reserve(path.size());
+  for (std::size_t node : path) {
+    sig.classes.push_back(region.nodes[node].chain_class);
+  }
+  return sig;
+}
+
 }  // namespace asipfb::chain

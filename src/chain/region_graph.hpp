@@ -11,11 +11,17 @@
 // paper reports.  Occurrence weights use the minimum execution count along
 // the path, which accounts for control leaving the trace between producer
 // and consumer.
+//
+// for_each_path is the one walk over these graphs: sequence detection
+// (detect.hpp) and coverage (coverage.hpp) both enumerate their paths with
+// it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "chain/signature.hpp"
 #include "ir/function.hpp"
 
 namespace asipfb::chain {
@@ -45,5 +51,58 @@ struct RegionGraph {
 /// Builds the chain graph of every trace of every function.  Regions without
 /// any chain edge are omitted.
 [[nodiscard]] std::vector<RegionGraph> build_region_graphs(const ir::Module& module);
+
+/// Which paths for_each_path visits.
+struct PathBounds {
+  int min_length = 2;
+  int max_length = 5;
+  /// Follow only edges into a textually adjacent consumer
+  /// (RegionNode::adjacent_pred; see DetectorOptions::require_adjacency).
+  bool require_adjacency = false;
+  /// Branch-and-bound floor: a path is abandoned once even its best
+  /// extension, weight * max_length cycles, falls below this.
+  std::uint64_t prune_cycles = 0;
+};
+
+/// Depth-first walk over the paths of `region` whose length lies in
+/// [min_length, max_length] and whose every node passes `open(node)`.  A
+/// path's weight is the minimum exec_count along it; weights only shrink as
+/// a path grows, so abandoning a path of weight 0 or below the
+/// prune_cycles bound loses nothing.  Calls `fn(path, weight)` in
+/// pre-order (start nodes ascending, then successor order); `fn` returns
+/// false to stop the walk.
+template <typename Open, typename Fn>
+void for_each_path(const RegionGraph& region, const PathBounds& bounds,
+                   const Open& open, const Fn& fn) {
+  const auto min_length = static_cast<std::size_t>(bounds.min_length);
+  const auto max_length = static_cast<std::size_t>(bounds.max_length);
+  std::vector<std::size_t> path;
+  const auto extend = [&](const auto& self, std::size_t node,
+                          std::uint64_t weight_so_far) -> bool {
+    const std::uint64_t weight =
+        std::min(weight_so_far, region.nodes[node].exec_count);
+    if (weight == 0 || weight * max_length < bounds.prune_cycles) return true;
+    path.push_back(node);
+    bool go = path.size() < min_length || fn(path, weight);
+    if (path.size() < max_length) {
+      for (std::size_t succ : region.succs[node]) {
+        if (!go) break;
+        if (bounds.require_adjacency && region.nodes[succ].adjacent_pred != node) {
+          continue;
+        }
+        if (open(succ)) go = self(self, succ, weight);
+      }
+    }
+    path.pop_back();
+    return go;
+  };
+  for (std::size_t start = 0; start < region.nodes.size(); ++start) {
+    if (open(start) && !extend(extend, start, UINT64_MAX)) return;
+  }
+}
+
+/// The chain classes along `path` (node indices of `region`).
+[[nodiscard]] Signature signature_of(const RegionGraph& region,
+                                     const std::vector<std::size_t>& path);
 
 }  // namespace asipfb::chain

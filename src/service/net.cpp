@@ -172,7 +172,7 @@ bool ProtocolSession::State::submit_request(
     return state->router.try_submit_async(std::move(request),
                                           completion(state, slot));
   } catch (const std::exception& ex) {
-    fail_slot(state, slot, ex.what());  // The job could not be queued.
+    fail_slot(state, slot, ex.what());  // Shut down: it can never be queued.
     return true;
   }
 }

@@ -72,8 +72,7 @@ bool Server::enqueue(Job job, bool block) {
     }
     if (stopping_) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (block) throw std::runtime_error("service::Server is shut down");
-      return false;
+      throw std::runtime_error("service::Server is shut down");
     }
     // Full (only reachable without `block`): backpressure the caller
     // retries, so it is deliberately not counted as a rejection.

@@ -144,8 +144,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Enqueues a request without blocking: false when the queue is full
-  /// (backpressure; retry later) or the server is shut down (counted in
-  /// Stats::rejected), and `done` is then never invoked.  Otherwise the
+  /// (backpressure; retry later), and `done` is then never invoked.
+  /// Throws std::runtime_error after shutdown() (counted in
+  /// Stats::rejected), as call() does.  Otherwise the
   /// worker thread invokes `done` with the Response after the job's
   /// counters are recorded; `done` must not throw and should be cheap (it
   /// runs on the worker).  The protocol front end's path: its event loop
@@ -161,8 +162,8 @@ class Server {
   Response call(Request request);
 
   /// Stops accepting, drains every accepted job, joins the workers.
-  /// Idempotent and safe to race with submitters (they get the
-  /// runtime_error / false refusal).
+  /// Idempotent and safe to race with submitters (both submission calls
+  /// then throw std::runtime_error).
   void shutdown();
 
   /// Counters plus the latency histogram they were derived from, read in
@@ -200,8 +201,8 @@ class Server {
   void worker_loop();
   /// Accepts under mu_ (bumping submitted_ while the lock is held, so a
   /// stats() snapshot can never observe completed > submitted).  Returns
-  /// false to refuse when `block` is false; throws std::runtime_error
-  /// when stopped and `block` is true.
+  /// false for a full queue when `block` is false; throws
+  /// std::runtime_error when stopped.
   bool enqueue(Job job, bool block);
   void record_latency(std::uint64_t ns);
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
+#include "pipeline/session.hpp"
 #include "sim/machine.hpp"
+#include "workloads/suite.hpp"
 
 namespace asipfb::chain {
 namespace {
@@ -131,6 +136,45 @@ TEST(Coverage, ExternalDenominator) {
     EXPECT_LT(half_base.steps[0].frequency, full_base.steps[0].frequency);
   }
   EXPECT_EQ(half_base.total_cycles, total * 2);
+}
+
+TEST(Coverage, CommittedMatchesAreDisjointAndSpellTheirSignature) {
+  // Every suite workload at every level, with the pipeline's coverage
+  // options: each match is an occurrence of its step's signature, no
+  // operation is fused twice across all steps, and every occurrence a
+  // step counts is one of its matches.
+  for (const auto& w : wl::suite()) {
+    const pipeline::Session session(w.source, w.name, w.input);
+    for (const auto level :
+         {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+      SCOPED_TRACE(w.name + " at " + std::string(opt::to_string(level)));
+      const ir::Module& module = session.optimized(level);
+      std::map<OpRef, ir::ChainClass> chain_class;
+      for (std::size_t f = 0; f < module.functions.size(); ++f) {
+        for (const auto& block : module.functions[f].blocks) {
+          for (const auto& instr : block.instrs) {
+            chain_class[{static_cast<ir::FuncId>(f), instr.id}] =
+                instr.chain_class();
+          }
+        }
+      }
+
+      std::set<OpRef> seen;
+      for (const auto& step : session.coverage(level).steps) {
+        EXPECT_EQ(step.occurrences_taken, step.matches.size());
+        for (const auto& match : step.matches) {
+          ASSERT_EQ(match.size(), step.signature.length());
+          for (std::size_t k = 0; k < match.size(); ++k) {
+            ASSERT_EQ(chain_class.count(match[k]), 1u);
+            EXPECT_EQ(chain_class.at(match[k]), step.signature.classes[k])
+                << step.signature.to_string();
+            EXPECT_TRUE(seen.insert(match[k]).second)
+                << "operation fused twice by " << step.signature.to_string();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -157,7 +157,12 @@ TEST(Detect, MaxOccurrencesSafetyValve) {
   DetectorOptions options;
   options.max_occurrences = 5;
   const auto result = detect_sequences(m, options);
-  EXPECT_LE(result.paths, 5u);
+  EXPECT_EQ(result.paths, 5u);
+
+  options.max_occurrences = 0;
+  const auto none = detect_sequences(m, options);
+  EXPECT_EQ(none.paths, 0u);
+  EXPECT_TRUE(none.sequences.empty());
 }
 
 TEST(Detect, FrequencyOfUnknownSignatureIsZero) {

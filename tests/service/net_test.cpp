@@ -436,6 +436,22 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   EXPECT_EQ(ok_count, 3u) << out;
 }
 
+TEST(ServiceNet, ProtocolSessionOverShutDownRouterAnswersWithError) {
+  // A refusal after shutdown is an error, not backpressure: the request
+  // gets an error line instead of being parked forever, and the session
+  // still closes once its input ends.
+  Router router(four_shards());
+  router.shutdown();
+  ProtocolSession session(router, {});
+  session.feed("1 compile fir\n");
+  session.finish_input();
+  const std::string out = drive_to_close(session, in_30s());
+  EXPECT_EQ(out.rfind("{\"ok\": false, \"error\": ", 0), 0u) << out;
+  EXPECT_NE(out.find("shut down"), std::string::npos) << out;
+  EXPECT_EQ(session.pending(), 0u);
+  EXPECT_TRUE(session.wants_close());
+}
+
 TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {
   // 20,000 nested parentheses (~40 KB, far under the line cap) used to
   // overflow the parser's stack and take the whole process down.  Now the

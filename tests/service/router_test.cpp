@@ -215,8 +215,10 @@ TEST(ServiceRouter, ShutdownStopsEveryShard) {
   router.shutdown();
   EXPECT_THROW((void)router.call(make_request(2, Kind::kDetection, "fir")),
                std::runtime_error);
-  EXPECT_FALSE(router.try_submit_async(make_request(3, Kind::kDetection, "edge"),
-                                       [](Response) { FAIL(); }));
+  EXPECT_THROW((void)router.try_submit_async(
+                   make_request(3, Kind::kDetection, "edge"),
+                   [](Response) { FAIL(); }),
+               std::runtime_error);
   EXPECT_EQ(router.stats().rejected, 2u);
   router.shutdown();  // Idempotent.
 }

@@ -373,8 +373,10 @@ TEST(ServiceServer, ShutdownDrainsAcceptedWork) {
   // Refusals after shutdown are the only rejections.
   EXPECT_THROW(server.call(make_request(99, Kind::kCompile, "fir")),
                std::runtime_error);
-  EXPECT_FALSE(server.try_submit_async(make_request(99, Kind::kCompile, "fir"),
-                                       [](Response) { FAIL(); }));
+  EXPECT_THROW((void)server.try_submit_async(
+                   make_request(99, Kind::kCompile, "fir"),
+                   [](Response) { FAIL(); }),
+               std::runtime_error);
   stats = server.stats();
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kJobs));
