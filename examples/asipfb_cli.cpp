@@ -11,6 +11,7 @@
 // bundled benchmarks show the pattern), or extend WorkloadInput binding here.
 // Corpus scenarios carry their own deterministic inputs and oracle outputs.
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -69,8 +70,8 @@ void print_usage(std::FILE* out) {
                "\n"
                "analysis options:\n"
                "  --level O0|O1|O2     optimization level for analysis  (default O1)\n"
-               "  --min N              minimum sequence length          (default 2)\n"
-               "  --max N              maximum sequence length          (default 5)\n"
+               "  --min N              minimum sequence length (>= 1)   (default 2)\n"
+               "  --max N              maximum sequence length (>= min) (default 5)\n"
                "  --coverage           run the iterative coverage analysis too\n"
                "  --floor P            coverage significance floor      (default 4.0)\n"
                "  --asip AREA          propose chained instructions under an area\n"
@@ -106,18 +107,20 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       if (!level.has_value()) return false;
       options.level = *level;
     } else if (arg == "--min") {
-      const auto v = examples::parse_int_flag(next(), INT_MIN, INT_MAX);
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
       if (!v) return false;
       options.detector.min_length = static_cast<int>(*v);
+      options.coverage.min_length = options.detector.min_length;
     } else if (arg == "--max") {
-      const auto v = examples::parse_int_flag(next(), INT_MIN, INT_MAX);
+      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
       if (!v) return false;
       options.detector.max_length = static_cast<int>(*v);
+      options.coverage.max_length = options.detector.max_length;
     } else if (arg == "--coverage") {
       options.run_coverage = true;
     } else if (arg == "--floor") {
       const auto floor = examples::parse_double_flag(next());
-      if (!floor) return false;
+      if (!floor || !std::isfinite(*floor)) return false;
       options.coverage.floor_percent = *floor;
     } else if (arg == "--ilp") {
       options.run_ilp = true;
@@ -145,6 +148,8 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       return false;
     }
   }
+  // Checked after every flag, so "--max 3 --min 4" is caught in either order.
+  if (options.detector.max_length < options.detector.min_length) return false;
   return !options.file.empty() || options.corpus_count > 0;
 }
 

@@ -1,7 +1,9 @@
 #include "chain/coverage.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
+#include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace asipfb::chain {
@@ -9,6 +11,12 @@ namespace asipfb::chain {
 CoverageResult coverage_analysis(const ir::Module& module,
                                  const CoverageOptions& options,
                                  std::uint64_t total_cycles) {
+  if (options.min_length < 1 || options.max_length < options.min_length) {
+    throw std::invalid_argument("coverage: want 1 <= min_length <= max_length");
+  }
+  if (!std::isfinite(options.floor_percent)) {
+    throw std::invalid_argument("coverage: floor_percent must be finite");
+  }
   CoverageResult result;
   result.total_cycles =
       total_cycles != 0 ? total_cycles : module.total_dynamic_ops();
@@ -21,105 +29,183 @@ CoverageResult coverage_analysis(const ir::Module& module,
   bounds.require_adjacency = options.require_adjacency;
 
   // form_traces puts every block in exactly one trace, so each operation is
-  // exactly one (region, node): flags at base[region] + node stand for it.
+  // exactly one (region, node): index base[region] + node stands for it.
   std::vector<std::size_t> base(regions.size() + 1, 0);
   for (std::size_t r = 0; r < regions.size(); ++r) {
     base[r + 1] = base[r] + regions[r].nodes.size();
   }
-  std::vector<char> covered(base.back(), 0);
-  std::vector<char> taken;
 
   auto frequency = [&](std::uint64_t cycles) {
     return 100.0 * static_cast<double>(cycles) /
            static_cast<double>(result.total_cycles);
   };
 
+  // One walk.  A later round's walk would visit exactly these paths minus
+  // those through a covered operation, in the same order, so rounds retire
+  // occurrences instead of walking again.  Operations and occurrences are
+  // numbered in 32 bits: 2^32 paths would not fit in memory anyway.
   struct Occurrence {
     std::uint64_t weight;
-    std::size_t region;
-    std::vector<std::size_t> path;
+    std::uint32_t region;
+    std::uint32_t first;   ///< Offset of the path in `path_ops`.
+    std::uint32_t length;
+    std::uint32_t group;   ///< Signature id until grouped, then group index.
+    [[nodiscard]] std::uint64_t cycles() const { return weight * length; }
   };
+  std::vector<Occurrence> occurrences;
+  std::vector<std::uint32_t> path_ops;  // Paths as base[region] + node.
+  SignatureIds ids;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    for_each_path(regions[r], bounds,
+                  [&](const std::vector<std::size_t>& path, std::uint64_t weight) {
+                    occurrences.push_back({weight, static_cast<std::uint32_t>(r),
+                                           static_cast<std::uint32_t>(path_ops.size()),
+                                           static_cast<std::uint32_t>(path.size()),
+                                           ids.id_of(regions[r], path)});
+                    for (std::size_t node : path) {
+                      path_ops.push_back(static_cast<std::uint32_t>(base[r] + node));
+                    }
+                    return true;
+                  });
+  }
+  std::vector<char> live(occurrences.size(), 1);
+
+  // Groups in Signature order, which breaks ties between equal aggregates.
+  std::vector<std::pair<Signature, std::uint32_t>> by_signature;
+  std::vector<std::uint32_t> group_of(ids.size(), UINT32_MAX);
+  for (const Occurrence& occ : occurrences) {
+    if (group_of[occ.group] == UINT32_MAX) {
+      group_of[occ.group] = 0;
+      by_signature.emplace_back(ids.signature(occ.group), occ.group);
+    }
+  }
+  std::sort(by_signature.begin(), by_signature.end());
   struct Group {
-    std::uint64_t cycles = 0;  ///< Aggregate over overlapping occurrences.
-    std::vector<Occurrence> occurrences;  ///< In walk order.
+    Signature signature;
+    std::uint64_t cycles = 0;  ///< Aggregate over live, overlapping occurrences.
+    std::size_t begin = 0;     ///< Slice [begin, end) of `members`.
+    std::size_t end = 0;
   };
+  std::vector<Group> groups(by_signature.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    groups[g].signature = std::move(by_signature[g].first);
+    group_of[by_signature[g].second] = static_cast<std::uint32_t>(g);
+  }
+  for (Occurrence& occ : occurrences) {
+    occ.group = group_of[occ.group];
+    groups[occ.group].cycles += occ.cycles();
+  }
+  // Members of each group in walk order, then stably by weight: filtering
+  // this order later gives what stable-sorting the filtered list would.
+  std::vector<std::uint32_t> members(occurrences.size());
+  std::iota(members.begin(), members.end(), 0);
+  std::stable_sort(members.begin(), members.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (occurrences[a].group != occurrences[b].group) {
+      return occurrences[a].group < occurrences[b].group;
+    }
+    return occurrences[a].weight > occurrences[b].weight;
+  });
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    Group& group = groups[occurrences[members[m]].group];
+    if (group.end == 0) group.begin = m;
+    group.end = m + 1;
+  }
+
+  // The occurrences through each operation, to retire them once it is
+  // covered.
+  std::vector<std::uint32_t> touch_begin(base.back() + 1, 0);
+  for (std::uint32_t op : path_ops) ++touch_begin[op + 1];
+  for (std::size_t op = 0; op < base.back(); ++op) {
+    touch_begin[op + 1] += touch_begin[op];
+  }
+  std::vector<std::uint32_t> touching(path_ops.size());
+  {
+    std::vector<std::uint32_t> fill(touch_begin.begin(), touch_begin.end() - 1);
+    for (std::uint32_t o = 0; o < occurrences.size(); ++o) {
+      const Occurrence& occ = occurrences[o];
+      for (std::uint32_t k = occ.first; k < occ.first + occ.length; ++k) {
+        touching[fill[path_ops[k]]++] = o;
+      }
+    }
+  }
+
+  std::vector<std::size_t> taken(base.back(), 0);  // Candidate stamp per op.
+  std::size_t stamp = 0;
+  std::vector<std::size_t> candidates;
+  std::vector<std::uint32_t> matches;
+  std::vector<std::uint32_t> best_matches;
 
   for (int round = 0; round < options.max_rounds; ++round) {
-    // Phase 1: one walk over the uncovered paths, grouped by signature.
-    std::map<Signature, Group> groups;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto open = [&](std::size_t node) {
-        return covered[base[r] + node] == 0;
-      };
-      for_each_path(regions[r], bounds, open,
-                    [&](const std::vector<std::size_t>& path, std::uint64_t weight) {
-                      auto& group = groups[signature_of(regions[r], path)];
-                      group.cycles += weight * path.size();
-                      group.occurrences.push_back({weight, r, path});
-                      return true;
-                    });
-    }
-    if (groups.empty()) break;
-
     // Candidates in descending aggregate order; ties keep signature order.
-    std::vector<std::pair<const Signature, Group>*> candidates;
-    candidates.reserve(groups.size());
-    for (auto& entry : groups) candidates.push_back(&entry);
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const auto* a, const auto* b) {
-                       return a->second.cycles > b->second.cycles;
-                     });
+    candidates.clear();
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g].cycles != 0) candidates.push_back(g);
+    }
+    if (candidates.empty()) break;
+    const std::size_t candidate_limit = std::min<std::size_t>(16, candidates.size());
+    std::partial_sort(candidates.begin(),
+                      candidates.begin() + static_cast<std::ptrdiff_t>(candidate_limit),
+                      candidates.end(), [&](std::size_t a, std::size_t b) {
+                        if (groups[a].cycles != groups[b].cycles) {
+                          return groups[a].cycles > groups[b].cycles;
+                        }
+                        return a < b;
+                      });
 
-    // Phase 2: realize (greedy non-overlapping matching) each of the top
-    // aggregate candidates and commit the one with the highest realized
-    // coverage.  Aggregate frequencies over-count overlapping paths of long
+    // Realize (greedy non-overlapping matching) each of the top aggregate
+    // candidates and commit the one with the highest realized coverage.
+    // Aggregate frequencies over-count overlapping paths of long
     // signatures, so ranking must use realized values.
-    struct Realization {
-      const Signature* signature = nullptr;
-      std::vector<const Occurrence*> matches;
-      std::uint64_t cycles = 0;
-    };
-    Realization best;
-    const std::size_t candidate_limit = 16;
-    for (std::size_t ci = 0; ci < candidates.size() && ci < candidate_limit; ++ci) {
-      auto& [sig, group] = *candidates[ci];
+    std::size_t best = SIZE_MAX;
+    std::uint64_t best_cycles = 0;
+    for (std::size_t ci = 0; ci < candidate_limit; ++ci) {
+      const Group& group = groups[candidates[ci]];
       if (frequency(group.cycles) < options.floor_percent) break;
-      if (group.cycles <= best.cycles) break;  // Aggregate bounds realized.
+      if (group.cycles <= best_cycles) break;  // Aggregate bounds realized.
 
-      std::stable_sort(group.occurrences.begin(), group.occurrences.end(),
-                       [](const Occurrence& a, const Occurrence& b) {
-                         return a.weight > b.weight;
-                       });
-      taken.assign(covered.size(), 0);
-      Realization r;
-      r.signature = &sig;
-      for (const Occurrence& occ : group.occurrences) {
-        const std::size_t b = base[occ.region];
-        if (std::any_of(occ.path.begin(), occ.path.end(),
-                        [&](std::size_t node) { return taken[b + node] != 0; })) {
-          continue;
-        }
-        for (std::size_t node : occ.path) taken[b + node] = 1;
-        r.matches.push_back(&occ);
-        r.cycles += occ.weight * occ.path.size();
+      ++stamp;
+      matches.clear();
+      std::uint64_t cycles = 0;
+      for (std::size_t m = group.begin; m < group.end; ++m) {
+        if (live[members[m]] == 0) continue;
+        const Occurrence& occ = occurrences[members[m]];
+        const auto ops = path_ops.begin() + static_cast<std::ptrdiff_t>(occ.first);
+        const auto ops_end = ops + static_cast<std::ptrdiff_t>(occ.length);
+        const auto is_taken = [&](std::uint32_t op) { return taken[op] == stamp; };
+        if (std::any_of(ops, ops_end, is_taken)) continue;
+        for (auto op = ops; op != ops_end; ++op) taken[*op] = stamp;
+        matches.push_back(members[m]);
+        cycles += occ.cycles();
       }
-      if (r.cycles > best.cycles) best = std::move(r);
+      if (cycles > best_cycles) {
+        best = candidates[ci];
+        best_cycles = cycles;
+        std::swap(best_matches, matches);
+      }
     }
 
-    if (frequency(best.cycles) < options.floor_percent) break;
+    if (best == SIZE_MAX || frequency(best_cycles) < options.floor_percent) break;
 
     CoverageStep step;
-    step.signature = *best.signature;
-    step.cycles = best.cycles;
-    step.frequency = frequency(best.cycles);
-    step.occurrences_taken = best.matches.size();
-    for (const Occurrence* occ : best.matches) {
-      const RegionGraph& region = regions[occ->region];
+    step.signature = groups[best].signature;
+    step.cycles = best_cycles;
+    step.frequency = frequency(best_cycles);
+    step.occurrences_taken = best_matches.size();
+    for (std::uint32_t o : best_matches) {
+      const Occurrence& occ = occurrences[o];
+      const RegionGraph& region = regions[occ.region];
       auto& ops = step.matches.emplace_back();
-      ops.reserve(occ->path.size());
-      for (std::size_t node : occ->path) {
-        covered[base[occ->region] + node] = 1;
-        ops.emplace_back(region.func, region.nodes[node].instr_id);
+      ops.reserve(occ.length);
+      for (std::uint32_t k = occ.first; k < occ.first + occ.length; ++k) {
+        const std::uint32_t op = path_ops[k];
+        ops.emplace_back(region.func, region.nodes[op - base[occ.region]].instr_id);
+        // The operation is covered: retire every occurrence through it.
+        for (std::uint32_t t = touch_begin[op]; t < touch_begin[op + 1]; ++t) {
+          const std::uint32_t dead = touching[t];
+          if (live[dead] == 0) continue;
+          live[dead] = 0;
+          groups[occurrences[dead].group].cycles -= occurrences[dead].cycles();
+        }
       }
     }
     result.total_coverage += step.frequency;

@@ -7,9 +7,13 @@
 // significance floor.  Total coverage is the percentage of dynamic
 // operation-cycles covered by the selected chained instructions.
 //
-// Each round walks the uncovered paths once, with the for_each_path that
-// detection uses, and groups the occurrences by signature; the top
-// candidates are realized from those groups without walking again.
+// One coverage_analysis call walks the paths once, with the for_each_path
+// detection uses, and stores the occurrences flat, grouped by signature
+// id.  Covering an operation only removes paths, so round k's paths are
+// the walked ones with no covered operation, in the same order: each
+// commit retires the occurrences through the operations it covered, and
+// each round ranks the groups by their live aggregate and realizes the
+// top candidates from them, with no further walk.  Memory is O(paths).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,8 @@
 
 namespace asipfb::chain {
 
+/// coverage_analysis throws std::invalid_argument unless
+/// 1 <= min_length <= max_length and floor_percent is finite.
 struct CoverageOptions {
   int min_length = 2;
   int max_length = 5;

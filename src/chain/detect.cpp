@@ -1,6 +1,8 @@
 #include "chain/detect.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace asipfb::chain {
 
@@ -14,6 +16,12 @@ double DetectionResult::frequency_of(const Signature& sig) const {
 DetectionResult detect_sequences(const ir::Module& module,
                                  const DetectorOptions& options,
                                  std::uint64_t total_cycles) {
+  if (options.min_length < 1 || options.max_length < options.min_length) {
+    throw std::invalid_argument("detect: want 1 <= min_length <= max_length");
+  }
+  if (!std::isfinite(options.prune_percent) || options.prune_percent < 0.0) {
+    throw std::invalid_argument("detect: prune_percent must be finite and >= 0");
+  }
   DetectionResult result;
   result.total_cycles = total_cycles != 0 ? total_cycles : module.total_dynamic_ops();
 
@@ -24,24 +32,30 @@ DetectionResult detect_sequences(const ir::Module& module,
   bounds.min_length = options.min_length;
   bounds.max_length = options.max_length;
   bounds.require_adjacency = options.require_adjacency;
-  bounds.prune_cycles = static_cast<std::uint64_t>(
-      options.prune_percent / 100.0 * static_cast<double>(result.total_cycles));
+  // Saturate: a floor past 2^64 cycles prunes every path.
+  const double prune = options.prune_percent / 100.0 *
+                       static_cast<double>(result.total_cycles);
+  bounds.prune_cycles =
+      prune >= 0x1p64 ? UINT64_MAX : static_cast<std::uint64_t>(prune);
 
-  std::map<Signature, SequenceStat> stats;
+  SignatureIds ids;
+  std::vector<SequenceStat> stats;  // Indexed by signature id.
   for (const auto& region : regions) {
     if (result.paths >= options.max_occurrences) break;
-    for_each_path(region, bounds, [](std::size_t) { return true; },
+    for_each_path(region, bounds,
                   [&](const std::vector<std::size_t>& path, std::uint64_t weight) {
-                    auto& stat = stats[signature_of(region, path)];
-                    stat.cycles += weight * static_cast<std::uint64_t>(path.size());
-                    ++stat.occurrences;
+                    const std::uint32_t id = ids.id_of(region, path);
+                    if (id >= stats.size()) stats.resize(ids.size());
+                    stats[id].cycles += weight * path.size();
+                    ++stats[id].occurrences;
                     return ++result.paths < options.max_occurrences;
                   });
   }
 
-  result.sequences.reserve(stats.size());
-  for (auto& [sig, stat] : stats) {
-    stat.signature = sig;
+  for (std::uint32_t id = 0; id < stats.size(); ++id) {
+    SequenceStat& stat = stats[id];
+    if (stat.occurrences == 0) continue;
+    stat.signature = ids.signature(id);
     stat.frequency = result.total_cycles == 0
                          ? 0.0
                          : 100.0 * static_cast<double>(stat.cycles) /

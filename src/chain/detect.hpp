@@ -8,11 +8,12 @@
 // threshold (path weights only shrink as paths grow, so the bound is sound).
 // Each surviving path of length L executing w times accounts for L*w
 // operation-cycles; per-signature totals divided by the program's total
-// dynamic operation count give the paper's "dynamic frequency".
+// dynamic operation count give the paper's "dynamic frequency".  The walk
+// streams: each path is tallied under its SignatureIds id, so memory is
+// O(signatures), and a Signature is built once per distinct id at the end.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "chain/region_graph.hpp"
@@ -20,6 +21,8 @@
 
 namespace asipfb::chain {
 
+/// detect_sequences throws std::invalid_argument unless
+/// 1 <= min_length <= max_length and prune_percent is finite and >= 0.
 struct DetectorOptions {
   int min_length = 2;            ///< Shortest sequence reported (paper: 2).
   int max_length = 5;            ///< Longest sequence searched (paper: 5).

@@ -1,7 +1,5 @@
 #include "chain/region_graph.hpp"
 
-#include <map>
-
 #include "analysis/traces.hpp"
 
 namespace asipfb::chain {
@@ -9,18 +7,29 @@ namespace asipfb::chain {
 std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
   std::vector<RegionGraph> regions;
 
+  // Latest definition of each register, indexed by Reg::id: an index into
+  // the current region's nodes, or -1 for a definition by a non-chainable
+  // op.  An entry counts only while its stamp is the current trace's
+  // number, so the table is shared by every trace of every function and
+  // never cleared.
+  std::vector<int> latest_def;
+  std::vector<std::size_t> def_trace;
+  std::size_t trace_number = 0;
+
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     const auto& fn = module.functions[f];
+    if (def_trace.size() < fn.reg_types.size()) {
+      latest_def.resize(fn.reg_types.size());
+      def_trace.resize(fn.reg_types.size(), 0);
+    }
     const auto traces = analysis::form_traces(fn);
 
     for (const auto& trace : traces) {
+      ++trace_number;
       RegionGraph region;
       region.func = static_cast<ir::FuncId>(f);
       region.blocks = trace;
 
-      // Latest definition of each register so far; values are indices into
-      // region.nodes, or -1 for a definition by a non-chainable op.
-      std::map<std::uint32_t, int> latest_def;
       // Most recent chainable op with only constants after it (see
       // RegionNode::adjacent_pred).
       std::size_t adjacent_candidate = SIZE_MAX;
@@ -42,16 +51,25 @@ std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
             // (deduplicated: one edge even if both operands match).
             int last_producer = -1;
             for (ir::Reg a : instr.args) {
-              const auto def = latest_def.find(a.id);
-              if (def == latest_def.end()) continue;
-              const int producer = def->second;
+              if (a.id >= def_trace.size() || def_trace[a.id] != trace_number) {
+                continue;
+              }
+              const int producer = latest_def[a.id];
               if (producer < 0 || producer == last_producer) continue;
               region.succs[static_cast<std::size_t>(producer)].push_back(
                   static_cast<std::size_t>(this_node));
               last_producer = producer;
             }
           }
-          if (instr.dst) latest_def[instr.dst->id] = this_node;
+          if (instr.dst) {
+            const std::uint32_t id = instr.dst->id;
+            if (id >= def_trace.size()) {  // Unverified module: grow.
+              latest_def.resize(id + std::size_t{1});
+              def_trace.resize(id + std::size_t{1}, 0);
+            }
+            latest_def[id] = this_node;
+            def_trace[id] = trace_number;
+          }
 
           // Track textual adjacency: a chainable op becomes the candidate
           // for its textual successor; any other instruction (constant
@@ -73,13 +91,28 @@ std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
   return regions;
 }
 
-Signature signature_of(const RegionGraph& region,
-                       const std::vector<std::size_t>& path) {
-  Signature sig;
-  sig.classes.reserve(path.size());
+std::uint32_t SignatureIds::id_of(const RegionGraph& region,
+                                  const std::vector<std::size_t>& path) {
+  std::uint32_t id = 0;
   for (std::size_t node : path) {
-    sig.classes.push_back(region.nodes[node].chain_class);
+    const ir::ChainClass chain_class = region.nodes[node].chain_class;
+    std::uint32_t child = nodes_[id].child[static_cast<std::size_t>(chain_class)];
+    if (child == 0) {
+      child = static_cast<std::uint32_t>(nodes_.size());
+      nodes_[id].child[static_cast<std::size_t>(chain_class)] = child;
+      nodes_.push_back(Node{{}, id, chain_class});
+    }
+    id = child;
   }
+  return id;
+}
+
+Signature SignatureIds::signature(std::uint32_t id) const {
+  Signature sig;
+  for (; id != 0; id = nodes_[id].parent) {
+    sig.classes.push_back(nodes_[id].chain_class);
+  }
+  std::reverse(sig.classes.begin(), sig.classes.end());
   return sig;
 }
 

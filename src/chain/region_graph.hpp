@@ -10,14 +10,18 @@
 // (add-load) and value chains into store data (fmul-fsub-fstore), as the
 // paper reports.  Occurrence weights use the minimum execution count along
 // the path, which accounts for control leaving the trace between producer
-// and consumer.
+// and consumer.  The latest definition of each register is kept in one
+// dense table indexed by Reg::id, stamped with the trace that wrote it, so
+// starting a trace clears nothing and a lookup is one index.
 //
 // for_each_path is the one walk over these graphs: sequence detection
 // (detect.hpp) and coverage (coverage.hpp) both enumerate their paths with
-// it.
+// it.  SignatureIds names the class sequence of a walked path with a dense
+// id, so aggregating by signature needs no Signature per path.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -65,15 +69,16 @@ struct PathBounds {
 };
 
 /// Depth-first walk over the paths of `region` whose length lies in
-/// [min_length, max_length] and whose every node passes `open(node)`.  A
-/// path's weight is the minimum exec_count along it; weights only shrink as
-/// a path grows, so abandoning a path of weight 0 or below the
-/// prune_cycles bound loses nothing.  Calls `fn(path, weight)` in
-/// pre-order (start nodes ascending, then successor order); `fn` returns
-/// false to stop the walk.
-template <typename Open, typename Fn>
+/// [min_length, max_length].  A path's weight is the minimum exec_count
+/// along it; weights only shrink as a path grows, so abandoning a path of
+/// weight 0 or below the prune_cycles bound loses nothing.  Calls
+/// `fn(path, weight)` in pre-order (start nodes ascending, then successor
+/// order); `fn` returns false to stop the walk.  There is no node filter:
+/// coverage walks once and retires the paths through covered operations
+/// itself.
+template <typename Fn>
 void for_each_path(const RegionGraph& region, const PathBounds& bounds,
-                   const Open& open, const Fn& fn) {
+                   const Fn& fn) {
   const auto min_length = static_cast<std::size_t>(bounds.min_length);
   const auto max_length = static_cast<std::size_t>(bounds.max_length);
   std::vector<std::size_t> path;
@@ -90,19 +95,46 @@ void for_each_path(const RegionGraph& region, const PathBounds& bounds,
         if (bounds.require_adjacency && region.nodes[succ].adjacent_pred != node) {
           continue;
         }
-        if (open(succ)) go = self(self, succ, weight);
+        go = self(self, succ, weight);
       }
     }
     path.pop_back();
     return go;
   };
   for (std::size_t start = 0; start < region.nodes.size(); ++start) {
-    if (open(start) && !extend(extend, start, UINT64_MAX)) return;
+    if (!extend(extend, start, UINT64_MAX)) return;
   }
 }
 
-/// The chain classes along `path` (node indices of `region`).
-[[nodiscard]] Signature signature_of(const RegionGraph& region,
-                                     const std::vector<std::size_t>& path);
+/// Dense ids for the signatures of walked paths: a trie over ChainClass
+/// whose node index is the id of the class sequence spelled from its root.
+/// Ids start at 1 (0 is the empty sequence) and stay below size(), so
+/// per-signature tallies live in a vector indexed by id.
+class SignatureIds {
+ public:
+  SignatureIds() : nodes_(1) {}
+
+  /// Id of the chain classes along `path` (node indices of `region`).
+  /// Follows one child slot per node and allocates only for a class
+  /// sequence not seen before.
+  [[nodiscard]] std::uint32_t id_of(const RegionGraph& region,
+                                    const std::vector<std::size_t>& path);
+
+  /// The class sequence `id` stands for.
+  [[nodiscard]] Signature signature(std::uint32_t id) const;
+
+  /// One past the largest id handed out.
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+
+ private:
+  static constexpr std::size_t kClasses =
+      static_cast<std::size_t>(ir::ChainClass::None) + 1;
+  struct Node {
+    std::array<std::uint32_t, kClasses> child{};  ///< 0 = no child yet.
+    std::uint32_t parent = 0;
+    ir::ChainClass chain_class = ir::ChainClass::None;
+  };
+  std::vector<Node> nodes_;
+};
 
 }  // namespace asipfb::chain

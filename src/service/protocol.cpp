@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <climits>
 #include <cstdlib>
 #include <sstream>
@@ -56,6 +57,14 @@ double parse_double(const std::string& text, const std::string& what) {
   return v;
 }
 
+double parse_finite(const std::string& text, const std::string& what) {
+  const double v = parse_double(text, what);
+  if (!std::isfinite(v)) {
+    fail("invalid " + what + " '" + text + "' (want a finite value)");
+  }
+  return v;
+}
+
 opt::OptLevel parse_level(const std::string& text) {
   const auto level = opt::parse_opt_level(text);
   if (!level.has_value()) fail("invalid level '" + text + "' (want O0|O1|O2)");
@@ -88,7 +97,10 @@ void apply_option(Request& request, const std::string& key,
     request.detector.max_length = parse_int(value, "max");
     request.coverage.max_length = request.detector.max_length;
   } else if (key == "prune") {
-    request.detector.prune_percent = parse_double(value, "prune");
+    request.detector.prune_percent = parse_finite(value, "prune");
+    if (request.detector.prune_percent < 0.0) {
+      fail("invalid prune '" + value + "' (want >= 0)");
+    }
   } else if (key == "adjacency") {
     const int v = parse_int(value, "adjacency");
     if (v != 0 && v != 1) fail("invalid adjacency '" + value + "' (want 0|1)");
@@ -99,7 +111,7 @@ void apply_option(Request& request, const std::string& key,
     if (v < 1) fail("invalid maxocc '" + value + "'");
     request.detector.max_occurrences = static_cast<std::size_t>(v);
   } else if (key == "floor") {
-    request.coverage.floor_percent = parse_double(value, "floor");
+    request.coverage.floor_percent = parse_finite(value, "floor");
   } else if (key == "rounds") {
     request.coverage.max_rounds = parse_int(value, "rounds");
   } else if (key == "area") {
@@ -114,7 +126,7 @@ void apply_option(Request& request, const std::string& key,
   } else if (key == "floors") {
     request.grid.floor_percents.clear();
     for (const std::string& part : split_commas(value)) {
-      request.grid.floor_percents.push_back(parse_double(part, "floors"));
+      request.grid.floor_percents.push_back(parse_finite(part, "floors"));
     }
   } else if (key == "budgets") {
     request.grid.area_budgets.clear();
@@ -177,6 +189,16 @@ Command parse_command(const std::string& line) {
     // key-specific diagnostic.
     apply_option(command.request, tokens[i].substr(0, eq),
                  tokens[i].substr(eq + 1));
+  }
+  // Checked once every option is applied, so "max=3 min=4" is caught in
+  // either order.  min and max set detection and coverage alike.
+  const chain::DetectorOptions& detector = command.request.detector;
+  if (detector.min_length < 1) {
+    fail("invalid min '" + std::to_string(detector.min_length) + "' (want >= 1)");
+  }
+  if (detector.max_length < detector.min_length) {
+    fail("invalid max '" + std::to_string(detector.max_length) +
+         "' (want >= min " + std::to_string(detector.min_length) + ")");
   }
   return command;
 }

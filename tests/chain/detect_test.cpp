@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
+#include "chain/coverage.hpp"
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
+#include "pipeline/session.hpp"
 #include "sim/machine.hpp"
 
 namespace asipfb::chain {
@@ -170,6 +175,76 @@ TEST(Detect, FrequencyOfUnknownSignatureIsZero) {
   const auto result = detect_sequences(m);
   const auto sig = parse_signature("fdivide-fdivide-fdivide");
   EXPECT_EQ(result.frequency_of(*sig), 0.0);
+}
+
+TEST(Detect, OutOfRangeOptionsThrowInsteadOfMisbehaving) {
+  // A negative or non-finite prune floor has no cycle bound, and lengths
+  // outside 1 <= min <= max (max = -1 included) no path range.
+  auto m = profiled(
+      "int main() { int a = 2; int b = 3; int c = 4; return a * b + c; }");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double prune : {-1.0, -0.001, nan, inf, -inf}) {
+    DetectorOptions options;
+    options.prune_percent = prune;
+    EXPECT_THROW((void)detect_sequences(m, options), std::invalid_argument)
+        << "prune " << prune;
+  }
+  for (const auto& [min, max] : {std::pair{0, 5}, std::pair{-3, 5},
+                                 std::pair{2, -1}, std::pair{4, 3}}) {
+    DetectorOptions detector;
+    detector.min_length = min;
+    detector.max_length = max;
+    EXPECT_THROW((void)detect_sequences(m, detector), std::invalid_argument)
+        << "min " << min << " max " << max;
+    CoverageOptions coverage;
+    coverage.min_length = min;
+    coverage.max_length = max;
+    EXPECT_THROW((void)coverage_analysis(m, coverage), std::invalid_argument)
+        << "min " << min << " max " << max;
+  }
+  for (const double floor : {nan, inf, -inf}) {
+    CoverageOptions coverage;
+    coverage.floor_percent = floor;
+    EXPECT_THROW((void)coverage_analysis(m, coverage), std::invalid_argument)
+        << "floor " << floor;
+  }
+  // The bounds themselves are in range.
+  DetectorOptions single;
+  single.min_length = 1;
+  single.max_length = 1;
+  EXPECT_FALSE(detect_sequences(m, single).sequences.empty());
+  CoverageOptions negative_floor;
+  negative_floor.floor_percent = -1.0;
+  EXPECT_FALSE(coverage_analysis(m, negative_floor).steps.empty());
+}
+
+TEST(Detect, HugeFinitePruneFloorPrunesEverything) {
+  // prune / 100 * total is past UINT64_MAX: the bound saturates there.
+  auto m = profiled(
+      "int main() { int a = 2; int b = 3; int c = 4; return a * b + c; }");
+  ASSERT_FALSE(detect_sequences(m).sequences.empty());
+  for (const double prune : {1e300, std::numeric_limits<double>::max()}) {
+    DetectorOptions options;
+    options.prune_percent = prune;
+    const auto result = detect_sequences(m, options);
+    EXPECT_EQ(result.paths, 0u) << "prune " << prune;
+    EXPECT_TRUE(result.sequences.empty()) << "prune " << prune;
+  }
+}
+
+TEST(Detect, SessionLatchesAnOutOfRangeOptionError) {
+  const pipeline::Session session(
+      "int main() { int a = 2; int b = 3; int c = 4; return a * b + c; }",
+      "latch", pipeline::WorkloadInput{});
+  DetectorOptions options;
+  options.prune_percent = -1.0;
+  EXPECT_THROW((void)session.detection(opt::OptLevel::O1, options),
+               std::runtime_error);
+  EXPECT_THROW((void)session.detection(opt::OptLevel::O1, options),
+               std::runtime_error);
+  EXPECT_EQ(session.stats().detect_runs, 1u) << "the error is latched";
+  EXPECT_FALSE(session.detection(opt::OptLevel::O1).sequences.empty());
 }
 
 }  // namespace

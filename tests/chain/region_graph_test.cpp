@@ -167,5 +167,178 @@ TEST(RegionGraph, AdjacencyRecorded) {
   (void)regions;
 }
 
+/// The region of function `func` whose trace is exactly `blocks`.
+const RegionGraph* region_of(const std::vector<RegionGraph>& regions,
+                             ir::FuncId func, std::vector<ir::BlockId> blocks) {
+  for (const auto& region : regions) {
+    if (region.func == func && region.blocks == blocks) return &region;
+  }
+  return nullptr;
+}
+
+TEST(RegionGraph, DefinitionInEarlierTraceIsNoProducer) {
+  // Unprofiled blocks are singleton traces.  `s` is the add at node 1 of
+  // block 0's region; block 1 reads it, and node 1 of block 1's region is
+  // an add too, so a stale register table would add add -> mul there.
+  ir::Module m;
+  ir::Function fn;
+  fn.name = "main";
+  fn.return_type = ir::Type::I32;
+  ir::Builder b(fn);
+  const auto entry = b.create_block("entry");
+  const auto next = b.create_block("next");
+  b.set_insert_point(entry);
+  const auto x = b.emit_movi(2);
+  const auto d = b.emit_binary(ir::Opcode::Sub, ir::Type::I32, x, x);
+  const auto s = b.emit_binary(ir::Opcode::Add, ir::Type::I32, x, x);
+  (void)b.emit_binary(ir::Opcode::Mul, ir::Type::I32, d, s);
+  b.emit_br(next);
+  b.set_insert_point(next);
+  const auto u = b.emit_binary(ir::Opcode::Sub, ir::Type::I32, x, x);
+  (void)b.emit_binary(ir::Opcode::Add, ir::Type::I32, x, x);
+  const auto w = b.emit_binary(ir::Opcode::Mul, ir::Type::I32, s, u);
+  b.emit_ret_value(w);
+  m.functions.push_back(std::move(fn));
+
+  const auto regions = build_region_graphs(m);
+  const RegionGraph* first = region_of(regions, 0, {entry});
+  const RegionGraph* second = region_of(regions, 0, {next});
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_TRUE(has_edge({*first}, ir::ChainClass::Add, ir::ChainClass::Multiply));
+  EXPECT_TRUE(has_edge({*second}, ir::ChainClass::Subtract, ir::ChainClass::Multiply));
+  EXPECT_FALSE(has_edge({*second}, ir::ChainClass::Add, ir::ChainClass::Multiply));
+  EXPECT_EQ(total_edges({*second}), 1);
+}
+
+TEST(RegionGraph, NonChainableRedefinitionCutsUntilTheNextChainableOne) {
+  // add s; movi s (cut); sub s; mul s, s: the only edge is sub -> mul.
+  ir::Module m;
+  ir::Function fn;
+  fn.name = "main";
+  fn.return_type = ir::Type::I32;
+  ir::Builder b(fn);
+  b.set_insert_point(b.create_block("entry"));
+  const auto x = b.emit_movi(2);
+  const auto s = fn.new_reg(ir::Type::I32);
+  b.emit(ir::make::binary(ir::Opcode::Add, s, x, x));
+  b.emit(ir::make::movi(s, 9));
+  const auto t = b.emit_binary(ir::Opcode::Shl, ir::Type::I32, s, s);
+  b.emit(ir::make::binary(ir::Opcode::Sub, s, x, x));
+  const auto v = b.emit_binary(ir::Opcode::Mul, ir::Type::I32, s, t);
+  b.emit_ret_value(v);
+  m.functions.push_back(std::move(fn));
+  sim::profile_run(m);
+
+  const auto regions = build_region_graphs(m);
+  EXPECT_FALSE(has_edge(regions, ir::ChainClass::Add, ir::ChainClass::Shift));
+  EXPECT_FALSE(has_edge(regions, ir::ChainClass::Add, ir::ChainClass::Multiply));
+  EXPECT_TRUE(has_edge(regions, ir::ChainClass::Subtract, ir::ChainClass::Multiply));
+  EXPECT_TRUE(has_edge(regions, ir::ChainClass::Shift, ir::ChainClass::Multiply));
+  EXPECT_EQ(total_edges(regions), 2);
+}
+
+TEST(RegionGraph, FunctionsWithOverlappingRegisterIdsDoNotLink) {
+  // Register 1 is the sub at node 1 of function 0.  Function 1 reads its
+  // own register 1, which nothing in it defines; node 1 of function 1 is a
+  // sub too, so a table shared without stamps would add sub -> mul there.
+  ir::Module m;
+  for (int f = 0; f < 2; ++f) {
+    ir::Function fn;
+    fn.name = f == 0 ? "main" : "other";
+    fn.return_type = ir::Type::I32;
+    ir::Builder b(fn);
+    b.set_insert_point(b.create_block("entry"));
+    const auto x = fn.new_reg(ir::Type::I32);
+    const auto r1 = fn.new_reg(ir::Type::I32);
+    ASSERT_EQ(r1.id, 1u);
+    if (f == 0) b.emit(ir::make::movi(x, 2));
+    const auto a = b.emit_binary(ir::Opcode::Add, ir::Type::I32, x, x);
+    if (f == 0) {
+      b.emit(ir::make::binary(ir::Opcode::Sub, r1, x, x));
+    } else {
+      (void)b.emit_binary(ir::Opcode::Sub, ir::Type::I32, x, x);
+    }
+    b.emit_ret_value(b.emit_binary(ir::Opcode::Mul, ir::Type::I32, r1, a));
+    m.functions.push_back(std::move(fn));
+  }
+
+  const auto regions = build_region_graphs(m);
+  const RegionGraph* main_region = region_of(regions, 0, {0});
+  const RegionGraph* other_region = region_of(regions, 1, {0});
+  ASSERT_NE(main_region, nullptr);
+  ASSERT_NE(other_region, nullptr);
+  using ir::ChainClass;
+  EXPECT_TRUE(has_edge({*main_region}, ChainClass::Subtract, ChainClass::Multiply));
+  EXPECT_TRUE(has_edge({*other_region}, ChainClass::Add, ChainClass::Multiply));
+  EXPECT_FALSE(has_edge({*other_region}, ChainClass::Subtract, ChainClass::Multiply));
+  EXPECT_EQ(total_edges({*other_region}), 1);
+}
+
+/// A hand-made region whose nodes carry `classes` (no edges needed).
+RegionGraph region_with(std::vector<ir::ChainClass> classes) {
+  RegionGraph region;
+  for (ir::ChainClass chain_class : classes) {
+    RegionNode node;
+    node.chain_class = chain_class;
+    region.nodes.push_back(node);
+  }
+  region.succs.resize(region.nodes.size());
+  return region;
+}
+
+TEST(SignatureIds, SameClassSequenceSameId) {
+  using ir::ChainClass;
+  const RegionGraph one = region_with({ChainClass::Multiply, ChainClass::Add,
+                                       ChainClass::Multiply, ChainClass::Load});
+  const RegionGraph two = region_with({ChainClass::Load, ChainClass::Add,
+                                       ChainClass::Multiply});
+  SignatureIds ids;
+  const std::uint32_t mac = ids.id_of(one, {0, 1});
+  EXPECT_EQ(ids.id_of(one, {2, 1}), mac) << "other nodes, same classes";
+  EXPECT_EQ(ids.id_of(two, {2, 1}), mac) << "other region, same classes";
+  const std::size_t size = ids.size();
+  EXPECT_EQ(ids.id_of(one, {0, 1}), mac);
+  EXPECT_EQ(ids.size(), size) << "a known signature allocates nothing";
+  EXPECT_NE(ids.id_of(one, {1, 0}), mac) << "order matters";
+  EXPECT_NE(ids.id_of(one, {3, 1}), mac);
+}
+
+TEST(SignatureIds, SignatureRoundTrips) {
+  using ir::ChainClass;
+  const RegionGraph region = region_with(
+      {ChainClass::FLoad, ChainClass::FMultiply, ChainClass::FAdd, ChainClass::FStore,
+       ChainClass::Shift});
+  SignatureIds ids;
+  const std::vector<std::vector<std::size_t>> paths = {
+      {0, 1, 2, 3}, {4}, {1, 2}, {4, 4, 0}, {0, 1}, {3, 2, 1, 0, 4}};
+  std::vector<std::uint32_t> assigned;
+  for (const auto& path : paths) assigned.push_back(ids.id_of(region, path));
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    Signature expected;
+    for (std::size_t node : paths[i]) {
+      expected.classes.push_back(region.nodes[node].chain_class);
+    }
+    EXPECT_LT(assigned[i], ids.size());
+    EXPECT_EQ(ids.signature(assigned[i]), expected) << expected.to_string();
+  }
+}
+
+TEST(SignatureIds, PrefixAndExtensionDiffer) {
+  using ir::ChainClass;
+  const RegionGraph region = region_with(
+      {ChainClass::Add, ChainClass::Add, ChainClass::Add});
+  SignatureIds ids;
+  const std::uint32_t three = ids.id_of(region, {0, 1, 2});
+  const std::uint32_t two = ids.id_of(region, {0, 1});
+  const std::uint32_t one = ids.id_of(region, {0});
+  EXPECT_NE(one, two);
+  EXPECT_NE(two, three);
+  EXPECT_NE(one, three);
+  EXPECT_NE(one, 0u) << "0 is the empty sequence";
+  EXPECT_EQ(ids.signature(two).length(), 2u);
+  EXPECT_EQ(ids.signature(three).length(), 3u);
+}
+
 }  // namespace
 }  // namespace asipfb::chain

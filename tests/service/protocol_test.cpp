@@ -130,6 +130,29 @@ TEST(ServiceProtocol, MalformedLinesThrowWithDiagnostics) {
   }
 }
 
+TEST(ServiceProtocol, RejectsOutOfRangeChainOptions) {
+  // None of these has a meaning for the analyses; each is a parse error
+  // instead of a request that reaches them.
+  for (const char* line :
+       {"1 detect fir prune=-1", "1 detect fir prune=nan", "1 detect fir prune=inf",
+        "1 detect fir prune=-0.5", "1 coverage fir floor=nan",
+        "1 coverage fir floor=-inf", "1 sweep fir floors=2,nan",
+        "1 detect fir min=0", "1 detect fir min=-2 max=5", "1 detect fir max=-1",
+        "1 detect fir max=1", "1 detect fir min=4 max=3",
+        "1 detect fir max=3 min=4", "1 coverage fir min=6"}) {
+    EXPECT_THROW((void)parse_command(line), std::invalid_argument) << line;
+  }
+  // The edges of the ranges are accepted.
+  const Command edge = parse_command("1 detect fir min=1 max=1 prune=0 floor=-1");
+  EXPECT_EQ(edge.request.detector.min_length, 1);
+  EXPECT_EQ(edge.request.coverage.max_length, 1);
+  EXPECT_DOUBLE_EQ(edge.request.detector.prune_percent, 0.0);
+  EXPECT_DOUBLE_EQ(edge.request.coverage.floor_percent, -1.0);
+  EXPECT_EQ(parse_command("1 detect fir min=4 max=4").request.detector.max_length, 4);
+  EXPECT_EQ(parse_command("1 detect fir max=1000000").request.detector.max_length,
+            1000000);
+}
+
 TEST(ServiceProtocol, RenderedResponsesAreDeterministicOneLiners) {
   Response r;
   r.id = 3;
