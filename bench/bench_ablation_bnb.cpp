@@ -2,9 +2,6 @@
 // (paper section 5, step 4).  Sweeping the pruning floor shows the
 // paths-enumerated reduction while every sequence above the floor keeps its
 // exact frequency (soundness is asserted in tests/chain/detect_test.cpp).
-// Timers: suite-wide detection at each pruning level.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -43,38 +40,12 @@ void print_bnb() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_DetectWithPruning(benchmark::State& state) {
-  const double prune = kPruneLevels[static_cast<std::size_t>(state.range(0))];
-  chain::DetectorOptions options;
-  options.prune_percent = prune;
-  for (const auto& w : wl::suite()) bench::prepared_workload(w.name);
-  for (auto _ : state) {
-    // Cold detection per workload via fresh Sessions; construction and
-    // teardown (baseline copies) stay outside the timed region.
-    std::size_t total = 0;
-    for (const auto& w : wl::suite()) {
-      state.PauseTiming();
-      auto s = std::make_unique<pipeline::Session>(bench::prepared_workload(w.name));
-      state.ResumeTiming();
-      const auto& result = s->detection(opt::OptLevel::O1, options);
-      total += result.paths + result.sequences.size();
-      state.PauseTiming();
-      s.reset();
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetLabel("floor=" + std::to_string(prune) + "%");
-}
-BENCHMARK(BM_DetectWithPruning)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_ablation_bnb"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_ablation_bnb"}, nullptr)) {
     return 2;
   }
   print_bnb();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,9 +5,6 @@
 //   O2/preserve   — renaming but chain-preserving motion (counterfactual:
 //                   shows how much of the erosion is due to repair copies
 //                   alone versus aggressive motion).
-// Timers: the renaming pass itself.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -58,28 +55,12 @@ void print_ablation() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_RenamePass(benchmark::State& state) {
-  const auto& w = wl::suite()[static_cast<std::size_t>(state.range(0))];
-  const auto& p = bench::prepared_workload(w.name);
-  for (auto _ : state) {
-    state.PauseTiming();
-    ir::Module variant = p.module;  // Fresh copy each iteration.
-    state.ResumeTiming();
-    int copies = 0;
-    for (auto& fn : variant.functions) copies += opt::rename_registers(fn);
-    benchmark::DoNotOptimize(copies);
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_RenamePass)->DenseRange(0, 11)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_ablation_renaming"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_ablation_renaming"}, nullptr)) {
     return 2;
   }
   print_ablation();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,9 +2,6 @@
 // (add-add, add-compare) should appear at factor 2 and keep growing slowly;
 // factor 1 (no pipelining, percolation only) isolates the pipelining
 // contribution from pure percolation.
-// Timers: the optimize pass at each factor.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -44,30 +41,12 @@ void print_sweep() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_OptimizeAtFactor(benchmark::State& state) {
-  const int factor = static_cast<int>(state.range(0));
-  for (const auto& w : wl::suite()) bench::prepared_workload(w.name);
-  opt::OptimizeOptions options;
-  options.unroll.factor = factor;
-  for (auto _ : state) {
-    std::size_t instrs = 0;
-    for (const auto& w : wl::suite()) {
-      ir::Module variant = bench::prepared_workload(w.name).module;
-      opt::optimize(variant, opt::OptLevel::O1, options);
-      instrs += variant.instr_count();
-    }
-    benchmark::DoNotOptimize(instrs);
-  }
-}
-BENCHMARK(BM_OptimizeAtFactor)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_ablation_unroll"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_ablation_unroll"}, nullptr)) {
     return 2;
   }
   print_sweep();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

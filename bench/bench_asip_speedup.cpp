@@ -2,9 +2,6 @@
 // compiler feedback (coverage at the pipelined level), selects chained
 // instructions under an area budget, and reports the customized processor's
 // speedup per benchmark.  Swept over area budgets.
-// Timers: coverage + selection per benchmark.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "asip/extension.hpp"
@@ -63,32 +60,12 @@ void print_speedups() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_ProposeExtensions(benchmark::State& state) {
-  const auto& w = wl::suite()[static_cast<std::size_t>(state.range(0))];
-  const auto& p = bench::prepared_workload(w.name);
-  for (auto _ : state) {
-    // Fresh caches per iteration: times coverage + selection end to end
-    // (Session construction and teardown untimed).
-    state.PauseTiming();
-    auto s = std::make_unique<pipeline::Session>(p);
-    state.ResumeTiming();
-    const auto& proposal = s->extension(opt::OptLevel::O1);
-    benchmark::DoNotOptimize(proposal.customized_cycles);
-    state.PauseTiming();
-    s.reset();
-    state.ResumeTiming();
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_ProposeExtensions)->DenseRange(0, 11)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_asip_speedup"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_asip_speedup"}, nullptr)) {
     return 2;
   }
   print_speedups();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -18,9 +18,6 @@
 //
 // Prints a per-family table, then emits BENCH_corpus.json in the current
 // directory (override the path with the positional argument).
-// Timers: warm corpus fan-out, and one cold scenario for scale.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -154,8 +151,8 @@ int run_cache_phase(const std::string& dir) {
   const auto start = Clock::now();
   cache::StoreOptions store_options;
   store_options.dir = dir;
-  pipeline::SessionPool pool;
-  pool.set_store(std::make_shared<cache::Store>(std::move(store_options)));
+  pipeline::SessionPool pool(
+      std::make_shared<cache::Store>(std::move(store_options)));
   const auto batch = pipeline::run_stages(jobs, requests, {}, &pool);
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -262,34 +259,6 @@ std::string render_json(const CorpusReport& report, std::size_t total) {
   return json.str() + "\n";
 }
 
-void BM_CorpusWarmFanout(benchmark::State& state) {
-  // Steady-state service path: every artifact memoized, the fan-out only
-  // pays Session lookup + thread-pool overhead.
-  const auto jobs = corpus_jobs();
-  pipeline::SessionPool pool;
-  CorpusReport scratch;
-  (void)timed_fanout(jobs, pool, scratch, /*record_sequences=*/false);
-  for (auto _ : state) {
-    CorpusReport r;
-    benchmark::DoNotOptimize(timed_fanout(jobs, pool, r, false));
-  }
-  state.SetLabel(std::to_string(jobs.size()) + " workloads");
-}
-BENCHMARK(BM_CorpusWarmFanout)->Unit(benchmark::kMillisecond);
-
-void BM_CorpusColdScenario(benchmark::State& state) {
-  // The uncached unit cost: compile + profile + optimize + detect one
-  // generated scenario from scratch.
-  const auto& w = wl::default_corpus().front();
-  for (auto _ : state) {
-    const pipeline::Session session(w.source, w.name, w.input);
-    benchmark::DoNotOptimize(
-        session.detection(opt::OptLevel::O1).sequences.size());
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_CorpusColdScenario)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -303,7 +272,7 @@ int main(int argc, char** argv) {
   }
   const std::string self = argv[0];
   std::string path;
-  if (!bench::parse_bench_args(&argc, argv,
+  if (!bench::parse_bench_args(argc, argv,
                                {"bench_corpus", "BENCH_corpus.json"}, &path)) {
     return 2;
   }
@@ -336,7 +305,5 @@ int main(int argc, char** argv) {
 
   if (!support::JsonWriter::write_file(path, json)) return 1;
   if (report.diff_fail != 0 || report.stage_failures != 0) return 1;
-
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

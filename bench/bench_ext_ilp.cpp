@@ -2,9 +2,6 @@
 // application suite for multiple-issue instruction-set feedback.
 // ops/cycle per benchmark at issue widths 1/2/4/8, unoptimized vs fully
 // optimized — renaming raises ILP even though it erodes chains.
-// Timers: the list scheduler per width.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -33,28 +30,12 @@ void print_ilp() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_MeasureIlp(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (const auto& w : wl::suite()) bench::prepared_workload(w.name);
-  for (auto _ : state) {
-    double total = 0.0;
-    for (const auto& w : wl::suite()) {
-      total += opt::measure_ilp(bench::prepared_workload(w.name).module, width)
-                   .ops_per_cycle;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetLabel("width=" + std::to_string(width));
-}
-BENCHMARK(BM_MeasureIlp)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_ext_ilp"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_ext_ilp"}, nullptr)) {
     return 2;
   }
   print_ilp();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,12 +1,9 @@
 // Reproduces paper Figure 3: dynamic frequencies of all length-2 sequences
 // detected across the combined benchmark suite, sorted descending, at the
-// three optimization levels.  Timers: length-2 detection per level.
-#include <benchmark/benchmark.h>
-
+// three optimization levels.
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "pipeline/batch.hpp"
 
 namespace {
 
@@ -21,50 +18,12 @@ void print_figure3() {
   }
 }
 
-void BM_DetectLen2(benchmark::State& state) {
-  const auto level = static_cast<opt::OptLevel>(state.range(0));
-  chain::DetectorOptions detector;
-  detector.min_length = 2;
-  detector.max_length = 2;
-  const std::vector<pipeline::StageRequest> requests = {
-      pipeline::StageRequest::detection_at(level, detector)};
-  std::vector<std::string> names;
-  for (const auto& w : wl::suite()) names.push_back(w.name);
-  for (auto _ : state) {
-    // A fresh pool seeded with the warm baselines (no recompilation, no
-    // cached analyses): the timer measures the cold optimization+detection
-    // fan-out, including its thread-pool overhead.  Pool setup AND
-    // teardown stay outside the timed region.
-    state.PauseTiming();
-    auto pool = std::make_unique<pipeline::SessionPool>();
-    for (const auto& w : wl::suite())
-      pool->put(w.name, bench::prepared_workload(w.name), w.source);
-    state.ResumeTiming();
-    const auto batch = pipeline::run_stages(names, requests, {}, pool.get());
-    std::size_t total = 0;
-    for (const auto& entry : batch.entries)
-      if (entry.detection.has_value()) total += entry.detection->sequences.size();
-    state.PauseTiming();
-    const std::size_t failures = batch.failures();
-    pool.reset();
-    state.ResumeTiming();
-    if (failures != 0) {
-      state.SkipWithError("batch analysis failed for some workloads");
-      break;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetLabel(std::string(opt::to_string(level)));
-}
-BENCHMARK(BM_DetectLen2)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_fig3_len2"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_fig3_len2"}, nullptr)) {
     return 2;
   }
   print_figure3();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,12 +1,8 @@
 // Reproduces paper Figure 4: dynamic frequencies of all length-4 sequences
 // detected across the combined suite at the three optimization levels.
-// Timers: length-4 detection per level.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "pipeline/batch.hpp"
 
 namespace {
 
@@ -21,48 +17,12 @@ void print_figure4() {
   }
 }
 
-void BM_DetectLen4(benchmark::State& state) {
-  const auto level = static_cast<opt::OptLevel>(state.range(0));
-  chain::DetectorOptions detector;
-  detector.min_length = 4;
-  detector.max_length = 4;
-  const std::vector<pipeline::StageRequest> requests = {
-      pipeline::StageRequest::detection_at(level, detector)};
-  std::vector<std::string> names;
-  for (const auto& w : wl::suite()) names.push_back(w.name);
-  for (auto _ : state) {
-    // Fresh pool over warm baselines: cold fan-out, no cached analyses.
-    // Pool setup AND teardown stay outside the timed region.
-    state.PauseTiming();
-    auto pool = std::make_unique<pipeline::SessionPool>();
-    for (const auto& w : wl::suite())
-      pool->put(w.name, bench::prepared_workload(w.name), w.source);
-    state.ResumeTiming();
-    const auto batch = pipeline::run_stages(names, requests, {}, pool.get());
-    std::size_t total = 0;
-    for (const auto& entry : batch.entries)
-      if (entry.detection.has_value()) total += entry.detection->sequences.size();
-    state.PauseTiming();
-    const std::size_t failures = batch.failures();
-    pool.reset();
-    state.ResumeTiming();
-    if (failures != 0) {
-      state.SkipWithError("batch analysis failed for some workloads");
-      break;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetLabel(std::string(opt::to_string(level)));
-}
-BENCHMARK(BM_DetectLen4)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_fig4_len4"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_fig4_len4"}, nullptr)) {
     return 2;
   }
   print_figure4();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,5 @@
 // Reproduces paper Figure 5: per-benchmark length-2 sequences with dynamic
 // frequency >= 5%, at the optimized (pipelined) level.
-// Timers: per-benchmark length-2 detection.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -29,34 +26,12 @@ void print_figure5() {
   }
 }
 
-void BM_PerBenchLen2(benchmark::State& state) {
-  const auto& w = wl::suite()[static_cast<std::size_t>(state.range(0))];
-  const auto& p = bench::prepared_workload(w.name);
-  chain::DetectorOptions options;
-  options.min_length = 2;
-  options.max_length = 2;
-  for (auto _ : state) {
-    // Fresh caches per iteration: times the length-2 detection itself
-    // (Session construction and teardown untimed).
-    state.PauseTiming();
-    auto s = std::make_unique<pipeline::Session>(p);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(s->detection(opt::OptLevel::O1, options).paths);
-    state.PauseTiming();
-    s.reset();
-    state.ResumeTiming();
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_PerBenchLen2)->DenseRange(0, 11)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_fig5_perbench2"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_fig5_perbench2"}, nullptr)) {
     return 2;
   }
   print_figure5();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,5 @@
 // Reproduces paper Figure 6: per-benchmark length-4 sequences with dynamic
 // frequency >= 5%, at the optimized (pipelined) level.
-// Timers: per-benchmark length-4 detection.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -29,34 +26,12 @@ void print_figure6() {
   }
 }
 
-void BM_PerBenchLen4(benchmark::State& state) {
-  const auto& w = wl::suite()[static_cast<std::size_t>(state.range(0))];
-  const auto& p = bench::prepared_workload(w.name);
-  chain::DetectorOptions options;
-  options.min_length = 4;
-  options.max_length = 4;
-  for (auto _ : state) {
-    // Fresh caches per iteration: times the length-4 detection itself
-    // (Session construction and teardown untimed).
-    state.PauseTiming();
-    auto s = std::make_unique<pipeline::Session>(p);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(s->detection(opt::OptLevel::O1, options).paths);
-    state.PauseTiming();
-    s.reset();
-    state.ResumeTiming();
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_PerBenchLen4)->DenseRange(0, 11)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_fig6_perbench4"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_fig6_perbench4"}, nullptr)) {
     return 2;
   }
   print_figure6();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -17,12 +17,10 @@
 // sum/min/max/count, so shard merges are exact).
 //
 //   bench_gauntlet [OUT.json] [--count N] [--mutants M] [--seed S]
-//                  [--shard I/N] [--benchmark_* flags]
+//                  [--shard I/N]
 //
 // Defaults reproduce the reduced per-PR scale (125 * 4 = 500 programs);
 // the scheduled CI job passes --count 2500 for the full 10,000.
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -292,36 +290,12 @@ bool parse_gauntlet_flags(int* argc, char** argv, GauntletConfig* config) {
   return ok;
 }
 
-void BM_GauntletScenarioBattery(benchmark::State& state) {
-  // Unit cost of one gauntlet entry: generate + full differential battery.
-  wl::CorpusSpec spec;
-  spec.count = 1;
-  const wl::Workload w = wl::corpus_scenario(spec, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wl::check_workload(w).ok());
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_GauntletScenarioBattery)->Unit(benchmark::kMillisecond);
-
-void BM_GauntletMutate(benchmark::State& state) {
-  // Unit cost of producing one 3-rewrite mutant.
-  wl::CorpusSpec spec;
-  spec.count = 1;
-  const wl::Workload w = wl::corpus_scenario(spec, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wl::mutate(w.source, 42, 3).source.size());
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_GauntletMutate)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   GauntletConfig config;
   if (!parse_gauntlet_flags(&argc, argv, &config)) return 2;
-  if (!bench::parse_bench_args(&argc, argv,
+  if (!bench::parse_bench_args(argc, argv,
                                {"bench_gauntlet", "BENCH_gauntlet.json"},
                                &config.out_path)) {
     return 2;
@@ -333,7 +307,5 @@ int main(int argc, char** argv) {
   std::fputs(json.c_str(), stdout);
   if (!support::JsonWriter::write_file(config.out_path, json)) return 1;
   if (report.mismatches() != 0) return 1;
-
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

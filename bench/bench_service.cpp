@@ -31,8 +31,6 @@
 // argument): per-point requests/s plus flat warm_1/warm_4/warm_max and
 // open_loop_* members for tools/check_perf.py.  Any failed or
 // byte-mismatched response fails the binary.
-#include <benchmark/benchmark.h>
-
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -571,26 +569,11 @@ std::string render_json(unsigned workers, std::size_t mix_size,
   return json.str() + "\n";
 }
 
-void BM_ServiceWarmCall(benchmark::State& state) {
-  // Single warm request round trip: queue + dispatch + memoized lookup.
-  service::Server server;
-  service::Request request;
-  request.id = 1;
-  request.kind = service::Kind::kDetection;
-  request.workload = "fir";
-  (void)server.call(request);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(server.call(request).sequences);
-  }
-  state.SetLabel("detect fir@O1");
-}
-BENCHMARK(BM_ServiceWarmCall)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string path;
-  if (!bench::parse_bench_args(&argc, argv,
+  if (!bench::parse_bench_args(argc, argv,
                                {"bench_service", "BENCH_service.json"},
                                &path)) {
     return 2;
@@ -649,7 +632,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_service: %zu failed responses\n", failures);
     return 1;
   }
-
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

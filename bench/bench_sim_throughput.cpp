@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   using namespace asipfb;
   std::string path;
   if (!bench::parse_bench_args(
-          &argc, argv, {"bench_sim_throughput", "BENCH_sim_throughput.json"},
+          argc, argv, {"bench_sim_throughput", "BENCH_sim_throughput.json"},
           &path)) {
     return 2;
   }

@@ -5,10 +5,6 @@
 //
 // Prints a per-corner table, then emits the grid as machine-readable JSON
 // (BENCH_sweep.json in the current directory; override with the positional argument).
-// Timers: the warm sweep (the memoized service path — every artifact
-// cached after the first pass) against one cold corner for scale.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -73,40 +69,11 @@ void print_sweep(const pipeline::SweepResult& result) {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_SweepWarm(benchmark::State& state) {
-  // First call fills every Session cache; steady state measures the
-  // repeated-query service path (pure memoized lookups + fan-out overhead).
-  const auto options = sweep_grid();
-  (void)pipeline::sweep_suite(options);
-  for (auto _ : state) {
-    const auto result = pipeline::sweep_suite(options);
-    benchmark::DoNotOptimize(result.points.size());
-  }
-  state.SetLabel(std::to_string(pipeline::sweep_suite(options).points.size()) +
-                 " points");
-}
-BENCHMARK(BM_SweepWarm)->Unit(benchmark::kMillisecond);
-
-void BM_SweepColdCorner(benchmark::State& state) {
-  // One cold corner (fresh Session, fir @ O1): the uncached cost a warm
-  // sweep avoids at every other grid point.
-  const auto& p = bench::prepared_workload("fir");
-  for (auto _ : state) {
-    const pipeline::Session s(p);
-    chain::CoverageOptions cov;
-    cov.floor_percent = 2.0;
-    benchmark::DoNotOptimize(
-        s.extension(opt::OptLevel::O1, {}, {}, cov).speedup());
-  }
-  state.SetLabel("fir@O1");
-}
-BENCHMARK(BM_SweepColdCorner)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string path;
-  if (!bench::parse_bench_args(&argc, argv, {"bench_sweep", "BENCH_sweep.json"},
+  if (!bench::parse_bench_args(argc, argv, {"bench_sweep", "BENCH_sweep.json"},
                                &path)) {
     return 2;
   }
@@ -115,6 +82,5 @@ int main(int argc, char** argv) {
   const std::string json = render_sweep_json(result);
   std::fputs(json.c_str(), stdout);
   if (!support::JsonWriter::write_file(path, json)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,5 @@
 // Reproduces paper Table 1: benchmark descriptions, sizes, and data inputs —
 // extended with the measured baseline dynamic operation counts.
-// Timers: front-end + profiling cost per benchmark.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -24,25 +21,12 @@ void print_table1() {
               table.render().c_str());
 }
 
-void BM_CompileAndProfile(benchmark::State& state) {
-  const auto& w = wl::suite()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    // A fresh Session per iteration: times the full compile+profile
-    // (Session construction IS prepare()), not the memoized service path.
-    const pipeline::Session s(w.source, w.name, w.input);
-    benchmark::DoNotOptimize(s.total_cycles());
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_CompileAndProfile)->DenseRange(0, 11)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_table1"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_table1"}, nullptr)) {
     return 2;
   }
   print_table1();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

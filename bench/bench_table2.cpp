@@ -1,9 +1,6 @@
 // Reproduces paper Table 2: example sequences and their dynamic frequencies
 // across the three optimization levels (suite-combined).  The paper's five
 // rows are printed first, then our measured top sequences for context.
-// Timers: the full three-level analysis of the suite.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -46,34 +43,12 @@ void print_table2() {
               extra.render().c_str());
 }
 
-void BM_ThreeLevelAnalysis(benchmark::State& state) {
-  const auto& w = wl::suite()[static_cast<std::size_t>(state.range(0))];
-  const auto& p = bench::prepared_workload(w.name);
-  for (auto _ : state) {
-    // Fresh caches per iteration so the timer measures the real
-    // optimization+detection work, not Session cache hits; Session
-    // construction (a baseline copy) and teardown stay untimed.
-    state.PauseTiming();
-    auto s = std::make_unique<pipeline::Session>(p);
-    state.ResumeTiming();
-    for (auto level : {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
-      benchmark::DoNotOptimize(s->detection(level).paths);
-    }
-    state.PauseTiming();
-    s.reset();
-    state.ResumeTiming();
-  }
-  state.SetLabel(w.name);
-}
-BENCHMARK(BM_ThreeLevelAnalysis)->DenseRange(0, 11)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_table2"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_table2"}, nullptr)) {
     return 2;
   }
   print_table2();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,9 +1,6 @@
 // Reproduces paper Table 3: iterative sequence coverage on sewha, feowf,
 // bspline, edge, and iir — with ("yes" = pipelined+percolated) and without
 // ("no" = unscheduled, adjacency-restricted) the parallelizing optimizations.
-// Timers: coverage analysis per benchmark and mode.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -40,34 +37,12 @@ void print_table3() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_Coverage(benchmark::State& state) {
-  const char* name = kTable3Benchmarks[state.range(0) / 2];
-  const bool optimized = state.range(0) % 2 == 0;
-  const auto& p = bench::prepared_workload(name);
-  for (auto _ : state) {
-    // Fresh caches per iteration: times the coverage analysis itself
-    // (Session construction and teardown untimed).
-    state.PauseTiming();
-    auto s = std::make_unique<pipeline::Session>(p);
-    state.ResumeTiming();
-    const auto& coverage =
-        s->coverage(optimized ? opt::OptLevel::O1 : opt::OptLevel::O0);
-    benchmark::DoNotOptimize(coverage.total_coverage);
-    state.PauseTiming();
-    s.reset();
-    state.ResumeTiming();
-  }
-  state.SetLabel(std::string(name) + (optimized ? "/yes" : "/no"));
-}
-BENCHMARK(BM_Coverage)->DenseRange(0, 9)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::parse_bench_args(&argc, argv, {"bench_table3"}, nullptr)) {
+  if (!bench::parse_bench_args(argc, argv, {"bench_table3"}, nullptr)) {
     return 2;
   }
   print_table3();
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

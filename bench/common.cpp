@@ -1,7 +1,5 @@
 #include "bench/common.hpp"
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -18,54 +16,37 @@ namespace {
 void print_bench_usage(const BenchCli& cli) {
   if (cli.default_output != nullptr) {
     std::fprintf(stderr,
-                 "usage: %s [OUTPUT.json] [--benchmark_* flags]\n"
+                 "usage: %s [OUTPUT.json]\n"
                  "  OUTPUT.json  artifact path (default %s)\n",
                  cli.name, cli.default_output);
   } else {
-    std::fprintf(stderr, "usage: %s [--benchmark_* flags]\n", cli.name);
+    std::fprintf(stderr, "usage: %s\n", cli.name);
   }
 }
 
 }  // namespace
 
-bool parse_bench_args(int* argc, char** argv, const BenchCli& cli,
+bool parse_bench_args(int argc, char** argv, const BenchCli& cli,
                       std::string* output_path) {
   if (output_path != nullptr && cli.default_output != nullptr) {
     *output_path = cli.default_output;
   }
-  // Pull the positionals out first; what remains (argv[0] + flags) goes to
-  // the google-benchmark harness.
-  std::vector<char*> flags;
-  std::vector<char*> positionals;
-  flags.push_back(argv[0]);
-  for (int i = 1; i < *argc; ++i) {
-    (argv[i][0] == '-' ? flags : positionals).push_back(argv[i]);
+  for (int i = 1; i < argc; ++i) {
+    const char* reason = nullptr;
+    if (argv[i][0] == '-') {
+      reason = "unrecognized flag";
+    } else if (cli.default_output == nullptr) {
+      reason = "unexpected argument";
+    } else if (i > 1) {
+      reason = "unexpected extra argument";
+    }
+    if (reason != nullptr) {
+      std::fprintf(stderr, "%s: %s '%s'\n", cli.name, reason, argv[i]);
+      print_bench_usage(cli);
+      return false;
+    }
+    if (output_path != nullptr) *output_path = argv[i];
   }
-  if (cli.default_output == nullptr && !positionals.empty()) {
-    std::fprintf(stderr, "%s: unexpected argument '%s'\n", cli.name,
-                 positionals.front());
-    print_bench_usage(cli);
-    return false;
-  }
-  if (positionals.size() > 1) {
-    std::fprintf(stderr, "%s: unexpected extra argument '%s'\n", cli.name,
-                 positionals[1]);
-    print_bench_usage(cli);
-    return false;
-  }
-  if (!positionals.empty() && output_path != nullptr) {
-    *output_path = positionals.front();
-  }
-
-  int flag_count = static_cast<int>(flags.size());
-  flags.push_back(nullptr);
-  benchmark::Initialize(&flag_count, flags.data());
-  if (flag_count > 1) {  // Initialize consumed everything it understands.
-    std::fprintf(stderr, "%s: unrecognized flag '%s'\n", cli.name, flags[1]);
-    print_bench_usage(cli);
-    return false;
-  }
-  *argc = 1;  // Everything is consumed; RunSpecifiedBenchmarks needs argv[0].
   return true;
 }
 

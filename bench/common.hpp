@@ -1,9 +1,9 @@
 // Shared support for the table/figure regeneration binaries.
 //
-// Every bench binary prints the paper artifact it reproduces (table rows or
-// figure series) and then runs google-benchmark timers over the underlying
-// analyses, so `for b in build/bench/*; do $b; done` both regenerates the
-// evaluation and measures the framework.
+// Every bench binary is a plain program: it prints the paper artifact it
+// reproduces (table rows or figure series) and, if it has one, writes its
+// JSON artifact, so `for b in build/bench/*; do $b; done` regenerates the
+// evaluation.  Whole-trip timing lives in tripbench.
 #pragma once
 
 #include <string>
@@ -19,13 +19,12 @@ namespace asipfb::bench {
 
 /// Shared argv contract of every bench driver:
 ///
-///   bench_X [OUTPUT.json] [--benchmark_* flags]
+///   bench_X [OUTPUT.json]
 ///
 /// The one optional positional is the JSON artifact path (only for
 /// drivers that write one — `default_output` nullptr means none is
-/// accepted).  Everything starting with '-' goes to google-benchmark;
-/// flags neither we nor the harness recognize, or stray positionals, are
-/// *errors*: usage goes to stderr and false comes back so the driver can
+/// accepted).  Any other argument — a flag or a stray positional — is an
+/// *error*: usage goes to stderr and false comes back so the driver can
 /// exit nonzero — a misconfigured CI invocation must fail loudly, not
 /// silently fall back to defaults (or, worse, write its artifact to a
 /// file named after a flag).  Call this before any heavy work.
@@ -33,7 +32,7 @@ struct BenchCli {
   const char* name;                    ///< argv[0] basename for usage text.
   const char* default_output = nullptr;  ///< Artifact path; nullptr = none.
 };
-[[nodiscard]] bool parse_bench_args(int* argc, char** argv, const BenchCli& cli,
+[[nodiscard]] bool parse_bench_args(int argc, char** argv, const BenchCli& cli,
                                     std::string* output_path);
 
 /// The process-wide memoizing Session of a suite workload: compile+profile

@@ -126,7 +126,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.run_ilp = true;
     } else if (arg == "--asip") {
       const auto area = examples::parse_double_flag(next());
-      if (!area) return false;
+      if (!area || !std::isfinite(*area)) return false;
       options.asip_area = *area;
     } else if (arg == "--dump-ir") {
       options.dump_ir = true;

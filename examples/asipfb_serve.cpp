@@ -25,11 +25,13 @@
 
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 
+#include "cache/store.hpp"
 #include "examples/flag_parse.hpp"
 #include "service/net.hpp"
 #include "service/router.hpp"
@@ -40,6 +42,7 @@ namespace {
 
 struct ServeOptions {
   service::RouterOptions router;  ///< The same for stdio and TCP.
+  std::string cache_dir;          ///< Opened as the shards' shared Store.
   bool with_latency = false;
   bool help = false;
   bool tcp = false;
@@ -67,7 +70,8 @@ void print_usage(std::FILE* out) {
                "  stats | ping | quit          control lines\n"
                "\n"
                "options:\n"
-               "  --workers N   worker threads per shard (default: hardware)\n"
+               "  --workers N   worker threads per shard (default: hardware);\n"
+               "                shards x workers is at most %u\n"
                "  --queue N     queue capacity per shard (default 256)\n"
                "  --latency     include latency/uptime fields in output\n"
                "                (nondeterministic; off for diffable runs)\n"
@@ -83,7 +87,8 @@ void print_usage(std::FILE* out) {
                "                hash router (TCP mode only; default 1)\n"
                "  --port-file F write the bound port to F once listening\n"
                "  --idle-timeout MS  close idle TCP connections after MS\n"
-               "  --help        print this help and exit\n");
+               "  --help        print this help and exit\n",
+               service::kMaxWorkerThreads);
 }
 
 bool parse_args(int argc, char** argv, ServeOptions& options) {
@@ -95,7 +100,8 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--workers") {
-      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      const auto v =
+          examples::parse_int_flag(next(), 1, service::kMaxWorkerThreads);
       if (!v) return false;
       options.router.server.workers = static_cast<unsigned>(*v);
     } else if (arg == "--queue") {
@@ -107,14 +113,15 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
     } else if (arg == "--cache-dir") {
       const char* v = next();
       if (v == nullptr || *v == '\0') return false;
-      options.router.server.cache_dir = v;
+      options.cache_dir = v;
     } else if (arg == "--tcp") {
       const auto v = examples::parse_int_flag(next(), 0, 65535);
       if (!v) return false;
       options.tcp = true;
       options.tcp_port = static_cast<int>(*v);
     } else if (arg == "--shards") {
-      const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
+      const auto v =
+          examples::parse_int_flag(next(), 1, service::kMaxWorkerThreads);
       if (!v) return false;
       options.router.shards = static_cast<unsigned>(*v);
     } else if (arg == "--port-file") {
@@ -135,7 +142,11 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
        options.idle_timeout_ms != 0)) {
     return false;
   }
-  return true;
+  // Over the service's thread cap: a usage error like any bad flag (the
+  // Router would refuse it too, but as a start-up failure).
+  return std::uint64_t{options.router.shards} *
+             service::resolved_workers(options.router.server.workers) <=
+         service::kMaxWorkerThreads;
 }
 
 /// stderr summary of the artifact cache, printed at every exit path when a
@@ -220,6 +231,12 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<service::Router> router;
   try {
+    if (!options.cache_dir.empty()) {
+      cache::StoreOptions store_options;
+      store_options.dir = options.cache_dir;
+      options.router.server.store =
+          std::make_shared<cache::Store>(std::move(store_options));
+    }
     router = std::make_unique<service::Router>(options.router);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "asipfb_serve: %s\n", ex.what());

@@ -1,6 +1,8 @@
 #include "asip/extension.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "support/table.hpp"
 
@@ -10,6 +12,13 @@ ExtensionProposal propose_extensions(const chain::CoverageResult& coverage,
                                      std::uint64_t baseline_cycles,
                                      const DatapathModel& model,
                                      const SelectionOptions& options) {
+  // A NaN area budget would lift the area limit (every `> NaN` test is
+  // false) and a NaN cycle budget would reject every candidate.
+  if (!std::isfinite(options.area_budget) || options.area_budget < 0.0 ||
+      !std::isfinite(options.cycle_budget) || options.cycle_budget < 0.0) {
+    throw std::invalid_argument(
+        "extension: area_budget and cycle_budget must be finite and >= 0");
+  }
   ExtensionProposal proposal;
   proposal.baseline_cycles = baseline_cycles;
 

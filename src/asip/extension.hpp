@@ -52,6 +52,8 @@ struct ExtensionProposal {
 
 /// Builds and selects extensions from a coverage analysis.
 /// `baseline_cycles` is the unoptimized profile's total dynamic op count.
+/// Throws std::invalid_argument unless both budgets in `options` are
+/// finite and >= 0.
 [[nodiscard]] ExtensionProposal propose_extensions(
     const chain::CoverageResult& coverage, std::uint64_t baseline_cycles,
     const DatapathModel& model = {}, const SelectionOptions& options = {});

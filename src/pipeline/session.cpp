@@ -346,6 +346,9 @@ Session::Stats Session::stats() const {
 
 // --- SessionPool ------------------------------------------------------------
 
+SessionPool::SessionPool(std::shared_ptr<cache::Store> store)
+    : store_(std::move(store)) {}
+
 std::shared_ptr<SessionPool::Entry> SessionPool::entry_for(
     const std::string& key) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -364,10 +367,7 @@ std::shared_ptr<Session> SessionPool::get(const std::string& key,
   std::call_once(entry.once, [&] {
     entry.source = std::string(source);  // bind key to source even on failure
     try {
-      entry.session = std::make_shared<Session>(source, key, input, store());
-      entry.provenance = entry.session->baseline_from_disk()
-                             ? Provenance::kDiskCache
-                             : Provenance::kComputed;
+      entry.session = std::make_shared<Session>(source, key, input, store_);
       entry.ready.store(true, std::memory_order_release);
     } catch (const std::exception& ex) {
       entry.error = ex.what();
@@ -392,47 +392,6 @@ std::shared_ptr<Session> SessionPool::get(const std::string& workload_name) {
   return get(w.name, w.source, w.input);
 }
 
-std::shared_ptr<Session> SessionPool::put(const std::string& key,
-                                          PreparedProgram prepared,
-                                          std::string_view source) {
-  std::shared_ptr<Entry> held;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = entries_.try_emplace(key);
-    if (!inserted) {
-      throw std::invalid_argument("SessionPool key '" + key +
-                                  "' already bound");
-    }
-    it->second = std::make_shared<Entry>();
-    held = it->second;
-  }
-  Entry& entry = *held;
-  std::call_once(entry.once, [&] {
-    if (source.empty()) {
-      // Sentinel (never valid BenchC — leading NUL, explicit length): a
-      // later get() under this key reports a mismatch instead of serving
-      // an adopted baseline the caller never tied to real source text.
-      entry.source.assign("\0<adopted baseline>", 20);
-    } else {
-      entry.source = std::string(source);
-    }
-    entry.session = std::make_shared<Session>(std::move(prepared), store());
-    entry.provenance = Provenance::kAdopted;
-    entry.ready.store(true, std::memory_order_release);
-  });
-  return entry.session;
-}
-
-void SessionPool::set_store(std::shared_ptr<cache::Store> store) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  store_ = std::move(store);
-}
-
-std::shared_ptr<cache::Store> SessionPool::store() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return store_;
-}
-
 SessionPool::PoolStats SessionPool::stats() const {
   // Snapshot the entries under the lock, read the Sessions outside it:
   // Session::stats() is lock-free but there is no reason to serialize it
@@ -445,16 +404,12 @@ SessionPool::PoolStats SessionPool::stats() const {
   }
   PoolStats ps;
   for (const std::shared_ptr<Entry>& entry : snapshot) {
-    // `ready` (acquire) orders the provenance + session writes below it.
+    // `ready` (acquire) orders the session write below it.
     if (entry == nullptr || !entry->ready.load(std::memory_order_acquire)) {
       continue;
     }
     ++ps.sessions;
-    switch (entry->provenance) {
-      case Provenance::kComputed: ++ps.computed; break;
-      case Provenance::kAdopted: ++ps.adopted; break;
-      case Provenance::kDiskCache: ++ps.disk_cache; break;
-    }
+    ++(entry->session->baseline_from_disk() ? ps.disk_cache : ps.computed);
     const Session::Stats s = entry->session->stats();
     ps.stages.optimize_runs += s.optimize_runs;
     ps.stages.detect_runs += s.detect_runs;

@@ -237,14 +237,9 @@ class Session {
 /// std::invalid_argument instead of silently serving the wrong program.
 class SessionPool {
  public:
-  /// Where a pool entry's baseline came from — computed cold, adopted via
-  /// put(), or loaded from the artifact store.  Surfaced through stats()
-  /// so warm-start behavior is observable (and testable) per entry.
-  enum class Provenance : std::uint8_t {
-    kComputed,   ///< Cold compile + profile in this process.
-    kAdopted,    ///< put() handed us an already-prepared baseline.
-    kDiskCache,  ///< Loaded from the persistent artifact store.
-  };
+  /// `store` (may be null) is the persistent artifact store every Session
+  /// this pool prepares consults; it is fixed for the pool's lifetime.
+  explicit SessionPool(std::shared_ptr<cache::Store> store = nullptr);
 
   /// Prepare (or fetch) by explicit source + input, under `key`.
   std::shared_ptr<Session> get(const std::string& key, std::string_view source,
@@ -254,41 +249,29 @@ class SessionPool {
   /// throws std::out_of_range for unknown names.
   std::shared_ptr<Session> get(const std::string& workload_name);
 
-  /// Adopts an already-prepared baseline under `key` (fresh artifact
-  /// caches, no re-simulation); throws std::invalid_argument if the key is
-  /// already bound.  `source` is the text the key binds to: pass the
-  /// program's real source so later get()s for the same key resolve to
-  /// this Session (the batch runners' by-name lookup path); leave it empty
-  /// to bind an unmatchable sentinel instead.  Bench drivers use this to
-  /// time cold analyses against a warm baseline.
-  std::shared_ptr<Session> put(const std::string& key, PreparedProgram prepared,
-                               std::string_view source = {});
-
   /// Number of successfully prepared Sessions currently pooled.
   [[nodiscard]] std::size_t size() const;
 
-  /// Installs (or removes, with nullptr) the persistent artifact store
-  /// consulted by Sessions this pool prepares *after* the call.  Existing
-  /// entries are unaffected — install before the first get() for a fully
-  /// warm-startable pool.
-  void set_store(std::shared_ptr<cache::Store> store);
-  [[nodiscard]] std::shared_ptr<cache::Store> store() const;
+  /// The artifact store given at construction (null without a cache).
+  [[nodiscard]] const std::shared_ptr<cache::Store>& store() const {
+    return store_;
+  }
 
-  /// Pool-level observability: baseline provenance of the ready entries
-  /// plus every Session's stage/disk counters summed.  `sessions` counts
-  /// the entries aggregated (== size()).
+  /// Pool-level observability: where the ready entries' baselines came
+  /// from (Session::baseline_from_disk()) plus every Session's stage/disk
+  /// counters summed.  `sessions` counts the entries aggregated (== size())
+  /// and is partitioned by `computed` and `disk_cache`.
   struct PoolStats {
     std::uint64_t sessions = 0;
-    std::uint64_t computed = 0;
-    std::uint64_t adopted = 0;
-    std::uint64_t disk_cache = 0;
+    std::uint64_t computed = 0;    ///< Cold compile + profile in this process.
+    std::uint64_t disk_cache = 0;  ///< Loaded from the artifact store.
     Session::Stats stages;  ///< Summed over all ready Sessions.
   };
   [[nodiscard]] PoolStats stats() const;
 
   /// Drops every entry (including latched failures).  Sessions still held
   /// via shared_ptr stay alive; the pool just forgets them.  Safe against
-  /// concurrent get()/put(): entries are reference-counted, so an in-flight
+  /// concurrent get(): entries are reference-counted, so an in-flight
   /// preparation completes on its own (now forgotten) entry — the one
   /// consequence of racing clear() is that such a key may be prepared
   /// again by a later get().  (The one-preparation-per-key guarantee is
@@ -305,13 +288,12 @@ class SessionPool {
     std::atomic<bool> ready{false};  ///< Set (release) once `session` is filled.
     std::string source;              ///< Source text bound to this key.
     std::string error;               ///< Latched failure; rethrown on later gets.
-    Provenance provenance = Provenance::kComputed;  ///< Written before `ready`.
   };
 
   std::shared_ptr<Entry> entry_for(const std::string& key);
 
+  const std::shared_ptr<cache::Store> store_;
   mutable std::mutex mu_;
-  std::shared_ptr<cache::Store> store_;  ///< Guarded by mu_.
   /// Entries are shared_ptr-held so clear() only detaches them: a thread
   /// mid-call_once on an entry keeps it alive and finishes safely even if
   /// the pool has already forgotten the key (service-churn contract,

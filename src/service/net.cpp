@@ -276,7 +276,7 @@ bool ProtocolSession::pump() {
       continue;
     }
     if (s.quit) break;
-    if (s.unready_count() >= s.opts.max_pipeline) break;
+    if (s.unready_count() >= kMaxPipeline) break;
 
     // Next complete line, split on '\n'; a final unterminated line at EOF
     // still counts.  The cap applies before the newline has arrived, so an
@@ -284,9 +284,9 @@ bool ProtocolSession::pump() {
     const auto newline = s.input.find('\n', s.pos);
     const std::size_t end =
         newline != std::string::npos ? newline : s.input.size();
-    if (end - s.pos > s.opts.max_line_bytes) {
+    if (end - s.pos > kMaxLineBytes) {
       s.append_ready(render_error("protocol line exceeds " +
-                                  std::to_string(s.opts.max_line_bytes) +
+                                  std::to_string(kMaxLineBytes) +
                                   " bytes"));
       s.quit = true;
       progress = true;
@@ -342,7 +342,7 @@ bool ProtocolSession::wants_close() const {
 bool ProtocolSession::input_paused() const {
   const State& s = *state_;
   return s.parked.has_value() || s.stats_barrier ||
-         s.unready_count() >= s.opts.max_pipeline;
+         s.unready_count() >= kMaxPipeline;
 }
 
 std::size_t ProtocolSession::pending() const {
@@ -423,7 +423,7 @@ bool serve_stream(Router& router, int in_fd, int out_fd,
   bool input_open = ::fcntl(in_fd, F_GETFD) != -1;
   const auto wake = std::make_shared<StreamWake>();
   options.on_progress = [wake] { wake->notify(); };
-  const std::size_t read_cap = options.max_line_bytes + (std::size_t{1} << 16);
+  const std::size_t read_cap = kMaxLineBytes + (std::size_t{1} << 16);
   ProtocolSession session(router, std::move(options));
   if (!input_open) session.finish_input();
   char buf[1 << 16];
@@ -467,6 +467,15 @@ bool serve_stream(Router& router, int in_fd, int out_fd,
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Pending unwritten output per connection before the peer is declared
+/// broken and dropped (write backpressure bound); reading pauses at half
+/// this.
+constexpr std::size_t kWriteBufferLimit = std::size_t{8} << 20;
+
+/// stop(): how long open connections may drain in-flight responses before
+/// they are force-closed.
+constexpr int kDrainGraceMs = 5000;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -646,8 +655,8 @@ void TcpServer::Impl::stop() {
 
 void TcpServer::Impl::run_epoll_loop() {
   std::unordered_map<int, std::unique_ptr<EpollConn>> conns;
-  const std::size_t read_cap = options.max_line_bytes + (std::size_t{1} << 16);
-  const std::size_t write_highwater = options.write_buffer_limit / 2;
+  const std::size_t read_cap = kMaxLineBytes + (std::size_t{1} << 16);
+  const std::size_t write_highwater = kWriteBufferLimit / 2;
   bool draining = false;
   Clock::time_point drain_deadline{};
   auto next_idle_check = Clock::now();
@@ -691,7 +700,7 @@ void TcpServer::Impl::run_epoll_loop() {
       c.out_pos = 0;
     }
     const std::size_t out_pending = c.out.size() - c.out_pos;
-    if (out_pending > options.write_buffer_limit) {
+    if (out_pending > kWriteBufferLimit) {
       close_conn(c.fd, CloseWhy::kOverflow);  // Peer stopped reading.
       return false;
     }
@@ -733,8 +742,6 @@ void TcpServer::Impl::run_epoll_loop() {
       conn->last_active = Clock::now();
       ProtocolSession::Options popts;
       popts.with_latency = options.with_latency;
-      popts.max_line_bytes = options.max_line_bytes;
-      popts.max_pipeline = options.max_pipeline;
       popts.on_progress = [hub = hub, cfd] { hub->notify(cfd); };
       conn->session = std::make_unique<ProtocolSession>(router, popts);
       epoll_event ev{};
@@ -820,7 +827,7 @@ void TcpServer::Impl::run_epoll_loop() {
     if (stopping.load() && !draining) {
       draining = true;
       drain_deadline = Clock::now() +
-                       std::chrono::milliseconds(options.drain_grace_ms);
+                       std::chrono::milliseconds(kDrainGraceMs);
       if (listen_fd >= 0) {
         ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
         ::close(listen_fd);

@@ -25,9 +25,9 @@
 //   * TcpServer — a single epoll event loop (Linux only) that accepts
 //     connections and drives one ProtocolSession per connection.  It
 //     handles slow and broken peers: nonblocking, bounded writes with
-//     per-connection buffers (a peer that stops reading past
-//     `write_buffer_limit` is dropped, and reading pauses while the
-//     buffer is high), idle timeouts, SIGPIPE-free sends, and
+//     per-connection buffers (a peer that stops reading past the write
+//     buffer limit is dropped, and reading pauses while the buffer is
+//     high), idle timeouts, SIGPIPE-free sends, and
 //     per-connection error isolation (a protocol error poisons one
 //     connection's stream, never the process).
 //
@@ -45,6 +45,14 @@
 
 namespace asipfb::service {
 
+/// A single protocol line longer than this poisons the connection (one
+/// rendered error, then ProtocolSession::wants_close()).
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// In-flight responses per connection before parsing (and reading)
+/// pauses — the per-connection pipelining depth cap.
+inline constexpr std::size_t kMaxPipeline = 1024;
+
 /// Per-connection protocol state machine; one instance per client.
 /// Driven by exactly one transport thread (feed/pump/take_ready are not
 /// reentrant); completion callbacks arrive concurrently from shard
@@ -56,12 +64,6 @@ class ProtocolSession {
  public:
   struct Options {
     bool with_latency = false;
-    /// A single protocol line longer than this poisons the connection
-    /// (one rendered error, then wants_close()).
-    std::size_t max_line_bytes = 1 << 20;
-    /// In-flight responses per connection before parsing (and reading)
-    /// pauses — per-connection pipelining depth cap.
-    std::size_t max_pipeline = 1024;
     /// Invoked from shard worker threads whenever a completion may have
     /// made output ready; transports use it to wake their event loop.
     /// Must be set before the first feed() and must not throw.
@@ -150,15 +152,6 @@ class TcpServer {
     /// Accepted-and-open connection cap; excess accepts are closed
     /// immediately (counted in Counters::refused).
     std::size_t max_connections = 4096;
-    std::size_t max_line_bytes = 1 << 20;
-    std::size_t max_pipeline = 1024;
-    /// Pending unwritten output per connection before the peer is
-    /// declared broken and dropped (write backpressure bound); reading
-    /// pauses at half this.
-    std::size_t write_buffer_limit = 8u << 20;
-    /// stop(): how long to wait for open connections to drain in-flight
-    /// responses before force-closing them.
-    int drain_grace_ms = 5000;
   };
 
   struct Counters {
@@ -184,7 +177,7 @@ class TcpServer {
   [[nodiscard]] std::uint16_t port() const;
 
   /// Graceful stop: closes the listener, lets open connections drain
-  /// in-flight responses for up to drain_grace_ms, then force-closes the
+  /// in-flight responses for up to 5 s, then force-closes the
   /// rest and joins the event-loop thread.  Idempotent.  The Router keeps
   /// running — shut it down separately.
   void stop();

@@ -47,21 +47,22 @@ int parse_int(const std::string& text, const std::string& what) {
   return static_cast<int>(v);
 }
 
-double parse_double(const std::string& text, const std::string& what) {
+double parse_finite(const std::string& text, const std::string& what) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (errno != 0 || end == text.c_str() || *end != '\0') {
     fail("invalid " + what + " '" + text + "'");
   }
-  return v;
-}
-
-double parse_finite(const std::string& text, const std::string& what) {
-  const double v = parse_double(text, what);
   if (!std::isfinite(v)) {
     fail("invalid " + what + " '" + text + "' (want a finite value)");
   }
+  return v;
+}
+
+double parse_non_negative(const std::string& text, const std::string& what) {
+  const double v = parse_finite(text, what);
+  if (v < 0.0) fail("invalid " + what + " '" + text + "' (want >= 0)");
   return v;
 }
 
@@ -97,10 +98,7 @@ void apply_option(Request& request, const std::string& key,
     request.detector.max_length = parse_int(value, "max");
     request.coverage.max_length = request.detector.max_length;
   } else if (key == "prune") {
-    request.detector.prune_percent = parse_finite(value, "prune");
-    if (request.detector.prune_percent < 0.0) {
-      fail("invalid prune '" + value + "' (want >= 0)");
-    }
+    request.detector.prune_percent = parse_non_negative(value, "prune");
   } else if (key == "adjacency") {
     const int v = parse_int(value, "adjacency");
     if (v != 0 && v != 1) fail("invalid adjacency '" + value + "' (want 0|1)");
@@ -115,9 +113,9 @@ void apply_option(Request& request, const std::string& key,
   } else if (key == "rounds") {
     request.coverage.max_rounds = parse_int(value, "rounds");
   } else if (key == "area") {
-    request.selection.area_budget = parse_double(value, "area");
+    request.selection.area_budget = parse_non_negative(value, "area");
   } else if (key == "cycle") {
-    request.selection.cycle_budget = parse_double(value, "cycle");
+    request.selection.cycle_budget = parse_non_negative(value, "cycle");
   } else if (key == "levels") {
     request.grid.levels.clear();
     for (const std::string& part : split_commas(value)) {
@@ -131,7 +129,7 @@ void apply_option(Request& request, const std::string& key,
   } else if (key == "budgets") {
     request.grid.area_budgets.clear();
     for (const std::string& part : split_commas(value)) {
-      request.grid.area_budgets.push_back(parse_double(part, "budgets"));
+      request.grid.area_budgets.push_back(parse_non_negative(part, "budgets"));
     }
   } else {
     fail("unknown option '" + key + "'");
@@ -277,7 +275,6 @@ std::string render_stats(const Stats& stats, bool with_latency) {
         .member("stage_hits", stats.stage_hits)
         .member("sessions", stats.sessions)
         .member("baselines_computed", stats.baselines_computed)
-        .member("baselines_adopted", stats.baselines_adopted)
         .member("baselines_disk", stats.baselines_disk)
         .member("disk_hits", stats.disk_hits)
         .member("disk_misses", stats.disk_misses)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "support/bytes.hpp"
@@ -9,6 +10,11 @@
 namespace asipfb::service {
 
 namespace {
+
+/// Ring points per shard.  More virtual nodes smooth the key distribution;
+/// 64 keeps the worst shard within ~2x of the mean for realistic corpus
+/// sizes.
+constexpr std::size_t kVirtualNodes = 64;
 
 /// splitmix64 finalizer: turns (shard, virtual-node) indices into
 /// well-scattered ring points.
@@ -30,27 +36,21 @@ Router::Router(RouterOptions options) {
   if (options.shards == 0) {
     throw std::invalid_argument("Router shards must be >= 1");
   }
-  if (options.server.pool != nullptr) {
-    throw std::invalid_argument(
-        "Router shards own their pools; RouterOptions::server.pool must be "
-        "null");
+  // Checked before the first shard starts its workers; the product cannot
+  // overflow 64 bits.
+  if (std::uint64_t{options.shards} * resolved_workers(options.server.workers) >
+      kMaxWorkerThreads) {
+    throw std::invalid_argument("Router shards x workers must be <= " +
+                                std::to_string(kMaxWorkerThreads));
   }
-  if (options.virtual_nodes == 0) {
-    throw std::invalid_argument("Router virtual_nodes must be >= 1");
-  }
-  if (options.server.store == nullptr && !options.server.cache_dir.empty()) {
-    // One Store shared by every shard: the artifact cache is keyed by
-    // content, so cross-shard sharing is safe, and a single instance keeps
-    // the hit/miss/write counters process-wide.
-    cache::StoreOptions store_options;
-    store_options.dir = options.server.cache_dir;
-    options.server.store = std::make_shared<cache::Store>(std::move(store_options));
-  }
+  // One Store (when set) shared by every shard: the artifact cache is keyed
+  // by content, so cross-shard sharing is safe, and a single instance keeps
+  // the hit/miss/write counters process-wide.
   shards_.reserve(options.shards);
-  ring_.reserve(options.shards * options.virtual_nodes);
+  ring_.reserve(options.shards * kVirtualNodes);
   for (std::uint32_t s = 0; s < options.shards; ++s) {
     shards_.push_back(std::make_unique<Server>(options.server));
-    for (std::size_t v = 0; v < options.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       const std::uint64_t point =
           mix64((std::uint64_t{s} << 32) | static_cast<std::uint64_t>(v));
       ring_.push_back({point, s});
@@ -114,7 +114,6 @@ Stats Router::stats() const {
     total.stage_hits += s.stage_hits;
     total.sessions += s.sessions;
     total.baselines_computed += s.baselines_computed;
-    total.baselines_adopted += s.baselines_adopted;
     total.baselines_disk += s.baselines_disk;
     total.disk_hits += s.disk_hits;
     total.disk_misses += s.disk_misses;

@@ -30,18 +30,18 @@ namespace asipfb::service {
 
 struct RouterOptions {
   /// Number of shards (independent Servers with private pools); >= 1.
+  /// Shards times resolved_workers(server.workers) is at most
+  /// kMaxWorkerThreads.
   unsigned shards = 1;
-  /// Per-shard server template.  `pool` must be null: each shard owns its
-  /// pool — sharing one pool across shards would defeat the routing.
+  /// Per-shard server template.  Each shard owns its pool; a `store` is
+  /// shared by every shard.
   ServerOptions server;
-  /// Ring points per shard.  More virtual nodes smooth the key
-  /// distribution; 64 keeps the worst shard within ~2x of the mean for
-  /// realistic corpus sizes.
-  std::size_t virtual_nodes = 64;
 };
 
 class Router {
  public:
+  /// Throws std::invalid_argument for 0 shards or more than
+  /// kMaxWorkerThreads workers in total, before any thread starts.
   explicit Router(RouterOptions options = {});
   ~Router();  ///< shutdown().
 
@@ -65,7 +65,7 @@ class Router {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] Server& shard(std::size_t index) { return *shards_[index]; }
 
-  /// The artifact store every shard shares (null without a cache dir).
+  /// The artifact store every shard shares (null without a cache).
   [[nodiscard]] const std::shared_ptr<cache::Store>& store() const {
     return shards_.front()->store();
   }

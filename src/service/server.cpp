@@ -4,6 +4,7 @@
 #include <bit>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace asipfb::service {
@@ -34,29 +35,32 @@ double LatencyHistogram::quantile_us(double q) const {
   return static_cast<double>(max_ns) / 1000.0;
 }
 
-Server::Server(ServerOptions options) : options_(std::move(options)) {
+unsigned resolved_workers(unsigned requested) {
+  return requested != 0 ? requested
+                        : std::max(1u, std::thread::hardware_concurrency());
+}
+
+Server::Server(ServerOptions options)
+    : options_(std::move(options)), pool_(options_.store) {
   if (options_.queue_capacity == 0) {
     throw std::invalid_argument("Server queue_capacity must be >= 1");
   }
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    owned_pool_ = std::make_unique<pipeline::SessionPool>();
-    pool_ = owned_pool_.get();
+  const unsigned n = resolved_workers(options_.workers);
+  if (n > kMaxWorkerThreads) {
+    throw std::invalid_argument("Server workers must be <= " +
+                                std::to_string(kMaxWorkerThreads));
   }
-  if (options_.store == nullptr && !options_.cache_dir.empty()) {
-    cache::StoreOptions store_options;
-    store_options.dir = options_.cache_dir;
-    options_.store = std::make_shared<cache::Store>(std::move(store_options));
-  }
-  if (options_.store != nullptr) pool_->set_store(options_.store);
   started_ = Clock::now();
-  unsigned n = options_.workers != 0 ? options_.workers
-                                     : std::thread::hardware_concurrency();
-  n = std::max(1u, n);
   threads_.reserve(n);
-  for (unsigned t = 0; t < n; ++t) {
-    threads_.emplace_back([this] { worker_loop(); });
+  try {
+    for (unsigned t = 0; t < n; ++t) {
+      threads_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // No destructor runs for a throwing constructor: joinable threads
+    // left in threads_ would call std::terminate.
+    shutdown();
+    throw;
   }
 }
 
@@ -127,7 +131,7 @@ void Server::worker_loop() {
     not_full_.notify_one();
     if (options_.on_start) options_.on_start(job.request);
 
-    Response response = evaluate(job.request, *pool_);  // Never throws.
+    Response response = evaluate(job.request, pool_);  // Never throws.
     // One completion timestamp feeds both the histogram and the response,
     // so stats().max_latency_us and Response::latency_us agree exactly —
     // two Clock::now() calls here let them diverge.
@@ -195,7 +199,7 @@ Server::Snapshot Server::snapshot() const {
   }
   s.queue_depth = queue_depth();
 
-  const pipeline::SessionPool::PoolStats ps = pool_->stats();
+  const pipeline::SessionPool::PoolStats ps = pool_.stats();
   s.stage_optimize_runs = ps.stages.optimize_runs;
   s.stage_detect_runs = ps.stages.detect_runs;
   s.stage_coverage_runs = ps.stages.coverage_runs;
@@ -203,12 +207,11 @@ Server::Snapshot Server::snapshot() const {
   s.stage_hits = ps.stages.hits;
   s.sessions = ps.sessions;
   s.baselines_computed = ps.computed;
-  s.baselines_adopted = ps.adopted;
   s.baselines_disk = ps.disk_cache;
   s.disk_hits = ps.stages.disk_hits;
   s.disk_misses = ps.stages.disk_misses;
-  if (options_.store != nullptr) {
-    const cache::StoreStats store_stats = options_.store->stats();
+  if (pool_.store() != nullptr) {
+    const cache::StoreStats store_stats = pool_.store()->stats();
     s.store_hits = store_stats.hits;
     s.store_misses = store_stats.misses;
     s.store_writes = store_stats.writes;

@@ -43,22 +43,27 @@
 
 namespace asipfb::service {
 
+/// Most worker threads a Server, or all the shards of a Router together,
+/// may start.  Their constructors throw std::invalid_argument above it,
+/// before any thread starts.
+inline constexpr unsigned kMaxWorkerThreads = 1024;
+
+/// The worker count a Server started with ServerOptions::workers ==
+/// `requested` runs: `requested`, or hardware_concurrency() (at least 1)
+/// for 0.
+[[nodiscard]] unsigned resolved_workers(unsigned requested);
+
 struct ServerOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Worker threads; 0 means std::thread::hardware_concurrency().  At
+  /// most kMaxWorkerThreads once resolved.
   unsigned workers = 0;
   /// Maximum queued (accepted but not yet started) jobs; >= 1.
   std::size_t queue_capacity = 256;
-  /// Shared SessionPool; nullptr means a server-private pool.
-  pipeline::SessionPool* pool = nullptr;
-  /// Persistent artifact cache directory (cache::Store) installed on the
-  /// pool at construction; empty means no disk cache.  The Server's
-  /// SessionPool then warm-starts: baselines and stage artifacts are read
-  /// from disk when valid entries exist and written back after cold
-  /// computes.  Ignored when `store` is set.
-  std::string cache_dir;
-  /// Pre-built artifact store to install instead of opening `cache_dir`;
-  /// lets several Servers (Router shards) share one Store so its counters
-  /// are process-wide.
+  /// Persistent artifact store of the Server's SessionPool; null means no
+  /// disk cache.  With a store the pool warm-starts: baselines and stage
+  /// artifacts are read from disk when valid entries exist and written
+  /// back after cold computes.  Several Servers (Router shards) share one
+  /// Store so its counters are process-wide.
   std::shared_ptr<cache::Store> store;
   /// Observability hook, invoked by the worker thread immediately before a
   /// job's evaluation begins.  Used by tests to coordinate backpressure
@@ -118,7 +123,6 @@ struct Stats {
   /// so every shard reports the same process-wide values.
   std::uint64_t sessions = 0;
   std::uint64_t baselines_computed = 0;
-  std::uint64_t baselines_adopted = 0;
   std::uint64_t baselines_disk = 0;
   std::uint64_t disk_hits = 0;
   std::uint64_t disk_misses = 0;
@@ -137,6 +141,10 @@ struct Stats {
 
 class Server {
  public:
+  /// Throws std::invalid_argument for queue_capacity 0 or more than
+  /// kMaxWorkerThreads workers.  If a worker thread fails to start, the
+  /// ones already started are stopped and joined before the error
+  /// propagates.
   explicit Server(ServerOptions options = {});
   ~Server();  ///< shutdown().
 
@@ -183,10 +191,10 @@ class Server {
   [[nodiscard]] unsigned workers() const {
     return static_cast<unsigned>(threads_.size());
   }
-  [[nodiscard]] pipeline::SessionPool& pool() { return *pool_; }
+  [[nodiscard]] pipeline::SessionPool& pool() { return pool_; }
   /// The installed artifact store (null when serving without a cache).
   [[nodiscard]] const std::shared_ptr<cache::Store>& store() const {
-    return options_.store;
+    return pool_.store();
   }
 
  private:
@@ -207,8 +215,7 @@ class Server {
   void record_latency(std::uint64_t ns);
 
   ServerOptions options_;
-  std::unique_ptr<pipeline::SessionPool> owned_pool_;  ///< Null when shared.
-  pipeline::SessionPool* pool_ = nullptr;
+  pipeline::SessionPool pool_;
   Clock::time_point started_;
 
   mutable std::mutex mu_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
+#include "pipeline/session.hpp"
+
 namespace asipfb::asip {
 namespace {
 
@@ -90,6 +95,46 @@ TEST(Extension, EmptyCoverageNoSpeedup) {
   const auto proposal = propose_extensions(coverage, 500);
   EXPECT_TRUE(proposal.selected.empty());
   EXPECT_DOUBLE_EQ(proposal.speedup(), 1.0);
+}
+
+TEST(Extension, NonFiniteOrNegativeBudgetsThrow) {
+  CoverageResult coverage;
+  coverage.total_cycles = 10000;
+  coverage.steps.push_back(step({ChainClass::Multiply, ChainClass::Add}, 500));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    SelectionOptions area;
+    area.area_budget = bad;
+    EXPECT_THROW((void)propose_extensions(coverage, 10000, {}, area),
+                 std::invalid_argument)
+        << "area " << bad;
+    SelectionOptions cycle;
+    cycle.cycle_budget = bad;
+    EXPECT_THROW((void)propose_extensions(coverage, 10000, {}, cycle),
+                 std::invalid_argument)
+        << "cycle " << bad;
+  }
+  // Zero budgets are valid and select nothing.
+  SelectionOptions zero;
+  zero.area_budget = 0.0;
+  zero.cycle_budget = 0.0;
+  EXPECT_TRUE(propose_extensions(coverage, 10000, {}, zero).selected.empty());
+}
+
+TEST(Extension, SessionLatchesABudgetError) {
+  const pipeline::Session session(
+      "int main() { int a = 2; int b = 3; int c = 4; return a * b + c; }",
+      "latch", pipeline::WorkloadInput{});
+  SelectionOptions options;
+  options.area_budget = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)session.extension(opt::OptLevel::O1, options),
+               std::runtime_error);
+  EXPECT_THROW((void)session.extension(opt::OptLevel::O1, options),
+               std::runtime_error);
+  EXPECT_EQ(session.stats().extension_runs, 1u) << "the error is latched";
+  (void)session.extension(opt::OptLevel::O1);  // Valid budgets still serve.
+  EXPECT_EQ(session.stats().extension_runs, 2u);
 }
 
 TEST(Extension, RenderContainsSelections) {

@@ -768,8 +768,7 @@ TEST(SessionPoolStore, ProvenancePartitionsPoolStats) {
   const ScratchDir scratch("provenance");
   const auto store = open_store(scratch);
 
-  pipeline::SessionPool first;
-  first.set_store(store);
+  pipeline::SessionPool first(store);
   (void)first.get("kernel", kKernel, kernel_input());
   const pipeline::SessionPool::PoolStats cold = first.stats();
   EXPECT_EQ(cold.sessions, 1u);
@@ -777,18 +776,17 @@ TEST(SessionPoolStore, ProvenancePartitionsPoolStats) {
   EXPECT_EQ(cold.disk_cache, 0u);
 
   // A new pool over the same store — the restarted process — loads the
-  // same workload from disk and reports it as such.
-  pipeline::SessionPool second;
-  second.set_store(store);
+  // same workload from disk and reports it as such, while a workload the
+  // store has never seen is computed.
+  pipeline::SessionPool second(store);
   const auto warm = second.get("kernel", kKernel, kernel_input());
   EXPECT_TRUE(warm->baseline_from_disk());
-  const pipeline::PreparedProgram adopted =
-      pipeline::prepare(kKernel, "adopted", kernel_input());
-  (void)second.put("adopted", adopted);
+  const auto fresh =
+      second.get("fresh", "int main() { return 3; }\n", pipeline::WorkloadInput{});
+  EXPECT_FALSE(fresh->baseline_from_disk());
   const pipeline::SessionPool::PoolStats stats = second.stats();
   EXPECT_EQ(stats.sessions, 2u);
-  EXPECT_EQ(stats.computed, 0u);
-  EXPECT_EQ(stats.adopted, 1u);
+  EXPECT_EQ(stats.computed, 1u);
   EXPECT_EQ(stats.disk_cache, 1u);
   EXPECT_GT(stats.stages.disk_hits, 0u);
 }

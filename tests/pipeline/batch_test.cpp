@@ -228,22 +228,6 @@ TEST(Stages, UnknownWorkloadReportsPerEntryErrors) {
   }
 }
 
-TEST(Stages, RunsOverAPutSeededPool) {
-  // The bench drivers' cold-timing pattern: adopt warm baselines into a
-  // fresh pool (binding the real source), then fan out by name.
-  SessionPool pool;
-  const auto& w = wl::workload("fir");
-  pool.put(w.name, prepare(w.source, w.name, w.input), w.source);
-  const auto batch = run_stages(
-      std::vector<std::string>{"fir"},
-      {StageRequest::detection_at(opt::OptLevel::O1)}, {}, &pool);
-  ASSERT_EQ(batch.entries.size(), 1u);
-  EXPECT_EQ(batch.failures(), 0u) << batch.entries[0].error;
-  ASSERT_TRUE(batch.entries[0].detection.has_value());
-  EXPECT_FALSE(batch.entries[0].detection->sequences.empty());
-  EXPECT_EQ(pool.size(), 1u) << "the adopted baseline must be reused";
-}
-
 TEST(Sweep, GridShapeOrderAndThreadCountDeterminism) {
   SweepOptions options;
   options.levels = {opt::OptLevel::O0, opt::OptLevel::O1};

@@ -287,27 +287,5 @@ TEST(SessionPool, SharesOneSessionPerKeyAndLatchesFailures) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
-TEST(SessionPool, PutAdoptsABaselineUnderAFreshKey) {
-  SessionPool pool;
-  const PreparedProgram prepared = prepare(kKernel, "adopt", kernel_input());
-  const auto session = pool.put("adopt", prepared);
-  EXPECT_EQ(session->total_cycles(), prepared.total_cycles);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.put("other", prepared)->total_cycles(), prepared.total_cycles);
-
-  // The key is taken: a second put refuses, and without a bound source a
-  // source-keyed get refuses too (the sentinel never matches).
-  EXPECT_THROW((void)pool.put("adopt", prepared), std::invalid_argument);
-  EXPECT_THROW((void)pool.get("adopt", kKernel, kernel_input()),
-               std::invalid_argument);
-
-  // put() with the real source binds the key for later get()s: the same
-  // Session is served, no re-preparation.
-  const auto bound = pool.put("bound", prepared, kKernel);
-  EXPECT_EQ(pool.get("bound", kKernel, kernel_input()).get(), bound.get());
-  EXPECT_THROW((void)pool.get("bound", "int main() { return 0; }", {}),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace asipfb::pipeline

@@ -472,21 +472,21 @@ TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {
 
 TEST(ServiceNet, ProtocolSessionOversizedLinePoisonsConnection) {
   Router router(four_shards());
-  ProtocolSession::Options options;
-  options.max_line_bytes = 64;
-  ProtocolSession session(router, options);
+  const std::string oversized(kMaxLineBytes + 1, 'x');
+  const std::string error =
+      render_error("protocol line exceeds " + std::to_string(kMaxLineBytes) +
+                   " bytes");
+  ProtocolSession session(router, {});
   // No newline and no EOF: the cap alone must end the session.
-  session.feed(std::string(1000, 'x'));
-  const std::string out = drive_to_close(session, in_30s());
-  EXPECT_NE(out.find("exceeds 64 bytes"), std::string::npos) << out;
+  session.feed(oversized);
+  EXPECT_EQ(drive_to_close(session, in_30s()), error + "\n");
 
   // A terminated line over the cap is refused the same way, and nothing
   // after it is served.
-  ProtocolSession terminated(router, options);
-  terminated.feed("ping\n" + std::string(65, 'x') + "\nping\n");
+  ProtocolSession terminated(router, {});
+  terminated.feed("ping\n" + oversized + "\nping\n");
   EXPECT_EQ(drive_to_close(terminated, in_30s()),
-            "{\"pong\": true, \"workers\": 4}\n" +
-                render_error("protocol line exceeds 64 bytes") + "\n");
+            "{\"pong\": true, \"workers\": 4}\n" + error + "\n");
 }
 
 // --- serve_stream over pipes -------------------------------------------------

@@ -153,6 +153,27 @@ TEST(ServiceProtocol, RejectsOutOfRangeChainOptions) {
             1000000);
 }
 
+TEST(ServiceProtocol, RejectsNonFiniteOrNegativeBudgets) {
+  // A NaN area budget used to lift the area limit and a NaN cycle budget
+  // to select nothing; both are parse errors now, as are negative and
+  // infinite budgets, in every budget position.
+  for (const char* line :
+       {"1 extension fir area=nan", "1 extension fir area=inf",
+        "1 extension fir area=-1", "1 extension fir area=-inf",
+        "1 extension fir cycle=nan", "1 extension fir cycle=inf",
+        "1 extension fir cycle=-0.5", "1 sweep fir area=nan",
+        "1 sweep fir budgets=nan,10", "1 sweep fir budgets=10,inf",
+        "1 sweep fir budgets=-10", "1 extension fir area=10x"}) {
+    EXPECT_THROW((void)parse_command(line), std::invalid_argument) << line;
+  }
+  // Zero and large finite budgets stay accepted.
+  const Command zero = parse_command("1 extension fir area=0 cycle=0");
+  EXPECT_DOUBLE_EQ(zero.request.selection.area_budget, 0.0);
+  EXPECT_DOUBLE_EQ(zero.request.selection.cycle_budget, 0.0);
+  const Command sweep = parse_command("1 sweep fir budgets=0,1e9");
+  EXPECT_EQ(sweep.request.grid.area_budgets, (std::vector<double>{0.0, 1e9}));
+}
+
 TEST(ServiceProtocol, RenderedResponsesAreDeterministicOneLiners) {
   Response r;
   r.id = 3;
@@ -220,9 +241,9 @@ TEST(ServiceProtocol, StageAndCacheCountersRenderOnlyWithLatency) {
   const std::string plain = render_stats(s);
   for (const char* field :
        {"optimize_runs", "detect_runs", "coverage_runs", "extension_runs",
-        "stage_hits", "sessions", "baselines_computed", "baselines_adopted",
-        "baselines_disk", "disk_hits", "disk_misses", "store_hits",
-        "store_misses", "store_writes", "store_evictions", "store_corrupt"}) {
+        "stage_hits", "sessions", "baselines_computed", "baselines_disk",
+        "disk_hits", "disk_misses", "store_hits", "store_misses",
+        "store_writes", "store_evictions", "store_corrupt"}) {
     EXPECT_EQ(plain.find(field), std::string::npos) << field;
   }
   const std::string with = render_stats(s, /*with_latency=*/true);

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -164,7 +165,9 @@ TEST(ServiceRouter, ShardsShareOneStoreAndStatsMaxMergeItsCounters) {
   std::filesystem::remove_all(dir, discard);
 
   RouterOptions options = small_router(3);
-  options.server.cache_dir = dir.string();
+  cache::StoreOptions store_options;
+  store_options.dir = dir;
+  options.server.store = std::make_shared<cache::Store>(std::move(store_options));
   {
     Router router(options);
     // One process-wide Store behind every shard.
@@ -198,15 +201,17 @@ TEST(ServiceRouter, InvalidOptionsAreRejected) {
   RouterOptions zero;
   zero.shards = 0;
   EXPECT_THROW(Router{zero}, std::invalid_argument);
+}
 
-  pipeline::SessionPool pool;
-  RouterOptions shared = small_router(2);
-  shared.server.pool = &pool;
-  EXPECT_THROW(Router{shared}, std::invalid_argument);
-
-  RouterOptions no_nodes = small_router(2);
-  no_nodes.virtual_nodes = 0;
-  EXPECT_THROW(Router{no_nodes}, std::invalid_argument);
+TEST(ServiceRouter, OverCapWorkerTotalIsRejected) {
+  // The cap bounds shards x workers, checked before any shard starts a
+  // thread; each case is the smallest total over it.
+  EXPECT_THROW(Router{small_router(kMaxWorkerThreads + 1)},
+               std::invalid_argument);
+  EXPECT_THROW(Router{small_router(2, kMaxWorkerThreads / 2 + 1)},
+               std::invalid_argument);
+  EXPECT_THROW(Router{small_router(1, kMaxWorkerThreads + 1)},
+               std::invalid_argument);
 }
 
 TEST(ServiceRouter, ShutdownStopsEveryShard) {

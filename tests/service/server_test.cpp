@@ -13,7 +13,9 @@
 #include <condition_variable>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <system_error>
@@ -248,12 +250,18 @@ TEST(ServiceServer, CacheDirWarmStartsARestartedServer) {
   std::error_code discard;
   std::filesystem::remove_all(dir, discard);
 
-  ServerOptions options;
-  options.workers = 2;
-  options.cache_dir = dir.string();
+  // Each Server opens the directory afresh, as a restarted process would.
+  const auto options_over_dir = [&] {
+    ServerOptions options;
+    options.workers = 2;
+    cache::StoreOptions store_options;
+    store_options.dir = dir;
+    options.store = std::make_shared<cache::Store>(std::move(store_options));
+    return options;
+  };
   Response cold;
   {
-    Server server(options);
+    Server server(options_over_dir());
     ASSERT_NE(server.store(), nullptr);
     cold = server.call(make_request(1, Kind::kDetection, "fir"));
     ASSERT_TRUE(cold.ok());
@@ -265,7 +273,7 @@ TEST(ServiceServer, CacheDirWarmStartsARestartedServer) {
   {
     // The same options a restarted process would use: the baseline and
     // detection come off disk, and the response renders bit-identically.
-    Server server(options);
+    Server server(options_over_dir());
     const Response warm = server.call(make_request(1, Kind::kDetection, "fir"));
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(render_response(warm), render_response(cold));
@@ -612,15 +620,31 @@ TEST(ServiceLatencyHistogram, MergeAccumulatesAcrossInstances) {
   EXPECT_LE(a.quantile_us(0.999), static_cast<double>(a.max_ns) / 1000.0);
 }
 
-TEST(ServiceServer, SharedPoolIsReused) {
-  pipeline::SessionPool pool;
+TEST(ServiceServer, OverCapWorkerCountIsRejected) {
+  // Checked before any thread starts: the smallest over-cap count throws.
+  ServerOptions options;
+  options.workers = kMaxWorkerThreads + 1;
+  EXPECT_THROW(Server{options}, std::invalid_argument);
+  EXPECT_EQ(resolved_workers(3), 3u);
+  EXPECT_GE(resolved_workers(0), 1u);
+  EXPECT_LE(resolved_workers(0), kMaxWorkerThreads)
+      << "the default worker count must stay constructible";
+}
+
+TEST(ServiceServer, NonFiniteBudgetIsAnErrorResponse) {
+  // A request built in process bypasses the protocol's checks; the
+  // selection stage itself refuses the budget instead of lifting the area
+  // limit, and the error is the response, not a dead worker.
   ServerOptions options;
   options.workers = 1;
-  options.pool = &pool;
   Server server(options);
-  ASSERT_TRUE(server.call(make_request(1, Kind::kCompile, "fir")).ok());
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(&server.pool(), &pool);
+  Request request = make_request(1, Kind::kExtension, "fir");
+  request.selection.area_budget = std::numeric_limits<double>::quiet_NaN();
+  const Response response = server.call(request);
+  EXPECT_FALSE(response.ok());
+  EXPECT_NE(response.error.find("area_budget"), std::string::npos)
+      << response.error;
+  EXPECT_TRUE(server.call(make_request(2, Kind::kExtension, "fir")).ok());
 }
 
 }  // namespace

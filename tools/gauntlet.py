@@ -120,8 +120,7 @@ def main(argv: list[str]) -> int:
             cmd = [str(args.binary), str(out),
                    "--count", str(args.count),
                    "--mutants", str(args.mutants),
-                   "--shard", f"{shard}/{shards}",
-                   "--benchmark_filter=^$"]
+                   "--shard", f"{shard}/{shards}"]
             if args.seed is not None:
                 cmd += ["--seed", str(args.seed)]
             procs.append((shard, out,
