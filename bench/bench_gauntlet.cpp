@@ -7,31 +7,32 @@
 // Population: `--count` base scenarios from the generator (round-robin
 // over all families), each contributing `--mutants` additional programs
 // carrying 1..mutants stacked rewrites but the ORIGINAL oracle
-// expectations — total programs = count * (1 + mutants).  Per-family
-// detection and coverage distributions are measured on the base scenarios
-// (mutants share their structure axis, not their profile axis).
+// expectations — total programs = count * (1 + mutants); a smaller
+// population fails the binary too.  Per-family detection and coverage
+// distributions are measured on the base scenarios (mutants share their
+// structure axis, not their profile axis).
 //
-// Sharding: `--shard I/N` processes scenarios with index % N == I and
-// emits a partial JSON; tools/gauntlet.py fans shards out across
-// processes and merges them (every distribution is carried as
-// sum/min/max/count, so shard merges are exact).
+// Scenarios run on hardware_concurrency() threads (support/parallel.hpp).
+// Each fills its own slot and the slots fold in index order, so the
+// report, the JSON and the mismatch lines do not depend on the thread
+// count.
 //
 //   bench_gauntlet [OUT.json] [--count N] [--mutants M] [--seed S]
-//                  [--shard I/N]
 //
 // Defaults reproduce the reduced per-PR scale (125 * 4 = 500 programs);
 // the scheduled CI job passes --count 2500 for the full 10,000.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "bench/common.hpp"
-#include "pipeline/driver.hpp"
+#include "examples/flag_parse.hpp"
+#include "pipeline/session.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "workloads/differential.hpp"
 #include "workloads/generator.hpp"
@@ -46,12 +47,11 @@ struct GauntletConfig {
   std::size_t count = 125;   ///< Base scenarios (125 * (1+3) = 500 reduced).
   int mutants = 3;           ///< Mutants per base scenario.
   std::uint64_t seed = 0x5EEDC0DE5EEDC0DEull;
-  std::size_t shard_index = 0;
-  std::size_t shard_total = 1;
 };
 
-/// min/max/sum/count of a per-scenario metric — the shard-mergeable
-/// distribution form (merge: sum+=, count+=, min=min, max=max).
+/// min/max/sum/count of a per-scenario metric.  Merging a one-value
+/// distribution is exactly add(value), so folding per-scenario slots in
+/// index order sums in the same order as one serial loop would.
 struct Distribution {
   double sum = 0.0;
   double min = 0.0;
@@ -64,6 +64,14 @@ struct Distribution {
     sum += v;
     ++count;
   }
+
+  void merge(const Distribution& other) {
+    if (other.count == 0) return;
+    if (count == 0 || other.min < min) min = other.min;
+    if (count == 0 || other.max > max) max = other.max;
+    sum += other.sum;
+    count += other.count;
+  }
 };
 
 struct FamilyStats {
@@ -72,6 +80,14 @@ struct FamilyStats {
   Distribution detect_sequences;  ///< Detected sequences at O1, per base.
   Distribution coverage;          ///< Total coverage at O1, per base.
   Distribution cycles;            ///< Baseline dynamic cycles, per base.
+
+  void merge(const FamilyStats& other) {
+    base += other.base;
+    programs += other.programs;
+    detect_sequences.merge(other.detect_sequences);
+    coverage.merge(other.coverage);
+    cycles.merge(other.cycles);
+  }
 };
 
 struct GauntletReport {
@@ -83,9 +99,22 @@ struct GauntletReport {
   std::uint64_t levels_fail = 0;
   std::map<std::string, std::uint64_t> rewrites;  ///< Applied mutation counts.
   std::map<std::string, FamilyStats> families;
+  std::string log;  ///< Mismatch lines, in scenario order.
 
   [[nodiscard]] std::uint64_t mismatches() const {
     return compile_fail + oracle_fail + levels_fail;
+  }
+
+  void merge(const GauntletReport& other) {
+    programs += other.programs;
+    base += other.base;
+    mutants += other.mutants;
+    compile_fail += other.compile_fail;
+    oracle_fail += other.oracle_fail;
+    levels_fail += other.levels_fail;
+    for (const auto& [name, count] : other.rewrites) rewrites[name] += count;
+    for (const auto& [name, fam] : other.families) families[name].merge(fam);
+    log += other.log;
   }
 };
 
@@ -106,65 +135,69 @@ void tally_outcome(const wl::DifferentialOutcome& outcome,
   if (outcome.compiled && !outcome.oracle_ok) ++report.oracle_fail;
   if (outcome.compiled && !outcome.levels_ok) ++report.levels_fail;
   if (!outcome.ok()) {
-    std::fprintf(stderr, "GAUNTLET MISMATCH in %s: %s\n", name.c_str(),
-                 outcome.error.c_str());
+    report.log += "GAUNTLET MISMATCH in " + name + ": " + outcome.error + "\n";
   }
 }
 
-GauntletReport run_gauntlet(const GauntletConfig& config) {
+/// Base scenario `i` and its mutants, as a report of their own.
+GauntletReport run_scenario(const GauntletConfig& config, std::size_t i) {
   GauntletReport report;
   wl::CorpusSpec spec;
   spec.seed = config.seed;
   spec.count = config.count;
-  for (std::size_t i = 0; i < config.count; ++i) {
-    if (i % config.shard_total != config.shard_index) continue;
-    const wl::Workload w = wl::corpus_scenario(spec, i);
-    FamilyStats& fam = report.families[std::string(wl::family_of(w.name))];
-    ++fam.base;
+  const wl::Workload w = wl::corpus_scenario(spec, i);
+  FamilyStats& fam = report.families[std::string(wl::family_of(w.name))];
+  ++fam.base;
+  ++fam.programs;
+  ++report.base;
+  ++report.programs;
+
+  tally_outcome(wl::check_workload(w), report, w.name);
+
+  // Profile-shape distributions on the base scenario: detection and
+  // coverage at O1, denominated in the baseline profile.
+  try {
+    const pipeline::Session session(w.source, w.name, w.input);
+    const auto& detection = session.detection(opt::OptLevel::O1);
+    const auto& coverage = session.coverage(opt::OptLevel::O1);
+    fam.detect_sequences.add(static_cast<double>(detection.sequences.size()));
+    fam.coverage.add(coverage.total_coverage);
+    fam.cycles.add(static_cast<double>(detection.total_cycles));
+  } catch (const std::exception& e) {
+    ++report.compile_fail;
+    report.log += "GAUNTLET stage failure in " + w.name + ": " + e.what() + "\n";
+  }
+
+  // Structural mutants: 1..M stacked rewrites, original oracle.
+  for (int m = 1; m <= config.mutants; ++m) {
+    const wl::MutationResult mutated = wl::mutate(
+        w.source, mutant_seed(config.seed, i, static_cast<std::uint64_t>(m)),
+        m);
+    for (wl::Rewrite r : mutated.applied) {
+      ++report.rewrites[std::string(wl::to_string(r))];
+    }
+    wl::Workload mutant = w;
+    mutant.name = w.name + "_mut" + std::to_string(m);
+    mutant.source = mutated.source;
     ++fam.programs;
-    ++report.base;
+    ++report.mutants;
     ++report.programs;
-
-    tally_outcome(wl::check_workload(w), report, w.name);
-
-    // Profile-shape distributions on the base scenario: detection and
-    // coverage at O1, denominated in the baseline profile.
-    try {
-      const pipeline::Session session(w.source, w.name, w.input);
-      const auto& detection = session.detection(opt::OptLevel::O1);
-      const auto& coverage = session.coverage(opt::OptLevel::O1);
-      fam.detect_sequences.add(static_cast<double>(detection.sequences.size()));
-      fam.coverage.add(coverage.total_coverage);
-      fam.cycles.add(static_cast<double>(detection.total_cycles));
-    } catch (const std::exception& e) {
-      ++report.compile_fail;
-      std::fprintf(stderr, "GAUNTLET stage failure in %s: %s\n", w.name.c_str(),
-                   e.what());
-    }
-
-    // Structural mutants: 1..M stacked rewrites, original oracle.
-    for (int m = 1; m <= config.mutants; ++m) {
-      const wl::MutationResult mutated = wl::mutate(
-          w.source, mutant_seed(config.seed, i, static_cast<std::uint64_t>(m)),
-          m);
-      for (wl::Rewrite r : mutated.applied) {
-        ++report.rewrites[std::string(wl::to_string(r))];
-      }
-      wl::Workload mutant = w;
-      mutant.name = w.name + "_mut" + std::to_string(m);
-      mutant.source = mutated.source;
-      ++fam.programs;
-      ++report.mutants;
-      ++report.programs;
-      tally_outcome(wl::check_workload(mutant), report, mutant.name);
-    }
+    tally_outcome(wl::check_workload(mutant), report, mutant.name);
   }
   return report;
 }
 
-void print_report(const GauntletReport& report, const GauntletConfig& config) {
-  std::printf("=== Differential gauntlet (%zu-wide shard %zu/%zu) ===\n",
-              config.shard_total, config.shard_index, config.shard_total);
+GauntletReport run_gauntlet(const GauntletConfig& config) {
+  std::vector<GauntletReport> slots(config.count);
+  parallel_for(config.count, 0,
+               [&](std::size_t i) { slots[i] = run_scenario(config, i); });
+  GauntletReport report;
+  for (const GauntletReport& slot : slots) report.merge(slot);
+  return report;
+}
+
+void print_report(const GauntletReport& report) {
+  std::printf("=== Differential gauntlet ===\n");
   TextTable table({"Family", "Base", "Programs", "Seq@O1 mean", "Coverage mean",
                    "Cycles mean"});
   for (const auto& [name, fam] : report.families) {
@@ -212,8 +245,6 @@ std::string render_json(const GauntletReport& report,
       .member("seed", config.seed)
       .member("count", static_cast<std::uint64_t>(config.count))
       .member("mutants", config.mutants)
-      .member("shard_index", static_cast<std::uint64_t>(config.shard_index))
-      .member("shard_total", static_cast<std::uint64_t>(config.shard_total))
       .end_object()
       .key("programs")
       .begin_object()
@@ -246,46 +277,41 @@ std::string render_json(const GauntletReport& report,
   return json.str() + "\n";
 }
 
-/// Strips the gauntlet-specific flags from argv (so the shared bench CLI
-/// sees only its own contract); returns false on malformed values.
-bool parse_gauntlet_flags(int* argc, char** argv, GauntletConfig* config) {
-  int out = 1;
+/// Parses `[OUT.json] [--count N] [--mutants M] [--seed S]`; a malformed
+/// value, a second positional or any other flag prints usage and gives
+/// false.
+bool parse_gauntlet_args(int argc, char** argv, GauntletConfig* config) {
+  bool have_out = false;
   bool ok = true;
-  const auto take_value = [&](int& i) -> const char* {
-    if (i + 1 >= *argc) {
-      ok = false;
-      return "";
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < *argc; ++i) {
+  for (int i = 1; i < argc && ok; ++i) {
     const std::string_view arg = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--count") {
-      config->count = static_cast<std::size_t>(
-          std::strtoull(take_value(i), nullptr, 10));
-      if (config->count == 0) ok = false;
+      const auto v = examples::parse_int_flag(value, 1, INT64_MAX);
+      ok = v.has_value();
+      config->count = static_cast<std::size_t>(v.value_or(0));
+      ++i;
     } else if (arg == "--mutants") {
-      config->mutants = static_cast<int>(std::strtol(take_value(i), nullptr, 10));
-      if (config->mutants < 0 || config->mutants > 64) ok = false;
+      const auto v = examples::parse_int_flag(value, 0, 64);
+      ok = v.has_value();
+      config->mutants = static_cast<int>(v.value_or(0));
+      ++i;
     } else if (arg == "--seed") {
-      config->seed = std::strtoull(take_value(i), nullptr, 10);
-    } else if (arg == "--shard") {
-      unsigned long long index = 0, total = 0;
-      if (std::sscanf(take_value(i), "%llu/%llu", &index, &total) != 2 ||
-          total == 0 || index >= total) {
-        ok = false;
-      }
-      config->shard_index = static_cast<std::size_t>(index);
-      config->shard_total = static_cast<std::size_t>(total);
+      const auto v = examples::parse_u64_flag(value);
+      ok = v.has_value();
+      config->seed = v.value_or(0);
+      ++i;
+    } else if (arg.empty() || arg[0] == '-' || have_out) {
+      ok = false;
     } else {
-      argv[out++] = argv[i];
+      config->out_path = argv[i];
+      have_out = true;
     }
   }
-  *argc = out;
   if (!ok) {
     std::fprintf(stderr,
-                 "usage: bench_gauntlet [OUT.json] [--count N] [--mutants M] "
-                 "[--seed S] [--shard I/N]\n");
+                 "usage: bench_gauntlet [OUT.json] [--count N>=1] "
+                 "[--mutants 0..64] [--seed S]\n");
   }
   return ok;
 }
@@ -294,18 +320,23 @@ bool parse_gauntlet_flags(int* argc, char** argv, GauntletConfig* config) {
 
 int main(int argc, char** argv) {
   GauntletConfig config;
-  if (!parse_gauntlet_flags(&argc, argv, &config)) return 2;
-  if (!bench::parse_bench_args(argc, argv,
-                               {"bench_gauntlet", "BENCH_gauntlet.json"},
-                               &config.out_path)) {
-    return 2;
-  }
+  if (!parse_gauntlet_args(argc, argv, &config)) return 2;
 
   const GauntletReport report = run_gauntlet(config);
-  print_report(report, config);
+  std::fputs(report.log.c_str(), stderr);
+  print_report(report);
   const std::string json = render_json(report, config);
   std::fputs(json.c_str(), stdout);
   if (!support::JsonWriter::write_file(config.out_path, json)) return 1;
   if (report.mismatches() != 0) return 1;
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(config.count) *
+      (1 + static_cast<std::uint64_t>(config.mutants));
+  if (report.programs != expected) {
+    std::fprintf(stderr, "GAUNTLET population %llu != expected %llu\n",
+                 static_cast<unsigned long long>(report.programs),
+                 static_cast<unsigned long long>(expected));
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,5 @@
 // Closed-loop load generator for the evaluation service (service::Server):
-// the serving-layer companion to bench_sim_throughput (execution engine)
-// and bench_corpus (batch fan-out).
+// the serving-layer companion to bench_sim_throughput (execution engine).
 //
 // A fixed mix of distinct requests — every suite workload and a slice of
 // the generated corpus across compile/optimize/detect/coverage/extension

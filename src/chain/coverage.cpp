@@ -17,6 +17,9 @@ CoverageResult coverage_analysis(const ir::Module& module,
   if (!std::isfinite(options.floor_percent)) {
     throw std::invalid_argument("coverage: floor_percent must be finite");
   }
+  if (options.max_rounds < 0) {
+    throw std::invalid_argument("coverage: max_rounds must be >= 0");
+  }
   CoverageResult result;
   result.total_cycles =
       total_cycles != 0 ? total_cycles : module.total_dynamic_ops();

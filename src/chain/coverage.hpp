@@ -24,7 +24,8 @@
 namespace asipfb::chain {
 
 /// coverage_analysis throws std::invalid_argument unless
-/// 1 <= min_length <= max_length and floor_percent is finite.
+/// 1 <= min_length <= max_length, floor_percent is finite and
+/// max_rounds >= 0.
 struct CoverageOptions {
   int min_length = 2;
   int max_length = 5;

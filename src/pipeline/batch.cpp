@@ -1,41 +1,16 @@
 #include "pipeline/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "support/parallel.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb::pipeline {
 
 namespace {
-
-/// Runs `task(i)` for i in [0, count) on `threads` workers.  Tasks are
-/// claimed from a shared atomic counter; each writes only its own output
-/// slot, so scheduling order cannot affect results.
-void parallel_for(std::size_t count, unsigned threads,
-                  const std::function<void(std::size_t)>& task) {
-  if (count == 0) return;
-  unsigned n = threads != 0 ? threads : std::thread::hardware_concurrency();
-  n = std::max(1u, std::min<unsigned>(n, static_cast<unsigned>(count)));
-  if (n == 1) {
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      task(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-}
 
 SessionPool& pool_or_instance(SessionPool* pool) {
   return pool != nullptr ? *pool : SessionPool::instance();

@@ -111,7 +111,9 @@ void apply_option(Request& request, const std::string& key,
   } else if (key == "floor") {
     request.coverage.floor_percent = parse_finite(value, "floor");
   } else if (key == "rounds") {
-    request.coverage.max_rounds = parse_int(value, "rounds");
+    const int v = parse_int(value, "rounds");
+    if (v < 0) fail("invalid rounds '" + value + "' (want >= 0)");
+    request.coverage.max_rounds = v;
   } else if (key == "area") {
     request.selection.area_budget = parse_non_negative(value, "area");
   } else if (key == "cycle") {

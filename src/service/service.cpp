@@ -29,16 +29,23 @@ std::optional<Kind> parse_kind(std::string_view text) {
 
 namespace {
 
-/// The Session behind a request: inline source binds (or re-finds) the
-/// key; a bare name resolves through suite + default corpus.  Throws on
-/// unknown names, compile/simulation failures, and key/source mismatches.
-std::shared_ptr<pipeline::Session> resolve(const Request& request,
-                                           pipeline::SessionPool& pool) {
+/// The program a request names: inline source binds the request's key; a
+/// bare name resolves through suite + default corpus (throws on unknown
+/// names).
+pipeline::BatchJob job_of(const Request& request) {
   if (!request.source.empty()) {
-    return pool.get(request.workload, request.source, pipeline::WorkloadInput{});
+    return {request.workload, request.source, pipeline::WorkloadInput{}};
   }
   const wl::Workload& w = wl::any_workload(request.workload);
-  return pool.get(w.name, w.source, w.input);
+  return {w.name, w.source, w.input};
+}
+
+/// The Session behind a request.  Throws as job_of() does, and on
+/// compile/simulation failures and key/source mismatches.
+std::shared_ptr<pipeline::Session> resolve(const Request& request,
+                                           pipeline::SessionPool& pool) {
+  const pipeline::BatchJob job = job_of(request);
+  return pool.get(job.name, job.source, job.input);
 }
 
 void fill_sweep(const Request& request, pipeline::SessionPool& pool,
@@ -56,14 +63,8 @@ void fill_sweep(const Request& request, pipeline::SessionPool& pool,
   // thread pools.
   options.threads = 1;
 
-  pipeline::BatchJob job;
-  if (!request.source.empty()) {
-    job = {request.workload, request.source, pipeline::WorkloadInput{}};
-  } else {
-    const wl::Workload& w = wl::any_workload(request.workload);
-    job = {w.name, w.source, w.input};
-  }
-  const pipeline::SweepResult result = pipeline::sweep({job}, options, &pool);
+  const pipeline::SweepResult result =
+      pipeline::sweep({job_of(request)}, options, &pool);
 
   response.points = result.points.size();
   response.point_failures = result.failures();

@@ -225,8 +225,8 @@ struct CorpusSpec {
 /// True when a simulation of `w` reproduced the oracle reference exactly:
 /// expected_exit engaged and equal to `exit_code`, and every
 /// Workload::expected global present in `outputs` with identical words.
-/// The one comparison rule shared by bench_corpus, asipfb_cli --corpus,
-/// and corpus_tour.
+/// The one comparison rule shared by asipfb_cli --corpus, corpus_tour,
+/// and tripbench's set-up check.
 [[nodiscard]] bool oracle_matches(
     const Workload& w, std::int32_t exit_code,
     const std::map<std::string, std::vector<std::int32_t>>& outputs);

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
@@ -81,6 +82,28 @@ TEST(Coverage, MaxRoundsBoundsSteps) {
   options.max_rounds = 2;
   const auto result = coverage_analysis(m, options);
   EXPECT_LE(result.steps.size(), 2u);
+}
+
+TEST(Coverage, NegativeMaxRoundsIsRejected) {
+  auto m = profiled(kMacLoop);
+  for (const int rounds : {-1, -3}) {
+    CoverageOptions options;
+    options.max_rounds = rounds;
+    EXPECT_THROW((void)coverage_analysis(m, options), std::invalid_argument)
+        << "rounds " << rounds;
+  }
+  // Zero rounds is in range: it selects nothing.
+  CoverageOptions none;
+  none.max_rounds = 0;
+  EXPECT_TRUE(coverage_analysis(m, none).steps.empty());
+  // A Session latches the error: the second query rethrows it too.
+  const pipeline::Session session(kMacLoop, "cov", pipeline::WorkloadInput{});
+  CoverageOptions negative;
+  negative.max_rounds = -1;
+  for (int query = 0; query < 2; ++query) {
+    EXPECT_THROW((void)session.coverage(opt::OptLevel::O1, negative),
+                 std::runtime_error);
+  }
 }
 
 TEST(Coverage, SignaturesAreDistinctAcrossSteps) {

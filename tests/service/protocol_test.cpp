@@ -139,7 +139,8 @@ TEST(ServiceProtocol, RejectsOutOfRangeChainOptions) {
         "1 coverage fir floor=-inf", "1 sweep fir floors=2,nan",
         "1 detect fir min=0", "1 detect fir min=-2 max=5", "1 detect fir max=-1",
         "1 detect fir max=1", "1 detect fir min=4 max=3",
-        "1 detect fir max=3 min=4", "1 coverage fir min=6"}) {
+        "1 detect fir max=3 min=4", "1 coverage fir min=6",
+        "1 coverage fir rounds=-1", "1 extension fir rounds=-3"}) {
     EXPECT_THROW((void)parse_command(line), std::invalid_argument) << line;
   }
   // The edges of the ranges are accepted.
@@ -149,6 +150,7 @@ TEST(ServiceProtocol, RejectsOutOfRangeChainOptions) {
   EXPECT_DOUBLE_EQ(edge.request.detector.prune_percent, 0.0);
   EXPECT_DOUBLE_EQ(edge.request.coverage.floor_percent, -1.0);
   EXPECT_EQ(parse_command("1 detect fir min=4 max=4").request.detector.max_length, 4);
+  EXPECT_EQ(parse_command("1 coverage fir rounds=0").request.coverage.max_rounds, 0);
   EXPECT_EQ(parse_command("1 detect fir max=1000000").request.detector.max_length,
             1000000);
 }

@@ -18,11 +18,11 @@ quantiles and other lower-is-better metrics):
 A third section, "ratios", holds floors that are checked at FACE VALUE —
 no tolerance scaling:
 
-    {"metrics": {...}, "ratios": {"cache.warm_speedup": 3.0}}
+    {"metrics": {...}, "ratios": {"restart_speedup": 3.0}}
 
-Ratio metrics are A/B comparisons taken in one run on one host (e.g. a
-warm restart over the on-disk artifact cache vs the cold run that filled
-it), so runner speed cancels out and the generous absolute-throughput
+Ratio metrics are A/B comparisons taken on one host in one CI step (e.g.
+trips served from a populated on-disk artifact cache vs trips that fill
+an empty one), so runner speed cancels out and the generous absolute-throughput
 tolerance would only mask a real regression.
 
 Path segments index objects by key and arrays by integer.  A measured
