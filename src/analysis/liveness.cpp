@@ -19,8 +19,7 @@ Liveness::Liveness(const ir::Function& fn, const Preds& preds)
   work_.reserve(nblocks);
   for (std::size_t b = 0; b < nblocks; ++b) {
     const auto id = static_cast<BlockId>(b);
-    const auto succs = fn.blocks[b].successors();
-    std::copy(succs.begin(), succs.end(), succs_[b].begin());
+    succs_[b] = successor_pair(fn.blocks[b]);
     summarize(fn.blocks[b], id);
     // Pushed in index order so the stack pops in reverse index order, a
     // cheap approximation of post-order for this backward problem.
@@ -30,8 +29,11 @@ Liveness::Liveness(const ir::Function& fn, const Preds& preds)
 }
 
 void Liveness::refresh(const ir::Function& fn, const Preds& preds,
-                       std::initializer_list<BlockId> touched) {
-  for (const BlockId b : touched) summarize(fn.blocks[b], b);
+                       std::span<const BlockId> touched) {
+  for (const BlockId b : touched) {
+    succs_[b] = successor_pair(fn.blocks[b]);
+    summarize(fn.blocks[b], b);
+  }
   for (auto it = touched.end(); it != touched.begin();) {
     const BlockId b = *--it;
     if (!queued_[b]) {

@@ -12,18 +12,22 @@
 // `use | (out & ~def)`, and its predecessors are queued whenever it changes,
 // so the result is the least fixpoint.
 //
-// refresh() keeps one Liveness valid across edits that leave the CFG alone:
-// it re-summarizes the touched blocks and re-solves from them, starting
-// from the current solution.  Growth is always exact.  A shrink is exact
-// unless the dropped register was carried around a cycle, where the old
-// bits keep each other alive.  A percolation hoist never needs such a
-// shrink (see opt/percolate.cpp), which is why percolation solves liveness
-// once per pass instead of once per move.
+// refresh() keeps one Liveness valid across edits: it re-reads the
+// instructions and successors of the touched blocks and re-solves from
+// them, starting from the current solution.  Growth is always exact.  A
+// shrink is exact unless the dropped register was carried around a cycle,
+// where the old bits keep each other alive.  A percolation hoist never
+// needs such a shrink, and the CFG edits of opt::CfgSimplifier (forwarding
+// a branch past an empty block, merging a straight-line pair) change no
+// live block's live-in at all (see opt/percolate.cpp).  That is why
+// percolation solves liveness once per percolate() call instead of once
+// per pass or per move.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -51,12 +55,17 @@ public:
     return false;
   }
 
-  /// Re-solves after the instructions of `touched` changed.  The CFG
-  /// (terminator targets) and the register count must be unchanged, and
-  /// `preds` must still be predecessors(fn).  Touched blocks are solved
-  /// first, in the order given.
+  /// Re-solves after the instructions or terminator targets of `touched`
+  /// changed.  The register count must be unchanged, and `preds` must be
+  /// the predecessor lists of the current CFG; a block that no live block
+  /// branches to any more may keep a stale answer.  Touched blocks are
+  /// solved first, in the order given.
   void refresh(const ir::Function& fn, const Preds& preds,
-               std::initializer_list<ir::BlockId> touched);
+               std::span<const ir::BlockId> touched);
+  void refresh(const ir::Function& fn, const Preds& preds,
+               std::initializer_list<ir::BlockId> touched) {
+    refresh(fn, preds, {touched.begin(), touched.size()});
+  }
 
 private:
   /// Offsets of the three per-block bitsets within a block's record.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "ir/printer.hpp"
 
@@ -47,7 +47,15 @@ private:
       error("no blocks");
       return;
     }
-    std::set<InstrId> seen_ids;
+    // Ids come from the function's next_instr_id counter, so a bitmap
+    // sized by the largest id finds repeats without a node per id.
+    InstrId max_id = 0;
+    for (const auto& block : fn_.blocks) {
+      for (const Instr& instr : block.instrs) {
+        if (instr.id != kNoInstr) max_id = std::max(max_id, instr.id);
+      }
+    }
+    std::vector<bool> seen_ids(std::size_t{max_id} + 1, false);
     for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
       const auto& block = fn_.blocks[b];
       if (block.instrs.empty()) {
@@ -62,9 +70,11 @@ private:
                 (last ? " does not end with a terminator"
                       : " has a terminator mid-block"));
         }
-        if (instr.id == kNoInstr || !seen_ids.insert(instr.id).second) {
+        if (instr.id == kNoInstr || seen_ids[instr.id]) {
           error("duplicate or unassigned instruction id in block " +
                 std::to_string(b));
+        } else {
+          seen_ids[instr.id] = true;
         }
       }
       for (BlockId s : block.successors()) {

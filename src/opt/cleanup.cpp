@@ -1,6 +1,8 @@
 #include "opt/cleanup.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -179,81 +181,354 @@ void compact_blocks(ir::Function& fn, const std::vector<bool>& keep) {
 }
 
 int simplify_cfg(ir::Function& fn) {
-  int eliminated = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  CfgSimplifier simplifier(fn);
+  const int eliminated = simplifier.run();
+  simplifier.compact();
+  return eliminated;
+}
 
-    // 1. Forward branches through trivial blocks (a single Br instruction).
-    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-      auto& block = fn.blocks[b];
-      auto& term = block.terminator();
-      auto forward = [&](BlockId target) {
-        // Follow chains of trivial blocks, guarding against cycles.
-        BlockId current = target;
-        int hops = 0;
-        while (hops++ < 64) {
-          const auto& t = fn.blocks[current];
-          if (t.instrs.size() != 1 || t.instrs[0].op != Opcode::Br) break;
-          const BlockId next = t.instrs[0].target0;
-          if (next == current) break;
-          current = next;
-        }
-        return current;
-      };
-      if (term.op == Opcode::Br) {
-        const BlockId fwd = forward(term.target0);
-        if (fwd != term.target0 && fwd != static_cast<BlockId>(b)) {
-          term.target0 = fwd;
-          changed = true;
-        }
-      } else if (term.op == Opcode::CondBr) {
-        const BlockId fwd0 = forward(term.target0);
-        const BlockId fwd1 = forward(term.target1);
-        if (fwd0 != term.target0 || fwd1 != term.target1) {
-          term.target0 = fwd0;
-          term.target1 = fwd1;
-          changed = true;
-        }
+int CfgSimplifier::run() {
+  died_ = 0;
+  for (const BlockId b : edited_) edited_marks_[b] = 0;
+  for (const BlockId b : touched_) touched_marks_[b] = 0;
+  edited_.clear();
+  touched_.clear();
+  const bool first = !started_;
+  if (first) start();
+  // Where forwarding can run into its hop limit, its result depends on
+  // the exact order of rounds, so the run repeats the rounds literally.
+  if ((first || emptied_) && long_trivial_chain()) {
+    // The rounds forward every branch themselves.
+    for (const BlockId b : forward_work_) forward_queued_[b] = 0;
+    forward_work_.clear();
+    while (restart_round()) {
+    }
+    rebuild_preds();
+    for (std::size_t b = 0; b < dead_.size(); ++b) {
+      if (dead_[b]) continue;
+      mark(edited_, edited_marks_, static_cast<BlockId>(b));
+      mark(touched_, touched_marks_, static_cast<BlockId>(b));
+    }
+  } else {
+    if (first) {
+      // After one full round every branch points at the end of its chain,
+      // where later rounds would leave it.  A merge keeps it there: the
+      // merged block takes over its successor's forwarded branch.  Only
+      // note_emptied() makes new forwarding work.
+      (void)restart_round();
+      rebuild_preds();
+      for (std::size_t b = 0; b < dead_.size(); ++b) {
+        if (mergeable(static_cast<BlockId>(b))) queue_merge(static_cast<BlockId>(b));
       }
     }
-
-    // 2. Merge single-successor blocks into single-predecessor successors.
-    const auto preds = analysis::predecessors(fn);
-    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-      auto& block = fn.blocks[b];
-      auto& term = block.terminator();
-      if (term.op != Opcode::Br) continue;
-      const BlockId succ = term.target0;
-      if (succ == static_cast<BlockId>(b) || preds[succ].size() != 1) continue;
-      if (succ == 0) continue;  // Keep the entry block first.
-      // Splice the successor's instructions over our Br.
-      block.instrs.pop_back();
-      for (auto& instr : fn.blocks[succ].instrs) {
-        block.instrs.push_back(std::move(instr));
-      }
-      // Leave the successor as an unreachable trivial shell; removed below.
-      fn.blocks[succ].instrs.clear();
-      fn.blocks[succ].instrs.push_back(ir::make::br(static_cast<BlockId>(b)));
-      fn.assign_id(fn.blocks[succ].instrs.back());
-      changed = true;
-      break;  // Predecessor lists are stale; restart.
-    }
-
-    // 3. Drop unreachable blocks.
-    const auto reachable = analysis::reachable_blocks(fn);
-    bool any_unreachable = false;
-    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-      if (!reachable[b]) any_unreachable = true;
-    }
-    if (any_unreachable) {
-      int before = static_cast<int>(fn.blocks.size());
-      compact_blocks(fn, reachable);
-      eliminated += before - static_cast<int>(fn.blocks.size());
-      changed = true;
+    drain_forwarding();
+    // Merges commute, and each spends one id on a shell that is dropped,
+    // so their order is free: each chain is absorbed into its first
+    // block, moving every instruction once.
+    while (!merge_work_.empty()) {
+      BlockId block = merge_work_.back();
+      merge_work_.pop_back();
+      merge_queued_[block] = 0;
+      if (!mergeable(block)) continue;
+      block = chain_head(block);
+      while (mergeable(block)) merge(block);
     }
   }
-  return eliminated;
+  emptied_ = false;
+  return died_;
+}
+
+void CfgSimplifier::start() {
+  started_ = true;
+  const std::size_t nblocks = fn_.blocks.size();
+  dead_.assign(nblocks, 0);
+  forward_queued_.assign(nblocks, 0);
+  merge_queued_.assign(nblocks, 0);
+  edited_marks_.assign(nblocks, 0);
+  touched_marks_.assign(nblocks, 0);
+}
+
+bool CfgSimplifier::restart_round() {
+  // Forward every branch, make the lowest merge with predecessors counted
+  // over every block still present (the first round counts unreachable
+  // ones too), then drop what became unreachable.  When that merge joins
+  // two unreachable blocks it still spends an id, and every later id
+  // depends on it.
+  const std::size_t nblocks = fn_.blocks.size();
+  bool changed = false;
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    if (!dead_[b]) changed |= forward_targets(static_cast<BlockId>(b));
+  }
+  counts_.assign(nblocks, 0);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    if (dead_[b]) continue;
+    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
+      if (s != ir::kNoBlock) ++counts_[s];
+    }
+  }
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    if (dead_[b]) continue;
+    const Instr& term = fn_.blocks[b].terminator();
+    if (term.op != Opcode::Br) continue;
+    const BlockId succ = term.target0;
+    if (succ == b || succ == 0 || counts_[succ] != 1) continue;
+    splice(static_cast<BlockId>(b), succ);
+    changed = true;
+    break;
+  }
+  // Reachability over the present blocks; counts_ becomes the visit mark.
+  std::fill(counts_.begin(), counts_.end(), 0);
+  batch_.clear();
+  if (nblocks != 0) {
+    counts_[0] = 1;
+    batch_.push_back(0);
+  }
+  while (!batch_.empty()) {
+    const BlockId b = batch_.back();
+    batch_.pop_back();
+    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
+      if (s == ir::kNoBlock || counts_[s]) continue;
+      counts_[s] = 1;
+      batch_.push_back(s);
+    }
+  }
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    if (dead_[b] || counts_[b]) continue;
+    dead_[b] = 1;
+    ++died_;
+    changed = true;
+  }
+  return changed;
+}
+
+void CfgSimplifier::rebuild_preds() {
+  preds_.resize(fn_.blocks.size());
+  for (auto& ps : preds_) ps.clear();
+  for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
+    if (dead_[b]) continue;
+    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
+      if (s != ir::kNoBlock) preds_[s].push_back(static_cast<BlockId>(b));
+    }
+  }
+}
+
+bool CfgSimplifier::long_trivial_chain() {
+  // counts_[b]: hops forward() takes from b, once known; kOpen while b's
+  // chain is being walked (a cycle of trivial blocks).
+  constexpr std::uint32_t kUnknown = 0xffffffffu;
+  constexpr std::uint32_t kOpen = 0xfffffffeu;
+  const std::size_t nblocks = fn_.blocks.size();
+  counts_.assign(nblocks, kUnknown);
+  const auto next_of = [&](BlockId b) {
+    const auto& instrs = fn_.blocks[b].instrs;
+    const bool trivial = instrs.size() == 1 && instrs[0].op == Opcode::Br &&
+                         instrs[0].target0 != b;
+    return trivial ? instrs[0].target0 : ir::kNoBlock;
+  };
+  for (std::size_t start = 0; start < nblocks; ++start) {
+    if (dead_[start]) continue;
+    batch_.clear();
+    BlockId b = static_cast<BlockId>(start);
+    while (counts_[b] == kUnknown) {
+      const BlockId next = next_of(b);
+      if (next == ir::kNoBlock) {
+        counts_[b] = 0;
+        break;
+      }
+      counts_[b] = kOpen;
+      batch_.push_back(b);
+      b = next;
+    }
+    if (counts_[b] == kOpen) return true;
+    std::uint32_t hops = counts_[b];
+    for (auto it = batch_.rbegin(); it != batch_.rend(); ++it) {
+      counts_[*it] = ++hops;
+    }
+    if (hops >= 64) return true;
+  }
+  return false;
+}
+
+void CfgSimplifier::note_emptied(BlockId block) {
+  if (dead_[block]) return;
+  const auto& instrs = fn_.blocks[block].instrs;
+  if (instrs.size() != 1 || instrs[0].op != Opcode::Br) return;
+  emptied_ = true;
+  for (const BlockId p : preds_[block]) queue_forward(p);
+}
+
+void CfgSimplifier::compact() {
+  if (!started_ || std::find(dead_.begin(), dead_.end(), 1) == dead_.end()) return;
+  std::vector<bool> keep(dead_.size());
+  for (std::size_t b = 0; b < dead_.size(); ++b) keep[b] = dead_[b] == 0;
+  compact_blocks(fn_, keep);
+  // Every block left is live; the predecessor lists are rebuilt under the
+  // new numbering, so later runs continue from here.
+  const std::size_t nblocks = fn_.blocks.size();
+  for (auto* flags : {&dead_, &forward_queued_, &merge_queued_, &edited_marks_,
+                      &touched_marks_}) {
+    flags->assign(nblocks, 0);
+  }
+  edited_.clear();
+  touched_.clear();
+  rebuild_preds();
+}
+
+BlockId CfgSimplifier::forward(BlockId target) const {
+  // Follow chains of trivial blocks, guarding against cycles.
+  BlockId current = target;
+  int hops = 0;
+  while (hops++ < 64) {
+    const auto& t = fn_.blocks[current];
+    if (t.instrs.size() != 1 || t.instrs[0].op != Opcode::Br) break;
+    const BlockId next = t.instrs[0].target0;
+    if (next == current) break;
+    current = next;
+  }
+  return current;
+}
+
+bool CfgSimplifier::forward_targets(BlockId block) {
+  auto& term = fn_.blocks[block].terminator();
+  if (term.op == Opcode::Br) {
+    const BlockId fwd = forward(term.target0);
+    if (fwd == term.target0 || fwd == block) return false;
+    term.target0 = fwd;
+    return true;
+  }
+  if (term.op == Opcode::CondBr) {
+    const BlockId fwd0 = forward(term.target0);
+    const BlockId fwd1 = forward(term.target1);
+    if (fwd0 == term.target0 && fwd1 == term.target1) return false;
+    term.target0 = fwd0;
+    term.target1 = fwd1;
+    return true;
+  }
+  return false;
+}
+
+void CfgSimplifier::drain_forwarding() {
+  // In index order, as a full pass over the blocks would meet them.  With
+  // no long chains of trivial blocks every forward reaches its chain's
+  // end, so a forwarded branch stays where it is.
+  while (!forward_work_.empty()) {
+    batch_.swap(forward_work_);
+    forward_work_.clear();
+    std::sort(batch_.begin(), batch_.end());
+    for (const BlockId b : batch_) forward_queued_[b] = 0;
+    for (const BlockId b : batch_) {
+      if (!dead_[b]) retarget(b);
+    }
+  }
+}
+
+void CfgSimplifier::retarget(BlockId block) {
+  const auto before = analysis::successor_pair(fn_.blocks[block]);
+  if (!forward_targets(block)) return;
+  const auto after = analysis::successor_pair(fn_.blocks[block]);
+  mark(edited_, edited_marks_, block);
+  mark(touched_, touched_marks_, block);
+  const auto has = [](const std::array<BlockId, 2>& pair, BlockId b) {
+    return pair[0] == b || pair[1] == b;
+  };
+  // New edges first: an old target that dies may lead only to a new one.
+  for (const BlockId s : after) {
+    if (s == ir::kNoBlock || has(before, s)) continue;
+    preds_[s].push_back(block);
+    mark(touched_, touched_marks_, s);
+  }
+  for (const BlockId s : before) {
+    if (s != ir::kNoBlock && !has(after, s)) lose_pred(s, block);
+  }
+  queue_merge(block);
+}
+
+void CfgSimplifier::lose_pred(BlockId block, BlockId pred) {
+  lost_.push_back({block, pred});
+  while (!lost_.empty()) {
+    const auto [b, p] = lost_.back();
+    lost_.pop_back();
+    auto& ps = preds_[b];
+    *std::find(ps.begin(), ps.end(), p) = ps.back();
+    ps.pop_back();
+    mark(touched_, touched_marks_, b);
+    if (ps.size() == 1) queue_merge(ps[0]);
+    if (!ps.empty() || b == 0) continue;
+    // Unreachable now: it dies, and its successors lose it.
+    dead_[b] = 1;
+    ++died_;
+    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
+      if (s != ir::kNoBlock) lost_.push_back({s, b});
+    }
+  }
+}
+
+bool CfgSimplifier::mergeable(BlockId block) const {
+  if (dead_[block]) return false;
+  const Instr& term = fn_.blocks[block].terminator();
+  if (term.op != Opcode::Br) return false;
+  const BlockId succ = term.target0;
+  return succ != block && succ != 0 && preds_[succ].size() == 1;
+}
+
+void CfgSimplifier::merge(BlockId block) {
+  const BlockId succ = fn_.blocks[block].terminator().target0;
+  splice(block, succ);
+  dead_[succ] = 1;
+  ++died_;
+  preds_[succ].clear();
+  // The successor's successors now come from `block`.
+  for (const BlockId s : analysis::successor_pair(fn_.blocks[block])) {
+    if (s == ir::kNoBlock) continue;
+    *std::find(preds_[s].begin(), preds_[s].end(), succ) = block;
+    mark(touched_, touched_marks_, s);
+  }
+  mark(edited_, edited_marks_, block);
+  mark(touched_, touched_marks_, block);
+}
+
+BlockId CfgSimplifier::chain_head(BlockId block) const {
+  // Up while the predecessor would absorb the block.  A live cycle of
+  // such links would be unreachable unless it held the entry, which is
+  // never absorbed.
+  while (block != 0 && preds_[block].size() == 1) {
+    const BlockId pred = preds_[block][0];
+    if (pred == block || fn_.blocks[pred].terminator().op != Opcode::Br) break;
+    block = pred;
+  }
+  return block;
+}
+
+void CfgSimplifier::splice(BlockId block, BlockId succ) {
+  // The successor's instructions replace our Br; the successor is left as
+  // an unreachable one-branch shell holding one fresh id.
+  auto& instrs = fn_.blocks[block].instrs;
+  auto& absorbed = fn_.blocks[succ].instrs;
+  instrs.pop_back();
+  instrs.insert(instrs.end(), std::make_move_iterator(absorbed.begin()),
+                std::make_move_iterator(absorbed.end()));
+  absorbed.clear();
+  absorbed.push_back(ir::make::br(block));
+  fn_.assign_id(absorbed.back());
+}
+
+void CfgSimplifier::queue_forward(BlockId block) {
+  if (forward_queued_[block]) return;
+  forward_queued_[block] = 1;
+  forward_work_.push_back(block);
+}
+
+void CfgSimplifier::queue_merge(BlockId block) {
+  if (merge_queued_[block]) return;
+  merge_queued_[block] = 1;
+  merge_work_.push_back(block);
+}
+
+void CfgSimplifier::mark(std::vector<BlockId>& list, std::vector<char>& marks,
+                         BlockId block) {
+  if (marks[block]) return;
+  marks[block] = 1;
+  list.push_back(block);
 }
 
 void canonicalize(ir::Module& module) {

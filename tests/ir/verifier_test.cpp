@@ -240,6 +240,47 @@ TEST(Verifier, RejectsDuplicateInstrIds) {
   EXPECT_FALSE(verify(m).empty());
 }
 
+TEST(Verifier, DuplicateIdErrorNamesTheLaterBlock) {
+  // entry: br next.  next: ret 0, with the ret reusing the branch's id.
+  Module m;
+  Function fn;
+  fn.name = "main";
+  fn.return_type = Type::I32;
+  Builder b(fn);
+  const BlockId entry = b.create_block("entry");
+  const BlockId next = b.create_block("next");
+  b.set_insert_point(entry);
+  b.emit_br(next);
+  b.set_insert_point(next);
+  b.emit_ret_value(b.emit_movi(0));
+  fn.blocks[next].instrs.back().id = fn.blocks[entry].instrs[0].id;
+  m.functions.push_back(std::move(fn));
+  const std::vector<std::string> expected{
+      "function 'main': duplicate or unassigned instruction id in block 1"};
+  EXPECT_EQ(verify(m), expected);
+}
+
+TEST(Verifier, UnassignedIdsAreEachReported) {
+  // Two kNoInstr ids: each is an error, and neither counts as "seen".
+  Module m = valid_module();
+  auto& fn = m.functions[0];
+  auto& instrs = fn.blocks[0].instrs;
+  instrs.insert(instrs.begin(), make::movi(fn.new_reg(Type::I32), 1));
+  instrs.insert(instrs.begin(), make::movi(fn.new_reg(Type::I32), 2));
+  ASSERT_EQ(instrs[0].id, kNoInstr);
+  const std::string message =
+      "function 'main': duplicate or unassigned instruction id in block 0";
+  EXPECT_EQ(verify(m), (std::vector<std::string>{message, message}));
+}
+
+TEST(Verifier, SparseLargeIdsAreAccepted) {
+  Module m = valid_module();
+  auto& fn = m.functions[0];
+  fn.blocks[0].instrs[0].id = 1'000'000;
+  fn.next_instr_id = 1'000'001;
+  EXPECT_TRUE(verify(m).empty());
+}
+
 TEST(Verifier, RejectsGlobalIndexOutOfRange) {
   Module m = valid_module();
   auto& fn = m.functions[0];

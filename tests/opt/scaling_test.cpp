@@ -1,0 +1,118 @@
+// Scaling gates for the optimizer: optimizing a program of size 4N must
+// take at most 6x the time of size N (linear work gives about 4x,
+// quadratic 16x).  Best of five runs per size, compared as a ratio so
+// runner speed cancels.  The ctest TIMEOUT on this binary bounds a
+// regression that makes either size take minutes, and RUN_SERIAL keeps
+// other tests from skewing the ratio.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <vector>
+
+#include "frontend/compile.hpp"
+#include "ir/builder.hpp"
+#include "ir/verifier.hpp"
+#include "opt/cleanup.hpp"
+#include "opt/optimizer.hpp"
+#include "opt/percolate.hpp"
+
+namespace asipfb::opt {
+namespace {
+
+/// Seconds `work` takes on a fresh copy of `input`; the copy is not timed.
+template <typename T, typename Work>
+double seconds(const T& input, const Work& work) {
+  T copy = input;
+  const auto start = std::chrono::steady_clock::now();
+  work(copy);
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+  return took.count();
+}
+
+/// Best of five runs per size; the sizes alternate, so a slow spell of
+/// the machine hits both.
+template <typename T, typename Work>
+void expect_near_linear(const T& small_input, const T& large_input, const Work& work,
+                        int n) {
+  double small = 1e300;
+  double large = 1e300;
+  for (int run = 0; run < 5; ++run) {
+    small = std::min(small, seconds(small_input, work));
+    large = std::min(large, seconds(large_input, work));
+  }
+  EXPECT_LE(large / small, 6.0) << "N=" << n << ": " << small * 1e3 << " ms, 4N: "
+                                << large * 1e3 << " ms";
+}
+
+/// One `if` whose body is `count` statements, each depending on the last.
+ir::Module long_if_body(int count) {
+  std::string src = "int x[8]; int out;\nint main() {\n  int s = x[0];\n  if (s > 2) {\n";
+  for (int k = 0; k < count; ++k) {
+    src += "    s = s * " + std::to_string(k % 5 + 2) + " + x[" +
+           std::to_string(k % 8) + "];\n";
+  }
+  src += "  }\n  out = s;\n  return s;\n}\n";
+  auto m = fe::compile_benchc(src, "long_if");
+  canonicalize(m);
+  return m;
+}
+
+TEST(OptimizerScaling, LongIfBodyAtO1IsNearLinear) {
+  // The body block's movable set is the work: at O1 every statement's
+  // result feeds the next, so the chain stays behind op by op.
+  constexpr int kN = 500;
+  const auto o1 = [](ir::Module& m) { optimize(m, OptLevel::O1); };
+  expect_near_linear(long_if_body(kN), long_if_body(4 * kN), o1, kN);
+  ir::Module check = long_if_body(4 * kN);
+  o1(check);
+  EXPECT_TRUE(ir::verify(check).empty());
+}
+
+/// `count` blocks in one straight line below a branch, each adding to an
+/// accumulator, with an empty block between each pair.  Blocks are laid
+/// out in reverse, so the chain's first block has the highest index.
+ir::Function straight_line(int count) {
+  ir::Function fn;
+  fn.name = "line";
+  fn.return_type = ir::Type::I32;
+  const ir::Reg p = fn.new_reg(ir::Type::I32);
+  fn.params.push_back(p);
+  ir::Builder b(fn);
+  const ir::BlockId entry = b.create_block("entry");
+  std::vector<ir::BlockId> body(static_cast<std::size_t>(count));
+  std::vector<ir::BlockId> hop(static_cast<std::size_t>(count));
+  for (int k = count - 1; k >= 0; --k) {
+    body[static_cast<std::size_t>(k)] = b.create_block("body");
+    hop[static_cast<std::size_t>(k)] = b.create_block("hop");
+  }
+  const ir::BlockId exit = b.create_block("exit");
+  b.set_insert_point(entry);
+  const ir::Reg acc = b.emit_movi(0);
+  b.emit_cond_br(p, body[0], exit);
+  for (int k = 0; k < count; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    b.set_insert_point(body[i]);
+    const ir::Reg step = b.emit_movi(k % 7 + 1);
+    b.emit(ir::make::binary(ir::Opcode::Add, acc, acc, step));
+    b.emit_br(hop[i]);
+    b.set_insert_point(hop[i]);
+    b.emit_br(k + 1 < count ? body[i + 1] : exit);
+  }
+  b.set_insert_point(exit);
+  b.emit_ret_value(acc);
+  return fn;
+}
+
+TEST(OptimizerScaling, StraightLineMergesAreNearLinear) {
+  constexpr int kN = 500;
+  const auto merge_all = [](ir::Function& fn) {
+    percolate(fn);
+    EXPECT_EQ(fn.blocks.size(), 3u);  // entry, the merged line, exit.
+  };
+  expect_near_linear(straight_line(kN), straight_line(4 * kN), merge_all, kN);
+}
+
+}  // namespace
+}  // namespace asipfb::opt

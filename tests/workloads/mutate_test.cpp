@@ -140,7 +140,9 @@ TEST(Mutate, StackedMutationsPreserveOracleExpectations) {
         EXPECT_NE(m.source, w.source) << w.name;
       }
       // Stacking more rewrites keeps changing the program text.
-      if (count >= 2) EXPECT_NE(m.source, previous) << w.name << " N=" << count;
+      if (count >= 2) {
+        EXPECT_NE(m.source, previous) << w.name << " N=" << count;
+      }
       previous = m.source;
       const auto outcome = check_workload(with_source(w, m.source));
       EXPECT_TRUE(outcome.ok())

@@ -20,11 +20,11 @@ HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.M)
 
 
 def slugify(heading: str) -> str:
-    """GitHub-style anchor slug of a heading."""
+    """GitHub-style anchor slug of a heading: lower case, punctuation
+    dropped except `-` and `_`, and each space turned into a `-`."""
     slug = heading.strip().lower()
-    slug = re.sub(r"[`*_]", "", slug)
     slug = re.sub(r"[^\w\- ]", "", slug)
-    return re.sub(r" +", "-", slug)
+    return slug.replace(" ", "-")
 
 
 def anchors_of(path: Path) -> set[str]:
