@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 
+#include "ir/function.hpp"
+
 namespace asipfb::fe {
 
 namespace {
@@ -72,6 +74,9 @@ private:
   }
 
   void check_globals() {
+    // Summed as lowering lays them out; the sum stops at the first global
+    // that overflows, so it is reported once.
+    std::uint64_t global_words = 0;
     for (auto& g : unit_.globals) {
       VarSym* sym = unit_.make_symbol();
       sym->name = g.name;
@@ -85,6 +90,13 @@ private:
       }
       if (g.is_array && g.array_size <= 0) {
         error(g.loc, "array size must be positive");
+      } else if (global_words <= ir::kMaxGlobalWords) {
+        global_words += static_cast<std::uint64_t>(sym->array_size);
+        if (global_words > ir::kMaxGlobalWords) {
+          error(g.loc, "global '" + g.name + "' does not fit in simulator memory: " +
+                           std::to_string(global_words) + " words of globals, at most " +
+                           std::to_string(ir::kMaxGlobalWords));
+        }
       }
       if (!g.is_array && g.init.size() > 1) {
         error(g.loc, "scalar initializer list");
@@ -105,6 +117,7 @@ private:
   void check_function(FunctionDecl& fn, const FunctionSig& sig) {
     current_return_ = sig.return_type;
     loop_depth_ = 0;
+    frame_words_ = 0;
     scopes_.push();
     for (const auto& [pname, ptype] : fn.params) {
       VarSym* sym = unit_.make_symbol();
@@ -140,6 +153,16 @@ private:
         }
         if (stmt.decl_is_array && stmt.decl_array_size <= 0) {
           error(stmt.loc, "array size must be positive");
+        } else if (stmt.decl_is_array && frame_words_ <= ir::kMaxFrameWords) {
+          // Lowering gives every local array of a function its own frame
+          // offset, so the frame is the sum over all of them.
+          frame_words_ += static_cast<std::uint64_t>(stmt.decl_array_size);
+          if (frame_words_ > ir::kMaxFrameWords) {
+            error(stmt.loc, "local array '" + stmt.decl_name +
+                                "' does not fit in a frame: " + std::to_string(frame_words_) +
+                                " words of local arrays, at most " +
+                                std::to_string(ir::kMaxFrameWords));
+          }
         }
         if (stmt.decl_init) {
           if (stmt.decl_is_array) {
@@ -396,6 +419,7 @@ private:
   Scopes scopes_;
   Type current_return_ = Type::Void;
   int loop_depth_ = 0;
+  std::uint64_t frame_words_ = 0;  ///< Local-array words of the current function.
 };
 
 }  // namespace

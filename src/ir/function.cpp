@@ -44,10 +44,10 @@ int Module::find_global(std::string_view global_name) const {
   return -1;
 }
 
-std::uint32_t Module::layout_globals() {
-  std::uint32_t address = 0;
+std::uint64_t Module::layout_globals() {
+  std::uint64_t address = 0;
   for (auto& g : globals) {
-    g.base_address = address;
+    g.base_address = static_cast<std::uint32_t>(address);
     address += g.size;
   }
   return address;

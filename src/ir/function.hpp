@@ -66,6 +66,19 @@ struct Function {
   [[nodiscard]] std::size_t instr_count() const;
 };
 
+/// Words of memory above the globals reserved for call frames.  Frame
+/// allocation and the simulator's out-of-bounds checks of loads and stores
+/// are relative to this fixed region size (sim::kFrameRegionWords).
+inline constexpr std::uint32_t kFrameRegionWords = 1u << 20;
+
+/// Most words of globals a module may lay out: the globals and the frame
+/// region together must stay addressable by a 32-bit word address.
+inline constexpr std::uint64_t kMaxGlobalWords = UINT32_MAX - kFrameRegionWords;
+
+/// Most words of local arrays one function may declare: every frame offset
+/// must fit the int32 immediate of AddrLocal.
+inline constexpr std::uint64_t kMaxFrameWords = INT32_MAX;
+
 /// A named global array in the flat data memory.
 struct GlobalArray {
   std::string name;
@@ -89,8 +102,11 @@ struct Module {
   [[nodiscard]] int find_global(std::string_view global_name) const;
 
   /// Lays out globals in memory starting at address 0 and returns the total
-  /// number of words used (start of the local-frame region).
-  std::uint32_t layout_globals();
+  /// number of words used (start of the local-frame region).  The total is
+  /// summed in 64 bits; a layout above kMaxGlobalWords does not fit the
+  /// simulator's memory (its base addresses wrap), and sim::decode rejects
+  /// it.
+  std::uint64_t layout_globals();
 
   /// Sum of total_dynamic_ops over all functions.
   [[nodiscard]] std::uint64_t total_dynamic_ops() const;

@@ -28,7 +28,13 @@ std::uint32_t slot(const ir::Function& fn, const ir::Instr& in, std::size_t i) {
 Program decode(ir::Module& module) {
   Program p;
   // AddrGlobal resolves to absolute addresses, so layout comes first.
-  p.globals_end = module.layout_globals();
+  const std::uint64_t global_words = module.layout_globals();
+  if (global_words > ir::kMaxGlobalWords) {
+    throw SimError("globals do not fit in simulator memory: " +
+                   std::to_string(global_words) + " words, at most " +
+                   std::to_string(ir::kMaxGlobalWords));
+  }
+  p.globals_end = static_cast<std::uint32_t>(global_words);
   p.functions.reserve(module.functions.size());
 
   // Pass 1: flat entry points and parameter slots for every function, so

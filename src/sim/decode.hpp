@@ -7,7 +7,8 @@ namespace asipfb::sim {
 
 /// Decodes every function of `module` into a flat Program.  Lays out the
 /// module's globals first (AddrGlobal is resolved to absolute base
-/// addresses at decode time).  The module must outlive the Program and
+/// addresses at decode time) and refuses, as SimError, globals that do not
+/// fit beside the frame region in a 32-bit word address space.  The module must outlive the Program and
 /// must not be structurally modified while the Program is in use.
 ///
 /// Structural defects a direct interpreter would only hit when (and if)

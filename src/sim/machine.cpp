@@ -7,19 +7,25 @@
 
 namespace asipfb::sim {
 
-Machine::Machine(ir::Module& module) : module_(module), program_(decode(module)) {
-  globals_end_ = program_.globals_end;
-  memory_.assign(static_cast<std::size_t>(globals_end_) + kFrameRegionWords, 0);
-  frame_dirty_end_ = globals_end_;  // assign() left the frame region zeroed.
+Machine::Machine(ir::Module& module)
+    : module_(module),
+      program_(decode(module)),
+      globals_end_(program_.globals_end),
+      memory_(static_cast<std::size_t>(globals_end_) + kFrameRegionWords),
+      frame_dirty_end_(globals_end_) {
   frames_.reserve(64);
-  reset_memory();
+  write_initializers();  // The fresh mapping is all zero already.
 }
 
 void Machine::reset_memory() {
-  // frame_dirty_end_ >= globals_end_ always, so one contiguous fill covers
+  // frame_dirty_end_ >= globals_end_ always, so one contiguous clear covers
   // the globals and every frame word any run has stored to.
-  std::fill(memory_.begin(), memory_.begin() + frame_dirty_end_, 0);
+  memory_.zero(0, frame_dirty_end_);
   frame_dirty_end_ = globals_end_;
+  write_initializers();
+}
+
+void Machine::write_initializers() {
   for (const auto& g : module_.globals) {
     for (std::size_t i = 0; i < g.init.size() && i < g.size; ++i) {
       memory_[g.base_address + i] = g.init[i];
@@ -68,8 +74,7 @@ SimResult Machine::run(const SimOptions& options, std::string_view entry) {
   if (fid == ir::kNoFunc) throw SimError("no entry function: " + std::string(entry));
   // Deterministic reuse: every run starts with a pristine frame region.
   // Globals are left alone so inputs written via write_global persist.
-  std::fill(memory_.begin() + globals_end_,
-            memory_.begin() + frame_dirty_end_, 0);
+  memory_.zero(globals_end_, frame_dirty_end_);
   frame_dirty_end_ = globals_end_;
   // A faulted run abandons its dirty-region bookkeeping; treat the whole
   // frame region as dirty so the next clear is still correct.

@@ -13,6 +13,15 @@
 // program is reused across runs: the decode-once/run-many pattern backs
 // pipeline::prepare_multi(), which calls reset_memory() and rebinds
 // inputs between data sets instead of rebuilding a Machine.
+//
+// Memory is zero on first touch (sim/memory.hpp): the image is one
+// anonymous mapping of the globals plus a fixed frame region, so
+// construction writes only the globals' initializer words and a run pays
+// for the pages it stores to, not for the 4 MiB region.  Clearing between
+// runs covers only the words stored to since the last clear; a span of
+// 64 KiB or more hands its whole pages back to the kernel with madvise
+// instead of filling them.  A module whose globals do not fit a 32-bit
+// word address space beside the frame region is refused with SimError.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +32,7 @@
 #include <vector>
 
 #include "ir/function.hpp"
+#include "sim/memory.hpp"
 #include "sim/program.hpp"
 
 namespace asipfb::sim {
@@ -37,7 +47,7 @@ public:
 /// Words of memory above the globals reserved for call frames.  Frame
 /// allocation and the out-of-bounds checks of loads and stores are
 /// relative to this fixed region size.
-inline constexpr std::uint32_t kFrameRegionWords = 1u << 20;
+using ir::kFrameRegionWords;
 
 struct SimOptions {
   std::uint64_t max_steps = 2'000'000'000;  ///< Fault when exceeded.
@@ -57,9 +67,11 @@ struct SimResult {
 /// then read output globals.
 class Machine {
 public:
-  /// Decodes the module.  `module` must outlive the machine and must not
-  /// be structurally modified while it is in use; with SimOptions::profile
-  /// a run mutates the module's exec_count annotations.
+  /// Decodes the module and maps its memory image.  `module` must outlive
+  /// the machine and must not be structurally modified while it is in use;
+  /// with SimOptions::profile a run mutates the module's exec_count
+  /// annotations.  Throws SimError when the globals do not fit the address
+  /// space or the kernel refuses the mapping.
   explicit Machine(ir::Module& module);
 
   /// Copies values into a named global (must exist, sizes must fit).
@@ -81,6 +93,11 @@ public:
   /// use reset_memory() for a fully fresh image.
   SimResult run(const SimOptions& options = {}, std::string_view entry = "main");
 
+  /// The whole memory image: the globals, then the frame region.
+  [[nodiscard]] std::span<const std::uint32_t> memory() const {
+    return {memory_.data(), memory_.size()};
+  }
+
   /// The decoded form this machine executes.
   [[nodiscard]] const Program& program() const { return program_; }
 
@@ -100,6 +117,9 @@ private:
 
   [[nodiscard]] const ir::GlobalArray& global_by_name(std::string_view name) const;
 
+  /// Writes every global's init words; the rest of the image must be zero.
+  void write_initializers();
+
   /// The interpreter's dispatch loop over program_.code.
   template <bool Profile>
   SimResult exec(const SimOptions& options, ir::FuncId entry);
@@ -115,8 +135,11 @@ private:
 
   ir::Module& module_;
   Program program_;
-  std::vector<std::uint32_t> memory_;
   std::uint32_t globals_end_ = 0;
+  /// globals_end_ + kFrameRegionWords words, zero until first touched.
+  /// Its size fits a uint32_t: decode refuses globals past
+  /// ir::kMaxGlobalWords.
+  WordMemory memory_;
   /// One past the highest frame-region word any run has stored to since the
   /// region was last cleared.  Frame memory is only ever dirtied by stores
   /// (frame allocation writes nothing), so clearing [globals_end_,

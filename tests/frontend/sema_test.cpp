@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "frontend/parser.hpp"
 
 namespace asipfb::fe {
@@ -125,6 +128,40 @@ TEST(Sema, NonConstantGlobalInitializerRejected) {
 
 TEST(Sema, TooManyInitializers) {
   EXPECT_TRUE(sema_fails("int a[2] = {1, 2, 3}; int main() { return 0; }"));
+}
+
+/// Every diagnostic sema reports for `src`, one per line.
+std::string sema_errors(std::string_view src) {
+  DiagnosticEngine diags;
+  TranslationUnit unit = parse(src, diags);
+  analyze(unit, diags);
+  std::string out;
+  for (const auto& d : diags.diagnostics()) out += d.to_string() + "\n";
+  return out;
+}
+
+TEST(Sema, GlobalsMustFitBesideTheFrameRegion) {
+  // Globals plus the 2^20-word frame region must stay within 2^32 - 1
+  // words.  The sum is taken in 64 bits, so a layout that would wrap is
+  // reported at the global that overflows it, once.
+  EXPECT_EQ(sema_errors("int a[2147483647];\nint b[2146435072];\nint main() { return 0; }"),
+            "");
+  EXPECT_EQ(sema_errors("int a[2147483647];\nint b[2146435073];\nint main() { return 0; }"),
+            "2:1: global 'b' does not fit in simulator memory: 4293918720 words of "
+            "globals, at most 4293918719\n");
+  EXPECT_EQ(sema_errors("int a[2000000000];\nint b[2000000000];\n"
+                        "int c[300000000] = {7};\nint d;\nint main() { return c[0]; }"),
+            "3:1: global 'c' does not fit in simulator memory: 4300000000 words of "
+            "globals, at most 4293918719\n");
+}
+
+TEST(Sema, LocalArraysMustFitOneFrame) {
+  // Every local array of a function gets its own frame offset, an int32.
+  EXPECT_EQ(sema_errors("int main() { int a[2147483647]; return 0; }"), "");
+  EXPECT_EQ(sema_errors("int f() { int a[2147483647]; { int b[1]; } return 0; }\n"
+                        "int main() { int c[2147483647]; return 0; }"),
+            "1:32: local array 'b' does not fit in a frame: 2147483648 words of "
+            "local arrays, at most 2147483647\n");
 }
 
 TEST(Sema, ImplicitIntToFloatInArithmetic) {

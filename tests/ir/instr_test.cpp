@@ -134,7 +134,7 @@ TEST(Module, LayoutAssignsDisjointAddresses) {
   Module m;
   m.globals.push_back(GlobalArray{"a", Type::I32, 10, 0, {}});
   m.globals.push_back(GlobalArray{"b", Type::I32, 5, 0, {}});
-  const std::uint32_t total = m.layout_globals();
+  const std::uint64_t total = m.layout_globals();
   EXPECT_EQ(total, 15u);
   EXPECT_EQ(m.globals[0].base_address, 0u);
   EXPECT_EQ(m.globals[1].base_address, 10u);

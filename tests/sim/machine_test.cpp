@@ -1,7 +1,9 @@
 #include "sim/machine.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -375,6 +377,127 @@ TEST(Machine, RepeatedRunsKeepGlobalsAndZeroFrames) {
   EXPECT_EQ(machine.run().exit_code, 1103);
   machine.reset_memory();
   EXPECT_EQ(machine.run().exit_code, 1101);
+}
+
+/// Words where two memory images differ (their sizes must match).
+std::size_t words_differing(std::span<const std::uint32_t> a,
+                            std::span<const std::uint32_t> b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    differing += a[i] != b[i] ? 1 : 0;
+  }
+  return differing;
+}
+
+TEST(Machine, ClearsOnBothSidesOfTheMadviseThresholdLikeAFreshMachine) {
+  // fill(n) stores n words of frame memory.  The clears switch from
+  // std::fill to madvise at 64 KiB (16,384 words): run() clears the n
+  // frame words and reset_memory() those plus the five global words, so
+  // 16,378 keeps both just under it, 20,481 is over it, and a faulted run
+  // marks the whole 4 MiB region dirty.  The globals put the frame region
+  // mid-page, so the madvise clears also fill a partial head and tail
+  // page.  After each, the next run() (of peek, which stores nothing) and
+  // reset_memory() must leave the image a fresh machine has, word for
+  // word.
+  const std::string source =
+      "int g[5] = {1, 2, 3, 4, 5};\n"
+      "int fill(int n) { int t[40000]; int i;\n"
+      "  for (i = 0; i < n; i++) t[i] = i + 1; return t[0]; }\n"
+      "int peek() { return g[4]; }\n";
+  struct Case {
+    const char* name;
+    int words;
+    bool faults;  ///< Stopped by the step limit two thirds of the way in.
+  };
+  for (const Case& c : {Case{"under", 16378, false}, Case{"over", 20481, false},
+                        Case{"faulted", 30000, true}}) {
+    SCOPED_TRACE(c.name);
+    ir::Module m = fe::compile_benchc(
+        source + "int main() { return fill(" + std::to_string(c.words) + "); }\n", "clear");
+    ir::Module fresh_m = m;
+    const Machine fresh(fresh_m);
+    Machine machine(m);
+    SimOptions dirty;
+    if (c.faults) dirty.max_steps = 240000;
+    const auto dirty_run = [&] {
+      if (c.faults) {
+        EXPECT_THROW(machine.run(dirty), SimError);
+      } else {
+        EXPECT_EQ(machine.run(dirty).exit_code, 1);
+      }
+      EXPECT_GT(words_differing(machine.memory(), fresh.memory()), 10000u);
+    };
+    dirty_run();
+    EXPECT_EQ(machine.run({}, "peek").exit_code, 5);
+    EXPECT_EQ(words_differing(machine.memory(), fresh.memory()), 0u);
+    dirty_run();
+    machine.reset_memory();
+    EXPECT_EQ(words_differing(machine.memory(), fresh.memory()), 0u);
+  }
+}
+
+TEST(Machine, ResetRestoresGlobalInitsOnBothSidesOfTheMadviseThreshold) {
+  // reset_memory() clears the globals with the frames: 16,000 words of
+  // globals stay under the madvise threshold, 20,000 words go over it.
+  for (const int words : {16000, 20000}) {
+    SCOPED_TRACE(words);
+    const std::string n = std::to_string(words);
+    ir::Module m = fe::compile_benchc(
+        "int g[" + n + "] = {1, 2, 3}; float h = 2.5;\n"
+        "int main() { int t[64]; int i; for (i = 0; i < " + n + "; i++) g[i] = -1;\n"
+        "  h = 0.0; t[63] = 1; return t[63]; }\n",
+        "globals");
+    ir::Module fresh_m = m;
+    const Machine fresh(fresh_m);
+    Machine machine(m);
+    EXPECT_EQ(machine.run().exit_code, 1);
+    EXPECT_EQ(words_differing(machine.memory(), fresh.memory()), static_cast<std::size_t>(words + 2));
+    machine.reset_memory();
+    EXPECT_EQ(words_differing(machine.memory(), fresh.memory()), 0u);
+    EXPECT_EQ(machine.read_global_f32("h"), (std::vector<float>{2.5f}));
+  }
+}
+
+/// The process's peak resident set, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(Machine, HugeGlobalCostsOnlyWhatARunTouches) {
+  // 2^28 words of globals is a 1 GiB image.  Filling it would raise the
+  // peak RSS by 1 GiB; a zero-on-touch image costs the few pages the run
+  // stores to.  A kernel that refuses the mapping gives a SimError.
+  ir::Module m = fe::compile_benchc(
+      "int a[268435456]; int main() { a[268435455] = 3; return a[268435455]; }", "huge");
+  const long before = peak_rss_kib();
+  try {
+    Machine machine(m);
+    EXPECT_EQ(machine.run().exit_code, 3);
+    machine.reset_memory();
+    EXPECT_EQ(machine.run().exit_code, 3);
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot map"), std::string::npos) << e.what();
+    return;
+  }
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
+}
+
+TEST(Machine, GlobalsPastTheAddressSpaceAreRefused) {
+  // Two 2^31-word globals end at word 2^32, past any 32-bit address; the
+  // layout must not wrap to a small image that initializers overrun.
+  ir::Module m = binary_op_module(Opcode::Add, 1, 2);
+  m.globals.push_back(ir::GlobalArray{"a", Type::I32, 1u << 31, 0, {}});
+  m.globals.push_back(ir::GlobalArray{"b", Type::I32, 1u << 31, 0, {7}});
+  try {
+    Machine machine(m);
+    ADD_FAILURE() << "construction should have been refused";
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(),
+                 "globals do not fit in simulator memory: 4294967296 words, at most 4293918719");
+  }
 }
 
 TEST(Machine, ProfiledRunsAccumulateCounts) {

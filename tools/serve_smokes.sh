@@ -122,4 +122,25 @@ timeout 60 $serve --workers 2 < chain.txt > chain.out
 [ "$(grep -c '"ok": true' chain.out)" -eq 2 ] || { cat chain.out; exit 1; }
 grep -q '"pong": true' chain.out
 
+# Hostile input: globals whose layout would wrap past 2^32 words must get
+# the compile diagnostic (they once crashed the process), and an 8 GB
+# array that the program touches once must be answered from the pages it
+# touches, or refused by name if the kernel will not map it.  ping must
+# still answer afterwards and the server must exit 0.
+echo "== hostile-globals smoke"
+python3 - > globals.txt <<'EOF'
+wrap = ["int a[2000000000];", "int b[2000000000];", "int c[300000000] = {7};",
+        "int main() { return c[0]; }"]
+big = ["int a[2000000000]; int main() { a[1999999999] = 1; return a[1999999999]; }"]
+for i, (name, body) in enumerate([("wrap", wrap), ("big", big)], 1):
+    print("source %s %d" % (name, len(body)))
+    print("\n".join(body))
+    print("%d compile %s" % (i, name))
+print("ping")
+EOF
+timeout 10 $serve --workers 2 < globals.txt > globals.out || { cat globals.out; exit 1; }
+grep -q '"id": 1, .*"ok": false, "error": ".*global .c. does not fit in simulator memory' globals.out || { cat globals.out; exit 1; }
+grep -Eq '"id": 2, .*("ok": true, .*"exit": 1,|"ok": false, "error": "cannot map )' globals.out || { cat globals.out; exit 1; }
+grep -q '"pong": true' globals.out
+
 echo "serve smokes: all passed"
