@@ -257,6 +257,67 @@ TEST(ServiceProtocol, StageAndCacheCountersRenderOnlyWithLatency) {
   EXPECT_NE(with.find("\"store_corrupt\": 1"), std::string::npos);
 }
 
+// Every counter distinct, so a swapped or dropped field changes the line.
+// The latency values are ones a histogram produces: 500 samples in
+// [2^10, 2^11) ns, 490 in [2^12, 2^13), 9 in [2^15, 2^16) and one of
+// 1.5 ms give p50/p99/p999 at the bucket upper edges 2048, 8192 and
+// 65536 ns and max 1500 us.
+Stats pinned_stats() {
+  Stats s;
+  s.submitted = 1004;
+  s.completed = 1000;
+  s.failed = 9;
+  s.rejected = 3;
+  s.queue_depth = 4;
+  const std::uint64_t by_kind[kKindCount] = {110, 120, 130, 140, 150, 350};
+  for (std::size_t k = 0; k < kKindCount; ++k) {
+    s.completed_by_kind[k] = by_kind[k];
+  }
+  s.stage_optimize_runs = 21;
+  s.stage_detect_runs = 22;
+  s.stage_coverage_runs = 23;
+  s.stage_extension_runs = 24;
+  s.stage_hits = 250;
+  s.sessions = 6;
+  s.baselines_computed = 5;
+  s.baselines_disk = 1;
+  s.disk_hits = 26;
+  s.disk_misses = 27;
+  s.store_hits = 28;
+  s.store_misses = 29;
+  s.store_writes = 30;
+  s.store_evictions = 2;
+  s.store_corrupt = 7;
+  s.uptime_seconds = 12.5;
+  s.p50_latency_us = 2.048;
+  s.p99_latency_us = 8.192;
+  s.p999_latency_us = 65.536;
+  s.max_latency_us = 1500.0;
+  return s;
+}
+
+TEST(ServiceProtocol, PinsTheWholeStatsLine) {
+  const Stats s = pinned_stats();
+  const std::string plain =
+      "{\"stats\": true, \"submitted\": 1004, \"completed\": 1000, "
+      "\"failed\": 9, \"rejected\": 3, \"queue_depth\": 4, "
+      "\"compile\": 110, \"optimize\": 120, \"detect\": 130, "
+      "\"coverage\": 140, \"extension\": 150, \"sweep\": 350";
+  EXPECT_EQ(render_stats(s), plain + "}");
+  EXPECT_EQ(render_stats(s, /*with_latency=*/true),
+            plain +
+                ", \"optimize_runs\": 21, \"detect_runs\": 22, "
+                "\"coverage_runs\": 23, \"extension_runs\": 24, "
+                "\"stage_hits\": 250, \"sessions\": 6, "
+                "\"baselines_computed\": 5, \"baselines_disk\": 1, "
+                "\"disk_hits\": 26, \"disk_misses\": 27, "
+                "\"store_hits\": 28, \"store_misses\": 29, "
+                "\"store_writes\": 30, \"store_evictions\": 2, "
+                "\"store_corrupt\": 7, \"uptime_seconds\": 12.5, "
+                "\"p50_latency_us\": 2.048, \"p99_latency_us\": 8.192, "
+                "\"p999_latency_us\": 65.54, \"max_latency_us\": 1500}");
+}
+
 TEST(ServiceProtocol, RenderErrorEscapesMessage) {
   EXPECT_EQ(render_error("bad \"line\""),
             "{\"ok\": false, \"error\": \"bad \\\"line\\\"\"}");
