@@ -156,7 +156,7 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
 void print_cache_summary(const std::shared_ptr<cache::Store>& store,
                          const service::Stats& stats) {
   if (store == nullptr) return;
-  const cache::StoreStats s = store->stats();
+  const cache::StoreStats& s = stats.store;
   std::fprintf(stderr,
                "asipfb_serve: cache summary: dir=%s hits=%llu misses=%llu "
                "writes=%llu evictions=%llu corrupt=%llu baselines_disk=%llu\n",
@@ -165,7 +165,7 @@ void print_cache_summary(const std::shared_ptr<cache::Store>& store,
                static_cast<unsigned long long>(s.writes),
                static_cast<unsigned long long>(s.evictions),
                static_cast<unsigned long long>(s.corrupt),
-               static_cast<unsigned long long>(stats.baselines_disk));
+               static_cast<unsigned long long>(stats.pool.disk_cache));
 }
 
 /// TCP mode: a TcpServer in front of the Router, then park on sigwait

@@ -344,6 +344,21 @@ Session::Stats Session::stats() const {
   return s;
 }
 
+Session::Stats& Session::Stats::operator+=(const Stats& other) {
+  optimize_runs += other.optimize_runs;
+  detect_runs += other.detect_runs;
+  coverage_runs += other.coverage_runs;
+  extension_runs += other.extension_runs;
+  optimize_hits += other.optimize_hits;
+  detect_hits += other.detect_hits;
+  coverage_hits += other.coverage_hits;
+  extension_hits += other.extension_hits;
+  hits += other.hits;
+  disk_hits += other.disk_hits;
+  disk_misses += other.disk_misses;
+  return *this;
+}
+
 // --- SessionPool ------------------------------------------------------------
 
 SessionPool::SessionPool(std::shared_ptr<cache::Store> store)
@@ -392,6 +407,15 @@ std::shared_ptr<Session> SessionPool::get(const std::string& workload_name) {
   return get(w.name, w.source, w.input);
 }
 
+SessionPool::PoolStats& SessionPool::PoolStats::operator+=(
+    const PoolStats& other) {
+  sessions += other.sessions;
+  computed += other.computed;
+  disk_cache += other.disk_cache;
+  stages += other.stages;
+  return *this;
+}
+
 SessionPool::PoolStats SessionPool::stats() const {
   // Snapshot the entries under the lock, read the Sessions outside it:
   // Session::stats() is lock-free but there is no reason to serialize it
@@ -410,18 +434,7 @@ SessionPool::PoolStats SessionPool::stats() const {
     }
     ++ps.sessions;
     ++(entry->session->baseline_from_disk() ? ps.disk_cache : ps.computed);
-    const Session::Stats s = entry->session->stats();
-    ps.stages.optimize_runs += s.optimize_runs;
-    ps.stages.detect_runs += s.detect_runs;
-    ps.stages.coverage_runs += s.coverage_runs;
-    ps.stages.extension_runs += s.extension_runs;
-    ps.stages.optimize_hits += s.optimize_hits;
-    ps.stages.detect_hits += s.detect_hits;
-    ps.stages.coverage_hits += s.coverage_hits;
-    ps.stages.extension_hits += s.extension_hits;
-    ps.stages.hits += s.hits;
-    ps.stages.disk_hits += s.disk_hits;
-    ps.stages.disk_misses += s.disk_misses;
+    ps.stages += entry->session->stats();
   }
   return ps;
 }

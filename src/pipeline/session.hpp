@@ -159,6 +159,9 @@ class Session {
     std::uint64_t hits = 0;
     std::uint64_t disk_hits = 0;
     std::uint64_t disk_misses = 0;
+
+    /// Field-wise sum (SessionPool::stats() adds its Sessions' with it).
+    Stats& operator+=(const Stats& other);
   };
   [[nodiscard]] Stats stats() const;
 
@@ -266,6 +269,9 @@ class SessionPool {
     std::uint64_t computed = 0;    ///< Cold compile + profile in this process.
     std::uint64_t disk_cache = 0;  ///< Loaded from the artifact store.
     Session::Stats stages;  ///< Summed over all ready Sessions.
+
+    /// Field-wise sum (Router::stats() adds its shards' pools).
+    PoolStats& operator+=(const PoolStats& other);
   };
   [[nodiscard]] PoolStats stats() const;
 

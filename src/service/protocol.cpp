@@ -270,26 +270,28 @@ std::string render_stats(const Stats& stats, bool with_latency) {
     // queried (a warm detection never touches optimize), so every one of
     // these depends on the state of the artifact store, not just on the
     // completed request mix — they must stay out of byte-diffed output.
-    json.member("optimize_runs", stats.stage_optimize_runs)
-        .member("detect_runs", stats.stage_detect_runs)
-        .member("coverage_runs", stats.stage_coverage_runs)
-        .member("extension_runs", stats.stage_extension_runs)
-        .member("stage_hits", stats.stage_hits)
-        .member("sessions", stats.sessions)
-        .member("baselines_computed", stats.baselines_computed)
-        .member("baselines_disk", stats.baselines_disk)
-        .member("disk_hits", stats.disk_hits)
-        .member("disk_misses", stats.disk_misses)
-        .member("store_hits", stats.store_hits)
-        .member("store_misses", stats.store_misses)
-        .member("store_writes", stats.store_writes)
-        .member("store_evictions", stats.store_evictions)
-        .member("store_corrupt", stats.store_corrupt)
+    const pipeline::Session::Stats& stages = stats.pool.stages;
+    json.member("optimize_runs", stages.optimize_runs)
+        .member("detect_runs", stages.detect_runs)
+        .member("coverage_runs", stages.coverage_runs)
+        .member("extension_runs", stages.extension_runs)
+        .member("stage_hits", stages.hits)
+        .member("sessions", stats.pool.sessions)
+        .member("baselines_computed", stats.pool.computed)
+        .member("baselines_disk", stats.pool.disk_cache)
+        .member("disk_hits", stages.disk_hits)
+        .member("disk_misses", stages.disk_misses)
+        .member("store_hits", stats.store.hits)
+        .member("store_misses", stats.store.misses)
+        .member("store_writes", stats.store.writes)
+        .member("store_evictions", stats.store.evictions)
+        .member("store_corrupt", stats.store.corrupt)
         .member("uptime_seconds", stats.uptime_seconds)
-        .member("p50_latency_us", stats.p50_latency_us)
-        .member("p99_latency_us", stats.p99_latency_us)
-        .member("p999_latency_us", stats.p999_latency_us)
-        .member("max_latency_us", stats.max_latency_us);
+        .member("p50_latency_us", stats.latency.quantile_us(0.50))
+        .member("p99_latency_us", stats.latency.quantile_us(0.99))
+        .member("p999_latency_us", stats.latency.quantile_us(0.999))
+        .member("max_latency_us",
+                static_cast<double>(stats.latency.max_ns) / 1000.0);
   }
   json.end_object();
   return json.str();

@@ -50,7 +50,8 @@ struct Command {
                                           bool with_latency = false);
 
 /// One-line JSON rendering of a Stats snapshot.  Deterministic counters
-/// only by default; uptime and latency quantiles appear when
+/// only by default; the pool and store counters, uptime and the latency
+/// quantiles (estimated here, from stats.latency) appear when
 /// `with_latency`.
 [[nodiscard]] std::string render_stats(const Stats& stats,
                                        bool with_latency = false);

@@ -92,13 +92,11 @@ unsigned Router::workers() const {
 
 Stats Router::stats() const {
   Stats total;
-  LatencyHistogram merged;
   for (const auto& shard : shards_) {
-    // One snapshot() per shard: the counters and the histogram merged
-    // below come from the same pass, so the aggregate's quantiles/max
-    // cannot reflect completions the summed completed counter has not seen.
-    const Server::Snapshot snap = shard->snapshot();
-    const Stats& s = snap.stats;
+    // One stats() per shard: the counters and the histogram merged below
+    // come from the same pass, so the aggregate's quantiles/max cannot
+    // reflect completions the summed completed counter has not seen.
+    const Stats s = shard->stats();
     total.submitted += s.submitted;
     total.rejected += s.rejected;
     total.completed += s.completed;
@@ -107,30 +105,13 @@ Stats Router::stats() const {
       total.completed_by_kind[k] += s.completed_by_kind[k];
     }
     total.queue_depth += s.queue_depth;
-    total.stage_optimize_runs += s.stage_optimize_runs;
-    total.stage_detect_runs += s.stage_detect_runs;
-    total.stage_coverage_runs += s.stage_coverage_runs;
-    total.stage_extension_runs += s.stage_extension_runs;
-    total.stage_hits += s.stage_hits;
-    total.sessions += s.sessions;
-    total.baselines_computed += s.baselines_computed;
-    total.baselines_disk += s.baselines_disk;
-    total.disk_hits += s.disk_hits;
-    total.disk_misses += s.disk_misses;
-    // store_* are process-wide (shards share one Store), so every shard
-    // reports the same values — max, not sum, avoids N-fold counting.
-    total.store_hits = std::max(total.store_hits, s.store_hits);
-    total.store_misses = std::max(total.store_misses, s.store_misses);
-    total.store_writes = std::max(total.store_writes, s.store_writes);
-    total.store_evictions = std::max(total.store_evictions, s.store_evictions);
-    total.store_corrupt = std::max(total.store_corrupt, s.store_corrupt);
     total.uptime_seconds = std::max(total.uptime_seconds, s.uptime_seconds);
-    merged.merge(snap.histogram);
+    total.pool += s.pool;
+    total.latency.merge(s.latency);
   }
-  total.p50_latency_us = merged.quantile_us(0.50);
-  total.p99_latency_us = merged.quantile_us(0.99);
-  total.p999_latency_us = merged.quantile_us(0.999);
-  total.max_latency_us = static_cast<double>(merged.max_ns) / 1000.0;
+  // The shards share one Store: its counters are process-wide, so they
+  // are read once, not summed over the shards.
+  if (store() != nullptr) total.store = store()->stats();
   return total;
 }
 

@@ -14,9 +14,8 @@
 // The Router mirrors Server's two submission calls (try_submit_async for
 // the protocol front end, call for in-process callers) by delegating to
 // the owning shard, and aggregates monitoring: stats() sums the counters and merges
-// the shards' latency histograms before estimating quantiles, so p50/p99
-// are computed over the merged distribution rather than averaged
-// per-shard.  docs/SERVICE.md covers the sharding model in prose.
+// the shards' latency histograms, so p50/p99 are estimated over the merged
+// distribution rather than averaged per-shard.  docs/SERVICE.md covers the sharding model in prose.
 #pragma once
 
 #include <cstdint>
@@ -74,9 +73,10 @@ class Router {
   /// 4-shard x 1-worker deployment reports the same as 1x4).
   [[nodiscard]] unsigned workers() const;
 
-  /// Aggregated snapshot: counters summed, latency histograms merged
-  /// before quantile estimation, queue_depth summed, uptime of the
-  /// longest-lived shard.
+  /// Aggregated snapshot: counters, pool stats and queue_depth summed,
+  /// latency histograms merged (render_stats() estimates quantiles from
+  /// the merged one), uptime of the longest-lived shard, and the shared
+  /// Store's counters taken from one read of it.
   [[nodiscard]] Stats stats() const;
 
   /// Per-shard snapshot (shard-aware monitoring / balance tests).

@@ -133,7 +133,7 @@ void Server::worker_loop() {
 
     Response response = evaluate(job.request, pool_);  // Never throws.
     // One completion timestamp feeds both the histogram and the response,
-    // so stats().max_latency_us and Response::latency_us agree exactly —
+    // so stats().latency.max_ns and Response::latency_us agree exactly —
     // two Clock::now() calls here let them diverge.
     const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
                              Clock::now() - job.accepted)
@@ -142,14 +142,15 @@ void Server::worker_loop() {
         elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 1;
     record_latency(ns);
     response.latency_us = static_cast<double>(ns) / 1000.0;
-    // Release pairs with the acquire load in stats(): a snapshot that
+    // Release pairs with the acquire loads in stats(): a snapshot that
     // observes this completion also observes the job's earlier
-    // submitted_ bump (which happens-before it via mu_), so
-    // submitted >= completed holds in every snapshot.
+    // submitted_ bump (which happens-before it via mu_), and one that
+    // observes the failure also observes the completion, so
+    // submitted >= completed >= failed holds in every snapshot.
     completed_.fetch_add(1, std::memory_order_release);
     completed_by_kind_[static_cast<std::size_t>(job.request.kind)].fetch_add(
         1, std::memory_order_relaxed);
-    if (!response.ok()) failed_.fetch_add(1, std::memory_order_relaxed);
+    if (!response.ok()) failed_.fetch_add(1, std::memory_order_release);
     job.done(std::move(response));  // Must not throw (contract).
   }
 }
@@ -183,61 +184,35 @@ void Server::record_latency(std::uint64_t ns) {
   }
 }
 
-Server::Snapshot Server::snapshot() const {
-  Snapshot snap;
-  Stats& s = snap.stats;
-  // completed before submitted, acquire/release: every completion the
-  // snapshot sees implies its submission bump is visible too, so the
-  // invariant submitted >= completed cannot be violated transiently.
+Stats Server::stats() const {
+  Stats s;
+  // failed before completed before submitted, acquire/release: every
+  // failure the snapshot sees implies its completion bump is visible, and
+  // every completion its submission bump, so submitted >= completed >=
+  // failed cannot be violated transiently.
+  s.failed = failed_.load(std::memory_order_acquire);
   s.completed = completed_.load(std::memory_order_acquire);
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
   for (std::size_t k = 0; k < kKindCount; ++k) {
     s.completed_by_kind[k] =
         completed_by_kind_[k].load(std::memory_order_relaxed);
   }
   s.queue_depth = queue_depth();
-
-  const pipeline::SessionPool::PoolStats ps = pool_.stats();
-  s.stage_optimize_runs = ps.stages.optimize_runs;
-  s.stage_detect_runs = ps.stages.detect_runs;
-  s.stage_coverage_runs = ps.stages.coverage_runs;
-  s.stage_extension_runs = ps.stages.extension_runs;
-  s.stage_hits = ps.stages.hits;
-  s.sessions = ps.sessions;
-  s.baselines_computed = ps.computed;
-  s.baselines_disk = ps.disk_cache;
-  s.disk_hits = ps.stages.disk_hits;
-  s.disk_misses = ps.stages.disk_misses;
-  if (pool_.store() != nullptr) {
-    const cache::StoreStats store_stats = pool_.store()->stats();
-    s.store_hits = store_stats.hits;
-    s.store_misses = store_stats.misses;
-    s.store_writes = store_stats.writes;
-    s.store_evictions = store_stats.evictions;
-    s.store_corrupt = store_stats.corrupt;
-  }
-
+  s.pool = pool_.stats();
+  if (pool_.store() != nullptr) s.store = pool_.store()->stats();
   s.uptime_seconds =
       std::chrono::duration<double>(Clock::now() - started_).count();
 
   // Histogram after the completed counter: record_latency() precedes the
-  // completed_ bump, so histogram.total >= stats.completed always holds.
-  LatencyHistogram& h = snap.histogram;
+  // completed_ bump, so latency.total >= completed always holds.
   for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    h.counts[b] = latency_ns_[b].load(std::memory_order_relaxed);
-    h.total += h.counts[b];
+    s.latency.counts[b] = latency_ns_[b].load(std::memory_order_relaxed);
+    s.latency.total += s.latency.counts[b];
   }
-  h.max_ns = max_latency_ns_.load(std::memory_order_relaxed);
-  s.p50_latency_us = h.quantile_us(0.50);
-  s.p99_latency_us = h.quantile_us(0.99);
-  s.p999_latency_us = h.quantile_us(0.999);
-  s.max_latency_us = static_cast<double>(h.max_ns) / 1000.0;
-  return snap;
+  s.latency.max_ns = max_latency_ns_.load(std::memory_order_relaxed);
+  return s;
 }
-
-Stats Server::stats() const { return snapshot().stats; }
 
 std::size_t Server::queue_depth() const {
   const std::lock_guard<std::mutex> lock(mu_);

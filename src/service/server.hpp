@@ -20,8 +20,8 @@
 //
 // Stats() is a consistent-enough snapshot for monitoring: monotonic
 // counters (submitted/completed/failed/rejected, per-kind completions),
-// live queue depth, uptime, and p50/p99/max latency from a lock-free
-// log-scale histogram.  docs/SERVICE.md describes the threading model in
+// live queue depth, uptime, the pool's and the store's own counters, and
+// a lock-free log-scale latency histogram.  docs/SERVICE.md describes the threading model in
 // prose; tests/service/server_test.cpp pins every contract above.
 #pragma once
 
@@ -102,41 +102,19 @@ struct Stats {
   std::uint64_t failed = 0;     ///< Completed with nonempty error.
   std::array<std::uint64_t, kKindCount> completed_by_kind{};
   std::size_t queue_depth = 0;  ///< Accepted, not yet started.
+  double uptime_seconds = 0.0;  ///< Per-stage throughput = by_kind / uptime.
 
-  /// Pipeline-stage memo counters summed over the pool's Sessions
-  /// (SessionPool::stats()).  Warmth-dependent: a disk-cache hit for a
+  /// The pool's baseline provenance and stage memo counters
+  /// (SessionPool::stats()), and the shared cache::Store's own counters
+  /// (zero without a store).  Warmth-dependent: a disk-cache hit for a
   /// downstream artifact skips the upstream stages it would otherwise
   /// have queried (a warm detection never touches optimize), so the
   /// protocol renders these only alongside the latency fields, never in
   /// the byte-diffed part of the stats line.
-  std::uint64_t stage_optimize_runs = 0;
-  std::uint64_t stage_detect_runs = 0;
-  std::uint64_t stage_coverage_runs = 0;
-  std::uint64_t stage_extension_runs = 0;
-  std::uint64_t stage_hits = 0;  ///< Memo hits summed across stages.
-
-  /// Warm-start observability (warmth-dependent; rendered only with the
-  /// latency fields).  Baseline provenance partitions `sessions`; disk_*
-  /// count Session-level artifact-store consults; store_* are the shared
-  /// cache::Store's own counters (zero without a store).  Router::stats()
-  /// max-merges store_* instead of summing: its shards share one Store,
-  /// so every shard reports the same process-wide values.
-  std::uint64_t sessions = 0;
-  std::uint64_t baselines_computed = 0;
-  std::uint64_t baselines_disk = 0;
-  std::uint64_t disk_hits = 0;
-  std::uint64_t disk_misses = 0;
-  std::uint64_t store_hits = 0;
-  std::uint64_t store_misses = 0;
-  std::uint64_t store_writes = 0;
-  std::uint64_t store_evictions = 0;
-  std::uint64_t store_corrupt = 0;
-
-  double uptime_seconds = 0.0;  ///< Per-stage throughput = by_kind / uptime.
-  double p50_latency_us = 0.0;  ///< Accept-to-complete, histogram estimate.
-  double p99_latency_us = 0.0;
-  double p999_latency_us = 0.0;
-  double max_latency_us = 0.0;
+  pipeline::SessionPool::PoolStats pool;
+  cache::StoreStats store;
+  /// Accept-to-complete latencies; render_stats() derives the quantiles.
+  LatencyHistogram latency;
 };
 
 class Server {
@@ -174,18 +152,11 @@ class Server {
   /// then throw std::runtime_error).
   void shutdown();
 
-  /// Counters plus the latency histogram they were derived from, read in
-  /// one pass.  Aggregators (Router::stats()) use this so the merged
-  /// histogram and the summed counters come from the same instant per
-  /// shard; the histogram is read after the completed counter, so
-  /// histogram.total >= stats.completed in every snapshot (each
+  /// Counters, pool, store and latency histogram, read in one pass.  The
+  /// failed counter is read before completed and completed before
+  /// submitted, so submitted >= completed >= failed, and the histogram
+  /// after completed, so latency.total >= completed (each
   /// record_latency() happens-before its completed_ bump).
-  struct Snapshot {
-    Stats stats;
-    LatencyHistogram histogram;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] unsigned workers() const {
@@ -231,9 +202,8 @@ class Server {
   std::atomic<std::uint64_t> failed_{0};
   std::array<std::atomic<std::uint64_t>, kKindCount> completed_by_kind_{};
 
-  /// Lock-free accept-to-complete histogram; snapshot() copies it into a
-  /// LatencyHistogram for quantile estimation (and Router merges shard
-  /// snapshots the same way).
+  /// Lock-free accept-to-complete histogram; stats() copies it into a
+  /// LatencyHistogram (and Router merges the shards' copies).
   std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets>
       latency_ns_{};
   std::atomic<std::uint64_t> max_latency_ns_{0};

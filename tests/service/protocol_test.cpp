@@ -216,7 +216,9 @@ TEST(ServiceProtocol, RenderedStatsExcludeTimingByDefault) {
   s.completed_by_kind[static_cast<std::size_t>(Kind::kCompile)] = 2;
   s.completed_by_kind[static_cast<std::size_t>(Kind::kDetection)] = 3;
   s.uptime_seconds = 1.5;
-  s.p50_latency_us = 10.0;
+  s.latency.counts[13] = 8;
+  s.latency.total = 8;
+  s.latency.max_ns = 10000;
   const std::string line = render_stats(s);
   EXPECT_EQ(line,
             "{\"stats\": true, \"submitted\": 8, \"completed\": 8, "
@@ -231,12 +233,12 @@ TEST(ServiceProtocol, RenderedStatsExcludeTimingByDefault) {
 
 TEST(ServiceProtocol, StageAndCacheCountersRenderOnlyWithLatency) {
   Stats s;
-  s.stage_optimize_runs = 4;
-  s.stage_hits = 2;
-  s.sessions = 3;
-  s.baselines_disk = 1;
-  s.store_hits = 7;
-  s.store_corrupt = 1;
+  s.pool.stages.optimize_runs = 4;
+  s.pool.stages.hits = 2;
+  s.pool.sessions = 3;
+  s.pool.disk_cache = 1;
+  s.store.hits = 7;
+  s.store.corrupt = 1;
   // The default line is the byte-diffed transcript surface: stage memo
   // and warm-start counters depend on the artifact store's state, so
   // they must never leak into it.
@@ -273,26 +275,28 @@ Stats pinned_stats() {
   for (std::size_t k = 0; k < kKindCount; ++k) {
     s.completed_by_kind[k] = by_kind[k];
   }
-  s.stage_optimize_runs = 21;
-  s.stage_detect_runs = 22;
-  s.stage_coverage_runs = 23;
-  s.stage_extension_runs = 24;
-  s.stage_hits = 250;
-  s.sessions = 6;
-  s.baselines_computed = 5;
-  s.baselines_disk = 1;
-  s.disk_hits = 26;
-  s.disk_misses = 27;
-  s.store_hits = 28;
-  s.store_misses = 29;
-  s.store_writes = 30;
-  s.store_evictions = 2;
-  s.store_corrupt = 7;
+  s.pool.stages.optimize_runs = 21;
+  s.pool.stages.detect_runs = 22;
+  s.pool.stages.coverage_runs = 23;
+  s.pool.stages.extension_runs = 24;
+  s.pool.stages.hits = 250;
+  s.pool.sessions = 6;
+  s.pool.computed = 5;
+  s.pool.disk_cache = 1;
+  s.pool.stages.disk_hits = 26;
+  s.pool.stages.disk_misses = 27;
+  s.store.hits = 28;
+  s.store.misses = 29;
+  s.store.writes = 30;
+  s.store.evictions = 2;
+  s.store.corrupt = 7;
   s.uptime_seconds = 12.5;
-  s.p50_latency_us = 2.048;
-  s.p99_latency_us = 8.192;
-  s.p999_latency_us = 65.536;
-  s.max_latency_us = 1500.0;
+  s.latency.counts[10] = 500;
+  s.latency.counts[12] = 490;
+  s.latency.counts[15] = 9;
+  s.latency.counts[20] = 1;
+  s.latency.total = 1000;
+  s.latency.max_ns = 1'500'000;
   return s;
 }
 

@@ -140,24 +140,28 @@ TEST(ServiceRouter, StatsAggregateAcrossShards) {
   // The aggregate equals the sum of the per-shard snapshots, and the
   // merged-histogram quantiles are ordered and bounded by the true max.
   std::uint64_t sum_completed = 0;
-  double max_latency = 0.0;
+  std::uint64_t sum_samples = 0;
+  std::uint64_t max_ns = 0;
   for (std::size_t s = 0; s < router.shard_count(); ++s) {
     const Stats shard = router.shard_stats(s);
     sum_completed += shard.completed;
-    max_latency = std::max(max_latency, shard.max_latency_us);
+    sum_samples += shard.latency.total;
+    max_ns = std::max(max_ns, shard.latency.max_ns);
   }
   EXPECT_EQ(total.completed, sum_completed);
-  EXPECT_DOUBLE_EQ(total.max_latency_us, max_latency);
-  EXPECT_GT(total.p50_latency_us, 0.0);
-  EXPECT_LE(total.p50_latency_us, total.p99_latency_us);
-  EXPECT_LE(total.p99_latency_us, total.p999_latency_us);
-  EXPECT_LE(total.p999_latency_us, total.max_latency_us);
+  EXPECT_EQ(total.latency.total, sum_samples);
+  EXPECT_EQ(total.latency.max_ns, max_ns);
+  const LatencyHistogram& h = total.latency;
+  EXPECT_GT(h.quantile_us(0.50), 0.0);
+  EXPECT_LE(h.quantile_us(0.50), h.quantile_us(0.99));
+  EXPECT_LE(h.quantile_us(0.99), h.quantile_us(0.999));
+  EXPECT_LE(h.quantile_us(0.999), static_cast<double>(h.max_ns) / 1000.0);
 
   // workers() sums shards so a 4x1 deployment reports 4 (the ping line).
   EXPECT_EQ(router.workers(), 4u);
 }
 
-TEST(ServiceRouter, ShardsShareOneStoreAndStatsMaxMergeItsCounters) {
+TEST(ServiceRouter, ShardsShareOneStoreAndStatsReadItOnce) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) /
       ("asipfb_router_cache_" + std::to_string(::getpid()));
@@ -183,16 +187,20 @@ TEST(ServiceRouter, ShardsShareOneStoreAndStatsMaxMergeItsCounters) {
     }
 
     // Every shard reports the same process-wide store counters, so the
-    // aggregate must equal them (max-merge), not shard_count times them.
+    // aggregate must equal them, not shard_count times them.
     const Stats total = router.stats();
     const cache::StoreStats store = router.store()->stats();
     EXPECT_GT(store.writes, 0u);
-    EXPECT_EQ(total.store_writes, store.writes);
-    EXPECT_EQ(total.store_hits, store.hits);
-    EXPECT_EQ(total.store_misses, store.misses);
+    EXPECT_EQ(total.store.writes, store.writes);
+    EXPECT_EQ(total.store.hits, store.hits);
+    EXPECT_EQ(total.store.misses, store.misses);
     for (std::size_t s = 0; s < router.shard_count(); ++s) {
-      EXPECT_EQ(router.shard_stats(s).store_writes, store.writes);
+      EXPECT_EQ(router.shard_stats(s).store.writes, store.writes);
     }
+    // The pool counters are per shard, so they sum: one cold baseline per
+    // suite workload, wherever it was routed.
+    EXPECT_EQ(total.pool.sessions, wl::suite().size());
+    EXPECT_EQ(total.pool.computed, wl::suite().size());
   }
   std::filesystem::remove_all(dir, discard);
 }

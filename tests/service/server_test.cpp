@@ -12,6 +12,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
@@ -266,9 +267,9 @@ TEST(ServiceServer, CacheDirWarmStartsARestartedServer) {
     cold = server.call(make_request(1, Kind::kDetection, "fir"));
     ASSERT_TRUE(cold.ok());
     const Stats stats = server.stats();
-    EXPECT_GT(stats.store_writes, 0u);
-    EXPECT_EQ(stats.baselines_computed, 1u);
-    EXPECT_EQ(stats.baselines_disk, 0u);
+    EXPECT_GT(stats.store.writes, 0u);
+    EXPECT_EQ(stats.pool.computed, 1u);
+    EXPECT_EQ(stats.pool.disk_cache, 0u);
   }
   {
     // The same options a restarted process would use: the baseline and
@@ -278,11 +279,11 @@ TEST(ServiceServer, CacheDirWarmStartsARestartedServer) {
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(render_response(warm), render_response(cold));
     const Stats stats = server.stats();
-    EXPECT_GT(stats.store_hits, 0u);
-    EXPECT_EQ(stats.store_writes, 0u) << "nothing to write on a warm run";
-    EXPECT_EQ(stats.baselines_disk, 1u);
-    EXPECT_EQ(stats.baselines_computed, 0u);
-    EXPECT_GT(stats.disk_hits, 0u);
+    EXPECT_GT(stats.store.hits, 0u);
+    EXPECT_EQ(stats.store.writes, 0u) << "nothing to write on a warm run";
+    EXPECT_EQ(stats.pool.disk_cache, 1u);
+    EXPECT_EQ(stats.pool.computed, 0u);
+    EXPECT_GT(stats.pool.stages.disk_hits, 0u);
   }
   std::filesystem::remove_all(dir, discard);
 }
@@ -447,9 +448,10 @@ TEST(ServiceServer, StatsCountPerKindAndLatency) {
   EXPECT_EQ(stats.completed_by_kind[static_cast<std::size_t>(Kind::kCoverage)],
             1u);
   EXPECT_GT(stats.uptime_seconds, 0.0);
-  EXPECT_GT(stats.p50_latency_us, 0.0);
-  EXPECT_GE(stats.p99_latency_us, stats.p50_latency_us);
-  EXPECT_GT(stats.max_latency_us, 0.0);
+  EXPECT_EQ(stats.latency.total, 4u);
+  EXPECT_GT(stats.latency.quantile_us(0.50), 0.0);
+  EXPECT_GE(stats.latency.quantile_us(0.99), stats.latency.quantile_us(0.50));
+  EXPECT_GT(stats.latency.max_ns, 0u);
 
   // The response's own latency measurement is populated too.
   const Response timed = server.call(make_request(5, Kind::kDetection, "fir"));
@@ -515,19 +517,10 @@ TEST(ServiceServer, TryAsyncRefusesWhenFull) {
   EXPECT_TRUE(second.get_future().get().ok());
 }
 
-TEST(ServiceServer, SubmittedNeverBelowCompletedUnderStorm) {
-  // Regression: submitted_ used to be bumped outside the queue lock after
-  // the push, so a stats() racing with submit/complete could observe a
-  // snapshot with completed > submitted.  Half the threads storm cheap
-  // memoized submits, half storm stats(); every snapshot must satisfy the
-  // counter invariant.
-  ServerOptions options;
-  options.workers = 4;
-  options.queue_capacity = 1024;
-  Server server(options);
-  const Request request = make_request(1, Kind::kDetection, "fir");
-  ASSERT_TRUE(server.call(request).ok());  // Warm: storm hits the cache.
-
+/// Half of 16 threads call `request` in a loop for 250 ms, half take
+/// stats(); returns whether any snapshot failed `holds`.
+bool storm_breaks(Server& server, const Request& request,
+                  const std::function<bool(const Stats&)>& holds) {
   std::atomic<bool> stop{false};
   std::atomic<bool> violated{false};
   constexpr int kThreads = 16;
@@ -543,8 +536,7 @@ TEST(ServiceServer, SubmittedNeverBelowCompletedUnderStorm) {
     } else {
       threads.emplace_back([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-          const Stats s = server.stats();
-          if (s.completed > s.submitted) violated.store(true);
+          if (!holds(server.stats())) violated.store(true);
         }
       });
     }
@@ -552,10 +544,45 @@ TEST(ServiceServer, SubmittedNeverBelowCompletedUnderStorm) {
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   stop.store(true);
   for (auto& t : threads) t.join();
-  EXPECT_FALSE(violated.load())
-      << "stats() snapshot observed completed > submitted";
+  return violated.load();
+}
+
+TEST(ServiceServer, SubmittedNeverBelowCompletedUnderStorm) {
+  // Regression: submitted_ used to be bumped outside the queue lock after
+  // the push, so a stats() racing with submit/complete could observe a
+  // snapshot with completed > submitted.  Cheap memoized submits race
+  // stats(); every snapshot must satisfy the counter invariants.
+  ServerOptions options;
+  options.workers = 4;
+  options.queue_capacity = 1024;
+  Server server(options);
+  const Request request = make_request(1, Kind::kDetection, "fir");
+  ASSERT_TRUE(server.call(request).ok());  // Warm: storm hits the cache.
+
+  EXPECT_FALSE(storm_breaks(server, request, [](const Stats& s) {
+    return s.completed <= s.submitted && s.latency.total >= s.completed;
+  })) << "stats() snapshot observed completed > submitted or "
+         "latency.total < completed";
   const Stats final_stats = server.stats();
   EXPECT_GE(final_stats.submitted, final_stats.completed);
+}
+
+TEST(ServiceServer, CompletedNeverBelowFailedUnderStorm) {
+  // Every stormed request fails, so completed exceeds failed by one (the
+  // warm-up) at rest: reading failed after completed let two failures
+  // landing between the loads break failed <= completed.
+  ServerOptions options;
+  options.workers = 4;
+  options.queue_capacity = 1024;
+  Server server(options);
+  ASSERT_TRUE(server.call(make_request(1, Kind::kDetection, "fir")).ok());
+
+  EXPECT_FALSE(storm_breaks(
+      server, make_request(2, Kind::kDetection, "nosuch"),
+      [](const Stats& s) { return s.failed <= s.completed; }))
+      << "stats() snapshot observed failed > completed";
+  const Stats final_stats = server.stats();
+  EXPECT_EQ(final_stats.completed, final_stats.failed + 1);
 }
 
 TEST(ServiceServer, ResponseLatencyMatchesHistogramSample) {
@@ -563,14 +590,15 @@ TEST(ServiceServer, ResponseLatencyMatchesHistogramSample) {
   // histogram sample and again for response.latency_us — so the response
   // and the stats disagreed about the same request.  With exactly one
   // request on a fresh server, both must now derive from the one
-  // completion timestamp: max_latency_us IS this request's latency.
+  // completion timestamp: the histogram's max IS this request's latency.
   ServerOptions options;
   options.workers = 1;
   Server server(options);
   const Response response = server.call(make_request(1, Kind::kDetection, "fir"));
   ASSERT_TRUE(response.ok());
   const Stats stats = server.stats();
-  EXPECT_DOUBLE_EQ(response.latency_us, stats.max_latency_us);
+  EXPECT_DOUBLE_EQ(response.latency_us,
+                   static_cast<double>(stats.latency.max_ns) / 1000.0);
 }
 
 TEST(ServiceLatencyHistogram, QuantileNeverExceedsMax) {
@@ -596,11 +624,11 @@ TEST(ServiceLatencyHistogram, ServerQuantilesAreOrdered) {
                                  Kind::kDetection, i % 2 == 0 ? "fir" : "edge"))
             .ok());
   }
-  const Stats stats = server.stats();
-  EXPECT_GT(stats.p50_latency_us, 0.0);
-  EXPECT_LE(stats.p50_latency_us, stats.p99_latency_us);
-  EXPECT_LE(stats.p99_latency_us, stats.p999_latency_us);
-  EXPECT_LE(stats.p999_latency_us, stats.max_latency_us);
+  const LatencyHistogram h = server.stats().latency;
+  EXPECT_GT(h.quantile_us(0.50), 0.0);
+  EXPECT_LE(h.quantile_us(0.50), h.quantile_us(0.99));
+  EXPECT_LE(h.quantile_us(0.99), h.quantile_us(0.999));
+  EXPECT_LE(h.quantile_us(0.999), static_cast<double>(h.max_ns) / 1000.0);
 }
 
 TEST(ServiceLatencyHistogram, MergeAccumulatesAcrossInstances) {
