@@ -133,35 +133,65 @@ int local_value_numbering(ir::Function& fn) {
 }
 
 int dead_code_elimination(ir::Function& fn) {
-  int removed_total = 0;
-  for (;;) {
-    std::vector<std::uint32_t> uses(fn.reg_types.size(), 0);
-    for (const auto& block : fn.blocks) {
-      for (const auto& instr : block.instrs) {
-        for (Reg a : instr.args) ++uses[a.id];
-      }
+  const auto removable = [](const Instr& instr) {
+    return !instr.is_terminator() && instr.dst &&
+           (instr.is_pure() || instr.op == Opcode::Load || instr.op == Opcode::FLoad);
+  };
+  std::vector<std::uint32_t> uses(fn.reg_types.size(), 0);
+  for (const auto& block : fn.blocks) {
+    for (const auto& instr : block.instrs) {
+      for (Reg a : instr.args) ++uses[a.id];
     }
-    int removed = 0;
-    for (auto& block : fn.blocks) {
-      std::vector<Instr> kept;
-      kept.reserve(block.instrs.size());
-      for (auto& instr : block.instrs) {
-        const bool removable =
-            !instr.is_terminator() && instr.dst &&
-            uses[instr.dst->id] == 0 &&
-            (instr.is_pure() || instr.op == Opcode::Load || instr.op == Opcode::FLoad);
-        if (removable) {
-          ++removed;
-        } else {
-          kept.push_back(std::move(instr));
-        }
-      }
-      block.instrs = std::move(kept);
-    }
-    removed_total += removed;
-    if (removed == 0) break;
   }
-  return removed_total;
+  const auto unused = [&](const Instr& instr) {
+    return removable(instr) && uses[instr.dst->id] == 0;
+  };
+  const bool any_unused =
+      std::any_of(fn.blocks.begin(), fn.blocks.end(), [&](const ir::BasicBlock& block) {
+        return std::any_of(block.instrs.begin(), block.instrs.end(), unused);
+      });
+  if (!any_unused) return 0;
+
+  // The removable definitions of each register, grouped by register:
+  // those of register r are defs[first[r] .. first[r + 1]).
+  std::vector<std::uint32_t> first(uses.size() + 1, 0);
+  for (const auto& block : fn.blocks) {
+    for (const auto& instr : block.instrs) {
+      if (removable(instr)) ++first[instr.dst->id + 1];
+    }
+  }
+  for (std::size_t r = 1; r < first.size(); ++r) first[r] += first[r - 1];
+  std::vector<const Instr*> defs(first.back());
+  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+  for (const auto& block : fn.blocks) {
+    for (const auto& instr : block.instrs) {
+      if (removable(instr)) defs[fill[instr.dst->id]++] = &instr;
+    }
+  }
+
+  // A register whose use count reaches zero loses its removable
+  // definitions, which releases their operands in turn.  Each register
+  // reaches zero at most once, so each definition is removed once.
+  const auto has_defs = [&](std::uint32_t r) { return first[r] != first[r + 1]; };
+  std::vector<std::uint32_t> work;
+  for (std::uint32_t r = 0; r < uses.size(); ++r) {
+    if (uses[r] == 0 && has_defs(r)) work.push_back(r);
+  }
+  int removed = 0;
+  while (!work.empty()) {
+    const std::uint32_t r = work.back();
+    work.pop_back();
+    for (std::uint32_t d = first[r]; d < first[r + 1]; ++d) {
+      ++removed;
+      for (Reg a : defs[d]->args) {
+        if (--uses[a.id] == 0 && has_defs(a.id)) work.push_back(a.id);
+      }
+    }
+  }
+  // `uses` now counts only the uses that survive, so the removed
+  // definitions are exactly the removable ones left unused.
+  for (auto& block : fn.blocks) std::erase_if(block.instrs, unused);
+  return removed;
 }
 
 void compact_blocks(ir::Function& fn, const std::vector<bool>& keep) {

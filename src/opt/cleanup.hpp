@@ -16,8 +16,10 @@ namespace asipfb::opt {
 /// canonicalization.  Returns the number of instructions rewritten to copies.
 int local_value_numbering(ir::Function& fn);
 
-/// Removes pure instructions whose results are never read (whole-function
-/// usage counting, iterated to fixpoint).  Returns instructions removed.
+/// Removes pure instructions and loads whose results are never read,
+/// counting uses over the whole function, then removing whatever those
+/// removals leave unread, until nothing more is.  Returns instructions
+/// removed.
 int dead_code_elimination(ir::Function& fn);
 
 /// Removes unreachable blocks, forwards branches through trivial

@@ -114,5 +114,34 @@ TEST(OptimizerScaling, StraightLineMergesAreNearLinear) {
   expect_near_linear(straight_line(kN), straight_line(4 * kN), merge_all, kN);
 }
 
+/// `count` adds in one block, each reading the last, whose final result
+/// is never read: removing it one unread link per rescan is quadratic.
+ir::Module dead_chain(int count) {
+  ir::Module m;
+  m.name = "dead_chain";
+  ir::Function& fn = m.functions.emplace_back();
+  fn.name = "main";
+  fn.return_type = ir::Type::I32;
+  const ir::Reg p = fn.new_reg(ir::Type::I32);
+  fn.params.push_back(p);
+  ir::Builder b(fn);
+  b.set_insert_point(b.create_block("entry"));
+  ir::Reg link = p;
+  for (int k = 0; k < count; ++k) {
+    link = b.emit_binary(ir::Opcode::Add, ir::Type::I32, link, p);
+  }
+  b.emit_ret_value(p);
+  return m;
+}
+
+TEST(OptimizerScaling, DeadChainRemovalIsNearLinear) {
+  constexpr int kN = 2000;
+  const auto clean = [](ir::Module& m) {
+    canonicalize(m);
+    EXPECT_EQ(m.functions[0].blocks[0].instrs.size(), 1u);  // Just the return.
+  };
+  expect_near_linear(dead_chain(kN), dead_chain(4 * kN), clean, kN);
+}
+
 }  // namespace
 }  // namespace asipfb::opt
