@@ -190,6 +190,33 @@ TEST(Store, RoundTripsEveryArtifactKind) {
   EXPECT_EQ(reopened->entries().size(), kAllKinds.size());
 }
 
+TEST(Store, FsyncedSavesReopenByteIdentical) {
+  // With StoreOptions::fsync every append is fdatasync'd (a save counts as
+  // a write only if that succeeded) and the new segment's directory entry
+  // is fsync'd; a fresh Store over the directory must then hit every
+  // payload byte for byte.
+  const ScratchDir scratch("fsync");
+  const std::string key = content_hash({"fsync"});
+  {
+    StoreOptions options;
+    options.dir = scratch.path();
+    options.fsync = true;
+    Store store(std::move(options));
+    for (const Artifact kind : kAllKinds) {
+      store.save(kind, key, payload_for(kind, key));
+    }
+    EXPECT_EQ(store.stats().writes, kAllKinds.size());
+  }
+  const auto reopened = open_store(scratch);
+  for (const Artifact kind : kAllKinds) {
+    const auto loaded = reopened->load(kind, key);
+    ASSERT_TRUE(loaded.has_value()) << to_string(kind);
+    EXPECT_EQ(*loaded, payload_for(kind, key)) << to_string(kind);
+  }
+  EXPECT_EQ(reopened->stats().hits, kAllKinds.size());
+  EXPECT_EQ(reopened->stats().corrupt, 0u);
+}
+
 TEST(Store, TruncatedTailRecordIsNeverAHit) {
   const std::string head_key = content_hash({"truncate", "head"});
   const std::string tail_key = content_hash({"truncate", "tail"});

@@ -90,6 +90,58 @@ grep -Eq " hits=[1-9][0-9]* misses=0 writes=0 evictions=[0-9]+ corrupt=0 " run3.
 stray=$(find cache-smoke -mindepth 1 ! -name 'seg-*.log')
 [ -z "$stray" ] || { echo "cache directory holds more than segments: $stray"; exit 1; }
 
+# The --latency stats line, over the now-warm cache: once over stdio and
+# once over TCP at 4 shards.  Every line must be the expected one plus a
+# latency_us on each response; the stats line must carry every documented
+# key in order, and its store_* and baselines_disk must equal the stderr
+# cache summary (the shards share one Store, so counting it per shard
+# would show here).
+echo "== latency stats smoke (stdio and sharded TCP, warm cache)"
+$serve --workers 4 --latency --cache-dir cache-smoke < "$demo" > latency.out 2> latency.err
+python3 "$tcp_smoke" $serve "$demo" --transcript latency-tcp.out --latency \
+  --cache-dir cache-smoke > /dev/null 2> latency-tcp.err || { cat latency-tcp.err; exit 1; }
+for run in latency latency-tcp; do
+  python3 - "$expected" $run.out $run.err <<'EOF' || { echo "$run: stats check failed"; exit 1; }
+import json, re, sys
+
+KEYS = ["stats", "submitted", "completed", "failed", "rejected", "queue_depth",
+        "compile", "optimize", "detect", "coverage", "extension", "sweep",
+        "optimize_runs", "detect_runs", "coverage_runs", "extension_runs",
+        "stage_hits", "sessions", "baselines_computed", "baselines_disk",
+        "disk_hits", "disk_misses", "store_hits", "store_misses", "store_writes",
+        "store_evictions", "store_corrupt", "uptime_seconds", "p50_latency_us",
+        "p99_latency_us", "p999_latency_us", "max_latency_us"]
+expected_path, out_path, err_path = sys.argv[1:]
+want_lines = open(expected_path).read().splitlines()
+got_lines = open(out_path).read().splitlines()
+assert len(got_lines) == len(want_lines), (len(got_lines), len(want_lines))
+stats = None
+for want_line, got_line in zip(want_lines, got_lines):
+    want, got = json.loads(want_line), json.loads(got_line)
+    if "stats" in want:
+        assert list(got) == KEYS, list(got)
+        assert all(got[k] == v for k, v in want.items()), got_line
+        stats = got
+    else:
+        if "id" in want:
+            assert got.pop("latency_us") > 0, got_line
+        assert got == want, got_line
+assert stats is not None, "no stats line"
+summary = re.search(r"cache summary: .* hits=(\d+) misses=(\d+) writes=(\d+) "
+                    r"evictions=(\d+) corrupt=(\d+) baselines_disk=(\d+)",
+                    open(err_path).read())
+assert summary, "no cache summary"
+fields = ["store_hits", "store_misses", "store_writes", "store_evictions",
+          "store_corrupt", "baselines_disk"]
+for field, value in zip(fields, summary.groups()):
+    assert stats[field] == int(value), (field, stats[field], value)
+assert stats["store_hits"] > 0 and stats["store_writes"] == 0, stats
+assert stats["sessions"] == stats["baselines_computed"] + stats["baselines_disk"], stats
+assert 0 < stats["p50_latency_us"] <= stats["p99_latency_us"] <= \
+    stats["p999_latency_us"] <= stats["max_latency_us"], stats
+EOF
+done
+
 # Hostile input: a source block 20,000 parentheses deep (~40 KB, far under
 # the line cap) must get an error response instead of overflowing the
 # parser's stack; ping must still answer afterwards and the server must

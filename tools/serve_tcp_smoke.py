@@ -10,13 +10,19 @@ exit code 0 (graceful drain + shutdown).
 
 Usage:
     serve_tcp_smoke.py <asipfb_serve-binary> <demo-script> <expected> \
-        [--shards N] [--workers N] [--queue N]
+        [--shards N] [--workers N] [--queue N] [--latency] [--cache-dir DIR]
+    serve_tcp_smoke.py <asipfb_serve-binary> <demo-script> \
+        --transcript OUT [options as above]
 
 The default --workers 1 --shards 4 deployment exposes the sharded router
 while keeping the ping line's worker count (4) identical to the stdio
 smoke's single 4-worker server.  --queue passes the per-shard queue
 capacity through, so a stdio transcript taken at the same capacity can
-be the expected file.
+be the expected file.  --latency and --cache-dir pass through to the
+server; with --transcript the response stream is written to OUT instead
+of compared (a --latency stream carries timings, so the caller checks it
+field by field).  The server's stderr, cache summary included, is this
+script's stderr.
 """
 
 import argparse
@@ -66,14 +72,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("server", type=pathlib.Path)
     parser.add_argument("script", type=pathlib.Path)
-    parser.add_argument("expected", type=pathlib.Path)
+    parser.add_argument("expected", type=pathlib.Path, nargs="?")
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--queue", type=int)
+    parser.add_argument("--latency", action="store_true")
+    parser.add_argument("--cache-dir")
+    parser.add_argument("--transcript", type=pathlib.Path)
     args = parser.parse_args()
+    if (args.expected is None) == (args.transcript is None):
+        parser.error("give exactly one of <expected> and --transcript")
 
     script = args.script.read_bytes()
-    expected = args.expected.read_bytes()
+    expected = None if args.expected is None else args.expected.read_bytes()
 
     with tempfile.TemporaryDirectory() as tmp:
         port_file = pathlib.Path(tmp) / "port"
@@ -83,11 +94,17 @@ def main() -> int:
         ]
         if args.queue is not None:
             cmd += ["--queue", str(args.queue)]
+        if args.latency:
+            cmd.append("--latency")
+        if args.cache_dir is not None:
+            cmd += ["--cache-dir", args.cache_dir]
         proc = subprocess.Popen(cmd)
         try:
             port = wait_for_port_file(port_file, proc)
             got = drive_connection(port, script)
-            if got != expected:
+            if expected is None:
+                args.transcript.write_bytes(got)
+            elif got != expected:
                 sys.stderr.write(
                     "TCP transcript diverged from the stdio expected file\n"
                     f"--- expected ({len(expected)} bytes)\n"
