@@ -156,7 +156,9 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
 void print_cache_summary(const std::shared_ptr<cache::Store>& store,
                          const service::Stats& stats) {
   if (store == nullptr) return;
-  const cache::StoreStats& s = stats.store;
+  // Read from the Store itself, not from `stats`: the latency smoke
+  // checks the stats line's store_* against this line.
+  const cache::StoreStats s = store->stats();
   std::fprintf(stderr,
                "asipfb_serve: cache summary: dir=%s hits=%llu misses=%llu "
                "writes=%llu evictions=%llu corrupt=%llu baselines_disk=%llu\n",
