@@ -132,26 +132,17 @@ int local_value_numbering(ir::Function& fn) {
   return rewritten;
 }
 
-int dead_code_elimination(ir::Function& fn) {
-  const auto removable = [](const Instr& instr) {
-    return !instr.is_terminator() && instr.dst &&
-           (instr.is_pure() || instr.op == Opcode::Load || instr.op == Opcode::FLoad);
-  };
-  std::vector<std::uint32_t> uses(fn.reg_types.size(), 0);
-  for (const auto& block : fn.blocks) {
-    for (const auto& instr : block.instrs) {
-      for (Reg a : instr.args) ++uses[a.id];
-    }
-  }
-  const auto unused = [&](const Instr& instr) {
-    return removable(instr) && uses[instr.dst->id] == 0;
-  };
-  const bool any_unused =
-      std::any_of(fn.blocks.begin(), fn.blocks.end(), [&](const ir::BasicBlock& block) {
-        return std::any_of(block.instrs.begin(), block.instrs.end(), unused);
-      });
-  if (!any_unused) return 0;
+namespace {
 
+[[nodiscard]] bool removable(const Instr& instr) {
+  return !instr.is_terminator() && instr.dst &&
+         (instr.is_pure() || instr.op == Opcode::Load || instr.op == Opcode::FLoad);
+}
+
+/// Counts the removable definitions that die when the registers `uses`
+/// finds unread lose theirs, and the ones those removals leave unread in
+/// turn; `uses` ends up counting only the reads that survive.
+int count_dead(const ir::Function& fn, std::vector<std::uint32_t>& uses) {
   // The removable definitions of each register, grouped by register:
   // those of register r are defs[first[r] .. first[r + 1]).
   std::vector<std::uint32_t> first(uses.size() + 1, 0);
@@ -171,26 +162,53 @@ int dead_code_elimination(ir::Function& fn) {
 
   // A register whose use count reaches zero loses its removable
   // definitions, which releases their operands in turn.  Each register
-  // reaches zero at most once, so each definition is removed once.
+  // reaches zero at most once, so each definition is counted once.
   const auto has_defs = [&](std::uint32_t r) { return first[r] != first[r + 1]; };
   std::vector<std::uint32_t> work;
   for (std::uint32_t r = 0; r < uses.size(); ++r) {
     if (uses[r] == 0 && has_defs(r)) work.push_back(r);
   }
-  int removed = 0;
+  int dead = 0;
   while (!work.empty()) {
     const std::uint32_t r = work.back();
     work.pop_back();
     for (std::uint32_t d = first[r]; d < first[r + 1]; ++d) {
-      ++removed;
+      ++dead;
       for (Reg a : defs[d]->args) {
         if (--uses[a.id] == 0 && has_defs(a.id)) work.push_back(a.id);
       }
     }
   }
-  // `uses` now counts only the uses that survive, so the removed
-  // definitions are exactly the removable ones left unused.
-  for (auto& block : fn.blocks) std::erase_if(block.instrs, unused);
+  return dead;
+}
+
+}  // namespace
+
+int dead_code_elimination(ir::Function& fn) {
+  std::vector<std::uint32_t> uses(fn.reg_types.size(), 0);
+  for (const auto& block : fn.blocks) {
+    for (const auto& instr : block.instrs) {
+      for (Reg a : instr.args) ++uses[a.id];
+    }
+  }
+  const auto unused = [&](const Instr& instr) {
+    return removable(instr) && uses[instr.dst->id] == 0;
+  };
+  const bool any_unused =
+      std::any_of(fn.blocks.begin(), fn.blocks.end(), [&](const ir::BasicBlock& block) {
+        return std::any_of(block.instrs.begin(), block.instrs.end(), unused);
+      });
+  const int removed = any_unused ? count_dead(fn, uses) : 0;
+  for (auto& block : fn.blocks) {
+    // With `uses` left counting only the surviving reads, the dead
+    // definitions are exactly the removable ones left unused.
+    if (removed != 0) std::erase_if(block.instrs, unused);
+    // Merges and hoists leave slack in the instruction vectors, and
+    // memoized modules live as long as their Session; a tight vector
+    // (already tight: no allocation) keeps them as small as the rescan
+    // loop, which copied every block, left them.
+    block.instrs.shrink_to_fit();
+  }
   return removed;
 }
 
