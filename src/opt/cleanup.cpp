@@ -4,6 +4,7 @@
 #include <bit>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -139,43 +140,38 @@ namespace {
          (instr.is_pure() || instr.op == Opcode::Load || instr.op == Opcode::FLoad);
 }
 
-/// Counts the removable definitions that die when the registers `uses`
-/// finds unread lose theirs, and the ones those removals leave unread in
-/// turn; `uses` ends up counting only the reads that survive.
+/// Counts the removable definitions of the registers `uses` finds unread,
+/// and of those their removal leaves unread in turn; `uses` ends up
+/// counting only the reads that survive.
 int count_dead(const ir::Function& fn, std::vector<std::uint32_t>& uses) {
-  // The removable definitions of each register, grouped by register:
-  // those of register r are defs[first[r] .. first[r + 1]).
-  std::vector<std::uint32_t> first(uses.size() + 1, 0);
+  // Removable definitions grouped by register (a counting sort): those of
+  // register r end up in defs[first[r] .. first[r + 1]).
+  std::vector<std::uint32_t> first(uses.size() + 2, 0);
   for (const auto& block : fn.blocks) {
     for (const auto& instr : block.instrs) {
-      if (removable(instr)) ++first[instr.dst->id + 1];
+      if (removable(instr)) ++first[instr.dst->id + 2];
     }
   }
-  for (std::size_t r = 1; r < first.size(); ++r) first[r] += first[r - 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
   std::vector<const Instr*> defs(first.back());
-  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
   for (const auto& block : fn.blocks) {
     for (const auto& instr : block.instrs) {
-      if (removable(instr)) defs[fill[instr.dst->id]++] = &instr;
+      if (removable(instr)) defs[first[instr.dst->id + 1]++] = &instr;
     }
   }
-
-  // A register whose use count reaches zero loses its removable
-  // definitions, which releases their operands in turn.  Each register
-  // reaches zero at most once, so each definition is counted once.
-  const auto has_defs = [&](std::uint32_t r) { return first[r] != first[r + 1]; };
+  // A register's use count reaches zero at most once, so each definition
+  // is counted once.
   std::vector<std::uint32_t> work;
   for (std::uint32_t r = 0; r < uses.size(); ++r) {
-    if (uses[r] == 0 && has_defs(r)) work.push_back(r);
+    if (uses[r] == 0) work.push_back(r);
   }
   int dead = 0;
   while (!work.empty()) {
     const std::uint32_t r = work.back();
     work.pop_back();
-    for (std::uint32_t d = first[r]; d < first[r + 1]; ++d) {
-      ++dead;
+    for (std::uint32_t d = first[r]; d < first[r + 1]; ++d, ++dead) {
       for (Reg a : defs[d]->args) {
-        if (--uses[a.id] == 0 && has_defs(a.id)) work.push_back(a.id);
+        if (--uses[a.id] == 0) work.push_back(a.id);
       }
     }
   }
@@ -200,13 +196,9 @@ int dead_code_elimination(ir::Function& fn) {
       });
   const int removed = any_unused ? count_dead(fn, uses) : 0;
   for (auto& block : fn.blocks) {
-    // With `uses` left counting only the surviving reads, the dead
-    // definitions are exactly the removable ones left unused.
     if (removed != 0) std::erase_if(block.instrs, unused);
-    // Merges and hoists leave slack in the instruction vectors, and
-    // memoized modules live as long as their Session; a tight vector
-    // (already tight: no allocation) keeps them as small as the rescan
-    // loop, which copied every block, left them.
+    // Memoized modules keep their vectors: drop the slack that merges and
+    // hoists leave, as the rescan loop's copies did (no-op when tight).
     block.instrs.shrink_to_fit();
   }
   return removed;

@@ -115,10 +115,6 @@ Stats Router::stats() const {
   return total;
 }
 
-Stats Router::shard_stats(std::size_t index) const {
-  return shards_[index]->stats();
-}
-
 void Router::shutdown() {
   for (const auto& shard : shards_) shard->shutdown();
 }

@@ -79,9 +79,6 @@ class Router {
   /// Store's counters taken from one read of it.
   [[nodiscard]] Stats stats() const;
 
-  /// Per-shard snapshot (shard-aware monitoring / balance tests).
-  [[nodiscard]] Stats shard_stats(std::size_t index) const;
-
   /// Stops every shard: each stops accepting, drains its accepted jobs,
   /// joins its workers.  Idempotent.
   void shutdown();

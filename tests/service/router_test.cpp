@@ -82,7 +82,7 @@ TEST(ServiceRouter, WorkloadStaysOnOneShard) {
   // All traffic landed on the home shard: its counters moved, the other
   // shards' did not, and its pool holds the one session.
   for (std::size_t s = 0; s < router.shard_count(); ++s) {
-    const Stats stats = router.shard_stats(s);
+    const Stats stats = router.shard(s).stats();
     if (s == home) {
       EXPECT_EQ(stats.completed, 8u);
       EXPECT_EQ(router.shard(s).pool().size(), 1u);
@@ -143,7 +143,7 @@ TEST(ServiceRouter, StatsAggregateAcrossShards) {
   std::uint64_t sum_samples = 0;
   std::uint64_t max_ns = 0;
   for (std::size_t s = 0; s < router.shard_count(); ++s) {
-    const Stats shard = router.shard_stats(s);
+    const Stats shard = router.shard(s).stats();
     sum_completed += shard.completed;
     sum_samples += shard.latency.total;
     max_ns = std::max(max_ns, shard.latency.max_ns);
@@ -195,7 +195,7 @@ TEST(ServiceRouter, ShardsShareOneStoreAndStatsReadItOnce) {
     EXPECT_EQ(total.store.hits, store.hits);
     EXPECT_EQ(total.store.misses, store.misses);
     for (std::size_t s = 0; s < router.shard_count(); ++s) {
-      EXPECT_EQ(router.shard_stats(s).store.writes, store.writes);
+      EXPECT_EQ(router.shard(s).stats().store.writes, store.writes);
     }
     // The pool counters are per shard, so they sum: one cold baseline per
     // suite workload, wherever it was routed.
