@@ -16,10 +16,10 @@ namespace asipfb::opt {
 /// canonicalization.  Returns the number of instructions rewritten to copies.
 int local_value_numbering(ir::Function& fn);
 
-/// Removes pure instructions and loads whose results are never read,
-/// counting uses over the whole function, then removing whatever those
-/// removals leave unread, until nothing more is.  Returns instructions
-/// removed.
+/// Removes pure instructions and loads whose results are never read in
+/// the whole function, then whatever those removals leave unread, until
+/// nothing more is.  Leaves every block's instruction vector without
+/// spare capacity.  Returns instructions removed.
 int dead_code_elimination(ir::Function& fn);
 
 /// Removes unreachable blocks, forwards branches through trivial

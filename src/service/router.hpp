@@ -13,9 +13,10 @@
 //
 // The Router mirrors Server's two submission calls (try_submit_async for
 // the protocol front end, call for in-process callers) by delegating to
-// the owning shard, and aggregates monitoring: stats() sums the counters and merges
-// the shards' latency histograms, so p50/p99 are estimated over the merged
-// distribution rather than averaged per-shard.  docs/SERVICE.md covers the sharding model in prose.
+// the owning shard, and aggregates monitoring: stats() sums the counters
+// and merges the shards' latency histograms, so p50/p99 are estimated
+// over the merged distribution rather than averaged per-shard.
+// docs/SERVICE.md covers the sharding model in prose.
 #pragma once
 
 #include <cstdint>

@@ -21,8 +21,9 @@
 // Stats() is a consistent-enough snapshot for monitoring: monotonic
 // counters (submitted/completed/failed/rejected, per-kind completions),
 // live queue depth, uptime, the pool's and the store's own counters, and
-// a lock-free log-scale latency histogram.  docs/SERVICE.md describes the threading model in
-// prose; tests/service/server_test.cpp pins every contract above.
+// a lock-free log-scale latency histogram.  docs/SERVICE.md describes the
+// threading model in prose; tests/service/server_test.cpp pins every
+// contract above.
 #pragma once
 
 #include <array>
