@@ -13,10 +13,14 @@
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/store.hpp"
 #include "pipeline/driver.hpp"
 #include "support/rng.hpp"
 #include "workloads/suite.hpp"
@@ -91,6 +95,83 @@ void expect_same_proposal(const asip::ExtensionProposal& a,
     EXPECT_EQ(a.selected[i].signature, b.selected[i].signature) << context;
     EXPECT_EQ(a.selected[i].cycles_saved, b.selected[i].cycles_saved) << context;
   }
+}
+
+/// The benchmark trip's query mix: every stage at every level, in order.
+void query_trip(const Session& session) {
+  for (const opt::OptLevel level :
+       {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+    (void)session.optimized(level);
+    (void)session.detection(level);
+    (void)session.coverage(level);
+    (void)session.extension(level);
+  }
+}
+
+void expect_stats(const Session::Stats& got, const Session::Stats& want,
+                  const std::string& context) {
+  EXPECT_EQ(got.optimize_runs, want.optimize_runs) << context;
+  EXPECT_EQ(got.detect_runs, want.detect_runs) << context;
+  EXPECT_EQ(got.coverage_runs, want.coverage_runs) << context;
+  EXPECT_EQ(got.extension_runs, want.extension_runs) << context;
+  EXPECT_EQ(got.optimize_hits, want.optimize_hits) << context;
+  EXPECT_EQ(got.detect_hits, want.detect_hits) << context;
+  EXPECT_EQ(got.coverage_hits, want.coverage_hits) << context;
+  EXPECT_EQ(got.extension_hits, want.extension_hits) << context;
+  EXPECT_EQ(got.hits, want.hits) << context;
+  EXPECT_EQ(got.disk_hits, want.disk_hits) << context;
+  EXPECT_EQ(got.disk_misses, want.disk_misses) << context;
+}
+
+/// A store directory under the gtest temp root, removed on destruction.
+class ScratchStore {
+ public:
+  explicit ScratchStore(const std::string& tag)
+      : dir_(std::filesystem::path(::testing::TempDir()) /
+             ("asipfb_session_" + tag + "_" + std::to_string(::getpid()))) {
+    std::error_code discard;
+    std::filesystem::remove_all(dir_, discard);
+  }
+  ~ScratchStore() {
+    std::error_code discard;
+    std::filesystem::remove_all(dir_, discard);
+  }
+  [[nodiscard]] std::shared_ptr<cache::Store> open() const {
+    cache::StoreOptions options;
+    options.dir = dir_;
+    return std::make_shared<cache::Store>(std::move(options));
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+TEST(Session, TripQueryMixCountersArePinned) {
+  // Each stage runs once per level; detection and coverage each query the
+  // optimized module once, and extension queries coverage once.
+  const Session session(kKernel, "trip", kernel_input());
+  query_trip(session);
+  expect_stats(session.stats(), {3, 3, 3, 3, 6, 0, 3, 0, 9, 0, 0}, "one trip");
+  query_trip(session);
+  expect_stats(session.stats(), {3, 3, 3, 3, 9, 3, 6, 3, 21, 0, 0},
+               "repeated trip");
+}
+
+TEST(Session, TripQueryMixCountersArePinnedWithAStore) {
+  const ScratchStore scratch("trip_stats");
+  {
+    // Cold: the baseline and all twelve stage artifacts miss the store.
+    const Session cold(kKernel, "trip", kernel_input(), scratch.open());
+    query_trip(cold);
+    expect_stats(cold.stats(), {3, 3, 3, 3, 6, 0, 3, 0, 9, 0, 13}, "cold");
+  }
+  // Warm: every artifact is a store hit, so no stage queries another.
+  const Session warm(kKernel, "trip", kernel_input(), scratch.open());
+  query_trip(warm);
+  expect_stats(warm.stats(), {3, 3, 3, 3, 0, 0, 0, 0, 0, 13, 0}, "warm");
+  query_trip(warm);
+  expect_stats(warm.stats(), {3, 3, 3, 3, 3, 3, 3, 3, 12, 13, 0},
+               "warm, repeated");
 }
 
 TEST(Session, RepeatedQueryReturnsIdenticalArtifactWithZeroRecompute) {
