@@ -20,8 +20,8 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
   std::map<BlockId, std::vector<BlockId>> header_to_latches;
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     if (!reachable[b]) continue;
-    for (BlockId s : fn.blocks[b].successors()) {
-      if (dom.dominates(s, static_cast<BlockId>(b))) {
+    for (BlockId s : successor_pair(fn.blocks[b])) {
+      if (s != ir::kNoBlock && dom.dominates(s, static_cast<BlockId>(b))) {
         header_to_latches[s].push_back(static_cast<BlockId>(b));
       }
     }

@@ -7,7 +7,9 @@
 // program graph.  Back edges end traces, so an un-unrolled loop exposes at
 // most one iteration, while the unrolled ("pipelined") loop places two
 // iterations on one trace — exactly how pipelining exposes cross-iteration
-// sequences in the paper.
+// sequences in the paper.  Each block's most frequent successor and
+// predecessor are found once, in one pass over the edges, before any
+// trace grows.
 #pragma once
 
 #include <vector>

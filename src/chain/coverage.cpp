@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 namespace asipfb::chain {
 
-CoverageResult coverage_analysis(const ir::Module& module,
-                                 const CoverageOptions& options,
-                                 std::uint64_t total_cycles) {
+namespace {
+
+void check(const CoverageOptions& options) {
   if (options.min_length < 1 || options.max_length < options.min_length) {
     throw std::invalid_argument("coverage: want 1 <= min_length <= max_length");
   }
@@ -20,12 +19,27 @@ CoverageResult coverage_analysis(const ir::Module& module,
   if (options.max_rounds < 0) {
     throw std::invalid_argument("coverage: max_rounds must be >= 0");
   }
+}
+
+}  // namespace
+
+CoverageResult coverage_analysis(const ir::Module& module,
+                                 const CoverageOptions& options,
+                                 std::uint64_t total_cycles) {
+  check(options);
+  if (total_cycles == 0) total_cycles = module.total_dynamic_ops();
+  if (total_cycles == 0) return {};
+  return coverage_analysis(build_region_graphs(module), options, total_cycles);
+}
+
+CoverageResult coverage_analysis(std::span<const RegionGraph> regions,
+                                 const CoverageOptions& options,
+                                 std::uint64_t total_cycles) {
+  check(options);
   CoverageResult result;
-  result.total_cycles =
-      total_cycles != 0 ? total_cycles : module.total_dynamic_ops();
+  result.total_cycles = total_cycles;
   if (result.total_cycles == 0) return result;
 
-  const auto regions = build_region_graphs(module);
   PathBounds bounds;
   bounds.min_length = options.min_length;
   bounds.max_length = options.max_length;
@@ -73,45 +87,51 @@ CoverageResult coverage_analysis(const ir::Module& module,
   }
   std::vector<char> live(occurrences.size(), 1);
 
-  // Groups in Signature order, which breaks ties between equal aggregates.
-  std::vector<std::pair<Signature, std::uint32_t>> by_signature;
-  std::vector<std::uint32_t> group_of(ids.size(), UINT32_MAX);
-  for (const Occurrence& occ : occurrences) {
-    if (group_of[occ.group] == UINT32_MAX) {
-      group_of[occ.group] = 0;
-      by_signature.emplace_back(ids.signature(occ.group), occ.group);
-    }
+  // Groups in Signature order, which breaks ties between equal aggregates:
+  // the ids that occur, by trie rank.
+  std::vector<std::uint32_t> id_at_rank(ids.size(), UINT32_MAX);
+  {
+    const std::vector<std::uint32_t> rank = ids.preorder_ranks();
+    for (const Occurrence& occ : occurrences) id_at_rank[rank[occ.group]] = occ.group;
   }
-  std::sort(by_signature.begin(), by_signature.end());
   struct Group {
-    Signature signature;
+    std::uint32_t id = 0;      ///< Signature id.
     std::uint64_t cycles = 0;  ///< Aggregate over live, overlapping occurrences.
     std::size_t begin = 0;     ///< Slice [begin, end) of `members`.
     std::size_t end = 0;
   };
-  std::vector<Group> groups(by_signature.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    groups[g].signature = std::move(by_signature[g].first);
-    group_of[by_signature[g].second] = static_cast<std::uint32_t>(g);
+  std::vector<Group> groups;
+  std::vector<std::uint32_t> group_of(ids.size());
+  for (const std::uint32_t id : id_at_rank) {
+    if (id == UINT32_MAX) continue;
+    group_of[id] = static_cast<std::uint32_t>(groups.size());
+    groups.push_back({id});
   }
   for (Occurrence& occ : occurrences) {
     occ.group = group_of[occ.group];
     groups[occ.group].cycles += occ.cycles();
+    ++groups[occ.group].end;  // Counts members until the slices are laid out.
   }
-  // Members of each group in walk order, then stably by weight: filtering
-  // this order later gives what stable-sorting the filtered list would.
+  // Members of each group in walk order (a counting sort on group), then
+  // stably by weight: filtering this order later gives what stable-sorting
+  // the filtered list would.
+  std::size_t offset = 0;
+  for (Group& group : groups) {
+    group.begin = offset;
+    offset += group.end;
+    group.end = group.begin;
+  }
   std::vector<std::uint32_t> members(occurrences.size());
-  std::iota(members.begin(), members.end(), 0);
-  std::stable_sort(members.begin(), members.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (occurrences[a].group != occurrences[b].group) {
-      return occurrences[a].group < occurrences[b].group;
-    }
+  for (std::uint32_t o = 0; o < occurrences.size(); ++o) {
+    members[groups[occurrences[o].group].end++] = o;
+  }
+  const auto heavier = [&](std::uint32_t a, std::uint32_t b) {
     return occurrences[a].weight > occurrences[b].weight;
-  });
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    Group& group = groups[occurrences[members[m]].group];
-    if (group.end == 0) group.begin = m;
-    group.end = m + 1;
+  };
+  for (const Group& group : groups) {
+    const auto first = members.begin() + static_cast<std::ptrdiff_t>(group.begin);
+    const auto last = members.begin() + static_cast<std::ptrdiff_t>(group.end);
+    if (!std::is_sorted(first, last, heavier)) std::stable_sort(first, last, heavier);
   }
 
   // The occurrences through each operation, to retire them once it is
@@ -190,7 +210,7 @@ CoverageResult coverage_analysis(const ir::Module& module,
     if (best == SIZE_MAX || frequency(best_cycles) < options.floor_percent) break;
 
     CoverageStep step;
-    step.signature = groups[best].signature;
+    step.signature = ids.signature(groups[best].id);
     step.cycles = best_cycles;
     step.frequency = frequency(best_cycles);
     step.occurrences_taken = best_matches.size();

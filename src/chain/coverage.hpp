@@ -14,9 +14,21 @@
 // commit retires the occurrences through the operations it covered, and
 // each round ranks the groups by their live aggregate and realizes the
 // top candidates from them, with no further walk.  Memory is O(paths).
+//
+// The groups are ordered by their ids' pre-order rank in the SignatureIds
+// trie, which is Signature order (it breaks ties between equal
+// aggregates), and a group's Signature is built only when a round commits
+// it.  Members are placed by a counting sort on group, which keeps walk
+// order, and a group is stable-sorted by weight only when the walk did not
+// already yield it in weight order.
+//
+// The span overload runs over region graphs built already, so a caller
+// that also runs detection on the same module (pipeline::Session) builds
+// them once; the module overload builds them and calls it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chain/detect.hpp"
@@ -59,5 +71,12 @@ struct CoverageResult {
 [[nodiscard]] CoverageResult coverage_analysis(const ir::Module& module,
                                                const CoverageOptions& options = {},
                                                std::uint64_t total_cycles = 0);
+
+/// Coverage over `regions` (build_region_graphs of one module), with
+/// `total_cycles` as the denominator as given: 0 gives no steps.
+/// Validates `options` as above.
+[[nodiscard]] CoverageResult coverage_analysis(std::span<const RegionGraph> regions,
+                                               const CoverageOptions& options,
+                                               std::uint64_t total_cycles);
 
 }  // namespace asipfb::chain

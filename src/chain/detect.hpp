@@ -10,10 +10,17 @@
 // operation-cycles; per-signature totals divided by the program's total
 // dynamic operation count give the paper's "dynamic frequency".  The walk
 // streams: each path is tallied under its SignatureIds id, so memory is
-// O(signatures), and a Signature is built once per distinct id at the end.
+// O(signatures).  The result is ordered by (frequency, the id's pre-order
+// rank), which is (frequency, Signature), and a Signature is built once
+// per distinct id as it is emitted.
+//
+// The span overload runs over region graphs built already, so a caller
+// that also runs coverage on the same module (pipeline::Session) builds
+// them once; the module overload builds them and calls it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chain/region_graph.hpp"
@@ -64,5 +71,12 @@ struct DetectionResult {
 [[nodiscard]] DetectionResult detect_sequences(const ir::Module& module,
                                                const DetectorOptions& options = {},
                                                std::uint64_t total_cycles = 0);
+
+/// Detection over `regions` (build_region_graphs of one module), with
+/// `total_cycles` as the frequency denominator as given: 0 makes every
+/// frequency 0.  Validates `options` as above.
+[[nodiscard]] DetectionResult detect_sequences(std::span<const RegionGraph> regions,
+                                               const DetectorOptions& options,
+                                               std::uint64_t total_cycles);
 
 }  // namespace asipfb::chain

@@ -1,5 +1,7 @@
 #include "chain/region_graph.hpp"
 
+#include <utility>
+
 #include "analysis/traces.hpp"
 
 namespace asipfb::chain {
@@ -22,19 +24,17 @@ std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
       latest_def.resize(fn.reg_types.size());
       def_trace.resize(fn.reg_types.size(), 0);
     }
-    const auto traces = analysis::form_traces(fn);
-
-    for (const auto& trace : traces) {
+    for (auto& trace : analysis::form_traces(fn)) {
       ++trace_number;
       RegionGraph region;
       region.func = static_cast<ir::FuncId>(f);
-      region.blocks = trace;
+      region.blocks = std::move(trace);
 
       // Most recent chainable op with only constants after it (see
       // RegionNode::adjacent_pred).
       std::size_t adjacent_candidate = SIZE_MAX;
 
-      for (ir::BlockId b : trace) {
+      for (ir::BlockId b : region.blocks) {
         for (const auto& instr : fn.blocks[b].instrs) {
           int this_node = -1;
           if (ir::chainable(instr.op)) {
@@ -114,6 +114,22 @@ Signature SignatureIds::signature(std::uint32_t id) const {
   }
   std::reverse(sig.classes.begin(), sig.classes.end());
   return sig;
+}
+
+std::vector<std::uint32_t> SignatureIds::preorder_ranks() const {
+  std::vector<std::uint32_t> rank(nodes_.size());
+  std::vector<std::uint32_t> stack{0};
+  std::uint32_t next = 0;
+  while (!stack.empty()) {
+    const std::uint32_t id = stack.back();
+    stack.pop_back();
+    rank[id] = next++;
+    // Pushed last class first, so children pop in ChainClass order.
+    for (std::size_t c = kClasses; c-- > 0;) {
+      if (nodes_[id].child[c] != 0) stack.push_back(nodes_[id].child[c]);
+    }
+  }
+  return rank;
 }
 
 }  // namespace asipfb::chain

@@ -17,7 +17,9 @@
 // for_each_path is the one walk over these graphs: sequence detection
 // (detect.hpp) and coverage (coverage.hpp) both enumerate their paths with
 // it.  SignatureIds names the class sequence of a walked path with a dense
-// id, so aggregating by signature needs no Signature per path.
+// id, so aggregating by signature needs no Signature per path, and ranks
+// the ids in Signature order (preorder_ranks), so ordering by signature
+// needs none either.
 #pragma once
 
 #include <algorithm>
@@ -122,6 +124,13 @@ class SignatureIds {
 
   /// The class sequence `id` stands for.
   [[nodiscard]] Signature signature(std::uint32_t id) const;
+
+  /// Each id's rank in a pre-order walk of the trie that visits children
+  /// in ChainClass order, indexed by id.  A prefix ranks before its
+  /// extensions and siblings rank by class, so ranks order ids exactly as
+  /// Signature's operator< orders their signatures, with no Signature
+  /// built.
+  [[nodiscard]] std::vector<std::uint32_t> preorder_ranks() const;
 
   /// One past the largest id handed out.
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/cfg.hpp"
 #include "ir/printer.hpp"
 
 namespace asipfb::ir {
@@ -77,11 +78,16 @@ private:
           seen_ids[instr.id] = true;
         }
       }
-      for (BlockId s : block.successors()) {
+      // The targets BasicBlock::successors() lists, read in place.  Not
+      // successor_pair: its kNoBlock padding is also an unset target.
+      const auto check_target = [&](BlockId s) {
         if (s >= fn_.blocks.size()) {
           error("block " + std::to_string(b) + " branches out of range");
         }
-      }
+      };
+      const Instr& t = block.terminator();
+      if (t.op == Opcode::Br || t.op == Opcode::CondBr) check_target(t.target0);
+      if (t.op == Opcode::CondBr && t.target1 != t.target0) check_target(t.target1);
     }
   }
 
@@ -328,8 +334,8 @@ private:
           defs[b * words + instr.dst->id / 64] |= bit(*instr.dst);
         }
       }
-      for (BlockId s : fn_.blocks[b].successors()) {
-        preds[s].push_back(static_cast<BlockId>(b));
+      for (BlockId s : analysis::successor_pair(fn_.blocks[b])) {
+        if (s != kNoBlock) preds[s].push_back(static_cast<BlockId>(b));
       }
     }
 

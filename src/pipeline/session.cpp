@@ -130,6 +130,13 @@ std::string extension_key(opt::OptLevel level, const asip::SelectionOptions& s,
   return std::move(kb).str();
 }
 
+/// The frequency denominator detection and coverage use: the Session's,
+/// or the optimized module's own total when the baseline has none (what
+/// the module overloads do with a total of 0).
+std::uint64_t denominator(std::uint64_t session_total, const ir::Module& module) {
+  return session_total != 0 ? session_total : module.total_dynamic_ops();
+}
+
 }  // namespace
 
 // --- Session ----------------------------------------------------------------
@@ -258,6 +265,25 @@ const ir::Module& Session::optimized(opt::OptLevel level,
   });
 }
 
+std::shared_ptr<const Session::RegionGraphs> Session::region_graphs(
+    const std::string& optimize_key, const ir::Module& module,
+    GraphUser user) const {
+  GraphHandoff* handoff;
+  {
+    const std::lock_guard<std::mutex> lock(graphs_mu_);
+    handoff = &graphs_[optimize_key];
+  }
+  const std::lock_guard<std::mutex> lock(handoff->mu);
+  if (handoff->graphs == nullptr) {
+    handoff->graphs =
+        std::make_shared<const RegionGraphs>(chain::build_region_graphs(module));
+  }
+  std::shared_ptr<const RegionGraphs> graphs = handoff->graphs;
+  handoff->took |= user;
+  if (handoff->took == (kDetectionUser | kCoverageUser)) handoff->graphs.reset();
+  return graphs;
+}
+
 const chain::DetectionResult& Session::detection(
     opt::OptLevel level, const chain::DetectorOptions& detector,
     const opt::OptimizeOptions& options) const {
@@ -271,8 +297,10 @@ const chain::DetectionResult& Session::detection(
           return cache::deserialize_detection(payload);
         },
         [&] {
-          return chain::detect_sequences(optimized(level, opt_norm), det_norm,
-                                         prepared_.total_cycles);
+          const ir::Module& module = optimized(level, opt_norm);
+          return chain::detect_sequences(
+              *region_graphs(optimize_key(level, opt_norm), module, kDetectionUser),
+              det_norm, denominator(prepared_.total_cycles, module));
         });
   });
 }
@@ -290,8 +318,10 @@ const chain::CoverageResult& Session::coverage(
           return cache::deserialize_coverage(payload);
         },
         [&] {
-          return chain::coverage_analysis(optimized(level, opt_norm), cov_norm,
-                                          prepared_.total_cycles);
+          const ir::Module& module = optimized(level, opt_norm);
+          return chain::coverage_analysis(
+              *region_graphs(optimize_key(level, opt_norm), module, kCoverageUser),
+              cov_norm, denominator(prepared_.total_cycles, module));
         });
   });
 }
@@ -326,6 +356,8 @@ void Session::clear() {
   detections_.slots.clear();
   coverages_.slots.clear();
   extensions_.slots.clear();
+  const std::lock_guard<std::mutex> lock_graphs(graphs_mu_);
+  graphs_.clear();
 }
 
 Session::Stats Session::stats() const {

@@ -23,6 +23,14 @@
 // queries for different keys run in parallel.  Returned references stay
 // valid for the Session's lifetime.
 //
+// Detection and coverage at one level walk the same region graphs
+// (chain/region_graph.hpp), which depend only on the optimized module.
+// The first of the two computed at an optimize key (a memo and a store
+// miss) builds them; the Session holds them as one shared_ptr<const>
+// until the other has taken them too, then drops them.  clear() and
+// destruction drop them as well.  So a store hit builds nothing, and no
+// graphs outlive the two analyses that use them.
+//
 // SessionPool is the process-wide directory of Sessions, keyed by workload
 // name — the service front door and the pool run_stages()/sweep() in
 // batch.hpp fan out over.
@@ -126,12 +134,12 @@ class Session {
       const chain::CoverageOptions& coverage = {},
       const opt::OptimizeOptions& options = {}) const;
 
-  /// Drops every memoized artifact (the prepared baseline stays), so a
-  /// long-lived Session serving many distinct option sets can bound its
-  /// footprint.  Invalidates all references previously returned by the
-  /// stage queries; the caller must ensure no concurrent query is in
-  /// flight and no borrowed reference is still in use.  The stats()
-  /// counters keep accumulating across clears.
+  /// Drops every memoized artifact and any held region graphs (the
+  /// prepared baseline stays), so a long-lived Session serving many
+  /// distinct option sets can bound its footprint.  Invalidates all
+  /// references previously returned by the stage queries; the caller must
+  /// ensure no concurrent query is in flight and no borrowed reference is
+  /// still in use.  The stats() counters keep accumulating across clears.
   void clear();
 
   /// Stage-invocation counters: `*_runs` count actual computations (memo
@@ -208,6 +216,26 @@ class Session {
   T compute_via_store(cache::Artifact kind, const std::string& option_key,
                       Load&& load, Fn&& compute) const;
 
+  using RegionGraphs = std::vector<chain::RegionGraph>;
+
+  /// The chain analyses that share a level's region graphs, as bits.
+  enum GraphUser : std::uint8_t { kDetectionUser = 1, kCoverageUser = 2 };
+
+  /// Region graphs of `module`, the optimized module at `optimize_key`,
+  /// for `user`: the held ones, or built now and held until both users
+  /// have taken them.  Called only inside a memo slot's computation on a
+  /// store miss.
+  std::shared_ptr<const RegionGraphs> region_graphs(const std::string& optimize_key,
+                                                    const ir::Module& module,
+                                                    GraphUser user) const;
+
+  /// One optimize key's graphs, between their build and the second taker.
+  struct GraphHandoff {
+    std::mutex mu;  ///< Held across the build, so concurrent users build once.
+    std::shared_ptr<const RegionGraphs> graphs;
+    std::uint8_t took = 0;  ///< GraphUser bits of the users served so far.
+  };
+
   PreparedProgram prepared_;
   std::shared_ptr<cache::Store> store_;
   std::string baseline_key_;  ///< Content key on disk; empty without store.
@@ -217,6 +245,8 @@ class Session {
   mutable StageCache<chain::DetectionResult> detections_;
   mutable StageCache<chain::CoverageResult> coverages_;
   mutable StageCache<asip::ExtensionProposal> extensions_;
+  mutable std::mutex graphs_mu_;  ///< Guards the map, not the builds.
+  mutable std::map<std::string, GraphHandoff> graphs_;
 
   mutable std::atomic<std::uint64_t> optimize_runs_{0};
   mutable std::atomic<std::uint64_t> detect_runs_{0};

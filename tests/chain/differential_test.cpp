@@ -2,12 +2,16 @@
 //
 // The goldens pin detection and coverage only at the pipeline's default
 // options.  This file keeps the earlier, simpler algorithms as references
-// — region graphs from a per-trace std::map, detection aggregated in a
+// — traces grown by probing predecessor lists and successors() per step,
+// region graphs from a per-trace std::map, detection aggregated in a
 // std::map<Signature, ...>, coverage re-walking the uncovered paths every
 // round — and requires the library's results to serialize to the same
 // bytes over every suite workload, the first 24 default-corpus scenarios,
 // O0/O1/O2, with and without the adjacency restriction, and a grid of
-// lengths, floors, rounds, pruning and occurrence caps.
+// lengths, floors, rounds, pruning and occurrence caps.  The library's
+// traces must equal the reference's on every function of the suite and of
+// the default and seed-2 corpora at O0/O1/O2, and on random profiled CFGs
+// with tied counts, self loops and CondBrs whose two targets are one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,11 +21,14 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/cfg.hpp"
 #include "analysis/traces.hpp"
 #include "cache/serialize.hpp"
 #include "chain/coverage.hpp"
 #include "chain/detect.hpp"
+#include "ir/builder.hpp"
 #include "pipeline/session.hpp"
+#include "support/rng.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/suite.hpp"
 
@@ -29,11 +36,80 @@ namespace asipfb::chain {
 namespace {
 namespace reference {
 
+/// Trace formation probing the CFG at every step: the best successor from
+/// BasicBlock::successors(), the best predecessor from predecessors()
+/// lists, and backward growth inserting at the trace's front.
+std::vector<std::vector<ir::BlockId>> form_traces(const ir::Function& fn) {
+  using ir::BlockId;
+  const std::size_t nblocks = fn.blocks.size();
+  const auto preds = analysis::predecessors(fn);
+  auto count_of = [&](BlockId b) { return fn.blocks[b].exec_count(); };
+  // Ties: the first successor, the lowest predecessor id.
+  auto best_succ = [&](BlockId b) -> BlockId {
+    BlockId best = ir::kNoBlock;
+    std::uint64_t best_count = 0;
+    for (BlockId s : fn.blocks[b].successors()) {
+      if (s == b) continue;
+      const std::uint64_t c = count_of(s);
+      if (best == ir::kNoBlock || c > best_count) {
+        best = s;
+        best_count = c;
+      }
+    }
+    return best;
+  };
+  auto best_pred = [&](BlockId b) -> BlockId {
+    BlockId best = ir::kNoBlock;
+    std::uint64_t best_count = 0;
+    for (BlockId p : preds[b]) {
+      if (p == b) continue;
+      const std::uint64_t c = count_of(p);
+      if (best == ir::kNoBlock || c > best_count) {
+        best = p;
+        best_count = c;
+      }
+    }
+    return best;
+  };
+  std::vector<BlockId> seeds(nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b) seeds[b] = static_cast<BlockId>(b);
+  std::stable_sort(seeds.begin(), seeds.end(), [&](BlockId a, BlockId b) {
+    return count_of(a) > count_of(b);
+  });
+  std::vector<bool> visited(nblocks, false);
+  std::vector<std::vector<BlockId>> traces;
+  for (BlockId seed : seeds) {
+    if (visited[seed]) continue;
+    visited[seed] = true;
+    std::vector<BlockId> trace{seed};
+    if (count_of(seed) > 0) {
+      for (BlockId tail = seed;;) {
+        const BlockId next = best_succ(tail);
+        if (next == ir::kNoBlock || visited[next] || count_of(next) == 0) break;
+        if (best_pred(next) != tail) break;
+        visited[next] = true;
+        trace.push_back(next);
+        tail = next;
+      }
+      for (BlockId head = seed;;) {
+        const BlockId prev = best_pred(head);
+        if (prev == ir::kNoBlock || visited[prev] || count_of(prev) == 0) break;
+        if (best_succ(prev) != head) break;
+        visited[prev] = true;
+        trace.insert(trace.begin(), prev);
+        head = prev;
+      }
+    }
+    traces.push_back(std::move(trace));
+  }
+  return traces;
+}
+
 std::vector<RegionGraph> build_region_graphs(const ir::Module& module) {
   std::vector<RegionGraph> regions;
   for (std::size_t f = 0; f < module.functions.size(); ++f) {
     const auto& fn = module.functions[f];
-    for (const auto& trace : analysis::form_traces(fn)) {
+    for (const auto& trace : form_traces(fn)) {
       RegionGraph region;
       region.func = static_cast<ir::FuncId>(f);
       region.blocks = trace;
@@ -333,6 +409,84 @@ INSTANTIATE_TEST_SUITE_P(SuiteAndCorpus, ChainDifferential,
                            }
                            return name;
                          });
+
+void expect_reference_traces(const ir::Module& module) {
+  for (const auto& fn : module.functions) {
+    ASSERT_EQ(analysis::form_traces(fn), reference::form_traces(fn))
+        << "function " << fn.name;
+  }
+}
+
+void expect_reference_traces(const std::vector<wl::Workload>& workloads) {
+  for (const auto& w : workloads) {
+    const pipeline::Session session(w.source, w.name, w.input);
+    for (const auto level : {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+      SCOPED_TRACE(w.name + " " + std::string(opt::to_string(level)));
+      expect_reference_traces(session.optimized(level));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TracesDifferential, SuiteMatchesReference) { expect_reference_traces(wl::suite()); }
+
+TEST(TracesDifferential, DefaultCorpusMatchesReference) {
+  expect_reference_traces(wl::default_corpus());
+}
+
+TEST(TracesDifferential, SeedTwoCorpusMatchesReference) {
+  expect_reference_traces(wl::corpus(wl::CorpusSpec{.seed = 2}));
+}
+
+/// A random profiled CFG: counts drawn from a handful of values so ties
+/// are common, branches that may target their own block, and CondBrs
+/// whose two targets are often the same block.  The count of a block is
+/// its terminator's; a few blocks stay empty (count 0, no successors).
+ir::Function random_profiled_cfg(Rng& rng) {
+  ir::Function fn;
+  fn.name = "rand";
+  const ir::Reg cond = fn.new_reg(ir::Type::I32);
+  const auto nblocks = static_cast<ir::BlockId>(1 + rng.next_below(20));
+  const auto block = [&] { return static_cast<ir::BlockId>(rng.next_below(nblocks)); };
+  for (ir::BlockId b = 0; b < nblocks; ++b) {
+    auto& bb = fn.blocks.emplace_back();
+    bb.name = std::to_string(b);
+    ir::Instr terminator;
+    switch (rng.next_below(12)) {
+      case 0:
+        continue;  // Empty.
+      case 1: case 2: case 3: case 4:
+        terminator = ir::make::br(block());
+        break;
+      case 5:
+        terminator = ir::make::br(b);  // Self loop.
+        break;
+      case 6: {
+        const ir::BlockId target = block();
+        terminator = ir::make::cond_br(cond, target, target);
+        break;
+      }
+      case 7: case 8: case 9: case 10:
+        terminator = ir::make::cond_br(cond, block(), block());
+        break;
+      default:
+        terminator = ir::make::ret();
+        break;
+    }
+    terminator.exec_count = rng.next_below(4);
+    bb.instrs.push_back(terminator);
+    fn.assign_id(bb.instrs.back());
+  }
+  return fn;
+}
+
+TEST(TracesDifferential, RandomProfiledCfgsMatchReference) {
+  Rng rng(0x7ACE5EEDull);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const ir::Function fn = random_profiled_cfg(rng);
+    ASSERT_EQ(analysis::form_traces(fn), reference::form_traces(fn)) << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace asipfb::chain

@@ -47,6 +47,23 @@ std::string mac_chain(int count) {
   return src + "  return s;\n}\n";
 }
 
+/// `count` sequential loops, each folding one array element through its
+/// own mix of five operators (loop k's base-6 digits), so the number of
+/// distinct signatures, and of coverage's groups, grows with `count`.
+std::string mixed_loops(int count) {
+  static const char* const kOps[] = {"+", "-", "*", "/", "<<", "&"};
+  std::string src = "int x[16]; int g;\nint main() {\n  int i;\n"
+                    "  for (i = 0; i < 16; i++) x[i] = i + 1;\n";
+  for (int k = 0; k < count; ++k) {
+    std::string expr = "x[i]";
+    for (int digit = 0, rest = k; digit < 5; ++digit, rest /= 6) {
+      expr = "(" + expr + " " + kOps[rest % 6] + " " + std::to_string(digit + 2) + ")";
+    }
+    src += "  for (i = 0; i < 16; i++) g += " + expr + ";\n";
+  }
+  return src + "  return g;\n}\n";
+}
+
 /// Seconds for detection plus coverage at default options.
 double seconds(const ir::Module& m) {
   const auto start = std::chrono::steady_clock::now();
@@ -79,6 +96,11 @@ TEST(ChainScaling, SequentialMacLoopsAreNearLinear) {
 
 TEST(ChainScaling, StraightLineMacChainIsNearLinear) {
   expect_near_linear(mac_chain, 1000);
+}
+
+TEST(ChainScaling, ManySignaturesAreNearLinear) {
+  // 500 and 2,000 loops give about 1,700 and 4,100 distinct signatures.
+  expect_near_linear(mixed_loops, 500);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "cache/serialize.hpp"
 #include "cache/store.hpp"
 #include "pipeline/driver.hpp"
 #include "support/rng.hpp"
@@ -323,6 +325,71 @@ TEST(Session, ConcurrentMixedStageQueriesAreRaceFreeAndBitIdentical) {
   EXPECT_EQ(stats.coverage_runs, 1u);
   EXPECT_EQ(stats.extension_runs, 1u);
   EXPECT_EQ(stats.optimize_runs, 3u);
+}
+
+constexpr opt::OptLevel kLevels[] = {opt::OptLevel::O0, opt::OptLevel::O1,
+                                     opt::OptLevel::O2};
+
+TEST(Session, DetectionRacingCoverageSharesGraphsBitIdentically) {
+  // Detection and coverage at one level share one build of the region
+  // graphs, whichever asks first; racing them must not change a byte.
+  const Session serial(kKernel, "graphs_serial", kernel_input());
+  std::vector<std::string> expected;  // Detection then coverage, per level.
+  for (const opt::OptLevel level : kLevels) {
+    expected.push_back(cache::serialize(serial.detection(level)));
+    expected.push_back(cache::serialize(serial.coverage(level)));
+    ASSERT_FALSE(serial.coverage(level).steps.empty()) << opt::to_string(level);
+  }
+
+  constexpr unsigned kThreads = 8;
+  Rng rng(0x6A7E5ull);
+  for (int trial = 0; trial < 50; ++trial) {
+    const Session session(kKernel, "graphs_race", kernel_input());
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      // Query k is detection (even) or coverage (odd) at level k / 2.
+      std::vector<std::size_t> order = {0, 1, 2, 3, 4, 5};
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.next_below(i)]);
+      }
+      threads.emplace_back([&session, order] {
+        for (const std::size_t k : order) {
+          if (k % 2 == 0) {
+            (void)session.detection(kLevels[k / 2]);
+          } else {
+            (void)session.coverage(kLevels[k / 2]);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (std::size_t l = 0; l < 3; ++l) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " level " + std::to_string(l));
+      ASSERT_EQ(cache::serialize(session.detection(kLevels[l])), expected[2 * l]);
+      ASSERT_EQ(cache::serialize(session.coverage(kLevels[l])), expected[2 * l + 1]);
+    }
+    const Session::Stats stats = session.stats();
+    EXPECT_EQ(stats.detect_runs, 3u);
+    EXPECT_EQ(stats.coverage_runs, 3u);
+    EXPECT_EQ(stats.optimize_runs, 3u);
+  }
+}
+
+TEST(Session, CoverageAfterClearMatchesAfterDetectionAlone) {
+  // Detection alone leaves its graphs held for coverage; clear() drops
+  // them, and coverage then builds its own.
+  const Session reference(kKernel, "graphs_reference", kernel_input());
+  Session session(kKernel, "graphs_clear", kernel_input());
+  for (const opt::OptLevel level : kLevels) {
+    (void)session.detection(level);
+    session.clear();
+    EXPECT_EQ(cache::serialize(session.coverage(level)),
+              cache::serialize(reference.coverage(level)))
+        << opt::to_string(level);
+    EXPECT_EQ(cache::serialize(session.detection(level)),
+              cache::serialize(reference.detection(level)))
+        << opt::to_string(level);
+  }
 }
 
 TEST(SessionPool, SharesOneSessionPerKeyAndLatchesFailures) {
