@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
@@ -147,6 +148,98 @@ TEST(ServiceEvaluate, SweepMatchesExtensionAtSameCorner) {
   EXPECT_DOUBLE_EQ(swept.speedup, ext.speedup);
   EXPECT_DOUBLE_EQ(swept.total_area, ext.total_area);
   EXPECT_EQ(swept.selected, ext.selected);
+}
+
+TEST(ServiceEvaluate, SweepLooksUpTheNameBeforeCheckingTheGrid) {
+  pipeline::SessionPool pool;
+  Request sweep = make_request(1, Kind::kSweep, "no_such_workload");
+  const Response defaults = evaluate(sweep, pool);
+  EXPECT_EQ(defaults.error,
+            "no such workload or generated scenario: no_such_workload");
+
+  sweep.grid.levels.clear();
+  const Response empty = evaluate(sweep, pool);
+  EXPECT_EQ(empty.error,
+            "no such workload or generated scenario: no_such_workload");
+  EXPECT_EQ(pool.size(), 0u);
+}
+
+TEST(ServiceEvaluate, EmptySweepGridFailsBeforeAnythingIsPrepared) {
+  pipeline::SessionPool pool;
+  Request named = make_request(1, Kind::kSweep, "fir");
+  named.grid.area_budgets.clear();
+  EXPECT_EQ(evaluate(named, pool).error, "sweep grid is empty");
+  EXPECT_EQ(pool.size(), 0u);
+
+  // Inline source that does not compile: the grid check answers first,
+  // and the key stays unbound, so a later request may bind other source.
+  Request broken = make_request(2, Kind::kSweep, "broken");
+  broken.source = "int main() { return undefined_variable; }\n";
+  broken.grid.floor_percents.clear();
+  EXPECT_EQ(evaluate(broken, pool).error, "sweep grid is empty");
+  EXPECT_EQ(pool.size(), 0u);
+
+  Request fixed = make_request(3, Kind::kCompile, "broken");
+  fixed.source = "int main() { return 7; }\n";
+  const Response compiled = evaluate(fixed, pool);
+  ASSERT_TRUE(compiled.ok()) << compiled.error;
+  EXPECT_EQ(compiled.exit_code, 7);
+}
+
+TEST(ServiceEvaluate, SweepOverSourceThatDoesNotCompileAnswersTheCompileError) {
+  const std::string broken = "int main() { return undefined_variable; }\n";
+  pipeline::SessionPool compile_pool;
+  Request compile = make_request(1, Kind::kCompile, "broken");
+  compile.source = broken;
+  const Response compiled = evaluate(compile, compile_pool);
+  ASSERT_FALSE(compiled.ok());
+
+  pipeline::SessionPool pool;
+  Request sweep = make_request(2, Kind::kSweep, "broken");
+  sweep.source = broken;
+  const Response swept = evaluate(sweep, pool);
+  EXPECT_EQ(swept.error, compiled.error);
+  EXPECT_EQ(pool.size(), 0u);
+}
+
+TEST(ServiceEvaluate, NanBudgetFailsOnlyItsOwnSweepPoints) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  pipeline::SessionPool pool;
+  Request sweep = make_request(1, Kind::kSweep, "fir");
+  sweep.grid.levels = {opt::OptLevel::O0, opt::OptLevel::O1};
+  sweep.grid.floor_percents = {4.0};
+  sweep.grid.area_budgets = {10.0, nan, 40.0, 40.0};
+  const Response swept = evaluate(sweep, pool);
+  ASSERT_TRUE(swept.ok()) << swept.error;
+  EXPECT_EQ(swept.points, 8u);
+  EXPECT_EQ(swept.point_failures, 2u);
+  EXPECT_EQ(swept.total_cycles, pool.get("fir")->total_cycles());
+
+  // The best point is the first one, in grid order (level, then budget),
+  // with the highest speedup among the points that did not fail.
+  Response best;
+  bool have_best = false;
+  for (const auto level : sweep.grid.levels) {
+    for (const double budget : sweep.grid.area_budgets) {
+      if (std::isnan(budget)) continue;
+      Request ext = make_request(2, Kind::kExtension, "fir", level);
+      ext.selection.area_budget = budget;
+      const Response r = evaluate(ext, pool);
+      ASSERT_TRUE(r.ok()) << r.error;
+      if (!have_best || r.speedup > best.speedup) {
+        have_best = true;
+        best = r;
+        best.total_coverage =
+            evaluate(make_request(3, Kind::kCoverage, "fir", level), pool)
+                .total_coverage;
+      }
+    }
+  }
+  ASSERT_TRUE(have_best);
+  EXPECT_EQ(swept.speedup, best.speedup);
+  EXPECT_EQ(swept.total_area, best.total_area);
+  EXPECT_EQ(swept.selected, best.selected);
+  EXPECT_EQ(swept.total_coverage, best.total_coverage);
 }
 
 TEST(ServiceEvaluate, InlineSourceBindsAndMismatchIsLatched) {
