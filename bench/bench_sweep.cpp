@@ -1,70 +1,116 @@
 // Design-space exploration over the paper suite: pipeline::sweep() walks a
 // grid of (optimization level, coverage floor, extension area budget)
 // corners for every workload and reports what the customized ASIP achieves
-// at each — coverage, selected extensions, area spent, and speedup.
+// at each — coverage, selected extensions, area spent, and speedup.  The
+// workloads' Sessions are swept on a thread pool, one task per workload.
 //
 // Prints a per-corner table, then emits the grid as machine-readable JSON
-// (BENCH_sweep.json in the current directory; override with the positional argument).
+// (BENCH_sweep.json in the current directory; override with the positional
+// argument).  Exits 1 when any grid point failed.
+#include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "bench/common.hpp"
+#include "pipeline/sweep.hpp"
 #include "support/json.hpp"
-#include "pipeline/batch.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 
 namespace {
 
 using namespace asipfb;
 
-pipeline::SweepOptions sweep_grid() {
-  pipeline::SweepOptions options;
-  options.levels = {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2};
-  options.floor_percents = {2.0, 4.0};
-  options.area_budgets = {10.0, 40.0, 80.0};
-  return options;
+pipeline::SweepGrid sweep_grid() {
+  pipeline::SweepGrid grid;
+  grid.levels = {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2};
+  grid.floor_percents = {2.0, 4.0};
+  grid.area_budgets = {10.0, 40.0, 80.0};
+  return grid;
 }
 
-std::string render_sweep_json(const pipeline::SweepResult& result) {
+/// One workload's grid, in grid order.
+struct WorkloadSweep {
+  std::string workload;
+  std::vector<pipeline::SweepPoint> points;
+  std::string error;  ///< Nonempty when the Session could not be prepared.
+};
+
+/// Sweeps every suite workload's Session, in suite order.
+std::vector<WorkloadSweep> sweep_workloads() {
+  const pipeline::SweepGrid grid = sweep_grid();
+  std::vector<WorkloadSweep> swept(wl::suite().size());
+  parallel_for(swept.size(), 0, [&](std::size_t i) {
+    WorkloadSweep& w = swept[i];
+    w.workload = wl::suite()[i].name;
+    try {
+      w.points = pipeline::sweep(bench::session(w.workload), grid);
+    } catch (const std::exception& ex) {
+      w.error = ex.what();
+    }
+  });
+  return swept;
+}
+
+std::size_t failures(const std::vector<WorkloadSweep>& swept) {
+  std::size_t n = 0;
+  for (const auto& w : swept) {
+    n += static_cast<std::size_t>(
+        std::count_if(w.points.begin(), w.points.end(),
+                      [](const pipeline::SweepPoint& p) { return !p.ok(); }));
+  }
+  return n;
+}
+
+std::string render_sweep_json(const std::vector<WorkloadSweep>& swept) {
+  std::size_t points = 0;
+  for (const auto& w : swept) points += w.points.size();
   support::JsonWriter json;
   json.begin_object()
       .member("bench", "sweep")
-      .member("points", static_cast<std::uint64_t>(result.points.size()))
-      .member("failures", static_cast<std::uint64_t>(result.failures()))
+      .member("points", static_cast<std::uint64_t>(points))
+      .member("failures", static_cast<std::uint64_t>(failures(swept)))
       .key("grid")
       .begin_array();
-  for (const auto& p : result.points) {
-    json.inline_object()
-        .member("workload", p.workload)
-        .member("level", std::string(opt::to_string(p.level)))
-        .member("floor", p.floor_percent)
-        .member("area_budget", p.area_budget)
-        .member("coverage", p.total_coverage)
-        .member("selected", static_cast<std::uint64_t>(p.selected))
-        .member("area", p.total_area)
-        .member("speedup", p.speedup);
-    if (!p.ok()) json.member("error", p.error);
-    json.end_object();
+  for (const auto& w : swept) {
+    for (const auto& p : w.points) {
+      json.inline_object()
+          .member("workload", w.workload)
+          .member("level", std::string(opt::to_string(p.level)))
+          .member("floor", p.floor_percent)
+          .member("area_budget", p.area_budget)
+          .member("coverage", p.total_coverage)
+          .member("selected", static_cast<std::uint64_t>(p.selected))
+          .member("area", p.total_area)
+          .member("speedup", p.speedup);
+      if (!p.ok()) json.member("error", p.error);
+      json.end_object();
+    }
   }
   json.end_array().end_object();
   return json.str() + "\n";
 }
 
-void print_sweep(const pipeline::SweepResult& result) {
+void print_sweep(const std::vector<WorkloadSweep>& swept) {
   std::printf("=== Design-space sweep: level x coverage floor x area budget ===\n");
   TextTable table({"Benchmark", "Level", "Floor", "Area budget", "Coverage",
                    "Selected", "Area", "Speedup"});
-  for (const auto& p : result.points) {
-    if (!p.ok()) {
-      table.add_row({p.workload, std::string(opt::to_string(p.level)), "-", "-",
-                     "error: " + p.error, "-", "-", "-"});
-      continue;
+  for (const auto& w : swept) {
+    for (const auto& p : w.points) {
+      if (!p.ok()) {
+        table.add_row({w.workload, std::string(opt::to_string(p.level)), "-",
+                       "-", "error: " + p.error, "-", "-", "-"});
+        continue;
+      }
+      table.add_row({w.workload, std::string(opt::to_string(p.level)),
+                     format_percent(p.floor_percent),
+                     format_fixed(p.area_budget, 1),
+                     format_percent(p.total_coverage),
+                     std::to_string(p.selected), format_fixed(p.total_area, 2),
+                     format_fixed(p.speedup, 3) + "x"});
     }
-    table.add_row({p.workload, std::string(opt::to_string(p.level)),
-                   format_percent(p.floor_percent), format_fixed(p.area_budget, 1),
-                   format_percent(p.total_coverage), std::to_string(p.selected),
-                   format_fixed(p.total_area, 2),
-                   format_fixed(p.speedup, 3) + "x"});
   }
   std::printf("%s\n", table.render().c_str());
 }
@@ -77,10 +123,17 @@ int main(int argc, char** argv) {
                                &path)) {
     return 2;
   }
-  const auto result = pipeline::sweep_suite(sweep_grid());
-  print_sweep(result);
-  const std::string json = render_sweep_json(result);
+  const auto swept = sweep_workloads();
+  for (const auto& w : swept) {
+    if (!w.error.empty()) {
+      std::fprintf(stderr, "bench_sweep: %s: %s\n", w.workload.c_str(),
+                   w.error.c_str());
+      return 1;
+    }
+  }
+  print_sweep(swept);
+  const std::string json = render_sweep_json(swept);
   std::fputs(json.c_str(), stdout);
   if (!support::JsonWriter::write_file(path, json)) return 1;
-  return 0;
+  return failures(swept) == 0 ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <vector>
 
-#include "pipeline/batch.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 
 namespace asipfb::bench {
@@ -63,17 +63,20 @@ const pipeline::PreparedProgram& prepared_workload(const std::string& name) {
 namespace {
 
 /// Default-option detection at one level, served from the workload's
-/// Session.  The first query per level fans the whole suite out on the
-/// batch thread pool (filling the session caches in parallel); everything
-/// after that is a cache hit.
+/// Session.  The first query per level computes the whole suite's on a
+/// thread pool (filling the session caches in parallel); everything after
+/// that is a cache hit.
 const chain::DetectionResult& detection(const std::string& name, opt::OptLevel level) {
   static std::once_flag warmed[3];
   std::call_once(warmed[static_cast<int>(level)], [&] {
-    std::vector<std::string> names;
-    names.reserve(wl::suite().size());
-    for (const auto& w : wl::suite()) names.push_back(w.name);
-    (void)pipeline::run_stages(names,
-                               {pipeline::StageRequest::detection_at(level)});
+    parallel_for(wl::suite().size(), 0, [&](std::size_t i) {
+      // A task must not throw; a failure is latched in its Session and
+      // rethrown by the serial query below.
+      try {
+        (void)session(wl::suite()[i].name).detection(level);
+      } catch (...) {
+      }
+    });
   });
   return session(name).detection(level);
 }

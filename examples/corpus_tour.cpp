@@ -1,19 +1,23 @@
 // corpus_tour: the generated-workload subsystem end to end.
 //
 // Generates a small deterministic corpus (docs/WORKLOADS.md), checks one
-// scenario's simulation against its plain-C++ oracle word for word, fans
-// detection out over every scenario with pipeline::run_stages, and runs a
-// small design-space sweep over the same jobs — the corpus-scale version
-// of what fir_explorer does for one benchmark.
+// scenario's simulation against its plain-C++ oracle word for word, then
+// gives every scenario its own Session on a thread pool (parallel_for) and
+// runs detection and a small design-space sweep on it — the corpus-scale
+// version of what fir_explorer does for one benchmark.
 //
 //   $ ./examples/corpus_tour [count]          (default 12 scenarios)
+#include <algorithm>
 #include <climits>
 #include <cstdio>
+#include <exception>
+#include <optional>
 #include <vector>
 
 #include "chain/report.hpp"
 #include "examples/flag_parse.hpp"
-#include "pipeline/batch.hpp"
+#include "pipeline/sweep.hpp"
+#include "support/parallel.hpp"
 #include "workloads/generator.hpp"
 
 using namespace asipfb;
@@ -53,32 +57,46 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(prepared.total_cycles),
               oracle_ok ? "bit-identical" : "MISMATCH!");
 
-  // Corpus-wide detection fan-out on a private pool (each scenario
-  // compiled + profiled exactly once, results thread-count independent).
-  std::vector<pipeline::BatchJob> jobs;
-  for (const auto& w : corpus) jobs.push_back({w.name, w.source, w.input});
-  pipeline::SessionPool pool;
-  const auto batch = pipeline::run_stages(
-      jobs, {pipeline::StageRequest::detection_at(opt::OptLevel::O1)}, {}, &pool);
-  std::size_t sequences = 0;
-  for (const auto& e : batch.entries) {
-    if (e.detection.has_value()) sequences += e.detection->sequences.size();
-  }
-  std::printf("\ndetection over the corpus: %zu entries, %zu failures, "
-              "%zu chainable sequences at O1\n",
-              batch.entries.size(), batch.failures(), sequences);
-
-  // Design-space sweep over the same jobs; the pool's memoized Sessions
-  // are reused, so only coverage + selection run per grid point.
-  pipeline::SweepOptions grid;
+  // Corpus-wide sweep and detection, one Session per scenario on a thread
+  // pool (each compiled + profiled once; results independent of the
+  // thread count).  Both share the Session's memoized O1 module.
+  pipeline::SweepGrid grid;
   grid.levels = {opt::OptLevel::O1};
   grid.floor_percents = {4.0};
   grid.area_budgets = {20.0, 60.0};
-  const auto swept = pipeline::sweep(jobs, grid, &pool);
+  struct Tour {
+    std::optional<std::size_t> sequences;      ///< Empty if detection failed.
+    std::vector<pipeline::SweepPoint> points;  ///< Empty if not prepared.
+  };
+  std::vector<Tour> tours(corpus.size());
+  parallel_for(corpus.size(), 0, [&](std::size_t i) {
+    // A task must not throw: a scenario that fails counts as a failure.
+    const wl::Workload& w = corpus[i];
+    try {
+      const pipeline::Session session(w.source, w.name, w.input);
+      tours[i].points = pipeline::sweep(session, grid);
+      tours[i].sequences = session.detection(opt::OptLevel::O1).sequences.size();
+    } catch (const std::exception&) {
+    }
+  });
+
+  const std::size_t grid_points = grid.area_budgets.size();
+  std::size_t detect_failures = 0, sequences = 0, sweep_failures = 0;
+  for (const auto& t : tours) {
+    detect_failures += t.sequences ? 0 : 1;
+    sequences += t.sequences.value_or(0);
+    sweep_failures += grid_points - static_cast<std::size_t>(std::count_if(
+        t.points.begin(), t.points.end(),
+        [](const pipeline::SweepPoint& p) { return p.ok(); }));
+  }
+  std::printf("\ndetection over the corpus: %zu entries, %zu failures, "
+              "%zu chainable sequences at O1\n",
+              corpus.size(), detect_failures, sequences);
   std::printf("sweep over the corpus: %zu points, %zu failures; first point "
               "%s@O1 budget %.0f -> speedup %.3fx\n",
-              swept.points.size(), swept.failures(),
-              swept.points.front().workload.c_str(),
-              swept.points.front().area_budget, swept.points.front().speedup);
+              corpus.size() * grid_points, sweep_failures,
+              corpus.front().name.c_str(), grid.area_budgets.front(),
+              tours.front().points.empty() ? 1.0
+                                           : tours.front().points.front().speedup);
   return 0;
 }

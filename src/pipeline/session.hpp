@@ -32,8 +32,7 @@
 // graphs outlive the two analyses that use them.
 //
 // SessionPool is the process-wide directory of Sessions, keyed by workload
-// name — the service front door and the pool run_stages()/sweep() in
-// batch.hpp fan out over.
+// name — the service front door and the pool the bench drivers share.
 // docs/ARCHITECTURE.md has the full stage diagram and the
 // ownership/threading rules in prose.
 #pragma once
@@ -261,7 +260,7 @@ class Session {
 };
 
 /// Thread-safe directory of Sessions keyed by workload name: the shared
-/// front door for batch runners, bench drivers, and tests, so one process
+/// front door for the service, bench drivers, and tests, so one process
 /// never compiles or profiles the same workload twice.  Preparation runs at
 /// most once per key — success or failure; concurrent requests for the same
 /// key block until the first finishes, and a failed preparation is latched

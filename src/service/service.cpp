@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "pipeline/batch.hpp"
 #include "workloads/generator.hpp"
 
 namespace asipfb::service {
@@ -29,48 +28,46 @@ std::optional<Kind> parse_kind(std::string_view text) {
 
 namespace {
 
-/// The program a request names: inline source binds the request's key; a
-/// bare name resolves through suite + default corpus (throws on unknown
-/// names).
-pipeline::BatchJob job_of(const Request& request) {
-  if (!request.source.empty()) {
-    return {request.workload, request.source, pipeline::WorkloadInput{}};
-  }
-  const wl::Workload& w = wl::any_workload(request.workload);
-  return {w.name, w.source, w.input};
+/// The suite or default-corpus workload a bare-name request names; null
+/// for inline source.  Throws std::out_of_range for unknown names.
+const wl::Workload* named_workload(const Request& request) {
+  return request.source.empty() ? &wl::any_workload(request.workload)
+                                : nullptr;
 }
 
-/// The Session behind a request.  Throws as job_of() does, and on
-/// compile/simulation failures and key/source mismatches.
-std::shared_ptr<pipeline::Session> resolve(const Request& request,
-                                           pipeline::SessionPool& pool) {
-  const pipeline::BatchJob job = job_of(request);
-  return pool.get(job.name, job.source, job.input);
+/// The Session behind a request: inline source binds the request's key,
+/// a bare name its `named_workload()`.  Throws on compile/simulation
+/// failures and key/source mismatches.
+std::shared_ptr<pipeline::Session> session_of(const Request& request,
+                                              const wl::Workload* named,
+                                              pipeline::SessionPool& pool) {
+  if (named == nullptr) return pool.get(request.workload, request.source, {});
+  return pool.get(named->name, named->source, named->input);
 }
 
 void fill_sweep(const Request& request, pipeline::SessionPool& pool,
                 Response& response) {
-  pipeline::SweepOptions options;
-  options.levels = request.grid.levels;
-  options.floor_percents = request.grid.floor_percents;
-  options.area_budgets = request.grid.area_budgets;
-  options.coverage = request.coverage;
-  options.selection = request.selection;
-  options.datapath = request.datapath;
-  options.optimize = request.optimize;
-  // Each sweep request is one unit of work on one worker thread; the
-  // server's parallelism comes from concurrent requests, not from nested
-  // thread pools.
-  options.threads = 1;
+  // Name lookup, then the grid check, then preparation: an empty grid
+  // prepares nothing and binds no key.
+  const wl::Workload* named = named_workload(request);
+  if (request.grid.levels.empty() || request.grid.floor_percents.empty() ||
+      request.grid.area_budgets.empty()) {
+    throw std::invalid_argument("sweep grid is empty");
+  }
+  const std::shared_ptr<pipeline::Session> session =
+      session_of(request, named, pool);
+  response.total_cycles = session->total_cycles();
 
-  const pipeline::SweepResult result =
-      pipeline::sweep({job_of(request)}, options, &pool);
-
-  response.points = result.points.size();
-  response.point_failures = result.failures();
+  const std::vector<pipeline::SweepPoint> points =
+      pipeline::sweep(*session, request.grid, request.coverage,
+                      request.selection, request.datapath, request.optimize);
+  response.points = points.size();
   bool have_best = false;
-  for (const auto& p : result.points) {
-    if (!p.ok()) continue;
+  for (const auto& p : points) {
+    if (!p.ok()) {
+      ++response.point_failures;
+      continue;
+    }
     if (!have_best || p.speedup > response.speedup) {
       have_best = true;
       response.speedup = p.speedup;
@@ -79,12 +76,6 @@ void fill_sweep(const Request& request, pipeline::SessionPool& pool,
       response.selected = p.selected;
     }
   }
-  if (result.points.empty()) {
-    throw std::invalid_argument("sweep grid is empty");
-  }
-  // The grid shares the request's pool, so the baseline denominator is
-  // one warm lookup away.
-  response.total_cycles = resolve(request, pool)->total_cycles();
 }
 
 }  // namespace
@@ -99,7 +90,8 @@ Response evaluate(const Request& request, pipeline::SessionPool& pool) {
       fill_sweep(request, pool, response);
       return response;
     }
-    const std::shared_ptr<pipeline::Session> session = resolve(request, pool);
+    const std::shared_ptr<pipeline::Session> session =
+        session_of(request, named_workload(request), pool);
     response.total_cycles = session->total_cycles();
     switch (request.kind) {
       case Kind::kCompile: {

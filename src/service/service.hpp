@@ -28,6 +28,7 @@
 #include "chain/detect.hpp"
 #include "opt/optimizer.hpp"
 #include "pipeline/session.hpp"
+#include "pipeline/sweep.hpp"
 
 namespace asipfb::service {
 
@@ -38,7 +39,7 @@ enum class Kind : std::uint8_t {
   kDetection,  ///< Step 4: chainable-sequence detection.
   kCoverage,   ///< Section 7: iterative coverage analysis.
   kExtension,  ///< Figure 1 "ASIP design": selection under budgets.
-  kSweep,      ///< Design-space grid over one workload (batch.hpp sweep()).
+  kSweep,      ///< Design-space grid over one workload (pipeline/sweep.hpp).
 };
 
 inline constexpr std::size_t kKindCount = 6;
@@ -49,15 +50,6 @@ inline constexpr std::size_t kKindCount = 6;
 
 /// Inverse of to_string(); nullopt for anything else.
 [[nodiscard]] std::optional<Kind> parse_kind(std::string_view text);
-
-/// The exploration grid of a kSweep request (mirrors pipeline::SweepOptions'
-/// swept axes; the base option structs ride in the Request).
-struct SweepGrid {
-  std::vector<opt::OptLevel> levels = {opt::OptLevel::O0, opt::OptLevel::O1,
-                                       opt::OptLevel::O2};
-  std::vector<double> floor_percents = {4.0};
-  std::vector<double> area_budgets = {40.0};
-};
 
 /// One service request.  `workload` names the target: a suite workload, a
 /// generated-corpus scenario ("gen_<family>_<index>"), or — when `source`
@@ -75,7 +67,7 @@ struct Request {
   asip::SelectionOptions selection;   ///< kExtension/kSweep base.
   asip::DatapathModel datapath;       ///< kExtension/kSweep.
   opt::OptimizeOptions optimize;      ///< Every optimizing kind.
-  SweepGrid grid;                     ///< kSweep only.
+  pipeline::SweepGrid grid;           ///< kSweep only.
 };
 
 /// Flat summary of one stage artifact.  Exactly the fields relevant to

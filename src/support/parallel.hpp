@@ -1,6 +1,7 @@
-// The one fan-out loop: the batch stages (pipeline/batch.cpp) and the
-// differential gauntlet (bench/bench_gauntlet.cpp) both spread independent
-// tasks over worker threads with it.
+// The one fan-out loop: the differential gauntlet (bench/bench_gauntlet.cpp),
+// the bench drivers' detection warm-up and sweep, and examples/corpus_tour
+// spread independent tasks (typically one per Session) over worker threads
+// with it.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +16,10 @@ namespace asipfb {
 /// Runs `task(i)` for i in [0, count) on `threads` workers (0 means
 /// std::thread::hardware_concurrency()).  Tasks are claimed from a shared
 /// atomic counter; each writes only its own output slot, so scheduling
-/// order cannot affect results.
+/// order cannot affect results.  A task must not throw: with more than one
+/// thread, an exception that escapes a worker calls std::terminate and
+/// ends the process, so a task that can fail records its error in its
+/// slot instead.
 inline void parallel_for(std::size_t count, unsigned threads,
                          const std::function<void(std::size_t)>& task) {
   if (count == 0) return;

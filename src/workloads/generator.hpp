@@ -15,7 +15,7 @@
 //     bit-cast — directly comparable to ExecutionResult::outputs).
 //
 // corpus(CorpusSpec) fans a spec out into N scenarios, round-robin over
-// the requested families, so pipeline::run_stages()/sweep() and the bench
+// the requested families, so Sessions, pipeline::sweep() and the bench
 // drivers can serve a 50-200 workload population instead of twelve.  The
 // per-family make_*_scenario() entry points are exposed for tests and
 // tools that want one scenario with hand-picked parameters.
@@ -188,7 +188,7 @@ struct CorpusSpec {
 };
 
 /// Scenario `index` of `spec`, exactly as corpus(spec)[index] would build
-/// it — the random-access form batch tools use to shard generation.
+/// it — the random-access form tools use to shard generation.
 [[nodiscard]] Workload corpus_scenario(const CorpusSpec& spec, std::size_t index);
 
 /// The full generated corpus for `spec`: `spec.count` scenarios named

@@ -3,7 +3,7 @@
 // one-preparation-per-key and latched-failure contracts under contention.
 // The evaluation service (src/service/) leans on exactly these guarantees
 // — a worker pool hammering one pool from N threads — so this suite runs
-// under the CI TSan leg alongside the session/batch/service tests.
+// under the CI TSan leg alongside the session, parallel_for and service tests.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "frontend/compile.hpp"
 #include "ir/verifier.hpp"
-#include "pipeline/batch.hpp"
+#include "pipeline/session.hpp"
+#include "support/parallel.hpp"
 
 namespace asipfb::wl {
 namespace {
@@ -109,35 +112,38 @@ TEST(Generator, EveryDefaultScenarioCompilesAndVerifies) {
 }
 
 TEST(Generator, PipelineArtifactsBitIdenticalAcrossRunsAndThreadCounts) {
-  // End-to-end determinism: the same generated jobs, fanned out over one
-  // thread and over many, must produce field-identical detection results.
+  // End-to-end determinism: the same generated scenarios, analyzed by one
+  // standalone Session each on this thread and by Sessions from one pool
+  // on four threads (two tasks per scenario, so tasks share Sessions),
+  // must produce field-identical detection results.
   const auto spec = small_spec();
-  std::vector<pipeline::BatchJob> jobs;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const Workload w = corpus_scenario(spec, i);
-    jobs.push_back({w.name, w.source, w.input});
-  }
-  const std::vector<pipeline::StageRequest> requests = {
-      pipeline::StageRequest::detection_at(opt::OptLevel::O1)};
+  std::vector<Workload> scenarios;
+  for (std::size_t i = 0; i < 6; ++i) scenarios.push_back(corpus_scenario(spec, i));
 
-  pipeline::SessionPool pool_serial, pool_parallel;
-  pipeline::FanOutOptions serial, parallel;
-  serial.threads = 1;
-  parallel.threads = 4;
-  const auto a = pipeline::run_stages(jobs, requests, serial, &pool_serial);
-  const auto b = pipeline::run_stages(jobs, requests, parallel, &pool_parallel);
-  ASSERT_EQ(a.entries.size(), jobs.size());
-  ASSERT_EQ(b.entries.size(), jobs.size());
-  EXPECT_EQ(a.failures(), 0u);
-  EXPECT_EQ(b.failures(), 0u);
-  for (std::size_t i = 0; i < a.entries.size(); ++i) {
-    ASSERT_TRUE(a.entries[i].detection.has_value()) << a.entries[i].error;
-    ASSERT_TRUE(b.entries[i].detection.has_value()) << b.entries[i].error;
-    const auto& da = *a.entries[i].detection;
-    const auto& db = *b.entries[i].detection;
-    EXPECT_EQ(da.total_cycles, db.total_cycles) << jobs[i].name;
-    EXPECT_EQ(da.paths, db.paths) << jobs[i].name;
-    ASSERT_EQ(da.sequences.size(), db.sequences.size()) << jobs[i].name;
+  std::vector<chain::DetectionResult> serial;
+  for (const auto& w : scenarios) {
+    const pipeline::Session session(w.source, w.name, w.input);
+    serial.push_back(session.detection(opt::OptLevel::O1));
+  }
+
+  pipeline::SessionPool pool;
+  std::vector<std::optional<chain::DetectionResult>> parallel(2 * scenarios.size());
+  parallel_for(parallel.size(), 4, [&](std::size_t i) {
+    const Workload& w = scenarios[i % scenarios.size()];
+    try {
+      parallel[i] = pool.get(w.name, w.source, w.input)->detection(opt::OptLevel::O1);
+    } catch (...) {
+    }
+  });
+  EXPECT_EQ(pool.size(), scenarios.size());
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    const std::string& name = scenarios[i % scenarios.size()].name;
+    ASSERT_TRUE(parallel[i].has_value()) << name;
+    const auto& da = serial[i % scenarios.size()];
+    const auto& db = *parallel[i];
+    EXPECT_EQ(da.total_cycles, db.total_cycles) << name;
+    EXPECT_EQ(da.paths, db.paths) << name;
+    ASSERT_EQ(da.sequences.size(), db.sequences.size()) << name;
     for (std::size_t k = 0; k < da.sequences.size(); ++k) {
       EXPECT_EQ(da.sequences[k].signature, db.sequences[k].signature);
       EXPECT_EQ(da.sequences[k].cycles, db.sequences[k].cycles);
