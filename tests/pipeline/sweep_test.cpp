@@ -1,12 +1,18 @@
 // The design-space sweep over one Session (pipeline/sweep.hpp): grid
-// order, per-point errors, and memo sharing across the grid.
+// order, per-point errors, memo sharing across the grid, base options,
+// and sweeps of pooled Sessions spread over threads.
 #include "pipeline/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "support/parallel.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb::pipeline {
@@ -119,6 +125,82 @@ TEST(Sweep, EmptyAxisGivesNoPoints) {
   grid.area_budgets.clear();
   EXPECT_TRUE(sweep(session, grid).empty());
   EXPECT_EQ(session.stats().coverage_runs, 0u);
+}
+
+TEST(Sweep, BaseOptionsReachEveryPoint) {
+  // Coverage and selection options other than the floor and the budget
+  // come from the caller and hold at every point.
+  chain::CoverageOptions coverage;
+  coverage.min_length = 2;
+  coverage.max_length = 2;
+  asip::SelectionOptions selection;
+  selection.cycle_budget = 4.0;
+  SweepGrid grid;
+  grid.levels = {opt::OptLevel::O1, opt::OptLevel::O2};
+  grid.floor_percents = {2.0, 4.0};
+  grid.area_budgets = {20.0};
+  const auto& w = wl::workload("edge");
+  const Session session(w.source, w.name, w.input);
+  const auto points = sweep(session, grid, coverage, selection);
+  ASSERT_EQ(points.size(), 4u);
+  const auto coverage_runs = session.stats().coverage_runs;
+  const auto extension_runs = session.stats().extension_runs;
+
+  for (const auto& p : points) {
+    ASSERT_TRUE(p.ok()) << p.error;
+    chain::CoverageOptions cov = coverage;
+    cov.floor_percent = p.floor_percent;
+    asip::SelectionOptions sel = selection;
+    sel.area_budget = p.area_budget;
+    const auto& covered = session.coverage(p.level, cov);
+    ASSERT_FALSE(covered.steps.empty()) << p.floor_percent;
+    for (const auto& step : covered.steps) EXPECT_EQ(step.signature.length(), 2u);
+    EXPECT_EQ(p.total_coverage, covered.total_coverage);
+    EXPECT_EQ(p.coverage_steps, covered.steps.size());
+    const auto& proposal = session.extension(p.level, sel, {}, cov);
+    EXPECT_EQ(p.selected, proposal.selected.size());
+    EXPECT_EQ(p.total_area, proposal.total_area);
+    EXPECT_EQ(p.speedup, proposal.speedup());
+  }
+  // Every lookup above was the sweep's own artifact, not a new run.
+  EXPECT_EQ(session.stats().coverage_runs, coverage_runs);
+  EXPECT_EQ(session.stats().extension_runs, extension_runs);
+}
+
+TEST(Sweep, PooledSessionsOnThreadsMatchSerialSweeps) {
+  // The bench and corpus drivers' pattern: one sweep per Session, spread
+  // over threads with parallel_for.  Two tasks per workload share each
+  // pooled Session; every sweep equals a serial sweep on a fresh Session.
+  SweepGrid grid;
+  grid.levels = {opt::OptLevel::O0, opt::OptLevel::O1};
+  grid.floor_percents = {4.0};
+  grid.area_budgets = {10.0, 40.0};
+  const std::vector<std::string> names = {"fir", "sewha", "edge"};
+
+  std::vector<std::vector<SweepPoint>> serial;
+  for (const auto& name : names) {
+    const auto& w = wl::workload(name);
+    const Session session(w.source, w.name, w.input);
+    serial.push_back(sweep(session, grid));
+  }
+
+  SessionPool pool;
+  std::vector<std::vector<SweepPoint>> threaded(2 * names.size());
+  const unsigned threads = std::max(2u, std::thread::hardware_concurrency());
+  parallel_for(threaded.size(), threads, [&](std::size_t i) {
+    std::shared_ptr<Session> session;
+    try {
+      session = pool.get(names[i % names.size()]);
+    } catch (...) {
+      return;  // Leaves the slot empty, which the size check below reports.
+    }
+    threaded[i] = sweep(*session, grid);
+  });
+  EXPECT_EQ(pool.size(), names.size());
+  for (std::size_t i = 0; i < threaded.size(); ++i) {
+    SCOPED_TRACE(names[i % names.size()]);
+    expect_same_points(threaded[i], serial[i % names.size()]);
+  }
 }
 
 }  // namespace
