@@ -2,7 +2,9 @@
 // grid of (optimization level, coverage floor, extension area budget)
 // corners for every workload and reports what the customized ASIP achieves
 // at each — coverage, selected extensions, area spent, and speedup.  The
-// workloads' Sessions are swept on a thread pool, one task per workload.
+// workloads' Sessions are swept on a thread pool, one task per workload; a
+// workload whose Session cannot be prepared reports the error at every
+// one of its grid points.
 //
 // Prints a per-corner table, then emits the grid as machine-readable JSON
 // (BENCH_sweep.json in the current directory; override with the positional
@@ -35,8 +37,23 @@ pipeline::SweepGrid sweep_grid() {
 struct WorkloadSweep {
   std::string workload;
   std::vector<pipeline::SweepPoint> points;
-  std::string error;  ///< Nonempty when the Session could not be prepared.
 };
+
+/// The grid's points in grid order, each carrying `error`: what a
+/// workload whose Session cannot be prepared reports.
+std::vector<pipeline::SweepPoint> failed_points(const pipeline::SweepGrid& grid,
+                                                const std::string& error) {
+  std::vector<pipeline::SweepPoint> points;
+  for (const auto level : grid.levels) {
+    for (const double floor : grid.floor_percents) {
+      for (const double budget : grid.area_budgets) {
+        points.push_back({.level = level, .floor_percent = floor,
+                          .area_budget = budget, .error = error});
+      }
+    }
+  }
+  return points;
+}
 
 /// Sweeps every suite workload's Session, in suite order.
 std::vector<WorkloadSweep> sweep_workloads() {
@@ -48,7 +65,7 @@ std::vector<WorkloadSweep> sweep_workloads() {
     try {
       w.points = pipeline::sweep(bench::session(w.workload), grid);
     } catch (const std::exception& ex) {
-      w.error = ex.what();
+      w.points = failed_points(grid, ex.what());
     }
   });
   return swept;
@@ -124,13 +141,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto swept = sweep_workloads();
-  for (const auto& w : swept) {
-    if (!w.error.empty()) {
-      std::fprintf(stderr, "bench_sweep: %s: %s\n", w.workload.c_str(),
-                   w.error.c_str());
-      return 1;
-    }
-  }
   print_sweep(swept);
   const std::string json = render_sweep_json(swept);
   std::fputs(json.c_str(), stdout);

@@ -1,16 +1,13 @@
 // Scaling gate for chain analysis: detection plus coverage on a generated
 // program of size 4N must take at most 6x the time of size N (linear work
-// gives about 4x, quadratic 16x).  The gate is the median over five
-// back-to-back (N, 4N) pairs of the pair's time ratio, so runner speed
-// cancels.  The ctest TIMEOUT on this binary bounds a regression that
-// makes either size take minutes.
+// gives about 4x, quadratic 16x).  Best of three runs per size, compared
+// as a ratio so runner speed cancels.  The ctest TIMEOUT on this binary
+// bounds a regression that makes either size take minutes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "chain/coverage.hpp"
 #include "chain/detect.hpp"
@@ -78,25 +75,19 @@ double seconds(const ir::Module& m) {
   return took.count();
 }
 
-/// Median of five pair ratios.  A pair's two runs are back to back, so a
-/// slow spell of the machine that covers the pair hits both sizes; one
-/// that starts or ends inside a pair moves that pair's ratio only, which
-/// the median ignores.  (A best time per size does not: when every 4N run
-/// lands in a slow spell and one N run does not, the ratio of the bests
-/// reads well above the work's.)
+/// Best of three runs per size; the sizes alternate, so a slow spell of
+/// the machine hits both.
 void expect_near_linear(std::string (*program)(int), int n) {
   const ir::Module small_module = profiled(program(n));
   const ir::Module large_module = profiled(program(4 * n));
-  std::vector<double> ratios;
-  std::ostringstream runs;
-  for (int pair = 0; pair < 5; ++pair) {
-    const double small = seconds(small_module);
-    const double large = seconds(large_module);
-    ratios.push_back(large / small);
-    runs << ' ' << small * 1e3 << '/' << large * 1e3;
+  double small = 1e300;
+  double large = 1e300;
+  for (int run = 0; run < 3; ++run) {
+    small = std::min(small, seconds(small_module));
+    large = std::min(large, seconds(large_module));
   }
-  std::sort(ratios.begin(), ratios.end());
-  EXPECT_LE(ratios[2], 6.0) << "N=" << n << ", N/4N ms per pair:" << runs.str();
+  EXPECT_LE(large / small, 6.0) << "N=" << n << ": " << small * 1e3 << " ms, 4N: "
+                                << large * 1e3 << " ms";
 }
 
 TEST(ChainScaling, SequentialMacLoopsAreNearLinear) {
