@@ -1,11 +1,11 @@
-// Persisted-format pin: every value the artifact cache and the service
-// derive from bytes — content keys, the entries (kind, key, payload bytes)
-// a Figure-1 trip writes into a Store, the bytes of one whole record, and
-// the router's shard placement — checked against recorded goldens.
+// Persisted-format pin: every value the artifact cache derives from bytes
+// — content keys, the entries (kind, key, payload bytes) a Figure-1 trip
+// writes into a Store, and the bytes of one whole record — checked against
+// recorded goldens.
 //
-// A cache directory written by one build must keep serving the next, and a
-// client's shard must not move between releases, so none of these values
-// may change without a kFormatVersion / kEngineVersion bump.  A failure
+// A cache directory written by one build must keep serving the next, so
+// none of these values may change without a kFormatVersion /
+// kEngineVersion bump.  A failure
 // prints the replacement table ready to paste; paste it only for an
 // intentional format change.
 //
@@ -30,7 +30,6 @@
 #include "cache/serialize.hpp"
 #include "cache/store.hpp"
 #include "pipeline/session.hpp"
-#include "service/router.hpp"
 #include "workloads/suite.hpp"
 
 namespace asipfb::cache {
@@ -225,47 +224,6 @@ TEST(FormatGolden, SessionTripFilesArePinned) {
        "9a948520d9eb551a 3567"},
       {"record(prepared-c4b49420806767bf77e262188caf7765)",
        "28f4d5441acc1ac7 3663"},
-  });
-}
-
-TEST(FormatGolden, RouterPlacementIsPinned) {
-  service::RouterOptions options;
-  options.shards = 4;
-  options.server.workers = 1;
-  const service::Router router(options);
-
-  Pinned actual;
-  for (const wl::Workload& w : wl::suite()) {
-    actual.emplace_back(w.name, hex(service::Router::hash_key(w.name)) +
-                                    " shard " +
-                                    std::to_string(router.shard_for(w.name)));
-  }
-
-  expect_pinned(actual, {
-      {"fir",
-       "458f0ec7287d5102 shard 1"},
-      {"iir",
-       "e34d6866fe244de6 shard 3"},
-      {"pse",
-       "767ada0502d4e3a0 shard 2"},
-      {"intfft",
-       "1a29dda360b78507 shard 0"},
-      {"compress",
-       "bbe3778be8632c35 shard 0"},
-      {"flatten",
-       "58b7d1a481b76b9f shard 2"},
-      {"smooth",
-       "831f97b364bfa827 shard 2"},
-      {"edge",
-       "c884fdbc3cef13e6 shard 0"},
-      {"sewha",
-       "7c9dbea4c551ae7d shard 0"},
-      {"dft",
-       "fd8c003d7ee82241 shard 2"},
-      {"bspline",
-       "8bf2a3cf869753ee shard 0"},
-      {"feowf",
-       "61200b27757babf3 shard 3"},
   });
 }
 
