@@ -14,8 +14,8 @@
 //     request processing (on a 4+ core runner the 4-client run is
 //     expected to approach 4x).
 //
-// A third phase exercises the TCP front end end to end: an in-process
-// 4-shard Router behind a service::TcpServer, driven open-loop (offered
+// A third phase exercises the TCP front end end to end: a fresh Server
+// behind a service::TcpServer, driven open-loop (offered
 // rate, not closed-loop self-pacing) by a poll()-based client holding
 // ~1000 concurrent pipelined connections.  Requests are scheduled on a
 // fixed rate timeline across two phases (nominal, then overload), every
@@ -51,7 +51,6 @@
 #include "bench/common.hpp"
 #include "service/net.hpp"
 #include "service/protocol.hpp"
-#include "service/router.hpp"
 #include "service/server.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -160,7 +159,7 @@ struct OpenLoopPhase {
 
 struct OpenLoopResult {
   std::size_t connections = 0;
-  unsigned shards = 0;
+  unsigned workers = 0;
   std::uint64_t completed = 0;
   std::uint64_t mismatches = 0;
   bool drained = true;
@@ -229,33 +228,31 @@ struct OpenConn {
 };
 
 /// Drives `connections` pipelined connections through a two-phase offered
-/// rate schedule against a fresh 4-shard TCP deployment, then measures
+/// rate schedule against a fresh `workers`-thread TCP server, then measures
 /// connection churn.  Latency is measured from the request's *scheduled*
 /// time, so overload shows up as queueing delay (the open-loop property).
 OpenLoopResult open_loop_tcp(const std::vector<service::Request>& mix,
-                             std::size_t want_connections, unsigned shards,
+                             std::size_t want_connections, unsigned workers,
                              std::size_t& failures) {
   OpenLoopResult result;
-  result.shards = shards;
+  result.workers = workers;
 
-  service::RouterOptions router_options;
-  router_options.shards = shards;
-  router_options.server.workers = std::max(
-      1u, std::thread::hardware_concurrency() / std::max(1u, shards));
-  router_options.server.queue_capacity = 4096;
-  service::Router router(router_options);
+  service::ServerOptions server_options;
+  server_options.workers = workers;
+  server_options.queue_capacity = 4096;
+  service::Server server(server_options);
 
   service::TcpServer::Options tcp_options;
   tcp_options.max_connections = want_connections + 64;
-  service::TcpServer tcp(router, tcp_options);
+  service::TcpServer tcp(server, tcp_options);
 
-  // Warm every distinct request through the router (the same shard the
+  // Warm every distinct request through the server (the pool the
   // open-loop traffic will hit) and capture the authoritative expected
   // response line for the byte-identity check.
   std::vector<std::string> expected;
   expected.reserve(mix.size());
   for (const auto& request : mix) {
-    const service::Response response = router.call(request);
+    const service::Response response = server.call(request);
     if (!response.ok()) ++failures;
     expected.push_back(service::render_response(response, false) + "\n");
   }
@@ -490,7 +487,7 @@ OpenLoopResult open_loop_tcp(const std::vector<service::Request>& mix,
   }
 
   tcp.stop();
-  router.shutdown();
+  server.shutdown();
   failures += result.mismatches;
   if (!result.drained) ++failures;
   return result;
@@ -524,10 +521,9 @@ std::string render_json(unsigned workers, std::size_t mix_size,
   }
   json.end_array();
   // Open-loop TCP point: offered-rate schedule over pipelined
-  // connections against a sharded TcpServer deployment.
+  // connections against one TcpServer.
   json.key("open_loop").begin_object()
       .member("connections", static_cast<std::uint64_t>(open_loop.connections))
-      .member("shards", open_loop.shards)
       .member("requests", open_loop.completed)
       .member("mismatches", open_loop.mismatches)
       .member("drained", open_loop.drained)
@@ -594,7 +590,10 @@ int main(int argc, char** argv) {
     warm.push_back(closed_loop(server, mix, clients, 0.4, failures));
   }
 
-  const OpenLoopResult open_loop = open_loop_tcp(mix, 1000, 4, failures);
+  // At least four workers, and a multiple of four up to the core count:
+  // the worker total BENCH_service.json's open-loop bounds were set with.
+  const OpenLoopResult open_loop =
+      open_loop_tcp(mix, 1000, 4 * std::max(1u, hw / 4), failures);
 
   std::printf("=== Evaluation service: closed-loop load (%u workers, %zu distinct requests) ===\n",
               server.workers(), mix.size());
@@ -611,12 +610,12 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   std::printf(
-      "=== Open-loop TCP (%zu connections, %u shards) ===\n"
+      "=== Open-loop TCP (%zu connections, %u workers) ===\n"
       "  offered %.0f rps -> achieved %.0f rps over %.2fs (%llu responses, "
       "%llu mismatches)\n"
       "  latency p50 %.0fus  p99 %.0fus  p999 %.0fus  max %.0fus\n"
       "  churn %.0f conns/s\n\n",
-      open_loop.connections, open_loop.shards, open_loop.offered_rps,
+      open_loop.connections, open_loop.workers, open_loop.offered_rps,
       open_loop.achieved_rps, open_loop.seconds,
       static_cast<unsigned long long>(open_loop.completed),
       static_cast<unsigned long long>(open_loop.mismatches), open_loop.p50_us,

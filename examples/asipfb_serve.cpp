@@ -8,7 +8,7 @@
 //
 // One command per input line (grammar: src/service/protocol.hpp and
 // docs/SERVICE.md).  Requests are submitted asynchronously to a
-// service::Router and responses are printed in submission order, each as
+// service::Server and responses are printed in submission order, each as
 // soon as it is ready, so a scripted session's output is deterministic
 // and diffable — CI pipes examples/serve_demo.txt through this binary and
 // diffs the result.  Control lines: `source <name> <n>` binds the next n
@@ -17,9 +17,8 @@
 // exits.
 //
 // With --tcp PORT the same protocol is served over sockets instead
-// (service::TcpServer), optionally sharded (--shards N routes each
-// workload to a dedicated shard via consistent hashing); the process then
-// runs until SIGINT/SIGTERM and shuts down gracefully.  Both modes run the
+// (service::TcpServer); the process then runs until SIGINT/SIGTERM and
+// shuts down gracefully.  Both modes run the
 // one protocol interpreter, service::ProtocolSession.
 #include <unistd.h>
 
@@ -34,15 +33,14 @@
 #include "cache/store.hpp"
 #include "examples/flag_parse.hpp"
 #include "service/net.hpp"
-#include "service/router.hpp"
 
 using namespace asipfb;
 
 namespace {
 
 struct ServeOptions {
-  service::RouterOptions router;  ///< The same for stdio and TCP.
-  std::string cache_dir;          ///< Opened as the shards' shared Store.
+  service::ServerOptions server;  ///< The same for stdio and TCP.
+  std::string cache_dir;          ///< Opened as the Server's Store.
   bool with_latency = false;
   bool help = false;
   bool tcp = false;
@@ -55,7 +53,7 @@ void print_usage(std::FILE* out) {
   std::fprintf(out,
                "usage: asipfb_serve [--workers N] [--queue N] [--latency]\n"
                "                    [--cache-dir DIR]\n"
-               "                    [--tcp PORT [--shards N] [--port-file F]\n"
+               "                    [--tcp PORT [--port-file F]\n"
                "                     [--idle-timeout MS]]\n"
                "\n"
                "Serves the compiler-feedback pipeline over a line protocol:\n"
@@ -70,9 +68,8 @@ void print_usage(std::FILE* out) {
                "  stats | ping | quit          control lines\n"
                "\n"
                "options:\n"
-               "  --workers N   worker threads per shard (default: hardware);\n"
-               "                shards x workers is at most %u\n"
-               "  --queue N     queue capacity per shard (default 256)\n"
+               "  --workers N   worker threads, at most %u (default: hardware)\n"
+               "  --queue N     queue capacity (default 256)\n"
                "  --latency     include latency/uptime fields in output\n"
                "                (nondeterministic; off for diffable runs)\n"
                "  --cache-dir DIR  persistent artifact cache: baselines and\n"
@@ -83,8 +80,6 @@ void print_usage(std::FILE* out) {
                "  --tcp PORT    serve the protocol over TCP on 127.0.0.1:PORT\n"
                "                (0 picks an ephemeral port) instead of stdio;\n"
                "                runs until SIGINT/SIGTERM\n"
-               "  --shards N    shard the service N ways behind a consistent-\n"
-               "                hash router (TCP mode only; default 1)\n"
                "  --port-file F write the bound port to F once listening\n"
                "  --idle-timeout MS  close idle TCP connections after MS\n"
                "  --help        print this help and exit\n",
@@ -103,11 +98,11 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
       const auto v =
           examples::parse_int_flag(next(), 1, service::kMaxWorkerThreads);
       if (!v) return false;
-      options.router.server.workers = static_cast<unsigned>(*v);
+      options.server.workers = static_cast<unsigned>(*v);
     } else if (arg == "--queue") {
       const auto v = examples::parse_int_flag(next(), 1, INT_MAX);
       if (!v) return false;
-      options.router.server.queue_capacity = static_cast<std::size_t>(*v);
+      options.server.queue_capacity = static_cast<std::size_t>(*v);
     } else if (arg == "--latency") {
       options.with_latency = true;
     } else if (arg == "--cache-dir") {
@@ -119,11 +114,6 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
       if (!v) return false;
       options.tcp = true;
       options.tcp_port = static_cast<int>(*v);
-    } else if (arg == "--shards") {
-      const auto v =
-          examples::parse_int_flag(next(), 1, service::kMaxWorkerThreads);
-      if (!v) return false;
-      options.router.shards = static_cast<unsigned>(*v);
     } else if (arg == "--port-file") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -136,17 +126,9 @@ bool parse_args(int argc, char** argv, ServeOptions& options) {
       return false;
     }
   }
-  // Sharding/port plumbing only makes sense for the socket front end.
-  if (!options.tcp &&
-      (options.router.shards != 1 || !options.port_file.empty() ||
-       options.idle_timeout_ms != 0)) {
-    return false;
-  }
-  // Over the service's thread cap: a usage error like any bad flag (the
-  // Router would refuse it too, but as a start-up failure).
-  return std::uint64_t{options.router.shards} *
-             service::resolved_workers(options.router.server.workers) <=
-         service::kMaxWorkerThreads;
+  // Port plumbing only makes sense for the socket front end.
+  return options.tcp ||
+         (options.port_file.empty() && options.idle_timeout_ms == 0);
 }
 
 /// stderr summary of the artifact cache, printed at every exit path when a
@@ -170,11 +152,11 @@ void print_cache_summary(const std::shared_ptr<cache::Store>& store,
                static_cast<unsigned long long>(stats.pool.disk_cache));
 }
 
-/// TCP mode: a TcpServer in front of the Router, then park on sigwait
+/// TCP mode: a TcpServer in front of the Server, then park on sigwait
 /// until SIGINT/SIGTERM and stop it gracefully.  main() blocked `sigs`
-/// before the Router spawned any thread, so every thread inherits the
+/// before the Server spawned any thread, so every thread inherits the
 /// mask and delivery is confined to sigwait.
-int serve_tcp(service::Router& router, const ServeOptions& options,
+int serve_tcp(service::Server& server, const ServeOptions& options,
               const sigset_t& sigs) {
   service::TcpServer::Options tcp_options;
   tcp_options.port = static_cast<std::uint16_t>(options.tcp_port);
@@ -182,7 +164,7 @@ int serve_tcp(service::Router& router, const ServeOptions& options,
   tcp_options.idle_timeout_ms = options.idle_timeout_ms;
   std::unique_ptr<service::TcpServer> tcp;
   try {
-    tcp = std::make_unique<service::TcpServer>(router, tcp_options);
+    tcp = std::make_unique<service::TcpServer>(server, tcp_options);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "asipfb_serve: %s\n", ex.what());
     return 1;
@@ -198,9 +180,9 @@ int serve_tcp(service::Router& router, const ServeOptions& options,
       return 1;
     }
   }
-  std::fprintf(stderr, "asipfb_serve: listening on 127.0.0.1:%u (%u shard%s)\n",
-               static_cast<unsigned>(tcp->port()), options.router.shards,
-               options.router.shards == 1 ? "" : "s");
+  std::fprintf(stderr, "asipfb_serve: listening on 127.0.0.1:%u (%u worker%s)\n",
+               static_cast<unsigned>(tcp->port()), server.workers(),
+               server.workers() == 1 ? "" : "s");
 
   int sig = 0;
   while (sigwait(&sigs, &sig) != 0) {
@@ -231,15 +213,15 @@ int main(int argc, char** argv) {
     pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
   }
 
-  std::unique_ptr<service::Router> router;
+  std::unique_ptr<service::Server> server;
   try {
     if (!options.cache_dir.empty()) {
       cache::StoreOptions store_options;
       store_options.dir = options.cache_dir;
-      options.router.server.store =
+      options.server.store =
           std::make_shared<cache::Store>(std::move(store_options));
     }
-    router = std::make_unique<service::Router>(options.router);
+    server = std::make_unique<service::Server>(options.server);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "asipfb_serve: %s\n", ex.what());
     return 1;
@@ -247,17 +229,17 @@ int main(int argc, char** argv) {
 
   int code = 0;
   if (options.tcp) {
-    code = serve_tcp(*router, options, sigs);
+    code = serve_tcp(*server, options, sigs);
   } else {
     service::ProtocolSession::Options session_options;
     session_options.with_latency = options.with_latency;
-    if (!service::serve_stream(*router, STDIN_FILENO, STDOUT_FILENO,
+    if (!service::serve_stream(*server, STDIN_FILENO, STDOUT_FILENO,
                                session_options)) {
       std::fprintf(stderr, "asipfb_serve: cannot write stdout\n");
       code = 1;
     }
   }
-  router->shutdown();
-  print_cache_summary(router->store(), router->stats());
+  server->shutdown();
+  print_cache_summary(server->store(), server->stats());
   return code;
 }

@@ -58,13 +58,13 @@ std::string render_source_ack(const std::string& name, int lines) {
 
 // --- ProtocolSession --------------------------------------------------------
 
-/// All session state lives behind one shared_ptr so shard-worker
+/// All session state lives behind one shared_ptr so worker
 /// completion callbacks stay valid after the connection (and the
 /// ProtocolSession wrapper) are gone: a mid-request disconnect detaches
 /// the state, the worker finishes against it, and the last reference
 /// frees it — no worker death, no leak, no dangling slot.
 struct ProtocolSession::State {
-  Router& router;
+  Server& server;
   Options opts;
 
   /// One output slot per command, in submission order.  `ready` slots at
@@ -98,7 +98,7 @@ struct ProtocolSession::State {
   bool quit = false;
   bool input_done = false;
 
-  State(Router& r, Options o) : router(r), opts(std::move(o)) {}
+  State(Server& s, Options o) : server(s), opts(std::move(o)) {}
 
   void append_ready(std::string line) {
     auto slot = std::make_shared<Slot>();
@@ -134,7 +134,7 @@ struct ProtocolSession::State {
                           std::string line);
 };
 
-/// The completion a shard worker runs: render into the slot, mark ready,
+/// The completion a worker runs: render into the slot, mark ready,
 /// wake the transport.  Captures the shared state, never the connection.
 std::function<void(Response)> ProtocolSession::State::completion(
     const std::shared_ptr<State>& state, const std::shared_ptr<Slot>& slot) {
@@ -163,13 +163,13 @@ void ProtocolSession::State::fail_slot(const std::shared_ptr<State>& state,
   }
 }
 
-/// Submits one parsed request.  Returns false when the shard queue
+/// Submits one parsed request.  Returns false when the server queue
 /// refused it and the request must be parked.
 bool ProtocolSession::State::submit_request(
     const std::shared_ptr<State>& state, Request request,
     const std::shared_ptr<Slot>& slot) {
   try {
-    return state->router.try_submit_async(std::move(request),
+    return state->server.try_submit_async(std::move(request),
                                           completion(state, slot));
   } catch (const std::exception& ex) {
     fail_slot(state, slot, ex.what());  // Shut down: it can never be queued.
@@ -216,13 +216,13 @@ void ProtocolSession::State::handle_line(const std::shared_ptr<State>& state,
       // and pipelined sessions stay byte-stable.
       if (s.unready_count() == 0) {
         s.append_ready(
-            render_stats(s.router.stats(), s.opts.with_latency));
+            render_stats(s.server.stats(), s.opts.with_latency));
       } else {
         s.stats_barrier = true;
       }
       break;
     case Command::Type::kPing:
-      s.append_ready(render_pong(s.router.workers()));
+      s.append_ready(render_pong(s.server.workers()));
       break;
     case Command::Type::kQuit:
       s.quit = true;
@@ -239,8 +239,8 @@ void ProtocolSession::State::handle_line(const std::shared_ptr<State>& state,
   }
 }
 
-ProtocolSession::ProtocolSession(Router& router, Options options)
-    : state_(std::make_shared<State>(router, std::move(options))) {}
+ProtocolSession::ProtocolSession(Server& server, Options options)
+    : state_(std::make_shared<State>(server, std::move(options))) {}
 
 ProtocolSession::~ProtocolSession() = default;
 
@@ -258,11 +258,11 @@ bool ProtocolSession::pump() {
   for (;;) {
     if (s.parked) {
       // Retry with a copy: try_submit_async consumes its argument even when
-      // the shard queue refuses, so handing over the parked original would
+      // the server queue refuses, so handing over the parked original would
       // leave a moved-from (empty) request for the next attempt.
       Request attempt = s.parked->request;
       if (!State::submit_request(state_, std::move(attempt), s.parked->slot)) {
-        break;  // Shard still full; retry on the next completion.
+        break;  // Queue still full; retry on the next completion.
       }
       s.parked.reset();
       progress = true;
@@ -271,7 +271,7 @@ bool ProtocolSession::pump() {
     if (s.stats_barrier) {
       if (s.unready_count() != 0) break;
       s.stats_barrier = false;
-      s.append_ready(render_stats(s.router.stats(), s.opts.with_latency));
+      s.append_ready(render_stats(s.server.stats(), s.opts.with_latency));
       progress = true;
       continue;
     }
@@ -416,7 +416,7 @@ bool write_all(int fd, const std::string& bytes) {
 
 }  // namespace
 
-bool serve_stream(Router& router, int in_fd, int out_fd,
+bool serve_stream(Server& server, int in_fd, int out_fd,
                   ProtocolSession::Options options) {
   // A closed in_fd reads as EOF.  Checked before pipe(), which would
   // otherwise hand out its number to the wake pipe.
@@ -424,7 +424,7 @@ bool serve_stream(Router& router, int in_fd, int out_fd,
   const auto wake = std::make_shared<StreamWake>();
   options.on_progress = [wake] { wake->notify(); };
   const std::size_t read_cap = kMaxLineBytes + (std::size_t{1} << 16);
-  ProtocolSession session(router, std::move(options));
+  ProtocolSession session(server, std::move(options));
   if (!input_open) session.finish_input();
   char buf[1 << 16];
   for (;;) {
@@ -566,7 +566,7 @@ struct EpollConn {
 }  // namespace
 
 struct TcpServer::Impl {
-  Router& router;
+  Server& server;
   Options options;
   int listen_fd = -1;
   int epoll_fd = -1;
@@ -586,14 +586,14 @@ struct TcpServer::Impl {
   std::atomic<std::uint64_t> error_closed{0};
   std::atomic<std::size_t> open{0};
 
-  Impl(Router& r, Options o) : router(r), options(std::move(o)) {}
+  Impl(Server& s, Options o) : server(s), options(std::move(o)) {}
 
   void run_epoll_loop();
   void stop();
 };
 
-TcpServer::TcpServer(Router& router, Options options)
-    : impl_(std::make_unique<Impl>(router, std::move(options))) {
+TcpServer::TcpServer(Server& server, Options options)
+    : impl_(std::make_unique<Impl>(server, std::move(options))) {
   impl_->listen_fd = make_listener(impl_->options, &impl_->port);
   impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (impl_->epoll_fd < 0) {
@@ -743,7 +743,7 @@ void TcpServer::Impl::run_epoll_loop() {
       ProtocolSession::Options popts;
       popts.with_latency = options.with_latency;
       popts.on_progress = [hub = hub, cfd] { hub->notify(cfd); };
-      conn->session = std::make_unique<ProtocolSession>(router, popts);
+      conn->session = std::make_unique<ProtocolSession>(server, popts);
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLRDHUP;
       ev.data.fd = cfd;
@@ -886,7 +886,7 @@ void TcpServer::Impl::run_epoll_loop() {
 
 struct TcpServer::Impl {};
 
-TcpServer::TcpServer(Router& /*router*/, Options /*options*/) {
+TcpServer::TcpServer(Server& /*server*/, Options /*options*/) {
   throw std::invalid_argument("TcpServer requires Linux (epoll)");
 }
 

@@ -5,16 +5,16 @@
 //
 //   * ProtocolSession — the transport-agnostic per-connection state
 //     machine.  Bytes in, ordered response lines out: it splits lines,
-//     parses commands, tracks `source` blocks, submits requests through a
-//     Router without blocking (a refused request is parked and retried on
+//     parses commands, tracks `source` blocks, submits requests to the
+//     Server without blocking (a refused request is parked and retried on
 //     the next completion), and keeps one output slot per command so
 //     responses are written strictly in submission order no matter how
-//     the shard workers interleave (per-connection pipelining).  `stats`
+//     the workers interleave (per-connection pipelining).  `stats`
 //     acts as a pipeline barrier — it renders only after every earlier
 //     request on the connection completed, so its counters are a pure
 //     function of the script and a transcript is byte-stable whatever the
-//     transport or the worker timing.  Completion callbacks run on shard
-//     worker threads and only touch the session's internal shared state,
+//     transport or the worker timing.  Completion callbacks run on the
+//     Server's worker threads and only touch the session's internal shared state,
 //     so a connection that disappears mid-request leaves the in-flight job
 //     to finish harmlessly against that state (no worker death, no leak).
 //
@@ -41,7 +41,7 @@
 #include <string>
 #include <string_view>
 
-#include "service/router.hpp"
+#include "service/server.hpp"
 
 namespace asipfb::service {
 
@@ -55,22 +55,22 @@ inline constexpr std::size_t kMaxPipeline = 1024;
 
 /// Per-connection protocol state machine; one instance per client.
 /// Driven by exactly one transport thread (feed/pump/take_ready are not
-/// reentrant); completion callbacks arrive concurrently from shard
-/// workers and are internally synchronized.  Submission never blocks: a
-/// request the shard queue refuses is parked and retried by the next
+/// reentrant); completion callbacks arrive concurrently from the
+/// Server's workers and are internally synchronized.  Submission never blocks: a
+/// request the server queue refuses is parked and retried by the next
 /// pump(), and input_paused() tells the transport to stop reading
 /// meanwhile.
 class ProtocolSession {
  public:
   struct Options {
     bool with_latency = false;
-    /// Invoked from shard worker threads whenever a completion may have
+    /// Invoked from worker threads whenever a completion may have
     /// made output ready; transports use it to wake their event loop.
     /// Must be set before the first feed() and must not throw.
     std::function<void()> on_progress;
   };
 
-  ProtocolSession(Router& router, Options options);
+  ProtocolSession(Server& server, Options options);
   /// Safe while requests are still in flight: workers finish against the
   /// internally shared state, which outlives the session object.
   ~ProtocolSession();
@@ -127,12 +127,12 @@ class ProtocolSession {
 /// pipelining cap).  `options.on_progress` is replaced by serve_stream's own
 /// wake-up.  Returns false if writing `out_fd` failed, true otherwise;
 /// throws std::system_error if the wake pipe cannot be created.
-bool serve_stream(Router& router, int in_fd, int out_fd,
+bool serve_stream(Server& server, int in_fd, int out_fd,
                   ProtocolSession::Options options);
 
 /// Socket front end: one epoll event-loop thread accepts TCP connections
-/// and runs one ProtocolSession per connection against a shared (possibly
-/// sharded) Router.  Linux only.
+/// and runs one ProtocolSession per connection against one shared Server.
+/// Linux only.
 class TcpServer {
  public:
   /// tripbench-only: the benchmark spells `options.mode = Mode::kEpoll`
@@ -167,7 +167,7 @@ class TcpServer {
   /// Binds, listens, and starts serving immediately; throws
   /// std::system_error when the socket cannot be set up and
   /// std::invalid_argument("TcpServer requires Linux (epoll)") off-Linux.
-  TcpServer(Router& router, Options options);
+  TcpServer(Server& server, Options options);
   ~TcpServer();  ///< stop().
 
   TcpServer(const TcpServer&) = delete;
@@ -178,7 +178,7 @@ class TcpServer {
 
   /// Graceful stop: closes the listener, lets open connections drain
   /// in-flight responses for up to 5 s, then force-closes the
-  /// rest and joins the event-loop thread.  Idempotent.  The Router keeps
+  /// rest and joins the event-loop thread.  Idempotent.  The Server keeps
   /// running — shut it down separately.
   void stop();
 

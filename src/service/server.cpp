@@ -9,12 +9,6 @@
 
 namespace asipfb::service {
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t b = 0; b < kBuckets; ++b) counts[b] += other.counts[b];
-  total += other.total;
-  max_ns = std::max(max_ns, other.max_ns);
-}
-
 double LatencyHistogram::quantile_us(double q) const {
   if (total == 0) return 0.0;
   const std::uint64_t target =

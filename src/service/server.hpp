@@ -44,9 +44,8 @@
 
 namespace asipfb::service {
 
-/// Most worker threads a Server, or all the shards of a Router together,
-/// may start.  Their constructors throw std::invalid_argument above it,
-/// before any thread starts.
+/// Most worker threads a Server may start.  Its constructor throws
+/// std::invalid_argument above it, before any thread starts.
 inline constexpr unsigned kMaxWorkerThreads = 1024;
 
 /// The worker count a Server started with ServerOptions::workers ==
@@ -63,8 +62,7 @@ struct ServerOptions {
   /// Persistent artifact store of the Server's SessionPool; null means no
   /// disk cache.  With a store the pool warm-starts: baselines and stage
   /// artifacts are read from disk when valid entries exist and written
-  /// back after cold computes.  Several Servers (Router shards) share one
-  /// Store so its counters are process-wide.
+  /// back after cold computes.
   std::shared_ptr<cache::Store> store;
   /// Observability hook, invoked by the worker thread immediately before a
   /// job's evaluation begins.  Used by tests to coordinate backpressure
@@ -73,16 +71,13 @@ struct ServerOptions {
 };
 
 /// Accept-to-complete latency distribution: bucket i counts completions in
-/// [2^i, 2^(i+1)) nanoseconds, plus the exact maximum.  A value type so
-/// shard snapshots can be merge()d before estimating quantiles — the
-/// router's aggregated stats and the per-server stats share one estimator.
+/// [2^i, 2^(i+1)) nanoseconds, plus the exact maximum.  Server::stats()
+/// copies its lock-free counters into one.
 struct LatencyHistogram {
   static constexpr std::size_t kBuckets = 64;
   std::array<std::uint64_t, kBuckets> counts{};
   std::uint64_t total = 0;   ///< Sum of counts.
   std::uint64_t max_ns = 0;  ///< Exact maximum recorded value.
-
-  void merge(const LatencyHistogram& other);
 
   /// Quantile estimate in microseconds: the bucket's upper edge, clamped
   /// to max_ns so no estimate can exceed the true (reported) maximum.
@@ -204,7 +199,7 @@ class Server {
   std::array<std::atomic<std::uint64_t>, kKindCount> completed_by_kind_{};
 
   /// Lock-free accept-to-complete histogram; stats() copies it into a
-  /// LatencyHistogram (and Router merges the shards' copies).
+  /// LatencyHistogram.
   std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets>
       latency_ns_{};
   std::atomic<std::uint64_t> max_latency_ns_{0};

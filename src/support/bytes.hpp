@@ -2,11 +2,10 @@
 //
 // Every value asipfb turns into bytes or hashes goes through this file —
 // cache payloads and entry frames (cache/serialize.cpp, cache/store.cpp),
-// Session option keys (pipeline/session.cpp), the simulator baseline
-// hashes (sim/baseline_hash.hpp) and the router's key hash
-// (service/router.cpp).  Encodings are independent of host byte order and
-// of struct layout, so bytes written on one platform read the same on any
-// other.
+// Session option keys (pipeline/session.cpp) and the simulator baseline
+// hashes (sim/baseline_hash.hpp).  Encodings are independent of host byte
+// order and of struct layout, so bytes written on one platform read the
+// same on any other.
 //
 // ByteReader is defensive, not trusting: every read is bounds-checked,
 // vector counts are capped by the bytes left, and enum bytes are checked

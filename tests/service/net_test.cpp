@@ -1,7 +1,7 @@
 // Contracts of the transports (ProtocolSession, driven by TcpServer's
 // epoll loop and by serve_stream over file descriptors): a pipelined
 // multi-request connection produces the serial transcript byte for byte;
-// a client that disconnects mid-request neither kills a shard worker nor
+// a client that disconnects mid-request neither kills a worker nor
 // wedges the server; idle connections are reaped; `quit` and EOF close
 // cleanly.  The ProtocolSession unit tests drive the session the way the
 // epoll loop does (nonblocking submission, parking, pump-on-progress);
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "service/protocol.hpp"
-#include "service/router.hpp"
+#include "service/server.hpp"
 #include "service/service.hpp"
 
 #ifndef MSG_NOSIGNAL
@@ -85,10 +85,9 @@ Request make_request(std::uint64_t id, Kind kind, std::string workload) {
   return r;
 }
 
-RouterOptions four_shards() {
-  RouterOptions options;
-  options.shards = 4;
-  options.server.workers = 1;
+ServerOptions four_workers() {
+  ServerOptions options;
+  options.workers = 4;
   return options;
 }
 
@@ -166,8 +165,8 @@ constexpr char kScript[] =
 
 TEST(ServiceNet, PipelinedConnectionIsByteIdenticalToStdio) {
   const std::string expected = expected_transcript();
-  Router router(four_shards());
-  TcpServer tcp(router, {});
+  Server server(four_workers());
+  TcpServer tcp(server, {});
 
   // The whole script is written before anything is read: responses must
   // come back in submission order purely from the slot ordering.
@@ -183,8 +182,8 @@ TEST(ServiceNet, ChunkedFeedMatchesSingleWrite) {
   // Same script, sent one byte at a time: line reassembly must be
   // boundary-agnostic.
   const std::string expected = expected_transcript();
-  Router router(four_shards());
-  TcpServer tcp(router, {});
+  Server server(four_workers());
+  TcpServer tcp(server, {});
   const int fd = connect_to(tcp.port());
   const std::string script(kScript);
   for (const char c : script) send_all(fd, std::string(1, c));
@@ -195,8 +194,8 @@ TEST(ServiceNet, ChunkedFeedMatchesSingleWrite) {
 }
 
 TEST(ServiceNet, EofMidSourceBlockRendersErrorAndCloses) {
-  Router router(four_shards());
-  TcpServer tcp(router, {});
+  Server server(four_workers());
+  TcpServer tcp(server, {});
   const int fd = connect_to(tcp.port());
   send_all(fd, "source broken 5\nonly one line\n");
   ::shutdown(fd, SHUT_WR);  // EOF with the block unfinished.
@@ -214,14 +213,14 @@ TEST(ServiceNet, MidRequestDisconnectDoesNotKillWorkerOrWedgeServer) {
   std::condition_variable cv;
   bool release = false;
   std::atomic<int> started{0};
-  RouterOptions router_options = four_shards();
-  router_options.server.on_start = [&](const Request&) {
+  ServerOptions server_options = four_workers();
+  server_options.on_start = [&](const Request&) {
     started.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
   };
-  Router router(router_options);
-  TcpServer tcp(router, {});
+  Server server(server_options);
+  TcpServer tcp(server, {});
 
   // Submit, wait until a worker is INSIDE the request, then vanish.
   const int fd = connect_to(tcp.port());
@@ -238,7 +237,7 @@ TEST(ServiceNet, MidRequestDisconnectDoesNotKillWorkerOrWedgeServer) {
   // The orphaned request completes against the detached session state.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (router.stats().completed < 1) {
+  while (server.stats().completed < 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "orphaned request never completed";
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -262,10 +261,10 @@ TEST(ServiceNet, MidRequestDisconnectDoesNotKillWorkerOrWedgeServer) {
 // --- Idle timeout ------------------------------------------------------------
 
 TEST(ServiceNet, IdleConnectionsAreReaped) {
-  Router router(four_shards());
+  Server server(four_workers());
   TcpServer::Options options;
   options.idle_timeout_ms = 100;
-  TcpServer tcp(router, options);
+  TcpServer tcp(server, options);
   const int fd = connect_to(tcp.port());
   // Send nothing: the server must close us.
   const std::string got = read_until_close(fd);
@@ -285,8 +284,8 @@ TEST(ServiceNet, IdleConnectionsAreReaped) {
 // --- Lifecycle ---------------------------------------------------------------
 
 TEST(ServiceNet, StopDrainsInFlightResponses) {
-  Router router(four_shards());
-  TcpServer tcp(router, {});
+  Server server(four_workers());
+  TcpServer tcp(server, {});
   const int fd = connect_to(tcp.port());
   // No quit: the connection is parked open with a completed pipeline.
   send_all(fd, "1 detect fir level=O1\n");
@@ -307,10 +306,10 @@ TEST(ServiceNet, StopDrainsInFlightResponses) {
 }
 
 TEST(ServiceNet, RefusesBeyondMaxConnections) {
-  Router router(four_shards());
+  Server server(four_workers());
   TcpServer::Options options;
   options.max_connections = 1;
-  TcpServer tcp(router, options);
+  TcpServer tcp(server, options);
 
   const int keeper = connect_to(tcp.port());
   send_all(keeper, "ping\n");
@@ -336,8 +335,8 @@ TEST(ServiceNet, RefusesBeyondMaxConnections) {
 
 TEST(ServiceNet, TcpServerRequiresLinux) {
 #if !defined(__linux__)
-  Router router(four_shards());
-  EXPECT_THROW(TcpServer(router, {}), std::invalid_argument);
+  Server server(four_workers());
+  EXPECT_THROW(TcpServer(server, {}), std::invalid_argument);
 #else
   GTEST_SKIP() << "epoll is available on Linux";
 #endif
@@ -349,8 +348,8 @@ TEST(ServiceNet, ProtocolSessionStatsBarrierWaitsForPipeline) {
   // Drive the session directly: a stats line queued behind requests must
   // not render until the requests complete, so its counters depend on the
   // script alone.
-  Router router(four_shards());
-  ProtocolSession session(router, {});
+  Server server(four_workers());
+  ProtocolSession session(server, {});
   session.feed("1 detect fir level=O1\n2 detect edge level=O1\nstats\nquit\n");
   session.finish_input();
   const std::string out = drive_to_close(session, in_30s());
@@ -378,18 +377,17 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   std::condition_variable cv;
   bool release = false;
   std::atomic<int> started{0};
-  RouterOptions router_options;
-  router_options.shards = 1;
-  router_options.server.workers = 1;
-  router_options.server.queue_capacity = 1;
-  router_options.server.on_start = [&](const Request&) {
+  ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.queue_capacity = 1;
+  server_options.on_start = [&](const Request&) {
     started.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
   };
-  Router router(router_options);
+  Server server(server_options);
 
-  ProtocolSession session(router, {});
+  ProtocolSession session(server, {});
   // Gate the single worker inside request 1 so the rest of the setup is
   // deterministic: request 2 then fills the queue (capacity 1) and request
   // 3 is refused and parked.
@@ -406,7 +404,7 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   }
   EXPECT_EQ(session.pending(), 4u);  // 3 pending slots + the parked request.
 
-  // The shard is still full: each pump() re-attempts the parked request
+  // The queue is still full: each pump() re-attempts the parked request
   // and is refused again.  Pre-fix, the first refusal already corrupted it.
   for (int i = 0; i < 3; ++i) session.pump();
 
@@ -436,13 +434,13 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   EXPECT_EQ(ok_count, 3u) << out;
 }
 
-TEST(ServiceNet, ProtocolSessionOverShutDownRouterAnswersWithError) {
+TEST(ServiceNet, ProtocolSessionOverShutDownServerAnswersWithError) {
   // A refusal after shutdown is an error, not backpressure: the request
   // gets an error line instead of being parked forever, and the session
   // still closes once its input ends.
-  Router router(four_shards());
-  router.shutdown();
-  ProtocolSession session(router, {});
+  Server server(four_workers());
+  server.shutdown();
+  ProtocolSession session(server, {});
   session.feed("1 compile fir\n");
   session.finish_input();
   const std::string out = drive_to_close(session, in_30s());
@@ -456,8 +454,8 @@ TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {
   // 20,000 nested parentheses (~40 KB, far under the line cap) used to
   // overflow the parser's stack and take the whole process down.  Now the
   // request gets an error response and the session keeps serving.
-  Router router(four_shards());
-  ProtocolSession session(router, {});
+  Server server(four_workers());
+  ProtocolSession session(server, {});
   const std::string deep = "int main() { return " + std::string(20000, '(') + "1" +
                            std::string(20000, ')') + "; }";
   session.feed("source deep 1\n" + deep + "\n1 compile deep level=O1\nping\nquit\n");
@@ -471,19 +469,19 @@ TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {
 }
 
 TEST(ServiceNet, ProtocolSessionOversizedLinePoisonsConnection) {
-  Router router(four_shards());
+  Server server(four_workers());
   const std::string oversized(kMaxLineBytes + 1, 'x');
   const std::string error =
       render_error("protocol line exceeds " + std::to_string(kMaxLineBytes) +
                    " bytes");
-  ProtocolSession session(router, {});
+  ProtocolSession session(server, {});
   // No newline and no EOF: the cap alone must end the session.
   session.feed(oversized);
   EXPECT_EQ(drive_to_close(session, in_30s()), error + "\n");
 
   // A terminated line over the cap is refused the same way, and nothing
   // after it is served.
-  ProtocolSession terminated(router, {});
+  ProtocolSession terminated(server, {});
   terminated.feed("ping\n" + oversized + "\nping\n");
   EXPECT_EQ(drive_to_close(terminated, in_30s()),
             "{\"pong\": true, \"workers\": 4}\n" + error + "\n");
@@ -497,12 +495,12 @@ TEST(ServiceNet, ProtocolSessionOversizedLinePoisonsConnection) {
 /// blocked writer gets EPIPE instead of hanging).
 class StreamHarness {
  public:
-  explicit StreamHarness(Router& router) {
+  explicit StreamHarness(Server& server) {
     std::signal(SIGPIPE, SIG_IGN);  // Writes after serve_stream quit: EPIPE.
     EXPECT_EQ(::pipe(in_), 0);
     EXPECT_EQ(::pipe(out_), 0);
-    serving_ = std::thread([this, &router] {
-      const bool ok = serve_stream(router, in_[0], out_[1], {});
+    serving_ = std::thread([this, &server] {
+      const bool ok = serve_stream(server, in_[0], out_[1], {});
       ::close(out_[1]);
       ::close(in_[0]);
       returned_.set_value(ok);
@@ -586,8 +584,8 @@ class StreamHarness {
 };
 
 TEST(ServiceNet, StreamWritesResponseBeforeNextInputLine) {
-  Router router(four_shards());
-  StreamHarness stream(router);
+  Server server(four_workers());
+  StreamHarness stream(server);
   stream.write("1 compile fir level=O1\n");
   // No further input: the response must arrive on a completion alone.
   const std::string line = stream.read_line();
@@ -599,8 +597,8 @@ TEST(ServiceNet, StreamWritesResponseBeforeNextInputLine) {
 }
 
 TEST(ServiceNet, StreamEofInsideSourceBlockRendersError) {
-  Router router(four_shards());
-  StreamHarness stream(router);
+  Server server(four_workers());
+  StreamHarness stream(server);
   stream.write("ping\nsource broken 5\nonly one line\n");
   stream.close_input();
   EXPECT_EQ(stream.read_to_eof(),
@@ -610,8 +608,8 @@ TEST(ServiceNet, StreamEofInsideSourceBlockRendersError) {
 }
 
 TEST(ServiceNet, StreamReturnsAfterQuitWhileInputStaysOpen) {
-  Router router(four_shards());
-  StreamHarness stream(router);
+  Server server(four_workers());
+  StreamHarness stream(server);
   // Input after quit is discarded, and the input pipe is never closed.
   stream.write("ping\nquit\n1 compile fir level=O1\n");
   EXPECT_EQ(stream.read_to_eof(), "{\"pong\": true, \"workers\": 4}\n");
@@ -621,8 +619,8 @@ TEST(ServiceNet, StreamReturnsAfterQuitWhileInputStaysOpen) {
 }
 
 TEST(ServiceNet, StreamServesFinalLineWithoutNewline) {
-  Router router(four_shards());
-  StreamHarness stream(router);
+  Server server(four_workers());
+  StreamHarness stream(server);
   stream.write("ping\n1 compile fir level=O1");
   stream.close_input();
   pipeline::SessionPool pool;
@@ -635,8 +633,8 @@ TEST(ServiceNet, StreamServesFinalLineWithoutNewline) {
 }
 
 TEST(ServiceNet, StreamLineOverCapIsAnErrorAndCloses) {
-  Router router(four_shards());
-  StreamHarness stream(router);
+  Server server(four_workers());
+  StreamHarness stream(server);
   // 2 MiB, over the default 1 MiB cap; the ping after it is never read.
   stream.write_async(std::string(2u << 20, 'x') + "\nping\n");
   EXPECT_EQ(stream.read_to_eof(),
@@ -660,12 +658,11 @@ TEST(ServiceNet, StreamAtQueueOneKeepsOrderAndStableStats) {
 
   std::vector<std::string> transcripts;
   for (int run = 0; run < 3; ++run) {
-    RouterOptions options;
-    options.shards = 1;
-    options.server.workers = 1;
-    options.server.queue_capacity = 1;
-    Router router(options);
-    StreamHarness stream(router);
+    ServerOptions options;
+    options.workers = 1;
+    options.queue_capacity = 1;
+    Server server(options);
+    StreamHarness stream(server);
     stream.write_async(script);
     transcripts.push_back(stream.read_to_eof());
     EXPECT_TRUE(stream.returned().get());

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "service/protocol.hpp"
+#include "service/router.hpp"
 #include "service/service.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/suite.hpp"
@@ -724,23 +725,6 @@ TEST(ServiceLatencyHistogram, ServerQuantilesAreOrdered) {
   EXPECT_LE(h.quantile_us(0.999), static_cast<double>(h.max_ns) / 1000.0);
 }
 
-TEST(ServiceLatencyHistogram, MergeAccumulatesAcrossInstances) {
-  LatencyHistogram a;
-  a.counts[4] = 3;
-  a.total = 3;
-  a.max_ns = 30;
-  LatencyHistogram b;
-  b.counts[20] = 1;
-  b.total = 1;
-  b.max_ns = 1 << 20;
-  a.merge(b);
-  EXPECT_EQ(a.total, 4u);
-  EXPECT_EQ(a.counts[4], 3u);
-  EXPECT_EQ(a.counts[20], 1u);
-  EXPECT_EQ(a.max_ns, static_cast<std::uint64_t>(1 << 20));
-  EXPECT_LE(a.quantile_us(0.999), static_cast<double>(a.max_ns) / 1000.0);
-}
-
 TEST(ServiceServer, OverCapWorkerCountIsRejected) {
   // Checked before any thread starts: the smallest over-cap count throws.
   ServerOptions options;
@@ -750,6 +734,30 @@ TEST(ServiceServer, OverCapWorkerCountIsRejected) {
   EXPECT_GE(resolved_workers(0), 1u);
   EXPECT_LE(resolved_workers(0), kMaxWorkerThreads)
       << "the default worker count must stay constructible";
+}
+
+TEST(ServiceServer, RouterShimIsOneServerWithEveryShardsWorkers) {
+  // The benchmark's shim (service/router.hpp): two shards of one worker
+  // are one Server running two workers.
+  RouterOptions options;
+  options.shards = 2;
+  options.server.workers = 1;
+  Router router(options);
+  EXPECT_EQ(router.workers(), 2u);
+  EXPECT_EQ(router.shard_count(), 1u);
+
+  // Its refusals come before any thread starts: no shards, and a total
+  // over the cap, counted in 64 bits (2^16 x 2^16 wraps to 0 in 32).
+  const auto refused = [](unsigned shards, unsigned workers) {
+    RouterOptions over;
+    over.shards = shards;
+    over.server.workers = workers;
+    EXPECT_THROW(Router{over}, std::invalid_argument)
+        << shards << " x " << workers;
+  };
+  refused(0, 1);
+  refused(2, kMaxWorkerThreads / 2 + 1);
+  refused(1u << 16, 1u << 16);
 }
 
 TEST(ServiceServer, NonFiniteBudgetIsAnErrorResponse) {

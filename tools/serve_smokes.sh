@@ -28,15 +28,11 @@ $serve --workers 4 < "$demo" | diff - "$expected"
 if $serve --bogus-flag 2>/dev/null; then
   echo "asipfb_serve accepted a bogus flag" && exit 1
 fi
-if $serve --shards 4 2>/dev/null; then
-  echo "asipfb_serve accepted --shards without --tcp" && exit 1
-fi
 
 # The TCP transport end to end: a socket client pipelines the same demo
-# script through a sharded deployment (4 shards x 1 worker, so the ping
-# line still reports 4 workers) and must receive the same bytes; SIGTERM
-# must produce a clean drain and exit 0.
-echo "== TCP smoke (sharded socket transport vs expected transcript)"
+# script through a 4-worker server and must receive the same bytes;
+# SIGTERM must produce a clean drain and exit 0.
+echo "== TCP smoke (socket transport vs expected transcript)"
 python3 "$tcp_smoke" $serve "$demo" "$expected"
 
 # One protocol interpreter serves both transports.  At one worker behind a
@@ -55,7 +51,7 @@ EOF
 $serve --workers 1 --queue 1 < saturate.txt > saturate.out
 [ "$(grep -c '"ok": true' saturate.out)" -eq 400 ] || { cat saturate.out; exit 1; }
 grep -q '"submitted": 400, "completed": 400, "failed": 0, "rejected": 0,' saturate.out
-python3 "$tcp_smoke" $serve saturate.txt saturate.out --shards 1 --workers 1 --queue 1
+python3 "$tcp_smoke" $serve saturate.txt saturate.out --workers 1 --queue 1
 python3 -c "print('x' * (2 << 20)); print('ping')" > longline.txt
 $serve < longline.txt > longline.out
 grep -qx '{"ok": false, "error": "protocol line exceeds 1048576 bytes"}' longline.out
@@ -91,12 +87,10 @@ stray=$(find cache-smoke -mindepth 1 ! -name 'seg-*.log')
 [ -z "$stray" ] || { echo "cache directory holds more than segments: $stray"; exit 1; }
 
 # The --latency stats line, over the now-warm cache: once over stdio and
-# once over TCP at 4 shards.  Every line must be the expected one plus a
-# latency_us on each response; the stats line must carry every documented
-# key in order, and its store_* and baselines_disk must equal the stderr
-# cache summary (the shards share one Store, so counting it per shard
-# would show here).
-echo "== latency stats smoke (stdio and sharded TCP, warm cache)"
+# once over TCP.  Every line must be the expected one plus a latency_us on
+# each response; the stats line must carry every documented key in order,
+# and its store_* and baselines_disk must equal the stderr cache summary.
+echo "== latency stats smoke (stdio and TCP, warm cache)"
 $serve --workers 4 --latency --cache-dir cache-smoke < "$demo" > latency.out 2> latency.err
 python3 "$tcp_smoke" $serve "$demo" --transcript latency-tcp.out --latency \
   --cache-dir cache-smoke > /dev/null 2> latency-tcp.err || { cat latency-tcp.err; exit 1; }

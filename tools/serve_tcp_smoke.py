@@ -10,15 +10,13 @@ exit code 0 (graceful drain + shutdown).
 
 Usage:
     serve_tcp_smoke.py <asipfb_serve-binary> <demo-script> <expected> \
-        [--shards N] [--workers N] [--queue N] [--latency] [--cache-dir DIR]
+        [--workers N] [--queue N] [--latency] [--cache-dir DIR]
     serve_tcp_smoke.py <asipfb_serve-binary> <demo-script> \
         --transcript OUT [options as above]
 
-The default --workers 1 --shards 4 deployment exposes the sharded router
-while keeping the ping line's worker count (4) identical to the stdio
-smoke's single 4-worker server.  --queue passes the per-shard queue
-capacity through, so a stdio transcript taken at the same capacity can
-be the expected file.  --latency and --cache-dir pass through to the
+The default --workers 4 keeps the ping line's worker count identical to
+the stdio smoke's.  --queue passes the queue capacity through, so a
+stdio transcript taken at the same capacity can be the expected file.  --latency and --cache-dir pass through to the
 server; with --transcript the response stream is written to OUT instead
 of compared (a --latency stream carries timings, so the caller checks it
 field by field).  The server's stderr, cache summary included, is this
@@ -73,8 +71,7 @@ def main() -> int:
     parser.add_argument("server", type=pathlib.Path)
     parser.add_argument("script", type=pathlib.Path)
     parser.add_argument("expected", type=pathlib.Path, nargs="?")
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--queue", type=int)
     parser.add_argument("--latency", action="store_true")
     parser.add_argument("--cache-dir")
@@ -90,7 +87,7 @@ def main() -> int:
         port_file = pathlib.Path(tmp) / "port"
         cmd = [
             str(args.server), "--tcp", "0", "--workers", str(args.workers),
-            "--shards", str(args.shards), "--port-file", str(port_file),
+            "--port-file", str(port_file),
         ]
         if args.queue is not None:
             cmd += ["--queue", str(args.queue)]
