@@ -29,7 +29,7 @@ std::vector<std::string> tokenize(const std::string& line) {
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   errno = 0;
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
   if (errno != 0 || end == text.c_str() || *end != '\0' || text[0] == '-') {
     fail("invalid " + what + " '" + text + "'");
   }

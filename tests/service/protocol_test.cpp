@@ -130,6 +130,19 @@ TEST(ServiceProtocol, MalformedLinesThrowWithDiagnostics) {
   }
 }
 
+TEST(ServiceProtocol, RequestIdsAreDecimal) {
+  // A leading zero is not octal and `0x` is not hex: 010 is ten, 08 is
+  // eight, and 0x10 is not an id.
+  EXPECT_EQ(parse_command("010 compile fir").request.id, 10u);
+  EXPECT_EQ(parse_command("08 compile fir").request.id, 8u);
+  try {
+    (void)parse_command("0x10 compile fir");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_STREQ(ex.what(), "invalid request id '0x10'");
+  }
+}
+
 TEST(ServiceProtocol, RejectsOutOfRangeChainOptions) {
   // None of these has a meaning for the analyses; each is a parse error
   // instead of a request that reaches them.
