@@ -180,15 +180,7 @@ Session::Session(std::string_view source, std::string name,
   }
 }
 
-Session::Session(PreparedProgram prepared, std::shared_ptr<cache::Store> store)
-    : prepared_(std::move(prepared)), store_(std::move(store)) {
-  if (store_ != nullptr) {
-    // No source/inputs to key on: address the adopted baseline by its own
-    // content, which is exactly what the stage artifacts depend on.
-    baseline_key_ = cache::content_hash(
-        {store_->engine_version(), "adopted", cache::serialize(prepared_)});
-  }
-}
+Session::Session(PreparedProgram prepared) : prepared_(std::move(prepared)) {}
 
 template <typename T, typename Fn>
 const T& Session::memoize(StageCache<T>& cache, const std::string& key,
@@ -437,15 +429,6 @@ std::shared_ptr<Session> SessionPool::get(const std::string& key,
 std::shared_ptr<Session> SessionPool::get(const std::string& workload_name) {
   const auto& w = wl::workload(workload_name);
   return get(w.name, w.source, w.input);
-}
-
-SessionPool::PoolStats& SessionPool::PoolStats::operator+=(
-    const PoolStats& other) {
-  sessions += other.sessions;
-  computed += other.computed;
-  disk_cache += other.disk_cache;
-  stages += other.stages;
-  return *this;
 }
 
 SessionPool::PoolStats SessionPool::stats() const {

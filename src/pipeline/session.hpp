@@ -96,10 +96,8 @@ class Session {
           std::shared_ptr<cache::Store> store = nullptr);
 
   /// Adopts an already-prepared baseline (no re-simulation).  The artifact
-  /// caches start empty.  With `store`, stage artifacts still consult and
-  /// populate disk, keyed by the adopted module's content.
-  explicit Session(PreparedProgram prepared,
-                   std::shared_ptr<cache::Store> store = nullptr);
+  /// caches start empty, and the Session has no store.
+  explicit Session(PreparedProgram prepared);
 
   // One handle per workload; artifacts hand out interior references.
   Session(const Session&) = delete;
@@ -298,9 +296,6 @@ class SessionPool {
     std::uint64_t computed = 0;    ///< Cold compile + profile in this process.
     std::uint64_t disk_cache = 0;  ///< Loaded from the artifact store.
     Session::Stats stages;  ///< Summed over all ready Sessions.
-
-    /// Field-wise sum (Router::stats() adds its shards' pools).
-    PoolStats& operator+=(const PoolStats& other);
   };
   [[nodiscard]] PoolStats stats() const;
 
