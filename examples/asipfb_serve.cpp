@@ -18,8 +18,8 @@
 //
 // With --tcp PORT the same protocol is served over sockets instead
 // (service::TcpServer); the process then runs until SIGINT/SIGTERM and
-// shuts down gracefully.  Both modes run the
-// one protocol interpreter, service::ProtocolSession.
+// shuts down gracefully.  Both modes run the one protocol interpreter,
+// service::ProtocolSession.
 #include <unistd.h>
 
 #include <climits>

@@ -14,9 +14,10 @@
 //     request on the connection completed, so its counters are a pure
 //     function of the script and a transcript is byte-stable whatever the
 //     transport or the worker timing.  Completion callbacks run on the
-//     Server's worker threads and only touch the session's internal shared state,
-//     so a connection that disappears mid-request leaves the in-flight job
-//     to finish harmlessly against that state (no worker death, no leak).
+//     Server's worker threads and only touch the session's internal
+//     shared state, so a connection that disappears mid-request leaves the
+//     in-flight job to finish harmlessly against that state (no worker
+//     death, no leak).
 //
 //   * serve_stream — one ProtocolSession over an input and an output file
 //     descriptor, woken by completions through poll(); asipfb_serve's
@@ -56,10 +57,10 @@ inline constexpr std::size_t kMaxPipeline = 1024;
 /// Per-connection protocol state machine; one instance per client.
 /// Driven by exactly one transport thread (feed/pump/take_ready are not
 /// reentrant); completion callbacks arrive concurrently from the
-/// Server's workers and are internally synchronized.  Submission never blocks: a
-/// request the server queue refuses is parked and retried by the next
-/// pump(), and input_paused() tells the transport to stop reading
-/// meanwhile.
+/// Server's workers and are internally synchronized.  Submission never
+/// blocks: a request the server queue refuses is parked and retried by
+/// the next pump(), and input_paused() tells the transport to stop
+/// reading meanwhile.
 class ProtocolSession {
  public:
   struct Options {
