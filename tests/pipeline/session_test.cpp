@@ -266,6 +266,29 @@ TEST(Session, OneSessionDrivesTheWholeFigure1Loop) {
   EXPECT_EQ(stats.extension_runs, 1u);
 }
 
+TEST(Session, AdoptedBaselineAnswersLikeItsSourceWithoutAStore) {
+  // An adopted baseline is not re-simulated, carries no store and no
+  // cache key, and every stage answers as the Session it came from.
+  const Session source(kKernel, "adopt", kernel_input());
+  const Session adopted(PreparedProgram(source.prepared()));
+  EXPECT_EQ(adopted.store(), nullptr);
+  EXPECT_TRUE(adopted.baseline_cache_key().empty());
+  EXPECT_FALSE(adopted.baseline_from_disk());
+  EXPECT_EQ(adopted.total_cycles(), source.total_cycles());
+  for (const opt::OptLevel level :
+       {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+    const std::string context(opt::to_string(level));
+    expect_same_detection(adopted.detection(level), source.detection(level),
+                          context);
+    expect_same_coverage(adopted.coverage(level), source.coverage(level),
+                         context);
+    expect_same_proposal(adopted.extension(level), source.extension(level),
+                         context);
+  }
+  EXPECT_EQ(adopted.stats().disk_hits, 0u);
+  EXPECT_EQ(adopted.stats().disk_misses, 0u);
+}
+
 TEST(Session, ClearDropsArtifactsButKeepsTheBaseline) {
   Session session(kKernel, "clear", kernel_input());
   const auto first_paths = session.detection(opt::OptLevel::O1).paths;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "service/protocol.hpp"
+#include "service/router.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 
@@ -448,6 +449,28 @@ TEST(ServiceNet, ProtocolSessionOverShutDownServerAnswersWithError) {
   EXPECT_NE(out.find("shut down"), std::string::npos) << out;
   EXPECT_EQ(session.pending(), 0u);
   EXPECT_TRUE(session.wants_close());
+}
+
+TEST(ServiceNet, PingReportsTheServersWorkerCount) {
+  // `ping` answers the one Server's worker count; the benchmark's Router
+  // shim of two one-worker shards is one Server running two workers.
+  const auto pong = [](Server& server) {
+    ProtocolSession session(server, {});
+    session.feed("ping\nquit\n");
+    session.finish_input();
+    return drive_to_close(session, in_30s());
+  };
+  ServerOptions one;
+  one.workers = 1;
+  Server single(one);
+  EXPECT_EQ(pong(single), "{\"pong\": true, \"workers\": 1}\n");
+  Server four(four_workers());
+  EXPECT_EQ(pong(four), "{\"pong\": true, \"workers\": 4}\n");
+  RouterOptions shards;
+  shards.shards = 2;
+  shards.server.workers = 1;
+  Router router(shards);
+  EXPECT_EQ(pong(router), "{\"pong\": true, \"workers\": 2}\n");
 }
 
 TEST(ServiceNet, ProtocolSessionDeepSourceIsAnErrorAndServingContinues) {

@@ -143,6 +143,21 @@ TEST(ServiceProtocol, RequestIdsAreDecimal) {
   }
 }
 
+TEST(ServiceProtocol, RequestIdsSpanTheUnsignedRange) {
+  // Every uint64 is an id; a sign or a value past 2^64 - 1 is not.
+  EXPECT_EQ(parse_command("0 compile fir").request.id, 0u);
+  EXPECT_EQ(parse_command("18446744073709551615 compile fir").request.id,
+            18446744073709551615u);
+  for (const std::string bad : {"18446744073709551616", "-1", "1e3", "1.0"}) {
+    try {
+      (void)parse_command(bad + " compile fir");
+      ADD_FAILURE() << "expected invalid_argument for '" << bad << "'";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_EQ(std::string(ex.what()), "invalid request id '" + bad + "'");
+    }
+  }
+}
+
 TEST(ServiceProtocol, RejectsOutOfRangeChainOptions) {
   // None of these has a meaning for the analyses; each is a parse error
   // instead of a request that reaches them.

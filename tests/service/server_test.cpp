@@ -725,6 +725,24 @@ TEST(ServiceLatencyHistogram, ServerQuantilesAreOrdered) {
   EXPECT_LE(h.quantile_us(0.999), static_cast<double>(h.max_ns) / 1000.0);
 }
 
+TEST(ServiceLatencyHistogram, EachCompletionLandsInItsLog2Bucket) {
+  // One request on a fresh server: its sample is in bucket b with
+  // 2^b <= latency < 2^(b+1), and every other bucket is empty.
+  ServerOptions options;
+  options.workers = 1;
+  Server server(options);
+  ASSERT_TRUE(server.call(make_request(1, Kind::kDetection, "fir")).ok());
+  const LatencyHistogram h = server.stats().latency;
+  ASSERT_EQ(h.total, 1u);
+  ASSERT_GT(h.max_ns, 0u);
+  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    const bool home = (h.max_ns >> b) == 1;
+    EXPECT_EQ(h.counts[b], home ? 1u : 0u) << "bucket " << b;
+  }
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.5), static_cast<double>(h.max_ns) / 1000.0);
+  EXPECT_DOUBLE_EQ(LatencyHistogram{}.quantile_us(0.99), 0.0);
+}
+
 TEST(ServiceServer, OverCapWorkerCountIsRejected) {
   // Checked before any thread starts: the smallest over-cap count throws.
   ServerOptions options;
@@ -758,6 +776,178 @@ TEST(ServiceServer, RouterShimIsOneServerWithEveryShardsWorkers) {
   refused(0, 1);
   refused(2, kMaxWorkerThreads / 2 + 1);
   refused(1u << 16, 1u << 16);
+}
+
+TEST(ServiceServer, RouterShimMultipliesWorkersPerShard) {
+  // shards x resolved_workers(workers): 0 workers per shard means the
+  // hardware default, as for a Server.
+  const auto workers_of = [](unsigned shards, unsigned workers) {
+    RouterOptions options;
+    options.shards = shards;
+    options.server.workers = workers;
+    return Router(options).workers();
+  };
+  EXPECT_EQ(workers_of(1, 3), 3u);
+  EXPECT_EQ(workers_of(3, 2), 6u);
+  EXPECT_EQ(workers_of(1, 0), resolved_workers(0));
+}
+
+TEST(ServiceServer, RouterShimShardIsTheRouterItself) {
+  // The benchmark reads shard(shard_for(w)).pool(): every key maps to
+  // shard 0, and that shard is the Router's own pool.
+  RouterOptions options;
+  options.shards = 2;
+  options.server.workers = 1;
+  Router router(options);
+  for (const auto& w : wl::suite()) {
+    EXPECT_EQ(router.shard_for(w.name), 0u) << w.name;
+  }
+  EXPECT_EQ(&router.shard(router.shard_for("fir")), &router);
+  EXPECT_EQ(&router.shard(0).pool(), &router.pool());
+
+  ASSERT_TRUE(router.call(make_request(1, Kind::kDetection, "fir")).ok());
+  EXPECT_EQ(router.shard(router.shard_for("fir")).pool().size(), 1u);
+  EXPECT_EQ(router.stats().completed, 1u);
+}
+
+TEST(ServiceServer, RouterShimSubmissionSurfaceMatchesServer) {
+  // Blocking and callback submission through the shim answer what a
+  // plain Server answers, rendered byte for byte.
+  RouterOptions options;
+  options.shards = 2;
+  options.server.workers = 2;
+  Router router(options);
+  ServerOptions plain_options;
+  plain_options.workers = 1;
+  Server plain(plain_options);
+
+  const Request detect = make_request(1, Kind::kDetection, "fir");
+  EXPECT_EQ(render_response(router.call(detect)),
+            render_response(plain.call(detect)));
+
+  std::promise<Response> delivered;
+  ASSERT_TRUE(router.try_submit_async(
+      make_request(3, Kind::kCoverage, "fir"),
+      [&](Response r) { delivered.set_value(std::move(r)); }));
+  const Response response = delivered.get_future().get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(render_response(response),
+            render_response(plain.call(make_request(3, Kind::kCoverage,
+                                                    "fir"))));
+}
+
+TEST(ServiceServer, RouterShimShutdownRefusesSubmissions) {
+  RouterOptions options;
+  options.shards = 2;
+  options.server.workers = 1;
+  Router router(options);
+  ASSERT_TRUE(router.call(make_request(1, Kind::kDetection, "fir")).ok());
+  router.shutdown();
+  EXPECT_THROW((void)router.call(make_request(2, Kind::kDetection, "fir")),
+               std::runtime_error);
+  EXPECT_THROW((void)router.try_submit_async(
+                   make_request(3, Kind::kDetection, "edge"),
+                   [](Response) { FAIL(); }),
+               std::runtime_error);
+  EXPECT_EQ(router.stats().rejected, 2u);
+  router.shutdown();  // Idempotent.
+}
+
+TEST(ServiceServer, StatsCountEveryRequestAcrossWorkers) {
+  // Four workers feed one set of counters and one histogram: nothing is
+  // lost or counted twice, and workers() is the ping line's count.
+  ServerOptions options;
+  options.workers = 4;
+  Server server(options);
+  EXPECT_EQ(server.workers(), 4u);
+  std::mutex mu;
+  std::vector<Response> delivered;
+  std::uint64_t sent = 0;
+  const auto submit = [&](const std::string& workload) {
+    ++sent;
+    ASSERT_TRUE(server.try_submit_async(
+        make_request(sent, Kind::kDetection, workload), [&](Response r) {
+          const std::lock_guard<std::mutex> lock(mu);
+          delivered.push_back(std::move(r));
+        }));
+  };
+  for (const auto& w : wl::suite()) submit(w.name);
+  submit("nosuch");
+  server.shutdown();  // Drains every accepted job.
+  ASSERT_EQ(delivered.size(), sent);
+
+  const Stats stats = server.stats();
+  EXPECT_EQ(stats.submitted, sent);
+  EXPECT_EQ(stats.completed, sent);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed_by_kind[static_cast<std::size_t>(Kind::kDetection)],
+            sent);
+  EXPECT_EQ(stats.latency.total, sent);
+  std::uint64_t bucketed = 0;
+  for (const std::uint64_t count : stats.latency.counts) bucketed += count;
+  EXPECT_EQ(bucketed, sent);
+  EXPECT_EQ(stats.pool.sessions, wl::suite().size());
+}
+
+TEST(ServiceServer, ConcurrentFirstRequestsPrepareOneBaseline) {
+  // Eight requests for one cold workload race over four workers: the pool
+  // prepares its baseline once and the Session detects once.
+  ServerOptions options;
+  options.workers = 4;
+  Server server(options);
+  std::vector<std::promise<Response>> delivered(8);
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    ASSERT_TRUE(server.try_submit_async(
+        make_request(i + 1, Kind::kDetection, "fir"),
+        [&delivered, i](Response r) { delivered[i].set_value(std::move(r)); }));
+  }
+  std::string first;
+  for (auto& promise : delivered) {
+    Response response = promise.get_future().get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    response.id = 1;  // Only the echoed id may differ.
+    if (first.empty()) first = render_response(response);
+    EXPECT_EQ(render_response(response), first);
+  }
+  EXPECT_EQ(server.pool().size(), 1u);
+  const Stats stats = server.stats();
+  EXPECT_EQ(stats.pool.computed, 1u);
+  EXPECT_EQ(server.pool().get("fir")->stats().detect_runs, 1u);
+}
+
+TEST(ServiceServer, StatsReportTheSharedStoreOnce) {
+  // stats().store is the installed Store's own counters, read once, and
+  // the pool counts one cold baseline per workload.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("asipfb_server_store_stats_" + std::to_string(::getpid()));
+  std::error_code discard;
+  std::filesystem::remove_all(dir, discard);
+  {
+    ServerOptions options;
+    options.workers = 3;
+    cache::StoreOptions store_options;
+    store_options.dir = dir;
+    options.store = std::make_shared<cache::Store>(std::move(store_options));
+    Server server(options);
+    ASSERT_EQ(server.store().get(), options.store.get());
+
+    std::uint64_t id = 0;
+    for (const auto& w : wl::suite()) {
+      ASSERT_TRUE(
+          server.call(make_request(++id, Kind::kDetection, w.name)).ok());
+    }
+    const Stats stats = server.stats();
+    const cache::StoreStats store = server.store()->stats();
+    EXPECT_GT(store.writes, 0u);
+    EXPECT_EQ(stats.store.writes, store.writes);
+    EXPECT_EQ(stats.store.hits, store.hits);
+    EXPECT_EQ(stats.store.misses, store.misses);
+    EXPECT_EQ(stats.pool.sessions, wl::suite().size());
+    EXPECT_EQ(stats.pool.computed, wl::suite().size());
+    EXPECT_EQ(stats.pool.disk_cache, 0u);
+  }
+  std::filesystem::remove_all(dir, discard);
 }
 
 TEST(ServiceServer, NonFiniteBudgetIsAnErrorResponse) {
