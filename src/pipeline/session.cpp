@@ -208,9 +208,32 @@ const T& Session::memoize(StageCache<T>& cache, const std::string& key,
       slot->error = "pipeline stage failed";
     }
   });
-  if (!ran) stage_hits.fetch_add(1, std::memory_order_relaxed);
+  if (ran) {
+    slot->done.store(true, std::memory_order_release);
+  } else {
+    stage_hits.fetch_add(1, std::memory_order_relaxed);
+  }
   if (!slot->value.has_value()) throw std::runtime_error(slot->error);
   return *slot->value;
+}
+
+template <typename T>
+const T* Session::probe(StageCache<T>& cache, const std::string& key,
+                        std::atomic<std::uint64_t>& stage_hits) const {
+  const Slot<T>* slot;
+  {
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    const auto it = cache.slots.find(key);
+    if (it == cache.slots.end()) return nullptr;
+    slot = &it->second;
+  }
+  // `done` (acquire) orders the computation's write of `value` before the
+  // read below; a slot still inside call_once reads false.
+  if (!slot->done.load(std::memory_order_acquire) || !slot->value.has_value()) {
+    return nullptr;
+  }
+  stage_hits.fetch_add(1, std::memory_order_relaxed);
+  return &*slot->value;
 }
 
 template <typename T, typename Load, typename Fn>
@@ -339,6 +362,40 @@ const asip::ExtensionProposal& Session::extension(
   });
 }
 
+const ir::Module* Session::find_optimized(
+    opt::OptLevel level, const opt::OptimizeOptions& options) const {
+  return probe(optimized_, optimize_key(level, normalize(level, options)),
+               optimize_hits_);
+}
+
+const chain::DetectionResult* Session::find_detection(
+    opt::OptLevel level, const chain::DetectorOptions& detector,
+    const opt::OptimizeOptions& options) const {
+  return probe(detections_,
+               detection_key(level, normalize(level, detector),
+                             normalize(level, options)),
+               detect_hits_);
+}
+
+const chain::CoverageResult* Session::find_coverage(
+    opt::OptLevel level, const chain::CoverageOptions& coverage,
+    const opt::OptimizeOptions& options) const {
+  return probe(coverages_,
+               coverage_key(level, normalize(level, coverage),
+                            normalize(level, options)),
+               coverage_hits_);
+}
+
+const asip::ExtensionProposal* Session::find_extension(
+    opt::OptLevel level, const asip::SelectionOptions& selection,
+    const asip::DatapathModel& model, const chain::CoverageOptions& cov,
+    const opt::OptimizeOptions& options) const {
+  return probe(extensions_,
+               extension_key(level, selection, model, normalize(level, cov),
+                             normalize(level, options)),
+               extension_hits_);
+}
+
 void Session::clear() {
   const std::lock_guard<std::mutex> lock_opt(optimized_.mu);
   const std::lock_guard<std::mutex> lock_det(detections_.mu);
@@ -429,6 +486,23 @@ std::shared_ptr<Session> SessionPool::get(const std::string& key,
 std::shared_ptr<Session> SessionPool::get(const std::string& workload_name) {
   const auto& w = wl::workload(workload_name);
   return get(w.name, w.source, w.input);
+}
+
+std::shared_ptr<Session> SessionPool::find(const std::string& key,
+                                           std::string_view source) const {
+  std::shared_ptr<Entry> entry;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return nullptr;
+    entry = it->second;
+  }
+  // `ready` (acquire) orders the call_once body's writes of `source` and
+  // `session` before the reads below.
+  if (!entry->ready.load(std::memory_order_acquire) || entry->source != source) {
+    return nullptr;
+  }
+  return entry->session;
 }
 
 SessionPool::PoolStats SessionPool::stats() const {

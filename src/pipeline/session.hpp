@@ -131,6 +131,28 @@ class Session {
       const chain::CoverageOptions& coverage = {},
       const opt::OptimizeOptions& options = {}) const;
 
+  /// Non-blocking probes, one per stage: the artifact the matching query
+  /// above would return when its memo slot has already finished
+  /// computing it, else null — for a key never queried, one still being
+  /// computed, or one whose computation latched an error.  A probe only
+  /// looks the slot up: it never inserts a slot, waits, computes, or
+  /// consults the store.  A non-null result counts in `*_hits` exactly as
+  /// a memo hit of the query does.  The service answers a request on the
+  /// thread that received it when every probe it needs succeeds.
+  [[nodiscard]] const ir::Module* find_optimized(
+      opt::OptLevel level, const opt::OptimizeOptions& options = {}) const;
+  [[nodiscard]] const chain::DetectionResult* find_detection(
+      opt::OptLevel level, const chain::DetectorOptions& detector = {},
+      const opt::OptimizeOptions& options = {}) const;
+  [[nodiscard]] const chain::CoverageResult* find_coverage(
+      opt::OptLevel level, const chain::CoverageOptions& coverage = {},
+      const opt::OptimizeOptions& options = {}) const;
+  [[nodiscard]] const asip::ExtensionProposal* find_extension(
+      opt::OptLevel level, const asip::SelectionOptions& selection = {},
+      const asip::DatapathModel& model = {},
+      const chain::CoverageOptions& coverage = {},
+      const opt::OptimizeOptions& options = {}) const;
+
   /// Drops every memoized artifact and any held region graphs (the
   /// prepared baseline stays), so a long-lived Session serving many
   /// distinct option sets can bound its footprint.  Invalidates all
@@ -186,9 +208,12 @@ class Session {
  private:
   /// One memoization slot: call_once guards the computation, the optional
   /// holds the artifact, a latched error is rethrown on later queries.
+  /// `done` is set (release) after the computation, so a probe that reads
+  /// it true (acquire) may read `value` without entering call_once.
   template <typename T>
   struct Slot {
     std::once_flag once;
+    std::atomic<bool> done{false};
     std::optional<T> value;
     std::string error;
   };
@@ -205,6 +230,12 @@ class Session {
   const T& memoize(StageCache<T>& cache, const std::string& key,
                    std::atomic<std::uint64_t>& runs,
                    std::atomic<std::uint64_t>& stage_hits, Fn&& compute) const;
+
+  /// The artifact of a finished, successful slot at `key`, counted in
+  /// `stage_hits`; null otherwise.  Never inserts a slot.
+  template <typename T>
+  const T* probe(StageCache<T>& cache, const std::string& key,
+                 std::atomic<std::uint64_t>& stage_hits) const;
 
   /// Disk-side of one memo computation: try (deserialize ∘ load), fall
   /// back to `compute`, write back what was computed.  Only ever called
@@ -278,6 +309,12 @@ class SessionPool {
   /// Prepare (or fetch) a suite workload by name (wl::workload lookup);
   /// throws std::out_of_range for unknown names.
   std::shared_ptr<Session> get(const std::string& workload_name);
+
+  /// The ready Session under `key` when it is bound to `source`; null
+  /// when the key is unknown, still preparing, failed, or bound to other
+  /// source.  Never prepares and never binds a key.
+  [[nodiscard]] std::shared_ptr<Session> find(const std::string& key,
+                                              std::string_view source) const;
 
   /// Number of successfully prepared Sessions currently pooled.
   [[nodiscard]] std::size_t size() const;

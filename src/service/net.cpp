@@ -122,6 +122,15 @@ struct ProtocolSession::State {
     return unready;
   }
 
+  /// What the pipelining cap counts: every untaken slot while one is in
+  /// flight, since ready ones behind it (inline answers among them) wait
+  /// in memory too.  With nothing in flight every slot is ready, and the
+  /// transport's next take_ready() drains them all.
+  [[nodiscard]] std::size_t backlog() const {
+    const std::lock_guard<std::mutex> lock(mu);
+    return unready == 0 ? 0 : slots.size();
+  }
+
   static std::function<void(Response)> completion(
       const std::shared_ptr<State>& state, const std::shared_ptr<Slot>& slot);
   static void fail_slot(const std::shared_ptr<State>& state,
@@ -230,6 +239,14 @@ void ProtocolSession::State::handle_line(const std::shared_ptr<State>& state,
     case Command::Type::kRequest: {
       const auto it = s.sources.find(command.request.workload);
       if (it != s.sources.end()) command.request.source = it->second;
+      // A memo hit is answered here, on the transport thread, into a ready
+      // slot: no completion callback, no wake-up.  take_ready() still holds
+      // it behind any earlier slot in flight.
+      if (std::optional<Response> answer =
+              s.server.try_answer(command.request)) {
+        s.append_ready(render_response(*answer, s.opts.with_latency));
+        break;
+      }
       auto slot = s.append_pending();
       if (!submit_request(state, command.request, slot)) {
         s.parked = Parked{std::move(command.request), std::move(slot)};
@@ -276,7 +293,7 @@ bool ProtocolSession::pump() {
       continue;
     }
     if (s.quit) break;
-    if (s.unready_count() >= kMaxPipeline) break;
+    if (s.backlog() >= kMaxPipeline) break;
 
     // Next complete line, split on '\n'; a final unterminated line at EOF
     // still counts.  The cap applies before the newline has arrived, so an
@@ -342,7 +359,7 @@ bool ProtocolSession::wants_close() const {
 bool ProtocolSession::input_paused() const {
   const State& s = *state_;
   return s.parked.has_value() || s.stats_barrier ||
-         s.unready_count() >= kMaxPipeline;
+         s.backlog() >= kMaxPipeline;
 }
 
 std::size_t ProtocolSession::pending() const {

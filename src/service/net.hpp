@@ -5,15 +5,18 @@
 //
 //   * ProtocolSession — the transport-agnostic per-connection state
 //     machine.  Bytes in, ordered response lines out: it splits lines,
-//     parses commands, tracks `source` blocks, submits requests to the
-//     Server without blocking (a refused request is parked and retried on
-//     the next completion), and keeps one output slot per command so
-//     responses are written strictly in submission order no matter how
-//     the workers interleave (per-connection pipelining).  `stats`
-//     acts as a pipeline barrier — it renders only after every earlier
-//     request on the connection completed, so its counters are a pure
-//     function of the script and a transcript is byte-stable whatever the
-//     transport or the worker timing.  Completion callbacks run on the
+//     parses commands, tracks `source` blocks, answers a memo hit itself
+//     on the transport thread (Server::try_answer), submits every other
+//     request to the Server without blocking (a refused request is parked
+//     and retried on the next completion), and keeps one output slot per
+//     command so responses are written strictly in submission order no
+//     matter how the workers interleave (per-connection pipelining).  An
+//     inline answer is a ready slot at once; it still waits in
+//     take_ready() behind every earlier slot in flight.  `stats` acts as
+//     a pipeline barrier — it renders only after every earlier request on
+//     the connection completed, so its counters are a pure function of
+//     the script and a transcript is byte-stable whatever the transport
+//     or the worker timing.  Completion callbacks run on the
 //     Server's worker threads and only touch the session's internal
 //     shared state, so a connection that disappears mid-request leaves the
 //     in-flight job to finish harmlessly against that state (no worker
@@ -50,17 +53,20 @@ namespace asipfb::service {
 /// rendered error, then ProtocolSession::wants_close()).
 inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
-/// In-flight responses per connection before parsing (and reading)
-/// pauses — the per-connection pipelining depth cap.
+/// Unwritten responses per connection, while any is in flight, before
+/// parsing (and reading) pauses — the per-connection pipelining depth
+/// cap.  Ready responses queued behind an in-flight one count too.
 inline constexpr std::size_t kMaxPipeline = 1024;
 
 /// Per-connection protocol state machine; one instance per client.
 /// Driven by exactly one transport thread (feed/pump/take_ready are not
 /// reentrant); completion callbacks arrive concurrently from the
-/// Server's workers and are internally synchronized.  Submission never
-/// blocks: a request the server queue refuses is parked and retried by
-/// the next pump(), and input_paused() tells the transport to stop
-/// reading meanwhile.
+/// Server's workers and are internally synchronized.  A request whose
+/// artifacts are all memoized is answered by pump() itself, on the
+/// transport thread, without a worker, a callback, or on_progress.
+/// Submission never blocks: a request the server queue refuses is parked
+/// and retried by the next pump(), and input_paused() tells the transport
+/// to stop reading meanwhile.
 class ProtocolSession {
  public:
   struct Options {

@@ -91,7 +91,25 @@ bool Server::try_submit_async(Request request,
                  /*block=*/false);
 }
 
+std::optional<Response> Server::try_answer(const Request& request) {
+  const Clock::time_point accepted = Clock::now();
+  std::optional<Response> response = try_evaluate(request, pool_);
+  if (!response) return std::nullopt;
+  {
+    // Accepted as enqueue() accepts a job: under mu_, so an answer is
+    // either counted before shutdown() began or not given at all.
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) return std::nullopt;
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  complete(*response, accepted);
+  return response;
+}
+
 Response Server::call(Request request) {
+  if (std::optional<Response> answer = try_answer(request)) {
+    return std::move(*answer);
+  }
   // The worker fills `result` and notifies under the lock, so this frame
   // cannot unwind while the callback still touches it.
   std::mutex mu;
@@ -126,27 +144,30 @@ void Server::worker_loop() {
     if (options_.on_start) options_.on_start(job.request);
 
     Response response = evaluate(job.request, pool_);  // Never throws.
-    // One completion timestamp feeds both the histogram and the response,
-    // so stats().latency.max_ns and Response::latency_us agree exactly —
-    // two Clock::now() calls here let them diverge.
-    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             Clock::now() - job.accepted)
-                             .count();
-    const std::uint64_t ns =
-        elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 1;
-    record_latency(ns);
-    response.latency_us = static_cast<double>(ns) / 1000.0;
-    // Release pairs with the acquire loads in stats(): a snapshot that
-    // observes this completion also observes the job's earlier
-    // submitted_ bump (which happens-before it via mu_), and one that
-    // observes the failure also observes the completion, so
-    // submitted >= completed >= failed holds in every snapshot.
-    completed_.fetch_add(1, std::memory_order_release);
-    completed_by_kind_[static_cast<std::size_t>(job.request.kind)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (!response.ok()) failed_.fetch_add(1, std::memory_order_release);
+    complete(response, job.accepted);
     job.done(std::move(response));  // Must not throw (contract).
   }
+}
+
+void Server::complete(Response& response, Clock::time_point accepted) {
+  // One completion timestamp feeds both the histogram and the response,
+  // so stats().latency.max_ns and Response::latency_us agree exactly —
+  // two Clock::now() calls here let them diverge.
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           Clock::now() - accepted)
+                           .count();
+  const std::uint64_t ns = elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 1;
+  record_latency(ns);
+  response.latency_us = static_cast<double>(ns) / 1000.0;
+  // Release pairs with the acquire loads in stats(): a snapshot that
+  // observes this completion also observes the request's earlier
+  // submitted_ bump (which happens-before it via mu_), and one that
+  // observes the failure also observes the completion, so
+  // submitted >= completed >= failed holds in every snapshot.
+  completed_.fetch_add(1, std::memory_order_release);
+  completed_by_kind_[static_cast<std::size_t>(response.kind)].fetch_add(
+      1, std::memory_order_relaxed);
+  if (!response.ok()) failed_.fetch_add(1, std::memory_order_release);
 }
 
 void Server::shutdown() {

@@ -6,6 +6,11 @@
 // concurrent and repeated requests share prepared baselines and memoized
 // artifacts instead of recomputing them.  Contracts:
 //
+//   * Memo hits skip the queue — try_answer() answers a request whose
+//     artifacts are all memoized on the calling thread (the transport
+//     thread, or call()'s caller), so a repeated question costs a lookup
+//     rather than two cross-thread wake-ups.  Only a miss or a sweep is
+//     queued; nothing that still needs computing runs on the caller.
 //   * Bounded queue with backpressure — call() blocks while the queue
 //     holds `queue_capacity` jobs; try_submit_async() refuses immediately
 //     so the protocol front end can park the request and retry it.
@@ -35,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -64,9 +70,11 @@ struct ServerOptions {
   /// artifacts are read from disk when valid entries exist and written
   /// back after cold computes.
   std::shared_ptr<cache::Store> store;
-  /// Observability hook, invoked by the worker thread immediately before a
-  /// job's evaluation begins.  Used by tests to coordinate backpressure
-  /// scenarios and by embedders for request logging; must not throw.
+  /// Observability hook for queued jobs, invoked by the worker thread
+  /// immediately before a job's evaluation begins.  A memo hit answered
+  /// inline by Server::try_answer() is never queued and never reaches it.
+  /// Used by tests to coordinate backpressure scenarios and by embedders
+  /// for request logging; must not throw.
   std::function<void(const Request&)> on_start;
 };
 
@@ -137,10 +145,20 @@ class Server {
   [[nodiscard]] bool try_submit_async(Request request,
                                       std::function<void(Response)> done);
 
-  /// Enqueues a request, blocking while the queue is at capacity, and
-  /// waits for its Response (error responses included).  The synchronous
-  /// path for in-process callers.  Throws std::runtime_error after
-  /// shutdown().
+  /// Answers `request` on the calling thread when everything it needs is
+  /// already memoized (try_evaluate()): counted exactly as a worker
+  /// completion (submitted, completed, completed_by_kind, failed, the
+  /// latency histogram and Response::latency_us) but without on_start.
+  /// nullopt — and no Server counter moves — for a sweep, a miss, an
+  /// artifact still being computed, or once shutdown() has begun; the
+  /// caller then submits the request.  Never blocks on a computation,
+  /// never throws.
+  [[nodiscard]] std::optional<Response> try_answer(const Request& request);
+
+  /// try_answer(), else enqueues the request, blocking while the queue is
+  /// at capacity, and waits for its Response (error responses included).
+  /// The synchronous path for in-process callers.  Throws
+  /// std::runtime_error after shutdown().
   Response call(Request request);
 
   /// Stops accepting, drains every accepted job, joins the workers.
@@ -174,6 +192,10 @@ class Server {
   };
 
   void worker_loop();
+  /// Records one answered request — latency histogram, `latency_us`,
+  /// completed/per-kind/failed counters — for the worker and the inline
+  /// path alike.
+  void complete(Response& response, Clock::time_point accepted);
   /// Accepts under mu_ (bumping submitted_ while the lock is held, so a
   /// stats() snapshot can never observe completed > submitted).  Returns
   /// false for a full queue when `block` is false; throws

@@ -78,60 +78,90 @@ void fill_sweep(const Request& request, pipeline::SessionPool& pool,
   }
 }
 
-}  // namespace
-
-Response evaluate(const Request& request, pipeline::SessionPool& pool) {
+/// Id, kind and workload echoed back; every other field at its default.
+Response header(const Request& request) {
   Response response;
   response.id = request.id;
   response.kind = request.kind;
   response.workload = request.workload;
+  return response;
+}
+
+/// Fills `response` from `session`'s artifact for `request`, any kind but
+/// sweep.  With `probe`, the artifact is only looked up (Session::find_*)
+/// and false means it is not memoized; without, it is computed or fetched
+/// (a stage failure throws) and the result is true.
+bool fill_stage(const Request& request, const pipeline::Session& session,
+                bool probe, Response& response) {
+  response.total_cycles = session.total_cycles();
+  switch (request.kind) {
+    case Kind::kCompile: {
+      response.exit_code = session.prepared().baseline_run.exit_code;
+      response.instructions = session.prepared().module.instr_count();
+      return true;
+    }
+    case Kind::kOptimize: {
+      const ir::Module* variant =
+          probe ? session.find_optimized(request.level, request.optimize)
+                : &session.optimized(request.level, request.optimize);
+      if (variant == nullptr) return false;
+      response.instructions = variant->instr_count();
+      return true;
+    }
+    case Kind::kDetection: {
+      const chain::DetectionResult* detection =
+          probe ? session.find_detection(request.level, request.detector,
+                                         request.optimize)
+                : &session.detection(request.level, request.detector,
+                                     request.optimize);
+      if (detection == nullptr) return false;
+      response.sequences = detection->sequences.size();
+      response.top_frequency = detection->sequences.empty()
+                                   ? 0.0
+                                   : detection->sequences.front().frequency;
+      return true;
+    }
+    case Kind::kCoverage: {
+      const chain::CoverageResult* coverage =
+          probe ? session.find_coverage(request.level, request.coverage,
+                                        request.optimize)
+                : &session.coverage(request.level, request.coverage,
+                                    request.optimize);
+      if (coverage == nullptr) return false;
+      response.steps = coverage->steps.size();
+      response.total_coverage = coverage->total_coverage;
+      return true;
+    }
+    case Kind::kExtension: {
+      const asip::ExtensionProposal* proposal =
+          probe ? session.find_extension(request.level, request.selection,
+                                         request.datapath, request.coverage,
+                                         request.optimize)
+                : &session.extension(request.level, request.selection,
+                                     request.datapath, request.coverage,
+                                     request.optimize);
+      if (proposal == nullptr) return false;
+      response.selected = proposal->selected.size();
+      response.total_area = proposal->total_area;
+      response.speedup = proposal->speedup();
+      return true;
+    }
+    case Kind::kSweep:
+      break;  // A grid of computations; fill_sweep() runs it.
+  }
+  return false;
+}
+
+}  // namespace
+
+Response evaluate(const Request& request, pipeline::SessionPool& pool) {
+  Response response = header(request);
   try {
     if (request.kind == Kind::kSweep) {
       fill_sweep(request, pool, response);
-      return response;
-    }
-    const std::shared_ptr<pipeline::Session> session =
-        session_of(request, named_workload(request), pool);
-    response.total_cycles = session->total_cycles();
-    switch (request.kind) {
-      case Kind::kCompile: {
-        response.exit_code = session->prepared().baseline_run.exit_code;
-        response.instructions = session->prepared().module.instr_count();
-        break;
-      }
-      case Kind::kOptimize: {
-        const ir::Module& variant =
-            session->optimized(request.level, request.optimize);
-        response.instructions = variant.instr_count();
-        break;
-      }
-      case Kind::kDetection: {
-        const chain::DetectionResult& detection = session->detection(
-            request.level, request.detector, request.optimize);
-        response.sequences = detection.sequences.size();
-        response.top_frequency =
-            detection.sequences.empty() ? 0.0
-                                        : detection.sequences.front().frequency;
-        break;
-      }
-      case Kind::kCoverage: {
-        const chain::CoverageResult& coverage = session->coverage(
-            request.level, request.coverage, request.optimize);
-        response.steps = coverage.steps.size();
-        response.total_coverage = coverage.total_coverage;
-        break;
-      }
-      case Kind::kExtension: {
-        const asip::ExtensionProposal& proposal = session->extension(
-            request.level, request.selection, request.datapath,
-            request.coverage, request.optimize);
-        response.selected = proposal.selected.size();
-        response.total_area = proposal.total_area;
-        response.speedup = proposal.speedup();
-        break;
-      }
-      case Kind::kSweep:
-        break;  // Handled above.
+    } else {
+      fill_stage(request, *session_of(request, named_workload(request), pool),
+                 /*probe=*/false, response);
     }
   } catch (const std::exception& ex) {
     response.error = ex.what();
@@ -139,6 +169,25 @@ Response evaluate(const Request& request, pipeline::SessionPool& pool) {
     response.error = "request failed";
   }
   return response;
+}
+
+std::optional<Response> try_evaluate(const Request& request,
+                                     const pipeline::SessionPool& pool) {
+  if (request.kind == Kind::kSweep) return std::nullopt;
+  try {
+    const wl::Workload* named = named_workload(request);
+    const std::shared_ptr<pipeline::Session> session =
+        named == nullptr ? pool.find(request.workload, request.source)
+                         : pool.find(named->name, named->source);
+    Response response = header(request);
+    if (session != nullptr &&
+        fill_stage(request, *session, /*probe=*/true, response)) {
+      return response;
+    }
+  } catch (...) {
+    // An unknown name: evaluate() renders the error.
+  }
+  return std::nullopt;
 }
 
 }  // namespace asipfb::service

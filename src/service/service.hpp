@@ -7,8 +7,11 @@
 // resolves the workload through a SessionPool (so every worker, client,
 // and repeat request shares one prepared baseline and one memoized
 // artifact per normalized option set) and reduces the stage artifact to a
-// flat, deterministic Response summary.  service::Server (server.hpp)
-// fans evaluate() out over a bounded job queue + worker pool; the line
+// flat, deterministic Response summary.  try_evaluate() is its
+// non-blocking twin: the same summary when the artifact is already
+// memoized, nothing otherwise.  service::Server (server.hpp) answers
+// memo hits with try_evaluate() on the receiving thread and fans the rest
+// of evaluate() out over a bounded job queue + worker pool; the line
 // protocol (protocol.hpp) round-trips these structs over text.
 //
 // Determinism contract: every Response field except latency_us is a pure
@@ -106,5 +109,15 @@ struct Response {
 /// is latched into Response::error.
 [[nodiscard]] Response evaluate(const Request& request,
                                 pipeline::SessionPool& pool);
+
+/// evaluate()'s Response when everything `request` needs is already in
+/// `pool`: a ready Session and, for the stage kinds, its memoized
+/// artifact (SessionPool::find and the Session::find_* probes).  nullopt
+/// for a sweep, an unknown workload, a Session not yet prepared, or an
+/// artifact missing, still being computed, or latched as an error — the
+/// caller then runs evaluate().  Never prepares, computes, consults the
+/// store, or waits on a computation, and never throws.
+[[nodiscard]] std::optional<Response> try_evaluate(
+    const Request& request, const pipeline::SessionPool& pool);
 
 }  // namespace asipfb::service

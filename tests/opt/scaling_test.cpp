@@ -1,12 +1,13 @@
 // Scaling gates for the optimizer: optimizing a program of size 4N must
 // take at most 6x the time of size N (linear work gives about 4x,
-// quadratic 16x).  Best of five runs per size, compared as a ratio so
-// runner speed cancels.  The ctest TIMEOUT on this binary bounds a
-// regression that makes either size take minutes, and RUN_SERIAL keeps
-// other tests from skewing the ratio.
+// quadratic 16x).  The verdict is the median ratio of five back-to-back
+// (N, 4N) pairs, so runner speed cancels.  The ctest TIMEOUT on this
+// binary bounds a regression that makes either size take minutes, and
+// RUN_SERIAL keeps other tests from skewing the ratio.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -31,19 +32,25 @@ double seconds(const T& input, const Work& work) {
   return took.count();
 }
 
-/// Best of five runs per size; the sizes alternate, so a slow spell of
-/// the machine hits both.
+/// The median over five back-to-back (N, 4N) pairs of each pair's ratio.
+/// Both runs of a pair see the same state of the machine, so a slow spell
+/// skews the pairs it falls in, not the median; a best N from a fast spell
+/// set against a best 4N from a slow one would.
 template <typename T, typename Work>
 void expect_near_linear(const T& small_input, const T& large_input, const Work& work,
                         int n) {
-  double small = 1e300;
-  double large = 1e300;
-  for (int run = 0; run < 5; ++run) {
-    small = std::min(small, seconds(small_input, work));
-    large = std::min(large, seconds(large_input, work));
+  std::array<double, 5> ratios{};
+  std::string pairs;
+  for (double& ratio : ratios) {
+    const double small = seconds(small_input, work);
+    const double large = seconds(large_input, work);
+    ratio = large / small;
+    pairs.append(" ").append(std::to_string(small * 1e3));
+    pairs.append("/").append(std::to_string(large * 1e3));
   }
-  EXPECT_LE(large / small, 6.0) << "N=" << n << ": " << small * 1e3 << " ms, 4N: "
-                                << large * 1e3 << " ms";
+  std::sort(ratios.begin(), ratios.end());
+  EXPECT_LE(ratios[2], 6.0) << "N=" << n << ", median 4N/N ratio " << ratios[2]
+                            << "; N/4N ms per pair:" << pairs;
 }
 
 /// One `if` whose body is `count` statements, each depending on the last.

@@ -9,7 +9,9 @@
 //   * concurrent mixed-stage queries are race-free and bit-identical to
 //     serial execution,
 //   * one Session drives detection, coverage, and extension proposal for
-//     the same workload without re-preparing.
+//     the same workload without re-preparing,
+//   * the find_* probes and SessionPool::find only look up: they never
+//     compute, prepare or bind, and count a hit only when they return one.
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
@@ -413,6 +415,135 @@ TEST(Session, CoverageAfterClearMatchesAfterDetectionAlone) {
               cache::serialize(reference.detection(level)))
         << opt::to_string(level);
   }
+}
+
+TEST(Session, ProbeOfANeverQueriedKeyIsNullAndCountsNothing) {
+  const Session session(kKernel, "probe_cold", kernel_input());
+  for (const opt::OptLevel level : kLevels) {
+    EXPECT_EQ(session.find_optimized(level), nullptr) << opt::to_string(level);
+    EXPECT_EQ(session.find_detection(level), nullptr) << opt::to_string(level);
+    EXPECT_EQ(session.find_coverage(level), nullptr) << opt::to_string(level);
+    EXPECT_EQ(session.find_extension(level), nullptr) << opt::to_string(level);
+  }
+  expect_stats(session.stats(), {}, "probes alone");
+
+  // The probes left no slot behind that the query could mistake for a
+  // finished one: detection still runs exactly once.
+  (void)session.detection(opt::OptLevel::O1);
+  EXPECT_EQ(session.stats().detect_runs, 1u);
+  EXPECT_EQ(session.stats().detect_hits, 0u);
+}
+
+TEST(Session, ProbeReturnsTheMemoizedArtifactAndCountsOneHit) {
+  const Session session(kKernel, "probe_warm", kernel_input());
+  query_trip(session);
+  for (const opt::OptLevel level : kLevels) {
+    const std::string context(opt::to_string(level));
+    Session::Stats before = session.stats();
+    const ir::Module* module = session.find_optimized(level);
+    EXPECT_EQ(session.stats().optimize_hits, before.optimize_hits + 1) << context;
+    EXPECT_EQ(module, &session.optimized(level)) << context;
+
+    before = session.stats();
+    const chain::DetectionResult* detection = session.find_detection(level);
+    EXPECT_EQ(session.stats().detect_hits, before.detect_hits + 1) << context;
+    EXPECT_EQ(detection, &session.detection(level)) << context;
+
+    before = session.stats();
+    const chain::CoverageResult* coverage = session.find_coverage(level);
+    EXPECT_EQ(session.stats().coverage_hits, before.coverage_hits + 1) << context;
+    EXPECT_EQ(coverage, &session.coverage(level)) << context;
+
+    before = session.stats();
+    const asip::ExtensionProposal* proposal = session.find_extension(level);
+    EXPECT_EQ(session.stats().extension_hits, before.extension_hits + 1)
+        << context;
+    EXPECT_EQ(proposal, &session.extension(level)) << context;
+  }
+  // A probe normalizes its options as the query does: O0 always detects
+  // with adjacency, so the default detector finds the O0 entry.
+  chain::DetectorOptions adjacent;
+  adjacent.require_adjacency = true;
+  EXPECT_EQ(session.find_detection(opt::OptLevel::O0, adjacent),
+            &session.detection(opt::OptLevel::O0));
+  // No probe ever computed anything.
+  EXPECT_EQ(session.stats().optimize_runs, 3u);
+  EXPECT_EQ(session.stats().detect_runs, 3u);
+  EXPECT_EQ(session.stats().coverage_runs, 3u);
+  EXPECT_EQ(session.stats().extension_runs, 3u);
+}
+
+TEST(Session, ProbeOfALatchedErrorIsNull) {
+  const Session session(kKernel, "probe_error", kernel_input());
+  chain::DetectorOptions inverted;
+  inverted.min_length = 4;
+  inverted.max_length = 2;
+  EXPECT_THROW((void)session.detection(opt::OptLevel::O1, inverted),
+               std::runtime_error);
+  const Session::Stats before = session.stats();
+  EXPECT_EQ(session.find_detection(opt::OptLevel::O1, inverted), nullptr);
+  expect_stats(session.stats(), before, "probing a latched error");
+}
+
+TEST(Session, ProbesRacingTheComputationSeeNothingOrTheFinishedArtifact) {
+  // Probers spin on the pool and the coverage slots while this thread
+  // prepares the Session and computes coverage level by level: each probe
+  // must return null or the finished artifact (the TSan leg checks the
+  // publication), never wait and never compute.
+  SessionPool pool;
+  constexpr int kProbers = 3;
+  std::vector<std::vector<std::string>> seen(kProbers);
+  std::vector<std::thread> probers;
+  for (int t = 0; t < kProbers; ++t) {
+    probers.emplace_back([&, t] {
+      std::shared_ptr<Session> session;
+      while ((session = pool.find("race", kKernel)) == nullptr) {
+        std::this_thread::yield();
+      }
+      for (const opt::OptLevel level : kLevels) {
+        const chain::CoverageResult* found = nullptr;
+        while ((found = session->find_coverage(level)) == nullptr) {
+          std::this_thread::yield();
+        }
+        seen[static_cast<std::size_t>(t)].push_back(cache::serialize(*found));
+      }
+    });
+  }
+  const auto session = pool.get("race", kKernel, kernel_input());
+  for (const opt::OptLevel level : kLevels) (void)session->coverage(level);
+  for (std::thread& prober : probers) prober.join();
+
+  for (const std::vector<std::string>& artifacts : seen) {
+    ASSERT_EQ(artifacts.size(), std::size(kLevels));
+    for (std::size_t l = 0; l < artifacts.size(); ++l) {
+      EXPECT_EQ(artifacts[l], cache::serialize(session->coverage(kLevels[l])));
+    }
+  }
+  EXPECT_EQ(session->stats().coverage_runs, 3u);
+}
+
+TEST(SessionPool, FindNeverPreparesOrBindsAKey) {
+  SessionPool pool;
+  EXPECT_EQ(pool.find("k", kKernel), nullptr);
+  EXPECT_EQ(pool.size(), 0u);
+  // find() bound nothing: the first get() may bind any source.
+  const auto other = pool.get("k", "int main() { return 7; }\n", {});
+  EXPECT_EQ(other->prepared().baseline_run.exit_code, 7);
+  EXPECT_EQ(pool.find("k", "int main() { return 7; }\n").get(), other.get());
+  EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(SessionPool, FindOfAMismatchedSourceIsNullWhileGetThrows) {
+  SessionPool pool;
+  const auto session = pool.get("k", kKernel, kernel_input());
+  EXPECT_EQ(pool.find("k", kKernel).get(), session.get());
+  EXPECT_EQ(pool.find("k", "int main() { return 0; }"), nullptr);
+  EXPECT_THROW((void)pool.get("k", "int main() { return 0; }", {}),
+               std::invalid_argument);
+  // A latched preparation failure finds nothing either.
+  EXPECT_THROW((void)pool.get("bad", "int main() { return undefined; }", {}),
+               std::runtime_error);
+  EXPECT_EQ(pool.find("bad", "int main() { return undefined; }"), nullptr);
 }
 
 TEST(SessionPool, SharesOneSessionPerKeyAndLatchesFailures) {

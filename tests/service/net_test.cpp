@@ -435,6 +435,105 @@ TEST(ServiceNet, ParkedRequestSurvivesRepeatedRefusal) {
   EXPECT_EQ(ok_count, 3u) << out;
 }
 
+TEST(ServiceNet, MemoHitAnswersInlineBehindAGatedColdRequest) {
+  // The only worker is gated inside cold request 1; memoized request 2 on
+  // the same connection is answered by pump() itself, without waiting for
+  // the worker, yet is written only after request 1.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+  ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.on_start = [&](const Request&) {
+    started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+  Server server(server_options);
+  (void)server.pool().get("fir")->detection(opt::OptLevel::O1);  // Warm, no worker.
+
+  ProtocolSession session(server, {});
+  session.feed("1 detect edge level=O1\n");
+  while (session.pump()) {
+  }
+  while (started.load() == 0) std::this_thread::yield();  // Worker gated in 1.
+  const std::uint64_t completed = server.stats().completed;
+  session.feed("2 detect fir level=O1\nquit\n");
+  session.finish_input();
+  while (session.pump()) {
+  }
+  EXPECT_EQ(server.stats().completed, completed + 1)
+      << "the memo hit must complete while the worker is gated";
+  EXPECT_EQ(session.pending(), 1u);
+  EXPECT_EQ(session.take_ready(), "") << "request 2 must wait behind request 1";
+
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  const std::string out = drive_to_close(session, in_30s());
+  const auto p1 = out.find("\"id\": 1");
+  const auto p2 = out.find("\"id\": 2");
+  ASSERT_NE(p1, std::string::npos) << out;
+  ASSERT_NE(p2, std::string::npos) << out;
+  EXPECT_LT(p1, p2);
+  EXPECT_EQ(started.load(), 1) << "request 2 never reached a worker";
+}
+
+TEST(ServiceNet, MemoHitsBehindAnInFlightRequestCountTowardThePipelineCap) {
+  // Inline answers are ready slots, but while request 1 is in flight they
+  // cannot be written: parsing pauses at kMaxPipeline unwritten slots
+  // instead of buffering every memo hit the client sends.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+  ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.on_start = [&](const Request&) {
+    started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+  Server server(server_options);
+  (void)server.pool().get("fir")->detection(opt::OptLevel::O1);
+
+  ProtocolSession session(server, {});
+  session.feed("1 detect edge level=O1\n");
+  while (session.pump()) {
+  }
+  while (started.load() == 0) std::this_thread::yield();
+  constexpr std::size_t kRequests = 2 * kMaxPipeline;
+  std::string script;
+  for (std::size_t id = 2; id <= kRequests; ++id) {
+    script += std::to_string(id) + " detect fir level=O1\n";
+  }
+  session.feed(script + "quit\n");
+  session.finish_input();
+  while (session.pump()) {
+  }
+  EXPECT_TRUE(session.input_paused());
+  EXPECT_GT(session.buffered_input(), 0u) << "parsing must pause at the cap";
+  EXPECT_EQ(server.stats().completed, kMaxPipeline - 1);
+
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  const std::string out = drive_to_close(session, in_30s());
+  std::size_t at = 0;
+  for (std::size_t id = 1; id <= kRequests; ++id) {
+    const std::string line = "{\"id\": " + std::to_string(id) + ", ";
+    ASSERT_EQ(out.compare(at, line.size(), line), 0) << "response " << id;
+    at = out.find('\n', at) + 1;
+  }
+  EXPECT_EQ(at, out.size());
+  EXPECT_EQ(started.load(), 1) << "every memo hit was answered inline";
+}
+
 TEST(ServiceNet, ProtocolSessionOverShutDownServerAnswersWithError) {
   // A refusal after shutdown is an error, not backpressure: the request
   // gets an error line instead of being parked forever, and the session

@@ -1,8 +1,9 @@
 // Contracts of the concurrent evaluation service (service::Server):
 // determinism (concurrent == serial, bit-identical through the rendered
 // protocol), bounded-queue backpressure, graceful shutdown draining,
-// latched per-request errors that never kill a worker, and Stats
-// accounting.  This suite runs under the CI TSan leg.
+// latched per-request errors that never kill a worker, memo hits answered
+// on the calling thread byte-identically and counted like queued
+// answers, and Stats accounting.  This suite runs under the CI TSan leg.
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -19,9 +20,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/protocol.hpp"
@@ -380,6 +383,106 @@ TEST(ServiceServer, CacheDirWarmStartsARestartedServer) {
     EXPECT_GT(stats.pool.stages.disk_hits, 0u);
   }
   std::filesystem::remove_all(dir, discard);
+}
+
+// --- Inline answers ---------------------------------------------------------
+
+/// Every kind, on `workload` (inline `source` when nonempty).
+std::vector<Request> every_kind(const std::string& workload,
+                                const std::string& source) {
+  std::vector<Request> requests;
+  std::uint64_t id = 0;
+  for (std::size_t k = 0; k < kKindCount; ++k) {
+    Request r = make_request(++id, static_cast<Kind>(k), workload);
+    r.source = source;
+    r.grid.levels = {opt::OptLevel::O1};
+    requests.push_back(std::move(r));
+  }
+  return requests;
+}
+
+TEST(ServiceServer, InlineAnswersAreByteIdenticalToEvaluateAndTheQueue) {
+  ServerOptions options;
+  options.workers = 1;
+  Server server(options);
+  pipeline::SessionPool reference;
+  for (const auto& [workload, source] :
+       {std::pair<std::string, std::string>{"fir", ""},
+        {"tiny", "int x[8];\nint main() { int s = 0; int i;\n"
+                 "for (i = 0; i < 8; i++) s += x[i] * 3 + i;\n"
+                 "return s; }\n"}}) {
+    for (const Request& request : every_kind(workload, source)) {
+      const std::string context =
+          workload + " " + std::string(to_string(request.kind));
+      const std::string expected = render_response(evaluate(request, reference));
+      // Cold: nothing memoized, so the request is queued.
+      EXPECT_FALSE(server.try_answer(request).has_value()) << context;
+      std::promise<Response> queued;
+      ASSERT_TRUE(server.try_submit_async(
+          request, [&](Response r) { queued.set_value(std::move(r)); }));
+      EXPECT_EQ(render_response(queued.get_future().get()), expected) << context;
+      // Warm: answered on this thread, byte for byte — except a sweep,
+      // which is always queued.
+      const std::optional<Response> answer = server.try_answer(request);
+      if (request.kind == Kind::kSweep) {
+        EXPECT_FALSE(answer.has_value()) << context;
+        continue;
+      }
+      ASSERT_TRUE(answer.has_value()) << context;
+      EXPECT_EQ(render_response(*answer), expected) << context;
+      EXPECT_EQ(render_response(server.call(request)), expected) << context;
+    }
+  }
+}
+
+TEST(ServiceServer, InlineAnswersCountExactlyAsQueuedAnswers) {
+  std::atomic<int> started{0};
+  ServerOptions options;
+  options.workers = 1;
+  options.on_start = [&](const Request&) { started.fetch_add(1); };
+  Server server(options);
+  const Request request = make_request(1, Kind::kCoverage, "fir");
+  const auto delta = [](const Stats& before, const Stats& after) {
+    Stats d;
+    d.submitted = after.submitted - before.submitted;
+    d.completed = after.completed - before.completed;
+    d.failed = after.failed - before.failed;
+    for (std::size_t k = 0; k < kKindCount; ++k) {
+      d.completed_by_kind[k] =
+          after.completed_by_kind[k] - before.completed_by_kind[k];
+    }
+    d.latency.total = after.latency.total - before.latency.total;
+    return d;
+  };
+
+  const Stats s0 = server.stats();
+  const Response queued = server.call(request);  // Cold: a worker runs it.
+  const Stats s1 = server.stats();
+  const Response inline_answer = server.call(request);  // Warm: inline.
+  const Stats s2 = server.stats();
+  ASSERT_TRUE(queued.ok()) << queued.error;
+  ASSERT_TRUE(inline_answer.ok()) << inline_answer.error;
+  EXPECT_EQ(started.load(), 1) << "on_start runs for queued jobs only";
+  EXPECT_GT(inline_answer.latency_us, 0.0);
+
+  const Stats by_queue = delta(s0, s1);
+  const Stats by_inline = delta(s1, s2);
+  EXPECT_EQ(by_queue.submitted, 1u);
+  EXPECT_EQ(by_inline.submitted, by_queue.submitted);
+  EXPECT_EQ(by_inline.completed, by_queue.completed);
+  EXPECT_EQ(by_inline.failed, by_queue.failed);
+  EXPECT_EQ(by_inline.completed_by_kind, by_queue.completed_by_kind);
+  EXPECT_EQ(by_inline.latency.total, by_queue.latency.total);
+
+  // Nothing is answered once shutdown() has begun: the memo hit is
+  // refused and call() rejects it, as it would a queued request.
+  server.shutdown();
+  EXPECT_FALSE(server.try_answer(request).has_value());
+  EXPECT_THROW((void)server.call(request), std::runtime_error);
+  const Stats s3 = server.stats();
+  EXPECT_EQ(s3.submitted, s2.submitted);
+  EXPECT_EQ(s3.completed, s2.completed);
+  EXPECT_EQ(s3.rejected, 1u);
 }
 
 // --- Backpressure -----------------------------------------------------------

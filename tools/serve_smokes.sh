@@ -38,20 +38,31 @@ python3 "$tcp_smoke" $serve "$demo" "$expected"
 # One protocol interpreter serves both transports.  At one worker behind a
 # one-slot queue nearly every request is parked and retried; stdio and TCP
 # must still print the same bytes, and the stats line must report no
-# rejections (parking is backpressure).  A 2 MiB line on stdio gets the
-# line-cap error and a clean exit, a closed stdin is EOF, and a port file
-# on a full device must fail the TCP start.
+# rejections (parking is backpressure).  Every request is its own memo key
+# (a distinct prune or floor), since a memo hit is answered on the
+# transport thread and never queued: the --latency run's stage counters
+# must show that the worker computed all 400.  A 2 MiB line on stdio gets
+# the line-cap error and a clean exit, a closed stdin is EOF, and a port
+# file on a full device must fail the TCP start.
 echo "== transport agreement smoke"
 python3 - > saturate.txt <<'EOF'
-kinds = ["compile fir", "detect fir", "coverage fir", "detect edge"]
+kinds = ["detect fir level=O1 prune=%g", "coverage fir level=O1 floor=%g",
+         "detect edge level=O1 prune=%g", "coverage edge level=O1 floor=%g"]
 for i in range(1, 401):
-    print(i, kinds[i % 4], "level=O1")
+    print(i, kinds[i % 4] % (1 + i / 1000))
 print("stats")
 EOF
 $serve --workers 1 --queue 1 < saturate.txt > saturate.out
 [ "$(grep -c '"ok": true' saturate.out)" -eq 400 ] || { cat saturate.out; exit 1; }
 grep -q '"submitted": 400, "completed": 400, "failed": 0, "rejected": 0,' saturate.out
 python3 "$tcp_smoke" $serve saturate.txt saturate.out --workers 1 --queue 1
+$serve --workers 1 --queue 1 --latency < saturate.txt > saturate-latency.out
+python3 - saturate-latency.out <<'EOF' || { tail -n 1 saturate-latency.out; exit 1; }
+import json, sys
+stats = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+queued = stats["detect_runs"] + stats["coverage_runs"]
+assert queued == 400, "%d of 400 requests reached the worker" % queued
+EOF
 python3 -c "print('x' * (2 << 20)); print('ping')" > longline.txt
 $serve < longline.txt > longline.out
 grep -qx '{"ok": false, "error": "protocol line exceeds 1048576 bytes"}' longline.out
