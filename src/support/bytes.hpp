@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -29,17 +30,25 @@ class DecodeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// `v` with its bytes in little-endian order: `v` itself on a
+/// little-endian host, byte-swapped on a big-endian one.  Its own inverse,
+/// so it both prepares a word for memcpy out and reads one memcpy'd in.
+constexpr std::uint32_t to_le(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) return __builtin_bswap32(v);
+  return v;
+}
+constexpr std::uint64_t to_le(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) return __builtin_bswap64(v);
+  return v;
+}
+
 class ByteWriter {
  public:
   void reserve(std::size_t n) { bytes_.reserve(n); }
 
   void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { word(v); }
+  void u64(std::uint64_t v) { word(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -55,6 +64,12 @@ class ByteWriter {
   [[nodiscard]] std::string take() && { return std::move(bytes_); }
 
  private:
+  template <class Word>
+  void word(Word v) {
+    const Word le = to_le(v);
+    bytes_.append(reinterpret_cast<const char*>(&le), sizeof le);
+  }
+
   std::string bytes_;
 };
 
@@ -66,24 +81,8 @@ class ByteReader {
     require(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    require(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint32_t u32() { return word<std::uint32_t>(); }
+  std::uint64_t u64() { return word<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   float f32() { return std::bit_cast<float>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
@@ -136,6 +135,16 @@ class ByteReader {
     if (n > data_.size() - pos_) {
       throw DecodeError("cache payload: truncated");
     }
+  }
+
+  /// One bounds check, then the little-endian word at any alignment.
+  template <class Word>
+  Word word() {
+    require(sizeof(Word));
+    Word v;
+    std::memcpy(&v, data_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
+    return to_le(v);
   }
 
   std::string_view data_;

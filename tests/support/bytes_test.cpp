@@ -1,6 +1,7 @@
 // The byte codec (support/bytes.hpp): little-endian layout of every
 // writer primitive, the reader's rejection of malformed input with its
-// exact messages, and FNV-1a against the published test vectors.
+// exact messages, word reads at every alignment, and FNV-1a against the
+// published test vectors.
 #include "support/bytes.hpp"
 
 #include <gtest/gtest.h>
@@ -99,6 +100,42 @@ TEST(Bytes, ReaderRejectsMalformedInputWithItsMessage) {
       bytes({4, 0, 0, 0, 0, 0, 0, 0}) + std::string(12, '\0');
   EXPECT_EQ(error_of([&] { ByteReader(too_many).count(4); }),
             "cache payload: count exceeds remaining bytes");
+}
+
+TEST(Bytes, WordsRoundTripAtEveryAlignmentAndShortReadsThrow) {
+  // Preceded by 0-7 filler bytes, the words start at every offset modulo 8.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    ByteWriter out;
+    for (std::size_t i = 0; i < offset; ++i) out.u8(0xee);
+    out.u32(0x89abcdefu);
+    out.u64(0xfedcba9876543210ull);
+    const std::string encoded = std::move(out).take();
+    ASSERT_EQ(encoded.size(), offset + 12);
+    ByteReader in(encoded);
+    (void)in.raw(offset);
+    EXPECT_EQ(in.u32(), 0x89abcdefu) << "offset " << offset;
+    EXPECT_EQ(in.u64(), 0xfedcba9876543210ull) << "offset " << offset;
+    EXPECT_NO_THROW(in.expect_end());
+  }
+
+  // Every buffer that ends inside a word throws, at every offset, and the
+  // failed read consumes nothing.
+  const std::string filler(16, '\x5a');
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t left = 0; left < 8; ++left) {
+      const std::string_view buffer =
+          std::string_view(filler).substr(0, offset + left);
+      ByteReader in(buffer);
+      (void)in.raw(offset);
+      if (left < 4) {
+        EXPECT_EQ(error_of([&] { in.u32(); }), "cache payload: truncated")
+            << "u32 at " << offset << " with " << left << " left";
+      }
+      EXPECT_EQ(error_of([&] { in.u64(); }), "cache payload: truncated")
+          << "u64 at " << offset << " with " << left << " left";
+      EXPECT_EQ(in.position(), offset);
+    }
+  }
 }
 
 TEST(Bytes, Fnv1aMatchesPublishedVectors) {
