@@ -51,9 +51,10 @@ using CacheError = support::DecodeError;
 
 /// Bumped whenever the byte layout below or the store's record framing
 /// changes; part of every record header, so an old-format record reads
-/// as a miss, not garbage.  2: records in append-only segments (1 was
-/// one `<kind>-<key>.art` file per entry).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// as a miss, not garbage.  1: one `<kind>-<key>.art` file per entry.
+/// 2: records in append-only segments, FNV-1a checksum.  3: the same
+/// records, checksummed by XXH64 seeded with the FNV-1a of kind and key.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// The artifact families the cache stores — one serializer per family.
 enum class Artifact : std::uint8_t {

@@ -45,14 +45,17 @@ constexpr std::size_t kMaxOpenFiles = 64;
 /// move the mtime the next miss compares against.
 constexpr std::int64_t kSettleNs = 100'000'000;
 
+/// XXH64 of the payload, seeded with the FNV-1a of the kind byte and the
+/// key, so it covers all three while only the short header bytes go
+/// through FNV's byte-serial multiply chain.
 std::uint64_t checksum(std::uint8_t kind, std::string_view key,
                        std::string_view payload) {
   const char kind_byte = static_cast<char>(kind);
-  return support::Fnv1a(support::kFnvShortBasis)
-      .bytes(std::string_view(&kind_byte, 1))
-      .bytes(key)
-      .bytes(payload)
-      .value();
+  const std::uint64_t seed = support::Fnv1a(support::kFnvShortBasis)
+                                 .bytes(std::string_view(&kind_byte, 1))
+                                 .bytes(key)
+                                 .value();
+  return support::xxh64(payload, seed);
 }
 
 std::string frame_record(Artifact kind, std::string_view engine_version,

@@ -1,4 +1,4 @@
-// The byte codec: explicit little-endian encoding and FNV-1a hashing.
+// The byte codec: explicit little-endian encoding, FNV-1a and XXH64.
 //
 // Every value asipfb turns into bytes or hashes goes through this file —
 // cache payloads and entry frames (cache/serialize.cpp, cache/store.cpp),
@@ -6,6 +6,12 @@
 // hashes (sim/baseline_hash.hpp).  Encodings are independent of host byte
 // order and of struct layout, so bytes written on one platform read the
 // same on any other.
+//
+// Fixed-width fields move as whole words: one memcpy each way, through
+// to_le(), which byte-swaps only on a big-endian host, so there is one
+// code path and no byte loop.  FNV-1a hashes content keys and the
+// simulator baselines; XXH64, whose four lanes run at memory speed,
+// checksums cache records, the one place that hashes whole payloads.
 //
 // ByteReader is defensive, not trusting: every read is bounds-checked,
 // vector counts are capped by the bytes left, and enum bytes are checked
@@ -157,10 +163,10 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 
 /// The standard basis with its last digit dropped (0x14650fb0739d0383).
-/// It is not a standard constant, but cache entry checksums, content keys
-/// and the simulator baseline hashes pinned in the suite_differential test
-/// were all computed with it, so it stays: changing it would move every
-/// one of those values.
+/// It is not a standard constant, but content keys, the seeds of cache
+/// record checksums and the simulator baseline hashes pinned in the
+/// suite_differential test are all computed with it, so it stays:
+/// changing it would move every one of those values.
 inline constexpr std::uint64_t kFnvShortBasis = 1469598103934665603ull;
 
 /// Streaming FNV-1a 64-bit hash from a caller-chosen offset basis.
@@ -188,5 +194,69 @@ class Fnv1a {
 
   std::uint64_t h_;
 };
+
+/// XXH64 (Yann Collet's xxHash, 64-bit variant) of `s` from `seed`.
+/// Four independent multiply-rotate lanes consume 32 bytes per round, so
+/// it runs at memory speed where FNV-1a's one multiply chain per byte
+/// does not; the record checksum of the cache store uses it.  Bytes are
+/// read as little-endian words on every host, so the value is portable.
+inline std::uint64_t xxh64(std::string_view s, std::uint64_t seed) {
+  constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
+  constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+  constexpr std::uint64_t kP3 = 0x165667b19e3779f9ull;
+  constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+  constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ull;
+  const auto load64 = [](const char* p) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return to_le(v);
+  };
+  const auto round = [](std::uint64_t acc, std::uint64_t input) {
+    return std::rotl(acc + input * kP2, 31) * kP1;
+  };
+  const auto merge = [&](std::uint64_t h, std::uint64_t lane) {
+    return (h ^ round(0, lane)) * kP1 + kP4;
+  };
+
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  std::uint64_t h = 0;
+  if (s.size() >= 32) {
+    std::uint64_t v1 = seed + kP1 + kP2;
+    std::uint64_t v2 = seed + kP2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = round(v1, load64(p));
+      v2 = round(v2, load64(p + 8));
+      v3 = round(v3, load64(p + 16));
+      v4 = round(v4, load64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = merge(merge(merge(merge(h, v1), v2), v3), v4);
+  } else {
+    h = seed + kP5;
+  }
+  h += s.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ round(0, load64(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    std::uint32_t word;
+    std::memcpy(&word, p, sizeof word);
+    h = std::rotl(h ^ to_le(word) * kP1, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p != end; ++p) {
+    h = std::rotl(h ^ static_cast<std::uint8_t>(*p) * kP5, 11) * kP1;
+  }
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 }  // namespace asipfb::support

@@ -223,7 +223,7 @@ TEST(FormatGolden, SessionTripFilesArePinned) {
       {"prepared-c4b49420806767bf77e262188caf7765",
        "9a948520d9eb551a 3567"},
       {"record(prepared-c4b49420806767bf77e262188caf7765)",
-       "28f4d5441acc1ac7 3663"},
+       "843155953d3ce011 3663"},
   });
 }
 

@@ -7,8 +7,9 @@
 //     corrupt misses that degrade to cold compute, never crashes and never
 //     wrong bytes (corrupt records are dropped from the index); a torn
 //     tail is a plain miss that hides nothing else,
-//   * a different engine version or a legacy `.art` file is a plain miss:
-//     the bytes survive so the engine that wrote them can still read them,
+//   * a different engine version, a legacy `.art` file or a segment of an
+//     older format version is a plain miss: the bytes survive so the
+//     engine that wrote them can still read them,
 //   * the size cap evicts whole oldest segments and the directory holds
 //     nothing but segments,
 //   * records another instance or process appends after open are found on
@@ -440,6 +441,58 @@ TEST(Store, LegacyEntryFilesArePlainMissesAndStayUntouched) {
   store->save(Artifact::kDetection, key, payload);
   EXPECT_EQ(store->load(Artifact::kDetection, key), payload);
   EXPECT_EQ(read_file(legacy_path), legacy_bytes) << "legacy files are left alone";
+}
+
+TEST(Store, FormatTwoSegmentsArePlainMissesAndStayUntouched) {
+  const ScratchDir scratch("format2");
+  std::filesystem::create_directories(scratch.path());
+  const std::string key = content_hash({"format2"});
+  const std::string payload = payload_for(Artifact::kCoverage, key);
+
+  // A segment record framed as format version 2: the layout of today's
+  // records with the FNV-1a checksum of (kind, key, payload).
+  const auto kind = static_cast<std::uint8_t>(Artifact::kCoverage);
+  support::ByteWriter old_record;
+  old_record.raw("ASFBCACH");
+  old_record.u32(2);
+  old_record.u8(kind);
+  old_record.str(kEngineVersion);
+  old_record.str(key);
+  old_record.u64(payload.size());
+  old_record.u64(support::Fnv1a(support::kFnvShortBasis)
+                     .bytes(std::string_view(reinterpret_cast<const char*>(&kind), 1))
+                     .bytes(key)
+                     .bytes(payload)
+                     .value());
+  old_record.raw(payload);
+  const std::string old_bytes = std::move(old_record).take();
+  const auto old_segment = scratch.path() / "seg-1-0.log";
+  write_file(old_segment, old_bytes);
+
+  const auto store = open_store(scratch);
+  EXPECT_EQ(store->load(Artifact::kCoverage, key), std::nullopt);
+  EXPECT_EQ(store->stats().misses, 1u);
+  EXPECT_EQ(store->stats().corrupt, 0u) << "an older format is not corruption";
+  EXPECT_TRUE(store->entries().empty());
+
+  // The same key saves and loads under the current format, in a segment
+  // of its own; the old one is left as it was.
+  store->save(Artifact::kCoverage, key, payload);
+  EXPECT_EQ(store->load(Artifact::kCoverage, key), payload);
+  const std::filesystem::path new_segment =
+      store->entry_path(Artifact::kCoverage, key);
+  ASSERT_FALSE(new_segment.empty());
+  EXPECT_NE(new_segment, old_segment);
+  const std::string new_bytes = read_file(new_segment);
+  support::ByteReader header(new_bytes);
+  (void)header.raw(8);
+  EXPECT_EQ(header.u32(), kFormatVersion);
+  EXPECT_EQ(kFormatVersion, 3u);
+  EXPECT_EQ(read_file(old_segment), old_bytes) << "old segments are left alone";
+
+  const auto fresh = open_store(scratch);
+  EXPECT_EQ(fresh->load(Artifact::kCoverage, key), payload);
+  EXPECT_EQ(fresh->stats().corrupt, 0u);
 }
 
 TEST(Store, EntryPathNamesTheSegmentHoldingTheRecord) {
