@@ -325,19 +325,27 @@ void hex16(std::string& out, std::uint64_t v) {
 }  // namespace
 
 std::string content_hash(std::initializer_list<std::string_view> parts) {
-  // Two independent FNV-1a lanes give the 128 hash bits.
-  support::Fnv1a lo(support::kFnvShortBasis);
-  support::Fnv1a hi(0x9e3779b97f4a7c15ull);
+  // Two independent FNV-1a lanes give the 128 hash bits.  Both advance in
+  // the one pass over each byte, so their multiply chains overlap.
+  std::uint64_t lo = support::kFnvShortBasis;
+  std::uint64_t hi = 0x9e3779b97f4a7c15ull;
+  const auto mix = [&](std::uint8_t byte) {
+    lo = (lo ^ byte) * support::kFnvPrime;
+    hi = (hi ^ byte) * support::kFnvPrime;
+  };
   for (const std::string_view part : parts) {
-    // Length marker after each part: ("ab", "c") and ("a", "bc") must hash
-    // differently even though their concatenations agree.
-    lo.bytes(part).u64(part.size());
-    hi.bytes(part).u64(part.size());
+    for (const char c : part) mix(static_cast<std::uint8_t>(c));
+    // Length marker after each part, as eight little-endian bytes:
+    // ("ab", "c") and ("a", "bc") must hash differently even though their
+    // concatenations agree.
+    for (int i = 0; i < 8; ++i) {
+      mix(static_cast<std::uint8_t>(part.size() >> (8 * i)));
+    }
   }
   std::string out;
   out.reserve(32);
-  hex16(out, lo.value());
-  hex16(out, hi.value());
+  hex16(out, lo);
+  hex16(out, hi);
   return out;
 }
 
