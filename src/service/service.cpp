@@ -174,6 +174,12 @@ Response evaluate(const Request& request, pipeline::SessionPool& pool) {
 std::optional<Response> try_evaluate(const Request& request,
                                      const pipeline::SessionPool& pool) {
   if (request.kind == Kind::kSweep) return std::nullopt;
+  // The first lookup of a corpus name builds the whole default corpus
+  // (milliseconds): leave that to a worker, not the receiving thread.
+  if (request.source.empty() && request.workload.starts_with("gen_") &&
+      !wl::default_corpus_built()) {
+    return std::nullopt;
+  }
   try {
     const wl::Workload* named = named_workload(request);
     const std::shared_ptr<pipeline::Session> session =

@@ -6,6 +6,7 @@
 // parameters are drawn from that seed through the fixed xorshift64* Rng,
 // and its data seed is drawn last — so inserting a new knob into one
 // family never perturbs any other family or index.
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -163,9 +164,20 @@ std::vector<Workload> corpus(const CorpusSpec& spec) {
   return out;
 }
 
+namespace {
+std::atomic<bool> g_default_corpus_built{false};
+}  // namespace
+
 const std::vector<Workload>& default_corpus() {
   static const std::vector<Workload> shared = corpus();
+  if (!g_default_corpus_built.load(std::memory_order_relaxed)) {
+    g_default_corpus_built.store(true, std::memory_order_release);
+  }
   return shared;
+}
+
+bool default_corpus_built() {
+  return g_default_corpus_built.load(std::memory_order_acquire);
 }
 
 CorpusSpec env_corpus_spec() {

@@ -204,6 +204,10 @@ struct CorpusSpec {
 /// free, so share one copy per process).
 [[nodiscard]] const std::vector<Workload>& default_corpus();
 
+/// True once default_corpus() has returned in this process, so a lookup
+/// in it costs a scan, not the corpus's construction.  Never builds it.
+[[nodiscard]] bool default_corpus_built();
+
 /// The default CorpusSpec with `seed` and `count` overridden by the
 /// ASIPFB_FUZZ_SEED / ASIPFB_FUZZ_COUNT environment variables when set
 /// (parsed as base-10; invalid or empty values are ignored).  The one

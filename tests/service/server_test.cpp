@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <future>
@@ -433,6 +434,34 @@ TEST(ServiceServer, InlineAnswersAreByteIdenticalToEvaluateAndTheQueue) {
       EXPECT_EQ(render_response(server.call(request)), expected) << context;
     }
   }
+}
+
+TEST(ServiceServer, CorpusNamesQueueUntilTheCorpusIsBuilt) {
+  // In a fresh process (the threadsafe style re-executes this binary for
+  // this test alone, so no earlier test has built the corpus), a bare
+  // corpus name is declined and the corpus stays unbuilt: building it is
+  // a worker's job, not the receiving thread's.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const pipeline::SessionPool pool;
+        if (wl::default_corpus_built()) std::exit(1);
+        if (try_evaluate(make_request(1, Kind::kCompile, "gen_dft_002"), pool)) {
+          std::exit(2);
+        }
+        std::exit(wl::default_corpus_built() ? 3 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  // Once built, a memoized corpus workload is answered inline.
+  pipeline::SessionPool pool;
+  const Request request =
+      make_request(2, Kind::kCompile, wl::default_corpus().front().name);
+  const Response expected = evaluate(request, pool);
+  ASSERT_TRUE(expected.ok()) << expected.error;
+  const std::optional<Response> answer = try_evaluate(request, pool);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(render_response(*answer), render_response(expected));
 }
 
 TEST(ServiceServer, InlineAnswersCountExactlyAsQueuedAnswers) {
