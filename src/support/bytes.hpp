@@ -147,7 +147,7 @@ class ByteReader {
   template <class Word>
   Word word() {
     require(sizeof(Word));
-    Word v;
+    Word v = 0;
     std::memcpy(&v, data_.data() + pos_, sizeof v);
     pos_ += sizeof v;
     return to_le(v);
@@ -207,7 +207,7 @@ inline std::uint64_t xxh64(std::string_view s, std::uint64_t seed) {
   constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ull;
   constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ull;
   const auto load64 = [](const char* p) {
-    std::uint64_t v;
+    std::uint64_t v = 0;
     std::memcpy(&v, p, sizeof v);
     return to_le(v);
   };
@@ -243,7 +243,7 @@ inline std::uint64_t xxh64(std::string_view s, std::uint64_t seed) {
     h = std::rotl(h ^ round(0, load64(p)), 27) * kP1 + kP4;
   }
   if (end - p >= 4) {
-    std::uint32_t word;
+    std::uint32_t word = 0;
     std::memcpy(&word, p, sizeof word);
     h = std::rotl(h ^ to_le(word) * kP1, 23) * kP2 + kP3;
     p += 4;

@@ -170,15 +170,11 @@ std::atomic<bool> g_default_corpus_built{false};
 
 const std::vector<Workload>& default_corpus() {
   static const std::vector<Workload> shared = corpus();
-  if (!g_default_corpus_built.load(std::memory_order_relaxed)) {
-    g_default_corpus_built.store(true, std::memory_order_release);
-  }
+  if (!g_default_corpus_built.load()) g_default_corpus_built.store(true);
   return shared;
 }
 
-bool default_corpus_built() {
-  return g_default_corpus_built.load(std::memory_order_acquire);
-}
+bool default_corpus_built() { return g_default_corpus_built.load(); }
 
 CorpusSpec env_corpus_spec() {
   CorpusSpec spec;
