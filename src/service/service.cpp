@@ -176,7 +176,7 @@ std::optional<Response> try_evaluate(const Request& request,
   if (request.kind == Kind::kSweep) return std::nullopt;
   // The first lookup of a corpus name builds the whole default corpus
   // (milliseconds): leave that to a worker, not the receiving thread.
-  if (request.source.empty() && request.workload.starts_with("gen_") &&
+  if (request.source.empty() && !wl::family_of(request.workload).empty() &&
       !wl::default_corpus_built()) {
     return std::nullopt;
   }

@@ -113,8 +113,8 @@ struct Response {
 /// evaluate()'s Response when everything `request` needs is already in
 /// `pool`: a ready Session and, for the stage kinds, its memoized
 /// artifact (SessionPool::find and the Session::find_* probes).  nullopt
-/// for a sweep, an unknown workload, a bare `gen_` name while the default
-/// corpus is not yet built (wl::default_corpus_built()), a Session not yet
+/// for a sweep, an unknown workload, a bare corpus name (wl::family_of)
+/// while the default corpus is not yet built, a Session not yet
 /// prepared, or an artifact missing, still being computed, or latched as
 /// an error — the caller then runs evaluate().  Never prepares, computes,
 /// builds the corpus, consults the store, or waits on a computation, and

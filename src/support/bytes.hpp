@@ -7,7 +7,7 @@
 // order and of struct layout, so bytes written on one platform read the
 // same on any other.
 //
-// Fixed-width fields move as whole words: one memcpy each way, through
+// Fixed-width fields move as whole words, one copy each way, through
 // to_le(), which byte-swaps only on a big-endian host, so there is one
 // code path and no byte loop.  FNV-1a hashes content keys and the
 // simulator baselines; XXH64, whose four lanes run at memory speed,

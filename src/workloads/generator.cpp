@@ -219,7 +219,7 @@ const Workload& any_workload(const std::string& name) {
     if (w.name == name) return w;
   }
   // Only corpus names can match below; skip the 96-scenario scan otherwise.
-  if (name.rfind("gen_", 0) == 0) {
+  if (!family_of(name).empty()) {
     for (const auto& w : default_corpus()) {
       if (w.name == name) return w;
     }
