@@ -22,6 +22,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <mutex>
@@ -762,6 +763,72 @@ TEST(ServiceNet, StreamLineOverCapIsAnErrorAndCloses) {
   EXPECT_EQ(stream.read_to_eof(),
             render_error("protocol line exceeds 1048576 bytes") + "\n");
   EXPECT_TRUE(stream.returned().get());
+}
+
+TEST(ServiceNet, StreamServesRegularFileToEof) {
+  // A regular file is always readable: serve_stream reads it to EOF and
+  // answers every line, as `asipfb_serve < script` does.
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  const std::string script = "ping\n1 compile fir level=O1\n";
+  ASSERT_EQ(std::fwrite(script.data(), 1, script.size(), in), script.size());
+  ASSERT_EQ(std::fflush(in), 0);
+  ASSERT_EQ(::lseek(::fileno(in), 0, SEEK_SET), 0);
+
+  Server server(four_workers());
+  EXPECT_TRUE(serve_stream(server, ::fileno(in), ::fileno(out), {}));
+
+  std::string got;
+  char buf[4096];
+  ASSERT_EQ(::lseek(::fileno(out), 0, SEEK_SET), 0);
+  for (ssize_t n; (n = ::read(::fileno(out), buf, sizeof buf)) > 0;) {
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  std::fclose(in);
+  std::fclose(out);
+  pipeline::SessionPool pool;
+  EXPECT_EQ(got, "{\"pong\": true, \"workers\": 4}\n" +
+                     render_response(evaluate(
+                         make_request(1, Kind::kCompile, "fir"), pool)) +
+                     "\n");
+}
+
+TEST(ServiceNet, StreamOverClosedInputServesNothing) {
+  // A closed in_fd reads as EOF: nothing is served and nothing failed.
+  int out[2] = {-1, -1};
+  ASSERT_EQ(::pipe(out), 0);
+  const int closed_fd = ::dup(out[0]);
+  ASSERT_GE(closed_fd, 0);
+  ::close(closed_fd);
+
+  Server server(four_workers());
+  EXPECT_TRUE(serve_stream(server, closed_fd, out[1], {}));
+  ::close(out[1]);
+  char c = 0;
+  EXPECT_EQ(::read(out[0], &c, 1), 0) << "serve_stream wrote output";
+  ::close(out[0]);
+}
+
+TEST(ServiceNet, StreamReturnsFalseWhenOutputReaderIsGone) {
+  // The output pipe's reader has gone and there is a line to answer: the
+  // write fails, and serve_stream reports it.
+  std::signal(SIGPIPE, SIG_IGN);
+  int in[2] = {-1, -1};
+  int out[2] = {-1, -1};
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  ::close(out[0]);
+  const std::string script = "ping\n";
+  ASSERT_EQ(::write(in[1], script.data(), script.size()),
+            static_cast<ssize_t>(script.size()));
+  ::close(in[1]);
+
+  Server server(four_workers());
+  EXPECT_FALSE(serve_stream(server, in[0], out[1], {}));
+  ::close(in[0]);
+  ::close(out[1]);
 }
 
 TEST(ServiceNet, StreamAtQueueOneKeepsOrderAndStableStats) {
