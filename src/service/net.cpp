@@ -1,33 +1,27 @@
 #include "service/net.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <system_error>
-#include <utility>
-
-#if defined(__linux__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-
-#include <algorithm>
-#include <chrono>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
-#endif
 
 #include "service/protocol.hpp"
 #include "support/json.hpp"
@@ -372,122 +366,19 @@ std::size_t ProtocolSession::buffered_input() const {
   return s.input.size() - s.pos;
 }
 
-// --- serve_stream -----------------------------------------------------------
-
-namespace {
-
-/// serve_stream's wake-up: completions bump `generation` and write a byte
-/// to the pipe that poll() watches.  Held by shared_ptr from on_progress,
-/// so a late callback never writes to a closed (possibly reused) fd: the
-/// pipe closes only when the last reference goes.
-struct StreamWake {
-  int fds[2] = {-1, -1};
-  std::atomic<std::uint64_t> generation{0};
-
-  StreamWake() {
-    if (::pipe(fds) != 0) {
-      throw std::system_error(errno, std::generic_category(), "pipe");
-    }
-    for (const int fd : fds) {
-      ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-      ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-    }
-  }
-  ~StreamWake() {
-    ::close(fds[0]);
-    ::close(fds[1]);
-  }
-  StreamWake(const StreamWake&) = delete;
-  StreamWake& operator=(const StreamWake&) = delete;
-
-  void notify() {
-    generation.fetch_add(1, std::memory_order_acq_rel);
-    // A full pipe (EAGAIN) is already readable: nothing is lost.
-    const char byte = 0;
-    [[maybe_unused]] const auto n = ::write(fds[1], &byte, 1);
-  }
-
-  void drain() const {
-    char buf[256];
-    while (::read(fds[0], buf, sizeof buf) > 0) {
-    }
-  }
-};
-
-/// Writes all of `bytes`, waiting for POLLOUT if `fd` is nonblocking.
-bool write_all(int fd, const std::string& bytes) {
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + pos, bytes.size() - pos);
-    if (n > 0) {
-      pos += static_cast<std::size_t>(n);
-    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd out{fd, POLLOUT, 0};
-      ::poll(&out, 1, -1);
-    } else if (n < 0 && errno != EINTR) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool serve_stream(Server& server, int in_fd, int out_fd,
-                  ProtocolSession::Options options) {
-  // A closed in_fd reads as EOF.  Checked before pipe(), which would
-  // otherwise hand out its number to the wake pipe.
-  bool input_open = ::fcntl(in_fd, F_GETFD) != -1;
-  const auto wake = std::make_shared<StreamWake>();
-  options.on_progress = [wake] { wake->notify(); };
-  const std::size_t read_cap = kMaxLineBytes + (std::size_t{1} << 16);
-  ProtocolSession session(server, std::move(options));
-  if (!input_open) session.finish_input();
-  char buf[1 << 16];
-  for (;;) {
-    const std::uint64_t seen = wake->generation.load(std::memory_order_acquire);
-    while (session.pump()) {
-    }
-    if (!write_all(out_fd, session.take_ready())) return false;
-    if (session.wants_close()) return true;
-    // A completion that landed since `seen` may have readied the front
-    // slot or freed room for the parked request: go round again at once.
-    // One landing after this check still wakes poll() through the pipe.
-    if (wake->generation.load(std::memory_order_acquire) != seen) continue;
-
-    const bool want_input = input_open && !session.input_paused() &&
-                            session.buffered_input() < read_cap;
-    pollfd fds[2] = {{wake->fds[0], POLLIN, 0}, {in_fd, POLLIN, 0}};
-    if (::poll(fds, want_input ? 2 : 1, -1) < 0) {
-      if (errno != EINTR && want_input) {
-        input_open = false;  // An unpollable input ends like EOF.
-        session.finish_input();
-      }
-      continue;
-    }
-    if (fds[0].revents != 0) wake->drain();
-    if (!want_input || fds[1].revents == 0) continue;
-    const ssize_t n = ::read(in_fd, buf, sizeof buf);
-    if (n > 0) {
-      session.feed({buf, static_cast<std::size_t>(n)});
-    } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
-      input_open = false;  // EOF, or a read error treated as one.
-      session.finish_input();
-    }
-  }
-}
-
-// --- TcpServer --------------------------------------------------------------
-
-#if defined(__linux__)
+// --- The event loop -----------------------------------------------------------
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Pending unwritten output per connection before the peer is declared
-/// broken and dropped (write backpressure bound); reading pauses at half
-/// this.
+/// Raw input a connection buffers before reading pauses: one line at the
+/// cap plus one read.
+constexpr std::size_t kReadCap = kMaxLineBytes + (std::size_t{1} << 16);
+
+/// Unwritten output per socket before the peer is declared broken and
+/// dropped (write backpressure bound); reading pauses at half this on
+/// every connection.
 constexpr std::size_t kWriteBufferLimit = std::size_t{8} << 20;
 
 /// stop(): how long open connections may drain in-flight responses before
@@ -499,43 +390,357 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-void set_peer_options(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
+/// Completion wake-ups: a self-pipe the loop polls, plus the connections
+/// whose completions landed since the loop last looked.  Every session's
+/// on_progress holds a reference, so a completion that arrives after its
+/// connection (or the whole loop) is gone still writes to this open pipe,
+/// never to a closed and possibly reused fd.
+class WakeHub {
+ public:
+  WakeHub() {
+    if (::pipe(fds_) != 0) {
+      throw std::system_error(errno, std::generic_category(), "pipe");
+    }
+    for (const int fd : fds_) {
+      set_nonblocking(fd);
+      ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    }
+  }
+  ~WakeHub() {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+  WakeHub(const WakeHub&) = delete;
+  WakeHub& operator=(const WakeHub&) = delete;
 
-/// Completion wake-up fan-in shared by the epoll loop and every session's
-/// on_progress callback.  Outlives the TcpServer: callbacks from jobs
-/// whose connection died keep a reference and hit the `dead` no-op
-/// instead of a closed (possibly recycled) eventfd.
-struct WakeHub {
-  std::mutex mu;
-  std::vector<int> ready_fds;
-  int event_fd = -1;
-  bool dead = false;
+  [[nodiscard]] int read_fd() const { return fds_[0]; }
 
-  void notify(int fd) {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (dead) return;
-    ready_fds.push_back(fd);
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const auto n = ::write(event_fd, &one, sizeof one);
+  void notify(std::uint64_t conn) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      touched_.push_back(conn);
+    }
+    wake();
   }
 
-  std::vector<int> drain() {
-    std::vector<int> fds;
-    const std::lock_guard<std::mutex> lock(mu);
-    fds.swap(ready_fds);
-    return fds;
+  /// A full pipe (EAGAIN) is already readable: nothing is lost.
+  void wake() {
+    const char byte = 0;
+    [[maybe_unused]] const auto n = ::write(fds_[1], &byte, 1);
   }
 
-  void kill() {
-    const std::lock_guard<std::mutex> lock(mu);
-    dead = true;
-    if (event_fd >= 0) ::close(event_fd);
-    event_fd = -1;
+  /// Empties the pipe, then takes the touched connections.  One recorded
+  /// after the read has its byte still in the pipe, so the next poll()
+  /// returns at once and no wake-up is lost.
+  std::vector<std::uint64_t> drain() {
+    char buf[256] = {};
+    while (::read(fds_[0], buf, sizeof buf) > 0) {
+    }
+    std::vector<std::uint64_t> touched;
+    const std::lock_guard<std::mutex> lock(mu_);
+    touched.swap(touched_);
+    return touched;
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+  std::mutex mu_;
+  std::vector<std::uint64_t> touched_;
+};
+
+enum class CloseWhy { kNormal, kIdle, kOverflow, kError };
+
+/// One ProtocolSession over an input and an output fd.  An accepted socket
+/// is both, is written with send(MSG_NOSIGNAL), and is closed by the loop;
+/// adopted stdio fds are written with write(2) and never closed.
+struct Conn {
+  std::uint64_t id = 0;
+  int in_fd = -1;
+  int out_fd = -1;
+  bool socket = false;
+  bool input_open = true;
+  std::optional<CloseWhy> closing;  ///< Done; closed before the next poll().
+  std::unique_ptr<ProtocolSession> session;
+  std::string out;
+  std::size_t out_pos = 0;
+  Clock::time_point last_active;
+
+  [[nodiscard]] std::size_t out_pending() const { return out.size() - out_pos; }
+};
+
+/// The one event loop of both transports: poll(2) over the wake pipe, an
+/// optional listening socket, and each connection's fds.  TcpServer runs
+/// it on its own thread with a listener; serve_stream runs it on the
+/// caller's thread over one adopted connection.  run() returns once no
+/// listener is left and every connection is closed.
+struct Loop {
+  Server& server;
+  TcpServer::Options options;
+  std::shared_ptr<WakeHub> hub = std::make_shared<WakeHub>();
+  int listen_fd = -1;
+  std::unordered_map<std::uint64_t, Conn> conns;
+  std::vector<std::uint64_t> closing;
+  std::uint64_t next_id = 0;
+  bool write_failed = false;  ///< Writing a stdio connection's output failed.
+  char buf[1 << 16] = {};
+
+  std::atomic<bool> stopping{false};
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> refused{0};
+  std::atomic<std::uint64_t> closed{0};
+  std::atomic<std::uint64_t> idle_closed{0};
+  std::atomic<std::uint64_t> overflow_closed{0};
+  std::atomic<std::uint64_t> error_closed{0};
+  std::atomic<std::size_t> open{0};
+
+  Loop(Server& s, TcpServer::Options o) : server(s), options(std::move(o)) {}
+  ~Loop() {
+    if (listen_fd >= 0) ::close(listen_fd);
+  }
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  void adopt(int in_fd, int out_fd, bool socket, bool input_open);
+  void accept_all();
+  void read_input(Conn& c);
+  bool flush(Conn& c);
+  void service(Conn& c);
+  void end_input(Conn& c);
+  void finish(Conn& c, CloseWhy why);
+  void close_finished();
+  void run();
+
+  /// From any thread: closes the listener and drains, as TcpServer::stop().
+  void stop() {
+    stopping.store(true);
+    hub->wake();
   }
 };
+
+void Loop::adopt(int in_fd, int out_fd, bool socket, bool input_open) {
+  const std::uint64_t id = next_id++;
+  Conn& c = conns[id];
+  c.id = id;
+  c.in_fd = in_fd;
+  c.out_fd = out_fd;
+  c.socket = socket;
+  c.last_active = Clock::now();
+  ProtocolSession::Options session_options;
+  session_options.with_latency = options.with_latency;
+  session_options.on_progress = [hub = hub, id] { hub->notify(id); };
+  c.session = std::make_unique<ProtocolSession>(server, session_options);
+  if (socket) accepted.fetch_add(1);
+  open.fetch_add(1);
+  if (!input_open) end_input(c);
+  service(c);
+}
+
+void Loop::accept_all() {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN or a transient accept error: back to poll().
+    }
+    if (conns.size() >= options.max_connections) {
+      ::close(fd);
+      refused.fetch_add(1);
+      continue;
+    }
+    set_nonblocking(fd);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    adopt(fd, fd, /*socket=*/true, /*input_open=*/true);
+  }
+}
+
+void Loop::end_input(Conn& c) {
+  c.input_open = false;
+  c.session->finish_input();
+}
+
+/// One read per readiness, so a blocking stdio fd never stalls the loop.
+/// EOF and a read error (a reset, a closed fd) both end the input.
+void Loop::read_input(Conn& c) {
+  const ssize_t n = ::read(c.in_fd, buf, sizeof buf);
+  if (n > 0) {
+    c.session->feed({buf, static_cast<std::size_t>(n)});
+    c.last_active = Clock::now();
+  } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+    end_input(c);
+  }
+}
+
+/// Writes as much pending output as the fd takes; false on a write error.
+bool Loop::flush(Conn& c) {
+  while (c.out_pos < c.out.size()) {
+    const char* data = c.out.data() + c.out_pos;
+    const std::size_t size = c.out.size() - c.out_pos;
+    const ssize_t n = c.socket ? ::send(c.out_fd, data, size, MSG_NOSIGNAL)
+                               : ::write(c.out_fd, data, size);
+    if (n > 0) {
+      c.out_pos += static_cast<std::size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else if (n == 0 || errno != EINTR) {
+      return false;
+    }
+  }
+  if (c.out_pos == c.out.size()) {
+    c.out.clear();
+    c.out_pos = 0;
+  } else if (c.out_pos > (std::size_t{1} << 20)) {
+    c.out.erase(0, c.out_pos);
+    c.out_pos = 0;
+  }
+  return true;
+}
+
+/// Pumps the session, writes what is ready, and finishes the connection
+/// once its session is over and flushed, its output failed, or (a socket
+/// only) its peer stopped reading.
+void Loop::service(Conn& c) {
+  if (c.closing) return;
+  while (c.session->pump()) {
+  }
+  c.out += c.session->take_ready();
+  if (!flush(c)) {
+    if (!c.socket) write_failed = true;
+    finish(c, CloseWhy::kError);
+  } else if (c.socket && c.out_pending() > kWriteBufferLimit) {
+    finish(c, CloseWhy::kOverflow);
+  } else if (c.out_pending() == 0 && c.session->wants_close()) {
+    finish(c, CloseWhy::kNormal);
+  }
+}
+
+void Loop::finish(Conn& c, CloseWhy why) {
+  if (c.closing) return;
+  c.closing = why;
+  closing.push_back(c.id);
+}
+
+void Loop::close_finished() {
+  for (const std::uint64_t id : closing) {
+    const auto it = conns.find(id);
+    const CloseWhy why = *it->second.closing;
+    if (it->second.socket) ::close(it->second.in_fd);
+    conns.erase(it);
+    open.fetch_sub(1);
+    closed.fetch_add(1);
+    if (why == CloseWhy::kIdle) idle_closed.fetch_add(1);
+    if (why == CloseWhy::kOverflow) overflow_closed.fetch_add(1);
+    if (why == CloseWhy::kError) error_closed.fetch_add(1);
+  }
+  closing.clear();
+}
+
+void Loop::run() {
+  std::vector<pollfd> fds;
+  std::vector<std::uint64_t> owners;  ///< Connection of fds[first_conn + i].
+  bool draining = false;
+  Clock::time_point drain_deadline{};
+  auto next_idle_check = Clock::now();
+  const int idle_period = std::max(10, options.idle_timeout_ms / 4);
+
+  while (listen_fd >= 0 || !conns.empty()) {
+    if (stopping.load() && !draining) {
+      // EOF every connection: parse what is buffered, drain in-flight
+      // responses, then close each as it flushes.
+      draining = true;
+      drain_deadline = Clock::now() + std::chrono::milliseconds(kDrainGraceMs);
+      if (listen_fd >= 0) ::close(listen_fd);
+      listen_fd = -1;
+      for (auto& [id, c] : conns) {
+        end_input(c);
+        service(c);
+      }
+    }
+    if (draining && Clock::now() >= drain_deadline) {
+      for (auto& [id, c] : conns) finish(c, CloseWhy::kError);
+    }
+    close_finished();
+    if (listen_fd < 0 && conns.empty()) break;
+
+    fds.clear();
+    owners.clear();
+    fds.push_back({hub->read_fd(), POLLIN, 0});
+    if (listen_fd >= 0) fds.push_back({listen_fd, POLLIN, 0});
+    const std::size_t first_conn = fds.size();
+    for (const auto& [id, c] : conns) {
+      const bool want_input =
+          c.input_open && !c.session->input_paused() &&
+          c.session->buffered_input() < kReadCap &&
+          c.out_pending() < kWriteBufferLimit / 2;
+      const short out_events = c.out_pending() > 0 ? POLLOUT : 0;
+      if (c.in_fd == c.out_fd) {
+        const short events = (want_input ? POLLIN : 0) | out_events;
+        if (events != 0) fds.push_back({c.in_fd, events, 0});
+      } else {
+        if (want_input) fds.push_back({c.in_fd, POLLIN, 0});
+        if (out_events != 0) fds.push_back({c.out_fd, out_events, 0});
+      }
+      owners.resize(fds.size() - first_conn, id);
+    }
+
+    int timeout = -1;
+    if (draining) {
+      timeout = 20;
+    } else if (options.idle_timeout_ms > 0) {
+      timeout = idle_period;
+    }
+    if (::poll(fds.data(), fds.size(), timeout) < 0) {
+      // poll() fails only for want of memory: every input reads as EOF.
+      if (errno != EINTR) {
+        for (auto& [id, c] : conns) end_input(c);
+      }
+      continue;
+    }
+
+    const std::vector<std::uint64_t> touched =
+        fds[0].revents != 0 ? hub->drain() : std::vector<std::uint64_t>{};
+    if (listen_fd >= 0 && fds[1].revents != 0) accept_all();
+    for (std::size_t i = first_conn; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      Conn& c = conns.at(owners[i - first_conn]);
+      if (c.closing) continue;
+      if (c.socket && (fds[i].revents & POLLERR) != 0) {
+        finish(c, CloseWhy::kError);
+        continue;
+      }
+      if ((fds[i].events & POLLIN) != 0 && c.input_open &&
+          (fds[i].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
+        read_input(c);
+      }
+      service(c);
+    }
+    // Completion wake-ups: service every connection a worker touched.  A
+    // completion anywhere may also have freed queue room for a request
+    // parked on another connection, so every paused one is retried too.
+    for (const std::uint64_t id : touched) {
+      const auto it = conns.find(id);
+      if (it != conns.end()) service(it->second);
+    }
+    if (!touched.empty()) {
+      for (auto& [id, c] : conns) {
+        if (c.session->input_paused()) service(c);
+      }
+    }
+
+    if (!draining && options.idle_timeout_ms > 0 &&
+        Clock::now() >= next_idle_check) {
+      next_idle_check = Clock::now() + std::chrono::milliseconds(idle_period);
+      const auto cutoff =
+          Clock::now() - std::chrono::milliseconds(options.idle_timeout_ms);
+      for (auto& [id, c] : conns) {
+        if (c.last_active < cutoff && c.session->pending() == 0 &&
+            c.out_pending() == 0) {
+          finish(c, CloseWhy::kIdle);
+        }
+      }
+    }
+  }
+}
 
 /// A bound, listening, nonblocking socket.
 int make_listener(const TcpServer::Options& options, std::uint16_t* port) {
@@ -570,72 +775,39 @@ int make_listener(const TcpServer::Options& options, std::uint16_t* port) {
   return fd;
 }
 
-struct EpollConn {
-  int fd = -1;
-  std::unique_ptr<ProtocolSession> session;
-  std::string out;
-  std::size_t out_pos = 0;
-  Clock::time_point last_active;
-  bool read_eof = false;
-  std::uint32_t events = 0;  ///< Currently registered epoll interest.
-};
-
 }  // namespace
 
-struct TcpServer::Impl {
-  Server& server;
-  Options options;
-  int listen_fd = -1;
-  int epoll_fd = -1;
-  std::uint16_t port = 0;
-  std::thread loop_thread;
-  std::shared_ptr<WakeHub> hub;
+// --- serve_stream -----------------------------------------------------------
 
-  std::atomic<bool> stopping{false};
+bool serve_stream(Server& server, int in_fd, int out_fd,
+                  ProtocolSession::Options options) {
+  // A closed in_fd reads as EOF.  Checked before the wake pipe is made,
+  // which would otherwise take its number.
+  const bool input_open = ::fcntl(in_fd, F_GETFD) != -1;
+  TcpServer::Options loop_options;
+  loop_options.with_latency = options.with_latency;
+  Loop loop(server, std::move(loop_options));
+  loop.adopt(in_fd, out_fd, /*socket=*/false, input_open);
+  loop.run();
+  return !loop.write_failed;
+}
+
+// --- TcpServer --------------------------------------------------------------
+
+struct TcpServer::Impl {
+  Loop loop;
+  std::uint16_t port = 0;
+  std::thread thread;
   std::mutex stop_mu;
   bool stopped = false;
 
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> refused{0};
-  std::atomic<std::uint64_t> closed{0};
-  std::atomic<std::uint64_t> idle_closed{0};
-  std::atomic<std::uint64_t> overflow_closed{0};
-  std::atomic<std::uint64_t> error_closed{0};
-  std::atomic<std::size_t> open{0};
-
-  Impl(Server& s, Options o) : server(s), options(std::move(o)) {}
-
-  void run_epoll_loop();
-  void stop();
+  Impl(Server& server, Options options) : loop(server, std::move(options)) {}
 };
 
 TcpServer::TcpServer(Server& server, Options options)
     : impl_(std::make_unique<Impl>(server, std::move(options))) {
-  impl_->listen_fd = make_listener(impl_->options, &impl_->port);
-  impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (impl_->epoll_fd < 0) {
-    const int err = errno;
-    ::close(impl_->listen_fd);
-    throw std::system_error(err, std::generic_category(), "epoll_create1");
-  }
-  impl_->hub = std::make_shared<WakeHub>();
-  impl_->hub->event_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (impl_->hub->event_fd < 0) {
-    const int err = errno;
-    ::close(impl_->listen_fd);
-    ::close(impl_->epoll_fd);
-    throw std::system_error(err, std::generic_category(), "eventfd");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = impl_->listen_fd;
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listen_fd, &ev);
-  ev.events = EPOLLIN;
-  ev.data.fd = impl_->hub->event_fd;
-  ::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->hub->event_fd, &ev);
-  impl_->loop_thread = std::thread([impl = impl_.get()] {
-    impl->run_epoll_loop();
-  });
+  impl_->loop.listen_fd = make_listener(impl_->loop.options, &impl_->port);
+  impl_->thread = std::thread([loop = &impl_->loop] { loop->run(); });
 }
 
 TcpServer::~TcpServer() { stop(); }
@@ -643,278 +815,26 @@ TcpServer::~TcpServer() { stop(); }
 std::uint16_t TcpServer::port() const { return impl_->port; }
 
 TcpServer::Counters TcpServer::counters() const {
+  const Loop& loop = impl_->loop;
   Counters c;
-  c.accepted = impl_->accepted.load();
-  c.refused = impl_->refused.load();
-  c.closed = impl_->closed.load();
-  c.idle_closed = impl_->idle_closed.load();
-  c.overflow_closed = impl_->overflow_closed.load();
-  c.error_closed = impl_->error_closed.load();
-  c.open = impl_->open.load();
+  c.accepted = loop.accepted.load();
+  c.refused = loop.refused.load();
+  c.closed = loop.closed.load();
+  c.idle_closed = loop.idle_closed.load();
+  c.overflow_closed = loop.overflow_closed.load();
+  c.error_closed = loop.error_closed.load();
+  c.open = loop.open.load();
   return c;
 }
 
-void TcpServer::stop() { impl_->stop(); }
-
-void TcpServer::Impl::stop() {
+void TcpServer::stop() {
   {
-    const std::lock_guard<std::mutex> lock(stop_mu);
-    if (stopped) return;
-    stopped = true;
+    const std::lock_guard<std::mutex> lock(impl_->stop_mu);
+    if (impl_->stopped) return;
+    impl_->stopped = true;
   }
-  stopping.store(true);
-  hub->notify(-1);  // Wake the loop; it handles the drain.
-  if (loop_thread.joinable()) loop_thread.join();
-  hub->kill();
-  ::close(epoll_fd);
-  epoll_fd = -1;
+  impl_->loop.stop();
+  if (impl_->thread.joinable()) impl_->thread.join();
 }
-
-void TcpServer::Impl::run_epoll_loop() {
-  std::unordered_map<int, std::unique_ptr<EpollConn>> conns;
-  const std::size_t read_cap = kMaxLineBytes + (std::size_t{1} << 16);
-  const std::size_t write_highwater = kWriteBufferLimit / 2;
-  bool draining = false;
-  Clock::time_point drain_deadline{};
-  auto next_idle_check = Clock::now();
-
-  enum class CloseWhy { kNormal, kIdle, kOverflow, kError };
-  auto close_conn = [&](int fd, CloseWhy why) {
-    const auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    conns.erase(it);
-    open.fetch_sub(1);
-    closed.fetch_add(1);
-    if (why == CloseWhy::kIdle) idle_closed.fetch_add(1);
-    if (why == CloseWhy::kOverflow) overflow_closed.fetch_add(1);
-    if (why == CloseWhy::kError) error_closed.fetch_add(1);
-  };
-
-  // Pump/flush one connection; returns false when it was closed.
-  auto service = [&](EpollConn& c) -> bool {
-    while (c.session->pump()) {
-    }
-    c.out += c.session->take_ready();
-    while (c.out_pos < c.out.size()) {
-      const ssize_t n = ::send(c.fd, c.out.data() + c.out_pos,
-                               c.out.size() - c.out_pos, MSG_NOSIGNAL);
-      if (n > 0) {
-        c.out_pos += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      close_conn(c.fd, CloseWhy::kError);
-      return false;
-    }
-    if (c.out_pos == c.out.size()) {
-      c.out.clear();
-      c.out_pos = 0;
-    } else if (c.out_pos > (std::size_t{1} << 20)) {
-      c.out.erase(0, c.out_pos);
-      c.out_pos = 0;
-    }
-    const std::size_t out_pending = c.out.size() - c.out_pos;
-    if (out_pending > kWriteBufferLimit) {
-      close_conn(c.fd, CloseWhy::kOverflow);  // Peer stopped reading.
-      return false;
-    }
-    if (out_pending == 0 && c.session->wants_close()) {
-      close_conn(c.fd, CloseWhy::kNormal);
-      return false;
-    }
-    const bool read_on = !c.read_eof && !c.session->input_paused() &&
-                         c.session->buffered_input() < read_cap &&
-                         out_pending < write_highwater;
-    const std::uint32_t want = (read_on ? EPOLLIN : 0u) |
-                               (out_pending > 0 ? EPOLLOUT : 0u) | EPOLLRDHUP;
-    if (want != c.events) {
-      epoll_event ev{};
-      ev.events = want;
-      ev.data.fd = c.fd;
-      ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
-      c.events = want;
-    }
-    return true;
-  };
-
-  auto accept_all = [&] {
-    for (;;) {
-      const int cfd = ::accept(listen_fd, nullptr, nullptr);
-      if (cfd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient accept error: back to epoll.
-      }
-      if (draining || conns.size() >= options.max_connections) {
-        ::close(cfd);
-        refused.fetch_add(1);
-        continue;
-      }
-      set_nonblocking(cfd);
-      set_peer_options(cfd);
-      auto conn = std::make_unique<EpollConn>();
-      conn->fd = cfd;
-      conn->last_active = Clock::now();
-      ProtocolSession::Options popts;
-      popts.with_latency = options.with_latency;
-      popts.on_progress = [hub = hub, cfd] { hub->notify(cfd); };
-      conn->session = std::make_unique<ProtocolSession>(server, popts);
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLRDHUP;
-      ev.data.fd = cfd;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, cfd, &ev) != 0) {
-        ::close(cfd);
-        continue;
-      }
-      conn->events = ev.events;
-      conns.emplace(cfd, std::move(conn));
-      accepted.fetch_add(1);
-      open.fetch_add(1);
-    }
-  };
-
-  std::vector<epoll_event> events(512);
-  char buf[1 << 16];
-  for (;;) {
-    int timeout = -1;
-    if (draining) {
-      timeout = 20;
-    } else if (options.idle_timeout_ms > 0) {
-      timeout = std::max(10, options.idle_timeout_ms / 4);
-    }
-    const int n =
-        ::epoll_wait(epoll_fd, events.data(), static_cast<int>(events.size()),
-                     timeout);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      const std::uint32_t ev = events[i].events;
-      if (fd == hub->event_fd) {
-        std::uint64_t drainv = 0;
-        [[maybe_unused]] const auto r =
-            ::read(hub->event_fd, &drainv, sizeof drainv);
-        continue;  // Ready fds handled below.
-      }
-      if (fd == listen_fd) {
-        accept_all();
-        continue;
-      }
-      const auto it = conns.find(fd);
-      if (it == conns.end()) continue;
-      EpollConn& c = *it->second;
-      if (ev & EPOLLERR) {
-        close_conn(fd, CloseWhy::kError);
-        continue;
-      }
-      if (ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) {
-        for (;;) {
-          const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
-          if (r > 0) {
-            c.session->feed({buf, static_cast<std::size_t>(r)});
-            c.last_active = Clock::now();
-            if (c.session->buffered_input() >= read_cap) break;
-            continue;
-          }
-          if (r == 0) {
-            c.read_eof = true;
-            c.session->finish_input();
-            break;
-          }
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          c.read_eof = true;  // Connection reset: stop reading, try to flush.
-          c.session->finish_input();
-          break;
-        }
-      }
-      service(c);
-    }
-
-    // Completion wake-ups: pump/flush every connection a worker touched.
-    for (const int fd : hub->drain()) {
-      const auto it = conns.find(fd);
-      if (it != conns.end()) service(*it->second);
-    }
-
-    if (stopping.load() && !draining) {
-      draining = true;
-      drain_deadline = Clock::now() +
-                       std::chrono::milliseconds(kDrainGraceMs);
-      if (listen_fd >= 0) {
-        ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
-        ::close(listen_fd);
-        listen_fd = -1;
-      }
-      // EOF every connection: parse what's buffered, drain in-flight
-      // responses, then close as each flushes.
-      std::vector<int> fds;
-      fds.reserve(conns.size());
-      for (const auto& [fd, conn] : conns) fds.push_back(fd);
-      for (const int fd : fds) {
-        const auto it = conns.find(fd);
-        if (it == conns.end()) continue;
-        it->second->read_eof = true;
-        it->second->session->finish_input();
-        service(*it->second);
-      }
-    }
-    if (draining) {
-      if (conns.empty()) break;
-      if (Clock::now() >= drain_deadline) {
-        std::vector<int> fds;
-        fds.reserve(conns.size());
-        for (const auto& [fd, conn] : conns) fds.push_back(fd);
-        for (const int fd : fds) close_conn(fd, CloseWhy::kError);
-        break;
-      }
-      continue;
-    }
-
-    if (options.idle_timeout_ms > 0 && Clock::now() >= next_idle_check) {
-      next_idle_check =
-          Clock::now() + std::chrono::milliseconds(
-                             std::max(10, options.idle_timeout_ms / 4));
-      const auto cutoff =
-          Clock::now() - std::chrono::milliseconds(options.idle_timeout_ms);
-      std::vector<int> idle;
-      for (const auto& [fd, conn] : conns) {
-        if (conn->last_active < cutoff && conn->session->pending() == 0 &&
-            conn->out_pos == conn->out.size()) {
-          idle.push_back(fd);
-        }
-      }
-      for (const int fd : idle) close_conn(fd, CloseWhy::kIdle);
-    }
-  }
-  // Loop exit: everything still open is force-closed above; make sure the
-  // listener is gone even on an error path.
-  if (listen_fd >= 0) {
-    ::close(listen_fd);
-    listen_fd = -1;
-  }
-}
-
-#else  // !__linux__
-
-struct TcpServer::Impl {};
-
-TcpServer::TcpServer(Server& /*server*/, Options /*options*/) {
-  throw std::invalid_argument("TcpServer requires Linux (epoll)");
-}
-
-TcpServer::~TcpServer() = default;
-
-std::uint16_t TcpServer::port() const { return 0; }
-
-TcpServer::Counters TcpServer::counters() const { return {}; }
-
-void TcpServer::stop() {}
-
-#endif  // __linux__
 
 }  // namespace asipfb::service

@@ -22,18 +22,20 @@
 //     in-flight job to finish harmlessly against that state (no worker
 //     death, no leak).
 //
-//   * serve_stream — one ProtocolSession over an input and an output file
-//     descriptor, woken by completions through poll(); asipfb_serve's
-//     stdio mode.
+// Both front ends run one poll(2) event loop over a set of connections,
+// each an input fd, an output fd, an output buffer and a ProtocolSession;
+// completions wake it through one self-pipe.
 //
-//   * TcpServer — a single epoll event loop (Linux only) that accepts
-//     connections and drives one ProtocolSession per connection.  It
-//     handles slow and broken peers: nonblocking, bounded writes with
-//     per-connection buffers (a peer that stops reading past the write
-//     buffer limit is dropped, and reading pauses while the buffer is
-//     high), idle timeouts, SIGPIPE-free sends, and
-//     per-connection error isolation (a protocol error poisons one
-//     connection's stream, never the process).
+//   * serve_stream — the loop on the caller's thread over one adopted
+//     (in_fd, out_fd) connection; asipfb_serve's stdio mode.
+//
+//   * TcpServer — the loop on its own thread plus a listening socket,
+//     one ProtocolSession per accepted connection.  It handles slow and
+//     broken peers: nonblocking, bounded writes with per-connection
+//     buffers (a peer that stops reading past the write buffer limit is
+//     dropped, and reading pauses while the buffer is high), idle
+//     timeouts, SIGPIPE-free sends, and per-connection error isolation (a
+//     protocol error poisons one connection's stream, never the process).
 //
 // docs/SERVICE.md describes the connection lifecycle and overload
 // behavior in prose; tests/service/net_test.cpp pins the contracts.
@@ -127,25 +129,26 @@ class ProtocolSession {
 
 /// Serves one ProtocolSession over a pair of file descriptors until it
 /// wants_close(): `quit`, EOF on `in_fd`, or a poisoned stream (oversized
-/// line).  Waits in poll() on `in_fd` plus a wake pipe that completions
-/// signal, so each response is written to `out_fd` as soon as it and every
-/// earlier one are ready, not when the next input line arrives.  Input is
-/// not read while the session pauses it (parked request, stats barrier,
-/// pipelining cap).  `options.on_progress` is replaced by serve_stream's own
-/// wake-up.  Returns false if writing `out_fd` failed, true otherwise;
-/// throws std::system_error if the wake pipe cannot be created.
+/// line).  Runs the event loop on the calling thread, so each response is
+/// written to `out_fd` as soon as it and every earlier one are ready, not
+/// when the next input line arrives.  Input is not read while the session
+/// pauses it (parked request, stats barrier, pipelining cap).  A closed or
+/// unpollable `in_fd` and a read error read as EOF; a regular file is
+/// read to its end.  Neither fd is closed, and output is never dropped.
+/// `options.on_progress` is replaced by the loop's own wake-up.  Returns
+/// false if writing `out_fd` failed, true otherwise; throws
+/// std::system_error if the wake pipe cannot be created.
 bool serve_stream(Server& server, int in_fd, int out_fd,
                   ProtocolSession::Options options);
 
-/// Socket front end: one epoll event-loop thread accepts TCP connections
-/// and runs one ProtocolSession per connection against one shared Server.
-/// Linux only.
+/// Socket front end: one event-loop thread accepts TCP connections and
+/// runs one ProtocolSession per connection against one shared Server.
 class TcpServer {
  public:
   /// tripbench-only: the benchmark spells `options.mode = Mode::kEpoll`
-  /// (tripbench/src/serve.cpp), from when a second transport existed.
-  /// Epoll is the only transport; together with Options::mode, this goes
-  /// when tripbench stops naming it.
+  /// (tripbench/src/serve.cpp), from when a second transport existed.  The
+  /// name no longer describes the mechanism (the loop polls); together
+  /// with Options::mode, this goes when tripbench stops naming it.
   enum class Mode { kEpoll };
 
   struct Options {
@@ -172,8 +175,8 @@ class TcpServer {
   };
 
   /// Binds, listens, and starts serving immediately; throws
-  /// std::system_error when the socket cannot be set up and
-  /// std::invalid_argument("TcpServer requires Linux (epoll)") off-Linux.
+  /// std::system_error when the socket or the wake pipe cannot be set up
+  /// and std::invalid_argument for an unparsable bind address.
   TcpServer(Server& server, Options options);
   ~TcpServer();  ///< stop().
 

@@ -1,10 +1,11 @@
-// Contracts of the transports (ProtocolSession, driven by TcpServer's
-// epoll loop and by serve_stream over file descriptors): a pipelined
-// multi-request connection produces the serial transcript byte for byte;
-// a client that disconnects mid-request neither kills a worker nor
-// wedges the server; idle connections are reaped; `quit` and EOF close
-// cleanly.  The ProtocolSession unit tests drive the session the way the
-// epoll loop does (nonblocking submission, parking, pump-on-progress);
+// Contracts of the transports (ProtocolSession, driven by the one poll
+// loop that TcpServer runs over sockets and serve_stream over file
+// descriptors): a pipelined multi-request connection produces the serial
+// transcript byte for byte; a client that disconnects mid-request neither
+// kills a worker nor wedges the server; idle connections are reaped;
+// `quit` and EOF close cleanly.  The ProtocolSession unit tests drive the
+// session the way the loop does (nonblocking submission, parking,
+// pump-on-progress);
 // the serve_stream tests drive it over pipe()s, as asipfb_serve does over
 // stdin/stdout.  This suite runs under the CI TSan leg.
 #include "service/net.hpp"
@@ -93,7 +94,7 @@ ServerOptions four_workers() {
   return options;
 }
 
-/// Drives a session the way the epoll loop does — pump, take the ready
+/// Drives a session the way the event loop does — pump, take the ready
 /// output, sleep 1 ms — until wants_close(), and returns everything it
 /// wrote.  Fails the test if the session is still open at `deadline`.
 std::string drive_to_close(ProtocolSession& session,
@@ -335,13 +336,46 @@ TEST(ServiceNet, RefusesBeyondMaxConnections) {
   tcp.stop();
 }
 
-TEST(ServiceNet, TcpServerRequiresLinux) {
-#if !defined(__linux__)
-  Server server(four_workers());
-  EXPECT_THROW(TcpServer(server, {}), std::invalid_argument);
-#else
-  GTEST_SKIP() << "epoll is available on Linux";
-#endif
+TEST(ServiceNet, ParkedRequestResumesOnAnotherConnectionsCompletion) {
+  // The queue is full of connection B's work when connection A's only
+  // request arrives, so A parks it with nothing of its own in flight.  The
+  // completions that free the queue are all B's; A must still be retried.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+  ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.queue_capacity = 1;
+  server_options.on_start = [&](const Request&) {
+    started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+  Server server(server_options);
+  TcpServer tcp(server, {});
+
+  const int b = connect_to(tcp.port());
+  send_all(b, "1 detect fir level=O1\n");
+  while (started.load() == 0) std::this_thread::yield();  // Worker gated in 1.
+  send_all(b, "2 coverage fir level=O1\nquit\n");  // Fills the queue.
+  while (server.stats().submitted < 2) std::this_thread::yield();
+  const int a = connect_to(tcp.port());
+  send_all(a, "3 detect edge level=O1\nquit\n");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // A parks.
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+
+  const std::string got_b = read_until_close(b);
+  const std::string got_a = read_until_close(a);
+  ::close(b);
+  ::close(a);
+  EXPECT_NE(got_b.find("\"id\": 2"), std::string::npos) << got_b;
+  EXPECT_EQ(got_a.rfind("{\"id\": 3, ", 0), 0u) << got_a;
+  tcp.stop();
 }
 
 // --- ProtocolSession unit coverage -------------------------------------------
