@@ -5,8 +5,8 @@
 // first save; a record is one entry for one (artifact kind, content key):
 //
 //   magic | u32 format version | u8 kind | engine-version string | key
-//   | u64 payload length | u64 FNV-1a checksum of (kind, key, payload)
-//   | payload (cache/serialize.hpp)
+//   | u64 payload length | u64 checksum: XXH64 of the payload, seeded
+//   with the FNV-1a of (kind, key) | payload (cache/serialize.hpp)
 //
 // Entries are immutable — a key change is the only way content changes —
 // which is what makes the store safe to share between threads, Store

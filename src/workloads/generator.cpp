@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -175,25 +174,6 @@ const std::vector<Workload>& default_corpus() {
 }
 
 bool default_corpus_built() { return g_default_corpus_built.load(); }
-
-CorpusSpec env_corpus_spec() {
-  CorpusSpec spec;
-  if (const char* count = std::getenv("ASIPFB_FUZZ_COUNT")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(count, &end, 10);
-    if (end != count && *end == '\0' && v >= 1) {
-      spec.count = static_cast<std::size_t>(v);
-    }
-  }
-  if (const char* seed = std::getenv("ASIPFB_FUZZ_SEED")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(seed, &end, 10);
-    if (end != seed && *end == '\0') {
-      spec.seed = static_cast<std::uint64_t>(v);
-    }
-  }
-  return spec;
-}
 
 std::string_view family_of(std::string_view scenario_name) {
   if (scenario_name.rfind("gen_", 0) != 0) return {};

@@ -208,13 +208,6 @@ struct CorpusSpec {
 /// in it costs a scan, not the corpus's construction.  Never builds it.
 [[nodiscard]] bool default_corpus_built();
 
-/// The default CorpusSpec with `seed` and `count` overridden by the
-/// ASIPFB_FUZZ_SEED / ASIPFB_FUZZ_COUNT environment variables when set
-/// (parsed as base-10; invalid or empty values are ignored).  The one
-/// knob shared by the per-build differential test and the gauntlet, so
-/// both drive the same harness instead of diverging copies.
-[[nodiscard]] CorpusSpec env_corpus_spec();
-
 /// Lookup across both populations: the Table-1 suite first, then the
 /// default corpus ("gen_<family>_<index>" names).  Lets name-driven tools
 /// (fir_explorer, coverage_study) accept generated scenarios.  Throws

@@ -9,11 +9,10 @@
 //   * every scenario of the generated corpus (workloads/generator.hpp) is
 //     checked sim-vs-oracle — the simulated baseline must reproduce the
 //     plain-C++ oracle's outputs word for word — and then differentially
-//     across optimization levels, like the hand-written suite.  The corpus
-//     size and seed honor ASIPFB_FUZZ_COUNT / ASIPFB_FUZZ_SEED
-//     (wl::env_corpus_spec), and the battery itself is the shared
-//     wl::check_workload harness the 10k gauntlet runs at scale — one
-//     harness, two populations.
+//     across optimization levels, like the hand-written suite.  The
+//     population is wl::default_corpus(); bench_gauntlet --count/--seed
+//     runs larger or reseeded ones through the same wl::check_workload
+//     battery — one harness, two populations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -209,28 +208,20 @@ TEST_P(FuzzDifferential, AllLevelsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range(1, 41));
 
 // --- Generated corpus: sim vs oracle, then levels vs baseline ---------------
-// ASIPFB_FUZZ_COUNT / ASIPFB_FUZZ_SEED reshape this population without a
-// rebuild; the default env-free run checks the full default corpus.
-
-const std::vector<wl::Workload>& env_corpus() {
-  static const std::vector<wl::Workload> shared =
-      wl::corpus(wl::env_corpus_spec());
-  return shared;
-}
 
 class CorpusDifferential : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CorpusDifferential, SimMatchesOracleAndLevelsAgree) {
-  const wl::Workload& w = env_corpus()[GetParam()];
+  const wl::Workload& w = wl::default_corpus()[GetParam()];
   const wl::DifferentialOutcome outcome = wl::check_workload(w);
   EXPECT_TRUE(outcome.ok()) << outcome.error << "\n" << w.source;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, CorpusDifferential,
-    ::testing::Range<std::size_t>(0, env_corpus().size()),
+    ::testing::Range<std::size_t>(0, wl::default_corpus().size()),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
-      return env_corpus()[info.param].name;
+      return wl::default_corpus()[info.param].name;
     });
 
 }  // namespace
