@@ -692,7 +692,10 @@ void Loop::run() {
     if (::poll(fds.data(), fds.size(), timeout) < 0) {
       // poll() fails only for want of memory: every input reads as EOF.
       if (errno != EINTR) {
-        for (auto& [id, c] : conns) end_input(c);
+        for (auto& [id, c] : conns) {
+          end_input(c);
+          service(c);
+        }
       }
       continue;
     }

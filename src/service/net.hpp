@@ -148,7 +148,8 @@ class TcpServer {
   /// tripbench-only: the benchmark spells `options.mode = Mode::kEpoll`
   /// (tripbench/src/serve.cpp), from when a second transport existed.  The
   /// name no longer describes the mechanism (the loop polls); together
-  /// with Options::mode, this goes when tripbench stops naming it.
+  /// with Options::mode, this goes when tripbench stops naming it
+  /// (ROADMAP item 6).
   enum class Mode { kEpoll };
 
   struct Options {
