@@ -801,8 +801,7 @@ struct TcpServer::Impl {
   Loop loop;
   std::uint16_t port = 0;
   std::thread thread;
-  std::mutex stop_mu;
-  bool stopped = false;
+  std::atomic<bool> stopped{false};
 
   Impl(Server& server, Options options) : loop(server, std::move(options)) {}
 };
@@ -831,11 +830,7 @@ TcpServer::Counters TcpServer::counters() const {
 }
 
 void TcpServer::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->stop_mu);
-    if (impl_->stopped) return;
-    impl_->stopped = true;
-  }
+  if (impl_->stopped.exchange(true)) return;
   impl_->loop.stop();
   if (impl_->thread.joinable()) impl_->thread.join();
 }
