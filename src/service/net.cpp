@@ -415,12 +415,14 @@ class WakeHub {
 
   [[nodiscard]] int read_fd() const { return fds_[0]; }
 
+  /// Writes a byte only when none is pending since the last drain(), so a
+  /// burst of completions costs the workers one write, not one each.
   void notify(std::uint64_t conn) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       touched_.push_back(conn);
     }
-    wake();
+    if (!armed_.exchange(true)) wake();
   }
 
   /// A full pipe (EAGAIN) is already readable: nothing is lost.
@@ -429,23 +431,27 @@ class WakeHub {
     [[maybe_unused]] const auto n = ::write(fds_[1], &byte, 1);
   }
 
-  /// Empties the pipe, then takes the touched connections.  One recorded
-  /// after the read has its byte still in the pipe, so the next poll()
-  /// returns at once and no wake-up is lost.
-  std::vector<std::uint64_t> drain() {
-    char buf[256] = {};
-    while (::read(fds_[0], buf, sizeof buf) > 0) {
-    }
-    std::vector<std::uint64_t> touched;
+  /// Empties the pipe, disarms, then swaps the touched connections into
+  /// `touched` (whose buffer the hub reuses).  A notify that lands after
+  /// the swap finds the hub disarmed, or armed by a notify whose byte was
+  /// written after the read: either way a byte is in the pipe, the next
+  /// poll() returns at once, and no wake-up is lost.  The pipe holds a few
+  /// bytes at most, so one read empties it; a byte left over would only
+  /// make the next poll() return early.
+  void drain(std::vector<std::uint64_t>& touched) {
+    char buf[256];
+    [[maybe_unused]] const auto n = ::read(fds_[0], buf, sizeof buf);
+    armed_.store(false);
+    touched.clear();
     const std::lock_guard<std::mutex> lock(mu_);
     touched.swap(touched_);
-    return touched;
   }
 
  private:
   int fds_[2] = {-1, -1};
   std::mutex mu_;
   std::vector<std::uint64_t> touched_;
+  std::atomic<bool> armed_{false};  ///< A notify byte is in the pipe.
 };
 
 enum class CloseWhy { kNormal, kIdle, kOverflow, kError };
@@ -638,6 +644,7 @@ void Loop::close_finished() {
 void Loop::run() {
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> owners;  ///< Connection of fds[first_conn + i].
+  std::vector<std::uint64_t> touched;  ///< Completions since the last poll().
   bool draining = false;
   Clock::time_point drain_deadline{};
   auto next_idle_check = Clock::now();
@@ -700,8 +707,8 @@ void Loop::run() {
       continue;
     }
 
-    const std::vector<std::uint64_t> touched =
-        fds[0].revents != 0 ? hub->drain() : std::vector<std::uint64_t>{};
+    touched.clear();
+    if (fds[0].revents != 0) hub->drain(touched);
     if (listen_fd >= 0 && fds[1].revents != 0) accept_all();
     for (std::size_t i = first_conn; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
