@@ -1,8 +1,9 @@
 #include "analysis/loops.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <numeric>
+#include <utility>
 
 #include "analysis/cfg.hpp"
 #include "analysis/dominators.hpp"
@@ -16,38 +17,60 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
   const auto preds = predecessors(fn);
   const auto reachable = reachable_blocks(fn);
 
-  // Collect back edges (tail -> header where header dominates tail).
-  std::map<BlockId, std::vector<BlockId>> header_to_latches;
-  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+  // Collect back edges (tail -> header where header dominates tail),
+  // grouped by header in ascending order (a counting sort); each
+  // header's latches keep ascending tail order.
+  const std::size_t nblocks = fn.blocks.size();
+  std::vector<std::pair<BlockId, BlockId>> back_edges;  // (header, latch)
+  for (std::size_t b = 0; b < nblocks; ++b) {
     if (!reachable[b]) continue;
     for (BlockId s : successor_pair(fn.blocks[b])) {
       if (s != ir::kNoBlock && dom.dominates(s, static_cast<BlockId>(b))) {
-        header_to_latches[s].push_back(static_cast<BlockId>(b));
+        back_edges.emplace_back(s, static_cast<BlockId>(b));
       }
     }
   }
+  std::vector<std::uint32_t> first(nblocks + 1, 0);
+  for (const auto& edge : back_edges) ++first[edge.first + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<BlockId> latches(back_edges.size());
+  {
+    std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+    for (const auto& [header, latch] : back_edges) latches[next[header]++] = latch;
+  }
 
+  // in_loop[b] is the number of the last loop whose body holds b, so the
+  // marks are never cleared.
+  std::vector<std::uint32_t> in_loop(nblocks, 0);
+  std::vector<BlockId> work;
   std::vector<NaturalLoop> loops;
-  for (const auto& [header, latches] : header_to_latches) {
+  for (std::size_t header = 0; header < nblocks; ++header) {
+    if (first[header] == first[header + 1]) continue;
     NaturalLoop loop;
-    loop.header = header;
-    loop.latches = latches;
+    loop.header = static_cast<BlockId>(header);
+    loop.latches.assign(latches.begin() + first[header], latches.begin() + first[header + 1]);
     // Natural loop body: reverse reachability from latches without passing
     // through the header.
-    std::set<BlockId> body{header};
-    std::vector<BlockId> work;
-    for (BlockId l : latches) {
-      if (body.insert(l).second) work.push_back(l);
+    const auto mark = static_cast<std::uint32_t>(loops.size() + 1);
+    const auto add = [&](BlockId b) {
+      if (in_loop[b] == mark) return false;
+      in_loop[b] = mark;
+      loop.blocks.push_back(b);
+      return true;
+    };
+    add(loop.header);
+    for (BlockId l : loop.latches) {
+      if (add(l)) work.push_back(l);
     }
     while (!work.empty()) {
       const BlockId b = work.back();
       work.pop_back();
       for (BlockId p : preds[b]) {
         if (!reachable[p]) continue;
-        if (body.insert(p).second) work.push_back(p);
+        if (add(p)) work.push_back(p);
       }
     }
-    loop.blocks.assign(body.begin(), body.end());
+    std::sort(loop.blocks.begin(), loop.blocks.end());
     loops.push_back(std::move(loop));
   }
 

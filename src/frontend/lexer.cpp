@@ -1,22 +1,40 @@
 #include "frontend/lexer.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cstdlib>
-#include <map>
+#include <string>
+#include <utility>
 
 namespace asipfb::fe {
 
 namespace {
 
-const std::map<std::string_view, Tok>& keywords() {
-  static const std::map<std::string_view, Tok> table = {
-      {"int", Tok::KwInt},       {"float", Tok::KwFloat},
-      {"void", Tok::KwVoid},     {"if", Tok::KwIf},
-      {"else", Tok::KwElse},     {"while", Tok::KwWhile},
-      {"for", Tok::KwFor},       {"return", Tok::KwReturn},
-      {"break", Tok::KwBreak},   {"continue", Tok::KwContinue},
-  };
-  return table;
+/// Keywords, sorted by spelling.
+constexpr std::array<std::pair<std::string_view, Tok>, 10> kKeywords = {{
+    {"break", Tok::KwBreak},   {"continue", Tok::KwContinue},
+    {"else", Tok::KwElse},     {"float", Tok::KwFloat},
+    {"for", Tok::KwFor},       {"if", Tok::KwIf},
+    {"int", Tok::KwInt},       {"return", Tok::KwReturn},
+    {"void", Tok::KwVoid},     {"while", Tok::KwWhile},
+}};
+
+// Character classes of the "C" locale, which BenchC is written in.
+[[nodiscard]] constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+[[nodiscard]] constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+[[nodiscard]] constexpr bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+[[nodiscard]] constexpr bool is_word(char c) { return is_alpha(c) || is_digit(c) || c == '_'; }
+
+/// The keyword spelled `text`, or Tok::Ident.
+Tok keyword_or_ident(std::string_view text) {
+  const auto it = std::lower_bound(
+      kKeywords.begin(), kKeywords.end(), text,
+      [](const std::pair<std::string_view, Tok>& kw, std::string_view t) { return kw.first < t; });
+  return it != kKeywords.end() && it->first == text ? it->second : Tok::Ident;
 }
 
 class Lexer {
@@ -26,6 +44,8 @@ public:
 
   std::vector<Token> run() {
     std::vector<Token> out;
+    // About one token per four bytes of BenchC.
+    out.reserve(src_.size() / 4 + 1);
     for (;;) {
       skip_whitespace_and_comments();
       Token tok = next_token();
@@ -57,7 +77,7 @@ private:
 
   void skip_whitespace_and_comments() {
     for (;;) {
-      while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) {
+      while (!at_end() && is_space(peek())) {
         advance();
       }
       if (peek() == '/' && peek(1) == '/') {
@@ -89,48 +109,41 @@ private:
       return tok;
     }
     const char c = peek();
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') return identifier();
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-      return number();
-    }
+    if (is_alpha(c) || c == '_') return identifier();
+    if (is_digit(c) || (c == '.' && is_digit(peek(1)))) return number();
     return punctuation();
   }
 
   Token identifier() {
     Token tok;
     tok.loc = loc();
-    std::string text;
-    while (!at_end() && (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')) {
-      text += advance();
-    }
-    const auto it = keywords().find(text);
-    if (it != keywords().end()) {
-      tok.kind = it->second;
-    } else {
-      tok.kind = Tok::Ident;
-      tok.text = std::move(text);
-    }
+    const std::size_t start = pos_;
+    while (!at_end() && is_word(peek())) advance();
+    const std::string_view text = src_.substr(start, pos_ - start);
+    tok.kind = keyword_or_ident(text);
+    if (tok.kind == Tok::Ident) tok.text = text;
     return tok;
   }
 
   Token number() {
     Token tok;
     tok.loc = loc();
-    std::string text;
+    const std::size_t start = pos_;
     bool is_float = false;
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+    while (!at_end() && is_digit(peek())) advance();
     if (peek() == '.') {
       is_float = true;
-      text += advance();
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+      advance();
+      while (!at_end() && is_digit(peek())) advance();
     }
     if (peek() == 'e' || peek() == 'E') {
       is_float = true;
-      text += advance();
-      if (peek() == '+' || peek() == '-') text += advance();
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+      advance();
+      if (peek() == '+' || peek() == '-') advance();
+      while (!at_end() && is_digit(peek())) advance();
     }
+    // strtod/strtoll need a terminated copy; the suffix is not part of it.
+    const std::string text(src_.substr(start, pos_ - start));
     if (peek() == 'f' || peek() == 'F') {
       is_float = true;
       advance();  // Suffix is not part of the value.

@@ -10,7 +10,8 @@
 namespace asipfb::fe {
 
 /// Tokenizes the whole buffer (appending an End token).  Lexical errors are
-/// reported to `diags`; the caller decides whether to continue.
+/// reported to `diags`; the caller decides whether to continue.  Identifier
+/// tokens view `source`, which must outlive them.
 [[nodiscard]] std::vector<Token> lex(std::string_view source, DiagnosticEngine& diags);
 
 }  // namespace asipfb::fe

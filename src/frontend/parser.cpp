@@ -77,7 +77,7 @@ private:
   }
   [[nodiscard]] bool at(Tok kind) const { return peek().kind == kind; }
 
-  Token advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
+  const Token& advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
 
   bool accept(Tok kind) {
     if (!at(kind)) return false;
@@ -85,7 +85,7 @@ private:
     return true;
   }
 
-  Token expect(Tok kind, const char* context) {
+  const Token& expect(Tok kind, const char* context) {
     if (at(kind)) return advance();
     diags_.error(peek().loc, std::string("expected ") + std::string(to_string(kind)) +
                                  " " + context + ", got " +
@@ -117,7 +117,7 @@ private:
       fatal_ = true;
       return;
     }
-    Token name = expect(Tok::Ident, "in top-level declaration");
+    const Token& name = expect(Tok::Ident, "in top-level declaration");
     if (at(Tok::LParen)) {
       unit.functions.push_back(parse_function(type, std::move(name), loc));
     } else {
@@ -130,14 +130,14 @@ private:
     }
   }
 
-  GlobalDecl parse_global(ir::Type type, Token name, SourceLoc loc) {
+  GlobalDecl parse_global(ir::Type type, const Token& name, SourceLoc loc) {
     GlobalDecl g;
     g.loc = loc;
     g.type = type;
     g.name = name.text;
     if (accept(Tok::LBracket)) {
       g.is_array = true;
-      Token size = expect(Tok::IntLit, "as array size");
+      const Token& size = expect(Tok::IntLit, "as array size");
       g.array_size = static_cast<std::int32_t>(size.int_val);
       expect(Tok::RBracket, "after array size");
     }
@@ -155,7 +155,7 @@ private:
     return g;
   }
 
-  FunctionDecl parse_function(ir::Type return_type, Token name, SourceLoc loc) {
+  FunctionDecl parse_function(ir::Type return_type, const Token& name, SourceLoc loc) {
     FunctionDecl fn;
     fn.loc = loc;
     fn.return_type = return_type;
@@ -167,7 +167,7 @@ private:
       } else {
         do {
           ir::Type pt = parse_type();
-          Token pn = expect(Tok::Ident, "as parameter name");
+          const Token& pn = expect(Tok::Ident, "as parameter name");
           fn.params.emplace_back(pn.text, pt);
         } while (accept(Tok::Comma));
       }
@@ -238,11 +238,11 @@ private:
     stmt->kind = StmtKind::Decl;
     stmt->loc = peek().loc;
     stmt->decl_type = parse_type();
-    Token name = expect(Tok::Ident, "in declaration");
+    const Token& name = expect(Tok::Ident, "in declaration");
     stmt->decl_name = name.text;
     if (accept(Tok::LBracket)) {
       stmt->decl_is_array = true;
-      Token size = expect(Tok::IntLit, "as array size");
+      const Token& size = expect(Tok::IntLit, "as array size");
       stmt->decl_array_size = static_cast<std::int32_t>(size.int_val);
       expect(Tok::RBracket, "after array size");
     }
@@ -323,7 +323,7 @@ private:
     const Nest nest(*this);
     ExprPtr lhs = parse_binary(0);
     if (is_assign_op(peek().kind)) {
-      Token op = advance();
+      const Token& op = advance();
       if (lhs->kind != ExprKind::Var && lhs->kind != ExprKind::Index) {
         diags_.error(op.loc, "left side of assignment is not assignable");
         fatal_ = true;
@@ -363,7 +363,7 @@ private:
     for (;;) {
       const int prec = precedence(peek().kind);
       if (prec < 0 || prec < min_prec) return lhs;
-      Token op = advance();
+      const Token& op = advance();
       chain.fold();
       ExprPtr rhs;
       {
@@ -384,7 +384,7 @@ private:
     const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     if (at(Tok::Minus) || at(Tok::Bang) || at(Tok::Tilde)) {
-      Token op = advance();
+      const Token& op = advance();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::Unary;
       node->loc = loc;
@@ -396,7 +396,7 @@ private:
       return parse_unary();  // Unary plus is a no-op.
     }
     if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
-      Token op = advance();
+      const Token& op = advance();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::IncDec;
       node->loc = loc;
@@ -438,7 +438,7 @@ private:
         continue;
       }
       if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
-        Token op = advance();
+        const Token& op = advance();
         chain.fold();
         auto node = std::make_unique<Expr>();
         node->kind = ExprKind::IncDec;
@@ -456,7 +456,7 @@ private:
   ExprPtr parse_primary() {
     const SourceLoc loc = peek().loc;
     if (at(Tok::IntLit)) {
-      Token tok = advance();
+      const Token& tok = advance();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::IntLit;
       node->loc = loc;
@@ -464,7 +464,7 @@ private:
       return node;
     }
     if (at(Tok::FloatLit)) {
-      Token tok = advance();
+      const Token& tok = advance();
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::FloatLit;
       node->loc = loc;
@@ -472,7 +472,7 @@ private:
       return node;
     }
     if (at(Tok::Ident)) {
-      Token tok = advance();
+      const Token& tok = advance();
       if (at(Tok::LParen)) {
         advance();
         auto node = std::make_unique<Expr>();

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "support/diagnostics.hpp"
@@ -37,7 +36,8 @@ enum class Tok : std::uint8_t {
 
 struct Token {
   Tok kind = Tok::End;
-  std::string text;       ///< Identifier spelling (identifiers only).
+  std::string_view text;  ///< Identifier spelling (identifiers only), a view
+                          ///< into the lexed source.
   std::int64_t int_val = 0;
   double float_val = 0.0;
   SourceLoc loc;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
-#include <map>
 #include <numeric>
-#include <tuple>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -38,100 +36,154 @@ namespace {
   return instr.is_pure() && instr.dst.has_value();
 }
 
-}  // namespace
+using ValueNum = std::uint32_t;
 
-int local_value_numbering(ir::Function& fn) {
-  int rewritten = 0;
-  using ValueNum = std::uint32_t;
-  // Key: opcode, immediate payload, intrinsic kind, operand value numbers.
-  using ExprKey = std::tuple<Opcode, std::int32_t, std::uint32_t, int,
-                             std::vector<ValueNum>>;
+/// One entry of the expression table: opcode, immediate payload,
+/// intrinsic kind and operand value numbers, mapped to a value number.
+/// The operands live in a per-block array; `stamp` is the block's index
+/// plus one, so an entry left by an earlier block reads as empty.
+struct ExprSlot {
+  std::uint32_t stamp = 0;
+  ValueNum vn = 0;
+  std::uint32_t first_arg = 0;  ///< Offset of the operands in the block's array.
+  std::uint32_t nargs = 0;
+  std::int32_t imm_i = 0;
+  std::uint32_t imm_f = 0;      ///< The bits of Instr::imm_f.
+  Opcode op = Opcode::Br;
+  ir::IntrinsicKind intrinsic = ir::IntrinsicKind::None;
+};
 
-  for (auto& block : fn.blocks) {
-    ValueNum next_vn = 1;
-    std::map<std::uint32_t, ValueNum> reg_vn;   // Register -> current value.
-    std::map<ExprKey, ValueNum> expr_vn;        // Expression -> value.
-    std::map<ValueNum, Reg> holder;             // Value -> a register holding it.
+struct ValueNumbering {
+  int rewritten = 0;     ///< Instructions rewritten to copies.
+  bool changed = false;  ///< Any operand or instruction rewritten.
+};
 
+[[nodiscard]] std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
+
+/// Local value numbering over dense per-function tables.  Value numbers
+/// run on across the blocks, so a register whose number is below the
+/// current block's first one has no value in this block: the register
+/// table is never cleared, and neither is the expression table, whose
+/// entries carry their block.  Keys of any operand count go in the one
+/// table; the only variable-arity pure opcode is Intrin, which the
+/// verifier holds to one operand, so real keys have at most two.
+ValueNumbering number_values(ir::Function& fn) {
+  ValueNumbering result;
+  std::vector<ValueNum> reg_vn(fn.reg_types.size(), 0);  // Register -> value.
+  std::vector<Reg> holder(1);  // Value -> the first register holding it.
+  std::size_t widest = 1;
+  for (const auto& block : fn.blocks) widest = std::max(widest, block.instrs.size());
+  // At most one entry per instruction of a block: the load stays at or
+  // under one half.
+  std::vector<ExprSlot> table(std::bit_ceil(2 * widest));
+  const std::size_t mask = table.size() - 1;
+  std::vector<ValueNum> operands;  // The current block's key operands.
+  std::vector<ValueNum> key_args;
+
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    const auto stamp = static_cast<std::uint32_t>(b + 1);
+    const auto first = static_cast<ValueNum>(holder.size());
+    operands.clear();
+
+    auto fresh = [&](Reg r) {
+      holder.push_back(r);
+      return static_cast<ValueNum>(holder.size() - 1);
+    };
     auto vn_of_reg = [&](Reg r) {
-      const auto it = reg_vn.find(r.id);
-      if (it != reg_vn.end()) return it->second;
-      const ValueNum vn = next_vn++;
-      reg_vn[r.id] = vn;
-      holder.emplace(vn, r);
+      ValueNum& vn = reg_vn[r.id];
+      if (vn < first) vn = fresh(r);
       return vn;
     };
-    auto holder_valid = [&](ValueNum vn, Reg r) {
-      const auto it = reg_vn.find(r.id);
-      return it != reg_vn.end() && it->second == vn;
-    };
+    // Every value has a holder; it is valid while it still holds the value.
+    auto holder_valid = [&](ValueNum vn) { return reg_vn[holder[vn].id] == vn; };
 
-    for (auto& instr : block.instrs) {
+    for (auto& instr : fn.blocks[b].instrs) {
       // Canonicalize operands to the first live holder of their value
       // (this is the copy-propagation half of LVN).
-      std::vector<ValueNum> arg_vns;
-      arg_vns.reserve(instr.args.size());
+      key_args.clear();
       for (auto& arg : instr.args) {
         const ValueNum vn = vn_of_reg(arg);
-        arg_vns.push_back(vn);
-        const auto hold = holder.find(vn);
-        if (hold != holder.end() && holder_valid(vn, hold->second)) {
-          arg = hold->second;
+        key_args.push_back(vn);
+        if (holder[vn] != arg && holder_valid(vn)) {
+          arg = holder[vn];
+          result.changed = true;
         }
       }
 
       if (instr.op == Opcode::Copy) {
-        // The copy's destination now holds the source's value.
-        reg_vn[instr.dst->id] = arg_vns[0];
-        holder.try_emplace(arg_vns[0], instr.args[0]);
+        // The copy's destination now holds the source's value, whose
+        // holder already exists.
+        reg_vn[instr.dst->id] = key_args[0];
         continue;
       }
 
       if (!cseable(instr)) {
         // Opaque result (load, call result, ...): fresh value.
-        if (instr.dst) {
-          const ValueNum vn = next_vn++;
-          reg_vn[instr.dst->id] = vn;
-          holder[vn] = *instr.dst;
-        }
+        if (instr.dst) reg_vn[instr.dst->id] = fresh(*instr.dst);
         continue;
       }
 
-      std::vector<ValueNum> key_args = arg_vns;
       if (commutative(instr.op) && key_args.size() == 2 && key_args[0] > key_args[1]) {
         std::swap(key_args[0], key_args[1]);
       }
-      ExprKey key{instr.op, instr.imm_i,
-                  std::bit_cast<std::uint32_t>(instr.imm_f),
-                  static_cast<int>(instr.intrinsic), std::move(key_args)};
+      const auto imm_f = std::bit_cast<std::uint32_t>(instr.imm_f);
+      std::uint64_t h = mix(static_cast<std::uint64_t>(instr.op) |
+                                static_cast<std::uint64_t>(instr.intrinsic) << 8 |
+                                static_cast<std::uint64_t>(key_args.size()) << 16,
+                            static_cast<std::uint32_t>(instr.imm_i) |
+                                static_cast<std::uint64_t>(imm_f) << 32);
+      for (const ValueNum vn : key_args) h = mix(h, vn);
+      const auto matches = [&](const ExprSlot& slot) {
+        return slot.op == instr.op && slot.imm_i == instr.imm_i &&
+               slot.imm_f == imm_f && slot.intrinsic == instr.intrinsic &&
+               slot.nargs == key_args.size() &&
+               std::equal(key_args.begin(), key_args.end(),
+                          operands.begin() + slot.first_arg);
+      };
+      std::size_t i = h & mask;
+      while (table[i].stamp == stamp && !matches(table[i])) i = (i + 1) & mask;
+      ExprSlot& slot = table[i];
 
-      const auto found = expr_vn.find(key);
-      if (found != expr_vn.end()) {
-        const auto hold = holder.find(found->second);
-        if (hold != holder.end() && holder_valid(found->second, hold->second) &&
-            hold->second.id != instr.dst->id) {
+      if (slot.stamp == stamp) {
+        if (holder_valid(slot.vn) && holder[slot.vn].id != instr.dst->id) {
           // Same value already available: rewrite to a copy of the holder.
           const Reg dst = *instr.dst;
-          const Reg src = hold->second;
+          const Reg src = holder[slot.vn];
           instr.op = Opcode::Copy;
           instr.args = {src};
           instr.imm_i = 0;
           instr.imm_f = 0.0f;
           instr.intrinsic = ir::IntrinsicKind::None;
           instr.dst = dst;
-          reg_vn[dst.id] = found->second;
-          ++rewritten;
+          reg_vn[dst.id] = slot.vn;
+          ++result.rewritten;
+          result.changed = true;
           continue;
         }
+      } else {
+        slot.stamp = stamp;
+        slot.first_arg = static_cast<std::uint32_t>(operands.size());
+        slot.nargs = static_cast<std::uint32_t>(key_args.size());
+        slot.imm_i = instr.imm_i;
+        slot.imm_f = imm_f;
+        slot.op = instr.op;
+        slot.intrinsic = instr.intrinsic;
+        operands.insert(operands.end(), key_args.begin(), key_args.end());
       }
-      const ValueNum vn = next_vn++;
-      expr_vn[std::move(key)] = vn;
-      reg_vn[instr.dst->id] = vn;
-      holder[vn] = *instr.dst;
+      // A new value; a key seen before now names it.
+      slot.vn = fresh(*instr.dst);
+      reg_vn[instr.dst->id] = slot.vn;
     }
   }
-  return rewritten;
+  return result;
 }
+
+}  // namespace
+
+int local_value_numbering(ir::Function& fn) { return number_values(fn).rewritten; }
 
 namespace {
 
@@ -571,13 +623,60 @@ void CfgSimplifier::mark(std::vector<BlockId>& list, std::vector<char>& marks,
   list.push_back(block);
 }
 
+namespace {
+
+/// Blocks holding only a `br`, the ones simplify_cfg forwards through.
+[[nodiscard]] std::size_t trivial_blocks(const ir::Function& fn) {
+  return static_cast<std::size_t>(
+      std::count_if(fn.blocks.begin(), fn.blocks.end(), [](const ir::BasicBlock& block) {
+        return block.instrs.size() == 1 && block.instrs[0].op == Opcode::Br;
+      }));
+}
+
+}  // namespace
+
 void canonicalize(ir::Module& module) {
   for (auto& fn : module.functions) {
+    // Each round runs simplify_cfg, LVN and DCE, and the loop stops after
+    // a round that reports no work.  A pass is skipped while it is settled:
+    // its output is a fixpoint of itself, and nothing it reads has changed
+    // since, so running it would change nothing and report 0.
+    // - simplify_cfg reads block sizes, and terminators with their
+    //   targets.  LVN changes neither; DCE changes them only where it
+    //   leaves a block holding just its `br`.  When simplify_cfg reports
+    //   0, no block died, so at most branch targets moved.
+    // - LVN reads no branch target.  A merge changes a block, and so does
+    //   a DCE removal: a dead recomputation can have taken an expression
+    //   over from a holder that holds its value again further down.
+    // - DCE reads no branch target.  A change by LVN or a dropped block
+    //   can leave more definitions unread.
+    bool cfg_settled = false;
+    bool values_settled = false;
+    bool dead_settled = false;
     for (int round = 0; round < 8; ++round) {
       int work = 0;
-      work += simplify_cfg(fn);
-      work += local_value_numbering(fn);
-      work += dead_code_elimination(fn);
+      if (!cfg_settled) {
+        const int died = simplify_cfg(fn);
+        work += died;
+        cfg_settled = true;
+        if (died != 0) values_settled = dead_settled = false;
+      }
+      if (!values_settled) {
+        const ValueNumbering lvn = number_values(fn);
+        work += lvn.rewritten;
+        values_settled = true;
+        if (lvn.changed) dead_settled = false;
+      }
+      if (!dead_settled) {
+        const std::size_t trivial = trivial_blocks(fn);
+        const int removed = dead_code_elimination(fn);
+        work += removed;
+        dead_settled = true;
+        if (removed != 0) {
+          values_settled = false;
+          if (trivial_blocks(fn) != trivial) cfg_settled = false;
+        }
+      }
       if (work == 0) break;
     }
   }

@@ -124,8 +124,9 @@ private:
   std::vector<char> touched_marks_;
 };
 
-/// Full canonicalization of a module: LVN + DCE + CFG simplification per
-/// function, iterated until stable.
+/// Full canonicalization of a module: CFG simplification, LVN and DCE per
+/// function, in rounds until a round reports no work (at most eight).  A
+/// pass whose output nothing has changed since is not run again.
 void canonicalize(ir::Module& module);
 
 }  // namespace asipfb::opt

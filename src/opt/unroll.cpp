@@ -1,8 +1,8 @@
 #include "opt/unroll.hpp"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "analysis/loops.hpp"
 
@@ -13,17 +13,18 @@ using ir::Instr;
 
 namespace {
 
-/// Replicates one loop. `blocks` is the natural-loop block set.
+/// Replicates one loop. `loop.blocks` is the natural-loop block set.
 void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int factor) {
-  const std::set<BlockId> members(loop.blocks.begin(), loop.blocks.end());
   const BlockId header = loop.header;
+  const std::size_t size = loop.blocks.size();
 
   // Split profile counts: each of the `factor` copies carries 1/factor of
   // the original count; the original keeps the remainder so totals match.
-  std::map<BlockId, std::vector<std::uint64_t>> copy_counts;
-  for (BlockId b : loop.blocks) {
-    auto& counts = copy_counts[b];
-    for (auto& instr : fn.blocks[b].instrs) {
+  // copy_counts[i] belongs to loop.blocks[i].
+  std::vector<std::vector<std::uint64_t>> copy_counts(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    auto& counts = copy_counts[i];
+    for (auto& instr : fn.blocks[loop.blocks[i]].instrs) {
       const std::uint64_t share = instr.exec_count / static_cast<std::uint64_t>(factor);
       counts.push_back(share);
       instr.exec_count -= share * static_cast<std::uint64_t>(factor - 1);
@@ -31,20 +32,29 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
   }
 
   // Create block shells for each copy first so targets can be remapped.
-  std::vector<std::map<BlockId, BlockId>> maps(static_cast<std::size_t>(factor - 1));
+  // Copy k of loop.blocks[i] is block first_copy + k * size + i.
+  constexpr std::uint32_t kOutside = 0xffffffffu;
+  std::vector<std::uint32_t> position(fn.blocks.size(), kOutside);
+  for (std::size_t i = 0; i < size; ++i) {
+    position[loop.blocks[i]] = static_cast<std::uint32_t>(i);
+  }
+  const auto first_copy = static_cast<BlockId>(fn.blocks.size());
+  const auto copy_of = [&](int k, BlockId b) {
+    return static_cast<BlockId>(first_copy + static_cast<std::size_t>(k) * size +
+                                position[b]);
+  };
   for (int k = 0; k < factor - 1; ++k) {
     for (BlockId b : loop.blocks) {
-      const std::string name = fn.blocks[b].name + ".u" + std::to_string(k + 1);
-      maps[static_cast<std::size_t>(k)][b] = fn.add_block(name);
+      fn.add_block(fn.blocks[b].name + ".u" + std::to_string(k + 1));
     }
   }
 
   // Fill the copies.
   for (int k = 0; k < factor - 1; ++k) {
-    const auto& map = maps[static_cast<std::size_t>(k)];
-    for (BlockId b : loop.blocks) {
-      const auto& counts = copy_counts[b];
-      auto& dst = fn.blocks[map.at(b)];
+    for (std::size_t p = 0; p < size; ++p) {
+      const BlockId b = loop.blocks[p];
+      const auto& counts = copy_counts[p];
+      auto& dst = fn.blocks[copy_of(k, b)];
       for (std::size_t i = 0; i < fn.blocks[b].instrs.size(); ++i) {
         Instr instr = fn.blocks[b].instrs[i];  // Copy (same registers).
         instr.exec_count = counts[i];
@@ -58,13 +68,9 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
         auto remap = [&](BlockId target) -> BlockId {
           if (target == ir::kNoBlock) return target;
           if (target == header) {
-            if (k + 1 < factor - 1) {
-              return maps[static_cast<std::size_t>(k + 1)].at(header);
-            }
-            return header;
+            return k + 1 < factor - 1 ? copy_of(k + 1, header) : header;
           }
-          const auto found = map.find(target);
-          return found != map.end() ? found->second : target;
+          return position[target] != kOutside ? copy_of(k, target) : target;
         };
         instr.target0 = remap(instr.target0);
         instr.target1 = remap(instr.target1);
@@ -74,7 +80,7 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
   }
 
   // Redirect the original loop's back edges into the first copy.
-  const BlockId first_copy_header = maps[0].at(header);
+  const BlockId first_copy_header = copy_of(0, header);
   for (BlockId b : loop.blocks) {
     auto& term = fn.blocks[b].terminator();
     if (term.target0 == header) term.target0 = first_copy_header;
@@ -96,19 +102,17 @@ int unroll_loops(ir::Function& fn, const UnrollOptions& options) {
     return true;
   };
 
-  std::set<BlockId> used;
+  std::vector<char> used(fn.blocks.size(), 0);  // Blocks of unrolled loops.
   int unrolled = 0;
   for (const auto& loop : loops) {
     if (!innermost(loop)) continue;
     std::size_t size = 0;
     for (BlockId b : loop.blocks) size += fn.blocks[b].instrs.size();
     if (size > options.max_loop_instrs) continue;
-    bool overlaps = false;
-    for (BlockId b : loop.blocks) {
-      if (used.count(b) != 0) overlaps = true;
-    }
+    const bool overlaps = std::any_of(loop.blocks.begin(), loop.blocks.end(),
+                                      [&](BlockId b) { return used[b] != 0; });
     if (overlaps) continue;
-    for (BlockId b : loop.blocks) used.insert(b);
+    for (BlockId b : loop.blocks) used[b] = 1;
     replicate_loop(fn, loop, options.factor);
     ++unrolled;
   }
