@@ -44,8 +44,9 @@ public:
 
   std::vector<Token> run() {
     std::vector<Token> out;
-    // About one token per four bytes of BenchC.
-    out.reserve(src_.size() / 4 + 1);
+    // BenchC runs one token to about three bytes: at most 0.39 tokens per
+    // byte over the suite and the generated corpora.
+    out.reserve(src_.size() / 2 + 1);
     for (;;) {
       skip_whitespace_and_comments();
       Token tok = next_token();
