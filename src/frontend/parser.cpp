@@ -119,14 +119,14 @@ private:
     }
     const Token& name = expect(Tok::Ident, "in top-level declaration");
     if (at(Tok::LParen)) {
-      unit.functions.push_back(parse_function(type, std::move(name), loc));
+      unit.functions.push_back(parse_function(type, name, loc));
     } else {
       if (type == ir::Type::Void) {
         diags_.error(loc, "variables cannot have void type");
         fatal_ = true;
         return;
       }
-      unit.globals.push_back(parse_global(type, std::move(name), loc));
+      unit.globals.push_back(parse_global(type, name, loc));
     }
   }
 
