@@ -6,22 +6,21 @@ namespace asipfb::analysis {
 
 using ir::BlockId;
 
-DominatorTree::DominatorTree(const ir::Function& fn) {
-  const auto rpo = reverse_post_order(fn);
-  const auto preds = predecessors(fn);
-  idom_.assign(fn.blocks.size(), ir::kNoBlock);
-  if (rpo.empty()) return;
+DominatorTree::DominatorTree(const ir::Function& fn) : DominatorTree(fn, predecessors(fn)) {}
 
-  std::vector<int> rpo_index(fn.blocks.size(), -1);
-  for (std::size_t i = 0; i < rpo.size(); ++i) rpo_index[rpo[i]] = static_cast<int>(i);
+DominatorTree::DominatorTree(const ir::Function& fn, const Preds& preds)
+    : idom_(fn.blocks.size(), ir::kNoBlock), rpo_index_(fn.blocks.size(), -1) {
+  const auto rpo = reverse_post_order(fn);
+  if (rpo.empty()) return;
+  for (std::size_t i = 0; i < rpo.size(); ++i) rpo_index_[rpo[i]] = static_cast<int>(i);
 
   const BlockId entry = rpo.front();
   idom_[entry] = entry;
 
   auto intersect = [&](BlockId a, BlockId b) {
     while (a != b) {
-      while (rpo_index[a] > rpo_index[b]) a = idom_[a];
-      while (rpo_index[b] > rpo_index[a]) b = idom_[b];
+      while (rpo_index_[a] > rpo_index_[b]) a = idom_[a];
+      while (rpo_index_[b] > rpo_index_[a]) b = idom_[b];
     }
     return a;
   };
@@ -33,7 +32,7 @@ DominatorTree::DominatorTree(const ir::Function& fn) {
       if (b == entry) continue;
       BlockId new_idom = ir::kNoBlock;
       for (BlockId p : preds[b]) {
-        if (rpo_index[p] < 0 || idom_[p] == ir::kNoBlock) continue;
+        if (rpo_index_[p] < 0 || idom_[p] == ir::kNoBlock) continue;
         new_idom = new_idom == ir::kNoBlock ? p : intersect(p, new_idom);
       }
       if (new_idom != ir::kNoBlock && idom_[b] != new_idom) {
@@ -45,14 +44,15 @@ DominatorTree::DominatorTree(const ir::Function& fn) {
 }
 
 bool DominatorTree::dominates(BlockId a, BlockId b) const {
-  if (b >= idom_.size() || idom_[b] == ir::kNoBlock) return false;
-  BlockId runner = b;
-  for (;;) {
-    if (runner == a) return true;
-    const BlockId up = idom_[runner];
-    if (up == runner) return false;  // Reached the entry.
-    runner = up;
+  if (a >= idom_.size() || b >= idom_.size() || rpo_index_[a] < 0 || rpo_index_[b] < 0) {
+    return false;
   }
+  // The RPO index strictly falls along an idom chain, and a dominator
+  // precedes every block it dominates, so `a` cannot appear once the walk
+  // is at or below its index.  The entry (index 0) ends every walk.
+  BlockId runner = b;
+  while (rpo_index_[runner] > rpo_index_[a]) runner = idom_[runner];
+  return runner == a;
 }
 
 }  // namespace asipfb::analysis

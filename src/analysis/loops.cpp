@@ -13,9 +13,8 @@ namespace asipfb::analysis {
 using ir::BlockId;
 
 std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
-  const DominatorTree dom(fn);
   const auto preds = predecessors(fn);
-  const auto reachable = reachable_blocks(fn);
+  const DominatorTree dom(fn, preds);
 
   // Collect back edges (tail -> header where header dominates tail),
   // grouped by header in ascending order (a counting sort); each
@@ -23,13 +22,13 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
   const std::size_t nblocks = fn.blocks.size();
   std::vector<std::pair<BlockId, BlockId>> back_edges;  // (header, latch)
   for (std::size_t b = 0; b < nblocks; ++b) {
-    if (!reachable[b]) continue;
     for (BlockId s : successor_pair(fn.blocks[b])) {
       if (s != ir::kNoBlock && dom.dominates(s, static_cast<BlockId>(b))) {
         back_edges.emplace_back(s, static_cast<BlockId>(b));
       }
     }
   }
+  // Block h is a loop header exactly when first[h] != first[h + 1].
   std::vector<std::uint32_t> first(nblocks + 1, 0);
   for (const auto& edge : back_edges) ++first[edge.first + 1];
   std::partial_sum(first.begin(), first.end(), first.begin());
@@ -40,7 +39,8 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
   }
 
   // in_loop[b] is the number of the last loop whose body holds b, so the
-  // marks are never cleared.
+  // marks are never cleared.  A body that holds another header is not
+  // innermost.
   std::vector<std::uint32_t> in_loop(nblocks, 0);
   std::vector<BlockId> work;
   std::vector<NaturalLoop> loops;
@@ -56,6 +56,7 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
       if (in_loop[b] == mark) return false;
       in_loop[b] = mark;
       loop.blocks.push_back(b);
+      if (b != loop.header && first[b] != first[b + 1]) loop.innermost = false;
       return true;
     };
     add(loop.header);
@@ -66,22 +67,12 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
       const BlockId b = work.back();
       work.pop_back();
       for (BlockId p : preds[b]) {
-        if (!reachable[p]) continue;
+        if (dom.idom(p) == ir::kNoBlock) continue;  // Unreachable.
         if (add(p)) work.push_back(p);
       }
     }
     std::sort(loop.blocks.begin(), loop.blocks.end());
     loops.push_back(std::move(loop));
-  }
-
-  // Nesting depth: count how many other loops contain this header.
-  for (auto& loop : loops) {
-    loop.depth = 1;
-    for (const auto& other : loops) {
-      if (other.header != loop.header && other.contains(loop.header)) {
-        ++loop.depth;
-      }
-    }
   }
 
   std::sort(loops.begin(), loops.end(), [](const NaturalLoop& a, const NaturalLoop& b) {

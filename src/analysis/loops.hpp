@@ -12,19 +12,14 @@ namespace asipfb::analysis {
 struct NaturalLoop {
   ir::BlockId header = ir::kNoBlock;
   std::vector<ir::BlockId> latches;  ///< Blocks with a back edge to header.
-  std::vector<ir::BlockId> blocks;   ///< All loop blocks including header.
-  int depth = 1;                     ///< Nesting depth (1 = outermost).
-
-  [[nodiscard]] bool contains(ir::BlockId b) const {
-    for (ir::BlockId x : blocks) {
-      if (x == b) return true;
-    }
-    return false;
-  }
+  std::vector<ir::BlockId> blocks;   ///< All loop blocks including header, ascending.
+  bool innermost = true;             ///< No other loop's header is in `blocks`.
 };
 
 /// Finds all natural loops (one per header; back edges to the same header
-/// are merged).  Loops are sorted innermost-first by block count.
+/// are merged).  Loops are sorted by ascending block count with an
+/// unstable sort: a nested loop comes before the loops around it, but a
+/// small outer loop can come before a larger unrelated inner one.
 [[nodiscard]] std::vector<NaturalLoop> find_loops(const ir::Function& fn);
 
 }  // namespace asipfb::analysis

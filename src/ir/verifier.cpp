@@ -327,17 +327,14 @@ private:
     std::copy(entry_in.begin(), entry_in.end(), in.begin());
 
     std::vector<Word> defs(nblocks * words, 0);
-    std::vector<std::vector<BlockId>> preds(nblocks);
     for (std::size_t b = 0; b < nblocks; ++b) {
       for (const auto& instr : fn_.blocks[b].instrs) {
         if (instr.dst && reg_ok(*instr.dst)) {
           defs[b * words + instr.dst->id / 64] |= bit(*instr.dst);
         }
       }
-      for (BlockId s : analysis::successor_pair(fn_.blocks[b])) {
-        if (s != kNoBlock) preds[s].push_back(static_cast<BlockId>(b));
-      }
     }
+    const auto preds = analysis::predecessors(fn_);
 
     std::vector<Word> new_in(words);
     bool changed = true;

@@ -13,8 +13,13 @@ using ir::Instr;
 
 namespace {
 
+constexpr std::uint32_t kOutside = 0xffffffffu;
+
 /// Replicates one loop. `loop.blocks` is the natural-loop block set.
-void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int factor) {
+/// `position` maps a block to its index in `loop.blocks`, or kOutside; it
+/// holds kOutside for every block on entry and on return.
+void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int factor,
+                    std::vector<std::uint32_t>& position) {
   const BlockId header = loop.header;
   const std::size_t size = loop.blocks.size();
 
@@ -33,8 +38,7 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
 
   // Create block shells for each copy first so targets can be remapped.
   // Copy k of loop.blocks[i] is block first_copy + k * size + i.
-  constexpr std::uint32_t kOutside = 0xffffffffu;
-  std::vector<std::uint32_t> position(fn.blocks.size(), kOutside);
+  position.resize(fn.blocks.size(), kOutside);
   for (std::size_t i = 0; i < size; ++i) {
     position[loop.blocks[i]] = static_cast<std::uint32_t>(i);
   }
@@ -85,6 +89,7 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
     auto& term = fn.blocks[b].terminator();
     if (term.target0 == header) term.target0 = first_copy_header;
     if (term.target1 == header) term.target1 = first_copy_header;
+    position[b] = kOutside;
   }
 }
 
@@ -93,19 +98,11 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
 int unroll_loops(ir::Function& fn, const UnrollOptions& options) {
   if (options.factor < 2) return 0;
   const auto loops = analysis::find_loops(fn);
-
-  // Innermost = contains no other loop's header.
-  auto innermost = [&](const analysis::NaturalLoop& loop) {
-    for (const auto& other : loops) {
-      if (other.header != loop.header && loop.contains(other.header)) return false;
-    }
-    return true;
-  };
-
   std::vector<char> used(fn.blocks.size(), 0);  // Blocks of unrolled loops.
+  std::vector<std::uint32_t> position;
   int unrolled = 0;
   for (const auto& loop : loops) {
-    if (!innermost(loop)) continue;
+    if (!loop.innermost) continue;
     std::size_t size = 0;
     for (BlockId b : loop.blocks) size += fn.blocks[b].instrs.size();
     if (size > options.max_loop_instrs) continue;
@@ -113,7 +110,7 @@ int unroll_loops(ir::Function& fn, const UnrollOptions& options) {
                                       [&](BlockId b) { return used[b] != 0; });
     if (overlaps) continue;
     for (BlockId b : loop.blocks) used[b] = 1;
-    replicate_loop(fn, loop, options.factor);
+    replicate_loop(fn, loop, options.factor, position);
     ++unrolled;
   }
   return unrolled;

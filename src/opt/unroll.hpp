@@ -1,12 +1,12 @@
 // Test-preserving loop unrolling (the pipelining enabler).
 //
-// Each selected innermost loop's body is replicated `factor` times with the
-// original exit test kept between copies, and the back edge threaded
-// original -> copy1 -> ... -> original.  This is exactly semantics-preserving
-// (every iteration is still guarded) and gives percolation scheduling the
-// room to move operations of iteration i+1 up beside iteration i — the
-// paper's "loop pipelining" effect that exposes cross-iteration chains such
-// as add-multiply.
+// Each selected innermost loop's body gets `factor - 1` new copies
+// (`factor` in all) with the original exit test kept between copies, and
+// the back edge threaded original -> copy1 -> ... -> original.  This is
+// exactly semantics-preserving (every iteration is still guarded) and gives
+// percolation scheduling the room to move operations of iteration i+1 up
+// beside iteration i — the paper's "loop pipelining" effect that exposes
+// cross-iteration chains such as add-multiply.
 #pragma once
 
 #include "ir/function.hpp"

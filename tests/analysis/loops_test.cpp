@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "frontend/compile.hpp"
 #include "opt/cleanup.hpp"
 
@@ -21,8 +23,9 @@ TEST(Loops, SingleForLoopFound) {
   ASSERT_EQ(loops.size(), 1u);
   EXPECT_EQ(loops[0].latches.size(), 1u);
   EXPECT_GE(loops[0].blocks.size(), 2u);
-  EXPECT_TRUE(loops[0].contains(loops[0].header));
-  EXPECT_EQ(loops[0].depth, 1);
+  EXPECT_TRUE(std::binary_search(loops[0].blocks.begin(), loops[0].blocks.end(),
+                                 loops[0].header));
+  EXPECT_TRUE(loops[0].innermost);
 }
 
 TEST(Loops, WhileLoopFound) {
@@ -30,7 +33,7 @@ TEST(Loops, WhileLoopFound) {
   EXPECT_EQ(find_loops(m.functions[0]).size(), 1u);
 }
 
-TEST(Loops, NestedLoopsDepths) {
+TEST(Loops, NestedLoopsMarkOnlyTheInnerInnermost) {
   const auto m = compile(R"(
     int main() {
       int s = 0;
@@ -45,9 +48,35 @@ TEST(Loops, NestedLoopsDepths) {
   ASSERT_EQ(loops.size(), 2u);
   // Sorted by size: inner first.
   EXPECT_LT(loops[0].blocks.size(), loops[1].blocks.size());
-  EXPECT_EQ(loops[0].depth, 2);
-  EXPECT_EQ(loops[1].depth, 1);
-  EXPECT_TRUE(loops[1].contains(loops[0].header));
+  EXPECT_TRUE(loops[0].innermost);
+  EXPECT_FALSE(loops[1].innermost);
+  EXPECT_TRUE(std::binary_search(loops[1].blocks.begin(), loops[1].blocks.end(),
+                                 loops[0].header));
+}
+
+TEST(Loops, SiblingInnerLoopsAreBothInnermost) {
+  const auto m = compile(R"(
+    int main() {
+      int s = 0;
+      int i;
+      int j;
+      for (i = 0; i < 3; i++) {
+        for (j = 0; j < 3; j++) s++;
+        for (j = 0; j < 5; j++) s += 2;
+      }
+      return s;
+    })");
+  const auto loops = find_loops(m.functions[0]);
+  ASSERT_EQ(loops.size(), 3u);
+  // The outer loop is the largest, so it sorts last.
+  const NaturalLoop& outer = loops[2];
+  EXPECT_FALSE(outer.innermost);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_TRUE(loops[k].innermost);
+    EXPECT_TRUE(std::binary_search(outer.blocks.begin(), outer.blocks.end(),
+                                   loops[k].header));
+  }
+  EXPECT_NE(loops[0].header, loops[1].header);
 }
 
 TEST(Loops, StraightLineHasNoLoops) {
@@ -62,7 +91,7 @@ TEST(Loops, ConditionalInsideLoopStaysInLoop) {
   ASSERT_EQ(loops.size(), 1u);
   EXPECT_GE(loops[0].blocks.size(), 3u);
   for (ir::BlockId latch : loops[0].latches) {
-    EXPECT_TRUE(loops[0].contains(latch));
+    EXPECT_TRUE(std::binary_search(loops[0].blocks.begin(), loops[0].blocks.end(), latch));
   }
 }
 

@@ -18,6 +18,7 @@
 #include "opt/cleanup.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/percolate.hpp"
+#include "opt/unroll.hpp"
 
 namespace asipfb::opt {
 namespace {
@@ -148,6 +149,56 @@ TEST(OptimizerScaling, DeadChainRemovalIsNearLinear) {
     EXPECT_EQ(m.functions[0].blocks[0].instrs.size(), 1u);  // Just the return.
   };
   expect_near_linear(dead_chain(kN), dead_chain(4 * kN), clean, kN);
+}
+
+/// `count` statements `stmt(k)` in one `main`, compiled and canonicalized.
+template <typename Statement>
+ir::Module sequence(int count, const Statement& stmt) {
+  std::string src = "int x[8]; int out;\nint main() {\n  int s = x[0];\n  int i;\n";
+  for (int k = 0; k < count; ++k) src += "  " + stmt(k) + "\n";
+  src += "  out = s;\n  return s;\n}\n";
+  auto m = fe::compile_benchc(src, "sequence");
+  canonicalize(m);
+  return m;
+}
+
+ir::Module sequential_loops(int count) {
+  return sequence(count, [](int k) {
+    return "for (i = 0; i < 64; i++) s = s + x[" + std::to_string(k % 8) + "];";
+  });
+}
+
+ir::Module sequential_ifs(int count) {
+  return sequence(count, [](int k) {
+    return "if (s > " + std::to_string(k) + ") { s = s + x[" + std::to_string(k % 8) +
+           "]; }";
+  });
+}
+
+/// unroll_loops with default options over every function; the loops unrolled.
+int unroll_all(ir::Module& m) {
+  int unrolled = 0;
+  for (ir::Function& fn : m.functions) unrolled += unroll_loops(fn);
+  return unrolled;
+}
+
+TEST(OptimizerScaling, UnrollSequentialLoopsIsNearLinear) {
+  // Loop finding asks dominance once per edge and unrolling visits each
+  // loop once, so neither may pay per pair of loops.
+  constexpr int kN = 1000;
+  expect_near_linear(sequential_loops(kN), sequential_loops(4 * kN), unroll_all, kN);
+  ir::Module check = sequential_loops(kN);
+  EXPECT_EQ(unroll_all(check), kN);
+  EXPECT_TRUE(ir::verify(check).empty());
+}
+
+TEST(OptimizerScaling, LoopFindingOnLongIfChainIsNearLinear) {
+  // No loops, but the dominator tree is about N deep: a dominance query
+  // must not walk to the entry.
+  constexpr int kN = 2000;
+  expect_near_linear(sequential_ifs(kN), sequential_ifs(4 * kN), unroll_all, kN);
+  ir::Module check = sequential_ifs(kN);
+  EXPECT_EQ(unroll_all(check), 0);
 }
 
 }  // namespace

@@ -125,6 +125,31 @@ TEST(Unroll, LoopWithBranchInsideBody) {
   EXPECT_EQ(machine.run().exit_code, 18 - 8);
 }
 
+TEST(Unroll, LoopExitingIntoAnUnrolledLoopKeepsItsExit) {
+  // The first loop's test branches straight to the second loop's header.
+  // The second loop is smaller, so it is unrolled first; the first loop's
+  // copy, which runs its odd tests and so takes the exit, must still leave
+  // to the original header.
+  auto m = prepared(R"(
+    int main() {
+      int s = 0;
+      int i = 0;
+      while (i < 11) {
+        if (i > 4) s += i;
+        i++;
+      }
+      while (i < 20) {
+        s += 2;
+        i++;
+      }
+      return s;
+    })");
+  EXPECT_EQ(unroll_loops(m.functions[0], {.factor = 2}), 2);
+  EXPECT_TRUE(ir::verify(m).empty());
+  sim::Machine machine(m);
+  EXPECT_EQ(machine.run({.max_steps = 10'000}).exit_code, 45 + 18);
+}
+
 TEST(Unroll, OriginsPointToSourceInstructions) {
   auto m = prepared(kSumLoop);
   unroll_loops(m.functions[0], {.factor = 2});
