@@ -198,10 +198,16 @@ private:
         expect_dst(instr, Type::F32);
         break;
       case Copy:
+        // The destination takes the operand's type, so both must exist.
         expect_args(instr, 1);
-        if (!instr.args.empty() && instr.dst && reg_ok(instr.args[0]) &&
-            reg_ok(*instr.dst) &&
-            fn_.type_of(instr.args[0]) != fn_.type_of(*instr.dst)) {
+        if (!instr.dst) {
+          error_at(instr, "missing destination");
+        } else if (!reg_ok(*instr.dst)) {
+          error_at(instr, "destination register out of range");
+        } else if (!instr.args.empty() && !reg_ok(instr.args[0])) {
+          error_at(instr, "src register out of range");
+        } else if (!instr.args.empty() &&
+                   fn_.type_of(instr.args[0]) != fn_.type_of(*instr.dst)) {
           error_at(instr, "copy between mismatched types");
         }
         break;

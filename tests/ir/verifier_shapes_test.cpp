@@ -224,16 +224,8 @@ const std::vector<std::string> kAccepted = {
     "ftoi (f32) -> i32",
     "movi () -> i32",
     "movf () -> f32",
-    "copy (i32) -> none",
     "copy (i32) -> i32",
-    "copy (i32) -> out",
-    "copy (f32) -> none",
     "copy (f32) -> f32",
-    "copy (f32) -> out",
-    "copy (out) -> none",
-    "copy (out) -> i32",
-    "copy (out) -> f32",
-    "copy (out) -> out",
     "addr_global#0 () -> i32",
     "addr_local#0 () -> i32",
     "load (i32) -> i32",

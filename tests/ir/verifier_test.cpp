@@ -291,6 +291,36 @@ TEST(Verifier, RejectsGlobalIndexOutOfRange) {
   EXPECT_FALSE(verify(m).empty());
 }
 
+/// main with `copy` inserted before its ret: r0 is main's movi result and
+/// r1 a free i32 register.
+Module module_with_copy(Instr copy) {
+  Module m = valid_module();
+  auto& fn = m.functions[0];
+  fn.new_reg(Type::I32);
+  fn.assign_id(copy);
+  auto& instrs = fn.blocks[0].instrs;
+  instrs.insert(instrs.end() - 1, copy);
+  return m;
+}
+
+TEST(Verifier, AcceptsCopyBetweenRegistersOfOneType) {
+  EXPECT_TRUE(verify(module_with_copy(make::copy(Reg{1}, Reg{0}))).empty());
+}
+
+TEST(Verifier, RejectsCopyWithoutDestination) {
+  Instr copy = make::copy(Reg{1}, Reg{0});
+  copy.dst.reset();
+  EXPECT_FALSE(verify(module_with_copy(copy)).empty());
+}
+
+TEST(Verifier, RejectsCopyToOutOfRangeRegister) {
+  EXPECT_FALSE(verify(module_with_copy(make::copy(Reg{64}, Reg{0}))).empty());
+}
+
+TEST(Verifier, RejectsCopyFromOutOfRangeRegister) {
+  EXPECT_FALSE(verify(module_with_copy(make::copy(Reg{1}, Reg{64}))).empty());
+}
+
 TEST(Verifier, RejectsCallArgumentMismatch) {
   Module m = valid_module();
   Function callee;
