@@ -66,10 +66,7 @@ struct Instr {
 
   /// True when this instruction computes a pure value (no memory/control
   /// effects) — candidates for code motion without memory disambiguation.
-  [[nodiscard]] bool is_pure() const {
-    const auto& i = info(op);
-    return !i.has_side_effects && op != Opcode::Load && op != Opcode::FLoad;
-  }
+  [[nodiscard]] bool is_pure() const { return pure(op); }
 };
 
 /// Convenience factory functions keep call sites terse and fill the payload

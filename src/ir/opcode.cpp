@@ -7,55 +7,70 @@ namespace asipfb::ir {
 namespace {
 
 using CC = ChainClass;
+using O = Opcode;
+
+// Operand and result types: N none, I i32, F f32, X set by the instruction.
+constexpr TypeRule N = TypeRule::None;
+constexpr TypeRule I = TypeRule::I32;
+constexpr TypeRule F = TypeRule::F32;
+constexpr TypeRule X = TypeRule::PerInstr;
 
 constexpr std::array<OpcodeInfo, kNumOpcodes> kOpcodeTable = {{
-    // name        args result term  sidefx trap  chain class
-    {"add",        2,   true,  false, false, false, CC::Add},        // Add
-    {"sub",        2,   true,  false, false, false, CC::Subtract},   // Sub
-    {"mul",        2,   true,  false, false, false, CC::Multiply},   // Mul
-    {"div",        2,   true,  false, false, true,  CC::Divide},     // Div
-    {"rem",        2,   true,  false, false, true,  CC::Divide},     // Rem
-    {"neg",        1,   true,  false, false, false, CC::Subtract},   // Neg
-    {"shl",        2,   true,  false, false, false, CC::Shift},      // Shl
-    {"shr",        2,   true,  false, false, false, CC::Shift},      // Shr
-    {"and",        2,   true,  false, false, false, CC::Logic},      // And
-    {"or",         2,   true,  false, false, false, CC::Logic},      // Or
-    {"xor",        2,   true,  false, false, false, CC::Logic},      // Xor
-    {"not",        1,   true,  false, false, false, CC::Logic},      // Not
-    {"fadd",       2,   true,  false, false, false, CC::FAdd},       // FAdd
-    {"fsub",       2,   true,  false, false, false, CC::FSub},       // FSub
-    {"fmul",       2,   true,  false, false, false, CC::FMultiply},  // FMul
-    {"fdiv",       2,   true,  false, false, false, CC::FDivide},    // FDiv
-    {"fneg",       1,   true,  false, false, false, CC::FSub},       // FNeg
-    {"cmpeq",      2,   true,  false, false, false, CC::Compare},    // CmpEq
-    {"cmpne",      2,   true,  false, false, false, CC::Compare},    // CmpNe
-    {"cmplt",      2,   true,  false, false, false, CC::Compare},    // CmpLt
-    {"cmple",      2,   true,  false, false, false, CC::Compare},    // CmpLe
-    {"cmpgt",      2,   true,  false, false, false, CC::Compare},    // CmpGt
-    {"cmpge",      2,   true,  false, false, false, CC::Compare},    // CmpGe
-    {"fcmpeq",     2,   true,  false, false, false, CC::FCompare},   // FCmpEq
-    {"fcmpne",     2,   true,  false, false, false, CC::FCompare},   // FCmpNe
-    {"fcmplt",     2,   true,  false, false, false, CC::FCompare},   // FCmpLt
-    {"fcmple",     2,   true,  false, false, false, CC::FCompare},   // FCmpLe
-    {"fcmpgt",     2,   true,  false, false, false, CC::FCompare},   // FCmpGt
-    {"fcmpge",     2,   true,  false, false, false, CC::FCompare},   // FCmpGe
-    {"itof",       1,   true,  false, false, false, CC::None},       // IntToFp
-    {"ftoi",       1,   true,  false, false, false, CC::None},       // FpToInt
-    {"movi",       0,   true,  false, false, false, CC::None},       // MovI
-    {"movf",       0,   true,  false, false, false, CC::None},       // MovF
-    {"copy",       1,   true,  false, false, false, CC::None},       // Copy
-    {"addr_global",0,   true,  false, false, false, CC::None},       // AddrGlobal
-    {"addr_local", 0,   true,  false, false, false, CC::None},       // AddrLocal
-    {"load",       1,   true,  false, false, true,  CC::Load},       // Load
-    {"store",      2,   false, false, true,  true,  CC::Store},      // Store
-    {"fload",      1,   true,  false, false, true,  CC::FLoad},      // FLoad
-    {"fstore",     2,   false, false, true,  true,  CC::FStore},     // FStore
-    {"intrin",     -1,  true,  false, false, false, CC::None},       // Intrin
-    {"br",         0,   false, true,  true,  false, CC::None},       // Br
-    {"condbr",     1,   false, true,  true,  false, CC::None},       // CondBr
-    {"ret",        -1,  false, true,  true,  false, CC::None},       // Ret
-    {"call",       -1,  false, false, true,  true,  CC::None},       // Call
+    // op            name          args  types   result term   sidefx reads  trap   chain class
+    {O::Add,         "add",           2, {I, I}, I,     false, false, false, false, CC::Add},
+    {O::Sub,         "sub",           2, {I, I}, I,     false, false, false, false, CC::Subtract},
+    {O::Mul,         "mul",           2, {I, I}, I,     false, false, false, false, CC::Multiply},
+    {O::Div,         "div",           2, {I, I}, I,     false, false, false, true,  CC::Divide},
+    {O::Rem,         "rem",           2, {I, I}, I,     false, false, false, true,  CC::Divide},
+    {O::Neg,         "neg",           1, {I, N}, I,     false, false, false, false, CC::Subtract},
+    {O::Shl,         "shl",           2, {I, I}, I,     false, false, false, false, CC::Shift},
+    {O::Shr,         "shr",           2, {I, I}, I,     false, false, false, false, CC::Shift},
+    {O::And,         "and",           2, {I, I}, I,     false, false, false, false, CC::Logic},
+    {O::Or,          "or",            2, {I, I}, I,     false, false, false, false, CC::Logic},
+    {O::Xor,         "xor",           2, {I, I}, I,     false, false, false, false, CC::Logic},
+    {O::Not,         "not",           1, {I, N}, I,     false, false, false, false, CC::Logic},
+    {O::FAdd,        "fadd",          2, {F, F}, F,     false, false, false, false, CC::FAdd},
+    {O::FSub,        "fsub",          2, {F, F}, F,     false, false, false, false, CC::FSub},
+    {O::FMul,        "fmul",          2, {F, F}, F,     false, false, false, false, CC::FMultiply},
+    {O::FDiv,        "fdiv",          2, {F, F}, F,     false, false, false, false, CC::FDivide},
+    {O::FNeg,        "fneg",          1, {F, N}, F,     false, false, false, false, CC::FSub},
+    {O::CmpEq,       "cmpeq",         2, {I, I}, I,     false, false, false, false, CC::Compare},
+    {O::CmpNe,       "cmpne",         2, {I, I}, I,     false, false, false, false, CC::Compare},
+    {O::CmpLt,       "cmplt",         2, {I, I}, I,     false, false, false, false, CC::Compare},
+    {O::CmpLe,       "cmple",         2, {I, I}, I,     false, false, false, false, CC::Compare},
+    {O::CmpGt,       "cmpgt",         2, {I, I}, I,     false, false, false, false, CC::Compare},
+    {O::CmpGe,       "cmpge",         2, {I, I}, I,     false, false, false, false, CC::Compare},
+    {O::FCmpEq,      "fcmpeq",        2, {F, F}, I,     false, false, false, false, CC::FCompare},
+    {O::FCmpNe,      "fcmpne",        2, {F, F}, I,     false, false, false, false, CC::FCompare},
+    {O::FCmpLt,      "fcmplt",        2, {F, F}, I,     false, false, false, false, CC::FCompare},
+    {O::FCmpLe,      "fcmple",        2, {F, F}, I,     false, false, false, false, CC::FCompare},
+    {O::FCmpGt,      "fcmpgt",        2, {F, F}, I,     false, false, false, false, CC::FCompare},
+    {O::FCmpGe,      "fcmpge",        2, {F, F}, I,     false, false, false, false, CC::FCompare},
+    {O::IntToFp,     "itof",          1, {I, N}, F,     false, false, false, false, CC::None},
+    {O::FpToInt,     "ftoi",          1, {F, N}, I,     false, false, false, false, CC::None},
+    {O::MovI,        "movi",          0, {N, N}, I,     false, false, false, false, CC::None},
+    {O::MovF,        "movf",          0, {N, N}, F,     false, false, false, false, CC::None},
+    {O::Copy,        "copy",          1, {X, N}, X,     false, false, false, false, CC::None},
+    {O::AddrGlobal,  "addr_global",   0, {N, N}, I,     false, false, false, false, CC::None},
+    {O::AddrLocal,   "addr_local",    0, {N, N}, I,     false, false, false, false, CC::None},
+    {O::Load,        "load",          1, {I, N}, I,     false, false, true,  true,  CC::Load},
+    {O::Store,       "store",         2, {I, I}, N,     false, true,  false, true,  CC::Store},
+    {O::FLoad,       "fload",         1, {I, N}, F,     false, false, true,  true,  CC::FLoad},
+    {O::FStore,      "fstore",        2, {I, F}, N,     false, true,  false, true,  CC::FStore},
+    {O::Intrin,      "intrin",       -1, {N, N}, X,     false, false, false, false, CC::None},
+    {O::Br,          "br",            0, {N, N}, N,     true,  true,  false, false, CC::None},
+    {O::CondBr,      "condbr",        1, {I, N}, N,     true,  true,  false, false, CC::None},
+    {O::Ret,         "ret",          -1, {N, N}, N,     true,  true,  false, false, CC::None},
+    {O::Call,        "call",         -1, {N, N}, X,     false, true,  false, true,  CC::None},
 }};
+
+constexpr bool rows_in_opcode_order() {
+  for (int i = 0; i < kNumOpcodes; ++i) {
+    if (kOpcodeTable[i].op != static_cast<Opcode>(i)) return false;
+  }
+  return true;
+}
+static_assert(rows_in_opcode_order(), "kOpcodeTable row i must describe opcode i");
 
 }  // namespace
 

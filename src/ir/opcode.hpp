@@ -1,11 +1,17 @@
 // Opcodes of the 3-address IR and their static traits.
 //
-// The trait table also defines each opcode's *chain operator class* — the
-// alphabet the paper's sequence analysis reports ("multiply-add",
-// "fload-fmultiply", "add-shift-add", ...).  Opcodes with class None never
-// participate in chainable sequences (constants, copies, control flow).
+// One table row per opcode is the only statement of what the opcode is:
+// its mnemonic, register operand count, the type of each fixed operand
+// and of its result, whether it ends a block, has side effects, reads
+// memory or can trap, and its *chain operator class* — the alphabet the
+// paper's sequence analysis reports ("multiply-add", "fload-fmultiply",
+// "add-shift-add", ...).  Opcodes with class None never participate in
+// chainable sequences (constants, copies, control flow).  The verifier,
+// the simulator's decoder and the optimizer read these facts from the
+// row; the predicates below derive the memory classes from it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -51,15 +57,32 @@ enum class IntrinsicKind : std::uint8_t {
   None, Sin, Cos, Sqrt, FAbs, IAbs, Exp, Log, Floor,
 };
 
+/// The type the table gives an operand position or an opcode's result.
+enum class TypeRule : std::uint8_t {
+  None,      ///< No value: no result, or no operand at this position.
+  I32,       ///< Always an i32.
+  F32,       ///< Always an f32.
+  PerInstr,  ///< Set by the instruction: Copy's operand, Intrin's kind,
+             ///< Call's callee (which may return nothing).
+};
+
 /// Static description of one opcode.
 struct OpcodeInfo {
+  Opcode op;                ///< The opcode this row describes.
   std::string_view name;    ///< Mnemonic used by the printer.
-  int num_args;             ///< Register operand count; -1 = variable (Call).
-  bool has_result;          ///< Defines a destination register.
+  int num_args;             ///< Register operand count; -1 = set by the
+                            ///< instruction (Intrin, Ret, Call).
+  std::array<TypeRule, 2> arg_types;  ///< Type of each operand below num_args.
+  TypeRule result;          ///< Type of the destination register.
   bool is_terminator;       ///< Must be the last instruction of a block.
   bool has_side_effects;    ///< Writes memory / transfers control / calls.
+  bool reads_memory;        ///< Loads a word from memory.
   bool can_trap;            ///< May fault (division, memory access).
   ChainClass chain_class;   ///< Sequence-alphabet class (None = unchainable).
+
+  /// Defines a destination register (a Call only when its callee returns
+  /// a value).
+  [[nodiscard]] constexpr bool has_result() const { return result != TypeRule::None; }
 };
 
 /// Trait lookup; total over all opcodes.
@@ -78,7 +101,28 @@ struct OpcodeInfo {
 /// pure, non-trapping value computations.
 [[nodiscard]] inline bool speculable(Opcode op) {
   const auto& i = info(op);
-  return i.has_result && !i.has_side_effects && !i.can_trap;
+  return i.has_result() && !i.has_side_effects && !i.can_trap;
+}
+
+/// True for loads (Load, FLoad).
+[[nodiscard]] inline bool reads_memory(Opcode op) { return info(op).reads_memory; }
+
+/// True for the ops no memory access may cross: those that write memory or
+/// may (Store, FStore, Call).
+[[nodiscard]] inline bool is_memory_barrier(Opcode op) {
+  const auto& i = info(op);
+  return i.has_side_effects && !i.is_terminator;
+}
+
+/// True for the ops that read or write memory.
+[[nodiscard]] inline bool accesses_memory(Opcode op) {
+  return reads_memory(op) || is_memory_barrier(op);
+}
+
+/// True for value computations with no memory or control effect.
+[[nodiscard]] inline bool pure(Opcode op) {
+  const auto& i = info(op);
+  return !i.has_side_effects && !i.reads_memory;
 }
 
 /// True if the opcode is eligible to appear inside a chained sequence.

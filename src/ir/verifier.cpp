@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -91,7 +92,7 @@ private:
     }
   }
 
-  void expect_type(const Instr& instr, Reg r, Type t, const char* role) {
+  void expect_type(const Instr& instr, Reg r, Type t, std::string_view role) {
     if (!reg_ok(r)) {
       error_at(instr, std::string(role) + " register out of range");
       return;
@@ -128,78 +129,40 @@ private:
     }
   }
 
+  static constexpr std::string_view kOperandRoles[] = {"operand 0", "operand 1"};
+
+  /// The type a table rule fixes; Void when the rule fixes none.
+  [[nodiscard]] static Type fixed_type(TypeRule rule) {
+    switch (rule) {
+      case TypeRule::I32: return Type::I32;
+      case TypeRule::F32: return Type::F32;
+      default: return Type::Void;
+    }
+  }
+
   void check_instr(const Instr& instr) {
+    // What the opcode's table row fixes: the operand count and types, and
+    // the destination.
+    const OpcodeInfo& row = info(instr.op);
+    if (row.num_args >= 0) {
+      const auto n = static_cast<std::size_t>(row.num_args);
+      expect_args(instr, n);
+      for (std::size_t i = 0; i < n && instr.args.size() == n; ++i) {
+        const Type t = fixed_type(row.arg_types[i]);
+        if (t != Type::Void) expect_type(instr, instr.args[i], t, kOperandRoles[i]);
+      }
+    }
+    if (row.result == TypeRule::None) {
+      expect_no_dst(instr);
+    } else if (const Type t = fixed_type(row.result); t != Type::Void) {
+      expect_dst(instr, t);
+    }
+
+    // What the instruction itself decides.
     using enum Opcode;
     switch (instr.op) {
-      // Integer binary.
-      case Add: case Sub: case Mul: case Div: case Rem:
-      case Shl: case Shr: case And: case Or: case Xor:
-        expect_args(instr, 2);
-        if (instr.args.size() == 2) {
-          expect_type(instr, instr.args[0], Type::I32, "lhs");
-          expect_type(instr, instr.args[1], Type::I32, "rhs");
-        }
-        expect_dst(instr, Type::I32);
-        break;
-      case Neg: case Not:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::I32, "src");
-        expect_dst(instr, Type::I32);
-        break;
-      // Float binary / unary.
-      case FAdd: case FSub: case FMul: case FDiv:
-        expect_args(instr, 2);
-        if (instr.args.size() == 2) {
-          expect_type(instr, instr.args[0], Type::F32, "lhs");
-          expect_type(instr, instr.args[1], Type::F32, "rhs");
-        }
-        expect_dst(instr, Type::F32);
-        break;
-      case FNeg:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::F32, "src");
-        expect_dst(instr, Type::F32);
-        break;
-      // Comparisons.
-      case CmpEq: case CmpNe: case CmpLt: case CmpLe: case CmpGt: case CmpGe:
-        expect_args(instr, 2);
-        if (instr.args.size() == 2) {
-          expect_type(instr, instr.args[0], Type::I32, "lhs");
-          expect_type(instr, instr.args[1], Type::I32, "rhs");
-        }
-        expect_dst(instr, Type::I32);
-        break;
-      case FCmpEq: case FCmpNe: case FCmpLt: case FCmpLe: case FCmpGt: case FCmpGe:
-        expect_args(instr, 2);
-        if (instr.args.size() == 2) {
-          expect_type(instr, instr.args[0], Type::F32, "lhs");
-          expect_type(instr, instr.args[1], Type::F32, "rhs");
-        }
-        expect_dst(instr, Type::I32);
-        break;
-      // Conversions.
-      case IntToFp:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::I32, "src");
-        expect_dst(instr, Type::F32);
-        break;
-      case FpToInt:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::F32, "src");
-        expect_dst(instr, Type::I32);
-        break;
-      // Constants, copies, addresses.
-      case MovI:
-        expect_args(instr, 0);
-        expect_dst(instr, Type::I32);
-        break;
-      case MovF:
-        expect_args(instr, 0);
-        expect_dst(instr, Type::F32);
-        break;
       case Copy:
         // The destination takes the operand's type, so both must exist.
-        expect_args(instr, 1);
         if (!instr.dst) {
           error_at(instr, "missing destination");
         } else if (!reg_ok(*instr.dst)) {
@@ -212,74 +175,29 @@ private:
         }
         break;
       case AddrGlobal:
-        expect_args(instr, 0);
-        expect_dst(instr, Type::I32);
         if (instr.imm_i < 0 ||
             static_cast<std::size_t>(instr.imm_i) >= module_.globals.size()) {
           error_at(instr, "global index out of range");
         }
         break;
       case AddrLocal:
-        expect_args(instr, 0);
-        expect_dst(instr, Type::I32);
         if (instr.imm_i < 0 ||
             static_cast<std::uint32_t>(instr.imm_i) >= std::max(1u, fn_.frame_words)) {
           error_at(instr, "frame offset out of range");
         }
         break;
-      // Memory.
-      case Load:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::I32, "address");
-        expect_dst(instr, Type::I32);
-        break;
-      case FLoad:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::I32, "address");
-        expect_dst(instr, Type::F32);
-        break;
-      case Store:
-        expect_args(instr, 2);
-        if (instr.args.size() == 2) {
-          expect_type(instr, instr.args[0], Type::I32, "address");
-          expect_type(instr, instr.args[1], Type::I32, "value");
-        }
-        expect_no_dst(instr);
-        break;
-      case FStore:
-        expect_args(instr, 2);
-        if (instr.args.size() == 2) {
-          expect_type(instr, instr.args[0], Type::I32, "address");
-          expect_type(instr, instr.args[1], Type::F32, "value");
-        }
-        expect_no_dst(instr);
-        break;
-      // Intrinsics.
       case Intrin: {
         expect_args(instr, 1);
         if (instr.intrinsic == IntrinsicKind::None) {
           error_at(instr, "intrinsic kind not set");
           break;
         }
-        const bool integer = instr.intrinsic == IntrinsicKind::IAbs;
-        if (!instr.args.empty()) {
-          expect_type(instr, instr.args[0], integer ? Type::I32 : Type::F32, "arg");
-        }
-        expect_dst(instr, integer ? Type::I32 : Type::F32);
+        const Type t = instr.intrinsic == IntrinsicKind::IAbs ? Type::I32 : Type::F32;
+        if (!instr.args.empty()) expect_type(instr, instr.args[0], t, "arg");
+        expect_dst(instr, t);
         break;
       }
-      // Control.
-      case Br:
-        expect_args(instr, 0);
-        expect_no_dst(instr);
-        break;
-      case CondBr:
-        expect_args(instr, 1);
-        if (!instr.args.empty()) expect_type(instr, instr.args[0], Type::I32, "condition");
-        expect_no_dst(instr);
-        break;
       case Ret:
-        expect_no_dst(instr);
         if (fn_.return_type == Type::Void) {
           expect_args(instr, 0);
         } else {
@@ -312,6 +230,8 @@ private:
         }
         break;
       }
+      default:
+        break;
     }
   }
 

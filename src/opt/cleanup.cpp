@@ -187,9 +187,9 @@ int local_value_numbering(ir::Function& fn) { return number_values(fn).rewritten
 
 namespace {
 
+/// A definition whose op has no side effect: a pure value or a load.
 [[nodiscard]] bool removable(const Instr& instr) {
-  return !instr.is_terminator() && instr.dst &&
-         (instr.is_pure() || instr.op == Opcode::Load || instr.op == Opcode::FLoad);
+  return instr.dst && !ir::info(instr.op).has_side_effects;
 }
 
 /// Counts the removable definitions of the registers `uses` finds unread,

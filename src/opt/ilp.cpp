@@ -8,24 +8,6 @@ namespace asipfb::opt {
 
 namespace {
 
-using ir::Opcode;
-
-[[nodiscard]] bool is_memory_op(const ir::Instr& instr) {
-  switch (instr.op) {
-    case Opcode::Load: case Opcode::FLoad:
-    case Opcode::Store: case Opcode::FStore:
-    case Opcode::Call:
-      return true;
-    default:
-      return false;
-  }
-}
-
-[[nodiscard]] bool is_barrier(const ir::Instr& instr) {
-  return instr.op == Opcode::Store || instr.op == Opcode::FStore ||
-         instr.op == Opcode::Call;
-}
-
 /// Schedule length of one block at the given width.
 int schedule_block(const ir::BasicBlock& block, int width) {
   const std::size_t n = block.instrs.size();
@@ -53,9 +35,11 @@ int schedule_block(const ir::BasicBlock& block, int width) {
       const auto use = last_use.find(instr.dst->id);
       if (use != last_use.end()) earliest = std::max(earliest, cycle[use->second]);
     }
-    if (is_memory_op(instr)) {
+    const bool memory = ir::accesses_memory(instr.op);
+    const bool barrier = ir::is_memory_barrier(instr.op);
+    if (memory) {
       earliest = std::max(earliest, barrier_cycle + 1);
-      if (is_barrier(instr)) earliest = std::max(earliest, last_mem_cycle + 1);
+      if (barrier) earliest = std::max(earliest, last_mem_cycle + 1);
     }
     if (instr.is_terminator()) earliest = std::max(earliest, length);
 
@@ -74,8 +58,8 @@ int schedule_block(const ir::BasicBlock& block, int width) {
 
     for (ir::Reg a : instr.args) last_use[a.id] = i;
     if (instr.dst) last_def[instr.dst->id] = i;
-    if (is_barrier(instr)) barrier_cycle = std::max(barrier_cycle, c);
-    if (is_memory_op(instr)) last_mem_cycle = std::max(last_mem_cycle, c);
+    if (barrier) barrier_cycle = std::max(barrier_cycle, c);
+    if (memory) last_mem_cycle = std::max(last_mem_cycle, c);
   }
   return std::max(length, 1);
 }

@@ -19,15 +19,6 @@ using ir::Reg;
 
 namespace {
 
-[[nodiscard]] bool is_load(const Instr& instr) {
-  return instr.op == Opcode::Load || instr.op == Opcode::FLoad;
-}
-
-[[nodiscard]] bool is_memory_barrier(const Instr& instr) {
-  return instr.op == Opcode::Store || instr.op == Opcode::FStore ||
-         instr.op == Opcode::Call;
-}
-
 /// The movable set of a block: the closed set of its instructions that can
 /// legally move together to the end of its unique predecessor (above that
 /// block's conditional branch).  See percolate.hpp for the motion model.
@@ -62,11 +53,11 @@ public:
     for (std::size_t i = 0; i < n; ++i) {
       const Instr& instr = instrs[i];
       if (instr.is_terminator()) break;
-      const bool eligible =
-          ir::speculable(instr.op) || (options.speculate_loads && is_load(instr));
+      const bool load = ir::reads_memory(instr.op);
+      const bool eligible = ir::speculable(instr.op) || (options.speculate_loads && load);
       bool ok = eligible && instr.dst.has_value();
       // Loads may not cross stores/calls that stay behind (stores never move).
-      if (ok && is_load(instr) && barrier_before) ok = false;
+      if (ok && load && barrier_before) ok = false;
       // The predecessor's branch must not read the destination's old value.
       if (ok) {
         for (Reg a : pred.terminator().args) {
@@ -83,7 +74,7 @@ public:
       }
       movable_[i] = ok ? 1 : 0;
       any |= ok;
-      if (is_memory_barrier(instr)) barrier_before = true;
+      if (ir::is_memory_barrier(instr.op)) barrier_before = true;
     }
     if (!any) return movable_;
 

@@ -92,26 +92,14 @@ Program decode(ir::Module& module) {
           d.dst = in.dst->id;
         }
 
+        // Register operands: the opcode's fixed count, or, for Intrin, Ret
+        // and Call, what the instruction carries.
+        const ir::OpcodeInfo& row = ir::info(in.op);
+        if (row.num_args >= 1) d.a = slot(fn, in, 0);
+        if (row.num_args >= 2) d.b = slot(fn, in, 1);
+
         using enum ir::Opcode;
         switch (in.op) {
-          // Two register operands.
-          case Add: case Sub: case Mul: case Div: case Rem:
-          case Shl: case Shr: case And: case Or: case Xor:
-          case FAdd: case FSub: case FMul: case FDiv:
-          case CmpEq: case CmpNe: case CmpLt: case CmpLe: case CmpGt: case CmpGe:
-          case FCmpEq: case FCmpNe: case FCmpLt: case FCmpLe: case FCmpGt: case FCmpGe:
-          case Store: case FStore:
-            d.a = slot(fn, in, 0);
-            d.b = slot(fn, in, 1);
-            break;
-          // One register operand.
-          case Neg: case Not: case FNeg: case IntToFp: case FpToInt:
-          case Copy: case Load: case FLoad: case Intrin:
-            d.a = slot(fn, in, 0);
-            break;
-          // Immediates only.
-          case MovI: case MovF: case AddrLocal:
-            break;
           case AddrGlobal: {
             const auto index = static_cast<std::size_t>(in.imm_i);
             if (in.imm_i < 0 || index >= module.globals.size()) {
@@ -124,9 +112,11 @@ Program decode(ir::Module& module) {
             d.aux0 = target(in.target0);
             break;
           case CondBr:
-            d.a = slot(fn, in, 0);
             d.aux0 = target(in.target0);
             d.aux1 = target(in.target1);
+            break;
+          case Intrin:
+            d.a = slot(fn, in, 0);
             break;
           case Ret:
             if (!in.args.empty()) {
@@ -151,10 +141,12 @@ Program decode(ir::Module& module) {
             }
             break;
           }
+          default:
+            break;
         }
         // The interpreter writes result slots unchecked; a value op with no
-        // dst would scribble past the frame window.
-        if (in.op != Call && ir::info(in.op).has_result && d.dst == kNoSlot) {
+        // dst would scribble past the frame window (a Call's dst is optional).
+        if (in.op != Call && row.has_result() && d.dst == kNoSlot) {
           fail(fn, "missing dst on " + std::string(ir::to_string(in.op)));
         }
         p.code.push_back(d);

@@ -87,6 +87,33 @@ TEST(OpcodeInfo, ArityTable) {
   EXPECT_EQ(info(Opcode::Ret).num_args, -1);
 }
 
+TEST(OpcodeInfo, MemoryClasses) {
+  for (Opcode op : all_opcodes()) {
+    const bool load = op == Opcode::Load || op == Opcode::FLoad;
+    const bool barrier =
+        op == Opcode::Store || op == Opcode::FStore || op == Opcode::Call;
+    EXPECT_EQ(reads_memory(op), load) << to_string(op);
+    EXPECT_EQ(is_memory_barrier(op), barrier) << to_string(op);
+    EXPECT_EQ(accesses_memory(op), load || barrier) << to_string(op);
+    EXPECT_EQ(pure(op), !load && !barrier && !info(op).is_terminator) << to_string(op);
+  }
+}
+
+TEST(OpcodeInfo, OperandTypesCoverExactlyTheFixedOperands) {
+  for (Opcode op : all_opcodes()) {
+    const auto& row = info(op);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(row.arg_types[i] != TypeRule::None, i < row.num_args)
+          << to_string(op) << " operand " << i;
+    }
+  }
+  EXPECT_EQ(info(Opcode::FStore).arg_types[1], TypeRule::F32);
+  EXPECT_EQ(info(Opcode::FCmpLt).result, TypeRule::I32);
+  EXPECT_EQ(info(Opcode::IntToFp).result, TypeRule::F32);
+  EXPECT_FALSE(info(Opcode::Store).has_result());
+  EXPECT_TRUE(info(Opcode::Copy).has_result());
+}
+
 TEST(ChainClassNames, PaperStyleLowercase) {
   EXPECT_EQ(to_string(ChainClass::Multiply), "multiply");
   EXPECT_EQ(to_string(ChainClass::FMultiply), "fmultiply");
