@@ -39,8 +39,7 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
   }
 
   // in_loop[b] is the number of the last loop whose body holds b, so the
-  // marks are never cleared.  A body that holds another header is not
-  // innermost.
+  // marks are never cleared.
   std::vector<std::uint32_t> in_loop(nblocks, 0);
   std::vector<BlockId> work;
   std::vector<NaturalLoop> loops;
@@ -56,7 +55,6 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
       if (in_loop[b] == mark) return false;
       in_loop[b] = mark;
       loop.blocks.push_back(b);
-      if (b != loop.header && first[b] != first[b + 1]) loop.innermost = false;
       return true;
     };
     add(loop.header);

@@ -13,7 +13,6 @@ struct NaturalLoop {
   ir::BlockId header = ir::kNoBlock;
   std::vector<ir::BlockId> latches;  ///< Blocks with a back edge to header.
   std::vector<ir::BlockId> blocks;   ///< All loop blocks including header, ascending.
-  bool innermost = true;             ///< No other loop's header is in `blocks`.
 };
 
 /// Finds all natural loops (one per header; back edges to the same header

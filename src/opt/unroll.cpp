@@ -101,8 +101,10 @@ int unroll_loops(ir::Function& fn, const UnrollOptions& options) {
   std::vector<char> used(fn.blocks.size(), 0);  // Blocks of unrolled loops.
   std::vector<std::uint32_t> position;
   int unrolled = 0;
+  // Only innermost loops get unrolled.  A loop sorts after the loops nested
+  // in it and is larger, so when it fits the size limit its innermost loop
+  // did too, and was unrolled or overlapped one that was: `used` skips it.
   for (const auto& loop : loops) {
-    if (!loop.innermost) continue;
     std::size_t size = 0;
     for (BlockId b : loop.blocks) size += fn.blocks[b].instrs.size();
     if (size > options.max_loop_instrs) continue;

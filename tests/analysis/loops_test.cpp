@@ -25,7 +25,6 @@ TEST(Loops, SingleForLoopFound) {
   EXPECT_GE(loops[0].blocks.size(), 2u);
   EXPECT_TRUE(std::binary_search(loops[0].blocks.begin(), loops[0].blocks.end(),
                                  loops[0].header));
-  EXPECT_TRUE(loops[0].innermost);
 }
 
 TEST(Loops, WhileLoopFound) {
@@ -33,7 +32,7 @@ TEST(Loops, WhileLoopFound) {
   EXPECT_EQ(find_loops(m.functions[0]).size(), 1u);
 }
 
-TEST(Loops, NestedLoopsMarkOnlyTheInnerInnermost) {
+TEST(Loops, NestedLoopsSortInnerFirst) {
   const auto m = compile(R"(
     int main() {
       int s = 0;
@@ -48,13 +47,11 @@ TEST(Loops, NestedLoopsMarkOnlyTheInnerInnermost) {
   ASSERT_EQ(loops.size(), 2u);
   // Sorted by size: inner first.
   EXPECT_LT(loops[0].blocks.size(), loops[1].blocks.size());
-  EXPECT_TRUE(loops[0].innermost);
-  EXPECT_FALSE(loops[1].innermost);
   EXPECT_TRUE(std::binary_search(loops[1].blocks.begin(), loops[1].blocks.end(),
                                  loops[0].header));
 }
 
-TEST(Loops, SiblingInnerLoopsAreBothInnermost) {
+TEST(Loops, SiblingInnerLoopsSortBeforeTheirOuterLoop) {
   const auto m = compile(R"(
     int main() {
       int s = 0;
@@ -70,9 +67,7 @@ TEST(Loops, SiblingInnerLoopsAreBothInnermost) {
   ASSERT_EQ(loops.size(), 3u);
   // The outer loop is the largest, so it sorts last.
   const NaturalLoop& outer = loops[2];
-  EXPECT_FALSE(outer.innermost);
   for (int k = 0; k < 2; ++k) {
-    EXPECT_TRUE(loops[k].innermost);
     EXPECT_TRUE(std::binary_search(outer.blocks.begin(), outer.blocks.end(),
                                    loops[k].header));
   }
