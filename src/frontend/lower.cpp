@@ -363,12 +363,11 @@ private:
     if (expr.builtin >= 0) {
       const auto kind = static_cast<ir::IntrinsicKind>(expr.builtin);
       const Reg arg = eval(*expr.children[0]);
-      const Type result = kind == ir::IntrinsicKind::IAbs ? Type::I32 : Type::F32;
       if (dst) {
         b_->emit(ir::make::intrin(kind, *dst, {arg}));
         return *dst;
       }
-      return b_->emit_intrin(kind, result, {arg});
+      return b_->emit_intrin(kind, ir::intrinsic_type(kind), {arg});
     }
     const auto callee = static_cast<ir::FuncId>(expr.callee_index);
     const auto& sig = sema_.functions[static_cast<std::size_t>(expr.callee_index)];

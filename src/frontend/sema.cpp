@@ -322,9 +322,8 @@ private:
         expr.type = Type::F32;
         return;
       }
-      const bool integer = intrin == ir::IntrinsicKind::IAbs;
-      coerce(expr.children[0], integer ? Type::I32 : Type::F32);
-      expr.type = integer ? Type::I32 : Type::F32;
+      expr.type = ir::intrinsic_type(intrin);
+      coerce(expr.children[0], expr.type);
       return;
     }
 

@@ -61,7 +61,6 @@ struct Instr {
   bool fused_follower = false;
 
   [[nodiscard]] bool is_terminator() const { return info(op).is_terminator; }
-  [[nodiscard]] bool has_result() const { return dst.has_value(); }
   [[nodiscard]] ChainClass chain_class() const { return info(op).chain_class; }
 
   /// True when this instruction computes a pure value (no memory/control

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "ir/type.hpp"
+
 namespace asipfb::ir {
 
 enum class Opcode : std::uint8_t {
@@ -96,6 +98,12 @@ struct OpcodeInfo {
 [[nodiscard]] std::string_view to_string(ChainClass c);
 
 [[nodiscard]] std::string_view to_string(IntrinsicKind k);
+
+/// The operand and result type of an intrinsic: i32 for IAbs, f32 for the
+/// rest.
+[[nodiscard]] constexpr Type intrinsic_type(IntrinsicKind k) {
+  return k == IntrinsicKind::IAbs ? Type::I32 : Type::F32;
+}
 
 /// True for opcodes that may be hoisted above a conditional branch:
 /// pure, non-trapping value computations.

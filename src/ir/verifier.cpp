@@ -119,10 +119,6 @@ private:
     expect_type(instr, *instr.dst, t, "destination");
   }
 
-  void expect_no_dst(const Instr& instr) {
-    if (instr.dst) error_at(instr, "unexpected destination");
-  }
-
   void check_instructions() {
     for (const auto& block : fn_.blocks) {
       for (const auto& instr : block.instrs) check_instr(instr);
@@ -153,7 +149,7 @@ private:
       }
     }
     if (row.result == TypeRule::None) {
-      expect_no_dst(instr);
+      if (instr.dst) error_at(instr, "unexpected destination");
     } else if (const Type t = fixed_type(row.result); t != Type::Void) {
       expect_dst(instr, t);
     }
@@ -162,16 +158,11 @@ private:
     using enum Opcode;
     switch (instr.op) {
       case Copy:
-        // The destination takes the operand's type, so both must exist.
-        if (!instr.dst) {
-          error_at(instr, "missing destination");
-        } else if (!reg_ok(*instr.dst)) {
-          error_at(instr, "destination register out of range");
-        } else if (!instr.args.empty() && !reg_ok(instr.args[0])) {
+        // The destination takes the operand's type.
+        if (instr.args.size() == 1 && !reg_ok(instr.args[0])) {
           error_at(instr, "src register out of range");
-        } else if (!instr.args.empty() &&
-                   fn_.type_of(instr.args[0]) != fn_.type_of(*instr.dst)) {
-          error_at(instr, "copy between mismatched types");
+        } else if (instr.args.size() == 1) {
+          expect_dst(instr, fn_.type_of(instr.args[0]));
         }
         break;
       case AddrGlobal:
@@ -192,7 +183,7 @@ private:
           error_at(instr, "intrinsic kind not set");
           break;
         }
-        const Type t = instr.intrinsic == IntrinsicKind::IAbs ? Type::I32 : Type::F32;
+        const Type t = intrinsic_type(instr.intrinsic);
         if (!instr.args.empty()) expect_type(instr, instr.args[0], t, "arg");
         expect_dst(instr, t);
         break;
