@@ -65,6 +65,40 @@ TEST(Verifier, RejectsBranchOutOfRange) {
   EXPECT_FALSE(verify(m).empty());
 }
 
+/// valid_module() with its ret replaced by `term`, which may branch on the
+/// block's i32 value.
+Module module_ending_in(Instr term) {
+  Module m = valid_module();
+  auto& fn = m.functions[0];
+  fn.assign_id(term);
+  fn.blocks[0].instrs.back() = std::move(term);
+  return m;
+}
+
+/// The one error a branch out of range gives in the one-block function.
+const std::vector<std::string> kBranchOutOfRange = {
+    "function 'main': block 0 branches out of range"};
+
+TEST(Verifier, RejectsBrToNoBlockOrPastTheLastBlock) {
+  EXPECT_EQ(verify(module_ending_in(make::br(kNoBlock))), kBranchOutOfRange);
+  EXPECT_EQ(verify(module_ending_in(make::br(1))), kBranchOutOfRange);
+}
+
+TEST(Verifier, RejectsCondBrWithEitherTargetOutOfRange) {
+  const Reg cond{0};  // valid_module's movi.
+  EXPECT_EQ(verify(module_ending_in(make::cond_br(cond, 1, 0))), kBranchOutOfRange);
+  EXPECT_EQ(verify(module_ending_in(make::cond_br(cond, 0, 1))), kBranchOutOfRange);
+  EXPECT_EQ(verify(module_ending_in(make::cond_br(cond, 0, kNoBlock))),
+            kBranchOutOfRange);
+}
+
+TEST(Verifier, CondBrWithTwoEqualBadTargetsIsOneError) {
+  const Reg cond{0};
+  EXPECT_EQ(verify(module_ending_in(make::cond_br(cond, 7, 7))), kBranchOutOfRange);
+  EXPECT_EQ(verify(module_ending_in(make::cond_br(cond, kNoBlock, kNoBlock))),
+            kBranchOutOfRange);
+}
+
 TEST(Verifier, RejectsWrongArity) {
   Module m = valid_module();
   auto& fn = m.functions[0];

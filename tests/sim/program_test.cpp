@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "frontend/compile.hpp"
 #include "ir/builder.hpp"
 #include "sim/machine.hpp"
@@ -120,6 +122,48 @@ TEST(Decode, RejectsMissingTerminator) {
   b.emit_movi(1);  // Block ends without a terminator.
   m.functions.push_back(std::move(fn));
   EXPECT_THROW(decode(m), SimError);
+}
+
+/// f() { c = 1; <term> } with `term` built on c, never verified.
+ir::Module module_ending_in(ir::Instr (*term)(Reg cond)) {
+  ir::Module m;
+  Function fn;
+  fn.name = "f";
+  fn.return_type = Type::I32;
+  Builder b(fn);
+  b.set_insert_point(b.create_block("entry"));
+  const Reg c = b.emit_movi(1);
+  b.emit(term(c));
+  m.functions.push_back(std::move(fn));
+  return m;
+}
+
+/// The message decode() throws for `m`, or "" when it does not throw.
+std::string decode_error(ir::Module m) {
+  try {
+    (void)decode(m);
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Decode, RejectsBranchTargetsOutOfRange) {
+  const std::string expected = "decode error in f: branch target out of range";
+  using ir::kNoBlock;
+  namespace make = ir::make;
+  EXPECT_EQ(decode_error(module_ending_in([](Reg) { return make::br(kNoBlock); })),
+            expected);
+  EXPECT_EQ(decode_error(module_ending_in([](Reg) { return make::br(1); })), expected);
+  EXPECT_EQ(decode_error(module_ending_in([](Reg c) { return make::cond_br(c, 1, 0); })),
+            expected);
+  EXPECT_EQ(decode_error(module_ending_in([](Reg c) { return make::cond_br(c, 0, 1); })),
+            expected);
+  EXPECT_EQ(decode_error(module_ending_in([](Reg c) { return make::cond_br(c, 7, 7); })),
+            expected);
+  EXPECT_EQ(decode_error(module_ending_in(
+                [](Reg c) { return make::cond_br(c, kNoBlock, kNoBlock); })),
+            expected);
 }
 
 TEST(Decode, RejectsCallArgumentCountMismatch) {
