@@ -6,12 +6,10 @@ namespace asipfb::analysis {
 
 using ir::BlockId;
 
-std::vector<std::vector<BlockId>> predecessors(const ir::Function& fn) {
-  std::vector<std::vector<BlockId>> preds(fn.blocks.size());
+Preds predecessors(const ir::Function& fn) {
+  Preds preds(fn.blocks.size());
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-    for (BlockId s : successor_pair(fn.blocks[b])) {
-      if (s != ir::kNoBlock) preds[s].push_back(static_cast<BlockId>(b));
-    }
+    for (BlockId s : fn.blocks[b].successors()) preds[s].push_back(static_cast<BlockId>(b));
   }
   return preds;
 }
@@ -21,8 +19,8 @@ namespace {
 void post_order_visit(const ir::Function& fn, BlockId block,
                       std::vector<bool>& visited, std::vector<BlockId>& order) {
   visited[block] = true;
-  for (BlockId s : successor_pair(fn.blocks[block])) {
-    if (s != ir::kNoBlock && !visited[s]) post_order_visit(fn, s, visited, order);
+  for (BlockId s : fn.blocks[block].successors()) {
+    if (!visited[s]) post_order_visit(fn, s, visited, order);
   }
   order.push_back(block);
 }
@@ -47,8 +45,8 @@ std::vector<bool> reachable_blocks(const ir::Function& fn) {
   while (!work.empty()) {
     const BlockId b = work.back();
     work.pop_back();
-    for (BlockId s : successor_pair(fn.blocks[b])) {
-      if (s != ir::kNoBlock && !visited[s]) {
+    for (BlockId s : fn.blocks[b].successors()) {
+      if (!visited[s]) {
         visited[s] = true;
         work.push_back(s);
       }

@@ -1,7 +1,5 @@
 #include "analysis/dominators.hpp"
 
-#include "analysis/cfg.hpp"
-
 namespace asipfb::analysis {
 
 using ir::BlockId;

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "analysis/cfg.hpp"
 #include "ir/function.hpp"
 
 namespace asipfb::analysis {
@@ -10,8 +11,6 @@ namespace asipfb::analysis {
 /// Immediate dominators of all reachable blocks.
 class DominatorTree {
 public:
-  using Preds = std::vector<std::vector<ir::BlockId>>;
-
   explicit DominatorTree(const ir::Function& fn);
   /// As above, reusing the caller's `preds` (analysis::predecessors(fn)).
   DominatorTree(const ir::Function& fn, const Preds& preds);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/cfg.hpp"
-
 namespace asipfb::analysis {
 
 using ir::BlockId;
@@ -13,13 +11,13 @@ Liveness::Liveness(const ir::Function& fn) : Liveness(fn, predecessors(fn)) {}
 Liveness::Liveness(const ir::Function& fn, const Preds& preds)
     : words_((fn.reg_types.size() + 63) / 64),
       bits_(fn.blocks.size() * 3 * words_, 0),
-      succs_(fn.blocks.size(), {ir::kNoBlock, ir::kNoBlock}),
+      succs_(fn.blocks.size()),
       queued_(fn.blocks.size(), 1) {
   const std::size_t nblocks = fn.blocks.size();
   work_.reserve(nblocks);
   for (std::size_t b = 0; b < nblocks; ++b) {
     const auto id = static_cast<BlockId>(b);
-    succs_[b] = successor_pair(fn.blocks[b]);
+    succs_[b] = fn.blocks[b].successors();
     summarize(fn.blocks[b], id);
     // Pushed in index order so the stack pops in reverse index order, a
     // cheap approximation of post-order for this backward problem.
@@ -31,7 +29,7 @@ Liveness::Liveness(const ir::Function& fn, const Preds& preds)
 void Liveness::refresh(const ir::Function& fn, const Preds& preds,
                        std::span<const BlockId> touched) {
   for (const BlockId b : touched) {
-    succs_[b] = successor_pair(fn.blocks[b]);
+    succs_[b] = fn.blocks[b].successors();
     summarize(fn.blocks[b], b);
   }
   for (auto it = touched.end(); it != touched.begin();) {
@@ -67,12 +65,10 @@ void Liveness::solve(const Preds& preds) {
     std::uint64_t* in = row(b, kIn);
     const std::uint64_t* use = row(b, kUse);
     const std::uint64_t* def = row(b, kDef);
-    const auto [s0, s1] = succs_[b];
-    const std::uint64_t* in0 = s0 == ir::kNoBlock ? nullptr : row(s0, kIn);
-    const std::uint64_t* in1 = s1 == ir::kNoBlock ? nullptr : row(s1, kIn);
     bool changed = false;
     for (std::size_t w = 0; w < words_; ++w) {
-      const std::uint64_t out = (in0 ? in0[w] : 0) | (in1 ? in1[w] : 0);
+      std::uint64_t out = 0;
+      for (const BlockId s : succs_[b]) out |= row(s, kIn)[w];
       const std::uint64_t next = use[w] | (out & ~def[w]);
       changed |= next != in[w];
       in[w] = next;

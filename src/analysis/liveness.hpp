@@ -24,20 +24,18 @@
 // per pass or per move.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
 
+#include "analysis/cfg.hpp"
 #include "ir/function.hpp"
 
 namespace asipfb::analysis {
 
 class Liveness {
 public:
-  using Preds = std::vector<std::vector<ir::BlockId>>;
-
   explicit Liveness(const ir::Function& fn);
   /// As above, reusing the caller's `preds` (analysis::predecessors(fn)).
   Liveness(const ir::Function& fn, const Preds& preds);
@@ -50,7 +48,7 @@ public:
   /// True when `reg` is live on exit from `block`.
   [[nodiscard]] bool live_out(ir::BlockId block, ir::Reg reg) const {
     for (const ir::BlockId s : succs_[block]) {
-      if (s != ir::kNoBlock && live_in(s, reg)) return true;
+      if (live_in(s, reg)) return true;
     }
     return false;
   }
@@ -92,7 +90,7 @@ private:
 
   std::size_t words_ = 0;                ///< 64-bit words per bitset.
   std::vector<std::uint64_t> bits_;      ///< [in | use | def] per block.
-  std::vector<std::array<ir::BlockId, 2>> succs_;  ///< kNoBlock-padded.
+  std::vector<ir::Successors> succs_;    ///< Per block, as last read.
   std::vector<ir::BlockId> work_;        ///< Worklist (a stack).
   std::vector<char> queued_;             ///< Block is on `work_`.
 };

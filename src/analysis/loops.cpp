@@ -22,8 +22,8 @@ std::vector<NaturalLoop> find_loops(const ir::Function& fn) {
   const std::size_t nblocks = fn.blocks.size();
   std::vector<std::pair<BlockId, BlockId>> back_edges;  // (header, latch)
   for (std::size_t b = 0; b < nblocks; ++b) {
-    for (BlockId s : successor_pair(fn.blocks[b])) {
-      if (s != ir::kNoBlock && dom.dominates(s, static_cast<BlockId>(b))) {
+    for (BlockId s : fn.blocks[b].successors()) {
+      if (dom.dominates(s, static_cast<BlockId>(b))) {
         back_edges.emplace_back(s, static_cast<BlockId>(b));
       }
     }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/cfg.hpp"
-
 namespace asipfb::analysis {
 
 using ir::BlockId;
@@ -23,8 +21,8 @@ std::vector<std::vector<BlockId>> form_traces(const ir::Function& fn) {
   std::vector<BlockId> best_pred(nblocks, ir::kNoBlock);
   for (std::size_t i = 0; i < nblocks; ++i) {
     const auto b = static_cast<BlockId>(i);
-    for (BlockId s : successor_pair(fn.blocks[b])) {
-      if (s == ir::kNoBlock || s == b) continue;
+    for (BlockId s : fn.blocks[b].successors()) {
+      if (s == b) continue;
       if (best_succ[b] == ir::kNoBlock || count_of(s) > count_of(best_succ[b])) {
         best_succ[b] = s;
       }

@@ -2,20 +2,6 @@
 
 namespace asipfb::ir {
 
-std::vector<BlockId> BasicBlock::successors() const {
-  if (instrs.empty()) return {};
-  const Instr& t = instrs.back();
-  switch (t.op) {
-    case Opcode::Br:
-      return {t.target0};
-    case Opcode::CondBr:
-      if (t.target0 == t.target1) return {t.target0};
-      return {t.target0, t.target1};
-    default:
-      return {};
-  }
-}
-
 std::uint64_t Function::total_dynamic_ops() const {
   std::uint64_t total = 0;
   for (const auto& block : blocks) {

@@ -1,6 +1,7 @@
 // Functions and basic blocks of the 3-address IR.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,13 +11,36 @@
 
 namespace asipfb::ir {
 
+/// The distinct branch targets of a terminator in target order: at most
+/// two, held by value.  Keep a range in a local to call begin() and end()
+/// separately; a range-for may take a temporary.
+class Successors {
+public:
+  Successors() = default;
+  explicit Successors(const Instr& term) {
+    for_each_target(term, [&](BlockId b) {
+      if (size_ == 0 || ids_[0] != b) ids_[size_++] = b;
+    });
+  }
+
+  [[nodiscard]] const BlockId* begin() const { return ids_.data(); }
+  [[nodiscard]] const BlockId* end() const { return ids_.data() + size_; }
+
+private:
+  std::array<BlockId, 2> ids_{};
+  std::uint8_t size_ = 0;
+};
+
 /// A straight-line run of instructions ending in a terminator.
 struct BasicBlock {
   std::string name;           ///< Label for printing ("entry", "L3", ...).
   std::vector<Instr> instrs;  ///< Last instruction is the terminator.
 
-  /// Control-flow successors derived from the terminator (empty for Ret).
-  [[nodiscard]] std::vector<BlockId> successors() const;
+  /// Control-flow successors read from the terminator (none for Ret or an
+  /// empty block).
+  [[nodiscard]] Successors successors() const {
+    return instrs.empty() ? Successors{} : Successors(instrs.back());
+  }
 
   [[nodiscard]] const Instr& terminator() const { return instrs.back(); }
   [[nodiscard]] Instr& terminator() { return instrs.back(); }

@@ -68,6 +68,16 @@ struct Instr {
   [[nodiscard]] bool is_pure() const { return pure(op); }
 };
 
+/// Calls `f` on each branch target of `instr` its opcode's row counts:
+/// target0, then target1, a repeated target once per field.  `f` may
+/// assign through a non-const `instr`'s targets.
+template <typename InstrT, typename F>
+void for_each_target(InstrT& instr, F&& f) {
+  const int n = info(instr.op).num_targets;
+  if (n > 0) f(instr.target0);
+  if (n > 1) f(instr.target1);
+}
+
 /// Convenience factory functions keep call sites terse and fill the payload
 /// fields that matter for each shape of instruction.
 namespace make {

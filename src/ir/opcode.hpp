@@ -2,13 +2,15 @@
 //
 // One table row per opcode is the only statement of what the opcode is:
 // its mnemonic, register operand count, the type of each fixed operand
-// and of its result, whether it ends a block, has side effects, reads
-// memory or can trap, and its *chain operator class* — the alphabet the
-// paper's sequence analysis reports ("multiply-add", "fload-fmultiply",
-// "add-shift-add", ...).  Opcodes with class None never participate in
-// chainable sequences (constants, copies, control flow).  The verifier,
-// the simulator's decoder and the optimizer read these facts from the
-// row; the predicates below derive the memory classes from it.
+// and of its result, how many branch targets it carries, whether it ends
+// a block, has side effects, reads memory or can trap, and its *chain
+// operator class* — the alphabet the paper's sequence analysis reports
+// ("multiply-add", "fload-fmultiply", "add-shift-add", ...).  Opcodes with
+// class None never participate in chainable sequences (constants, copies,
+// control flow).  The verifier, the simulator's decoder, the optimizer
+// and the CFG (ir::for_each_target, BasicBlock::successors()) read these
+// facts from the row; the predicates below derive the memory classes from
+// it.
 #pragma once
 
 #include <array>
@@ -76,6 +78,7 @@ struct OpcodeInfo {
                             ///< instruction (Intrin, Ret, Call).
   std::array<TypeRule, 2> arg_types;  ///< Type of each operand below num_args.
   TypeRule result;          ///< Type of the destination register.
+  int num_targets;          ///< Branch targets carried: target0, then target1.
   bool is_terminator;       ///< Must be the last instruction of a block.
   bool has_side_effects;    ///< Writes memory / transfers control / calls.
   bool reads_memory;        ///< Loads a word from memory.

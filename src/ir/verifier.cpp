@@ -79,16 +79,12 @@ private:
           seen_ids[instr.id] = true;
         }
       }
-      // The targets BasicBlock::successors() lists, read in place.  Not
-      // successor_pair: its kNoBlock padding is also an unset target.
-      const auto check_target = [&](BlockId s) {
+      // An unset target (kNoBlock) is out of range too.
+      for (const BlockId s : block.successors()) {
         if (s >= fn_.blocks.size()) {
           error("block " + std::to_string(b) + " branches out of range");
         }
-      };
-      const Instr& t = block.terminator();
-      if (t.op == Opcode::Br || t.op == Opcode::CondBr) check_target(t.target0);
-      if (t.op == Opcode::CondBr && t.target1 != t.target0) check_target(t.target1);
+      }
     }
   }
 

@@ -6,8 +6,6 @@
 #include <numeric>
 #include <vector>
 
-#include "analysis/cfg.hpp"
-
 namespace asipfb::opt {
 
 using ir::BlockId;
@@ -28,6 +26,12 @@ namespace {
     default:
       return false;
   }
+}
+
+/// True for a block that holds only its `br`: a trivial block, one
+/// simplify_cfg forwards branches through.
+[[nodiscard]] bool only_br(const ir::BasicBlock& block) {
+  return block.instrs.size() == 1 && block.instrs[0].op == Opcode::Br;
 }
 
 /// Pure value computations eligible for CSE.  Loads are excluded (no memory
@@ -265,9 +269,7 @@ void compact_blocks(ir::Function& fn, const std::vector<bool>& keep) {
     new_blocks.push_back(std::move(fn.blocks[b]));
   }
   for (auto& block : new_blocks) {
-    auto& term = block.terminator();
-    if (term.target0 != ir::kNoBlock) term.target0 = remap[term.target0];
-    if (term.target1 != ir::kNoBlock) term.target1 = remap[term.target1];
+    ir::for_each_target(block.terminator(), [&](BlockId& t) { t = remap[t]; });
   }
   fn.blocks = std::move(new_blocks);
 }
@@ -354,9 +356,7 @@ bool CfgSimplifier::restart_round() {
   counts_.assign(nblocks, 0);
   for (std::size_t b = 0; b < nblocks; ++b) {
     if (dead_[b]) continue;
-    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
-      if (s != ir::kNoBlock) ++counts_[s];
-    }
+    for (const BlockId s : fn_.blocks[b].successors()) ++counts_[s];
   }
   for (std::size_t b = 0; b < nblocks; ++b) {
     if (dead_[b]) continue;
@@ -378,8 +378,8 @@ bool CfgSimplifier::restart_round() {
   while (!batch_.empty()) {
     const BlockId b = batch_.back();
     batch_.pop_back();
-    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
-      if (s == ir::kNoBlock || counts_[s]) continue;
+    for (const BlockId s : fn_.blocks[b].successors()) {
+      if (counts_[s]) continue;
       counts_[s] = 1;
       batch_.push_back(s);
     }
@@ -398,8 +398,8 @@ void CfgSimplifier::rebuild_preds() {
   for (auto& ps : preds_) ps.clear();
   for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
     if (dead_[b]) continue;
-    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
-      if (s != ir::kNoBlock) preds_[s].push_back(static_cast<BlockId>(b));
+    for (const BlockId s : fn_.blocks[b].successors()) {
+      preds_[s].push_back(static_cast<BlockId>(b));
     }
   }
 }
@@ -412,10 +412,9 @@ bool CfgSimplifier::long_trivial_chain() {
   const std::size_t nblocks = fn_.blocks.size();
   counts_.assign(nblocks, kUnknown);
   const auto next_of = [&](BlockId b) {
-    const auto& instrs = fn_.blocks[b].instrs;
-    const bool trivial = instrs.size() == 1 && instrs[0].op == Opcode::Br &&
-                         instrs[0].target0 != b;
-    return trivial ? instrs[0].target0 : ir::kNoBlock;
+    const auto& block = fn_.blocks[b];
+    const bool trivial = only_br(block) && block.instrs[0].target0 != b;
+    return trivial ? block.instrs[0].target0 : ir::kNoBlock;
   };
   for (std::size_t start = 0; start < nblocks; ++start) {
     if (dead_[start]) continue;
@@ -442,9 +441,7 @@ bool CfgSimplifier::long_trivial_chain() {
 }
 
 void CfgSimplifier::note_emptied(BlockId block) {
-  if (dead_[block]) return;
-  const auto& instrs = fn_.blocks[block].instrs;
-  if (instrs.size() != 1 || instrs[0].op != Opcode::Br) return;
+  if (dead_[block] || !only_br(fn_.blocks[block])) return;
   emptied_ = true;
   for (const BlockId p : preds_[block]) queue_forward(p);
 }
@@ -472,7 +469,7 @@ BlockId CfgSimplifier::forward(BlockId target) const {
   int hops = 0;
   while (hops++ < 64) {
     const auto& t = fn_.blocks[current];
-    if (t.instrs.size() != 1 || t.instrs[0].op != Opcode::Br) break;
+    if (!only_br(t)) break;
     const BlockId next = t.instrs[0].target0;
     if (next == current) break;
     current = next;
@@ -515,22 +512,22 @@ void CfgSimplifier::drain_forwarding() {
 }
 
 void CfgSimplifier::retarget(BlockId block) {
-  const auto before = analysis::successor_pair(fn_.blocks[block]);
+  const ir::Successors before = fn_.blocks[block].successors();
   if (!forward_targets(block)) return;
-  const auto after = analysis::successor_pair(fn_.blocks[block]);
+  const ir::Successors after = fn_.blocks[block].successors();
   mark(edited_, edited_marks_, block);
   mark(touched_, touched_marks_, block);
-  const auto has = [](const std::array<BlockId, 2>& pair, BlockId b) {
-    return pair[0] == b || pair[1] == b;
+  const auto has = [](const ir::Successors& succs, BlockId b) {
+    return std::find(succs.begin(), succs.end(), b) != succs.end();
   };
   // New edges first: an old target that dies may lead only to a new one.
   for (const BlockId s : after) {
-    if (s == ir::kNoBlock || has(before, s)) continue;
+    if (has(before, s)) continue;
     preds_[s].push_back(block);
     mark(touched_, touched_marks_, s);
   }
   for (const BlockId s : before) {
-    if (s != ir::kNoBlock && !has(after, s)) lose_pred(s, block);
+    if (!has(after, s)) lose_pred(s, block);
   }
   queue_merge(block);
 }
@@ -549,9 +546,7 @@ void CfgSimplifier::lose_pred(BlockId block, BlockId pred) {
     // Unreachable now: it dies, and its successors lose it.
     dead_[b] = 1;
     ++died_;
-    for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
-      if (s != ir::kNoBlock) lost_.push_back({s, b});
-    }
+    for (const BlockId s : fn_.blocks[b].successors()) lost_.push_back({s, b});
   }
 }
 
@@ -570,8 +565,7 @@ void CfgSimplifier::merge(BlockId block) {
   ++died_;
   preds_[succ].clear();
   // The successor's successors now come from `block`.
-  for (const BlockId s : analysis::successor_pair(fn_.blocks[block])) {
-    if (s == ir::kNoBlock) continue;
+  for (const BlockId s : fn_.blocks[block].successors()) {
     *std::find(preds_[s].begin(), preds_[s].end(), succ) = block;
     mark(touched_, touched_marks_, s);
   }
@@ -627,10 +621,7 @@ namespace {
 
 /// Blocks holding only a `br`, the ones simplify_cfg forwards through.
 [[nodiscard]] std::size_t trivial_blocks(const ir::Function& fn) {
-  return static_cast<std::size_t>(
-      std::count_if(fn.blocks.begin(), fn.blocks.end(), [](const ir::BasicBlock& block) {
-        return block.instrs.size() == 1 && block.instrs[0].op == Opcode::Br;
-      }));
+  return static_cast<std::size_t>(std::count_if(fn.blocks.begin(), fn.blocks.end(), only_br));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/cfg.hpp"
 #include "ir/function.hpp"
 
 namespace asipfb::opt {
@@ -49,8 +50,6 @@ void compact_blocks(ir::Function& fn, const std::vector<bool>& keep);
 /// per-block state stays valid across runs.
 class CfgSimplifier {
 public:
-  using Preds = std::vector<std::vector<ir::BlockId>>;
-
   explicit CfgSimplifier(ir::Function& fn) : fn_(fn) {}
 
   /// Simplifies to a fixpoint; returns the number of blocks that died.
@@ -67,7 +66,7 @@ public:
   void compact();
 
   /// Predecessors of each live block; empty for dead ones.
-  [[nodiscard]] const Preds& preds() const { return preds_; }
+  [[nodiscard]] const analysis::Preds& preds() const { return preds_; }
   [[nodiscard]] bool dead(ir::BlockId block) const { return dead_[block] != 0; }
   /// Live blocks whose instructions or branch targets the last run()
   /// changed.  Their live-in is unchanged (see analysis/liveness.hpp).
@@ -109,7 +108,7 @@ private:
   bool started_ = false;
   bool emptied_ = false;  ///< note_emptied() found a trivial block.
   int died_ = 0;
-  Preds preds_;
+  analysis::Preds preds_;
   std::vector<char> dead_;
   std::vector<ir::BlockId> forward_work_;  ///< Terminators to re-forward.
   std::vector<char> forward_queued_;

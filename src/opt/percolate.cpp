@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/cfg.hpp"
 #include "analysis/liveness.hpp"
 #include "opt/cleanup.hpp"
 
@@ -247,9 +246,7 @@ public:
     for (const BlockId b : cfg.touched()) {
       if (cfg.dead(b)) continue;
       queued_[b] = 1;
-      for (const BlockId s : analysis::successor_pair(fn_.blocks[b])) {
-        if (s != ir::kNoBlock) queued_[s] = 1;
-      }
+      for (const BlockId s : fn_.blocks[b].successors()) queued_[s] = 1;
     }
   }
 
@@ -270,8 +267,8 @@ public:
       if (pred_block.terminator().op != Opcode::CondBr) continue;
 
       other_succs_.clear();
-      for (const BlockId s : analysis::successor_pair(pred_block)) {
-        if (s != ir::kNoBlock && s != n) other_succs_.push_back(s);
+      for (const BlockId s : pred_block.successors()) {
+        if (s != n) other_succs_.push_back(s);
       }
       if (other_succs_.empty()) continue;
 
@@ -299,8 +296,7 @@ public:
       queued_[n] = 1;
       queued_[m] = 1;
       nb = std::min<std::size_t>(n, m);
-      for (const BlockId s : analysis::successor_pair(pred_block)) {
-        if (s == ir::kNoBlock) continue;
+      for (const BlockId s : pred_block.successors()) {
         queued_[s] = 1;
         nb = std::min<std::size_t>(nb, s);
       }

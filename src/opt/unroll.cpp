@@ -69,15 +69,13 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
         // Remap in-loop targets; `header` is special: it is only reachable
         // from inside the loop via the back edge, which must thread to the
         // next copy (or back to the original for the last copy).
-        auto remap = [&](BlockId target) -> BlockId {
-          if (target == ir::kNoBlock) return target;
+        ir::for_each_target(instr, [&](BlockId& target) {
           if (target == header) {
-            return k + 1 < factor - 1 ? copy_of(k + 1, header) : header;
+            target = k + 1 < factor - 1 ? copy_of(k + 1, header) : header;
+          } else if (position[target] != kOutside) {
+            target = copy_of(k, target);
           }
-          return position[target] != kOutside ? copy_of(k, target) : target;
-        };
-        instr.target0 = remap(instr.target0);
-        instr.target1 = remap(instr.target1);
+        });
         dst.instrs.push_back(std::move(instr));
       }
     }
@@ -86,9 +84,9 @@ void replicate_loop(ir::Function& fn, const analysis::NaturalLoop& loop, int fac
   // Redirect the original loop's back edges into the first copy.
   const BlockId first_copy_header = copy_of(0, header);
   for (BlockId b : loop.blocks) {
-    auto& term = fn.blocks[b].terminator();
-    if (term.target0 == header) term.target0 = first_copy_header;
-    if (term.target1 == header) term.target1 = first_copy_header;
+    ir::for_each_target(fn.blocks[b].terminator(), [&](BlockId& target) {
+      if (target == header) target = first_copy_header;
+    });
     position[b] = kOutside;
   }
 }

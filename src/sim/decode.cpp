@@ -97,6 +97,9 @@ Program decode(ir::Module& module) {
         const ir::OpcodeInfo& row = ir::info(in.op);
         if (row.num_args >= 1) d.a = slot(fn, in, 0);
         if (row.num_args >= 2) d.b = slot(fn, in, 1);
+        // Branch targets as flat indices: the first in aux0, the second in aux1.
+        int k = 0;
+        ir::for_each_target(in, [&](ir::BlockId t) { (k++ == 0 ? d.aux0 : d.aux1) = target(t); });
 
         using enum ir::Opcode;
         switch (in.op) {
@@ -108,13 +111,6 @@ Program decode(ir::Module& module) {
             d.aux0 = module.globals[index].base_address;
             break;
           }
-          case Br:
-            d.aux0 = target(in.target0);
-            break;
-          case CondBr:
-            d.aux0 = target(in.target0);
-            d.aux1 = target(in.target1);
-            break;
           case Intrin:
             d.a = slot(fn, in, 0);
             break;

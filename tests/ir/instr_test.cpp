@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ir/function.hpp"
 
 namespace asipfb::ir {
@@ -76,24 +78,56 @@ TEST(Instr, PurityClassification) {
   EXPECT_FALSE(make::br(0).is_pure());
 }
 
+TEST(Instr, ForEachTargetVisitsTheTargetsItsRowCounts) {
+  std::vector<BlockId> seen;
+  const auto visit = [&](BlockId& t) {
+    seen.push_back(t);
+    t += 10;
+  };
+  Instr cond = make::cond_br(Reg{0}, 4, 4);
+  for_each_target(cond, visit);
+  EXPECT_EQ(seen, (std::vector<BlockId>{4, 4})) << "a repeated target once per field";
+  EXPECT_EQ(cond.target0, 14u);
+  EXPECT_EQ(cond.target1, 14u);
+
+  seen.clear();
+  Instr br = make::br(2);
+  br.target1 = 7;  // Not a target of a br.
+  for_each_target(br, visit);
+  EXPECT_EQ(seen, std::vector<BlockId>{2});
+  EXPECT_EQ(br.target1, 7u);
+
+  seen.clear();
+  Instr ret = make::ret();
+  ret.target0 = 3;
+  for_each_target(ret, visit);
+  EXPECT_TRUE(seen.empty());
+}
+
+/// The successor range of `block`, held in a local and copied out.
+std::vector<BlockId> successors_of(const BasicBlock& block) {
+  const Successors succs = block.successors();
+  return {succs.begin(), succs.end()};
+}
+
 TEST(BasicBlock, SuccessorsOfBr) {
-  BasicBlock block{"b", {make::br(3)}};
-  EXPECT_EQ(block.successors(), std::vector<BlockId>{3});
+  EXPECT_EQ(successors_of({"b", {make::br(3)}}), std::vector<BlockId>{3});
 }
 
 TEST(BasicBlock, SuccessorsOfCondBr) {
-  BasicBlock block{"b", {make::cond_br(Reg{0}, 1, 2)}};
-  EXPECT_EQ(block.successors(), (std::vector<BlockId>{1, 2}));
+  EXPECT_EQ(successors_of({"b", {make::cond_br(Reg{0}, 1, 2)}}), (std::vector<BlockId>{1, 2}));
 }
 
 TEST(BasicBlock, CondBrSameTargetDeduplicated) {
-  BasicBlock block{"b", {make::cond_br(Reg{0}, 4, 4)}};
-  EXPECT_EQ(block.successors(), std::vector<BlockId>{4});
+  EXPECT_EQ(successors_of({"b", {make::cond_br(Reg{0}, 4, 4)}}), std::vector<BlockId>{4});
 }
 
 TEST(BasicBlock, RetHasNoSuccessors) {
-  BasicBlock block{"b", {make::ret()}};
-  EXPECT_TRUE(block.successors().empty());
+  EXPECT_TRUE(successors_of({"b", {make::ret()}}).empty());
+}
+
+TEST(BasicBlock, EmptyBlockHasNoSuccessors) {
+  EXPECT_TRUE(successors_of({"b", {}}).empty());
 }
 
 TEST(Function, RegAllocationSequential) {

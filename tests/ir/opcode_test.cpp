@@ -31,6 +31,14 @@ TEST(OpcodeInfo, TerminatorsAreExactlyBranchesAndRet) {
   }
 }
 
+TEST(OpcodeInfo, OnlyBranchesCarryTargets) {
+  for (Opcode op : all_opcodes()) {
+    const int expected = op == Opcode::Br ? 1 : op == Opcode::CondBr ? 2 : 0;
+    EXPECT_EQ(info(op).num_targets, expected) << to_string(op);
+    EXPECT_TRUE(info(op).num_targets == 0 || info(op).is_terminator) << to_string(op);
+  }
+}
+
 TEST(OpcodeInfo, ChainClassesMatchPaperAlphabet) {
   EXPECT_EQ(info(Opcode::Add).chain_class, ChainClass::Add);
   EXPECT_EQ(info(Opcode::Sub).chain_class, ChainClass::Subtract);
