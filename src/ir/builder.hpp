@@ -24,7 +24,6 @@ public:
 
   /// Moves the insertion point to the end of `block`.
   void set_insert_point(BlockId block) { current_ = block; }
-  [[nodiscard]] BlockId insert_block() const { return current_; }
 
   /// True once the current block has a terminator (no more emission allowed).
   [[nodiscard]] bool block_terminated() const {

@@ -156,13 +156,14 @@ SimResult Machine::exec(const SimOptions& options, ir::FuncId entry) {
   std::uint64_t oob_loads = 0;
   std::uint32_t dirty_end = globals_end_;  // Published at return.
 
-  // Dispatch.  With GCC/Clang every handler ends in its own computed goto
-  // (threaded dispatch): each opcode gets a private indirect-branch site,
-  // which the branch predictor resolves far better than one shared switch
-  // branch.  Other compilers run the same handler bodies from a switch in
-  // a loop.  ASIPFB_DISPATCH_AT carries the per-operation bookkeeping
-  // (cycle charge, step-limit check) in both forms.
-#if defined(__GNUC__) || defined(__clang__)
+  // Dispatch.  Every handler ends in its own computed goto (threaded
+  // dispatch): each opcode gets a private indirect-branch site, which the
+  // branch predictor resolves far better than one shared switch branch.
+  // ASIPFB_DISPATCH_AT carries the per-operation bookkeeping (cycle
+  // charge, step-limit check).
+#if !(defined(__GNUC__) || defined(__clang__))
+#error "the simulator's threaded dispatch needs GCC or Clang (labels as values)"
+#endif
 #define ASIPFB_OP(name) L_##name:
 #define ASIPFB_DISPATCH_AT(next_ip)                        \
   do {                                                     \
@@ -192,29 +193,10 @@ SimResult Machine::exec(const SimOptions& options, ir::FuncId entry) {
   };
   static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
                 static_cast<std::size_t>(ir::kNumOpcodes));
-#else
-#define ASIPFB_OP(name) case ir::Opcode::name:
-#define ASIPFB_DISPATCH_AT(next_ip) \
-  do {                              \
-    ip = (next_ip);                 \
-    goto dispatch;                  \
-  } while (0)
-#endif
 #define ASIPFB_NEXT() ASIPFB_DISPATCH_AT(ip + 1)
 
   const DecodedInstr* __restrict in = nullptr;
   ASIPFB_DISPATCH_AT(ip);
-
-#if !(defined(__GNUC__) || defined(__clang__))
-dispatch:
-  in = code + ip;
-  cycles += in->cycle_cost;
-  if (++steps > max_steps) {
-    fault_ip_ = ip;
-    throw SimError("step limit exceeded");
-  }
-  switch (in->op) {
-#endif
 
   ASIPFB_OP(Add) { fr[in->dst] = fr[in->a] + fr[in->b]; ASIPFB_NEXT(); }
   ASIPFB_OP(Sub) { fr[in->dst] = fr[in->a] - fr[in->b]; ASIPFB_NEXT(); }
@@ -369,11 +351,6 @@ dispatch:
     if constexpr (Profile) ++bc[cf.entry_block];
     ASIPFB_DISPATCH_AT(cf.entry);
   }
-
-#if !(defined(__GNUC__) || defined(__clang__))
-  }
-  throw SimError("corrupt opcode");  // Unreachable: the switch is total.
-#endif
 
 #undef ASIPFB_OP
 #undef ASIPFB_DISPATCH_AT
