@@ -16,6 +16,8 @@ constexpr TypeRule I = TypeRule::I32;
 constexpr TypeRule F = TypeRule::F32;
 constexpr TypeRule X = TypeRule::PerInstr;
 
+}  // namespace
+
 constexpr std::array<OpcodeInfo, kNumOpcodes> kOpcodeTable = {{
     // op            name          args  types   res tgt term   sidefx reads  trap   chain class
     {O::Add,         "add",           2, {I, I}, I,  0,  false, false, false, false, CC::Add},
@@ -65,19 +67,14 @@ constexpr std::array<OpcodeInfo, kNumOpcodes> kOpcodeTable = {{
     {O::Call,        "call",         -1, {N, N}, X,  0,  false, true,  false, true,  CC::None},
 }};
 
-constexpr bool rows_in_opcode_order() {
-  for (int i = 0; i < kNumOpcodes; ++i) {
-    if (kOpcodeTable[i].op != static_cast<Opcode>(i)) return false;
-  }
-  return true;
-}
-static_assert(rows_in_opcode_order(), "kOpcodeTable row i must describe opcode i");
-
-}  // namespace
-
-const OpcodeInfo& info(Opcode op) {
-  return kOpcodeTable[static_cast<int>(op)];
-}
+static_assert(
+    [] {
+      for (int i = 0; i < kNumOpcodes; ++i) {
+        if (kOpcodeTable[i].op != static_cast<Opcode>(i)) return false;
+      }
+      return true;
+    }(),
+    "kOpcodeTable row i must describe opcode i");
 
 std::string_view to_string(ChainClass c) {
   switch (c) {

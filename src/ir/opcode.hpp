@@ -90,8 +90,13 @@ struct OpcodeInfo {
   [[nodiscard]] constexpr bool has_result() const { return result != TypeRule::None; }
 };
 
+/// The table: row i describes opcode i (opcode.cpp).
+extern const std::array<OpcodeInfo, kNumOpcodes> kOpcodeTable;
+
 /// Trait lookup; total over all opcodes.
-[[nodiscard]] const OpcodeInfo& info(Opcode op);
+[[nodiscard]] inline const OpcodeInfo& info(Opcode op) {
+  return kOpcodeTable[static_cast<std::size_t>(op)];
+}
 
 [[nodiscard]] inline std::string_view to_string(Opcode op) {
   return info(op).name;
